@@ -25,8 +25,12 @@ type t = {
   channels_per_rank : int;
   (* producer/consumer channels: [rank].(channel) *)
   pc : Tilelink_sim.Counter.t array array;
-  (* peer channels: [dst_rank].(src_rank).(channel) *)
-  peer : Tilelink_sim.Counter.t array array array;
+  (* peer channels: [dst_rank].(src_rank).(channel), one row per
+     (dst, src) pair allocated on first use — ring kernels give every
+     (stage, tile) its own channel, so most rows of a large table are
+     never touched *)
+  peer : Tilelink_sim.Counter.t array option array array;
+  peer_channels : int;
   (* host channels: [dst_rank].(src_rank) *)
   host : Tilelink_sim.Counter.t array array;
   (* Telemetry sink plus the simulation clock that timestamps its
@@ -207,11 +211,8 @@ let create ~world_size ~channels_per_rank ?(peer_channels = 1) ?telemetry
       Array.init world_size (fun r ->
           Array.init channels_per_rank (fun c ->
               mk (Printf.sprintf "pc[%d][%d]" r c)));
-    peer =
-      Array.init world_size (fun dst ->
-          Array.init world_size (fun src ->
-              Array.init peer_channels (fun c ->
-                  mk (Printf.sprintf "peer[%d<-%d][%d]" dst src c))));
+    peer = Array.init world_size (fun _ -> Array.make world_size None);
+    peer_channels;
     host =
       Array.init world_size (fun dst ->
           Array.init world_size (fun src ->
@@ -228,15 +229,50 @@ let pending_waits t =
                   (b.pw_key, b.pw_rank, b.pw_threshold)
          | c -> c)
 
-let key_value t ~key =
-  Option.map Tilelink_sim.Counter.value (Hashtbl.find_opt t.by_key key)
+(* The (dst, src) peer row, allocated on first use.  A name a remap
+   alias already claimed keeps pointing at the alias target, exactly as
+   if the row had existed when the alias was registered. *)
+let peer_row t ~dst ~src =
+  match t.peer.(dst).(src) with
+  | Some row -> row
+  | None ->
+    let row =
+      Array.init t.peer_channels (fun c ->
+          let name = Printf.sprintf "peer[%d<-%d][%d]" dst src c in
+          let counter = Tilelink_sim.Counter.create ~name () in
+          if not (Hashtbl.mem t.by_key name) then
+            Hashtbl.add t.by_key name counter;
+          counter)
+    in
+    t.peer.(dst).(src) <- Some row;
+    row
+
+(* Counter lookup by name.  Every key of the channel table resolves,
+   whether or not its peer row has been touched yet. *)
+let find_key t key =
+  match Hashtbl.find_opt t.by_key key with
+  | Some _ as found -> found
+  | None -> (
+    match Scanf.sscanf key "peer[%d<-%d][%d]%!" (fun dst src _ -> (dst, src)) with
+    | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
+    | dst, src ->
+      if
+        dst < 0 || dst >= t.world_size || src < 0 || src >= t.world_size
+        || t.peer.(dst).(src) <> None
+      then None
+      else begin
+        ignore (peer_row t ~dst ~src);
+        Hashtbl.find_opt t.by_key key
+      end)
+
+let key_value t ~key = Option.map Tilelink_sim.Counter.value (find_key t key)
 
 (* The watchdog's re-issue path: idempotent (set-at-least, not add) and
    deliberately bypasses the interceptor — a recovery action must not
    itself be faulted away silently; the chaos schedule models lossy
    retries separately. *)
 let force_signal t ~key ~target =
-  match Hashtbl.find_opt t.by_key key with
+  match find_key t key with
   | None -> invalid_arg (Printf.sprintf "Channel.force_signal: unknown key %s" key)
   | Some c -> Tilelink_sim.Counter.set_at_least c target
 
@@ -245,7 +281,7 @@ let force_signal t ~key ~target =
    (for force_signal / key_value / the watchdog) to the original
    counter the already-blocked consumers are waiting on. *)
 let register_remap t ~key ~alias =
-  match Hashtbl.find_opt t.by_key key with
+  match find_key t key with
   | None ->
     invalid_arg (Printf.sprintf "Channel.register_remap: unknown key %s" key)
   | Some c -> Hashtbl.replace t.by_key alias c
@@ -273,7 +309,7 @@ let cancel_rank_waits t ~rank =
   let n = ref 0 in
   let cancel c = n := !n + Tilelink_sim.Counter.cancel_tag c ~tag:rank in
   Array.iter (Array.iter cancel) t.pc;
-  Array.iter (Array.iter (Array.iter cancel)) t.peer;
+  Array.iter (Array.iter (Option.iter (Array.iter cancel))) t.peer;
   Array.iter (Array.iter cancel) t.host;
   !n
 
@@ -297,17 +333,17 @@ let pc_value t ~rank ~channel =
 let peer_notify ?worker t ~src ~dst ?(channel = 0) ~amount () =
   check_rank t src "peer_notify";
   check_rank t dst "peer_notify";
-  notify_instr ?worker t ~kind:"peer" ~rank:src t.peer.(dst).(src).(channel)
-    ~amount
+  notify_instr ?worker t ~kind:"peer" ~rank:src
+    (peer_row t ~dst ~src).(channel) ~amount
 
 let peer_wait ?waiter ?worker t ~src ~dst ?(channel = 0) ~threshold () =
   check_rank t src "peer_wait";
   check_rank t dst "peer_wait";
   wait_instr ?waiter ?worker t ~kind:"peer" ~rank:dst
-    t.peer.(dst).(src).(channel) ~threshold
+    (peer_row t ~dst ~src).(channel) ~threshold
 
 let peer_value t ~src ~dst ?(channel = 0) () =
-  Tilelink_sim.Counter.value t.peer.(dst).(src).(channel)
+  Tilelink_sim.Counter.value (peer_row t ~dst ~src).(channel)
 
 (* Host channel: copy-engine completion signalled to [dst]'s kernels. *)
 let host_notify ?worker t ~src ~dst ~amount =
@@ -325,6 +361,6 @@ let total_notifies t =
   let sum = ref 0 in
   let count c = sum := !sum + Tilelink_sim.Counter.notify_count c in
   Array.iter (Array.iter count) t.pc;
-  Array.iter (Array.iter (Array.iter count)) t.peer;
+  Array.iter (Array.iter (Option.iter (Array.iter count))) t.peer;
   Array.iter (Array.iter count) t.host;
   !sum

@@ -387,6 +387,13 @@ let gemm_rs_program ~(config : Design_space.config) spec ~(spec_gpu : Spec.t)
       ~tile_n:rs_tn
   in
   let rs_tiles = Tile.tile_count rs_grid in
+  (* Ring invariant: one peer channel per (receiving stage, tile),
+     signalled once and awaited at threshold 1 — never [threshold =
+     stage] on a counter shared by all stages.  With more than one ring
+     worker a sender can finish stage s+1 of a tile before stage s, and
+     a shared counter would then release the receiver onto a segment
+     that was never written. *)
+  let ring_channel ~stage tile_key = (stage * rs_tiles) + tile_key in
   let plans =
     Array.init r (fun rank ->
         let bc = Block_channel.create ~rank ~world_size:r mapping in
@@ -474,9 +481,9 @@ let gemm_rs_program ~(config : Design_space.config) spec ~(spec_gpu : Spec.t)
               [
                 Primitive.Peer_tile_wait
                   {
-                    tile_key;
+                    tile_key = ring_channel ~stage tile_key;
                     src = from_rank;
-                    threshold = stage;
+                    threshold = 1;
                     guards =
                       [
                         access ~buffer:"rs_buffer" ~row:(glo, ghi)
@@ -508,7 +515,7 @@ let gemm_rs_program ~(config : Design_space.config) spec ~(spec_gpu : Spec.t)
                   };
                 Primitive.Peer_tile_notify
                   {
-                    tile_key;
+                    tile_key = ring_channel ~stage:(stage + 1) tile_key;
                     dst = to_rank;
                     amount = 1;
                     releases =
@@ -616,7 +623,7 @@ let gemm_rs_program ~(config : Design_space.config) spec ~(spec_gpu : Spec.t)
   in
   Program.create ~name:"gemm_rs" ~world_size:r
     ~pc_channels:(Mapping.num_channels mapping)
-    ~peer_channels:rs_tiles plans
+    ~peer_channels:(rs_tiles * r) plans
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry consumers                                                 *)

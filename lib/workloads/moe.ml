@@ -409,6 +409,13 @@ let part2_program ?(config = default_part2_config) spec route
       ~tile_m:config.rs_tile_rows ~tile_n:spec.hidden
   in
   let rs_tiles = Tile.tile_count rs_grid in
+  (* Ring invariant: one peer channel per (receiving stage, tile),
+     signalled once and awaited at threshold 1 — never [threshold =
+     stage] on a counter shared by all stages.  With more than one ring
+     worker a sender can finish stage s+1 of a tile before stage s, and
+     a shared counter would then release the receiver onto a segment
+     that was never written. *)
+  let ring_channel ~stage tile_key = (stage * rs_tiles) + tile_key in
   let plans =
     Array.init r (fun rank ->
         let bc_a = Block_channel.create ~rank ~world_size:r mapping_a in
@@ -572,9 +579,9 @@ let part2_program ?(config = default_part2_config) spec route
               [
                 Primitive.Peer_tile_wait
                   {
-                    tile_key;
+                    tile_key = ring_channel ~stage tile_key;
                     src = from_rank;
-                    threshold = stage;
+                    threshold = 1;
                     guards =
                       [
                         access ~buffer:"rs_buffer" ~row:(glo, ghi)
@@ -603,7 +610,7 @@ let part2_program ?(config = default_part2_config) spec route
                   };
                 Primitive.Peer_tile_notify
                   {
-                    tile_key;
+                    tile_key = ring_channel ~stage:(stage + 1) tile_key;
                     dst = to_rank;
                     amount = 1;
                     releases =
@@ -687,7 +694,7 @@ let part2_program ?(config = default_part2_config) spec route
   in
   Program.create ~name:"moe_rs" ~world_size:r
     ~pc_channels:(Mapping.num_channels mapping_a + Mapping.num_channels mapping_b)
-    ~peer_channels:rs_tiles plans
+    ~peer_channels:(rs_tiles * r) plans
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry consumers                                                 *)

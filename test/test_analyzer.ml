@@ -520,6 +520,57 @@ let test_unsafe_hoist_always_flagged () =
          (fun d -> Analyzer.kind_name d.Analyzer.kind = "data_race")
          errors)
 
+(* ------------------------------------------------------------------ *)
+(* Golden reports                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Every shipped program and each of its seed-17 mutants, one line per
+   program: name, a tab, then the report JSON.  The committed file pins
+   the analyzer's output byte for byte.  On a mismatch the current
+   lines are written next to the test binary (under _build) so an
+   intended change can be reviewed with diff and committed. *)
+let golden_file = "analyzer_golden.tsv"
+
+let golden_lines () =
+  let line name program =
+    name ^ "\t"
+    ^ Tilelink_obs.Json.to_string
+        (Analyzer.report_to_json (Analyzer.analyze program))
+  in
+  List.concat_map
+    (fun (name, program) ->
+      line name program
+      :: List.map
+           (fun (mutation, mutant) -> line (name ^ "/" ^ mutation) mutant)
+           (Analyzer.mutation_corpus ~seed:17 program))
+    (Suite.programs ())
+
+let test_reports_match_golden () =
+  let actual = golden_lines () in
+  let expected =
+    In_channel.with_open_bin golden_file In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  if actual <> expected then begin
+    let out = golden_file ^ ".actual" in
+    Out_channel.with_open_bin out (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) actual);
+    let name l = List.hd (String.split_on_char '\t' l) in
+    let differing =
+      if List.length actual <> List.length expected then
+        Printf.sprintf "%d lines, expected %d" (List.length actual)
+          (List.length expected)
+      else
+        List.combine actual expected
+        |> List.filter (fun (a, e) -> a <> e)
+        |> List.map (fun (a, _) -> name a)
+        |> String.concat ", "
+    in
+    Alcotest.failf "analyzer reports differ from %s (%s); current lines in %s"
+      golden_file differing out
+  end
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "analyzer"
@@ -570,6 +621,11 @@ let () =
             test_tune_counts_skipped_race;
           Alcotest.test_case "report json parses" `Quick
             test_report_json_parses;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "reports match the golden file" `Quick
+            test_reports_match_golden;
         ] );
       ("properties", [ qc prop_pipeline_vs_analyzer ]);
     ]

@@ -207,6 +207,33 @@ let test_channel_total_notifies () =
   Channel.host_notify channels ~src:1 ~dst:0 ~amount:4;
   Alcotest.(check int) "three notifies" 3 (Channel.total_notifies channels)
 
+(* Peer keys resolve by name before any notify or wait touched their
+   (dst, src) pair; out-of-range keys stay unknown. *)
+let test_channel_untouched_peer_keys () =
+  let channels =
+    Channel.create ~world_size:3 ~channels_per_rank:1 ~peer_channels:4 ()
+  in
+  Alcotest.(check (option int)) "untouched key reads 0" (Some 0)
+    (Channel.key_value channels ~key:"peer[2<-0][3]");
+  Channel.force_signal channels ~key:"peer[1<-2][1]" ~target:5;
+  Alcotest.(check (option int)) "forced key" (Some 5)
+    (Channel.key_value channels ~key:"peer[1<-2][1]");
+  Alcotest.(check int) "forced counter is the runtime's" 5
+    (Channel.peer_value channels ~src:2 ~dst:1 ~channel:1 ());
+  Alcotest.(check int) "sibling channel untouched" 0
+    (Channel.peer_value channels ~src:2 ~dst:1 ~channel:0 ());
+  Alcotest.(check (option int)) "channel past the table" None
+    (Channel.key_value channels ~key:"peer[1<-2][4]");
+  Alcotest.(check (option int)) "rank past the world" None
+    (Channel.key_value channels ~key:"peer[3<-0][0]");
+  Alcotest.(check (option int)) "malformed key" None
+    (Channel.key_value channels ~key:"peer[1<-2]");
+  Alcotest.(check bool) "force on an unknown key rejected" true
+    (try
+       Channel.force_signal channels ~key:"peer[0<-1][9]" ~target:1;
+       false
+     with Invalid_argument _ -> true)
+
 (* ------------------------------------------------------------------ *)
 (* Memory                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -1233,6 +1260,8 @@ let () =
           Alcotest.test_case "bounds" `Quick test_channel_bounds;
           Alcotest.test_case "total notifies" `Quick
             test_channel_total_notifies;
+          Alcotest.test_case "untouched peer keys" `Quick
+            test_channel_untouched_peer_keys;
         ] );
       ( "memory",
         [

@@ -258,6 +258,51 @@ let test_gemm_rs_larger_world () =
       (Memory.find memory ~rank ~name:"out")
   done
 
+(* More than one ring worker lets a sender issue stage s+1 of a tile
+   before stage s, so a receiver must never be released by a later
+   stage's signal: every multi-worker binding must still reduce to the
+   reference on every rank. *)
+let test_gemm_rs_multi_worker () =
+  let wrong = ref [] in
+  List.iter
+    (fun world ->
+      List.iter
+        (fun (binding, comm_tile, compute_tile) ->
+          let spec =
+            { Mlp.rs_m = 8 * world; rs_k = 3; rs_n = 8; rs_world = world }
+          in
+          let config =
+            { rs_config with Design_space.binding; comm_tile; compute_tile }
+          in
+          let memory = Mlp.gemm_rs_alloc spec ~seed:(50 + world) in
+          let cluster = Cluster.create Calib.test_machine ~world_size:world in
+          let program =
+            Mlp.gemm_rs_program ~config spec ~spec_gpu:Calib.test_machine
+          in
+          ignore (Runtime.run ~data:true ~memory cluster program);
+          for rank = 0 to world - 1 do
+            if
+              not
+                (Check.close ~atol:1e-9
+                   (Mlp.gemm_rs_reference memory spec ~rank)
+                   (Memory.find memory ~rank ~name:"out"))
+            then
+              wrong :=
+                Printf.sprintf "w%d %s rank %d" world
+                  (Design_space.config_to_string config)
+                  rank
+                :: !wrong
+          done)
+        [
+          (Design_space.Comm_on_sm 2, (2, 2), (2, 2));
+          (Design_space.Comm_on_sm 4, (2, 2), (2, 4));
+          (Design_space.Comm_on_sm 8, (2, 4), (4, 2));
+          (Design_space.Comm_on_dma, (2, 2), (2, 2));
+          (Design_space.Comm_hybrid { dma_fraction = 0.5; sms = 3 }, (2, 2), (8, 2));
+        ])
+    [ 2; 3; 4 ];
+  Alcotest.(check (list string)) "ranks off the reference" [] (List.rev !wrong)
+
 let test_gemm_rs_consistent () =
   let program =
     Mlp.gemm_rs_program ~config:rs_config rs_spec
@@ -367,6 +412,28 @@ let test_moe_part2_world4 () =
       (Moe.part2_reference memory spec route ~rank)
       (Memory.find memory ~rank ~name:"out")
   done
+
+(* The shipped default config on a machine with fewer SMs than its
+   worker caps: many ring workers race over the stages of each tile. *)
+let test_moe_part2_default_config () =
+  let spec =
+    { Moe.tokens = 1024; hidden = 256; intermediate = 512; experts = 8;
+      topk = 2; world_size = 4 }
+  in
+  List.iter
+    (fun seed ->
+      let route = Moe.routing spec ~seed in
+      let memory = Moe.part2_alloc spec ~seed in
+      let cluster = Cluster.create Calib.test_machine ~world_size:4 in
+      let program = Moe.part2_program spec route ~spec_gpu:Calib.test_machine in
+      ignore (Runtime.run ~data:true ~memory cluster program);
+      for rank = 0 to 3 do
+        tensor_close ~atol:1e-8
+          (Printf.sprintf "moe part2 default seed %d rank %d" seed rank)
+          (Moe.part2_reference memory spec route ~rank)
+          (Memory.find memory ~rank ~name:"out")
+      done)
+    [ 1; 2; 3 ]
 
 let test_moe_programs_consistent () =
   let route = Moe.routing moe_spec ~seed:9 in
@@ -769,6 +836,7 @@ let () =
           Alcotest.test_case "decoupled tiles" `Quick
             test_gemm_rs_decoupled_tiles;
           Alcotest.test_case "world 4" `Quick test_gemm_rs_larger_world;
+          Alcotest.test_case "multi-worker ring" `Quick test_gemm_rs_multi_worker;
           Alcotest.test_case "consistent" `Quick test_gemm_rs_consistent;
         ] );
       ( "moe",
@@ -777,6 +845,8 @@ let () =
           Alcotest.test_case "part1 dma" `Quick test_moe_part1_dma;
           Alcotest.test_case "part2" `Quick test_moe_part2;
           Alcotest.test_case "part2 world 4" `Quick test_moe_part2_world4;
+          Alcotest.test_case "part2 default config" `Quick
+            test_moe_part2_default_config;
           Alcotest.test_case "consistent" `Quick test_moe_programs_consistent;
           Alcotest.test_case "expert tiles" `Quick
             test_expert_tiles_alignment;
