@@ -308,7 +308,7 @@ let print_outcome label (o : _ Tune.outcome) =
      the measurement; pre-profiler cache hits may not). *)
   let by_blame =
     List.filter_map
-      (fun (e : _ Tune.evaluation) ->
+      (fun (e : Tune.score) ->
         Option.map (fun x -> (x, e)) e.Tune.exposed_comm_us)
       o.Tune.evaluated
     |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -318,7 +318,7 @@ let print_outcome label (o : _ Tune.outcome) =
   | _ ->
     Printf.printf "   exposed-communication blame (least first):\n";
     List.iteri
-      (fun i (blame, (e : _ Tune.evaluation)) ->
+      (fun i (blame, (e : Tune.score)) ->
         if i < 5 then
           Printf.printf "     %8.1f us exposed | %8.1f us total [%s]\n" blame
             e.Tune.time

@@ -99,84 +99,148 @@ type endpoint = {
   ep_task : string;
 }
 
+(* One distinct signal target.  The passes below work on the dense
+   [k_id]; the runtime counter key is rendered at most once, when a
+   diagnostic first names it — a clean program renders none. *)
 type key_info = {
+  k_id : int; (* first-touch index *)
+  k_key : string Lazy.t;
   k_target : Instr.signal_target;
   mutable k_notifies : endpoint list; (* reverse traversal order *)
   mutable k_waits : endpoint list;
+  mutable k_supply : int; (* total amount ever notified *)
+}
+
+(* One task's instruction stream, copied into an array once and shared
+   by every pass.  [s_keys.(i)] is the key id of instruction [i] when it
+   is a Wait or Notify, [-1] otherwise. *)
+type stream = {
+  s_id : int;
+  s_rank : int;
+  s_role : string;
+  s_task : string;
+  s_instrs : Instr.t array;
+  s_keys : int array;
+  mutable s_pc : int;
 }
 
 type inventory = {
-  inv_keys : (string, key_info) Hashtbl.t;
-  mutable inv_order : string list; (* reverse first-touch order *)
-  mutable inv_notifies : int;
-  mutable inv_waits : int;
+  inv_keys : key_info array; (* by id = first-touch order *)
+  inv_streams : stream array; (* [Program.iter_tasks] order *)
+  inv_notifies : int;
+  inv_waits : int;
 }
 
+(* Targets are hashed as themselves: integer mixing instead of the
+   polymorphic hash, field comparison instead of structural equality. *)
+module Targets = Hashtbl.Make (struct
+  type t = Instr.signal_target
+
+  let equal (a : t) (b : t) =
+    match (a, b) with
+    | Instr.Pc a, Instr.Pc b -> a.rank = b.rank && a.channel = b.channel
+    | Instr.Peer a, Instr.Peer b ->
+      a.src = b.src && a.dst = b.dst && a.channel = b.channel
+    | Instr.Host a, Instr.Host b -> a.src = b.src && a.dst = b.dst
+    | _ -> false
+
+  let hash (t : t) =
+    let mix h x = (h * 65599) + x in
+    (match t with
+    | Instr.Pc { rank; channel } -> mix (mix 1 rank) channel
+    | Instr.Peer { src; dst; channel } -> mix (mix (mix 2 src) dst) channel
+    | Instr.Host { src; dst } -> mix (mix 3 src) dst)
+    land max_int
+end)
+
+(* The single traversal: resolve every target once, record its
+   endpoints and build the streams. *)
 let inventory_of (p : Program.t) =
-  let inv =
-    {
-      inv_keys = Hashtbl.create 64;
-      inv_order = [];
-      inv_notifies = 0;
-      inv_waits = 0;
-    }
-  in
+  let by_target = Targets.create 64 in
+  let order = ref [] and next_key = ref 0 in
+  let notifies = ref 0 and waits = ref 0 in
   let info target =
-    let key = Instr.key_of_target target in
-    match Hashtbl.find_opt inv.inv_keys key with
+    match Targets.find_opt by_target target with
     | Some ki -> ki
     | None ->
-      let ki = { k_target = target; k_notifies = []; k_waits = [] } in
-      Hashtbl.add inv.inv_keys key ki;
-      inv.inv_order <- key :: inv.inv_order;
+      let ki =
+        {
+          k_id = !next_key;
+          k_key = lazy (Instr.key_of_target target);
+          k_target = target;
+          k_notifies = [];
+          k_waits = [];
+          k_supply = 0;
+        }
+      in
+      incr next_key;
+      Targets.add by_target target ki;
+      order := ki :: !order;
       ki
   in
+  let streams = ref [] and next_stream = ref 0 in
   Program.iter_tasks p ~f:(fun ~rank role task ->
-      List.iter
-        (fun instr ->
-          match instr with
-          | Instr.Notify { target; amount; _ } ->
-            let ki = info target in
-            ki.k_notifies <-
-              {
-                ep_amount = amount;
-                ep_rank = rank;
-                ep_role = role.Program.role_name;
-                ep_task = task.Program.label;
-              }
-              :: ki.k_notifies;
-            inv.inv_notifies <- inv.inv_notifies + 1
-          | Instr.Wait { target; threshold; _ } ->
-            let ki = info target in
-            ki.k_waits <-
-              {
-                ep_amount = threshold;
-                ep_rank = rank;
-                ep_role = role.Program.role_name;
-                ep_task = task.Program.label;
-              }
-              :: ki.k_waits;
-            inv.inv_waits <- inv.inv_waits + 1
-          | _ -> ())
-        task.Program.instrs);
-  inv.inv_order <- List.rev inv.inv_order;
-  Hashtbl.iter
-    (fun _ ki ->
+      let instrs = Array.of_list task.Program.instrs in
+      let endpoint amount =
+        {
+          ep_amount = amount;
+          ep_rank = rank;
+          ep_role = role.Program.role_name;
+          ep_task = task.Program.label;
+        }
+      in
+      let keys =
+        Array.map
+          (function
+            | Instr.Notify { target; amount; _ } ->
+              let ki = info target in
+              ki.k_notifies <- endpoint amount :: ki.k_notifies;
+              ki.k_supply <- ki.k_supply + amount;
+              incr notifies;
+              ki.k_id
+            | Instr.Wait { target; threshold; _ } ->
+              let ki = info target in
+              ki.k_waits <- endpoint threshold :: ki.k_waits;
+              incr waits;
+              ki.k_id
+            | _ -> -1)
+          instrs
+      in
+      streams :=
+        {
+          s_id = !next_stream;
+          s_rank = rank;
+          s_role = role.Program.role_name;
+          s_task = task.Program.label;
+          s_instrs = instrs;
+          s_keys = keys;
+          s_pc = 0;
+        }
+        :: !streams;
+      incr next_stream);
+  let keys = Array.of_list (List.rev !order) in
+  Array.iter
+    (fun ki ->
       ki.k_notifies <- List.rev ki.k_notifies;
       ki.k_waits <- List.rev ki.k_waits)
-    inv.inv_keys;
-  inv
+    keys;
+  {
+    inv_keys = keys;
+    inv_streams = Array.of_list (List.rev !streams);
+    inv_notifies = !notifies;
+    inv_waits = !waits;
+  }
 
-let supply ki = List.fold_left (fun a ep -> a + ep.ep_amount) 0 ki.k_notifies
+let key_name ki = Lazy.force ki.k_key
 
 let max_threshold ki =
   List.fold_left (fun a ep -> max a ep.ep_amount) 0 ki.k_waits
 
-let mk_diag severity kind key (ki : key_info) (ep : endpoint) detail =
+let mk_diag severity kind (ki : key_info) (ep : endpoint) detail =
   {
     severity;
     kind;
-    key;
+    key = key_name ki;
     rank = ep.ep_rank;
     channel = Instr.channel_of_target ki.k_target;
     producer = Instr.producer_of_target ki.k_target;
@@ -192,10 +256,9 @@ let mk_diag severity kind key (ki : key_info) (ep : endpoint) detail =
 let accounting_diags inv =
   let diags = ref [] in
   let emit d = diags := d :: !diags in
-  List.iter
-    (fun key ->
-      let ki = Hashtbl.find inv.inv_keys key in
-      let avail = supply ki in
+  Array.iter
+    (fun ki ->
+      let avail = ki.k_supply in
       let unmatched =
         List.filter (fun ep -> ep.ep_amount > avail) ki.k_waits
       in
@@ -205,11 +268,11 @@ let accounting_diags inv =
         emit
           (mk_diag Error
              (Unmatched_wait { threshold = first.ep_amount; available = avail })
-             key ki first
+             ki first
              (Printf.sprintf
                 "rank %d %s/%s waits %s >= %d but producers only ever signal \
                  %d%s"
-                first.ep_rank first.ep_role first.ep_task key first.ep_amount
+                first.ep_rank first.ep_role first.ep_task (key_name ki) first.ep_amount
                 avail
                 (match List.length unmatched with
                 | 1 -> ""
@@ -219,11 +282,11 @@ let accounting_diags inv =
         emit
           (mk_diag Warning
              (Unconsumed_notify { amount = avail })
-             key ki first
+             ki first
              (Printf.sprintf
                 "rank %d %s/%s signals %s (+%d total) but no task ever waits \
                  on it"
-                first.ep_rank first.ep_role first.ep_task key avail))
+                first.ep_rank first.ep_role first.ep_task (key_name ki) avail))
       | _ -> ());
       match ki.k_waits with
       | first_wait :: _ when ki.k_notifies <> [] ->
@@ -237,85 +300,49 @@ let accounting_diags inv =
                     max_threshold = t_max;
                     waiters = List.length ki.k_waits;
                   })
-               key ki first_wait
+               ki first_wait
                (Printf.sprintf
                   "%s is signalled to %d but the highest of its %d registered \
                    waiter thresholds is %d: the key is re-signalled past \
                    every registered waiter's epoch"
-                  key avail (List.length ki.k_waits) t_max))
+                  (key_name ki) avail (List.length ki.k_waits) t_max))
       | _ -> ())
-    inv.inv_order;
+    inv.inv_keys;
   List.rev !diags
 
 (* ------------------------------------------------------------------ *)
 (* 2. Reachability: eager fixpoint + wait-for cycles                   *)
 (* ------------------------------------------------------------------ *)
 
-type stream = {
-  s_id : int;
-  s_rank : int;
-  s_role : string;
-  s_task : string;
-  s_instrs : Instr.t array;
-  mutable s_pc : int;
-}
-
-let streams_of (p : Program.t) =
-  let streams = ref [] in
-  let id = ref 0 in
-  Program.iter_tasks p ~f:(fun ~rank role task ->
-      streams :=
-        {
-          s_id = !id;
-          s_rank = rank;
-          s_role = role.Program.role_name;
-          s_task = task.Program.label;
-          s_instrs = Array.of_list task.Program.instrs;
-          s_pc = 0;
-        }
-        :: !streams;
-      incr id);
-  Array.of_list (List.rev !streams)
-
 (* Run every stream eagerly until all are finished or blocked on a
    wait.  Monotone counters make this schedule maximally permissive,
-   so the blocked set is exactly the statically-doomed set. *)
-let run_fixpoint streams =
-  let avail : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let blocked : (string, int list ref) Hashtbl.t = Hashtbl.create 64 in
+   so the blocked set is exactly the statically-doomed set.  Counters
+   and wait lists are indexed by the pre-resolved key ids. *)
+let run_fixpoint inv =
+  let streams = inv.inv_streams in
+  let avail = Array.make (Array.length inv.inv_keys) 0 in
+  let blocked = Array.make (Array.length inv.inv_keys) [] in
   let runnable = Queue.create () in
   Array.iter (fun s -> Queue.add s.s_id runnable) streams;
-  let value key = Option.value ~default:0 (Hashtbl.find_opt avail key) in
-  let wake key =
-    match Hashtbl.find_opt blocked key with
-    | None -> ()
-    | Some ids ->
-      List.iter (fun id -> Queue.add id runnable) !ids;
-      ids := []
-  in
-  let block key id =
-    match Hashtbl.find_opt blocked key with
-    | Some ids -> ids := id :: !ids
-    | None -> Hashtbl.add blocked key (ref [ id ])
-  in
   while not (Queue.is_empty runnable) do
     let s = streams.(Queue.pop runnable) in
     let len = Array.length s.s_instrs in
     let running = ref true in
     while !running && s.s_pc < len do
       match s.s_instrs.(s.s_pc) with
-      | Instr.Wait { target; threshold; _ } ->
-        let key = Instr.key_of_target target in
-        if value key >= threshold then s.s_pc <- s.s_pc + 1
+      | Instr.Wait { threshold; _ } ->
+        let k = s.s_keys.(s.s_pc) in
+        if avail.(k) >= threshold then s.s_pc <- s.s_pc + 1
         else begin
-          block key s.s_id;
+          blocked.(k) <- s.s_id :: blocked.(k);
           running := false
         end
-      | Instr.Notify { target; amount; _ } ->
-        let key = Instr.key_of_target target in
-        Hashtbl.replace avail key (value key + amount);
+      | Instr.Notify { amount; _ } ->
+        let k = s.s_keys.(s.s_pc) in
+        avail.(k) <- avail.(k) + amount;
         s.s_pc <- s.s_pc + 1;
-        wake key
+        List.iter (fun id -> Queue.add id runnable) blocked.(k);
+        blocked.(k) <- []
       | _ -> s.s_pc <- s.s_pc + 1
     done
   done
@@ -325,7 +352,8 @@ let run_fixpoint streams =
    unmatched waits; the rest are blocked on signals that exist but
    cannot be emitted — the circular part of the graph is the root
    cause. *)
-let deadlock_diags inv streams =
+let deadlock_diags inv =
+  let streams = inv.inv_streams in
   let stuck =
     Array.to_list streams
     |> List.filter (fun s -> s.s_pc < Array.length s.s_instrs)
@@ -334,42 +362,39 @@ let deadlock_diags inv streams =
   else begin
     let wait_of s =
       match s.s_instrs.(s.s_pc) with
-      | Instr.Wait { target; threshold; _ } ->
-        (Instr.key_of_target target, threshold, target)
+      | Instr.Wait { threshold; _ } -> (inv.inv_keys.(s.s_keys.(s.s_pc)), threshold)
       | _ -> assert false (* fixpoint only blocks on waits *)
     in
     let statically_matched s =
-      let key, threshold, _ = wait_of s in
-      match Hashtbl.find_opt inv.inv_keys key with
-      | None -> false
-      | Some ki -> threshold <= supply ki
+      let ki, threshold = wait_of s in
+      threshold <= ki.k_supply
     in
     let nodes = List.filter statically_matched stuck in
     let node_ids = List.map (fun s -> s.s_id) nodes in
     let by_id = Hashtbl.create 16 in
     List.iter (fun s -> Hashtbl.replace by_id s.s_id s) nodes;
-    (* key -> stuck matched streams still holding a notify to it *)
-    let producers : (string, int list ref) Hashtbl.t = Hashtbl.create 16 in
+    (* key id -> stuck matched streams still holding a notify to it *)
+    let producers : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
     List.iter
       (fun s ->
         let seen = Hashtbl.create 8 in
         for i = s.s_pc to Array.length s.s_instrs - 1 do
           match s.s_instrs.(i) with
-          | Instr.Notify { target; _ } ->
-            let key = Instr.key_of_target target in
-            if not (Hashtbl.mem seen key) then begin
-              Hashtbl.add seen key ();
-              match Hashtbl.find_opt producers key with
+          | Instr.Notify _ ->
+            let k = s.s_keys.(i) in
+            if not (Hashtbl.mem seen k) then begin
+              Hashtbl.add seen k ();
+              match Hashtbl.find_opt producers k with
               | Some ids -> ids := s.s_id :: !ids
-              | None -> Hashtbl.add producers key (ref [ s.s_id ])
+              | None -> Hashtbl.add producers k (ref [ s.s_id ])
             end
           | _ -> ()
         done)
       nodes;
     let succs id =
       let s = Hashtbl.find by_id id in
-      let key, _, _ = wait_of s in
-      match Hashtbl.find_opt producers key with
+      let ki, _ = wait_of s in
+      match Hashtbl.find_opt producers ki.k_id with
       | None -> []
       | Some ids -> List.rev !ids
     in
@@ -413,20 +438,20 @@ let deadlock_diags inv streams =
       let edges =
         List.mapi
           (fun i s ->
-            let key, threshold, _ = wait_of s in
+            let ki, threshold = wait_of s in
             let next = List.nth streams_in ((i + 1) mod n) in
             {
               e_rank = s.s_rank;
               e_role = s.s_role;
               e_task = s.s_task;
-              e_key = key;
+              e_key = key_name ki;
               e_threshold = threshold;
               e_producer_rank = next.s_rank;
             })
           streams_in
       in
       let first = List.hd streams_in in
-      let key, threshold, target = wait_of first in
+      let ki, threshold = wait_of first in
       let rendered =
         String.concat " -> "
           (List.map
@@ -438,10 +463,10 @@ let deadlock_diags inv streams =
       {
         severity = Error;
         kind = Deadlock_cycle { cycle = edges };
-        key;
+        key = key_name ki;
         rank = first.s_rank;
-        channel = Instr.channel_of_target target;
-        producer = Instr.producer_of_target target;
+        channel = Instr.channel_of_target ki.k_target;
+        producer = Instr.producer_of_target ki.k_target;
         role = first.s_role;
         task = first.s_task;
         detail =
@@ -471,17 +496,18 @@ let deadlock_diags inv streams =
 (* 3. Ordering: per-task fence violations, resolved to keys            *)
 (* ------------------------------------------------------------------ *)
 
-let race_diags (p : Program.t) =
+let race_diags inv =
   let diags = ref [] in
-  Program.iter_tasks p ~f:(fun ~rank role task ->
+  Array.iter
+    (fun s ->
       List.iter
         (fun (fv : Consistency.fence_violation) ->
-          let target =
-            match fv.Consistency.fv_fence with
-            | Instr.Wait { target; _ } | Instr.Notify { target; _ } -> target
-            | _ -> assert false (* fences are waits/notifies by construction *)
-          in
-          let key = Instr.key_of_target target in
+          (* Fences are waits/notifies by construction, so the fence
+             position always carries a resolved key. *)
+          let ki = inv.inv_keys.(s.s_keys.(fv.Consistency.fv_fence_position)) in
+          let key = key_name ki in
+          let producer = Instr.producer_of_target ki.k_target in
+          let access = Instr.to_string fv.Consistency.fv_instr in
           let verb =
             match fv.Consistency.fv_kind with
             | Consistency.Read_before_acquire ->
@@ -498,26 +524,24 @@ let race_diags (p : Program.t) =
                     race = fv.Consistency.fv_kind;
                     position = fv.Consistency.fv_position;
                     fence_position = fv.Consistency.fv_fence_position;
-                    access = Instr.to_string fv.Consistency.fv_instr;
+                    access;
                   };
               key;
-              rank;
-              channel = Instr.channel_of_target target;
-              producer = Instr.producer_of_target target;
-              role = role.Program.role_name;
-              task = task.Program.label;
+              rank = s.s_rank;
+              channel = Instr.channel_of_target ki.k_target;
+              producer;
+              role = s.s_role;
+              task = s.s_task;
               detail =
                 Printf.sprintf
                   "rank %d %s/%s instr %d (%s) %s %s (instr %d): data race \
                    with the producing rank %d"
-                  rank role.Program.role_name task.Program.label
-                  fv.Consistency.fv_position
-                  (Instr.to_string fv.Consistency.fv_instr)
-                  verb key fv.Consistency.fv_fence_position
-                  (Instr.producer_of_target target);
+                  s.s_rank s.s_role s.s_task fv.Consistency.fv_position access
+                  verb key fv.Consistency.fv_fence_position producer;
             }
             :: !diags)
-        (Consistency.task_fence_violations task.Program.instrs));
+        (Consistency.fence_violations s.s_instrs))
+    inv.inv_streams;
   List.rev !diags
 
 (* ------------------------------------------------------------------ *)
@@ -526,16 +550,13 @@ let race_diags (p : Program.t) =
 
 let analyze (p : Program.t) =
   let inv = inventory_of p in
-  let streams = streams_of p in
-  run_fixpoint streams;
-  let diags =
-    accounting_diags inv @ deadlock_diags inv streams @ race_diags p
-  in
+  run_fixpoint inv;
+  let diags = accounting_diags inv @ deadlock_diags inv @ race_diags inv in
   {
     program = Program.name p;
     world_size = Program.world_size p;
     diags;
-    keys = Hashtbl.length inv.inv_keys;
+    keys = Array.length inv.inv_keys;
     notifies = inv.inv_notifies;
     waits = inv.inv_waits;
   }
@@ -673,9 +694,8 @@ let check_against_mapping (p : Program.t) ~mapping =
       "Analyzer.check_against_mapping: mapping layout does not match program";
   let inv = inventory_of p in
   let diags = ref [] in
-  List.iter
-    (fun key ->
-      let ki = Hashtbl.find inv.inv_keys key in
+  Array.iter
+    (fun ki ->
       match ki.k_target with
       | Instr.Pc { rank; channel } ->
         let expected =
@@ -691,27 +711,27 @@ let check_against_mapping (p : Program.t) ~mapping =
           diags :=
             mk_diag Error
               (Mapping_mismatch { expected; actual = first.ep_amount })
-              key ki first
+              ki first
               (Printf.sprintf
                  "rank %d %s/%s waits %s >= %d but the mapping registers only \
                   %d producer tiles for this channel"
-                 first.ep_rank first.ep_role first.ep_task key first.ep_amount
-                 expected)
+                 first.ep_rank first.ep_role first.ep_task (key_name ki)
+                 first.ep_amount expected)
             :: !diags);
-        let total = supply ki in
+        let total = ki.k_supply in
         if total > expected then
           let first = List.hd ki.k_notifies in
           diags :=
             mk_diag Error
               (Mapping_mismatch { expected; actual = total })
-              key ki first
+              ki first
               (Printf.sprintf
                  "%s receives %d signals but the mapping registers only %d \
                   producer tiles for this channel"
-                 key total expected)
+                 (key_name ki) total expected)
             :: !diags
       | Instr.Peer _ | Instr.Host _ -> ())
-    inv.inv_order;
+    inv.inv_keys;
   List.rev !diags
 
 (* ------------------------------------------------------------------ *)
@@ -720,33 +740,27 @@ let check_against_mapping (p : Program.t) ~mapping =
 
 (* [rank]'s Notify/Wait instructions in [Fault]'s task order, paired
    with their resolved key. *)
-let rank_signals (p : Program.t) ~rank =
+let rank_signals inv ~rank =
   let notifies = ref [] and waits = ref [] in
-  List.iter
-    (fun role ->
-      List.iter
-        (fun (task : Program.task) ->
-          List.iter
-            (fun instr ->
-              match instr with
-              | Instr.Notify { target; amount; _ } ->
-                notifies := (Instr.key_of_target target, amount) :: !notifies
-              | Instr.Wait { target; threshold; _ } ->
-                waits := (Instr.key_of_target target, threshold) :: !waits
-              | _ -> ())
-            task.Program.instrs)
-        role.Program.tasks)
-    (Program.plans p).(rank);
+  Array.iter
+    (fun s ->
+      if s.s_rank = rank then
+        Array.iteri
+          (fun i instr ->
+            match instr with
+            | Instr.Notify { amount; _ } ->
+              notifies := (inv.inv_keys.(s.s_keys.(i)), amount) :: !notifies
+            | Instr.Wait { threshold; _ } ->
+              waits := (inv.inv_keys.(s.s_keys.(i)), threshold) :: !waits
+            | _ -> ())
+          s.s_instrs)
+    inv.inv_streams;
   (List.rev !notifies, List.rev !waits)
 
 let mutation_corpus ~seed (p : Program.t) =
   let world = Program.world_size p in
   let inv = inventory_of p in
-  let key_stats key =
-    match Hashtbl.find_opt inv.inv_keys key with
-    | None -> (0, 0, 0)
-    | Some ki -> (supply ki, max_threshold ki, List.length ki.k_waits)
-  in
+  let key_stats ki = (ki.k_supply, max_threshold ki, List.length ki.k_waits) in
   (* All (rank, nth) whose mutation is statically visible, across the
      whole program; the seed picks one deterministically. *)
   let eligible ~signals ~keep =
@@ -763,8 +777,8 @@ let mutation_corpus ~seed (p : Program.t) =
     | candidates ->
       Some (List.nth candidates ((seed + salt) mod List.length candidates))
   in
-  let notify_signals rank = fst (rank_signals p ~rank) in
-  let wait_signals rank = snd (rank_signals p ~rank) in
+  let notify_signals rank = fst (rank_signals inv ~rank) in
+  let wait_signals rank = snd (rank_signals inv ~rank) in
   (* Losing this notify leaves some registered waiter short. *)
   let drop_visible (key, amount) =
     let avail, t_max, waiters = key_stats key in

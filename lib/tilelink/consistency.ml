@@ -34,10 +34,19 @@ type fence_violation = {
    (ascending access position; reads before writes at equal position;
    ascending fence position) so [verify_task]'s head is the same first
    violation it has always reported, while the whole-program analyzer
-   can resolve every one through the channel mappings. *)
-let task_fence_violations (instrs : Instr.t list) : fence_violation list =
-  let arr = Array.of_list instrs in
+   can resolve every one through the channel mappings.  Only the
+   fences are scanned per access, positions gathered once up front. *)
+let fence_violations (arr : Instr.t array) : fence_violation list =
   let n = Array.length arr in
+  let positions keep =
+    let acc = ref [] in
+    for j = n - 1 downto 0 do
+      if keep arr.(j) then acc := j :: !acc
+    done;
+    Array.of_list !acc
+  in
+  let waits = positions (function Instr.Wait _ -> true | _ -> false) in
+  let notifies = positions (function Instr.Notify _ -> true | _ -> false) in
   let found = ref [] in
   let record i j kind =
     found :=
@@ -50,37 +59,38 @@ let task_fence_violations (instrs : Instr.t list) : fence_violation list =
       }
       :: !found
   in
+  let overlaps fenced accessed =
+    List.exists
+      (fun f -> List.exists (fun a -> Instr.accesses_overlap f a) accessed)
+      fenced
+  in
   for i = 0 to n - 1 do
     (* Reads before a later guarding Wait. *)
     let reads = Instr.reads_of arr.(i) in
     if reads <> [] then
-      for j = i + 1 to n - 1 do
-        match arr.(j) with
-        | Instr.Wait { guards; _ } ->
-          if
-            List.exists
-              (fun g ->
-                List.exists (fun r -> Instr.accesses_overlap g r) reads)
-              guards
-          then record i j Read_before_acquire
-        | _ -> ()
-      done;
+      Array.iter
+        (fun j ->
+          if j > i then
+            match arr.(j) with
+            | Instr.Wait { guards; _ } ->
+              if overlaps guards reads then record i j Read_before_acquire
+            | _ -> ())
+        waits;
     (* Writes after an earlier releasing Notify. *)
     let writes = Instr.writes_of arr.(i) in
     if writes <> [] then
-      for j = 0 to i - 1 do
-        match arr.(j) with
-        | Instr.Notify { releases; _ } ->
-          if
-            List.exists
-              (fun rel ->
-                List.exists (fun w -> Instr.accesses_overlap rel w) writes)
-              releases
-          then record i j Write_after_release
-        | _ -> ()
-      done
+      Array.iter
+        (fun j ->
+          if j < i then
+            match arr.(j) with
+            | Instr.Notify { releases; _ } ->
+              if overlaps releases writes then record i j Write_after_release
+            | _ -> ())
+        notifies
   done;
   List.rev !found
+
+let task_fence_violations instrs = fence_violations (Array.of_list instrs)
 
 let violation_of_fence fv =
   let rule =

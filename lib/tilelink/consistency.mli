@@ -25,6 +25,10 @@ val task_fence_violations : Instr.t list -> fence_violation list
     analyzer resolves each violation's fence through the channel
     mappings to name the racing producer. *)
 
+val fence_violations : Instr.t array -> fence_violation list
+(** {!task_fence_violations} over a stream already held as an array,
+    so the analyzer can share one copy across its passes. *)
+
 val verify_task : Instr.t list -> (unit, violation) result
 val verify_role : Program.role -> (unit, violation) result
 val verify_program : Program.t -> (unit, violation) result

@@ -514,16 +514,15 @@ type plan = {
   p_outcome : (candidate * Program.t) Tune.outcome;
 }
 
-(* [Tune] minimizes time only; the planner additionally breaks makespan
-   ties toward less exposed communication (missing blame sorts last),
-   keeping the earliest candidate on a full tie so the winner is
-   deterministic across pool widths. *)
-let better (a : _ Tune.evaluation) (b : _ Tune.evaluation) =
-  let blame e =
+(* The planner breaks makespan ties toward less exposed communication
+   (missing blame sorts last); [Tune] applies it inside its running
+   best, before the earliest candidate wins a full tie, so the winner
+   is deterministic across pool widths. *)
+let exposed_comm_tie_break (a : Tune.score) (b : Tune.score) =
+  let blame (e : Tune.score) =
     match e.Tune.exposed_comm_us with Some x -> x | None -> infinity
   in
-  a.Tune.time < b.Tune.time
-  || (a.Tune.time = b.Tune.time && blame a < blame b)
+  Float.compare (blame a) (blame b)
 
 let search ?pool ?cache ?candidates g ~spec_gpu ~make_cluster () =
   let candidates =
@@ -531,29 +530,19 @@ let search ?pool ?cache ?candidates g ~spec_gpu ~make_cluster () =
     | Some cs -> cs
     | None -> enumerate (default_space g)
   in
-  match
-    Tune.search_planned ?pool ?cache
-      ~workload:("plan:" ^ graph_fingerprint g)
-      ~fingerprint
-      ~config_of:(fun c -> c.pl_config)
-      ~build:(fun c -> synthesize g c ~spec_gpu)
-      ~make_cluster candidates
-  with
-  | None -> None
-  | Some outcome ->
-    let best =
-      match outcome.Tune.evaluated with
-      | [] -> assert false (* Tune returns None on no evaluations *)
-      | first :: rest ->
-        List.fold_left (fun acc e -> if better e acc then e else acc) first
-          rest
-    in
-    let p_candidate, p_program = best.Tune.candidate in
-    Some
-      {
-        p_candidate;
-        p_program;
-        p_time = best.Tune.time;
-        p_exposed_comm_us = best.Tune.exposed_comm_us;
-        p_outcome = outcome;
-      }
+  Tune.search_planned ?pool ?cache
+    ~workload:("plan:" ^ graph_fingerprint g)
+    ~tie_break:exposed_comm_tie_break ~fingerprint
+    ~config_of:(fun c -> c.pl_config)
+    ~build:(fun c -> synthesize g c ~spec_gpu)
+    ~make_cluster candidates
+  |> Option.map (fun outcome ->
+         let best = outcome.Tune.best in
+         let p_candidate, p_program = best.Tune.candidate in
+         {
+           p_candidate;
+           p_program;
+           p_time = best.Tune.time;
+           p_exposed_comm_us = best.Tune.exposed_comm_us;
+           p_outcome = outcome;
+         })

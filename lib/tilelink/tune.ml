@@ -10,9 +10,16 @@
    the search fans out over a [Tilelink_exec.Pool] when given one and
    consults a [Tilelink_exec.Cache] keyed by (workload, machine spec,
    config) fingerprints.  Both paths — and any pool width — return the
-   identical outcome: results come back in candidate order, the best is
-   the earliest strict minimum, and cache hits replay the stored time
-   bit-for-bit within a process. *)
+   identical outcome: scores come back in candidate order, and the best
+   is the least element of a total order (time, then the caller's
+   tie-break, then candidate index), so the order in which domains
+   finish cannot change it.  Cache hits replay the stored time
+   bit-for-bit within a process.
+
+   A built candidate (a whole synthesized program, for the program
+   searches) is dropped as soon as it has been analyzed and scored;
+   only the running best keeps one alive, so a search holds at most
+   one candidate per domain plus the winner. *)
 
 type 'a evaluation = {
   candidate : 'a;
@@ -23,9 +30,17 @@ type 'a evaluation = {
          evaluator ran with telemetry (program-valued searches do) *)
 }
 
+(* Defined after [evaluation] so an unannotated [e.config] or [e.time]
+   resolves to the score, the type of [outcome.evaluated]. *)
+type score = {
+  config : Design_space.config;
+  time : float;
+  exposed_comm_us : float option;
+}
+
 type 'a outcome = {
   best : 'a evaluation;
-  evaluated : 'a evaluation list;
+  evaluated : score list;
   skipped : int;
   skipped_build : int;
   skipped_invalid : int;
@@ -35,22 +50,47 @@ type 'a outcome = {
   cache_misses : int;
 }
 
+let score_of (e : _ evaluation) =
+  { config = e.config; time = e.time; exposed_comm_us = e.exposed_comm_us }
+
 (* One candidate's fate, computed inside a pool task.  The four
    expected failure modes are folded into the variant here so they
    never cross a domain boundary as raw exceptions; anything else is a
    bug and propagates to the caller via [Pool.get]. *)
-type 'a attempt =
-  | Evaluated of 'a evaluation
-  | From_cache of 'a evaluation
+type attempt =
+  | Evaluated of score
+  | From_cache of score
   | Failed_build
   | Failed_invalid
   | Failed_deadlock
   | Failed_race
 
+(* The running best, shared by every task of one search.  [offer] is
+   the only place a built candidate can outlive its task: a candidate
+   that does not beat the leader is garbage as soon as [offer]
+   returns. *)
+type 'a leader = {
+  lock : Mutex.t;
+  mutable lead : (int * 'a evaluation) option;
+}
+
+let offer ~tie_break leader index (e : _ evaluation) =
+  let beats (i, (a : _ evaluation)) (j, (b : _ evaluation)) =
+    if a.time <> b.time then a.time < b.time
+    else
+      match tie_break (score_of a) (score_of b) with
+      | 0 -> i < j
+      | c -> c < 0
+  in
+  Mutex.protect leader.lock (fun () ->
+      match leader.lead with
+      | Some lead when not (beats (index, e) lead) -> ()
+      | _ -> leader.lead <- Some (index, e))
+
 (* Static analysis runs right after build — before the cache lookup —
    so a candidate with a broken protocol is rejected even when an old
    cache entry would happily replay its simulated time. *)
-let attempt ?analyze ~config_of ~build ~evaluate (item, cached) =
+let attempt ?analyze ~config_of ~build ~evaluate ~record (item, cached) =
   match build item with
   | exception Invalid_argument _ -> Failed_build
   | candidate -> (
@@ -63,15 +103,18 @@ let attempt ?analyze ~config_of ~build ~evaluate (item, cached) =
     match analysis with
     | Error _ -> Failed_race
     | Ok () -> (
+      let scored time exposed_comm_us =
+        let e = { candidate; config; time; exposed_comm_us } in
+        record e;
+        score_of e
+      in
       match cached with
-      | Some (time, exposed_comm_us) ->
-        From_cache { candidate; config; time; exposed_comm_us }
+      | Some (time, exposed_comm_us) -> From_cache (scored time exposed_comm_us)
       | None -> (
         match evaluate candidate with
         | exception Invalid_argument _ -> Failed_invalid
         | exception Tilelink_sim.Engine.Deadlock _ -> Failed_deadlock
-        | time, exposed_comm_us ->
-          Evaluated { candidate; config; time; exposed_comm_us })))
+        | time, exposed_comm_us -> Evaluated (scored time exposed_comm_us))))
 
 (* Persistent cache entries are schema-versioned: the current shape is
    {"v": 2, "time": t, "exposed_comm_us": x?}.  Two legacy shapes
@@ -115,27 +158,31 @@ let cached_to_json e =
    projects the design-space point recorded in each evaluation (the
    planner searches richer candidates that embed one), [evaluate]
    returns the simulated time plus the optional exposed-communication
-   measurement.  The public [search] keeps its scalar evaluator and
-   wraps. *)
-let search_items ?pool ?cache ?cache_key ?analyze ~config_of ~build ~evaluate
-    items =
+   measurement, and [tie_break] orders equal times before the
+   candidate index does.  The public [search] keeps its scalar
+   evaluator and wraps. *)
+let search_items ?pool ?cache ?cache_key ?analyze
+    ?(tie_break = fun _ _ -> 0) ~config_of ~build ~evaluate items =
   let keyed =
     match (cache, cache_key) with
     | Some cache, Some key_of ->
-      List.map
-        (fun item ->
+      List.mapi
+        (fun index item ->
           let key = key_of item in
           let cached =
             Option.bind (Tilelink_exec.Cache.find cache key) cached_of_json
           in
-          (item, Some key, cached))
+          (index, item, Some key, cached))
         items
-    | _ -> List.map (fun item -> (item, None, None)) items
+    | _ -> List.mapi (fun index item -> (index, item, None, None)) items
   in
+  let leader = { lock = Mutex.create (); lead = None } in
   let attempts =
     Tilelink_exec.Pool.map pool
-      (fun (item, _key, cached) ->
-        attempt ?analyze ~config_of ~build ~evaluate (item, cached))
+      (fun (index, item, _key, cached) ->
+        attempt ?analyze ~config_of ~build ~evaluate
+          ~record:(offer ~tie_break leader index)
+          (item, cached))
       keyed
     |> List.map Tilelink_exec.Pool.get
   in
@@ -145,7 +192,7 @@ let search_items ?pool ?cache ?cache_key ?analyze ~config_of ~build ~evaluate
   | None -> ()
   | Some cache ->
     List.iter2
-      (fun (_, key, _) att ->
+      (fun (_, _, key, _) att ->
         match (key, att) with
         | Some key, Evaluated e ->
           Tilelink_exec.Cache.add cache key (cached_to_json e)
@@ -173,15 +220,8 @@ let search_items ?pool ?cache ?cache_key ?analyze ~config_of ~build ~evaluate
     | None -> 0
     | Some _ -> List.length attempts - cache_hits
   in
-  match evaluated with
-  | [] -> None
-  | first :: _ ->
-    let best =
-      List.fold_left
-        (fun acc e -> if e.time < acc.time then e else acc)
-        first evaluated
-    in
-    Some
+  Option.map
+    (fun (_, best) ->
       {
         best;
         evaluated;
@@ -193,7 +233,8 @@ let search_items ?pool ?cache ?cache_key ?analyze ~config_of ~build ~evaluate
         skipped_race;
         cache_hits;
         cache_misses;
-      }
+      })
+    leader.lead
 
 let search ?pool ?cache ?cache_key ?analyze ~build ~evaluate configs =
   search_items ?pool ?cache ?cache_key ?analyze ~config_of:Fun.id ~build
@@ -257,7 +298,7 @@ let search_programs ?pool ?cache ?(workload = "program") ?(analyze = true)
    both: the candidate to describe the schedule, the program to emit
    or execute it. *)
 let search_planned ?pool ?cache ?(workload = "planned") ?(analyze = true)
-    ~fingerprint ~config_of ~build ~make_cluster candidates =
+    ?tie_break ~fingerprint ~config_of ~build ~make_cluster candidates =
   let cache_key =
     match cache with
     | None -> None
@@ -273,7 +314,7 @@ let search_planned ?pool ?cache ?(workload = "planned") ?(analyze = true)
       Some (fun ((_, program) : _ * Program.t) -> Analyzer.check_message program)
     else None
   in
-  search_items ?pool ?cache ?cache_key ?analyze ~config_of
+  search_items ?pool ?cache ?cache_key ?analyze ?tie_break ~config_of
     ~build:(fun candidate -> (candidate, build candidate))
     ~evaluate:(fun (_, program) -> evaluate_program ~make_cluster program)
     candidates

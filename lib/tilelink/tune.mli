@@ -13,9 +13,19 @@ type 'a evaluation = {
           pre-profiler cache entries *)
 }
 
+type score = {
+  config : Design_space.config;
+  time : float;
+  exposed_comm_us : float option;
+}
+(** What the search keeps of every candidate but the winner: its
+    design-space point and measurements, never the built candidate. *)
+
 type 'a outcome = {
   best : 'a evaluation;
-  evaluated : 'a evaluation list;  (** in candidate order, both paths *)
+      (** the winner, the only evaluation that holds its built
+          candidate *)
+  evaluated : score list;  (** in candidate order, both paths *)
   skipped : int;
       (** total skips, [= build + invalid + deadlock + race] *)
   skipped_build : int;
@@ -42,10 +52,13 @@ val search :
     must then confine mutable state to their own invocation (fresh
     cluster per call).  The outcome is identical to the sequential
     path: [evaluated] is in candidate order and [best] is the earliest
-    strict minimum.  Caching needs both [cache] and [cache_key]; only
+    strict minimum.  Each built candidate is dropped once it has been
+    scored unless it leads the search so far, and the winner is never
+    rebuilt.  Caching needs both [cache] and [cache_key]; only
     successful evaluations are stored.  [analyze] runs on each built
-    candidate {e before} the cache lookup: a failing candidate counts
-    as [skipped_race] and is neither evaluated nor served from cache. *)
+    candidate {e before} the cache lookup, hit or miss: a failing
+    candidate counts as [skipped_race] and is neither evaluated nor
+    served from cache. *)
 
 val search_programs :
   ?pool:Tilelink_exec.Pool.t ->
@@ -70,6 +83,7 @@ val search_planned :
   ?cache:Tilelink_exec.Cache.t ->
   ?workload:string ->
   ?analyze:bool ->
+  ?tie_break:(score -> score -> int) ->
   fingerprint:('c -> string) ->
   config_of:('c -> Design_space.config) ->
   build:('c -> Program.t) ->
@@ -82,7 +96,9 @@ val search_planned :
     must cover every candidate axis beyond the embedded config
     (transfer mode, chunk count, ...) so cache keys never conflate two
     schedules; [workload] must identify the operator graph and shape.
-    Evaluations pair the candidate with its synthesized program.
+    [best] pairs the winning candidate with its synthesized program.
+    [tie_break] (default: none) orders candidates of equal time, before
+    the earlier candidate wins a full tie.
     [analyze] (default [true]) pre-flights every synthesized program —
     no planner-derived protocol is ever scored unchecked. *)
 

@@ -209,6 +209,69 @@ let test_second_run_served_from_cache () =
   Alcotest.(check bool) "warm evaluated set identical" true
     (evaluations warm = evaluations cold)
 
+(* Every program [build] returns is registered weakly: once the search
+   has returned and a full major GC has run, the winner's must be the
+   only one left alive, cache hits included. *)
+let test_search_keeps_only_the_winner () =
+  let world = 2 in
+  let spec = { Mlp.m = 16; k = 4; n = 6; world_size = world } in
+  let configs =
+    List.concat_map
+      (fun comm_tm ->
+        List.map
+          (fun binding ->
+            {
+              Design_space.comm_tile = (comm_tm, comm_tm);
+              compute_tile = (2, 3);
+              comm_order = Tile.Ring_from_self { segments = world };
+              compute_order = Tile.Row_major;
+              binding;
+              stages = 2;
+              micro_block = 0;
+            })
+          [
+            Design_space.Comm_on_sm 1;
+            Design_space.Comm_on_sm 2;
+            Design_space.Comm_on_dma;
+          ])
+      [ 2; 4; 8 ]
+  in
+  let cache = Cache.create () in
+  let search () =
+    let built = Weak.create (List.length configs) in
+    let next = ref 0 in
+    let build config =
+      let program =
+        Mlp.ag_gemm_program ~config spec ~spec_gpu:Calib.test_machine
+      in
+      Weak.set built !next (Some program);
+      incr next;
+      program
+    in
+    match
+      Tune.search_programs ~cache ~workload:"test:retention" ~build
+        ~make_cluster:(fun () -> Cluster.create Calib.test_machine ~world_size:world)
+        configs
+    with
+    | None -> Alcotest.fail "retention search built no candidate"
+    | Some o ->
+      Gc.full_major ();
+      let alive =
+        List.filter_map (Weak.get built) (List.init !next Fun.id)
+      in
+      (o, !next, alive)
+  in
+  List.iter
+    (fun pass ->
+      let o, built, alive = search () in
+      Alcotest.(check int) (pass ^ ": every candidate built")
+        (List.length configs) built;
+      Alcotest.(check int) (pass ^ ": one program alive") 1
+        (List.length alive);
+      Alcotest.(check bool) (pass ^ ": it is the winner's") true
+        (List.hd alive == o.Tune.best.Tune.candidate))
+    [ "cold"; "warm" ]
+
 (* ------------------------------------------------------------------ *)
 (* Cache schema versioning: mixed legacy / current entry shapes        *)
 (* ------------------------------------------------------------------ *)
@@ -375,6 +438,8 @@ let () =
         ] );
       ( "tune",
         [
+          Alcotest.test_case "keeps only the winner's program" `Quick
+            test_search_keeps_only_the_winner;
           Alcotest.test_case "parallel = sequential (table 2)" `Slow
             test_parallel_search_matches_sequential;
           Alcotest.test_case "warm cache >=90% hits" `Slow

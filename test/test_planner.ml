@@ -152,6 +152,67 @@ let test_search_deterministic () =
     (Planner.fingerprint b.Planner.p_candidate);
   Alcotest.(check (float 0.0)) "same makespan" a.Planner.p_time b.Planner.p_time
 
+(* The search keeps scores, not programs: beyond the winner's program,
+   a plan holds only the small per-candidate scores. *)
+let test_search_retains_only_the_winner () =
+  let graph = Planned.mlp_graph mlp_spec in
+  let candidates = small_candidates ~world:2 ~shard_rows:4 in
+  match
+    Planner.search ~candidates graph ~spec_gpu ~make_cluster:(make_cluster 2)
+      ()
+  with
+  | None -> Alcotest.fail "search returned no plan"
+  | Some plan ->
+    let words x = Obj.reachable_words (Obj.repr x) in
+    let program = words plan.Planner.p_program in
+    let rest = words plan - program in
+    Alcotest.(check int)
+      "every candidate scored" (List.length candidates)
+      (List.length plan.Planner.p_outcome.Tune.evaluated);
+    Alcotest.(check bool)
+      (Printf.sprintf "plan holds %d words beside its %d-word program" rest
+         program)
+      true (rest < program)
+
+(* A duplicated candidate scores identically to its original, so only
+   the index can separate them: the earlier entry must win at every
+   pool width, whichever domain finishes first. *)
+let test_search_ties_keep_earliest () =
+  let graph = Planned.mlp_graph mlp_spec in
+  let candidates = small_candidates ~world:2 ~shard_rows:4 in
+  let search ?pool candidates =
+    match
+      Planner.search ?pool ~candidates graph ~spec_gpu
+        ~make_cluster:(make_cluster 2) ()
+    with
+    | None -> Alcotest.fail "search returned no plan"
+    | Some plan -> plan
+  in
+  let reference = search candidates in
+  let winner = reference.Planner.p_candidate in
+  let copy = { winner with Planner.pl_chunks = winner.Planner.pl_chunks } in
+  List.iter
+    (fun domains ->
+      let pool = Tilelink_exec.Pool.create ~domains () in
+      List.iter
+        (fun (label, list, expected) ->
+          let plan = search ~pool list in
+          let msg what = Printf.sprintf "%s, %d domains: %s" label domains what in
+          Alcotest.(check bool)
+            (msg "earlier entry wins") true
+            (plan.Planner.p_candidate == expected);
+          Alcotest.(check (float 0.0))
+            (msg "time") reference.Planner.p_time plan.Planner.p_time;
+          Alcotest.(check (option (float 0.0)))
+            (msg "exposed communication")
+            reference.Planner.p_exposed_comm_us
+            plan.Planner.p_exposed_comm_us)
+        [
+          ("copy first", copy :: candidates, copy);
+          ("copy last", candidates @ [ copy ], winner);
+        ])
+    [ 1; 2; 4 ]
+
 (* ------------------------------------------------------------------ *)
 (* Randomized specs: planner winner == hand-written, both backends     *)
 (* ------------------------------------------------------------------ *)
@@ -311,6 +372,10 @@ let () =
         [
           Alcotest.test_case "analyzer-clean winner, skips infeasible" `Quick
             test_search_picks_analyzer_clean_winner;
+          Alcotest.test_case "retains only the winner's program" `Quick
+            test_search_retains_only_the_winner;
+          Alcotest.test_case "ties keep the earliest candidate" `Quick
+            test_search_ties_keep_earliest;
           Alcotest.test_case "deterministic across pool widths" `Quick
             test_search_deterministic;
           qc qcheck_planner_matches_handwritten;
