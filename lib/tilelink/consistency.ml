@@ -90,8 +90,6 @@ let fence_violations (arr : Instr.t array) : fence_violation list =
   done;
   List.rev !found
 
-let task_fence_violations instrs = fence_violations (Array.of_list instrs)
-
 let violation_of_fence fv =
   let rule =
     match fv.fv_kind with
@@ -107,7 +105,7 @@ let violation_of_fence fv =
   { position = fv.fv_position; instr = Instr.to_string fv.fv_instr; rule }
 
 let verify_task (instrs : Instr.t list) : (unit, violation) result =
-  match task_fence_violations instrs with
+  match fence_violations (Array.of_list instrs) with
   | [] -> Ok ()
   | fv :: _ -> Error (violation_of_fence fv)
 

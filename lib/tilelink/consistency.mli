@@ -19,15 +19,12 @@ type fence_violation = {
   fv_kind : fence_kind;
 }
 
-val task_fence_violations : Instr.t list -> fence_violation list
+val fence_violations : Instr.t array -> fence_violation list
 (** Every acquire/release ordering violation of one task's stream, in
     scan order; [verify_task] reports the head.  The whole-program
-    analyzer resolves each violation's fence through the channel
-    mappings to name the racing producer. *)
-
-val fence_violations : Instr.t array -> fence_violation list
-(** {!task_fence_violations} over a stream already held as an array,
-    so the analyzer can share one copy across its passes. *)
+    analyzer passes the array it shares across its passes and resolves
+    each violation's fence through the channel mappings to name the
+    racing producer. *)
 
 val verify_task : Instr.t list -> (unit, violation) result
 val verify_role : Program.role -> (unit, violation) result
