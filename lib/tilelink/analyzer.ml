@@ -131,36 +131,14 @@ type inventory = {
   inv_waits : int;
 }
 
-(* Targets are hashed as themselves: integer mixing instead of the
-   polymorphic hash, field comparison instead of structural equality. *)
-module Targets = Hashtbl.Make (struct
-  type t = Instr.signal_target
-
-  let equal (a : t) (b : t) =
-    match (a, b) with
-    | Instr.Pc a, Instr.Pc b -> a.rank = b.rank && a.channel = b.channel
-    | Instr.Peer a, Instr.Peer b ->
-      a.src = b.src && a.dst = b.dst && a.channel = b.channel
-    | Instr.Host a, Instr.Host b -> a.src = b.src && a.dst = b.dst
-    | _ -> false
-
-  let hash (t : t) =
-    let mix h x = (h * 65599) + x in
-    (match t with
-    | Instr.Pc { rank; channel } -> mix (mix 1 rank) channel
-    | Instr.Peer { src; dst; channel } -> mix (mix (mix 2 src) dst) channel
-    | Instr.Host { src; dst } -> mix (mix 3 src) dst)
-    land max_int
-end)
-
 (* The single traversal: resolve every target once, record its
    endpoints and build the streams. *)
 let inventory_of (p : Program.t) =
-  let by_target = Targets.create 64 in
+  let by_target = Hashtbl.create 64 in
   let order = ref [] and next_key = ref 0 in
   let notifies = ref 0 and waits = ref 0 in
   let info target =
-    match Targets.find_opt by_target target with
+    match Hashtbl.find_opt by_target target with
     | Some ki -> ki
     | None ->
       let ki =
@@ -174,7 +152,7 @@ let inventory_of (p : Program.t) =
         }
       in
       incr next_key;
-      Targets.add by_target target ki;
+      Hashtbl.add by_target target ki;
       order := ki :: !order;
       ki
   in

@@ -210,13 +210,13 @@ let create ~world_size ~channels_per_rank ?(peer_channels = 1) ?telemetry
     pc =
       Array.init world_size (fun r ->
           Array.init channels_per_rank (fun c ->
-              mk (Printf.sprintf "pc[%d][%d]" r c)));
+              mk (Instr.key_of_target (Instr.Pc { rank = r; channel = c }))));
     peer = Array.init world_size (fun _ -> Array.make world_size None);
     peer_channels;
     host =
       Array.init world_size (fun dst ->
           Array.init world_size (fun src ->
-              mk (Printf.sprintf "host[%d<-%d]" dst src)));
+              mk (Instr.key_of_target (Instr.Host { src; dst }))));
   }
 
 (* Deterministic ordering: oldest wait first, ties broken
@@ -238,7 +238,9 @@ let peer_row t ~dst ~src =
   | None ->
     let row =
       Array.init t.peer_channels (fun c ->
-          let name = Printf.sprintf "peer[%d<-%d][%d]" dst src c in
+          let name =
+            Instr.key_of_target (Instr.Peer { src; dst; channel = c })
+          in
           let counter = Tilelink_sim.Counter.create ~name () in
           if not (Hashtbl.mem t.by_key name) then
             Hashtbl.add t.by_key name counter;
@@ -253,17 +255,13 @@ let find_key t key =
   match Hashtbl.find_opt t.by_key key with
   | Some _ as found -> found
   | None -> (
-    match Scanf.sscanf key "peer[%d<-%d][%d]%!" (fun dst src _ -> (dst, src)) with
-    | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
-    | dst, src ->
-      if
-        dst < 0 || dst >= t.world_size || src < 0 || src >= t.world_size
-        || t.peer.(dst).(src) <> None
-      then None
-      else begin
-        ignore (peer_row t ~dst ~src);
-        Hashtbl.find_opt t.by_key key
-      end)
+    match Instr.target_of_key key with
+    | Some (Instr.Peer { src; dst; _ })
+      when dst >= 0 && dst < t.world_size && src >= 0 && src < t.world_size
+           && t.peer.(dst).(src) = None ->
+      ignore (peer_row t ~dst ~src);
+      Hashtbl.find_opt t.by_key key
+    | _ -> None)
 
 let key_value t ~key = Option.map Tilelink_sim.Counter.value (find_key t key)
 

@@ -582,18 +582,16 @@ exception Stall of stall
    coordinate under the program's channel mapping); "peer[2<-1][0]" is
    produced by rank 1; "host[2<-0]" by rank 0's copy engine. *)
 let parse_key key =
-  let try_scan fmt f = try Some (Scanf.sscanf key fmt f) with _ -> None in
-  match try_scan "pc[%d][%d]" (fun r c -> ("pc", r, Some c)) with
-  | Some v -> v
-  | None -> (
-    match
-      try_scan "peer[%d<-%d][%d]" (fun _dst src c -> ("peer", src, Some c))
-    with
-    | Some v -> v
-    | None -> (
-      match try_scan "host[%d<-%d]" (fun _dst src -> ("host", src, None)) with
-      | Some v -> v
-      | None -> ("unknown", -1, None)))
+  match Instr.target_of_key key with
+  | Some target ->
+    let kind =
+      match target with
+      | Instr.Pc _ -> "pc"
+      | Instr.Peer _ -> "peer"
+      | Instr.Host _ -> "host"
+    in
+    (kind, Instr.producer_of_target target, Instr.channel_of_target target)
+  | None -> ("unknown", -1, None)
 
 let stall_to_string s =
   let channel =

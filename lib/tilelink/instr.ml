@@ -59,6 +59,23 @@ let key_of_target = function
   | Peer { src; dst; channel } -> Printf.sprintf "peer[%d<-%d][%d]" dst src channel
   | Host { src; dst } -> Printf.sprintf "host[%d<-%d]" dst src
 
+(* The inverse of [key_of_target]: [None] for any string it does not
+   render. *)
+let target_of_key key =
+  let scan fmt f =
+    try Some (Scanf.sscanf key fmt f)
+    with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
+  in
+  match scan "pc[%d][%d]%!" (fun rank channel -> Pc { rank; channel }) with
+  | Some _ as t -> t
+  | None -> (
+    match
+      scan "peer[%d<-%d][%d]%!" (fun dst src channel ->
+          Peer { src; dst; channel })
+    with
+    | Some _ as t -> t
+    | None -> scan "host[%d<-%d]%!" (fun dst src -> Host { src; dst }))
+
 (* The rank a wait on this target observes from — the counter's owner
    for [Pc], the producing side for [Peer]/[Host]. *)
 let producer_of_target = function

@@ -514,16 +514,6 @@ type plan = {
   p_outcome : (candidate * Program.t) Tune.outcome;
 }
 
-(* The planner breaks makespan ties toward less exposed communication
-   (missing blame sorts last); [Tune] applies it inside its running
-   best, before the earliest candidate wins a full tie, so the winner
-   is deterministic across pool widths. *)
-let exposed_comm_tie_break (a : Tune.score) (b : Tune.score) =
-  let blame (e : Tune.score) =
-    match e.Tune.exposed_comm_us with Some x -> x | None -> infinity
-  in
-  Float.compare (blame a) (blame b)
-
 let search ?pool ?cache ?candidates g ~spec_gpu ~make_cluster () =
   let candidates =
     match candidates with
@@ -532,7 +522,7 @@ let search ?pool ?cache ?candidates g ~spec_gpu ~make_cluster () =
   in
   Tune.search_planned ?pool ?cache
     ~workload:("plan:" ^ graph_fingerprint g)
-    ~tie_break:exposed_comm_tie_break ~fingerprint
+    ~fingerprint
     ~config_of:(fun c -> c.pl_config)
     ~build:(fun c -> synthesize g c ~spec_gpu)
     ~make_cluster candidates

@@ -289,6 +289,13 @@ let search_programs ?pool ?cache ?(workload = "program") ?(analyze = true)
   search_items ?pool ?cache ?cache_key ?analyze ~config_of:Fun.id ~build
     ~evaluate:(evaluate_program ~make_cluster) configs
 
+(* The planner breaks makespan ties toward less exposed communication
+   (missing blame sorts last), before the earliest candidate wins a
+   full tie, so its winner is deterministic across pool widths. *)
+let less_exposed_comm (a : score) (b : score) =
+  let blame (e : score) = Option.value ~default:infinity e.exposed_comm_us in
+  Float.compare (blame a) (blame b)
+
 (* Planner entry point: candidates are arbitrary schedule descriptions
    that embed a design-space point ([config_of]) and synthesize to a
    program ([build]); [fingerprint] must cover every candidate axis
@@ -298,7 +305,7 @@ let search_programs ?pool ?cache ?(workload = "program") ?(analyze = true)
    both: the candidate to describe the schedule, the program to emit
    or execute it. *)
 let search_planned ?pool ?cache ?(workload = "planned") ?(analyze = true)
-    ?tie_break ~fingerprint ~config_of ~build ~make_cluster candidates =
+    ~fingerprint ~config_of ~build ~make_cluster candidates =
   let cache_key =
     match cache with
     | None -> None
@@ -314,7 +321,8 @@ let search_planned ?pool ?cache ?(workload = "planned") ?(analyze = true)
       Some (fun ((_, program) : _ * Program.t) -> Analyzer.check_message program)
     else None
   in
-  search_items ?pool ?cache ?cache_key ?analyze ?tie_break ~config_of
+  search_items ?pool ?cache ?cache_key ?analyze ~tie_break:less_exposed_comm
+    ~config_of
     ~build:(fun candidate -> (candidate, build candidate))
     ~evaluate:(fun (_, program) -> evaluate_program ~make_cluster program)
     candidates

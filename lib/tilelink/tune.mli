@@ -83,7 +83,6 @@ val search_planned :
   ?cache:Tilelink_exec.Cache.t ->
   ?workload:string ->
   ?analyze:bool ->
-  ?tie_break:(score -> score -> int) ->
   fingerprint:('c -> string) ->
   config_of:('c -> Design_space.config) ->
   build:('c -> Program.t) ->
@@ -97,8 +96,8 @@ val search_planned :
     (transfer mode, chunk count, ...) so cache keys never conflate two
     schedules; [workload] must identify the operator graph and shape.
     [best] pairs the winning candidate with its synthesized program.
-    [tie_break] (default: none) orders candidates of equal time, before
-    the earlier candidate wins a full tie.
+    Candidates of equal time rank by less exposed communication
+    (missing blame last) before the earlier candidate wins a full tie.
     [analyze] (default [true]) pre-flights every synthesized program —
     no planner-derived protocol is ever scored unchecked. *)
 

@@ -232,7 +232,19 @@ let test_channel_untouched_peer_keys () =
     (try
        Channel.force_signal channels ~key:"peer[0<-1][9]" ~target:1;
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  List.iter
+    (fun target ->
+      let key = Instr.key_of_target target in
+      Alcotest.(check bool) ("key round-trips: " ^ key) true
+        (Instr.target_of_key key = Some target))
+    [
+      Instr.Pc { rank = 3; channel = 7 };
+      Instr.Peer { src = 1; dst = 2; channel = 0 };
+      Instr.Host { src = 0; dst = 2 };
+    ];
+  Alcotest.(check bool) "trailing text is not a key" true
+    (Instr.target_of_key "pc[3][7]x" = None)
 
 (* ------------------------------------------------------------------ *)
 (* Memory                                                              *)
