@@ -46,9 +46,7 @@ type t = {
 }
 
 (* Cross-island replays are labelled "<label>@x" by the runtime. *)
-let is_cross_island_label label =
-  let n = String.length label in
-  n >= 2 && String.sub label (n - 2) 2 = "@x"
+let is_cross_island_label label = String.ends_with ~suffix:"@x" label
 
 let empty_buckets =
   {

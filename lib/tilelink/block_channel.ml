@@ -7,32 +7,46 @@
    it is the record kernel builders thread through lowering. *)
 
 type t = {
-  rank : int;
-  world_size : int;
-  mapping : Mapping.t;
+  config : Lower.config;  (* mapping, rank, world size, copy labels *)
   channel_base : int;  (* offset into the rank's pc channel array *)
   peer_channels : int;
 }
 
-let create ?(channel_base = 0) ?(peer_channels = 1) ~rank ~world_size mapping
-    =
+let make ~channel_base ~peer_channels ~labels ~rank ~world_size mapping =
   if rank < 0 || rank >= world_size then
     invalid_arg "Block_channel.create: rank out of range";
   if Mapping.ranks mapping <> world_size then
     invalid_arg "Block_channel.create: mapping/world size mismatch";
-  { rank; world_size; mapping; channel_base; peer_channels }
+  {
+    config = { Lower.mapping; rank; world_size; labels };
+    channel_base;
+    peer_channels;
+  }
 
-let rank t = t.rank
-let world_size t = t.world_size
-let mapping t = t.mapping
+let create ?(channel_base = 0) ?(peer_channels = 1) ~rank ~world_size mapping
+    =
+  make ~channel_base ~peer_channels
+    ~labels:(Lower.copy_labels ~world_size)
+    ~rank ~world_size mapping
+
+(* One context per rank over a single mapping: the metadata one compiled
+   kernel reads on each rank.  The copy labels are rendered once and
+   shared by every rank. *)
+let per_rank ?(channel_base = 0) ?(peer_channels = 1) ~world_size mapping =
+  let labels = Lower.copy_labels ~world_size in
+  Array.init world_size (fun rank ->
+      make ~channel_base ~peer_channels ~labels ~rank ~world_size mapping)
+
+let rank t = t.config.Lower.rank
+let world_size t = t.config.Lower.world_size
+let mapping t = t.config.Lower.mapping
 let channel_base t = t.channel_base
 let peer_channels t = t.peer_channels
 
 (* Channels this link occupies: [channel_base, channel_base + extent). *)
-let channel_extent t = Mapping.num_channels t.mapping
+let channel_extent t = Mapping.num_channels (mapping t)
 
-let lower_config t : Lower.config =
-  { Lower.mapping = t.mapping; rank = t.rank; world_size = t.world_size }
+let lower_config t = t.config
 
 (* Lower a statement list in this context, applying the channel-base
    offset to every producer/consumer signal target.
@@ -49,7 +63,7 @@ let lower ?telemetry t stmts =
       (Tilelink_obs.Telemetry.journal tele)
       ~t:0.0
       (Tilelink_obs.Journal.Channel_acquire
-         { rank = t.rank; base = t.channel_base; extent = channel_extent t });
+         { rank = rank t; base = t.channel_base; extent = channel_extent t });
     (* Zero-length marker span at t=0: makes the lowering's channel
        occupation visible to the span DAG without adding any charged
        time (never on the critical path — zero duration, no preds). *)
@@ -59,7 +73,7 @@ let lower ?telemetry t stmts =
       ~label:
         (Printf.sprintf "lower.acquire[%d..%d)" t.channel_base
            (t.channel_base + channel_extent t))
-      ~rank:t.rank ~worker:(-1) ~t0:0.0 ~t1:0.0
+      ~rank:(rank t) ~worker:(-1) ~t0:0.0 ~t1:0.0
   end;
   let note_instr = function
     | Instr.Wait _ ->
@@ -96,9 +110,15 @@ let lower ?telemetry t stmts =
         }
     | instr -> instr
   in
-  List.map
-    (fun instr ->
-      let shifted = shift instr in
-      if Tilelink_obs.Telemetry.active telemetry then note_instr shifted;
-      shifted)
-    (Lower.lower (lower_config t) stmts)
+  let instrs = Lower.lower t.config stmts in
+  let instrs = if t.channel_base = 0 then instrs else List.map shift instrs in
+  if Tilelink_obs.Telemetry.active telemetry then List.iter note_instr instrs;
+  instrs
+
+(* A task in rank-free form.  Builders make one per tile of a program
+   and lower it on every rank that runs the tile, so labels, statements
+   and data actions are built once per program, not once per rank. *)
+type task = { label : string; stmts : Primitive.t list }
+
+let lower_task ?telemetry t task =
+  { Program.label = task.label; instrs = lower ?telemetry t task.stmts }

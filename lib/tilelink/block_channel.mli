@@ -11,6 +11,13 @@ val create :
   Mapping.t ->
   t
 
+val per_rank :
+  ?channel_base:int -> ?peer_channels:int -> world_size:int -> Mapping.t ->
+  t array
+(** The contexts of ranks [0 .. world_size - 1] over one mapping, built
+    once per program: element [r] equals [create ~rank:r], and every
+    rank shares one set of copy labels. *)
+
 val rank : t -> int
 val world_size : t -> int
 val mapping : t -> Mapping.t
@@ -26,3 +33,12 @@ val lower :
     [Channel_acquire] journal event for the occupied channel range and
     counts the wait/notify instructions the primitives lowered into
     ([lowered.waits] / [lowered.notifies]). *)
+
+type task = { label : string; stmts : Primitive.t list }
+(** A task before lowering: its label and statements, which hold no
+    rank.  Build one per tile of a program and lower it on each rank
+    that runs the tile. *)
+
+val lower_task :
+  ?telemetry:Tilelink_obs.Telemetry.t -> t -> task -> Program.task
+(** [lower] the statements under the task's label. *)

@@ -58,6 +58,31 @@ type t = {
   mutable next_wait_id : int;
 }
 
+(* A channel kind with its telemetry names, fixed once so the signal
+   path never concatenates a name per notify or wait. *)
+type kind = {
+  name : string;
+  notifies : string;
+  notify : string;
+  waits : string;
+  wait_us : string;
+  wait : string;
+}
+
+let kind name =
+  {
+    name;
+    notifies = "notifies." ^ name;
+    notify = "notify." ^ name;
+    waits = "waits." ^ name;
+    wait_us = "wait_us." ^ name;
+    wait = "wait." ^ name;
+  }
+
+let pc_kind = kind "pc"
+let peer_kind = kind "peer"
+let host_kind = kind "host"
+
 (* Delivery is an idempotent set-to-epoch, not an add: [epoch] is the
    intended cumulative value captured when the notify was issued.  A
    duplicate arrival, or a delayed delivery landing after the watchdog
@@ -71,7 +96,7 @@ let deliver t ?pred ~kind ~rank counter ~epoch ~amount =
     let tele = Option.get t.telemetry in
     Tilelink_obs.Metrics.inc
       (Tilelink_obs.Telemetry.metrics tele)
-      ("notifies." ^ kind);
+      kind.notifies;
     let key = Tilelink_sim.Counter.name counter in
     let value = Tilelink_sim.Counter.value counter in
     let now = t.clock () in
@@ -85,7 +110,7 @@ let deliver t ?pred ~kind ~rank counter ~epoch ~amount =
        cursor captured at issue time. *)
     Tilelink_obs.Span.record_notify
       (Tilelink_obs.Telemetry.spans tele)
-      ?pred ~label:("notify." ^ kind) ~rank ~key ~value ~t:now
+      ?pred ~label:kind.notify ~rank ~key ~value ~t:now
   end
 
 let fault_mark t ~fault_kind ~key ~rank =
@@ -127,7 +152,7 @@ let notify_instr ?worker t ~kind ~rank counter ~amount =
   match t.interceptor with
   | None -> deliver t ?pred ~kind ~rank counter ~epoch ~amount
   | Some decide -> (
-    match decide ~kind ~key ~rank ~amount with
+    match decide ~kind:kind.name ~key ~rank ~amount with
     | Deliver -> deliver t ?pred ~kind ~rank counter ~epoch ~amount
     | Drop -> fault_mark t ~fault_kind:"drop" ~key ~rank
     | Duplicate ->
@@ -170,14 +195,14 @@ let wait_instr ?waiter ?worker t ~kind ~rank counter ~threshold =
      Tilelink_obs.Journal.record journal ~t:t1
        (Tilelink_obs.Journal.Wait_end { key; rank; threshold; started = t0 });
      let metrics = Tilelink_obs.Telemetry.metrics tele in
-     Tilelink_obs.Metrics.inc metrics ("waits." ^ kind);
-     Tilelink_obs.Metrics.observe metrics ("wait_us." ^ kind) (t1 -. t0);
+     Tilelink_obs.Metrics.inc metrics kind.waits;
+     Tilelink_obs.Metrics.observe metrics kind.wait_us (t1 -. t0);
      (* Only a wait that actually blocked becomes a stall span; an
         immediately satisfied wait has no causal weight. *)
      if t1 > t0 then
        Tilelink_obs.Span.record_wait
          (Tilelink_obs.Telemetry.spans tele)
-         ~label:("wait." ^ kind)
+         ~label:kind.wait
          ~rank:(Option.value ~default:rank waiter)
          ~worker:(Option.value ~default:(-1) worker)
          ~key ~threshold ~t0 ~t1
@@ -315,12 +340,13 @@ let cancel_rank_waits t ~rank =
 let pc_notify ?worker t ~rank ~channel ~amount =
   check_rank t rank "pc_notify";
   check_channel t channel "pc_notify";
-  notify_instr ?worker t ~kind:"pc" ~rank t.pc.(rank).(channel) ~amount
+  notify_instr ?worker t ~kind:pc_kind ~rank t.pc.(rank).(channel) ~amount
 
 let pc_wait ?waiter ?worker t ~rank ~channel ~threshold =
   check_rank t rank "pc_wait";
   check_channel t channel "pc_wait";
-  wait_instr ?waiter ?worker t ~kind:"pc" ~rank t.pc.(rank).(channel) ~threshold
+  wait_instr ?waiter ?worker t ~kind:pc_kind ~rank t.pc.(rank).(channel)
+    ~threshold
 
 let pc_value t ~rank ~channel =
   check_rank t rank "pc_value";
@@ -331,13 +357,13 @@ let pc_value t ~rank ~channel =
 let peer_notify ?worker t ~src ~dst ?(channel = 0) ~amount () =
   check_rank t src "peer_notify";
   check_rank t dst "peer_notify";
-  notify_instr ?worker t ~kind:"peer" ~rank:src
+  notify_instr ?worker t ~kind:peer_kind ~rank:src
     (peer_row t ~dst ~src).(channel) ~amount
 
 let peer_wait ?waiter ?worker t ~src ~dst ?(channel = 0) ~threshold () =
   check_rank t src "peer_wait";
   check_rank t dst "peer_wait";
-  wait_instr ?waiter ?worker t ~kind:"peer" ~rank:dst
+  wait_instr ?waiter ?worker t ~kind:peer_kind ~rank:dst
     (peer_row t ~dst ~src).(channel) ~threshold
 
 let peer_value t ~src ~dst ?(channel = 0) () =
@@ -347,12 +373,12 @@ let peer_value t ~src ~dst ?(channel = 0) () =
 let host_notify ?worker t ~src ~dst ~amount =
   check_rank t src "host_notify";
   check_rank t dst "host_notify";
-  notify_instr ?worker t ~kind:"host" ~rank:src t.host.(dst).(src) ~amount
+  notify_instr ?worker t ~kind:host_kind ~rank:src t.host.(dst).(src) ~amount
 
 let host_wait ?waiter ?worker t ~src ~dst ~threshold =
   check_rank t src "host_wait";
   check_rank t dst "host_wait";
-  wait_instr ?waiter ?worker t ~kind:"host" ~rank:dst t.host.(dst).(src)
+  wait_instr ?waiter ?worker t ~kind:host_kind ~rank:dst t.host.(dst).(src)
     ~threshold
 
 let total_notifies t =

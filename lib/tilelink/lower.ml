@@ -6,11 +6,30 @@
    [guards] carry the protected buffer ranges, and data primitives to
    [Copy] instructions with concrete source/destination ranks. *)
 
+(* Copy labels name the peer rank ("push->r3", "pull<-r5").  They are
+   rendered once per lowering context, indexed by rank, so a program's
+   copies share their label strings instead of formatting one each. *)
+type copy_labels = { push_to : string array; pull_from : string array }
+
+let copy_labels ~world_size =
+  let render prefix =
+    Array.init world_size (fun r -> prefix ^ string_of_int r)
+  in
+  { push_to = render "push->r"; pull_from = render "pull<-r" }
+
 type config = {
   mapping : Mapping.t;
   rank : int;        (* the executing rank the statements belong to *)
   world_size : int;
+  labels : copy_labels;
 }
+
+let config ~mapping ~rank ~world_size =
+  { mapping; rank; world_size; labels = copy_labels ~world_size }
+
+let copy_label table prefix rank =
+  if rank >= 0 && rank < Array.length table then table.(rank)
+  else prefix ^ string_of_int rank
 
 let dtype_bytes = Tilelink_machine.Cost.dtype_bytes
 
@@ -59,17 +78,7 @@ let lower_stmt config (stmt : Primitive.t) : Instr.t list =
     let lo = List.fold_left min max_int rows in
     let hi = List.fold_left max 0 rows + 1 in
     let guards = [ Instr.access ~buffer ~row:(lo, hi) ~col () ] in
-    let table = Hashtbl.create 8 in
-    List.iter
-      (fun row ->
-        List.iter
-          (fun (channel, threshold) ->
-            Hashtbl.replace table channel threshold)
-          (Mapping.channels_for_range mapping ~lo:row ~hi:(row + 1)))
-      rows;
-    Hashtbl.fold (fun channel threshold acc -> (channel, threshold) :: acc)
-      table []
-    |> List.sort compare
+    Mapping.channels_for_rows mapping rows
     |> List.map (fun (channel, threshold) ->
            Instr.Wait
              {
@@ -120,7 +129,7 @@ let lower_stmt config (stmt : Primitive.t) : Instr.t list =
     [
       Instr.Copy
         {
-          label = Printf.sprintf "push->r%d" dst_rank;
+          label = copy_label config.labels.push_to "push->r" dst_rank;
           src;
           dst;
           bytes = bytes_of_access src;
@@ -141,7 +150,7 @@ let lower_stmt config (stmt : Primitive.t) : Instr.t list =
     [
       Instr.Copy
         {
-          label = Printf.sprintf "pull<-r%d" src_rank;
+          label = copy_label config.labels.pull_from "pull<-r" src_rank;
           src;
           dst;
           bytes = bytes_of_access src;

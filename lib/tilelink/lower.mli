@@ -1,11 +1,23 @@
 (** Backend lowering: frontend primitives -> device instructions,
     resolved through a tile-centric mapping. *)
 
+type copy_labels
+(** The ["push->r%d"] / ["pull<-r%d"] copy labels, indexed by peer
+    rank. *)
+
+val copy_labels : world_size:int -> copy_labels
+
 type config = {
   mapping : Mapping.t;
   rank : int;
   world_size : int;
+  labels : copy_labels;
+      (** Shared by every rank of a program when built once (see
+          {!Block_channel.per_rank}). *)
 }
+
+val config : mapping:Mapping.t -> rank:int -> world_size:int -> config
+(** A context with its own copy labels. *)
 
 val bytes_of_access : Instr.access -> float
 val lower_stmt : config -> Primitive.t -> Instr.t list

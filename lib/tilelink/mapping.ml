@@ -209,6 +209,29 @@ let channels_for_range t ~lo ~hi =
       Hashtbl.fold (fun c e acc -> (c, e) :: acc) needed []
       |> List.sort compare
 
+(* The channels covering any of [rows] (scattered, possibly repeated),
+   with their thresholds, in channel order: the union of
+   [channels_for_range ~lo:row ~hi:(row + 1)] over the rows, computed in
+   one pass with a seen-array over the channel space. *)
+let channels_for_rows t rows =
+  let seen = Array.make (num_channels t) false in
+  List.iter
+    (fun row ->
+      if row < 0 then invalid_arg "Mapping.channels_for_rows";
+      match t with
+      | Static s ->
+        if row >= s.extent then invalid_arg "Mapping.channels_for_rows: range";
+        seen.(row / s.rows_per_channel) <- true
+      | Dynamic d ->
+        if row < Array.length d.row_channels then
+          List.iter (fun c -> seen.(c) <- true) d.row_channels.(row))
+    rows;
+  let acc = ref [] in
+  for c = Array.length seen - 1 downto 0 do
+    if seen.(c) then acc := (c, expected t ~channel:c) :: !acc
+  done;
+  !acc
+
 (* Shard-local source rows of a producer tile on its owning rank: what
    a pull-mode copy reads from the remote shard buffer. *)
 let src_shard_range t ~tid =

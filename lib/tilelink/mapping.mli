@@ -56,6 +56,13 @@ val channels_for_range : t -> lo:int -> hi:int -> (int * int) list
 (** Channels (with completion thresholds) a consumer of global rows
     [lo, hi) must wait on. *)
 
+val channels_for_rows : t -> int list -> (int * int) list
+(** Channels (with thresholds) a consumer of the scattered global
+    [rows] must wait on, in channel order: the union of
+    {!channels_for_range} over each single row.  Rows past a dynamic
+    mapping's tables need no channel; rows outside a static mapping's
+    extent raise [Invalid_argument]. *)
+
 val ranks_for_range : t -> lo:int -> hi:int -> int list
 (** Ranks owning any row of [lo, hi). *)
 

@@ -222,83 +222,66 @@ let split_fraction fraction tasks =
   in
   take cut tasks
 
-(* The gather side of one rank: pull mode fetches every producer tile
-   into the local gathered buffer and signals the local consumers;
-   push mode broadcasts this rank's own shard tiles into every rank's
-   gathered buffer and notifies all of them. *)
-let comm_tasks g cand ~rank ~bc ~mapping ~comm_grid =
-  let pull_task tile =
-    let tid = Tile.linearize comm_grid tile in
+(* The gather tasks of a program, one per producer tile, indexed by
+   tile id: pull mode fetches the tile into the running rank's gathered
+   buffer and signals its local consumers; push mode broadcasts the tile
+   from its owner into every rank's gathered buffer and notifies all of
+   them. *)
+let gather_tasks g cand ~mapping ~comm_grid =
+  let pull tid =
     let lo, hi = Mapping.shape_range mapping ~tid in
-    let stmts =
-      [
-        Primitive.Tile_pull_data
-          {
-            tid;
-            src_buffer = g.g_shard;
-            src_view = `Shard;
-            col = (0, g.g_cols);
-            dst =
-              access ~buffer:g.g_gathered ~row:(lo, hi) ~col:(0, g.g_cols) ();
-            action = None;
-          };
-        Primitive.Producer_tile_notify { tid; mode = Primitive.P2p };
-      ]
-    in
     {
-      Program.label = Printf.sprintf "gather[%d]" tid;
-      instrs = Block_channel.lower bc stmts;
+      Block_channel.label = Printf.sprintf "gather[%d]" tid;
+      stmts =
+        [
+          Primitive.Tile_pull_data
+            {
+              tid;
+              src_buffer = g.g_shard;
+              src_view = `Shard;
+              col = (0, g.g_cols);
+              dst =
+                access ~buffer:g.g_gathered ~row:(lo, hi) ~col:(0, g.g_cols) ();
+              action = None;
+            };
+          Primitive.Producer_tile_notify { tid; mode = Primitive.P2p };
+        ];
     }
   in
-  let push_task tile =
-    let tid = Tile.linearize comm_grid tile in
+  let push tid =
     let glo, ghi = Mapping.shape_range mapping ~tid in
     let slo, shi = Mapping.src_shard_range mapping ~tid in
-    let pushes =
-      List.init g.g_world (fun dst_rank ->
-          Primitive.Tile_push_data
-            {
-              src =
-                access ~buffer:g.g_shard ~row:(slo, shi) ~col:(0, g.g_cols) ();
-              dst_rank;
-              dst =
-                access ~buffer:g.g_gathered ~row:(glo, ghi) ~col:(0, g.g_cols)
-                  ();
-            })
-    in
-    let stmts =
-      pushes
-      @ [ Primitive.Producer_tile_notify { tid; mode = Primitive.Broadcast } ]
+    let src = access ~buffer:g.g_shard ~row:(slo, shi) ~col:(0, g.g_cols) () in
+    let dst =
+      access ~buffer:g.g_gathered ~row:(glo, ghi) ~col:(0, g.g_cols) ()
     in
     {
-      Program.label = Printf.sprintf "gather-push[%d]" tid;
-      instrs = Block_channel.lower bc stmts;
+      Block_channel.label = Printf.sprintf "gather-push[%d]" tid;
+      stmts =
+        List.init g.g_world (fun dst_rank ->
+            Primitive.Tile_push_data { src; dst_rank; dst })
+        @ [
+            Primitive.Producer_tile_notify { tid; mode = Primitive.Broadcast };
+          ];
     }
   in
-  let tiles =
-    Tile.enumerate ~rank comm_grid cand.pl_config.Design_space.comm_order
-  in
-  match cand.pl_transfer with
-  | Pull -> List.map pull_task tiles
-  | Push ->
-    List.filter_map
-      (fun tile ->
-        let tid = Tile.linearize comm_grid tile in
-        if Mapping.rank_of mapping ~tid = rank then Some (push_task tile)
-        else None)
-      tiles
+  Array.init (Tile.tile_count comm_grid)
+    (match cand.pl_transfer with Pull -> pull | Push -> push)
 
 (* One consumer tile: wait for the gathered rows it reads, loop over
    [pl_chunks] column chunks of the gathered buffer, run the kind's
    compute (the data action rides on the last non-empty chunk), store
    the output tile. *)
-let consumer_task g cand co ~bc ~grid tile =
+let consumer_task g cand co ~grid tile =
   let config = cand.pl_config in
   let lo, hi = Tile.rows grid tile in
   let clo, chi = Tile.cols grid tile in
   let chunk = ceil_div g.g_cols cand.pl_chunks in
   let live_chunks = ceil_div g.g_cols chunk in
   let chunk_range kc = (kc * chunk, min g.g_cols ((kc + 1) * chunk)) in
+  let label =
+    Printf.sprintf "%s[%d,%d]" co.co_name tile.Tile.tid_m tile.Tile.tid_n
+  in
   let body =
     match co.co_kind with
     | Gemm { weights; n = _ } ->
@@ -326,9 +309,7 @@ let consumer_task g cand co ~bc ~grid tile =
                    (access ~buffer:weights ~row:(klo, khi) ~col:(clo, chi) ());
                  Primitive.Compute
                    {
-                     label =
-                       Printf.sprintf "%s[%d,%d]k%d" co.co_name tile.Tile.tid_m
-                         tile.Tile.tid_n kc;
+                     label = label ^ "k" ^ string_of_int kc;
                      cost =
                        Instr.Gemm_tile
                          { tm = hi - lo; tn = chi - clo; k = khi - klo };
@@ -364,35 +345,35 @@ let consumer_task g cand co ~bc ~grid tile =
       @ [
           Primitive.Compute
             {
-              label =
-                Printf.sprintf "%s[%d,%d]" co.co_name tile.Tile.tid_m
-                  tile.Tile.tid_n;
+              label;
               cost =
                 Instr.Memory_tile
                   { rows = hi - lo; cols = chi - clo; passes = 3 };
               reads =
-                [ access ~buffer:g.g_gathered ~row:(lo, hi) ~col:(clo, chi) () ];
+                [
+                  access ~buffer:g.g_gathered ~row:(lo, hi) ~col:(clo, chi) ();
+                ];
               writes = [];
               action = Some action;
             };
         ]
   in
-  let stmts =
-    Primitive.Consumer_tile_wait
-      { lo; hi; buffer = g.g_gathered; col = (0, g.g_cols) }
-    :: body
-    @ [
-        Primitive.Store (access ~buffer:co.co_out ~row:(lo, hi) ~col:(clo, chi) ());
-      ]
-  in
   {
-    Program.label =
-      Printf.sprintf "%s[%d,%d]" co.co_name tile.Tile.tid_m tile.Tile.tid_n;
-    instrs =
-      Pipeline.hoist_loads ~stages:config.Design_space.stages
-        (Block_channel.lower bc stmts);
+    Block_channel.label;
+    stmts =
+      Primitive.Consumer_tile_wait
+        { lo; hi; buffer = g.g_gathered; col = (0, g.g_cols) }
+      :: body
+      @ [
+          Primitive.Store
+            (access ~buffer:co.co_out ~row:(lo, hi) ~col:(clo, chi) ());
+        ];
   }
 
+(* Synthesis builds everything that does not depend on the rank once:
+   the mapping, the grids and one task per tile, labels included.  Each
+   rank then only lowers the tasks it runs, in its own tile order, which
+   resolves its signal targets. *)
 let synthesize g cand ~spec_gpu =
   let r = g.g_world in
   let config = cand.pl_config in
@@ -422,11 +403,53 @@ let synthesize g cand ~spec_gpu =
       Tile.grid ~extent_m:g.g_rows ~extent_n:g.g_cols ~tile_m:compute_tm
         ~tile_n:g.g_cols
   in
-  let n_consumers = List.length g.g_consumers in
+  let gather = gather_tasks g cand ~mapping ~comm_grid in
+  let consumers =
+    List.map
+      (fun co ->
+        let grid = consumer_grid co in
+        ( co,
+          grid,
+          Array.init (Tile.tile_count grid) (fun tid ->
+              consumer_task g cand co ~grid (Tile.of_linear grid tid)) ))
+      g.g_consumers
+  in
+  let comm_sms =
+    match config.Design_space.binding with
+    | Design_space.Comm_on_sm sms -> sms
+    | Design_space.Comm_on_dma -> 0
+    | Design_space.Comm_hybrid { sms; _ } -> sms
+  in
+  let compute_sms =
+    max 1 (spec_gpu.Tilelink_machine.Spec.gpu.num_sms - comm_sms)
+  in
+  let per_consumer_sms = max 1 (compute_sms / List.length g.g_consumers) in
+  let dma =
+    Program.Dma_engines (min 2 spec_gpu.Tilelink_machine.Spec.gpu.dma_channels)
+  in
+  let bcs = Block_channel.per_rank ~world_size:r mapping in
   let plans =
     Array.init r (fun rank ->
-        let bc = Block_channel.create ~rank ~world_size:r mapping in
-        let gather = comm_tasks g cand ~rank ~bc ~mapping ~comm_grid in
+        let bc = bcs.(rank) in
+        let gathers =
+          let tiles =
+            Tile.enumerate ~rank comm_grid
+              config.Design_space.comm_order
+          in
+          let lower tile =
+            Block_channel.lower_task bc gather.(Tile.linearize comm_grid tile)
+          in
+          match cand.pl_transfer with
+          | Pull -> List.map lower tiles
+          | Push ->
+            (* Only this rank's own shard tiles are pushed. *)
+            List.filter_map
+              (fun tile ->
+                let tid = Tile.linearize comm_grid tile in
+                if Mapping.rank_of mapping ~tid = rank then Some (lower tile)
+                else None)
+              tiles
+        in
         let comm_roles =
           match config.Design_space.binding with
           | Design_space.Comm_on_sm sms ->
@@ -435,28 +458,26 @@ let synthesize g cand ~spec_gpu =
                 Program.role_name = "gather-sm";
                 resource = Program.Sm_partition sms;
                 lane = Tilelink_sim.Trace.Comm_sm;
-                tasks = gather;
+                tasks = gathers;
               };
             ]
           | Design_space.Comm_on_dma ->
             [
               {
                 Program.role_name = "gather-dma";
-                resource =
-                  Program.Dma_engines
-                    (min 2 spec_gpu.Tilelink_machine.Spec.gpu.dma_channels);
+                resource = dma;
                 lane = Tilelink_sim.Trace.Dma;
-                tasks = gather;
+                tasks = gathers;
               };
             ]
           | Design_space.Comm_hybrid { dma_fraction; sms } ->
-            let dma_tasks, sm_tasks = split_fraction dma_fraction gather in
+            let dma_tasks, sm_tasks =
+              split_fraction dma_fraction gathers
+            in
             [
               {
                 Program.role_name = "gather-dma";
-                resource =
-                  Program.Dma_engines
-                    (min 2 spec_gpu.Tilelink_machine.Spec.gpu.dma_channels);
+                resource = dma;
                 lane = Tilelink_sim.Trace.Dma;
                 tasks = dma_tasks;
               };
@@ -468,33 +489,24 @@ let synthesize g cand ~spec_gpu =
               };
             ]
         in
-        let comm_sms =
-          match config.Design_space.binding with
-          | Design_space.Comm_on_sm sms -> sms
-          | Design_space.Comm_on_dma -> 0
-          | Design_space.Comm_hybrid { sms; _ } -> sms
-        in
-        let compute_sms =
-          max 1 (spec_gpu.Tilelink_machine.Spec.gpu.num_sms - comm_sms)
-        in
-        let per_consumer_sms = max 1 (compute_sms / n_consumers) in
         let consumer_roles =
           List.map
-            (fun co ->
-              let grid = consumer_grid co in
-              let tasks =
-                List.map
-                  (consumer_task g cand co ~bc ~grid)
-                  (Tile.enumerate ~rank grid
-                     config.Design_space.compute_order)
+            (fun (co, grid, tasks) ->
+              let lower tile =
+                Pipeline.pipeline_task ~stages:config.Design_space.stages
+                  (Block_channel.lower_task bc
+                     tasks.(Tile.linearize grid tile))
               in
               {
                 Program.role_name = co.co_name;
                 resource = Program.Sm_partition per_consumer_sms;
                 lane = Tilelink_sim.Trace.Compute_sm;
-                tasks;
+                tasks =
+                  List.map lower
+                    (Tile.enumerate ~rank grid
+                       config.Design_space.compute_order);
               })
-            g.g_consumers
+            consumers
         in
         comm_roles @ consumer_roles)
   in

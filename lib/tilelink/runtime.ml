@@ -74,14 +74,10 @@ module Obs = Tilelink_obs
    island runs under "<label>+replay@x" — same Replay kind, but the
    "@x" marker flows into the span labels so the causal profiler can
    surface cross-island replay as its own recovery sub-bucket. *)
-let has_suffix label suf =
-  let n = String.length label and m = String.length suf in
-  n >= m && String.sub label (n - m) m = suf
+let is_cross_replay_label label = String.ends_with ~suffix:"+replay@x" label
 
 let is_replay_label label =
-  has_suffix label "+replay" || has_suffix label "+replay@x"
-
-let is_cross_replay_label label = has_suffix label "+replay@x"
+  String.ends_with ~suffix:"+replay" label || is_cross_replay_label label
 
 (* ------------------------------------------------------------------ *)
 (* Tile-completion ledger                                              *)

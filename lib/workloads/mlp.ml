@@ -106,145 +106,147 @@ let ag_gemm_program ?(k_chunks = 2) ?(transfer = `Pull)
     Tile.grid ~extent_m:spec.m ~extent_n:spec.n ~tile_m:compute_tm
       ~tile_n:compute_tn
   in
+  (* Everything rank-invariant is built once per program: one task per
+     tile, labels, statements and data actions included.  Each rank
+     only lowers the tasks it runs, in its own tile order. *)
+  let comm_table =
+    (* Pull mode (Figure 3b left): the running rank fetches the tile
+       into its own [x_full] and signals its local consumers.  Push
+       mode (Figure 3b right): the tile's owner broadcasts it into
+       every rank's [x_full] and notifies all remote consumers. *)
+    let pull tid =
+      let lo, hi = Mapping.shape_range mapping ~tid in
+      {
+        Block_channel.label = Printf.sprintf "ag[%d]" tid;
+        stmts =
+          [
+            Primitive.Tile_pull_data
+              {
+                tid;
+                src_buffer = "x_shard";
+                src_view = `Shard;
+                col = (0, spec.k);
+                dst = access ~buffer:"x_full" ~row:(lo, hi) ~col:(0, spec.k) ();
+                action = None;
+              };
+            Primitive.Producer_tile_notify { tid; mode = Primitive.P2p };
+          ];
+      }
+    in
+    let push tid =
+      let glo, ghi = Mapping.shape_range mapping ~tid in
+      let slo, shi = Mapping.src_shard_range mapping ~tid in
+      let src = access ~buffer:"x_shard" ~row:(slo, shi) ~col:(0, spec.k) () in
+      let dst = access ~buffer:"x_full" ~row:(glo, ghi) ~col:(0, spec.k) () in
+      {
+        Block_channel.label = Printf.sprintf "ag-push[%d]" tid;
+        stmts =
+          List.init r (fun dst_rank ->
+              Primitive.Tile_push_data { src; dst_rank; dst })
+          @ [
+              Primitive.Producer_tile_notify
+                { tid; mode = Primitive.Broadcast };
+            ];
+      }
+    in
+    Array.init (Tile.tile_count comm_grid)
+      (match transfer with `Pull -> pull | `Push -> push)
+  in
+  (* --- computation: consumer GEMM tiles --- *)
+  let compute_task tile =
+    let lo, hi = Tile.rows compute_grid tile in
+    let clo, chi = Tile.cols compute_grid tile in
+    let label =
+      Printf.sprintf "gemm[%d,%d]" tile.Tile.tid_m tile.Tile.tid_n
+    in
+    let action memory ~rank =
+      let x = Memory.find memory ~rank ~name:"x_full" in
+      let w = Memory.find memory ~rank ~name:"w" in
+      let y = Memory.find memory ~rank ~name:"y" in
+      let block =
+        Linalg.gemm ~block:config.Design_space.micro_block
+          (Tensor.row_slice x ~lo ~hi)
+          (Tensor.col_slice w ~lo:clo ~hi:chi)
+      in
+      Tensor.set_block y ~row_lo:lo ~col_lo:clo block
+    in
+    let chunk = ceil_div spec.k k_chunks in
+    (* The data action rides on the last *non-empty* chunk: with
+       k < k_chunks the trailing chunks are empty. *)
+    let live_chunks = ceil_div spec.k chunk in
+    let k_loop =
+      List.concat
+        (List.init live_chunks (fun kc ->
+             let klo = kc * chunk and khi = min spec.k ((kc + 1) * chunk) in
+             if klo >= khi then []
+             else
+               [
+                 Primitive.Load
+                   (access ~buffer:"x_full" ~row:(lo, hi) ~col:(klo, khi) ());
+                 Primitive.Load
+                   (access ~buffer:"w" ~row:(klo, khi) ~col:(clo, chi) ());
+                 Primitive.Compute
+                   {
+                     label = label ^ "k" ^ string_of_int kc;
+                     cost =
+                       Instr.Gemm_tile
+                         { tm = hi - lo; tn = chi - clo; k = khi - klo };
+                     reads =
+                       [
+                         access ~buffer:"x_full" ~row:(lo, hi) ~col:(klo, khi)
+                           ();
+                       ];
+                     writes = [];
+                     action =
+                       (if kc = live_chunks - 1 then Some action else None);
+                   };
+               ]))
+    in
+    {
+      Block_channel.label;
+      stmts =
+        Primitive.Consumer_tile_wait
+          { lo; hi; buffer = "x_full"; col = (0, spec.k) }
+        :: k_loop
+        @ [
+            Primitive.Store
+              (access ~buffer:"y" ~row:(lo, hi) ~col:(clo, chi) ());
+          ];
+    }
+  in
+  let compute_table =
+    Array.init (Tile.tile_count compute_grid) (fun tid ->
+        compute_task (Tile.of_linear compute_grid tid))
+  in
+  let bcs = Block_channel.per_rank ~world_size:r mapping in
   let plans =
     Array.init r (fun rank ->
-        let bc = Block_channel.create ~rank ~world_size:r mapping in
-        (* --- communication ---
-           Pull mode (Figure 3b left): this rank fetches every remote
-           tile into its own [x_full] and signals its local consumers.
-           Push mode (Figure 3b right): this rank broadcasts its *own*
-           shard tiles into every rank's [x_full] and notifies all
-           remote consumers. *)
-        let pull_task tile =
-          let tid = Tile.linearize comm_grid tile in
-          let lo, hi = Mapping.shape_range mapping ~tid in
-          let stmts =
-            [
-              Primitive.Tile_pull_data
-                {
-                  tid;
-                  src_buffer = "x_shard";
-                  src_view = `Shard;
-                  col = (0, spec.k);
-                  dst = access ~buffer:"x_full" ~row:(lo, hi) ~col:(0, spec.k) ();
-                  action = None;
-                };
-              Primitive.Producer_tile_notify { tid; mode = Primitive.P2p };
-            ]
-          in
-          { Program.label = Printf.sprintf "ag[%d]" tid;
-            instrs = Block_channel.lower bc stmts }
-        in
-        let push_task tile =
-          let tid = Tile.linearize comm_grid tile in
-          let glo, ghi = Mapping.shape_range mapping ~tid in
-          let slo, shi = Mapping.src_shard_range mapping ~tid in
-          let pushes =
-            List.init r (fun dst_rank ->
-                Primitive.Tile_push_data
-                  {
-                    src =
-                      access ~buffer:"x_shard" ~row:(slo, shi)
-                        ~col:(0, spec.k) ();
-                    dst_rank;
-                    dst =
-                      access ~buffer:"x_full" ~row:(glo, ghi)
-                        ~col:(0, spec.k) ();
-                  })
-          in
-          let stmts =
-            pushes
-            @ [ Primitive.Producer_tile_notify { tid; mode = Primitive.Broadcast } ]
-          in
-          { Program.label = Printf.sprintf "ag-push[%d]" tid;
-            instrs = Block_channel.lower bc stmts }
-        in
+        let bc = bcs.(rank) in
         let comm_tasks =
           let tiles =
             Tile.enumerate ~rank comm_grid config.Design_space.comm_order
           in
+          let lower tile =
+            Block_channel.lower_task bc
+              comm_table.(Tile.linearize comm_grid tile)
+          in
           match transfer with
-          | `Pull -> List.map pull_task tiles
+          | `Pull -> List.map lower tiles
           | `Push ->
             (* Only this rank's own shard tiles are pushed. *)
             List.filter_map
               (fun tile ->
                 let tid = Tile.linearize comm_grid tile in
-                if Mapping.rank_of mapping ~tid = rank then
-                  Some (push_task tile)
+                if Mapping.rank_of mapping ~tid = rank then Some (lower tile)
                 else None)
               tiles
         in
-        (* --- computation: consumer GEMM tiles --- *)
-        let compute_task tile =
-          let lo, hi = Tile.rows compute_grid tile in
-          let clo, chi = Tile.cols compute_grid tile in
-          let action memory ~rank =
-            let x = Memory.find memory ~rank ~name:"x_full" in
-            let w = Memory.find memory ~rank ~name:"w" in
-            let y = Memory.find memory ~rank ~name:"y" in
-            let block =
-              Linalg.gemm ~block:config.Design_space.micro_block
-                (Tensor.row_slice x ~lo ~hi)
-                (Tensor.col_slice w ~lo:clo ~hi:chi)
-            in
-            Tensor.set_block y ~row_lo:lo ~col_lo:clo block
-          in
-          let chunk = ceil_div spec.k k_chunks in
-          (* The data action rides on the last *non-empty* chunk: with
-             k < k_chunks the trailing chunks are empty. *)
-          let live_chunks = ceil_div spec.k chunk in
-          let k_loop =
-            List.concat
-              (List.init live_chunks (fun kc ->
-                   let klo = kc * chunk and khi = min spec.k ((kc + 1) * chunk) in
-                   if klo >= khi then []
-                   else
-                     [
-                       Primitive.Load
-                         (access ~buffer:"x_full" ~row:(lo, hi)
-                            ~col:(klo, khi) ());
-                       Primitive.Load
-                         (access ~buffer:"w" ~row:(klo, khi) ~col:(clo, chi)
-                            ());
-                       Primitive.Compute
-                         {
-                           label =
-                             Printf.sprintf "gemm[%d,%d]k%d" tile.Tile.tid_m
-                               tile.Tile.tid_n kc;
-                           cost =
-                             Instr.Gemm_tile
-                               { tm = hi - lo; tn = chi - clo; k = khi - klo };
-                           reads =
-                             [
-                               access ~buffer:"x_full" ~row:(lo, hi)
-                                 ~col:(klo, khi) ();
-                             ];
-                           writes = [];
-                           action =
-                             (if kc = live_chunks - 1 then Some action else None);
-                         };
-                     ]))
-          in
-          let stmts =
-            Primitive.Consumer_tile_wait
-              { lo; hi; buffer = "x_full"; col = (0, spec.k) }
-            :: k_loop
-            @ [
-                Primitive.Store
-                  (access ~buffer:"y" ~row:(lo, hi) ~col:(clo, chi) ());
-              ]
-          in
-          {
-            Program.label =
-              Printf.sprintf "gemm[%d,%d]" tile.Tile.tid_m tile.Tile.tid_n;
-            instrs =
-              Pipeline.hoist_loads ~stages:config.Design_space.stages
-                (Block_channel.lower bc stmts);
-          }
-        in
         let compute_tasks =
-          List.map compute_task
+          List.map
+            (fun tile ->
+              Pipeline.pipeline_task ~stages:config.Design_space.stages
+                (Block_channel.lower_task bc
+                   compute_table.(Tile.linearize compute_grid tile)))
             (Tile.enumerate ~rank compute_grid
                config.Design_space.compute_order)
         in
@@ -394,55 +396,68 @@ let gemm_rs_program ~(config : Design_space.config) spec ~(spec_gpu : Spec.t)
      a shared counter would then release the receiver onto a segment
      that was never written. *)
   let ring_channel ~stage tile_key = (stage * rs_tiles) + tile_key in
+  (* --- producer GEMM: one task per tile, built once --- *)
+  let gemm_task tile =
+    let lo, hi = Tile.rows gemm_grid tile in
+    let clo, chi = Tile.cols gemm_grid tile in
+    let tid_m = tile.Tile.tid_m in
+    let action memory ~rank =
+      let a = Memory.find memory ~rank ~name:"act" in
+      let w = Memory.find memory ~rank ~name:"w2" in
+      let g = Memory.find memory ~rank ~name:"gemm_out" in
+      Tensor.set_block g ~row_lo:lo ~col_lo:clo
+        (Linalg.gemm ~block:config.Design_space.micro_block
+           (Tensor.row_slice a ~lo ~hi)
+           (Tensor.col_slice w ~lo:clo ~hi:chi))
+    in
+    let label = Printf.sprintf "gemm[%d,%d]" tid_m tile.Tile.tid_n in
+    {
+      Block_channel.label;
+      stmts =
+        [
+          Primitive.Load
+            (access ~buffer:"act" ~row:(lo, hi) ~col:(0, spec.rs_k) ());
+          Primitive.Load
+            (access ~buffer:"w2" ~row:(0, spec.rs_k) ~col:(clo, chi) ());
+          Primitive.Compute
+            {
+              label;
+              cost =
+                Instr.Gemm_tile { tm = hi - lo; tn = chi - clo; k = spec.rs_k };
+              reads =
+                [ access ~buffer:"act" ~row:(lo, hi) ~col:(0, spec.rs_k) () ];
+              writes =
+                [ access ~buffer:"gemm_out" ~row:(lo, hi) ~col:(clo, chi) () ];
+              action = Some action;
+            };
+          Primitive.Store
+            (access ~buffer:"gemm_out" ~row:(lo, hi) ~col:(clo, chi) ());
+          Primitive.Producer_tile_notify { tid = tid_m; mode = Primitive.P2p };
+        ];
+    }
+  in
+  let gemm_table =
+    Array.init (Tile.tile_count gemm_grid) (fun tid ->
+        gemm_task (Tile.of_linear gemm_grid tid))
+  in
+  (* Ring labels depend on the stage and tile only, so every rank shares
+     one table of them. *)
+  let stage_labels fmt =
+    Array.init r (fun stage -> Array.init rs_tiles (fun key -> fmt stage key))
+  in
+  let rs_labels = stage_labels (Printf.sprintf "rs[s%d,%d]") in
+  let reduce_labels = stage_labels (Printf.sprintf "reduce[s%d,%d]") in
+  let bcs = Block_channel.per_rank ~world_size:r mapping in
   let plans =
     Array.init r (fun rank ->
-        let bc = Block_channel.create ~rank ~world_size:r mapping in
+        let bc = bcs.(rank) in
         let to_rank = (rank - 1 + r) mod r in
         let from_rank = (rank + 1) mod r in
-        (* --- producer GEMM --- *)
-        let gemm_task tile =
-          let lo, hi = Tile.rows gemm_grid tile in
-          let clo, chi = Tile.cols gemm_grid tile in
-          let tid_m = tile.Tile.tid_m in
-          let action memory ~rank =
-            let a = Memory.find memory ~rank ~name:"act" in
-            let w = Memory.find memory ~rank ~name:"w2" in
-            let g = Memory.find memory ~rank ~name:"gemm_out" in
-            Tensor.set_block g ~row_lo:lo ~col_lo:clo
-              (Linalg.gemm ~block:config.Design_space.micro_block
-                 (Tensor.row_slice a ~lo ~hi)
-                 (Tensor.col_slice w ~lo:clo ~hi:chi))
-          in
-          let stmts =
-            [
-              Primitive.Load
-                (access ~buffer:"act" ~row:(lo, hi) ~col:(0, spec.rs_k) ());
-              Primitive.Load
-                (access ~buffer:"w2" ~row:(0, spec.rs_k) ~col:(clo, chi) ());
-              Primitive.Compute
-                {
-                  label = Printf.sprintf "gemm[%d,%d]" tid_m tile.Tile.tid_n;
-                  cost =
-                    Instr.Gemm_tile
-                      { tm = hi - lo; tn = chi - clo; k = spec.rs_k };
-                  reads =
-                    [ access ~buffer:"act" ~row:(lo, hi) ~col:(0, spec.rs_k) () ];
-                  writes =
-                    [ access ~buffer:"gemm_out" ~row:(lo, hi) ~col:(clo, chi) () ];
-                  action = Some action;
-                };
-              Primitive.Store
-                (access ~buffer:"gemm_out" ~row:(lo, hi) ~col:(clo, chi) ());
-              Primitive.Producer_tile_notify { tid = tid_m; mode = Primitive.P2p };
-            ]
-          in
-          {
-            Program.label = Printf.sprintf "gemm[%d,%d]" tid_m tile.Tile.tid_n;
-            instrs = Block_channel.lower bc stmts;
-          }
-        in
         let gemm_tasks =
-          List.map gemm_task
+          List.map
+            (fun tile ->
+              Block_channel.lower_task bc
+                gemm_table.(Tile.linearize gemm_grid tile))
             (Tile.enumerate ~rank gemm_grid config.Design_space.compute_order)
         in
         (* --- consumer ring ReduceScatter (Figure 4 lines 11-26) --- *)
@@ -536,7 +551,7 @@ let gemm_rs_program ~(config : Design_space.config) spec ~(spec_gpu : Spec.t)
           @ [
               Primitive.Compute
                 {
-                  label = Printf.sprintf "reduce[s%d,%d]" stage tile_key;
+                  label = reduce_labels.(stage).(tile_key);
                   cost =
                     Instr.Memory_tile
                       {
@@ -563,8 +578,7 @@ let gemm_rs_program ~(config : Design_space.config) spec ~(spec_gpu : Spec.t)
         in
         let rs_task ~stage tile =
           {
-            Program.label =
-              Printf.sprintf "rs[s%d,%d]" stage (Tile.linearize rs_grid tile);
+            Program.label = rs_labels.(stage).(Tile.linearize rs_grid tile);
             instrs = Block_channel.lower bc (reduce_stmts ~stage tile);
           }
         in

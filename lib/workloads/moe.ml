@@ -139,13 +139,15 @@ let part1_program ?(config = default_part1_config) spec route
     Tile.grid ~extent_m:spec.tokens ~extent_n:spec.hidden
       ~tile_m:config.comm_tile_rows ~tile_n:spec.hidden
   in
-  let plans =
-    Array.init r (fun rank ->
-        let bc = Block_channel.create ~rank ~world_size:r mapping in
-        let comm_task tile =
-          let tid = Tile.linearize comm_grid tile in
-          let lo, hi = Mapping.shape_range mapping ~tid in
-          let stmts =
+  (* Tasks are rank-invariant here, so each is built once per program;
+     a rank lowers the gather tiles in its own ring order and every
+     GroupGEMM tile in table order. *)
+  let comm_table =
+    Array.init (Tile.tile_count comm_grid) (fun tid ->
+        let lo, hi = Mapping.shape_range mapping ~tid in
+        {
+          Block_channel.label = Printf.sprintf "ag[%d]" tid;
+          stmts =
             [
               Primitive.Tile_pull_data
                 {
@@ -159,80 +161,80 @@ let part1_program ?(config = default_part1_config) spec route
                   action = None;
                 };
               Primitive.Producer_tile_notify { tid; mode = Primitive.P2p };
-            ]
-          in
-          { Program.label = Printf.sprintf "ag[%d]" tid;
-            instrs = Block_channel.lower bc stmts }
-        in
+            ];
+        })
+  in
+  (* GroupGEMM tile with fused gather: the tokens this tile needs are
+     scattered, so the wait set comes from the routing tables — the
+     dynamic mapping in action. *)
+  let group_task index (expert, plo, phi) =
+    let needed_tokens =
+      List.init (phi - plo) (fun i ->
+          let _e, token, _slot = perm.Routing.entries.(plo + i) in
+          token)
+    in
+    let action memory ~rank =
+      let tokens = Memory.find memory ~rank ~name:"tokens" in
+      let w1 = Memory.find memory ~rank ~name:"w1" in
+      let mid = Memory.find memory ~rank ~name:"moe_mid" in
+      let gathered =
+        Tensor.concat_rows
+          (List.map
+             (fun token -> Tensor.row_slice tokens ~lo:token ~hi:(token + 1))
+             needed_tokens)
+      in
+      let w_block =
+        Tensor.row_slice w1 ~lo:(expert * spec.hidden)
+          ~hi:((expert + 1) * spec.hidden)
+      in
+      Tensor.set_row_slice mid ~lo:plo (Linalg.gemm gathered w_block)
+    in
+    {
+      Block_channel.label = Printf.sprintf "ggemm[%d]" index;
+      stmts =
+        [
+          Primitive.Consumer_tile_wait_rows
+            { rows = needed_tokens; buffer = "tokens"; col = (0, spec.hidden) };
+          Primitive.Load
+            (access ~buffer:"tokens" ~row:(0, spec.tokens)
+               ~col:(0, spec.hidden) ());
+          Primitive.Load
+            (access ~buffer:"w1"
+               ~row:(expert * spec.hidden, (expert + 1) * spec.hidden)
+               ~col:(0, ipr) ());
+          Primitive.Compute
+            {
+              label = Printf.sprintf "ggemm[e%d,%d]" expert index;
+              cost =
+                Instr.Gemm_tile { tm = phi - plo; tn = ipr; k = spec.hidden };
+              reads =
+                [
+                  access ~buffer:"tokens" ~row:(0, spec.tokens)
+                    ~col:(0, spec.hidden) ();
+                ];
+              writes =
+                [ access ~buffer:"moe_mid" ~row:(plo, phi) ~col:(0, ipr) () ];
+              action = Some action;
+            };
+          Primitive.Store
+            (access ~buffer:"moe_mid" ~row:(plo, phi) ~col:(0, ipr) ());
+        ];
+    }
+  in
+  let group_table = List.mapi group_task tiles in
+  let bcs = Block_channel.per_rank ~world_size:r mapping in
+  let plans =
+    Array.init r (fun rank ->
+        let bc = bcs.(rank) in
         let comm_tasks =
-          List.map comm_task
+          List.map
+            (fun tile ->
+              Block_channel.lower_task bc
+                comm_table.(Tile.linearize comm_grid tile))
             (Tile.enumerate ~rank comm_grid
                (Tile.Ring_from_self { segments = r }))
         in
-        (* GroupGEMM tile with fused gather: the tokens this tile needs
-           are scattered, so the wait set comes from the routing
-           tables — the dynamic mapping in action. *)
-        let group_task index (expert, plo, phi) =
-          let needed_tokens =
-            List.init (phi - plo) (fun i ->
-                let _e, token, _slot = perm.Routing.entries.(plo + i) in
-                token)
-          in
-          let action memory ~rank =
-            let tokens = Memory.find memory ~rank ~name:"tokens" in
-            let w1 = Memory.find memory ~rank ~name:"w1" in
-            let mid = Memory.find memory ~rank ~name:"moe_mid" in
-            let gathered =
-              Tensor.concat_rows
-                (List.map
-                   (fun token ->
-                     Tensor.row_slice tokens ~lo:token ~hi:(token + 1))
-                   needed_tokens)
-            in
-            let w_block =
-              Tensor.row_slice w1 ~lo:(expert * spec.hidden)
-                ~hi:((expert + 1) * spec.hidden)
-            in
-            Tensor.set_row_slice mid ~lo:plo (Linalg.gemm gathered w_block)
-          in
-          let stmts =
-            [
-              Primitive.Consumer_tile_wait_rows
-                {
-                  rows = needed_tokens;
-                  buffer = "tokens";
-                  col = (0, spec.hidden);
-                };
-              Primitive.Load
-                (access ~buffer:"tokens" ~row:(0, spec.tokens)
-                   ~col:(0, spec.hidden) ());
-              Primitive.Load
-                (access ~buffer:"w1"
-                   ~row:(expert * spec.hidden, (expert + 1) * spec.hidden)
-                   ~col:(0, ipr) ());
-              Primitive.Compute
-                {
-                  label = Printf.sprintf "ggemm[e%d,%d]" expert index;
-                  cost =
-                    Instr.Gemm_tile
-                      { tm = phi - plo; tn = ipr; k = spec.hidden };
-                  reads =
-                    [
-                      access ~buffer:"tokens" ~row:(0, spec.tokens)
-                        ~col:(0, spec.hidden) ();
-                    ];
-                  writes =
-                    [ access ~buffer:"moe_mid" ~row:(plo, phi) ~col:(0, ipr) () ];
-                  action = Some action;
-                };
-              Primitive.Store
-                (access ~buffer:"moe_mid" ~row:(plo, phi) ~col:(0, ipr) ());
-            ]
-          in
-          { Program.label = Printf.sprintf "ggemm[%d]" index;
-            instrs = Block_channel.lower bc stmts }
-        in
-        let group_tasks = List.mapi group_task tiles in
+        let group_tasks = List.map (Block_channel.lower_task bc) group_table in
         let comm_roles, comm_sms =
           match config.comm_binding with
           | Design_space.Comm_on_sm sms ->
@@ -416,131 +418,141 @@ let part2_program ?(config = default_part2_config) spec route
      a shared counter would then release the receiver onto a segment
      that was never written. *)
   let ring_channel ~stage tile_key = (stage * rs_tiles) + tile_key in
+  (* Roles A and B do not depend on the rank: their tasks are built once
+     per program and lowered on every rank. *)
+  (* --- role A: GroupGEMM producer --- *)
+  let gg_task index (expert, plo, phi) =
+    let action memory ~rank =
+      let mid = Memory.find memory ~rank ~name:"mid_act" in
+      let w2 = Memory.find memory ~rank ~name:"w2" in
+      let gg = Memory.find memory ~rank ~name:"gg_out" in
+      let w_block =
+        Tensor.row_slice w2 ~lo:(expert * ipr) ~hi:((expert + 1) * ipr)
+      in
+      Tensor.set_row_slice gg ~lo:plo
+        (Linalg.gemm (Tensor.row_slice mid ~lo:plo ~hi:phi) w_block)
+    in
+    {
+      Block_channel.label = Printf.sprintf "gg[%d]" index;
+      stmts =
+        [
+          Primitive.Load
+            (access ~buffer:"mid_act" ~row:(plo, phi) ~col:(0, ipr) ());
+          Primitive.Compute
+            {
+              label = Printf.sprintf "gg[e%d,%d]" expert index;
+              cost =
+                Instr.Gemm_tile { tm = phi - plo; tn = spec.hidden; k = ipr };
+              reads =
+                [ access ~buffer:"mid_act" ~row:(plo, phi) ~col:(0, ipr) () ];
+              writes =
+                [
+                  access ~buffer:"gg_out" ~row:(plo, phi) ~col:(0, spec.hidden)
+                    ();
+                ];
+              action = Some action;
+            };
+          Primitive.Store
+            (access ~buffer:"gg_out" ~row:(plo, phi) ~col:(0, spec.hidden) ());
+          Primitive.Producer_tile_notify { tid = index; mode = Primitive.P2p };
+        ];
+    }
+  in
+  let gg_table = List.mapi gg_task gg_tiles in
+  (* --- role B: Scatter + TopkReduce.  Its waits resolve through link
+     A's tables and its trailing notify goes to link B, so each task is
+     kept as the two halves the two links lower. --- *)
+  let reduce_task ti =
+    let tlo = ti * config.reduce_tile_rows in
+    let thi = tlo + config.reduce_tile_rows in
+    let needed_rows =
+      List.concat (List.init (thi - tlo) (fun i -> token_positions.(tlo + i)))
+    in
+    let action memory ~rank =
+      let gg = Memory.find memory ~rank ~name:"gg_out" in
+      let red = Memory.find memory ~rank ~name:"red_out" in
+      for token = tlo to thi - 1 do
+        let weights = Routing.weights_of_token route token in
+        let acc = Tensor.zeros (Shape.of_list [ 1; spec.hidden ]) in
+        let rows = token_positions.(token) in
+        List.iter
+          (fun row ->
+            (* recover the slot of this permuted row *)
+            let _e, _t, slot = perm.Routing.entries.(row) in
+            Tensor.add_inplace acc
+              (Tensor.scale weights.(slot)
+                 (Tensor.row_slice gg ~lo:row ~hi:(row + 1))))
+          rows;
+        Tensor.set_row_slice red ~lo:token acc
+      done
+    in
+    let front =
+      [
+        Primitive.Consumer_tile_wait_rows
+          { rows = needed_rows; buffer = "gg_out"; col = (0, spec.hidden) };
+        Primitive.Load
+          (access ~buffer:"gg_out" ~row:(0, permuted_rows spec)
+             ~col:(0, spec.hidden) ());
+        Primitive.Compute
+          {
+            label = Printf.sprintf "topk-reduce[%d]" ti;
+            cost =
+              Instr.Memory_tile
+                {
+                  rows = (thi - tlo) * spec.topk;
+                  cols = spec.hidden;
+                  passes = 2;
+                };
+            reads =
+              [
+                access ~buffer:"gg_out" ~row:(0, permuted_rows spec)
+                  ~col:(0, spec.hidden) ();
+              ];
+            writes =
+              [
+                access ~buffer:"red_out" ~row:(tlo, thi) ~col:(0, spec.hidden)
+                  ();
+              ];
+            action = Some action;
+          };
+        Primitive.Store
+          (access ~buffer:"red_out" ~row:(tlo, thi) ~col:(0, spec.hidden) ());
+      ]
+    in
+    let back =
+      [
+        Primitive.Producer_tile_notify
+          { tid = tlo / config.reduce_tile_rows; mode = Primitive.P2p };
+      ]
+    in
+    (Printf.sprintf "reduce[%d]" ti, front, back)
+  in
+  let reduce_table = List.init (m / config.reduce_tile_rows) reduce_task in
+  (* Ring labels depend on the stage and tile only. *)
+  let stage_labels fmt =
+    Array.init r (fun stage -> Array.init rs_tiles (fun key -> fmt stage key))
+  in
+  let rs_labels = stage_labels (Printf.sprintf "rs[s%d,%d]") in
+  let rs_red_labels = stage_labels (Printf.sprintf "rs-red[s%d,%d]") in
+  let bcs_a = Block_channel.per_rank ~world_size:r mapping_a in
+  let bcs_b =
+    Block_channel.per_rank ~channel_base:base_b ~world_size:r mapping_b
+  in
   let plans =
     Array.init r (fun rank ->
-        let bc_a = Block_channel.create ~rank ~world_size:r mapping_a in
-        let bc_b =
-          Block_channel.create ~channel_base:base_b ~rank ~world_size:r
-            mapping_b
+        let bc_a = bcs_a.(rank) and bc_b = bcs_b.(rank) in
+        let gg_tasks = List.map (Block_channel.lower_task bc_a) gg_table in
+        let reduce_tasks =
+          List.map
+            (fun (label, front, back) ->
+              {
+                Program.label;
+                instrs =
+                  Block_channel.lower bc_a front
+                  @ Block_channel.lower bc_b back;
+              })
+            reduce_table
         in
-        (* --- role A: GroupGEMM producer --- *)
-        let gg_task index (expert, plo, phi) =
-          let action memory ~rank =
-            let mid = Memory.find memory ~rank ~name:"mid_act" in
-            let w2 = Memory.find memory ~rank ~name:"w2" in
-            let gg = Memory.find memory ~rank ~name:"gg_out" in
-            let w_block =
-              Tensor.row_slice w2 ~lo:(expert * ipr) ~hi:((expert + 1) * ipr)
-            in
-            Tensor.set_row_slice gg ~lo:plo
-              (Linalg.gemm (Tensor.row_slice mid ~lo:plo ~hi:phi) w_block)
-          in
-          let stmts =
-            [
-              Primitive.Load
-                (access ~buffer:"mid_act" ~row:(plo, phi) ~col:(0, ipr) ());
-              Primitive.Compute
-                {
-                  label = Printf.sprintf "gg[e%d,%d]" expert index;
-                  cost =
-                    Instr.Gemm_tile { tm = phi - plo; tn = spec.hidden; k = ipr };
-                  reads =
-                    [ access ~buffer:"mid_act" ~row:(plo, phi) ~col:(0, ipr) () ];
-                  writes =
-                    [
-                      access ~buffer:"gg_out" ~row:(plo, phi)
-                        ~col:(0, spec.hidden) ();
-                    ];
-                  action = Some action;
-                };
-              Primitive.Store
-                (access ~buffer:"gg_out" ~row:(plo, phi) ~col:(0, spec.hidden)
-                   ());
-              Primitive.Producer_tile_notify
-                { tid = index; mode = Primitive.P2p };
-            ]
-          in
-          { Program.label = Printf.sprintf "gg[%d]" index;
-            instrs = Block_channel.lower bc_a stmts }
-        in
-        let gg_tasks = List.mapi gg_task gg_tiles in
-        (* --- role B: Scatter + TopkReduce --- *)
-        let reduce_tiles = m / config.reduce_tile_rows in
-        let reduce_task ti =
-          let tlo = ti * config.reduce_tile_rows in
-          let thi = tlo + config.reduce_tile_rows in
-          let needed_rows =
-            List.concat
-              (List.init (thi - tlo) (fun i -> token_positions.(tlo + i)))
-          in
-          let action memory ~rank =
-            let gg = Memory.find memory ~rank ~name:"gg_out" in
-            let red = Memory.find memory ~rank ~name:"red_out" in
-            for token = tlo to thi - 1 do
-              let weights = Routing.weights_of_token route token in
-              let acc = Tensor.zeros (Shape.of_list [ 1; spec.hidden ]) in
-              let rows = token_positions.(token) in
-              List.iter
-                (fun row ->
-                  (* recover the slot of this permuted row *)
-                  let _e, _t, slot = perm.Routing.entries.(row) in
-                  Tensor.add_inplace acc
-                    (Tensor.scale weights.(slot)
-                       (Tensor.row_slice gg ~lo:row ~hi:(row + 1))))
-                rows;
-              Tensor.set_row_slice red ~lo:token acc
-            done
-          in
-          let stmts =
-            [
-              Primitive.Consumer_tile_wait_rows
-                { rows = needed_rows; buffer = "gg_out"; col = (0, spec.hidden) };
-              Primitive.Load
-                (access ~buffer:"gg_out" ~row:(0, permuted_rows spec)
-                   ~col:(0, spec.hidden) ());
-              Primitive.Compute
-                {
-                  label = Printf.sprintf "topk-reduce[%d]" ti;
-                  cost =
-                    Instr.Memory_tile
-                      {
-                        rows = (thi - tlo) * spec.topk;
-                        cols = spec.hidden;
-                        passes = 2;
-                      };
-                  reads =
-                    [
-                      access ~buffer:"gg_out" ~row:(0, permuted_rows spec)
-                        ~col:(0, spec.hidden) ();
-                    ];
-                  writes =
-                    [
-                      access ~buffer:"red_out" ~row:(tlo, thi)
-                        ~col:(0, spec.hidden) ();
-                    ];
-                  action = Some action;
-                };
-              Primitive.Store
-                (access ~buffer:"red_out" ~row:(tlo, thi) ~col:(0, spec.hidden)
-                   ());
-              Primitive.Producer_tile_notify
-                { tid = tlo / config.reduce_tile_rows; mode = Primitive.P2p };
-            ]
-          in
-          (* Waits resolve through link A's tables; the trailing notify
-             goes to link B, so lower the two halves separately. *)
-          let rec split acc = function
-            | [ last ] -> (List.rev acc, [ last ])
-            | x :: rest -> split (x :: acc) rest
-            | [] -> (List.rev acc, [])
-          in
-          let front, back = split [] stmts in
-          {
-            Program.label = Printf.sprintf "reduce[%d]" ti;
-            instrs = Block_channel.lower bc_a front @ Block_channel.lower bc_b back;
-          }
-        in
-        let reduce_tasks = List.init reduce_tiles reduce_task in
         (* --- role C: ring ReduceScatter over red_out (Figure 4) --- *)
         let to_rank = (rank - 1 + r) mod r in
         let from_rank = (rank + 1) mod r in
@@ -632,7 +644,7 @@ let part2_program ?(config = default_part2_config) spec route
           @ [
               Primitive.Compute
                 {
-                  label = Printf.sprintf "rs-red[s%d,%d]" stage tile_key;
+                  label = rs_red_labels.(stage).(tile_key);
                   cost =
                     Instr.Memory_tile
                       {
@@ -659,8 +671,7 @@ let part2_program ?(config = default_part2_config) spec route
         in
         let rs_task ~stage tile =
           {
-            Program.label =
-              Printf.sprintf "rs[s%d,%d]" stage (Tile.linearize rs_grid tile);
+            Program.label = rs_labels.(stage).(Tile.linearize rs_grid tile);
             instrs = Block_channel.lower bc_b (rs_stmts ~stage tile);
           }
         in

@@ -100,7 +100,7 @@ let program ?(config = default_config) spec ~(spec_gpu : Spec.t) =
           in
           List.map shift
             (Lower.lower
-               { Lower.mapping = mapping_a; rank; world_size = r }
+               (Lower.config ~mapping:mapping_a ~rank ~world_size:r)
                stmts)
         in
         (* --- seeding: stage 0 stages the input and announces it --- *)

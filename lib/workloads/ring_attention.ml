@@ -164,13 +164,11 @@ let program ?(config = default_config) (spec : Attention.spec)
             Program.label = Printf.sprintf "ring-send[%d]" s;
             instrs =
               Lower.lower
-                {
-                  Lower.mapping =
-                    Mapping.static ~extent:r ~ranks:r ~channels_per_rank:1
-                      ~tile:1 ();
-                  rank;
-                  world_size = r;
-                }
+                (Lower.config
+                  ~mapping:
+                    (Mapping.static ~extent:r ~ranks:r ~channels_per_rank:1
+                       ~tile:1 ())
+                  ~rank ~world_size:r)
                 (seed_copy @ wait_arrival @ wait_slot_free @ pushes
                @ announce);
           }
@@ -293,13 +291,11 @@ let program ?(config = default_config) (spec : Attention.spec)
               Program.label = Printf.sprintf "ring-attn[z%d,m%d,s%d]" z mt s;
               instrs =
                 Lower.lower
-                  {
-                    Lower.mapping =
-                      Mapping.static ~extent:r ~ranks:r ~channels_per_rank:1
-                        ~tile:1 ();
-                    rank;
-                    world_size = r;
-                  }
+                  (Lower.config
+                    ~mapping:
+                      (Mapping.static ~extent:r ~ranks:r ~channels_per_rank:1
+                         ~tile:1 ())
+                    ~rank ~world_size:r)
                   stmts;
             }
           in

@@ -526,11 +526,7 @@ let test_unsafe_hoist_always_flagged () =
 
 (* Every shipped program and each of its seed-17 mutants, one line per
    program: name, a tab, then the report JSON.  The committed file pins
-   the analyzer's output byte for byte.  On a mismatch the current
-   lines are written next to the test binary (under _build) so an
-   intended change can be reviewed with diff and committed. *)
-let golden_file = "analyzer_golden.tsv"
-
+   the analyzer's output byte for byte ([Golden]). *)
 let golden_lines () =
   let line name program =
     name ^ "\t"
@@ -546,30 +542,8 @@ let golden_lines () =
     (Suite.programs ())
 
 let test_reports_match_golden () =
-  let actual = golden_lines () in
-  let expected =
-    In_channel.with_open_bin golden_file In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter (fun l -> l <> "")
-  in
-  if actual <> expected then begin
-    let out = golden_file ^ ".actual" in
-    Out_channel.with_open_bin out (fun oc ->
-        List.iter (fun l -> output_string oc (l ^ "\n")) actual);
-    let name l = List.hd (String.split_on_char '\t' l) in
-    let differing =
-      if List.length actual <> List.length expected then
-        Printf.sprintf "%d lines, expected %d" (List.length actual)
-          (List.length expected)
-      else
-        List.combine actual expected
-        |> List.filter (fun (a, e) -> a <> e)
-        |> List.map (fun (a, _) -> name a)
-        |> String.concat ", "
-    in
-    Alcotest.failf "analyzer reports differ from %s (%s); current lines in %s"
-      golden_file differing out
-  end
+  Golden.check ~what:"analyzer reports" "analyzer_golden.tsv"
+    (golden_lines ())
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in

@@ -151,6 +151,74 @@ let prop_static_mapping_consistent =
       done;
       !ok && !sum = Mapping.num_tiles m)
 
+(* The MoE wait set: [channels_for_rows] must equal the per-row fold
+   over [channels_for_range] that lowering used to run, on static and
+   dynamic mappings, with repeated rows and rows past the tables (a
+   static mapping rejects those; both must then raise). *)
+let prop_channels_for_rows_matches_per_row_fold =
+  let open QCheck.Gen in
+  let static_gen =
+    let* ranks = int_range 1 4 in
+    let* channels_per_rank = int_range 1 3 in
+    let* tile = int_range 1 3 in
+    let* tiles_per_channel = int_range 1 3 in
+    let* multiplicity = int_range 1 2 in
+    let extent = ranks * channels_per_rank * tiles_per_channel * tile in
+    return
+      ( Printf.sprintf "static(extent=%d ranks=%d cpr=%d tile=%d x%d)" extent
+          ranks channels_per_rank tile multiplicity,
+        Mapping.static ~multiplicity ~extent ~ranks ~channels_per_rank ~tile
+          (),
+        extent )
+  in
+  let dynamic_gen =
+    let* ranks = int_range 1 3 in
+    let* channels_per_rank = int_range 1 3 in
+    let* tiles = int_range 1 8 in
+    let* lows = array_repeat tiles (int_range 0 16) in
+    let* lens = array_repeat tiles (int_range 0 4) in
+    let* f_r = array_repeat tiles (int_range 0 (ranks - 1)) in
+    let* f_c =
+      array_repeat tiles (int_range 0 ((ranks * channels_per_rank) - 1))
+    in
+    let f_s_high = Array.mapi (fun i lo -> lo + lens.(i)) lows in
+    return
+      ( Printf.sprintf "dynamic(lo=[%s] hi=[%s] c=[%s])"
+          (String.concat ";" (Array.to_list (Array.map string_of_int lows)))
+          (String.concat ";" (Array.to_list (Array.map string_of_int f_s_high)))
+          (String.concat ";" (Array.to_list (Array.map string_of_int f_c))),
+        Mapping.dynamic ~ranks ~channels_per_rank ~f_s_low:lows ~f_s_high ~f_r
+          ~f_c (),
+        Array.fold_left max 0 f_s_high )
+  in
+  let gen =
+    let* name, mapping, extent = oneof [ static_gen; dynamic_gen ] in
+    (* Rows reach a few past the mapping's extent; repeat one of them. *)
+    let* rows = list_size (int_range 0 10) (int_range 0 (extent + 3)) in
+    let* dup = bool in
+    let rows = match rows with r :: _ when dup -> r :: rows | _ -> rows in
+    return (name, mapping, rows)
+  in
+  let print (name, _, rows) =
+    Printf.sprintf "%s rows=[%s]" name
+      (String.concat ";" (List.map string_of_int rows))
+  in
+  let per_row_fold mapping rows =
+    let table = Hashtbl.create 8 in
+    List.iter
+      (fun row ->
+        List.iter
+          (fun (channel, threshold) -> Hashtbl.replace table channel threshold)
+          (Mapping.channels_for_range mapping ~lo:row ~hi:(row + 1)))
+      rows;
+    Hashtbl.fold (fun c t acc -> (c, t) :: acc) table [] |> List.sort compare
+  in
+  let outcome f = try Ok (f ()) with Invalid_argument _ -> Error () in
+  QCheck.Test.make ~name:"channels_for_rows matches the per-row fold"
+    ~count:500 (QCheck.make ~print gen) (fun (_, mapping, rows) ->
+      outcome (fun () -> Mapping.channels_for_rows mapping rows)
+      = outcome (fun () -> per_row_fold mapping rows))
+
 (* ------------------------------------------------------------------ *)
 (* Channel                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -323,7 +391,7 @@ let prop_access_overlap_symmetric =
 let mapping_2x = Mapping.static ~extent:8 ~ranks:2 ~channels_per_rank:1 ~tile:4 ()
 
 let lower_cfg rank =
-  { Lower.mapping = mapping_2x; rank; world_size = 2 }
+  Lower.config ~mapping:mapping_2x ~rank ~world_size:2
 
 let test_lower_producer_notify_p2p () =
   match
@@ -1262,6 +1330,7 @@ let () =
             test_static_mapping_rejects_bad_config;
           Alcotest.test_case "dynamic" `Quick test_dynamic_mapping;
           qc prop_static_mapping_consistent;
+          qc prop_channels_for_rows_matches_per_row_fold;
         ] );
       ( "channel",
         [

@@ -143,14 +143,24 @@ let test_search_deterministic () =
     | None -> Alcotest.fail "search returned no plan"
     | Some plan -> plan
   in
+  (* Candidates are synthesized on the pool's domains, so the winner's
+     rendered program pins that builds on concurrent domains agree. *)
   let a = run () in
-  let pool = Tilelink_exec.Pool.create ~domains:2 () in
-  let b = run ~pool () in
-  Alcotest.(check string)
-    "same winner across pool widths"
-    (Planner.fingerprint a.Planner.p_candidate)
-    (Planner.fingerprint b.Planner.p_candidate);
-  Alcotest.(check (float 0.0)) "same makespan" a.Planner.p_time b.Planner.p_time
+  List.iter
+    (fun domains ->
+      let b = run ~pool:(Tilelink_exec.Pool.create ~domains ()) () in
+      let at = Printf.sprintf " (%d domains)" domains in
+      Alcotest.(check string)
+        ("same winner across pool widths" ^ at)
+        (Planner.fingerprint a.Planner.p_candidate)
+        (Planner.fingerprint b.Planner.p_candidate);
+      Alcotest.(check (float 0.0))
+        ("same makespan" ^ at) a.Planner.p_time b.Planner.p_time;
+      Alcotest.(check string)
+        ("same winner program" ^ at)
+        (Program_digest.digest a.Planner.p_program)
+        (Program_digest.digest b.Planner.p_program))
+    [ 1; 2; 4 ]
 
 (* The search keeps scores, not programs: beyond the winner's program,
    a plan holds only the small per-candidate scores. *)

@@ -803,6 +803,126 @@ let test_pipeline_parallel_single_stage () =
     (Pipeline_parallel.reference memory spec)
     (Memory.find memory ~rank:0 ~name:"out_buf")
 
+(* ------------------------------------------------------------------ *)
+(* Builder golden digests                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Table-4 MLP-1 on 8 ranks, as the planner sees it. *)
+let mlp1_graph () =
+  let sh = List.hd Shapes.mlp_configs in
+  Planned.mlp_graph
+    {
+      Mlp.m = sh.Shapes.s;
+      k = sh.Shapes.h;
+      n = 2 * (sh.Shapes.i / 8);
+      world_size = 8;
+    }
+
+(* Every shipped program, plus the planner's synthesis of each
+   default-space candidate of Table-4 MLP-1 on 8 ranks, one line per
+   program: name, a tab, then the digest of its closure-free rendering
+   ([Program_digest]).  The committed file pins every builder's output
+   byte for byte ([Golden]): labels, instruction order, signal targets
+   and costs. *)
+let builder_golden_lines () =
+  let suite =
+    List.map
+      (fun (name, program) -> name ^ "\t" ^ Program_digest.digest program)
+      (Suite.programs ())
+  in
+  let graph = mlp1_graph () in
+  let planned =
+    List.map
+      (fun cand ->
+        "plan:MLP-1/" ^ Planner.fingerprint cand ^ "\t"
+        ^
+        match Planner.synthesize graph cand ~spec_gpu:Calib.h800 with
+        | program -> Program_digest.digest program
+        | exception Invalid_argument msg -> "invalid: " ^ msg)
+      (Planner.enumerate (Planner.default_space graph))
+  in
+  suite @ planned
+
+let test_builders_match_golden () =
+  Golden.check ~what:"builder digests" "builder_golden.tsv"
+    (builder_golden_lines ())
+
+(* The labels of a program: every task label and every compute or copy
+   label, per rank. *)
+let labels_of_rank (p : Program.t) rank =
+  List.concat_map
+    (fun (role : Program.role) ->
+      List.concat_map
+        (fun (task : Program.task) ->
+          task.Program.label
+          :: List.filter_map
+               (function
+                 | Instr.Compute { label; _ } | Instr.Copy { label; _ } ->
+                   Some label
+                 | _ -> None)
+               task.Program.instrs)
+        role.Program.tasks)
+    (Program.plans p).(rank)
+
+(* Builders render a label once per program: wherever rank r carries a
+   label rank 0 also carries, it must be the very same string. *)
+let test_ranks_share_labels () =
+  let check_program name (p : Program.t) =
+    let on_rank0 = Hashtbl.create 256 in
+    List.iter (fun l -> Hashtbl.replace on_rank0 l l) (labels_of_rank p 0);
+    let shared = ref 0 in
+    for rank = 1 to Program.world_size p - 1 do
+      List.iter
+        (fun l ->
+          match Hashtbl.find_opt on_rank0 l with
+          | Some l0 ->
+            incr shared;
+            if not (l0 == l) then
+              Alcotest.failf "%s: rank %d renders its own copy of %S" name
+                rank l
+          | None -> ())
+        (labels_of_rank p rank)
+    done;
+    Alcotest.(check bool) (name ^ ": ranks share labels") true (!shared > 0)
+  in
+  let graph = mlp1_graph () in
+  List.iter
+    (fun transfer ->
+      let cand =
+        List.find
+          (fun c -> c.Planner.pl_transfer = transfer)
+          (Planner.enumerate (Planner.default_space graph))
+      in
+      check_program
+        ("plan " ^ Planner.transfer_to_string transfer)
+        (Planner.synthesize graph cand ~spec_gpu:Calib.h800))
+    [ Planner.Pull; Planner.Push ];
+  let ag = { ag_spec with Mlp.m = 16; world_size = 4 } in
+  List.iter
+    (fun transfer ->
+      check_program "ag_gemm"
+        (Mlp.ag_gemm_program ~transfer ~config:base_config ag
+           ~spec_gpu:Calib.test_machine))
+    [ `Pull; `Push ];
+  check_program "gemm_rs"
+    (Mlp.gemm_rs_program ~config:base_config
+       { Mlp.rs_m = 16; rs_k = 3; rs_n = 4; rs_world = 4 }
+       ~spec_gpu:Calib.test_machine);
+  let spec = { moe_spec with Moe.tokens = 16; world_size = 4 } in
+  let route = Moe.routing spec ~seed:8 in
+  check_program "moe part1"
+    (Moe.part1_program
+       ~config:
+         {
+           Moe.comm_tile_rows = 2;
+           group_tile_rows = 2;
+           comm_binding = Design_space.Comm_on_sm 1;
+         }
+       spec route ~spec_gpu:Calib.test_machine);
+  check_program "moe part2"
+    (Moe.part2_program ~config:moe_part2_config spec route
+       ~spec_gpu:Calib.test_machine)
+
 let () =
   Alcotest.run "workloads"
     [
@@ -886,6 +1006,13 @@ let () =
           Alcotest.test_case "layout invariants" `Quick
             test_ep_moe_layout_invariants;
           Alcotest.test_case "consistent" `Quick test_ep_moe_consistent;
+        ] );
+      ( "builders",
+        [
+          Alcotest.test_case "programs match the golden digests" `Quick
+            test_builders_match_golden;
+          Alcotest.test_case "ranks share labels" `Quick
+            test_ranks_share_labels;
         ] );
       ( "pipeline_parallel",
         [
