@@ -12,7 +12,7 @@ type t = {
   peer_channels : int;
 }
 
-let make ~channel_base ~peer_channels ~labels ~rank ~world_size mapping =
+let make ~channel_base ~labels ~rank ~world_size mapping =
   if rank < 0 || rank >= world_size then
     invalid_arg "Block_channel.create: rank out of range";
   if Mapping.ranks mapping <> world_size then
@@ -20,22 +20,26 @@ let make ~channel_base ~peer_channels ~labels ~rank ~world_size mapping =
   {
     config = { Lower.mapping; rank; world_size; labels };
     channel_base;
-    peer_channels;
+    peer_channels = 1;
   }
 
 let create ?(channel_base = 0) ?(peer_channels = 1) ~rank ~world_size mapping
     =
-  make ~channel_base ~peer_channels
-    ~labels:(Lower.copy_labels ~world_size)
-    ~rank ~world_size mapping
+  {
+    (make ~channel_base
+       ~labels:(Lower.copy_labels ~world_size)
+       ~rank ~world_size mapping)
+    with
+    peer_channels;
+  }
 
 (* One context per rank over a single mapping: the metadata one compiled
    kernel reads on each rank.  The copy labels are rendered once and
    shared by every rank. *)
-let per_rank ?(channel_base = 0) ?(peer_channels = 1) ~world_size mapping =
+let per_rank ?(channel_base = 0) ~world_size mapping =
   let labels = Lower.copy_labels ~world_size in
   Array.init world_size (fun rank ->
-      make ~channel_base ~peer_channels ~labels ~rank ~world_size mapping)
+      make ~channel_base ~labels ~rank ~world_size mapping)
 
 let rank t = t.config.Lower.rank
 let world_size t = t.config.Lower.world_size
@@ -119,6 +123,12 @@ let lower ?telemetry t stmts =
    and lower it on every rank that runs the tile, so labels, statements
    and data actions are built once per program, not once per rank. *)
 type task = { label : string; stmts : Primitive.t list }
+
+(* Ring labels depend on the stage and tile only:
+   [(stage_labels ~stages ~tiles fmt).(s).(k)] is [fmt s k], rendered
+   once per program and shared by every rank. *)
+let stage_labels ~stages ~tiles fmt =
+  Array.init stages (fun stage -> Array.init tiles (fmt stage))
 
 let lower_task ?telemetry t task =
   { Program.label = task.label; instrs = lower ?telemetry t task.stmts }

@@ -24,9 +24,6 @@ type config = {
   labels : copy_labels;
 }
 
-let config ~mapping ~rank ~world_size =
-  { mapping; rank; world_size; labels = copy_labels ~world_size }
-
 let copy_label table prefix rank =
   if rank >= 0 && rank < Array.length table then table.(rank)
   else prefix ^ string_of_int rank

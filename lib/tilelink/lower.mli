@@ -16,9 +16,6 @@ type config = {
           {!Block_channel.per_rank}). *)
 }
 
-val config : mapping:Mapping.t -> rank:int -> world_size:int -> config
-(** A context with its own copy labels. *)
-
 val bytes_of_access : Instr.access -> float
 val lower_stmt : config -> Primitive.t -> Instr.t list
 val lower : config -> Primitive.t list -> Instr.t list

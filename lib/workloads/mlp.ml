@@ -440,11 +440,7 @@ let gemm_rs_program ~(config : Design_space.config) spec ~(spec_gpu : Spec.t)
     Array.init (Tile.tile_count gemm_grid) (fun tid ->
         gemm_task (Tile.of_linear gemm_grid tid))
   in
-  (* Ring labels depend on the stage and tile only, so every rank shares
-     one table of them. *)
-  let stage_labels fmt =
-    Array.init r (fun stage -> Array.init rs_tiles (fun key -> fmt stage key))
-  in
+  let stage_labels = Block_channel.stage_labels ~stages:r ~tiles:rs_tiles in
   let rs_labels = stage_labels (Printf.sprintf "rs[s%d,%d]") in
   let reduce_labels = stage_labels (Printf.sprintf "reduce[s%d,%d]") in
   let bcs = Block_channel.per_rank ~world_size:r mapping in

@@ -528,10 +528,7 @@ let part2_program ?(config = default_part2_config) spec route
     (Printf.sprintf "reduce[%d]" ti, front, back)
   in
   let reduce_table = List.init (m / config.reduce_tile_rows) reduce_task in
-  (* Ring labels depend on the stage and tile only. *)
-  let stage_labels fmt =
-    Array.init r (fun stage -> Array.init rs_tiles (fun key -> fmt stage key))
-  in
+  let stage_labels = Block_channel.stage_labels ~stages:r ~tiles:rs_tiles in
   let rs_labels = stage_labels (Printf.sprintf "rs[s%d,%d]") in
   let rs_red_labels = stage_labels (Printf.sprintf "rs-red[s%d,%d]") in
   let bcs_a = Block_channel.per_rank ~world_size:r mapping_a in

@@ -80,12 +80,21 @@ let program ?(config = default_config) spec ~(spec_gpu : Spec.t) =
   let mapping_b = link rows in
   let base_b = Mapping.num_channels mapping_a in
   let tiles = rows / config.tile_rows in
+  let copy_labels = Lower.copy_labels ~world_size:r in
   let plans =
     Array.init r (fun rank ->
         (* The per-link BlockChannels of this stage; note world_size 1
            in the mapping — notify targets cross ranks explicitly. *)
         let bc_a = Block_channel.create ~rank:0 ~world_size:1 mapping_a in
         ignore bc_a;
+        let lower_cfg =
+          {
+            Lower.mapping = mapping_a;
+            rank;
+            world_size = r;
+            labels = copy_labels;
+          }
+        in
         let lower_with base stmts =
           let shift = function
             | Instr.Wait { target = Instr.Pc { rank = _; channel }; threshold; guards }
@@ -99,9 +108,7 @@ let program ?(config = default_config) spec ~(spec_gpu : Spec.t) =
             | instr -> instr
           in
           List.map shift
-            (Lower.lower
-               (Lower.config ~mapping:mapping_a ~rank ~world_size:r)
-               stmts)
+            (Lower.lower lower_cfg stmts)
         in
         (* --- seeding: stage 0 stages the input and announces it --- *)
         let seed_tasks =

@@ -68,8 +68,15 @@ let program ?(config = default_config) (spec : Attention.spec)
   let arrival step = 2 * step in
   let consumed step = (2 * step) + 1 in
   let rows = z_count * spr in
+  (* Peer signals only: one channel per rank, one context per rank. *)
+  let lower_cfgs =
+    Array.map Block_channel.lower_config
+      (Block_channel.per_rank ~world_size:r
+         (Mapping.static ~extent:r ~ranks:r ~channels_per_rank:1 ~tile:1 ()))
+  in
   let plans =
     Array.init r (fun rank ->
+        let lower_cfg = lower_cfgs.(rank) in
         let next = (rank + 1) mod r in
         let prev = (rank - 1 + r) mod r in
         (* --- communication role --- *)
@@ -163,12 +170,7 @@ let program ?(config = default_config) (spec : Attention.spec)
           {
             Program.label = Printf.sprintf "ring-send[%d]" s;
             instrs =
-              Lower.lower
-                (Lower.config
-                  ~mapping:
-                    (Mapping.static ~extent:r ~ranks:r ~channels_per_rank:1
-                       ~tile:1 ())
-                  ~rank ~world_size:r)
+              Lower.lower lower_cfg
                 (seed_copy @ wait_arrival @ wait_slot_free @ pushes
                @ announce);
           }
@@ -290,13 +292,7 @@ let program ?(config = default_config) (spec : Attention.spec)
             {
               Program.label = Printf.sprintf "ring-attn[z%d,m%d,s%d]" z mt s;
               instrs =
-                Lower.lower
-                  (Lower.config
-                    ~mapping:
-                      (Mapping.static ~extent:r ~ranks:r ~channels_per_rank:1
-                         ~tile:1 ())
-                    ~rank ~world_size:r)
-                  stmts;
+                Lower.lower lower_cfg stmts;
             }
           in
           step_task

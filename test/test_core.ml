@@ -391,7 +391,8 @@ let prop_access_overlap_symmetric =
 let mapping_2x = Mapping.static ~extent:8 ~ranks:2 ~channels_per_rank:1 ~tile:4 ()
 
 let lower_cfg rank =
-  Lower.config ~mapping:mapping_2x ~rank ~world_size:2
+  Block_channel.lower_config
+    (Block_channel.create ~rank ~world_size:2 mapping_2x)
 
 let test_lower_producer_notify_p2p () =
   match
