@@ -312,6 +312,60 @@ let test_journal_events () =
   Alcotest.(check int) "one journal entry per tier change"
     r.Server.r_tier_changes tiers
 
+(* ------------------------------------------------------------------ *)
+(* Golden reports                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The [serve] command's defaults: the H800 model at world 8. *)
+let cli_config ?chaos () =
+  {
+    Server.machine = Calib.h800;
+    topology = None;
+    world_size = 8;
+    head_dim = 64;
+    slo = { Slo.ttft_us = 50_000.; tpot_us = 2_000. };
+    queue_capacity = 64;
+    max_batch = 16;
+    kv_capacity = 8_192;
+    timeout_us = 1_000_000.;
+    chaos;
+  }
+
+(* Three serves of a seed-42 Poisson trace, one line each: a clean run,
+   an overload that degrades to the nonoverlap tier, and a run with one
+   rank crash.  The committed file pins each report, as compact JSON,
+   byte for byte ([Golden]). *)
+let test_reports_match_golden () =
+  let serve name ?chaos ~requests ~rate () =
+    let trace =
+      Trace_gen.generate ~seed:42 ~requests
+        (Trace_gen.Poisson { rate_rps = rate })
+    in
+    let r = Server.run (cli_config ?chaos ()) trace in
+    check_invariants name r;
+    (name, r)
+  in
+  let runs =
+    [
+      serve "clean/1000rps" ~requests:200 ~rate:1_000. ();
+      serve "overload/12000rps" ~requests:2_000 ~rate:12_000. ();
+      serve "crash/1000rps"
+        ~chaos:{ Server.ch_seed = 7; ch_crash_ranks = 1 }
+        ~requests:200 ~rate:1_000. ();
+    ]
+  in
+  let overload = List.assoc "overload/12000rps" runs in
+  Alcotest.(check bool) "the overload reaches the nonoverlap tier" true
+    (List.assoc "nonoverlap" overload.Server.r_tier_us > 0.);
+  Alcotest.(check bool) "the crash step is visible" true
+    ((List.assoc "crash/1000rps" runs).Server.r_faulted_steps >= 1);
+  Golden.check ~what:"serve reports" "serve_golden.tsv"
+    (List.map
+       (fun (name, r) ->
+         name ^ "\t"
+         ^ Tilelink_obs.Json.to_string ~indent:false (Server.report_to_json r))
+       runs)
+
 let () =
   Alcotest.run "serve"
     [
@@ -340,5 +394,10 @@ let () =
           Alcotest.test_case "rank crash" `Quick test_crash_run;
           Alcotest.test_case "byte determinism" `Quick test_report_determinism;
           Alcotest.test_case "journal events" `Quick test_journal_events;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "reports match golden" `Quick
+            test_reports_match_golden;
         ] );
     ]
