@@ -18,8 +18,10 @@ type t = {
   head_dim : int;
   kv_capacity : int;
   mutable running : entry list;  (** newest first *)
-  sim_cache : (int * int * int, float) Hashtbl.t;
+  overlapped_memo : (int * int * int, float) Hashtbl.t;
       (** (world, batch_q, kv_q) -> overlapped step makespan µs *)
+  serialized_memo : (int * int * int, float) Hashtbl.t;
+      (** (world, batch_q, kv_q) -> serialized step cost µs *)
 }
 
 let tile = 8
@@ -36,7 +38,8 @@ let create ?topology ~machine ~world_size ~head_dim ~kv_capacity () =
     head_dim;
     kv_capacity;
     running = [];
-    sim_cache = Hashtbl.create 32;
+    overlapped_memo = Hashtbl.create 32;
+    serialized_memo = Hashtbl.create 32;
   }
 
 let world t = t.world
@@ -82,37 +85,44 @@ let spec_of t ~batch_q ~kv_q =
 
 let max_kv t = List.fold_left (fun acc e -> max acc e.e_kv) 0 t.running
 
-(* Overlapped step cost: simulate the tile program once per signature
-   (timing only — no tensor data), memoized for the serve's lifetime. *)
-let overlapped_cost t ~batch_q ~kv_q =
+(* Step costs are deterministic in the signature, so each tier prices
+   a signature once and memoizes it for the serve's lifetime. *)
+let memoized memo t ~batch_q ~kv_q cost =
   let key = (t.world, batch_q, kv_q) in
-  match Hashtbl.find_opt t.sim_cache key with
+  match Hashtbl.find_opt memo key with
   | Some c -> c
   | None ->
-    let spec = spec_of t ~batch_q ~kv_q in
-    let program = Attention.program ~config spec ~spec_gpu:t.machine in
-    let cluster =
-      Cluster.create ?topology:t.topology t.machine ~world_size:t.world
-    in
-    let r = Runtime.run cluster program in
-    Hashtbl.replace t.sim_cache key r.Runtime.makespan;
-    r.Runtime.makespan
+    let c = cost (spec_of t ~batch_q ~kv_q) in
+    Hashtbl.replace memo key c;
+    c
 
-let serialized_cost t ~batch_q ~kv_q =
-  Attention_baselines.torch_time t.machine (spec_of t ~batch_q ~kv_q)
+(* Overlapped step cost: the makespan of the tile program on a fresh
+   cluster (timing only, no tensor data). *)
+let overlapped_cost t =
+  memoized t.overlapped_memo t (fun spec ->
+      let program = Attention.program ~config spec ~spec_gpu:t.machine in
+      let cluster =
+        Cluster.create ?topology:t.topology t.machine ~world_size:t.world
+      in
+      (Runtime.run cluster program).Runtime.makespan)
+
+(* Serialized step cost: the comm-then-compute baseline, whose ring
+   AllGather is itself a simulation. *)
+let serialized_cost t =
+  memoized t.serialized_memo t (Attention_baselines.torch_time t.machine)
 
 let est_step_us t ~tier ~extra =
   let batch_q, kv_q =
     quantize t ~batch:(batch_size t + extra) ~max_kv:(max_kv t)
   in
-  let spec = spec_of t ~batch_q ~kv_q in
   match (tier : Degrade.tier) with
   | Overlapped | Shrunk ->
     (* Ideal overlap: the longer of the two phases hides the other. *)
+    let spec = spec_of t ~batch_q ~kv_q in
     Float.max
       (Attention.flash_only_time t.machine spec ~config)
       (Attention.comm_only_time t.machine spec)
-  | Nonoverlap -> Attention_baselines.torch_time t.machine spec
+  | Nonoverlap -> serialized_cost t ~batch_q ~kv_q
 
 type crash_config = { ck_seed : int; ck_ranks : int }
 
@@ -231,5 +241,3 @@ let step ?crash t ~tier =
   let completed, still = List.partition (fun e -> e.e_remaining <= 0) t.running in
   t.running <- still;
   { outcome with o_completed = List.rev completed }
-
-let sim_cache_size t = Hashtbl.length t.sim_cache

@@ -6,26 +6,29 @@
     [prompt + decoded-so-far] tokens.  A scheduler step performs one
     decode iteration for every running sequence (an entering prefill's
     first step attends over its whole prompt, producing its first
-    token); its cost is the makespan of the AG-KV attention tile
-    program ({!Tilelink_workloads.Attention.program}) run on a fresh
-    simulated cluster, with the batch quantized to a power of two and
-    the KV length to the tile lattice ([world * 8]) so distinct
-    signatures stay few enough to memoize.  The [Nonoverlap]
-    degradation tier charges the serialized comm-then-compute baseline
-    ({!Tilelink_baselines.Attention_baselines.torch_time}) instead of
-    simulating.
+    token).  Its cost depends on the degradation tier:
+    - [Overlapped] and [Shrunk] charge the makespan of the AG-KV
+      attention tile program ({!Tilelink_workloads.Attention.program})
+      run on a fresh simulated cluster;
+    - [Nonoverlap] charges the serialized comm-then-compute baseline
+      ({!Tilelink_baselines.Attention_baselines.torch_time}), whose ring
+      AllGather is itself a simulation.
+
+    The batch is quantized to a power of two and the KV length to the
+    tile lattice ([world * 8]), so distinct signatures stay few.  Each
+    tier memoizes its cost per [(world, batch, kv)] signature for the
+    lifetime of one [t]: a serve runs each simulation once per
+    signature, not once per step.
 
     A crash step composes the chaos machinery exactly as the fault
     harness does: seeded schedule with [crash_ranks] permanent
     crashes, [Failover] watchdog scaled to the fault-free ideal, and a
-    rebuild hook for replay.  An unrecoverable run — a structured
-    {!Tilelink_core.Chaos.Stall} (e.g. no survivors) or the
-    coordinator wedging under overlapping multi-rank crashes
-    ({!Tilelink_sim.Engine.Deadlock}) — falls back to the serialized
-    baseline cost: the step always completes, never hangs.  After a
-    crash step the
-    batcher's world shrinks to the survivors for the rest of the
-    serve. *)
+    rebuild hook for replay.  A structured {!Tilelink_core.Chaos.Stall}
+    (e.g. no survivors) falls back to the serialized cost, so the step
+    always completes.  Any other exception, including
+    {!Tilelink_sim.Engine.Deadlock}, is a bug and propagates.  After a
+    crash step the batcher's world shrinks to the survivors for the
+    rest of the serve. *)
 
 type entry = {
   e_req : Trace_gen.request;
@@ -70,8 +73,11 @@ val evict : t -> Trace_gen.request -> unit
 (** Remove a running request without completing it (timeout shed). *)
 
 val est_step_us : t -> tier:Degrade.tier -> extra:int -> float
-(** Analytic (sim-free) cost estimate of the next step with [extra]
-    more sequences — the admission deadline check's input. *)
+(** Cost estimate of the next step with [extra] more sequences, the
+    admission deadline check's input.  [Overlapped] and [Shrunk] use the
+    analytic ideal overlap (the longer of compute-only and comm-only
+    time).  [Nonoverlap] reads the memoized serialized cost of the
+    step's signature, the same cost {!step} charges. *)
 
 type crash_config = { ck_seed : int; ck_ranks : int }
 
@@ -89,6 +95,3 @@ val step : ?crash:crash_config -> t -> tier:Degrade.tier -> outcome
 (** One decode iteration for the whole batch.  Raises
     [Invalid_argument] on an empty batch.  With [crash], runs under
     the chaos schedule and shrinks the world afterwards. *)
-
-val sim_cache_size : t -> int
-(** Distinct simulated step signatures so far (introspection). *)
