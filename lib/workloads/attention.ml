@@ -96,6 +96,27 @@ type config = {
 
 let default_config = { q_tile = 128; kv_tile = 512 }
 
+(* A consumer tile's work on one KV tile, free of any rank: the wait
+   and loads that start it, and the flash step's reads and data action.
+   Only the flash step's label depends on the rank, through the ring
+   step at which the rank reaches the KV tile. *)
+type kv_step = {
+  prologue : Primitive.t list;
+  reads : Instr.access list;
+  action : Instr.action option;
+}
+
+(* One consumer tile, a (z, q-tile) pair: its labels, with the flash
+   labels indexed by ring step, and its statements, with the KV steps
+   indexed by global KV tile. *)
+type consumer = {
+  label : string;
+  flash_labels : string array;
+  load_q : Primitive.t;
+  kv_steps : kv_step array;
+  epilogue : Primitive.t list;
+}
+
 let program ?(config = default_config) spec ~(spec_gpu : Spec.t) =
   let r = spec.world_size in
   let spr = s_per_rank spec in
@@ -111,163 +132,167 @@ let program ?(config = default_config) spec ~(spec_gpu : Spec.t) =
       ()
   in
   let d = spec.head_dim in
+  (* Everything rank-invariant is built once per program: labels,
+     statements and data actions.  Each rank only rotates the tasks
+     into its own ring order and lowers them. *)
+  (* --- host stream: copy-engine AllGather of K and V ---
+     One rank_copy_data per (tensor, segment): the copy engine moves the
+     whole z-strided segment in a single transfer; the strided scatter
+     into the full buffer is the custom data action. *)
+  let copy_segment src_rank =
+    let strided_blit ~shard ~full memory ~rank =
+      let src = Memory.find memory ~rank:src_rank ~name:shard in
+      let dst = Memory.find memory ~rank ~name:full in
+      for z = 0 to spec.batch_heads - 1 do
+        Tensor.set_row_slice dst
+          ~lo:((z * spec.seq) + (src_rank * spr))
+          (Tensor.row_slice src ~lo:(z * spr) ~hi:((z + 1) * spr))
+      done
+    in
+    {
+      Block_channel.label = Printf.sprintf "agkv[%d]" src_rank;
+      stmts =
+        List.map
+          (fun (shard, full) ->
+            Primitive.Rank_copy_data
+              {
+                src =
+                  access ~rank:src_rank ~buffer:shard
+                    ~row:(0, spec.batch_heads * spr)
+                    ~col:(0, d) ();
+                dst =
+                  access ~buffer:full
+                    ~row:(src_rank * spr, (src_rank + 1) * spr)
+                    ~col:(0, d) ();
+                action = Some (strided_blit ~shard ~full);
+              })
+          [ ("k_shard", "k_full"); ("v_shard", "v_full") ]
+        @ [
+            Primitive.Producer_tile_notify
+              { tid = src_rank; mode = Primitive.P2p };
+          ];
+    }
+  in
+  let segments = Array.init r copy_segment in
+  (* --- flash attention consumer --- *)
+  let kv_count = spec.seq / config.kv_tile in
+  let flash_cost =
+    Instr.Attention_tile { tq = config.q_tile; tkv = config.kv_tile; d }
+  in
+  let consumer z mt =
+    let qlo = (z * spr) + (mt * config.q_tile) in
+    let qhi = qlo + config.q_tile in
+    (* Online-softmax state lives across the tile's steps and is private
+       to the rank that runs it: data actions take their rank's slot.
+       A replay runs under its owner's rank, and a rebuild gets fresh
+       slots. *)
+    let states = Array.make r None in
+    let get_state rank =
+      match states.(rank) with
+      | Some s -> s
+      | None ->
+        let mask =
+          if spec.causal then
+            Nn.Causal { q_offset = (rank * spr) + (mt * config.q_tile) }
+          else Nn.No_mask
+        in
+        let s = Nn.Flash.create ~mask ~m:config.q_tile ~d () in
+        states.(rank) <- Some s;
+        s
+    in
+    let kv_step kv =
+      let klo = kv * config.kv_tile in
+      let khi = klo + config.kv_tile in
+      let rows = ((z * spec.seq) + klo, (z * spec.seq) + khi) in
+      let action memory ~rank =
+        let state = get_state rank in
+        let block name (lo, hi) =
+          Tensor.row_slice (Memory.find memory ~rank ~name) ~lo ~hi
+        in
+        Nn.Flash.update state
+          (block "q" (qlo, qhi))
+          (block "k_full" rows) (block "v_full" rows) ~kv_offset:klo
+      in
+      let k_rows = access ~buffer:"k_full" ~row:rows ~col:(0, d) () in
+      {
+        prologue =
+          [
+            Primitive.Consumer_tile_wait
+              { lo = klo; hi = khi; buffer = "k_full"; col = (0, d) };
+            Primitive.Load k_rows;
+            Primitive.Load (access ~buffer:"v_full" ~row:rows ~col:(0, d) ());
+          ];
+        reads = [ k_rows ];
+        action = Some action;
+      }
+    in
+    let finish_action memory ~rank =
+      let state = get_state rank in
+      Tensor.set_row_slice
+        (Memory.find memory ~rank ~name:"o")
+        ~lo:qlo (Nn.Flash.finish state)
+    in
+    {
+      label = Printf.sprintf "attn[z%d,m%d]" z mt;
+      flash_labels =
+        Array.init kv_count (Printf.sprintf "flash[z%d,m%d,s%d]" z mt);
+      load_q = Primitive.Load (access ~buffer:"q" ~row:(qlo, qhi) ~col:(0, d) ());
+      kv_steps = Array.init kv_count kv_step;
+      epilogue =
+        [
+          Primitive.Compute
+            {
+              label = Printf.sprintf "finish[z%d,m%d]" z mt;
+              cost =
+                Instr.Memory_tile { rows = config.q_tile; cols = d; passes = 1 };
+              reads = [];
+              writes = [ access ~buffer:"o" ~row:(qlo, qhi) ~col:(0, d) () ];
+              action = Some finish_action;
+            };
+          Primitive.Store (access ~buffer:"o" ~row:(qlo, qhi) ~col:(0, d) ());
+        ];
+    }
+  in
+  let m_tiles = spr / config.q_tile in
+  let consumers =
+    List.concat
+      (List.init spec.batch_heads (fun z -> List.init m_tiles (consumer z)))
+  in
+  let steps_per_segment = spr / config.kv_tile in
+  let bcs = Block_channel.per_rank ~world_size:r mapping in
   let plans =
     Array.init r (fun rank ->
-        let bc = Block_channel.create ~rank ~world_size:r mapping in
-        (* --- host stream: copy-engine AllGather of K and V ---
-           One rank_copy_data per (tensor, segment): the copy engine
-           moves the whole z-strided segment in a single transfer; the
-           strided scatter into the full buffer is the custom data
-           action. *)
-        let copy_segment src_rank =
-          let strided_blit ~shard ~full memory ~rank =
-            let src = Memory.find memory ~rank:src_rank ~name:shard in
-            let dst = Memory.find memory ~rank ~name:full in
-            for z = 0 to spec.batch_heads - 1 do
-              Tensor.set_row_slice dst
-                ~lo:((z * spec.seq) + (src_rank * spr))
-                (Tensor.row_slice src ~lo:(z * spr) ~hi:((z + 1) * spr))
-            done
-          in
-          List.map
-            (fun (shard, full) ->
-              Primitive.Rank_copy_data
-                {
-                  src =
-                    access ~rank:src_rank ~buffer:shard
-                      ~row:(0, spec.batch_heads * spr)
-                      ~col:(0, d) ();
-                  dst =
-                    access ~buffer:full
-                      ~row:(src_rank * spr, (src_rank + 1) * spr)
-                      ~col:(0, d) ();
-                  action = Some (strided_blit ~shard ~full);
-                })
-            [ ("k_shard", "k_full"); ("v_shard", "v_full") ]
-          @ [ Primitive.Producer_tile_notify { tid = src_rank; mode = Primitive.P2p } ]
-        in
+        let bc = bcs.(rank) in
+        (* Own segment first (local copies), then ring order. *)
         let host_tasks =
-          (* Own segment first (local copies), then ring order. *)
           List.init r (fun step ->
-              let src_rank = (rank + step) mod r in
-              {
-                Program.label = Printf.sprintf "agkv[%d]" src_rank;
-                instrs = Block_channel.lower bc (copy_segment src_rank);
-              })
+              Block_channel.lower_task bc segments.((rank + step) mod r))
         in
-        (* --- flash attention consumer --- *)
-        let attn_task z mt =
-          let qlo = (z * spr) + (mt * config.q_tile) in
-          let qhi = qlo + config.q_tile in
-          (* Online-softmax state lives across this task's steps. *)
-          let state = ref None in
-          let tile_mask =
-            if spec.causal then
-              Nn.Causal { q_offset = (rank * spr) + (mt * config.q_tile) }
-            else Nn.No_mask
-          in
-          let get_state () =
-            match !state with
-            | Some s -> s
-            | None ->
-              let s = Nn.Flash.create ~mask:tile_mask ~m:config.q_tile ~d () in
-              state := Some s;
-              s
-          in
-          let kv_steps = spec.seq / config.kv_tile in
-          let step_stmts step =
-            (* Start at the local segment, walk the ring. *)
-            let steps_per_segment = spr / config.kv_tile in
-            let segment = (rank + (step / steps_per_segment)) mod r in
-            let klo =
-              (segment * spr) + (step mod steps_per_segment * config.kv_tile)
-            in
-            let khi = klo + config.kv_tile in
-            let action memory ~rank =
-              let state = get_state () in
-              let q_block =
-                Tensor.row_slice
-                  (Memory.find memory ~rank ~name:"q")
-                  ~lo:qlo ~hi:qhi
-              in
-              let k_block =
-                Tensor.row_slice
-                  (Memory.find memory ~rank ~name:"k_full")
-                  ~lo:((z * spec.seq) + klo)
-                  ~hi:((z * spec.seq) + khi)
-              in
-              let v_block =
-                Tensor.row_slice
-                  (Memory.find memory ~rank ~name:"v_full")
-                  ~lo:((z * spec.seq) + klo)
-                  ~hi:((z * spec.seq) + khi)
-              in
-              Nn.Flash.update state q_block k_block v_block ~kv_offset:klo
-            in
-            [
-              Primitive.Consumer_tile_wait
-                { lo = klo; hi = khi; buffer = "k_full"; col = (0, d) };
-              Primitive.Load
-                (access ~buffer:"k_full"
-                   ~row:((z * spec.seq) + klo, (z * spec.seq) + khi)
-                   ~col:(0, d) ());
-              Primitive.Load
-                (access ~buffer:"v_full"
-                   ~row:((z * spec.seq) + klo, (z * spec.seq) + khi)
-                   ~col:(0, d) ());
-              Primitive.Compute
-                {
-                  label = Printf.sprintf "flash[z%d,m%d,s%d]" z mt step;
-                  cost =
-                    Instr.Attention_tile
-                      { tq = config.q_tile; tkv = config.kv_tile; d };
-                  reads =
-                    [
-                      access ~buffer:"k_full"
-                        ~row:((z * spec.seq) + klo, (z * spec.seq) + khi)
-                        ~col:(0, d) ();
-                    ];
-                  writes = [];
-                  action = Some action;
-                };
-            ]
-          in
-          let finish_action memory ~rank =
-            let state = get_state () in
-            Tensor.set_row_slice
-              (Memory.find memory ~rank ~name:"o")
-              ~lo:qlo (Nn.Flash.finish state)
-          in
-          let stmts =
-            [
-              Primitive.Load (access ~buffer:"q" ~row:(qlo, qhi) ~col:(0, d) ());
-            ]
-            @ List.concat (List.init kv_steps step_stmts)
+        (* Start at the local segment's first KV tile, walk the ring. *)
+        let first = rank * steps_per_segment in
+        let attn_task c =
+          let flash_step step =
+            let kv = c.kv_steps.((first + step) mod kv_count) in
+            kv.prologue
             @ [
                 Primitive.Compute
                   {
-                    label = Printf.sprintf "finish[z%d,m%d]" z mt;
-                    cost =
-                      Instr.Memory_tile
-                        { rows = config.q_tile; cols = d; passes = 1 };
-                    reads = [];
-                    writes =
-                      [ access ~buffer:"o" ~row:(qlo, qhi) ~col:(0, d) () ];
-                    action = Some finish_action;
+                    label = c.flash_labels.(step);
+                    cost = flash_cost;
+                    reads = kv.reads;
+                    writes = [];
+                    action = kv.action;
                   };
-                Primitive.Store (access ~buffer:"o" ~row:(qlo, qhi) ~col:(0, d) ());
               ]
           in
-          {
-            Program.label = Printf.sprintf "attn[z%d,m%d]" z mt;
-            instrs = Block_channel.lower bc stmts;
-          }
-        in
-        let m_tiles = spr / config.q_tile in
-        let attn_tasks =
-          List.concat
-            (List.init spec.batch_heads (fun z ->
-                 List.init m_tiles (fun mt -> attn_task z mt)))
+          Block_channel.lower_task bc
+            {
+              Block_channel.label = c.label;
+              stmts =
+                c.load_q
+                :: List.concat (List.init kv_count flash_step)
+                @ c.epilogue;
+            }
         in
         [
           {
@@ -280,7 +305,7 @@ let program ?(config = default_config) spec ~(spec_gpu : Spec.t) =
             Program.role_name = "flash-attn";
             resource = Program.Sm_partition spec_gpu.Spec.gpu.num_sms;
             lane = Tilelink_sim.Trace.Compute_sm;
-            tasks = attn_tasks;
+            tasks = List.map attn_task consumers;
           };
         ])
   in

@@ -485,21 +485,58 @@ let attn_spec =
 
 let attn_config = { Attention.q_tile = 4; kv_tile = 4 }
 
+(* Each consumer tile keeps its online-softmax state per rank, so the
+   output must match the reference on both backends and after a
+   failover replay, which reruns a crashed rank's tiles on a survivor
+   from a rebuilt program. *)
 let check_attention spec msg =
-  let memory = Attention.alloc spec ~seed:51 in
-  let cluster =
-    Cluster.create Calib.test_machine ~world_size:spec.Attention.world_size
-  in
-  let program =
+  let world = spec.Attention.world_size in
+  let build () =
     Attention.program ~config:attn_config spec ~spec_gpu:Calib.test_machine
   in
-  let _result = Runtime.run ~data:true ~memory cluster program in
-  for rank = 0 to spec.Attention.world_size - 1 do
-    tensor_close ~atol:1e-8
-      (Printf.sprintf "%s rank %d" msg rank)
-      (Attention.reference memory spec ~rank)
-      (Memory.find memory ~rank ~name:"o")
-  done
+  let run ?chaos how backend =
+    let memory = Attention.alloc spec ~seed:51 in
+    let cluster = Cluster.create Calib.test_machine ~world_size:world in
+    let _result =
+      Runtime.run ~data:true ~memory ~backend ?chaos ~rebuild:build cluster
+        (build ())
+    in
+    for rank = 0 to world - 1 do
+      tensor_close ~atol:1e-8
+        (Printf.sprintf "%s %s rank %d" msg how rank)
+        (Attention.reference memory spec ~rank)
+        (Memory.find memory ~rank ~name:"o")
+    done
+  in
+  run "sequential" `Sequential;
+  run "parallel" (`Parallel 2);
+  let ideal =
+    (Runtime.run (Cluster.create Calib.test_machine ~world_size:world)
+       (build ()))
+      .Runtime.makespan
+  in
+  let control =
+    Chaos.control
+      ~schedule:
+        (Chaos.plan
+           ~spec:(Chaos.no_machine_faults Chaos.default_spec)
+           ~horizon_us:(ideal *. 1.5) ~crash_ranks:1 ~seed:7 ~world_size:world
+           ())
+      ~watchdog:
+        {
+          Chaos.poll_interval_us = ideal /. 50.0;
+          wait_timeout_us = ideal *. 2.0;
+          stall_timeout_us = ideal *. 8.0;
+          max_retries = 5;
+          backoff_base_us = ideal /. 10.0;
+          retry = true;
+          policy = Chaos.Failover;
+        }
+      ()
+  in
+  run ~chaos:control "crash replay" `Sequential;
+  Alcotest.(check bool) (msg ^ ": the crash replayed tiles") true
+    (control.Chaos.c_recovery.Chaos.replayed_tiles > 0)
 
 let test_attention_full () = check_attention attn_spec "full attention"
 
@@ -921,7 +958,14 @@ let test_ranks_share_labels () =
        spec route ~spec_gpu:Calib.test_machine);
   check_program "moe part2"
     (Moe.part2_program ~config:moe_part2_config spec route
-       ~spec_gpu:Calib.test_machine)
+       ~spec_gpu:Calib.test_machine);
+  List.iter
+    (fun causal ->
+      check_program "attention"
+        (Attention.program ~config:attn_config
+           { attn_spec with Attention.seq = 32; world_size = 4; causal }
+           ~spec_gpu:Calib.test_machine))
+    [ false; true ]
 
 let () =
   Alcotest.run "workloads"
