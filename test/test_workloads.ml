@@ -522,16 +522,7 @@ let check_attention spec msg =
            ~spec:(Chaos.no_machine_faults Chaos.default_spec)
            ~horizon_us:(ideal *. 1.5) ~crash_ranks:1 ~seed:7 ~world_size:world
            ())
-      ~watchdog:
-        {
-          Chaos.poll_interval_us = ideal /. 50.0;
-          wait_timeout_us = ideal *. 2.0;
-          stall_timeout_us = ideal *. 8.0;
-          max_retries = 5;
-          backoff_base_us = ideal /. 10.0;
-          retry = true;
-          policy = Chaos.Failover;
-        }
+      ~watchdog:{ Chaos.default_watchdog with policy = Chaos.Failover }
       ()
   in
   run ~chaos:control "crash replay" `Sequential;
