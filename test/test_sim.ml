@@ -99,6 +99,48 @@ let prop_pqueue_sorts =
       in
       drain neg_infinity)
 
+(* Random push/pop interleavings against a sorted reference list: every
+   pop yields the entry with the least (priority, insertion) pair.
+   Priorities come from a small set so ties are common. *)
+let prop_pqueue_fifo_interleaved =
+  QCheck.Test.make
+    ~name:"pqueue interleavings pop in (priority, insertion) order"
+    ~count:300
+    QCheck.(list (option (int_bound 4)))
+    (fun ops ->
+      let q = Pqueue.create () in
+      let reference = ref [] and next = ref 0 in
+      let pop_both () =
+        let expected =
+          match !reference with
+          | [] -> None
+          | top :: rest ->
+            reference := rest;
+            Some top
+        in
+        let got =
+          Option.map
+            (fun e -> (e.Pqueue.priority, e.Pqueue.payload))
+            (Pqueue.pop q)
+        in
+        got = expected
+      in
+      let step = function
+        | Some p ->
+          let prio = float_of_int p in
+          Pqueue.push q prio !next;
+          reference := List.merge compare !reference [ (prio, !next) ];
+          incr next;
+          true
+        | None -> pop_both ()
+      in
+      let rec drain () =
+        if !reference = [] then Pqueue.is_empty q
+        else pop_both () && drain ()
+      in
+      List.for_all step ops && Pqueue.length q = List.length !reference
+      && drain ())
+
 (* ------------------------------------------------------------------ *)
 (* Engine + Process                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -656,6 +698,7 @@ let () =
             test_pqueue_pop_releases_payload;
           Alcotest.test_case "clear" `Quick test_pqueue_clear;
           qc prop_pqueue_sorts;
+          qc prop_pqueue_fifo_interleaved;
         ] );
       ( "engine",
         [
