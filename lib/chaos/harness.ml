@@ -277,7 +277,7 @@ let stall_info_of case (s : Chaos.stall) =
 
 let run_trial_impl ?(spec = Chaos.default_spec) ?(retry = true)
     ?(policy = Chaos.Degrade) ?(crash_ranks = 0) ?watchdog ?topology
-    ?(trace = false) ~workload ~seed ~index () =
+    ?(profile = false) ~workload ~seed ~index () =
   let case =
     case_of ?world:(Option.map Topology.natural_world topology) workload
   in
@@ -326,10 +326,14 @@ let run_trial_impl ?(spec = Chaos.default_spec) ?(retry = true)
       ~crash_ranks ()
   in
   let control = Chaos.control ~schedule:sched ~watchdog:wd () in
-  let telemetry = Obs.Telemetry.create () in
+  (* A plain trial reads only the spans (attribution); a profiled one
+     also exports the trace, metrics and journal. *)
+  let telemetry =
+    if profile then Obs.Telemetry.create () else Obs.Telemetry.spans_only ()
+  in
   let memory = case.alloc () in
   let cluster =
-    Cluster.create ~trace_enabled:trace ?topology case.machine
+    Cluster.create ~trace_enabled:profile ?topology case.machine
       ~world_size:case.world
   in
   let finish ~classification ~makespan ~fallback ~numerics_ok ~stall =
@@ -438,7 +442,7 @@ let profile_trial ?spec ?retry ?policy ?crash_ranks ?watchdog ?topology
     ~workload ~seed ~index () =
   let trial, trace, telemetry =
     run_trial_impl ?spec ?retry ?policy ?crash_ranks ?watchdog ?topology
-      ~trace:true ~workload ~seed ~index ()
+      ~profile:true ~workload ~seed ~index ()
   in
   (trial, trace, telemetry)
 

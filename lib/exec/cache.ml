@@ -100,8 +100,8 @@ let save t =
         output_string oc "\n")
 
 let record t telemetry =
-  if Tilelink_obs.Telemetry.enabled telemetry then begin
-    let m = Tilelink_obs.Telemetry.metrics telemetry in
+  let m = Tilelink_obs.Telemetry.metrics telemetry in
+  if Tilelink_obs.Metrics.enabled m then begin
     Tilelink_obs.Metrics.set_gauge m "cache.hits" (float_of_int t.hits);
     Tilelink_obs.Metrics.set_gauge m "cache.misses" (float_of_int t.misses);
     Tilelink_obs.Metrics.set_gauge m "cache.size" (float_of_int (length t))

@@ -116,9 +116,8 @@ let record_run t ~n ~stolen ~timeouts ~latencies ~wall =
   t.wall_time_s <- t.wall_time_s +. wall;
   t.runs <- t.runs + 1;
   t.timeouts <- t.timeouts + timeouts;
-  match t.telemetry with
-  | Some tel when Tilelink_obs.Telemetry.enabled tel ->
-    let m = Tilelink_obs.Telemetry.metrics tel in
+  match Option.map Tilelink_obs.Telemetry.metrics t.telemetry with
+  | Some m when Tilelink_obs.Metrics.enabled m ->
     Tilelink_obs.Metrics.inc m ~by:n "pool.tasks";
     Tilelink_obs.Metrics.inc m ~by:stolen "pool.stolen";
     if timeouts > 0 then

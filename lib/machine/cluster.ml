@@ -315,8 +315,8 @@ let on_dma t ~rank_id ~label body =
    the gauges describe the whole simulation. *)
 let record_utilization t (telemetry : Tilelink_obs.Telemetry.t) =
   let horizon = now t in
-  if horizon > 0.0 && Tilelink_obs.Telemetry.enabled telemetry then begin
-    let m = Tilelink_obs.Telemetry.metrics telemetry in
+  let m = Tilelink_obs.Telemetry.metrics telemetry in
+  if horizon > 0.0 && Tilelink_obs.Metrics.enabled m then begin
     let gauge fmt = Printf.ksprintf (Tilelink_obs.Metrics.set_gauge m) fmt in
     Array.iter
       (fun r ->

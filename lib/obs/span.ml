@@ -46,11 +46,15 @@ type span = {
 }
 
 type t = {
-  mutable store : span array;
+  (* Recorded spans, newest first: appending never copies the spans
+     already recorded. *)
+  mutable newest_first : span list;
   mutable len : int;
   mutable next_worker : int;
-  (* Last span id recorded on each worker: the program-order chain. *)
-  last_on_worker : (int, int) Hashtbl.t;
+  (* Last span id recorded on each worker, indexed by worker id (ids
+     are dense from 0), -1 before its first span: the program-order
+     chain. *)
+  mutable last_on_worker : int array;
   (* Per key, chronological (span id, delivered value) of every
      delivery (Notify and watchdog Retry spans) — the wait-resolution
      search space. *)
@@ -59,30 +63,18 @@ type t = {
   (* Serializes recording: span ids come from [len], so id allocation
      and store append must be one atomic step when parallel-backend
      worker domains record concurrently.  The [enabled] check stays
-     outside the lock. *)
+     outside the lock, and recorders lock and unlock it directly rather
+     than allocate a [Mutex.protect] closure per span (nothing inside
+     can raise). *)
   mutable enabled : bool;
 }
 
-let dummy_span =
-  {
-    id = -1;
-    kind = Compute;
-    label = "";
-    rank = -1;
-    worker = -1;
-    t0 = 0.0;
-    t1 = 0.0;
-    key = None;
-    value = None;
-    preds = [];
-  }
-
 let create ?(enabled = true) () =
   {
-    store = Array.make 0 dummy_span;
+    newest_first = [];
     len = 0;
     next_worker = 0;
-    last_on_worker = Hashtbl.create 32;
+    last_on_worker = [||];
     candidates = Hashtbl.create 32;
     lock = Mutex.create ();
     enabled;
@@ -93,38 +85,52 @@ let set_enabled t flag = t.enabled <- flag
 let length t = t.len
 
 let fresh_worker t =
-  Mutex.protect t.lock (fun () ->
-      let w = t.next_worker in
-      t.next_worker <- w + 1;
-      w)
+  Mutex.lock t.lock;
+  let w = t.next_worker in
+  t.next_worker <- w + 1;
+  Mutex.unlock t.lock;
+  w
 
-let cursor t ~worker = Hashtbl.find_opt t.last_on_worker worker
+(* A worker's cursor is written only by spans recorded on it, so the
+   worker reading its own cursor needs no lock. *)
+let last_on t ~worker =
+  if worker >= 0 && worker < Array.length t.last_on_worker then
+    t.last_on_worker.(worker)
+  else -1
+
+let cursor t ~worker =
+  match last_on t ~worker with -1 -> None | id -> Some id
 
 let push t span =
-  if t.len = Array.length t.store then begin
-    let cap = if t.len = 0 then 64 else 2 * t.len in
-    let grown = Array.make cap span in
-    Array.blit t.store 0 grown 0 t.len;
-    t.store <- grown
-  end;
-  t.store.(t.len) <- span;
+  t.newest_first <- span :: t.newest_first;
   t.len <- t.len + 1
 
 let chain t ~worker =
-  if worker < 0 then []
-  else
-    match Hashtbl.find_opt t.last_on_worker worker with
-    | Some prev -> [ prev ]
-    | None -> []
+  match last_on t ~worker with -1 -> [] | prev -> [ prev ]
+
+(* Under the lock: move [worker]'s cursor to [id], growing the cursor
+   array on a worker's first span. *)
+let advance t ~worker id =
+  if worker >= 0 then begin
+    let cap = Array.length t.last_on_worker in
+    if worker >= cap then begin
+      let grown = Array.make (max 16 (max (2 * cap) (worker + 1))) (-1) in
+      Array.blit t.last_on_worker 0 grown 0 cap;
+      t.last_on_worker <- grown
+    end;
+    t.last_on_worker.(worker) <- id
+  end
 
 let record_task t ~kind ~label ~rank ~worker ~t0 ~t1 =
-  if t.enabled then
-    Mutex.protect t.lock (fun () ->
-        let id = t.len in
-        let preds = chain t ~worker in
-        push t
-          { id; kind; label; rank; worker; t0; t1; key = None; value = None; preds };
-        if worker >= 0 then Hashtbl.replace t.last_on_worker worker id)
+  if t.enabled then begin
+    Mutex.lock t.lock;
+    let id = t.len in
+    let preds = chain t ~worker in
+    push t
+      { id; kind; label; rank; worker; t0; t1; key = None; value = None; preds };
+    advance t ~worker id;
+    Mutex.unlock t.lock
+  end
 
 let add_candidate t ~key ~id ~value =
   match Hashtbl.find_opt t.candidates key with
@@ -137,48 +143,52 @@ let add_candidate t ~key ~id ~value =
    worker-chained: delivery can happen on the scheduler's time, long
    after the issuing worker moved on. *)
 let record_notify ?pred t ~label ~rank ~key ~value ~t:at =
-  if t.enabled then
-    Mutex.protect t.lock (fun () ->
-        let id = t.len in
-        let preds = match pred with Some p -> [ p ] | None -> [] in
-        push t
-          {
-            id;
-            kind = Notify;
-            label;
-            rank;
-            worker = -1;
-            t0 = at;
-            t1 = at;
-            key = Some key;
-            value = Some value;
-            preds;
-          };
-        add_candidate t ~key ~id ~value)
+  if t.enabled then begin
+    Mutex.lock t.lock;
+    let id = t.len in
+    let preds = match pred with Some p -> [ p ] | None -> [] in
+    push t
+      {
+        id;
+        kind = Notify;
+        label;
+        rank;
+        worker = -1;
+        t0 = at;
+        t1 = at;
+        key = Some key;
+        value = Some value;
+        preds;
+      };
+    add_candidate t ~key ~id ~value;
+    Mutex.unlock t.lock
+  end
 
 (* A watchdog re-issue that force-raised [key] to [value]: chained on
    the watchdog's own worker and registered as a delivery so waits it
    released resolve onto it. *)
 let record_retry t ~label ~rank ~worker ~key ~value ~t0 ~t1 =
-  if t.enabled then
-    Mutex.protect t.lock (fun () ->
-        let id = t.len in
-        let preds = chain t ~worker in
-        push t
-          {
-            id;
-            kind = Retry;
-            label;
-            rank;
-            worker;
-            t0;
-            t1;
-            key = Some key;
-            value = Some value;
-            preds;
-          };
-        if worker >= 0 then Hashtbl.replace t.last_on_worker worker id;
-        add_candidate t ~key ~id ~value)
+  if t.enabled then begin
+    Mutex.lock t.lock;
+    let id = t.len in
+    let preds = chain t ~worker in
+    push t
+      {
+        id;
+        kind = Retry;
+        label;
+        rank;
+        worker;
+        t0;
+        t1;
+        key = Some key;
+        value = Some value;
+        preds;
+      };
+    advance t ~worker id;
+    add_candidate t ~key ~id ~value;
+    Mutex.unlock t.lock
+  end
 
 (* The delivery that released a wait: the chronologically first one on
    the key whose post-delivery value met the threshold.  Candidate
@@ -192,29 +202,31 @@ let resolve t ~key ~threshold =
       None !cell
 
 let record_wait t ~label ~rank ~worker ~key ~threshold ~t0 ~t1 =
-  if t.enabled then
-    Mutex.protect t.lock (fun () ->
-        let id = t.len in
-        let preds =
-          chain t ~worker
-          @ (match resolve t ~key ~threshold with Some p -> [ p ] | None -> [])
-        in
-        push t
-          {
-            id;
-            kind = Wait_stall;
-            label;
-            rank;
-            worker;
-            t0;
-            t1;
-            key = Some key;
-            value = None;
-            preds;
-          };
-        if worker >= 0 then Hashtbl.replace t.last_on_worker worker id)
+  if t.enabled then begin
+    Mutex.lock t.lock;
+    let id = t.len in
+    let preds =
+      chain t ~worker
+      @ (match resolve t ~key ~threshold with Some p -> [ p ] | None -> [])
+    in
+    push t
+      {
+        id;
+        kind = Wait_stall;
+        label;
+        rank;
+        worker;
+        t0;
+        t1;
+        key = Some key;
+        value = None;
+        preds;
+      };
+    advance t ~worker id;
+    Mutex.unlock t.lock
+  end
 
-let spans t = Array.to_list (Array.sub t.store 0 t.len)
+let spans t = List.rev t.newest_first
 
 let span_to_json s =
   Json.Obj

@@ -2,9 +2,11 @@
 
    One record bundles the aggregate half (metrics), the sequential
    half (journal) and the causal half (spans) so call sites take a
-   single optional argument.  The [enabled] switch flips all three:
-   instrumentation guards on it before doing any work, which keeps the
-   disabled cost to a branch. *)
+   single optional argument.  Each half has its own enable switch and
+   [set_enabled] flips all three.  Instrumentation guards on [active]
+   before doing any work, which keeps a fully disabled handle's cost to
+   a branch; inside the guard, work that feeds only one half is skipped
+   when that half is off. *)
 
 type t = { metrics : Metrics.t; journal : Journal.t; spans : Span.t }
 
@@ -15,11 +17,22 @@ let create ?(enabled = true) ?journal_capacity () =
     spans = Span.create ~enabled ();
   }
 
+(* Callers that read only the spans (search scoring, chaos trials)
+   switch the other halves off; a disabled journal never fills, so it
+   gets the smallest ring. *)
+let spans_only () =
+  let t = create ~journal_capacity:1 () in
+  Metrics.set_enabled t.metrics false;
+  Journal.set_enabled t.journal false;
+  t
+
 let metrics t = t.metrics
 let journal t = t.journal
 let spans t = t.spans
 
-let enabled t = Metrics.enabled t.metrics
+let enabled t =
+  Metrics.enabled t.metrics || Journal.enabled t.journal
+  || Span.enabled t.spans
 
 let set_enabled t flag =
   Metrics.set_enabled t.metrics flag;
@@ -27,6 +40,6 @@ let set_enabled t flag =
   Span.set_enabled t.spans flag
 
 (* [active opt] is the single check instrumented code performs:
-   [None] (no telemetry requested) and [Some disabled] both fall
-   through to the uninstrumented path. *)
+   [None] (no telemetry requested) and [Some t] with every half off
+   both fall through to the uninstrumented path. *)
 let active = function None -> false | Some t -> enabled t

@@ -81,7 +81,7 @@ type state = {
 
 let journal st ev =
   match st.telemetry with
-  | Some tel when Telemetry.enabled tel ->
+  | Some tel when Journal.enabled (Telemetry.journal tel) ->
     Journal.record (Telemetry.journal tel) ~t:st.now ev
   | _ -> ()
 

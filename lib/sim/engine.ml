@@ -72,13 +72,14 @@ let blocked_processes t = t.blocked_processes
 let live_processes t = t.live_processes
 
 let step t =
-  match Pqueue.pop t.events with
-  | None -> false
-  | Some { priority = time; payload = thunk; _ } ->
-    t.now <- time;
+  if Pqueue.is_empty t.events then false
+  else begin
+    t.now <- Pqueue.min_priority t.events;
+    let thunk = Pqueue.take t.events in
     t.executed <- t.executed + 1;
     thunk ();
     true
+  end
 
 (* The [until] match is hoisted out of the loop: the unbounded path
    pays one heap pop per event and the bounded path one peek + one pop,
@@ -90,11 +91,13 @@ let run ?until t =
     drain ()
   | Some limit ->
     let rec drain () =
-      match Pqueue.peek t.events with
-      | Some { priority = time; _ } when time <= limit ->
+      if
+        (not (Pqueue.is_empty t.events))
+        && Pqueue.min_priority t.events <= limit
+      then begin
         ignore (step t);
         drain ()
-      | Some _ | None -> ()
+      end
     in
     drain ());
   (match until with

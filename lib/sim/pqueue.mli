@@ -13,9 +13,19 @@ val is_empty : 'a t -> bool
 val push : 'a t -> float -> 'a -> unit
 val peek : 'a t -> 'a entry option
 
+val min_priority : 'a t -> float
+(** Priority of the minimum.  Raises [Invalid_argument] when empty. *)
+
+val take : 'a t -> 'a
+(** Removes the minimum and returns its payload without allocating;
+    the vacated slot is cleared as in {!pop}.  Raises
+    [Invalid_argument] when empty. *)
+
 val pop : 'a t -> 'a entry option
 (** Removes the minimum and clears the vacated slot, so the popped
-    payload is collectable as soon as the caller drops it. *)
+    payload is collectable as soon as the caller drops it.  Allocates
+    the returned entry; the event loop uses {!min_priority} and
+    {!take} instead. *)
 
 val clear : 'a t -> unit
 (** Drop all entries (payloads become collectable) and reset the

@@ -100,10 +100,10 @@ let deliver t ?pred ~kind ~rank counter ~epoch ~amount =
     let key = Tilelink_sim.Counter.name counter in
     let value = Tilelink_sim.Counter.value counter in
     let now = t.clock () in
-    Tilelink_obs.Journal.record
-      (Tilelink_obs.Telemetry.journal tele)
-      ~t:now
-      (Tilelink_obs.Journal.Signal_set { key; rank; amount; value });
+    let journal = Tilelink_obs.Telemetry.journal tele in
+    if Tilelink_obs.Journal.enabled journal then
+      Tilelink_obs.Journal.record journal ~t:now
+        (Tilelink_obs.Journal.Signal_set { key; rank; amount; value });
     (* The span is recorded at *delivery* (not issue): a dropped notify
        never becomes a wait-resolution candidate, and a delayed one
        carries its real arrival time.  [pred] is the issuer's causal
@@ -116,9 +116,9 @@ let deliver t ?pred ~kind ~rank counter ~epoch ~amount =
 let fault_mark t ~fault_kind ~key ~rank =
   if Tilelink_obs.Telemetry.active t.telemetry then begin
     let tele = Option.get t.telemetry in
-    Tilelink_obs.Metrics.inc
-      (Tilelink_obs.Telemetry.metrics tele)
-      ("fault." ^ fault_kind);
+    let metrics = Tilelink_obs.Telemetry.metrics tele in
+    if Tilelink_obs.Metrics.enabled metrics then
+      Tilelink_obs.Metrics.inc metrics ("fault." ^ fault_kind);
     Tilelink_obs.Journal.record
       (Tilelink_obs.Telemetry.journal tele)
       ~t:(t.clock ())
@@ -169,31 +169,42 @@ let notify_instr ?worker t ~kind ~rank counter ~amount =
 (* Instrumented wait: journal begin/end (even for waits that are
    satisfied immediately — a zero-latency wait is still a pairing
    point) and feed the per-primitive wait-latency histogram.  The
-   pending-wait registry is maintained unconditionally: it is what
-   watchdogs and deadlock enrichment read, and must not depend on
-   telemetry being on. *)
+   pending-wait registry is maintained regardless of telemetry: it is
+   what watchdogs and deadlock enrichment read.  Only a wait that parks
+   enters it — a satisfied wait never yields, so no other process can
+   observe it in flight. *)
 let wait_instr ?waiter ?worker t ~kind ~rank counter ~threshold =
   let key = Tilelink_sim.Counter.name counter in
-  let id = t.next_wait_id in
-  t.next_wait_id <- id + 1;
+  let id =
+    if Tilelink_sim.Counter.value counter >= threshold then -1
+    else begin
+      let id = t.next_wait_id in
+      t.next_wait_id <- id + 1;
+      Hashtbl.replace t.pending id
+        { pw_key = key; pw_rank = rank; pw_threshold = threshold;
+          pw_since = t.clock () };
+      id
+    end
+  in
   (* The cancellation tag is the *executing* rank (the process that
      blocks here), which for pc waits differs from [rank] (the channel
      owner): killing a rank must wake the workers it hosts, not the
      waiters watching its channels. *)
   let tag = Option.value ~default:Tilelink_sim.Counter.no_tag waiter in
-  Hashtbl.replace t.pending id
-    { pw_key = key; pw_rank = rank; pw_threshold = threshold;
-      pw_since = t.clock () };
   (if Tilelink_obs.Telemetry.active t.telemetry then begin
      let tele = Option.get t.telemetry in
      let journal = Tilelink_obs.Telemetry.journal tele in
+     let journaling = Tilelink_obs.Journal.enabled journal in
      let t0 = t.clock () in
-     Tilelink_obs.Journal.record journal ~t:t0
-       (Tilelink_obs.Journal.Wait_begin { key; rank; threshold });
+     if journaling then
+       Tilelink_obs.Journal.record journal ~t:t0
+         (Tilelink_obs.Journal.Wait_begin { key; rank; threshold });
      Tilelink_sim.Counter.await_ge ~tag counter threshold;
      let t1 = t.clock () in
-     Tilelink_obs.Journal.record journal ~t:t1
-       (Tilelink_obs.Journal.Wait_end { key; rank; threshold; started = t0 });
+     if journaling then
+       Tilelink_obs.Journal.record journal ~t:t1
+         (Tilelink_obs.Journal.Wait_end
+            { key; rank; threshold; started = t0 });
      let metrics = Tilelink_obs.Telemetry.metrics tele in
      Tilelink_obs.Metrics.inc metrics kind.waits;
      Tilelink_obs.Metrics.observe metrics kind.wait_us (t1 -. t0);
@@ -208,7 +219,7 @@ let wait_instr ?waiter ?worker t ~kind ~rank counter ~threshold =
          ~key ~threshold ~t0 ~t1
    end
    else Tilelink_sim.Counter.await_ge ~tag counter threshold);
-  Hashtbl.remove t.pending id
+  if id >= 0 then Hashtbl.remove t.pending id
 
 let create ~world_size ~channels_per_rank ?(peer_channels = 1) ?telemetry
     ?(clock = fun () -> 0.0) ?interceptor ?scheduler () =

@@ -74,10 +74,12 @@ module Obs = Tilelink_obs
    island runs under "<label>+replay@x" — same Replay kind, but the
    "@x" marker flows into the span labels so the causal profiler can
    surface cross-island replay as its own recovery sub-bucket. *)
-let is_cross_replay_label label = String.ends_with ~suffix:"+replay@x" label
+type replay = Not_replay | Replay | Cross_island_replay
 
-let is_replay_label label =
-  String.ends_with ~suffix:"+replay" label || is_cross_replay_label label
+let replay_suffix = function
+  | Not_replay -> ""
+  | Replay -> "+replay"
+  | Cross_island_replay -> "+replay@x"
 
 (* ------------------------------------------------------------------ *)
 (* Tile-completion ledger                                              *)
@@ -110,15 +112,54 @@ exception Abandoned
    executing rank [ec_exec_rank] differs from the task's owning rank on
    the replay path (a survivor executes the dead rank's task: data
    semantics keep the owner, timing and trace attribution follow the
-   executor). *)
+   executor).  A task is only as alive as its executor: [ec_crashed] is
+   the run's per-rank crash flags, indexed by [ec_exec_rank]. *)
 type exec_ctx = {
   ec_exec_rank : int;
-  ec_live : unit -> bool;
+  ec_crashed : bool array;
+  ec_replay : replay;  (* span kind and label marker of replayed work *)
   ec_force_copy : bool;  (* replay: transfers against recovered memory *)
   ec_on_notify : unit -> unit;  (* ledger checkpoint hook *)
 }
 
-let check_live ctx = if not (ctx.ec_live ()) then raise Abandoned
+let check_live ctx =
+  if ctx.ec_crashed.(ctx.ec_exec_rank) then raise Abandoned
+
+let span_kind ctx plain =
+  match ctx.ec_replay with
+  | Not_replay -> plain
+  | Replay | Cross_island_replay -> Obs.Span.Replay
+
+let span_label ctx label =
+  match ctx.ec_replay with
+  | Cross_island_replay -> label ^ "@x"
+  | Not_replay | Replay -> label
+
+(* In-flight loads of one worker: (access, ready time) pairs.
+   [prune_loads t] drops the loads that completed by [t] and returns
+   the list itself when none did, so a steady pipeline does not copy it
+   on every Load. *)
+let rec prune_loads t = function
+  | [] -> []
+  | ((_, ready) as load) :: rest as loads ->
+    let kept = prune_loads t rest in
+    if ready > t then if kept == rest then loads else load :: kept else kept
+
+let rec reads_overlap access = function
+  | [] -> false
+  | read :: rest ->
+    Instr.accesses_overlap access read || reads_overlap access rest
+
+(* When [reads] can start: the latest ready time of a pending load they
+   overlap, or [now].  Only a load still in flight can raise the result
+   above [now], so completed loads skip the overlap test. *)
+let rec load_ready acc reads = function
+  | [] -> acc
+  | (access, ready) :: rest ->
+    let acc =
+      if ready > acc && reads_overlap access reads then ready else acc
+    in
+    load_ready acc reads rest
 
 (* Execute one instruction on behalf of [rank], on a worker of a role
    bound to [lane].  [worker_sms] is how many SMs this worker stands
@@ -129,7 +170,6 @@ let exec_instr cluster channels memory ~telemetry ~data ~rank ~ctx ~lane
     ~worker_sms ~comm_active ~pending_loads ~worker ~label instr =
   let spec = Cluster.spec cluster in
   let trace = Cluster.trace cluster in
-  let now () = Cluster.now cluster in
   check_live ctx;
   match instr with
   | Instr.Load { access } ->
@@ -138,25 +178,18 @@ let exec_instr cluster channels memory ~telemetry ~data ~rank ~ctx ~lane
        the data before then — which multi-stage pipelining avoids by
        hoisting the load ahead of the previous tile's compute. *)
     if spec.Spec.gpu.load_latency > 0.0 then begin
-      let t = now () in
+      let t = Cluster.now cluster in
       pending_loads :=
         (access, t +. spec.Spec.gpu.load_latency)
-        :: List.filter (fun (_, ready) -> ready > t) !pending_loads
+        :: prune_loads t !pending_loads
     end
   | Instr.Store _ -> ()
   | Instr.Sleep d ->
     Process.wait d;
     check_live ctx
   | Instr.Compute { label = clabel; cost; reads; action; _ } ->
-    let ready =
-      List.fold_left
-        (fun acc (access, ready) ->
-          if List.exists (Instr.accesses_overlap access) reads then
-            Float.max acc ready
-          else acc)
-        (now ()) !pending_loads
-    in
-    let issue = now () in
+    let ready = load_ready (Cluster.now cluster) reads !pending_loads in
+    let issue = Cluster.now cluster in
     if ready > issue then Process.wait (ready -. issue);
     (* Fusion interference applies only while a communication role is
        actually running on this rank: L2 pollution, scheduler and HBM
@@ -172,26 +205,26 @@ let exec_instr cluster channels memory ~telemetry ~data ~rank ~ctx ~lane
       *. interference
       *. Cluster.compute_scale cluster ~rank_id:ctx.ec_exec_rank
     in
-    let t0 = now () in
+    let t0 = Cluster.now cluster in
     if duration > 0.0 then Process.wait duration;
     (* A kernel that was mid-tile when its rank died produced nothing:
        no trace span, no data mutation — the ledger marks the tile
        lost and the coordinator replays it. *)
     check_live ctx;
     Trace.add trace ~rank:ctx.ec_exec_rank ~lane ~label:clabel ~t0
-      ~t1:(now ());
+      ~t1:(Cluster.now cluster);
     if Obs.Telemetry.active telemetry then begin
       let tele = Option.get telemetry in
       let m = Obs.Telemetry.metrics tele in
       Obs.Metrics.inc m "tiles.compute";
-      Obs.Metrics.observe m "compute_us" (now () -. t0);
+      Obs.Metrics.observe m "compute_us" (Cluster.now cluster -. t0);
       if ready > issue then
         Obs.Metrics.observe m "load_stall_us" (ready -. issue);
       Obs.Span.record_task
         (Obs.Telemetry.spans tele)
-        ~kind:(if is_replay_label label then Obs.Span.Replay else Obs.Span.Compute)
-        ~label:(if is_cross_replay_label label then clabel ^ "@x" else clabel)
-        ~rank:ctx.ec_exec_rank ~worker ~t0 ~t1:(now ())
+        ~kind:(span_kind ctx Obs.Span.Compute)
+        ~label:(span_label ctx clabel)
+        ~rank:ctx.ec_exec_rank ~worker ~t0 ~t1:(Cluster.now cluster)
     end;
     if data then Option.iter (fun act -> act memory ~rank) action
   | Instr.Copy { label = clabel; src; dst; bytes; action } ->
@@ -205,7 +238,7 @@ let exec_instr cluster channels memory ~telemetry ~data ~rank ~ctx ~lane
       && src_rank <> dst_rank
       && not (Cluster.transfer_ok cluster ~src:src_rank ~dst:dst_rank)
     then raise Abandoned;
-    let t0 = now () in
+    let t0 = Cluster.now cluster in
     (* Copy-engine stall injection: charged before the copy admits, so
        it shows up inside the traced copy span. *)
     let stall = Cluster.copy_stall_us cluster ~rank_id:ctx.ec_exec_rank in
@@ -225,19 +258,18 @@ let exec_instr cluster channels memory ~telemetry ~data ~rank ~ctx ~lane
         ~dst:dst_rank ~bytes;
     check_live ctx;
     Trace.add trace ~rank:ctx.ec_exec_rank ~lane ~label:clabel ~t0
-      ~t1:(now ());
+      ~t1:(Cluster.now cluster);
     if Obs.Telemetry.active telemetry then begin
       let tele = Option.get telemetry in
       let m = Obs.Telemetry.metrics tele in
       Obs.Metrics.inc m "tiles.copy";
       Obs.Metrics.add_gauge m "bytes.copied" bytes;
-      Obs.Metrics.observe m "copy_us" (now () -. t0);
-      if src_rank <> dst_rank then
+      Obs.Metrics.observe m "copy_us" (Cluster.now cluster -. t0);
+      let journal = Obs.Telemetry.journal tele in
+      if src_rank <> dst_rank && Obs.Journal.enabled journal then
         (* A copy whose destination is the executing rank fetched a
            remote tile (pull); one that lands remotely pushed ours. *)
-        Obs.Journal.record
-          (Obs.Telemetry.journal tele)
-          ~t:(now ())
+        Obs.Journal.record journal ~t:(Cluster.now cluster)
           (if dst_rank = rank then
              Obs.Journal.Tile_pull
                { label = clabel; src = src_rank; dst = dst_rank; bytes }
@@ -246,9 +278,9 @@ let exec_instr cluster channels memory ~telemetry ~data ~rank ~ctx ~lane
                { label = clabel; src = src_rank; dst = dst_rank; bytes });
       Obs.Span.record_task
         (Obs.Telemetry.spans tele)
-        ~kind:(if is_replay_label label then Obs.Span.Replay else Obs.Span.Copy)
-        ~label:(if is_cross_replay_label label then clabel ^ "@x" else clabel)
-        ~rank:ctx.ec_exec_rank ~worker ~t0 ~t1:(now ())
+        ~kind:(span_kind ctx Obs.Span.Copy)
+        ~label:(span_label ctx clabel)
+        ~rank:ctx.ec_exec_rank ~worker ~t0 ~t1:(Cluster.now cluster)
     end;
     if data then begin
       match action with
@@ -256,14 +288,14 @@ let exec_instr cluster channels memory ~telemetry ~data ~rank ~ctx ~lane
       | None -> Dataop.copy_action src dst memory ~rank
     end
   | Instr.Wait { target; threshold; _ } ->
-    let t0 = now () in
+    let t0 = Cluster.now cluster in
     if spec.Spec.overheads.signal_wait > 0.0 then
       Process.wait spec.Spec.overheads.signal_wait;
     exec_wait channels ~waiter:ctx.ec_exec_rank ~worker target ~threshold;
     (* A force-woken wait (the rank died while parked) returns with its
        threshold unsatisfied — abandon before touching anything. *)
     check_live ctx;
-    let t1 = now () in
+    let t1 = Cluster.now cluster in
     if t1 > t0 then
       Trace.add trace ~rank:ctx.ec_exec_rank ~lane:Trace.Wait ~label ~t0 ~t1
   | Instr.Notify { target; amount; _ } ->
@@ -295,7 +327,7 @@ let split_leading_waits instrs =
    across roles both emerge.  Each queue item carries its optional
    ledger entry; a task abandoned mid-flight poisons its entry, and the
    worker drains if its own rank is the casualty. *)
-let worker_body cluster channels memory ~telemetry ~data ~rank ~live ~lane
+let worker_body cluster channels memory ~telemetry ~data ~rank ~crashed ~lane
     ~worker_sms ~comm_active ~unit_pool queue () =
   let pending_loads = ref [] in
   let current : ledger_entry option ref = ref None in
@@ -310,7 +342,8 @@ let worker_body cluster channels memory ~telemetry ~data ~rank ~live ~lane
   let ctx =
     {
       ec_exec_rank = rank;
-      ec_live = live;
+      ec_crashed = crashed;
+      ec_replay = Not_replay;
       ec_force_copy = false;
       ec_on_notify =
         (fun () ->
@@ -352,7 +385,7 @@ let worker_body cluster channels memory ~telemetry ~data ~rank ~live ~lane
         current := None;
         (* A survivor that lost one copy to a dead shard keeps going —
            only its own rank dying drains the worker. *)
-        if live () then loop ())
+        if not crashed.(rank) then loop ())
   in
   loop ()
 
@@ -360,7 +393,7 @@ let is_comm_lane = function
   | Trace.Comm_sm | Trace.Dma | Trace.Host | Trace.Link -> true
   | Trace.Compute_sm | Trace.Wait -> false
 
-let run_role cluster channels memory ~telemetry ~data ~rank ~live
+let run_role cluster channels memory ~telemetry ~data ~rank ~crashed
     ~comm_active ~tracked (role : Program.role) () =
   let spec = Cluster.spec cluster in
   let cluster_rank = Cluster.rank cluster rank in
@@ -375,9 +408,9 @@ let run_role cluster channels memory ~telemetry ~data ~rank ~live
     let join =
       Process.spawn_all (Cluster.engine cluster)
         (List.init count (fun _ ->
-             worker_body cluster channels memory ~telemetry ~data ~rank ~live
-               ~lane:role.Program.lane ~worker_sms:1 ~comm_active ~unit_pool
-               queue))
+             worker_body cluster channels memory ~telemetry ~data ~rank
+               ~crashed ~lane:role.Program.lane ~worker_sms:1 ~comm_active
+               ~unit_pool queue))
     in
     Process.Join.wait join
   in
@@ -388,7 +421,7 @@ let run_role cluster channels memory ~telemetry ~data ~rank ~live
     run_workers count (Some cluster_rank.Cluster.dma)
   | Program.Host_stream ->
     let queue = ref tracked in
-    worker_body cluster channels memory ~telemetry ~data ~rank ~live
+    worker_body cluster channels memory ~telemetry ~data ~rank ~crashed
       ~lane:role.Program.lane ~worker_sms:1 ~comm_active ~unit_pool:None
       queue ()
 
@@ -688,17 +721,18 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
   | _ -> ());
   (* Liveness: once a rank has crashed its in-flight kernel state is
      gone for good — a transient restart makes the rank *reachable*
-     again but does not resurrect the work, so [live] stays false for
-     the rest of the run and the coordinator replays the loss. *)
-  let crashed_once : (int, unit) Hashtbl.t = Hashtbl.create 4 in
-  let live_for rank () = not (Hashtbl.mem crashed_once rank) in
+     again but does not resurrect the work, so its [crashed] flag stays
+     set for the rest of the run and the coordinator replays the loss.
+     Every instruction boundary reads the flag, so it is a plain array,
+     not a table. *)
+  let crashed = Array.make (Program.world_size program) false in
   (* Crashes pending failover handling, in kill order. *)
   let pending_crashes : (int * float) Queue.t = Queue.create () in
   List.iter
     (fun (crash_rank, { Chaos.cr_at; cr_until }) ->
       Engine.schedule engine ~delay:cr_at (fun () ->
-          if not (Hashtbl.mem crashed_once crash_rank) then begin
-            Hashtbl.replace crashed_once crash_rank ();
+          if not crashed.(crash_rank) then begin
+            crashed.(crash_rank) <- true;
             Cluster.kill_rank cluster ~rank_id:crash_rank;
             Queue.add (crash_rank, Cluster.now cluster) pending_crashes;
             journal_ev
@@ -725,8 +759,8 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
             Hashtbl.find tracked_tbl (rank, role.Program.role_name)
           in
           Process.spawn (Cluster.engine cluster)
-            (run_role cluster channels memory ~telemetry ~data ~rank
-               ~live:(live_for rank) ~comm_active ~tracked role))
+            (run_role cluster channels memory ~telemetry ~data ~rank ~crashed
+               ~comm_active ~tracked role))
         plan)
     (Program.plans program);
   (* The failover coordinator: runs at the top of every watchdog tick
@@ -755,7 +789,7 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
   let settled_replayed = ref 0 in
   let survivors_now () =
     List.filter
-      (fun r -> not (Hashtbl.mem crashed_once r))
+      (fun r -> not crashed.(r))
       (List.init (Program.world_size program) Fun.id)
   in
   let island_of r = Cluster.island_of cluster ~rank_id:r in
@@ -874,7 +908,7 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
         (fun e ->
           (not e.le_done)
           && (not e.le_replaying)
-          && (Hashtbl.mem crashed_once e.le_rank || e.le_poisoned))
+          && (crashed.(e.le_rank) || e.le_poisoned))
         ledger
     in
     match (pending, survivors_now ()) with
@@ -953,13 +987,17 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
                       metric_inc "recovery.cross_island_replays"
                     end;
                     let skip = ref e.le_notified in
+                    let replay =
+                      if cross_island then Cross_island_replay else Replay
+                    in
                     let ctx =
                       {
-                        ec_exec_rank = exec_rank;
                         (* A replay is only as alive as its executor: a
                            survivor dying mid-replay must abandon, not
                            plough on against a dead rank's resources. *)
-                        ec_live = live_for exec_rank;
+                        ec_exec_rank = exec_rank;
+                        ec_crashed = crashed;
+                        ec_replay = replay;
                         ec_force_copy = true;
                         (* Checkpoint replayed notifies too, so a replay
                            cut short by a second crash resumes past the
@@ -974,9 +1012,7 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
                       exec_instr cluster channels memory ~telemetry ~data
                         ~rank:owner_rank ~ctx ~lane:Trace.Comm_sm ~worker_sms:1
                         ~comm_active ~pending_loads ~worker
-                        ~label:
-                          (task.Program.label
-                          ^ if cross_island then "+replay@x" else "+replay")
+                        ~label:(task.Program.label ^ replay_suffix replay)
                     in
                     match
                       List.iter

@@ -244,10 +244,11 @@ let search ?pool ?cache ?cache_key ?analyze ~build ~evaluate configs =
 (* The shared program evaluator: telemetry adds no simulated time, so
    the makespan is the one the plain evaluator would report; the spans
    additionally give each candidate its exposed-communication blame —
-   the why behind its rank in the sweep. *)
+   the why behind its rank in the sweep.  Nothing else of the run is
+   read, so only the span half records. *)
 let evaluate_program ~make_cluster program =
   let cluster = make_cluster () in
-  let telemetry = Tilelink_obs.Telemetry.create () in
+  let telemetry = Tilelink_obs.Telemetry.spans_only () in
   let r = Runtime.run ~telemetry cluster program in
   let attribution =
     Tilelink_obs.Attribution.of_spans ~makespan:r.Runtime.makespan

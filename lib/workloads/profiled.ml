@@ -12,8 +12,8 @@ open Tilelink_machine
 module Obs = Tilelink_obs
 
 let record_program_shape telemetry (program : Program.t) =
-  if Obs.Telemetry.enabled telemetry then begin
-    let m = Obs.Telemetry.metrics telemetry in
+  let m = Obs.Telemetry.metrics telemetry in
+  if Obs.Metrics.enabled m then begin
     Obs.Metrics.set_gauge m "workload.world_size"
       (float_of_int (Program.world_size program));
     Obs.Metrics.set_gauge m "workload.pc_channels"

@@ -26,8 +26,7 @@ let buckets_line (a : Obs.Attribution.t) =
     b.Obs.Attribution.wait_stall b.Obs.Attribution.contention
     b.Obs.Attribution.straggler b.Obs.Attribution.recovery
 
-let run_suite_program program =
-  let telemetry = Obs.Telemetry.create () in
+let run_suite_program ?(telemetry = Obs.Telemetry.create ()) program =
   let cluster =
     Cluster.create Calib.test_machine
       ~world_size:(Program.world_size program)
@@ -43,6 +42,26 @@ let run_suite_program program =
 let suite_lines () =
   List.map
     (fun (name, program) -> "suite:" ^ name ^ "\t" ^ run_suite_program program)
+    (Suite.programs ())
+
+(* A spans-only handle (what search scoring and chaos trials use) must
+   see exactly the run a fully enabled one sees, and record nothing in
+   its other halves. *)
+let test_spans_only_matches_full () =
+  List.iter
+    (fun (name, program) ->
+      let telemetry = Obs.Telemetry.spans_only () in
+      Alcotest.(check string) name
+        (run_suite_program program)
+        (run_suite_program ~telemetry program);
+      Alcotest.(check (list string))
+        (name ^ ": no metrics") []
+        (Obs.Metrics.counter_names (Obs.Telemetry.metrics telemetry)
+        @ Obs.Metrics.gauge_names (Obs.Telemetry.metrics telemetry)
+        @ Obs.Metrics.histogram_names (Obs.Telemetry.metrics telemetry));
+      Alcotest.(check int)
+        (name ^ ": no journal entries") 0
+        (Obs.Journal.length (Obs.Telemetry.journal telemetry)))
     (Suite.programs ())
 
 (* AG+GEMM and GEMM+RS at a small shape on 4 ranks: every candidate's
@@ -96,5 +115,7 @@ let () =
         [
           Alcotest.test_case "simulation outputs match the golden file" `Quick
             test_sim_golden;
+          Alcotest.test_case "spans-only telemetry matches full telemetry"
+            `Quick test_spans_only_matches_full;
         ] );
     ]
