@@ -10,14 +10,16 @@
      next rank's other slot;
    - block arrival and block consumption are peer signals: the sender
      may not overwrite the destination slot before every consumer tile
-     of the *previous* step has read it;
+     of the *previous* step has read it, and before the destination
+     rank has forwarded it;
    - flash-attention state accumulates across steps with the correct
      global kv offsets, so causal masking works unchanged.
 
    Signal layout (peer channels): arrival of step s = channel 2s
    (src = previous rank, or self for s = 0); consumption of step s =
-   channel 2s+1 (notified tile-by-tile toward the previous rank, which
-   is the next writer of that slot). *)
+   channel 2s+1 (notified toward the previous rank, which is the next
+   writer of that slot, by every compute tile of the step and by the
+   comm step that forwards the block). *)
 
 open Tilelink_core
 open Tilelink_tensor
@@ -67,6 +69,11 @@ let program ?(config = default_config) (spec : Attention.spec)
   let n_tasks = z_count * m_tiles in
   let arrival step = 2 * step in
   let consumed step = (2 * step) + 1 in
+  (* Per-tile step order, on the rank's own peer row (which carries
+     only arrival 0): tile [i] counts its finished steps on channel
+     [1 + i], so its steps fold into the flash state in step order on
+     every backend. *)
+  let tile_order i = 1 + i in
   let rows = z_count * spr in
   (* Peer signals only: one channel per rank, one context per rank. *)
   let lower_cfgs =
@@ -126,7 +133,9 @@ let program ?(config = default_config) (spec : Attention.spec)
             ]
           in
           let wait_slot_free =
-            (* The destination slot was read by next's step s-1. *)
+            (* The destination slot was read at next's step s-1: by its
+               n_tasks tiles, and by its comm step s-1, which forwarded
+               the block from it. *)
             if s = 0 then []
             else
               [
@@ -134,7 +143,7 @@ let program ?(config = default_config) (spec : Attention.spec)
                   {
                     tile_key = consumed (s - 1);
                     src = next;
-                    threshold = n_tasks;
+                    threshold = n_tasks + 1;
                     guards = [];
                   };
               ]
@@ -165,6 +174,9 @@ let program ?(config = default_config) (spec : Attention.spec)
                         ~col:(0, d) ();
                     ];
                 };
+              (* Slot s mod 2 is forwarded: prev may overwrite it. *)
+              Primitive.Peer_tile_notify
+                { tile_key = consumed s; dst = prev; amount = 1; releases = [] };
             ]
           in
           {
@@ -181,9 +193,11 @@ let program ?(config = default_config) (spec : Attention.spec)
            deadlock whenever tiles outnumber workers: the consumed
            threshold of a step counts *every* tile).  Flash state
            persists across a tile's step tasks through a shared
-           closure; online softmax is arrival-order insensitive, so
-           concurrent steps of one tile are safe. --- *)
+           closure, so a tile's step s+1 waits for its step s: the
+           update is not bitwise order-insensitive, and two steps of
+           one tile must never update the state concurrently. --- *)
         let attn_task z mt =
+          let order = tile_order ((z * m_tiles) + mt) in
           let qlo = (z * spr) + (mt * config.q_tile) in
           let qhi = qlo + config.q_tile in
           let tile_mask =
@@ -226,7 +240,13 @@ let program ?(config = default_config) (spec : Attention.spec)
               Nn.Flash.update (get_state ()) q_block k_block v_block
                 ~kv_offset:(seg * spr)
             in
-            [
+            (if s = 0 then []
+             else
+               [
+                 Primitive.Peer_tile_wait
+                   { tile_key = order; src = rank; threshold = s; guards = [] };
+               ])
+            @ [
               Primitive.Peer_tile_wait
                 {
                   tile_key = arrival s;
@@ -256,6 +276,8 @@ let program ?(config = default_config) (spec : Attention.spec)
             if s = r - 1 then []
             else
               [
+                Primitive.Peer_tile_notify
+                  { tile_key = order; dst = rank; amount = 1; releases = [] };
                 Primitive.Peer_tile_notify
                   { tile_key = consumed s; dst = prev; amount = 1;
                     releases = [] };
@@ -326,4 +348,5 @@ let program ?(config = default_config) (spec : Attention.spec)
         ])
   in
   Program.create ~name:"ring_attention" ~world_size:r ~pc_channels:1
-    ~peer_channels:(2 * r) plans
+    ~peer_channels:(max (2 * r) (n_tasks + 1))
+    plans

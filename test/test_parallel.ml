@@ -110,6 +110,17 @@ let test_suite_single_domain () =
     (fun name -> check_case ~domains:1 name (List.assoc name cases))
     [ "mlp_ag_gemm_pull/w2/t2"; "mlp_gemm_rs/w4"; "ring_attention/w2" ]
 
+(* The ring attention double buffer, repeated: a comm step forwards
+   the block in its slot while the predecessor waits to overwrite that
+   slot, and a tile's step tasks fold into one flash state.  Either
+   race shows up as a seq/par bit mismatch in some runs, not every
+   run. *)
+let test_ring_attention_repeated () =
+  let case = List.assoc "ring_attention/w4" (Suite.data_cases ()) in
+  for _ = 1 to 100 do
+    check_case ~domains:2 "ring_attention/w4" case
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Randomized Table-2-style specs (QCheck)                             *)
 (* ------------------------------------------------------------------ *)
@@ -246,6 +257,8 @@ let () =
             test_suite_bit_identity;
           Alcotest.test_case "single-domain team" `Quick
             test_suite_single_domain;
+          Alcotest.test_case "ring attention, 100 runs" `Quick
+            test_ring_attention_repeated;
           QCheck_alcotest.to_alcotest qcheck_random_specs;
         ] );
       ( "guards",
