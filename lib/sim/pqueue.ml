@@ -10,11 +10,9 @@
    once pushed, so a sift moves only floats and ints and never pays the
    write barrier.  Positions [size] and beyond of [slots] hold the
    vacant payload slots, so [slots] is always a permutation of the slot
-   indices.  A push allocates nothing beyond amortized growth, and the
-   engine's pop ({!min_priority} then {!take}) allocates nothing at
-   all.  Sifts move a hole instead of swapping. *)
-
-type 'a entry = { priority : float; seq : int; payload : 'a }
+   indices.  A push allocates nothing beyond amortized growth, and a
+   pop ([min_priority] then [take]) allocates nothing at all.  Sifts
+   move a hole instead of swapping. *)
 
 type 'a t = {
   mutable prio : float array;
@@ -124,23 +122,6 @@ let take t =
   if last > 0 then sift_down t 0 ~src:last;
   t.slots.(last) <- slot;
   top
-
-let top_entry t =
-  {
-    priority = t.prio.(0);
-    seq = t.seqs.(0);
-    payload = t.payloads.(t.slots.(0));
-  }
-
-let peek t = if t.size = 0 then None else Some (top_entry t)
-
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let e = top_entry t in
-    ignore (take t);
-    Some e
-  end
 
 let clear t =
   Array.fill t.payloads 0 (Array.length t.payloads) (dummy ());

@@ -1,9 +1,8 @@
 (** Binary min-heap priority queue with FIFO tie-breaking.
 
     Events pushed with equal priority pop in insertion order, which
-    makes the discrete-event loop deterministic. *)
-
-type 'a entry = { priority : float; seq : int; payload : 'a }
+    makes the discrete-event loop deterministic.  A pop is
+    {!min_priority} then {!take}; neither allocates. *)
 
 type 'a t
 
@@ -11,21 +10,14 @@ val create : unit -> 'a t
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 val push : 'a t -> float -> 'a -> unit
-val peek : 'a t -> 'a entry option
 
 val min_priority : 'a t -> float
 (** Priority of the minimum.  Raises [Invalid_argument] when empty. *)
 
 val take : 'a t -> 'a
-(** Removes the minimum and returns its payload without allocating;
-    the vacated slot is cleared as in {!pop}.  Raises
-    [Invalid_argument] when empty. *)
-
-val pop : 'a t -> 'a entry option
-(** Removes the minimum and clears the vacated slot, so the popped
-    payload is collectable as soon as the caller drops it.  Allocates
-    the returned entry; the event loop uses {!min_priority} and
-    {!take} instead. *)
+(** Removes the minimum and returns its payload.  The vacated slot is
+    cleared, so the payload is collectable as soon as the caller drops
+    it.  Raises [Invalid_argument] when empty. *)
 
 val clear : 'a t -> unit
 (** Drop all entries (payloads become collectable) and reset the

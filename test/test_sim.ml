@@ -8,13 +8,20 @@ let check_float = Alcotest.(check (float 1e-9))
 (* Pqueue                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* One pop: the minimum's priority and payload. *)
+let pop q =
+  if Pqueue.is_empty q then None
+  else
+    let priority = Pqueue.min_priority q in
+    Some (priority, Pqueue.take q)
+
 let test_pqueue_order () =
   let q = Pqueue.create () in
   Pqueue.push q 3.0 "c";
   Pqueue.push q 1.0 "a";
   Pqueue.push q 2.0 "b";
   let pop () =
-    match Pqueue.pop q with Some e -> e.Pqueue.payload | None -> "?"
+    match pop q with Some (_, x) -> x | None -> "?"
   in
   let first = pop () in
   let second = pop () in
@@ -26,7 +33,7 @@ let test_pqueue_fifo_ties () =
   let q = Pqueue.create () in
   List.iter (fun s -> Pqueue.push q 1.0 s) [ "x"; "y"; "z" ];
   let pop () =
-    match Pqueue.pop q with Some e -> e.Pqueue.payload | None -> "?"
+    match pop q with Some (_, x) -> x | None -> "?"
   in
   let first = pop () in
   let second = pop () in
@@ -37,8 +44,12 @@ let test_pqueue_fifo_ties () =
 let test_pqueue_empty () =
   let q : int Pqueue.t = Pqueue.create () in
   Alcotest.(check bool) "empty" true (Pqueue.is_empty q);
-  Alcotest.(check bool) "pop none" true (Pqueue.pop q = None);
-  Alcotest.(check bool) "peek none" true (Pqueue.peek q = None)
+  Alcotest.check_raises "take raises"
+    (Invalid_argument "Pqueue.take: empty queue") (fun () ->
+      ignore (Pqueue.take q));
+  Alcotest.check_raises "min_priority raises"
+    (Invalid_argument "Pqueue.min_priority: empty queue") (fun () ->
+      ignore (Pqueue.min_priority q))
 
 (* The heap must clear vacated slots on pop: a payload dropped by the
    caller has to be collectable even while the queue itself stays
@@ -52,7 +63,7 @@ let test_pqueue_pop_releases_payload () =
     Weak.set w 0 (Some v);
     Pqueue.push q 1.0 v;
     Pqueue.push q 2.0 (ref 0);
-    ignore (Pqueue.pop q);
+    ignore (Pqueue.take q);
     (q, w)
   in
   let q, w = build () in
@@ -79,7 +90,7 @@ let test_pqueue_clear () =
      a fresh queue. *)
   List.iter (fun v -> Pqueue.push q 1.0 (ref v)) [ 1; 2 ];
   let pop () =
-    match Pqueue.pop q with Some e -> !(e.Pqueue.payload) | None -> -1
+    match pop q with Some (_, x) -> !x | None -> -1
   in
   let first = pop () in
   let second = pop () in
@@ -93,9 +104,9 @@ let prop_pqueue_sorts =
       let q = Pqueue.create () in
       List.iter (fun p -> Pqueue.push q p ()) priorities;
       let rec drain last =
-        match Pqueue.pop q with
+        match pop q with
         | None -> true
-        | Some e -> e.Pqueue.priority >= last && drain e.Pqueue.priority
+        | Some (p, ()) -> p >= last && drain p
       in
       drain neg_infinity)
 
@@ -118,12 +129,7 @@ let prop_pqueue_fifo_interleaved =
             reference := rest;
             Some top
         in
-        let got =
-          Option.map
-            (fun e -> (e.Pqueue.priority, e.Pqueue.payload))
-            (Pqueue.pop q)
-        in
-        got = expected
+        pop q = expected
       in
       let step = function
         | Some p ->
