@@ -19,9 +19,8 @@ let create ?(enabled = true) ?journal_capacity () =
 
 (* Callers that read only the spans (search scoring, chaos trials)
    switch the other halves off.  The journal keeps its default ring
-   even though it stays empty: a one-entry ring made the major GC run
-   less often per candidate and raised a tuning sweep's peak memory by
-   ~7%. *)
+   even though it stays empty: with a one-entry ring the major GC ran
+   less often per candidate, and a tuning sweep's peak memory rose. *)
 let spans_only () =
   let t = create () in
   Metrics.set_enabled t.metrics false;
