@@ -7,7 +7,9 @@
    - every [Suite] program: makespan, notifies, executed events, span
      count and the six attribution buckets;
    - the scores [Tune.search_programs] gives a small design space;
-   - one forced-crash chaos trial per workload, as its JSON record.
+   - one forced-crash chaos trial per workload, plus a whole-island
+     crash on islands2x8 and a default-spec trial (machine and signal
+     faults drawn against a layout) on hetero16, as JSON records.
 
    Floats are rendered with [%h], so a one-ulp drift is a failure. *)
 
@@ -94,15 +96,27 @@ let search_lines () =
           ~spec_gpu:Calib.h800)
       (Tuned.gemm_rs_candidates ~world_size:world)
 
+let trial_line name (t : Harness.trial) =
+  Printf.sprintf "trial:%s\tmakespan=%h recovery=%h %s" name
+    t.Harness.makespan_us t.Harness.recovery_overhead_us
+    (Obs.Json.to_string (Harness.trial_to_json t))
+
 let trial_lines () =
   List.map
     (fun workload ->
-      let t = Harness.run_trial ~crash_ranks:1 ~workload ~seed:42 ~index:0 () in
-      Printf.sprintf "trial:%s\tmakespan=%h recovery=%h %s"
+      trial_line
         (Harness.workload_to_string workload)
-        t.Harness.makespan_us t.Harness.recovery_overhead_us
-        (Obs.Json.to_string (Harness.trial_to_json t)))
+        (Harness.run_trial ~crash_ranks:1 ~workload ~seed:42 ~index:0 ()))
     [ Harness.Mlp_ag_gemm; Harness.Moe_part2; Harness.Attention_ag ]
+  @ [
+      trial_line "mlp@islands2x8/crash8"
+        (Harness.run_trial ~crash_ranks:8
+           ~topology:Topology.islands2x8
+           ~workload:Harness.Mlp_ag_gemm ~seed:42 ~index:0 ());
+      trial_line "mlp@hetero16"
+        (Harness.run_trial ~topology:Topology.hetero16
+           ~workload:Harness.Mlp_ag_gemm ~seed:42 ~index:0 ());
+    ]
 
 let test_sim_golden () =
   Golden.check ~what:"simulation outputs" "sim_golden.tsv"
