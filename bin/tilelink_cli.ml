@@ -1235,13 +1235,6 @@ module Harness = Tilelink_chaos.Harness
 let chaos_run seed trials workload jobs no_retry policy crash_ranks topology
     out perfetto_path check =
   let retry = not no_retry in
-  (* Crashes are only recoverable under Failover; upgrade the default
-     policy so `--crash-ranks 1` alone does the expected thing. *)
-  let policy =
-    if crash_ranks > 0 && policy = Tilelink_core.Chaos.Degrade then
-      Tilelink_core.Chaos.Failover
-    else policy
-  in
   let pool =
     if jobs > 1 then
       Some (Tilelink_exec.Pool.create ~domains:jobs ())

@@ -117,9 +117,8 @@ val run_trial :
     becomes {!Tilelink_machine.Topology.natural_world} (the workload
     shape scales with it, keeping per-rank tile volume constant), both
     runs use the topology-compiled cluster, the fault schedule is
-    drawn against the topology's layout (correlated fault domains,
-    island-correlated forced crashes) and failover remaps
-    intra-island-first. *)
+    drawn against the topology's layout (forced crashes fill whole
+    islands) and failover remaps intra-island-first. *)
 
 val profile_trial :
   ?spec:Chaos.spec ->

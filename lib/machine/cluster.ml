@@ -181,10 +181,6 @@ let kill_rank t ~rank_id =
   check_rank_id t rank_id "kill_rank";
   t.alive.(rank_id) <- false
 
-let revive_rank t ~rank_id =
-  check_rank_id t rank_id "revive_rank";
-  t.alive.(rank_id) <- true
-
 let is_alive t ~rank_id =
   check_rank_id t rank_id "is_alive";
   t.alive.(rank_id)

@@ -81,13 +81,8 @@ val nvlink_bytes : t -> rank_id:int -> float
 (** Bytes that left the rank's NVLink egress so far. *)
 
 val kill_rank : t -> rank_id:int -> unit
-(** Crash a rank: {!is_alive} flips false and transfers touching it
-    fail fast until {!mark_recovered} (or {!revive_rank}). *)
-
-val revive_rank : t -> rank_id:int -> unit
-(** Transient-crash recovery: the rank is reachable again.  Processes
-    that already abandoned work do not restart — replay is the failover
-    coordinator's job. *)
+(** Crash a rank for good: {!is_alive} flips false and transfers
+    touching it fail fast until {!mark_recovered}. *)
 
 val is_alive : t -> rank_id:int -> bool
 val alive_ranks : t -> int list

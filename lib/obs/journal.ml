@@ -28,8 +28,7 @@ type event =
   | Recovered of { key : string; rank : int; latency : float }
   | Stall_detected of { key : string; rank : int; threshold : int; value : int }
   | Degraded of { key : string; rank : int }
-  | Rank_crashed of { rank : int; transient : bool }
-      (** Chaos killed [rank]; [transient] when it will restart. *)
+  | Rank_crashed of { rank : int }  (** Chaos killed [rank]. *)
   | Remapped of { rank : int; tiles : int }
       (** Failover rerouted [tiles] unfinished tiles of dead [rank]
           onto the survivors. *)
@@ -225,11 +224,7 @@ let entry_to_json { t = time; seq; event } =
       ]
     | Degraded { key; rank } ->
       [ ("key", Json.Str key); ("rank", Json.Num (float_of_int rank)) ]
-    | Rank_crashed { rank; transient } ->
-      [
-        ("rank", Json.Num (float_of_int rank));
-        ("transient", Json.Bool transient);
-      ]
+    | Rank_crashed { rank } -> [ ("rank", Json.Num (float_of_int rank)) ]
     | Remapped { rank; tiles } ->
       [
         ("rank", Json.Num (float_of_int rank));
@@ -279,8 +274,7 @@ let entry_summary { t = time; event; _ } =
     | Stall_detected { key; rank; threshold; value } ->
       Printf.sprintf "%s rank=%d value=%d threshold=%d" key rank value threshold
     | Degraded { key; rank } -> Printf.sprintf "%s rank=%d" key rank
-    | Rank_crashed { rank; transient } ->
-      Printf.sprintf "rank=%d%s" rank (if transient then " transient" else "")
+    | Rank_crashed { rank } -> Printf.sprintf "rank=%d" rank
     | Remapped { rank; tiles } ->
       Printf.sprintf "rank=%d tiles=%d" rank tiles
     | Resumed { rank; replayed; latency } ->

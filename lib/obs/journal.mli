@@ -19,7 +19,7 @@ type event =
   | Recovered of { key : string; rank : int; latency : float }
   | Stall_detected of { key : string; rank : int; threshold : int; value : int }
   | Degraded of { key : string; rank : int }
-  | Rank_crashed of { rank : int; transient : bool }
+  | Rank_crashed of { rank : int }
   | Remapped of { rank : int; tiles : int }
   | Resumed of { rank : int; replayed : int; latency : float }
   | Request_shed of { id : int; reason : string }

@@ -263,10 +263,8 @@ let instant_events ?min_level journal =
       | Journal.Degraded { key; rank } ->
         Some (instant ~name:"DEGRADED" ~scope:"p" ~t ~rank
                 [ ("key", Json.Str key) ])
-      | Journal.Rank_crashed { rank; transient } ->
-        Some
-          (instant ~name:"CRASH" ~scope:"g" ~t ~rank
-             [ ("transient", Json.Bool transient) ])
+      | Journal.Rank_crashed { rank } ->
+        Some (instant ~name:"CRASH" ~scope:"g" ~t ~rank [])
       | Journal.Remapped { rank; tiles } ->
         Some
           (instant ~name:"REMAP" ~scope:"g" ~t ~rank

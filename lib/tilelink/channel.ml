@@ -265,9 +265,7 @@ let pending_waits t =
                   (b.pw_key, b.pw_rank, b.pw_threshold)
          | c -> c)
 
-(* The (dst, src) peer row, allocated on first use.  A name a remap
-   alias already claimed keeps pointing at the alias target, exactly as
-   if the row had existed when the alias was registered. *)
+(* The (dst, src) peer row, allocated on first use. *)
 let peer_row t ~dst ~src =
   match t.peer.(dst).(src) with
   | Some row -> row
@@ -278,8 +276,7 @@ let peer_row t ~dst ~src =
             Instr.key_of_target (Instr.Peer { src; dst; channel = c })
           in
           let counter = Tilelink_sim.Counter.create ~name () in
-          if not (Hashtbl.mem t.by_key name) then
-            Hashtbl.add t.by_key name counter;
+          Hashtbl.add t.by_key name counter;
           counter)
     in
     t.peer.(dst).(src) <- Some row;
@@ -310,16 +307,6 @@ let force_signal t ~key ~target =
   | None -> invalid_arg (Printf.sprintf "Channel.force_signal: unknown key %s" key)
   | Some c -> Tilelink_sim.Counter.set_at_least c target
 
-(* Elastic remap support: register [alias] as another name of the
-   counter behind [key].  Rerouted keys of a remapped protocol resolve
-   (for force_signal / key_value / the watchdog) to the original
-   counter the already-blocked consumers are waiting on. *)
-let register_remap t ~key ~alias =
-  match find_key t key with
-  | None ->
-    invalid_arg (Printf.sprintf "Channel.register_remap: unknown key %s" key)
-  | Some c -> Hashtbl.replace t.by_key alias c
-
 let world_size t = t.world_size
 let channels_per_rank t = t.channels_per_rank
 
@@ -338,8 +325,6 @@ let check_channel t c label =
    up forever and a polling watchdog would spin for eternity. *)
 let cancel_rank_waits t ~rank =
   check_rank t rank "cancel_rank_waits";
-  (* Iterate the structured arrays, not [by_key]: remap aliases point
-     at counters already visited and must not be cancelled twice. *)
   let n = ref 0 in
   let cancel c = n := !n + Tilelink_sim.Counter.cancel_tag c ~tag:rank in
   Array.iter (Array.iter cancel) t.pc;

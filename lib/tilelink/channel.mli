@@ -108,13 +108,6 @@ val cancel_rank_waits : t -> rank:int -> int
     number of waits released.  This is how a crash stops a dead rank's
     workers from parking forever. *)
 
-val register_remap : t -> key:string -> alias:string -> unit
-(** Make [alias] resolve (for {!force_signal}, {!key_value},
-    {!intended_value} consumers going through [key_value]) to the same
-    counter as [key] — the elastic-remap hook that reroutes a dead
-    rank's channel keys onto survivor-owned counters.  Raises
-    [Invalid_argument] when [key] is unknown. *)
-
 val total_notifies : t -> int
 
 val pending_waits : t -> pending_wait list

@@ -97,17 +97,6 @@ type spec = {
   delay_prob : float;
   delay_us : float;
   reissue_drop_prob : float;
-  crash_prob : float;
-  crash_transient_prob : float;
-  (* Correlated fault domains (topology runs only; all draws come from
-     dedicated per-island sub-streams, so flat schedules planned before
-     these fields existed replay byte-identically). *)
-  node_crash_prob : float;  (* island dies wholesale: every rank at once *)
-  nic_outage_prob : float;  (* severe rate window on an island's NIC *)
-  nic_outage_factor : float;
-  island_degrade_prob : float;  (* island-wide compute degrade *)
-  island_degrade_factor : float;  (* duration multiplier, >= 1 *)
-  partition_prob : float;  (* island NIC cut off for a window *)
 }
 
 let default_spec =
@@ -128,30 +117,6 @@ let default_spec =
     delay_prob = 0.04;
     delay_us = 20.0;
     reissue_drop_prob = 0.2;
-    (* Crash faults are opt-in: a zero probability consumes no RNG
-       draws, so schedules planned before crashes existed replay
-       byte-identically. *)
-    crash_prob = 0.0;
-    crash_transient_prob = 0.0;
-    (* Correlated domains are opt-in, like crashes. *)
-    node_crash_prob = 0.0;
-    nic_outage_prob = 0.0;
-    nic_outage_factor = 0.02;
-    island_degrade_prob = 0.0;
-    island_degrade_factor = 1.5;
-    partition_prob = 0.0;
-  }
-
-(* Moderate correlated-fault intensities for topology chaos runs:
-   NIC outages and island-wide compute degrades, no wholesale node
-   crashes (those are forced via [crash_ranks] or pinned in tests). *)
-let correlated_faults spec =
-  {
-    spec with
-    nic_outage_prob = 0.3;
-    nic_outage_factor = 0.02;
-    island_degrade_prob = 0.25;
-    island_degrade_factor = 1.5;
   }
 
 let no_machine_faults spec =
@@ -161,11 +126,6 @@ let no_machine_faults spec =
     link_outage_prob = 0.0;
     straggler_prob = 0.0;
     copy_stall_prob = 0.0;
-    crash_prob = 0.0;
-    node_crash_prob = 0.0;
-    nic_outage_prob = 0.0;
-    island_degrade_prob = 0.0;
-    partition_prob = 0.0;
   }
 
 let signal_faults_only ~drop_prob =
@@ -179,25 +139,19 @@ let signal_faults_only ~drop_prob =
 
 type window = { w_from : float; w_until : float; w_factor : float }
 
-(* A rank-crash fault: the rank dies at [cr_at]; [cr_until = Some t]
-   models a transient crash (process restart) after which the rank is
-   reachable again — its lost work is still the failover coordinator's
-   to replay. *)
-type crash = { cr_at : float; cr_until : float option }
+(* A rank-crash fault: the rank dies at [cr_at] for good; its lost
+   work is the failover coordinator's to replay. *)
+type crash = { cr_at : float }
 
 type schedule = {
   seed : int;
   spec : spec;
   horizon_us : float;
-  (* The topology layout the schedule was drawn against, if any:
-     correlated (per-island) faults need to know island membership. *)
-  layout : Tilelink_machine.Topology.layout option;
   link_windows : window list array;
   copy_windows : window list array;
   straggler : float array;
-  (* Per-island NIC fault windows: severe-rate outages and full
-     partitions.  Empty (zero-length arrays) on flat schedules. *)
-  nic_windows : window list array;
+  (* Per-island NIC partition windows, only ever pinned by
+     [with_nic_partitions].  Empty (zero-length) on flat schedules. *)
   nic_partitions : window list array;
   mutable crash_faults : (int * crash) list;
   (* Occurrence counter per signal key: the n-th notify on a key gets a
@@ -209,12 +163,6 @@ type schedule = {
 }
 
 let note sched kind subject = sched.injected <- (kind, subject) :: sched.injected
-
-(* Sub-stream index for island-level draws: a prime far above any
-   rank-stream index (rank * 7919, world <= 64) and distinct from the
-   forced-crash stream (104729), so correlated draws can never collide
-   with — or perturb — the existing streams. *)
-let island_stream_index island = 15485863 + island
 
 let plan ?(spec = default_spec) ?(horizon_us = 2000.0) ?(crash_ranks = 0)
     ?layout ~seed ~world_size () =
@@ -232,11 +180,9 @@ let plan ?(spec = default_spec) ?(horizon_us = 2000.0) ?(crash_ranks = 0)
       seed;
       spec;
       horizon_us;
-      layout;
       link_windows = Array.make world_size [];
       copy_windows = Array.make world_size [];
       straggler = Array.make world_size 1.0;
-      nic_windows = Array.make num_islands [];
       nic_partitions = Array.make num_islands [];
       crash_faults = [];
       counts = Hashtbl.create 64;
@@ -269,86 +215,8 @@ let plan ?(spec = default_spec) ?(horizon_us = 2000.0) ?(crash_ranks = 0)
     if Prng.float rng < spec.copy_stall_prob then begin
       sched.copy_windows.(rank) <- [ mk_window 0.0 ];
       note sched "copy_stall" subj
-    end;
-    (* Crash draws come last and only when enabled, so a crash-free
-       spec consumes exactly the pre-crash RNG stream — existing seeded
-       schedules (and the CLI's --check byte-identity contract) are
-       untouched. *)
-    if spec.crash_prob > 0.0 && Prng.float rng < spec.crash_prob then begin
-      let at = Prng.range rng (0.1 *. horizon_us) (0.6 *. horizon_us) in
-      let transient = Prng.float rng < spec.crash_transient_prob in
-      let cr_until =
-        if transient then
-          Some (at +. Prng.range rng (0.1 *. horizon_us) (0.3 *. horizon_us))
-        else None
-      in
-      sched.crash_faults <- (rank, { cr_at = at; cr_until }) :: sched.crash_faults;
-      note sched "rank_crash" subj
     end
   done;
-  (* Correlated fault domains: one dedicated sub-stream per island, so
-     these draws neither perturb the per-rank streams above nor the
-     forced-crash stream below.  Only meaningful with a layout. *)
-  (match layout with
-   | None -> ()
-   | Some l ->
-     let ranks_of_island isl =
-       List.filter
-         (fun r -> l.Tilelink_machine.Topology.l_island_of_rank.(r) = isl)
-         (List.init world_size Fun.id)
-     in
-     for island = 0 to num_islands - 1 do
-       let rng =
-         Prng.create ~seed:(derive_seed ~seed ~index:(island_stream_index island))
-       in
-       let mk_window factor =
-         let a = Prng.range rng 0.0 horizon_us in
-         let b = Prng.range rng a horizon_us in
-         {
-           w_from = a;
-           w_until = Float.max b (a +. (0.05 *. horizon_us));
-           w_factor = factor;
-         }
-       in
-       let subj = Printf.sprintf "island%d" island in
-       if spec.nic_outage_prob > 0.0 && Prng.float rng < spec.nic_outage_prob
-       then begin
-         sched.nic_windows.(island) <-
-           mk_window spec.nic_outage_factor :: sched.nic_windows.(island);
-         note sched "nic_outage" subj
-       end;
-       if
-         spec.island_degrade_prob > 0.0
-         && Prng.float rng < spec.island_degrade_prob
-       then begin
-         (* Correlated compute degrade: every rank of the island slows
-            down together, composing with any per-rank straggler. *)
-         List.iter
-           (fun r ->
-             sched.straggler.(r) <-
-               sched.straggler.(r) *. spec.island_degrade_factor)
-           (ranks_of_island island);
-         note sched "island_degrade" subj
-       end;
-       if spec.partition_prob > 0.0 && Prng.float rng < spec.partition_prob
-       then begin
-         sched.nic_partitions.(island) <-
-           mk_window 0.0 :: sched.nic_partitions.(island);
-         note sched "nic_partition" subj
-       end;
-       if spec.node_crash_prob > 0.0 && Prng.float rng < spec.node_crash_prob
-       then begin
-         (* Node crash: the whole island dies at one instant. *)
-         let at = Prng.range rng (0.1 *. horizon_us) (0.6 *. horizon_us) in
-         List.iter
-           (fun r ->
-             if not (List.mem_assoc r sched.crash_faults) then
-               sched.crash_faults <-
-                 (r, { cr_at = at; cr_until = None }) :: sched.crash_faults)
-           (ranks_of_island island);
-         note sched "node_crash" subj
-       end
-     done);
   (* Forced deterministic crashes for [crash_ranks]: victims and crash
      instants are drawn from a dedicated sub-stream so they neither
      perturb the per-rank draws above nor depend on them.  On a
@@ -358,47 +226,42 @@ let plan ?(spec = default_spec) ?(horizon_us = 2000.0) ?(crash_ranks = 0)
      islands2x8 is exactly "one island dies". *)
   if crash_ranks > 0 then begin
     let crng = Prng.create ~seed:(derive_seed ~seed ~index:104729) in
-    let crashed = Hashtbl.create 4 in
-    List.iter (fun (r, _) -> Hashtbl.replace crashed r ()) sched.crash_faults;
     let draw_mod m =
       Int64.to_int
         (Int64.rem (Int64.logand (Prng.next crng) Int64.max_int) (Int64.of_int m))
     in
-    let forced = ref 0 in
+    let draw_at () = Prng.range crng (0.15 *. horizon_us) (0.45 *. horizon_us) in
+    let crash r ~at =
+      sched.crash_faults <- (r, { cr_at = at }) :: sched.crash_faults;
+      note sched "rank_crash" (Printf.sprintf "rank%d" r)
+    in
+    (* Victims drawn so far: islands on a topology run, ranks otherwise. *)
+    let drawn = Hashtbl.create 4 in
     match layout with
     | Some l when num_islands > 1 ->
-      let visited = Hashtbl.create 4 in
-      while !forced < crash_ranks && Hashtbl.length crashed < world_size do
+      let forced = ref 0 in
+      while !forced < crash_ranks do
         let island = draw_mod num_islands in
-        if not (Hashtbl.mem visited island) then begin
-          Hashtbl.replace visited island ();
-          let at = Prng.range crng (0.15 *. horizon_us) (0.45 *. horizon_us) in
-          List.iter
-            (fun r ->
-              if
-                !forced < crash_ranks
-                && l.Tilelink_machine.Topology.l_island_of_rank.(r) = island
-                && not (Hashtbl.mem crashed r)
-              then begin
-                Hashtbl.replace crashed r ();
-                sched.crash_faults <-
-                  (r, { cr_at = at; cr_until = None }) :: sched.crash_faults;
-                note sched "rank_crash" (Printf.sprintf "rank%d" r);
-                incr forced
-              end)
-            (List.init world_size Fun.id)
+        if not (Hashtbl.mem drawn island) then begin
+          Hashtbl.replace drawn island ();
+          let at = draw_at () in
+          for r = 0 to world_size - 1 do
+            if
+              !forced < crash_ranks
+              && Tilelink_machine.Topology.island_of l r = island
+            then begin
+              crash r ~at;
+              incr forced
+            end
+          done
         end
       done
     | _ ->
-      while !forced < crash_ranks && Hashtbl.length crashed < world_size do
+      while Hashtbl.length drawn < crash_ranks do
         let r = draw_mod world_size in
-        if not (Hashtbl.mem crashed r) then begin
-          Hashtbl.replace crashed r ();
-          let at = Prng.range crng (0.15 *. horizon_us) (0.45 *. horizon_us) in
-          sched.crash_faults <-
-            (r, { cr_at = at; cr_until = None }) :: sched.crash_faults;
-          note sched "rank_crash" (Printf.sprintf "rank%d" r);
-          incr forced
+        if not (Hashtbl.mem drawn r) then begin
+          Hashtbl.replace drawn r ();
+          crash r ~at:(draw_at ())
         end
       done
   end;
@@ -488,29 +351,19 @@ let with_nic_partitions sched windows =
     windows;
   sched
 
-let schedule_layout sched = sched.layout
-
 let disturbance sched =
   let link rank =
     if rank >= 0 && rank < Array.length sched.link_windows then
       sched.link_windows.(rank)
     else []
   in
-  let nic node =
-    if node >= 0 && node < Array.length sched.nic_windows then
-      sched.nic_windows.(node)
-    else []
-  in
   {
     Cluster.link_rate = (fun ~rank ~now -> window_factor (link rank) ~now);
-    (* Per-island NIC outage windows and partitions; nominal on flat
-       schedules (empty arrays), exactly as before.  A partition is a
-       zero factor — the Bandwidth clamp turns it into a crawl, and
-       the watchdog/coordinator decide what counts as stalled. *)
+    (* A partition is a zero factor — the Bandwidth clamp turns it into
+       a crawl, and the watchdog/coordinator decide what counts as
+       stalled. *)
     nic_rate =
-      (fun ~node ~now ->
-        let w = window_factor (nic node) ~now in
-        if partitioned sched ~node ~now then 0.0 else w);
+      (fun ~node ~now -> if partitioned sched ~node ~now then 0.0 else 1.0);
     compute =
       (fun ~rank ~now:_ ->
         if rank >= 0 && rank < Array.length sched.straggler then
@@ -644,6 +497,39 @@ let fresh_recovery () =
     cross_island_replays = 0;
   }
 
+(* The one stall path, shared by the watchdog and the failover
+   coordinator: build the diagnostic with every blocked wait as its
+   waiters-for list, record it, journal it, count it, raise it. *)
+let raise_stall ~telemetry ~recovery ~channels ~key ~kind ~owner ~channel
+    ~rank ~threshold ~value ~intended ~since ~now =
+  let stall =
+    {
+      stall_key = key;
+      stall_kind = kind;
+      stall_owner = owner;
+      stall_channel = channel;
+      stall_rank = rank;
+      stall_threshold = threshold;
+      stall_value = value;
+      stall_intended = intended;
+      stall_since = since;
+      stall_at = now;
+      stall_waiters =
+        List.map
+          (fun (pw : Channel.pending_wait) ->
+            (pw.Channel.pw_key, pw.Channel.pw_rank, pw.Channel.pw_threshold))
+          (Channel.pending_waits channels);
+    }
+  in
+  recovery.stalls <- recovery.stalls @ [ stall ];
+  if Obs.Telemetry.active telemetry then begin
+    let tele = Option.get telemetry in
+    Obs.Journal.record (Obs.Telemetry.journal tele) ~t:now
+      (Obs.Journal.Stall_detected { key; rank; threshold; value });
+    Obs.Metrics.inc (Obs.Telemetry.metrics tele) "recovery.stalls"
+  end;
+  raise (Stall stall)
+
 type control = {
   c_schedule : schedule option;
   c_watchdog : watchdog option;
@@ -725,37 +611,11 @@ let watchdog_body ?hooks ?quiesce ~engine ~channels ~telemetry
       Channel.force_signal channels ~key:rep.Channel.pw_key
         ~target:rep.Channel.pw_threshold
     | Fail_stop ->
-      let kind, owner, chan = parse_key rep.Channel.pw_key in
-      let stall =
-        {
-          stall_key = rep.Channel.pw_key;
-          stall_kind = kind;
-          stall_owner = owner;
-          stall_channel = chan;
-          stall_rank = rep.Channel.pw_rank;
-          stall_threshold = rep.Channel.pw_threshold;
-          stall_value = value;
-          stall_intended = intended;
-          stall_since = rep.Channel.pw_since;
-          stall_at = now;
-          stall_waiters =
-            List.map
-              (fun (pw : Channel.pending_wait) ->
-                (pw.Channel.pw_key, pw.Channel.pw_rank, pw.Channel.pw_threshold))
-              (Channel.pending_waits channels);
-        }
-      in
-      recov.stalls <- recov.stalls @ [ stall ];
-      journal_ev
-        (Obs.Journal.Stall_detected
-           {
-             key = stall.stall_key;
-             rank = stall.stall_rank;
-             threshold = stall.stall_threshold;
-             value = stall.stall_value;
-           });
-      metric "recovery.stalls";
-      raise (Stall stall)
+      let kind, owner, channel = parse_key rep.Channel.pw_key in
+      raise_stall ~telemetry ~recovery:recov ~channels ~key:rep.Channel.pw_key
+        ~kind ~owner ~channel ~rank:rep.Channel.pw_rank
+        ~threshold:rep.Channel.pw_threshold ~value ~intended
+        ~since:rep.Channel.pw_since ~now
   in
   let attempt_retry ~now (rep : Channel.pending_wait) ~intended =
     let key = rep.Channel.pw_key in

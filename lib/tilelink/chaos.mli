@@ -46,33 +46,9 @@ type spec = {
   delay_us : float;  (** nominal delivery delay (jittered 0.5–1.5x) *)
   reissue_drop_prob : float;
       (** probability a watchdog re-issue is itself lost *)
-  crash_prob : float;
-      (** per-rank probability of a crash fault; 0 (the default)
-          consumes no RNG, keeping pre-crash schedules byte-identical *)
-  crash_transient_prob : float;
-      (** given a crash, probability it is transient (rank restarts) *)
-  node_crash_prob : float;
-      (** per-island probability the whole island dies at one instant;
-          drawn from dedicated per-island sub-streams (topology runs
-          only), so flat schedules replay byte-identically *)
-  nic_outage_prob : float;
-      (** per-island probability of a severe NIC rate window *)
-  nic_outage_factor : float;
-  island_degrade_prob : float;
-      (** per-island probability of a correlated compute degrade across
-          every rank of the island *)
-  island_degrade_factor : float;  (** duration multiplier, >= 1 *)
-  partition_prob : float;
-      (** per-island probability of a NIC partition window: the island
-          is cut off from the bridged fabric for the window *)
 }
 
 val default_spec : spec
-
-val correlated_faults : spec -> spec
-(** Enable moderate correlated fault domains (NIC outages, island-wide
-    compute degrades) for topology chaos runs; node crashes stay
-    opt-in via [crash_ranks] or explicit probabilities. *)
 
 val no_machine_faults : spec -> spec
 (** Zero out the machine-level windows/stragglers, keeping signal
@@ -81,10 +57,9 @@ val no_machine_faults : spec -> spec
 val signal_faults_only : drop_prob:float -> spec
 (** Only dropped notifies at the given rate; reliable re-issue. *)
 
-(** A rank-crash fault: the rank dies at [cr_at]; [cr_until = Some t]
-    makes it transient (reachable again at [t], lost work still needs
-    replay). *)
-type crash = { cr_at : float; cr_until : float option }
+(** A rank-crash fault: the rank dies at [cr_at] and stays dead; its
+    lost work is replayed by the failover coordinator. *)
+type crash = { cr_at : float }
 
 (** A fault window: [w_factor] applies while [w_from <= now < w_until]. *)
 type window = { w_from : float; w_until : float; w_factor : float }
@@ -100,15 +75,15 @@ val plan :
   world_size:int ->
   unit ->
   schedule
-(** Draw the full fault schedule for one run.  [horizon_us] bounds the
-    fault windows (default 2000).  [crash_ranks] (default 0) forces
-    that many deterministic, seed-chosen permanent crashes mid-horizon
-    on top of any probabilistic crash draws; it may equal [world_size]
-    (no survivors) — triaging that is the runtime's job.  [layout]
-    enables correlated fault domains (per-island sub-streams: node
-    crashes, NIC outages/partitions, island degrades) and makes the
-    forced crashes island-correlated: victims fill whole islands, every
-    rank of an island dying at the same instant. *)
+(** Draw the full fault schedule for one run: per-rank link windows,
+    stragglers and copy stalls, plus per-notify signal faults.
+    [horizon_us] bounds the fault windows (default 2000).  [crash_ranks]
+    (default 0) forces that many deterministic, seed-chosen crashes
+    mid-horizon; it may equal [world_size] (no survivors) — triaging
+    that is the runtime's job.  [layout] makes the forced crashes
+    island-correlated (victims fill whole islands, every rank of an
+    island dying at the same instant) and sizes the per-island NIC
+    partition windows that {!with_nic_partitions} pins. *)
 
 val partitioned : schedule -> node:int -> now:float -> bool
 (** Whether [node]'s NIC sits inside a planned partition window at
@@ -117,9 +92,6 @@ val partitioned : schedule -> node:int -> now:float -> bool
 val with_nic_partitions : schedule -> (int * window) list -> schedule
 (** Replace the planned NIC partition windows with explicit
     (node, window) pairs — for tests that must pin exact cuts. *)
-
-val schedule_layout : schedule -> Tilelink_machine.Topology.layout option
-(** The layout the schedule was drawn against, if any. *)
 
 val crashes : schedule -> (int * crash) list
 (** Planned crash faults ordered by crash instant (then rank). *)
@@ -215,6 +187,28 @@ type recovery = {
 }
 
 val fresh_recovery : unit -> recovery
+
+val raise_stall :
+  telemetry:Tilelink_obs.Telemetry.t option ->
+  recovery:recovery ->
+  channels:Channel.t ->
+  key:string ->
+  kind:string ->
+  owner:int ->
+  channel:int option ->
+  rank:int ->
+  threshold:int ->
+  value:int ->
+  intended:int ->
+  since:float ->
+  now:float ->
+  'a
+(** The one stall path: build the {!stall} (its waiters-for list is
+    every pending wait of [channels]), append it to [recovery.stalls],
+    journal [Stall_detected], count the [recovery.stalls] metric and
+    raise {!Stall}.  Used by the watchdog under [Fail_stop] and by the
+    runtime's failover coordinator for no-survivor and partition
+    stalls. *)
 
 (** Everything {!Runtime.run} needs to run under chaos: an optional
     fault schedule, an optional watchdog, and the recovery record the

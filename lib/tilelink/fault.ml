@@ -265,42 +265,22 @@ let bump_notify_amount (program : Program.t) ~rank ~nth =
         tasks)
 
 (* Elastic remap after a rank crash: rewrite every [Pc] signal target
-   the dead rank owns onto the survivors, mirroring
-   [Mapping.remap_rank]'s per-channel scheme — dead local channel [c]
-   moves to survivor [survivors.(c mod n)] at fresh local slot
-   [cpr + c / n]; live targets carry rank-local coordinates and are
-   unchanged.  The result's [pc_channels] grows to the remapped stride
-   so the rerouted slots exist.  The survivor list's *order* is
-   preserved: a topology-aware coordinator puts intra-island survivors
-   first so the dead rank's channels land on NVLink-local peers, and
-   the runtime's channel-alias registration must consume the identical
-   ordering.  This is the *protocol-level* remap the analyzer
-   re-validates before replay; peer/host channels are point-to-point
-   and not part of f_C, so they stay as they are. *)
+   the dead rank owns onto the survivors with [Mapping.remap_channels],
+   the same reroute [Mapping.remap_rank] applies; live targets carry
+   rank-local coordinates and are unchanged.  The result's
+   [pc_channels] grows to the remapped stride so the rerouted slots
+   exist.  This is the *protocol-level* remap the analyzer re-validates
+   before replay; peer/host channels are point-to-point and not part of
+   f_C, so they stay as they are. *)
 let remap_program (program : Program.t) ~dead ~survivors =
-  let world = Program.world_size program in
-  if dead < 0 || dead >= world then
-    invalid_arg "Fault.remap_program: dead rank out of range";
-  if survivors = [] then invalid_arg "Fault.remap_program: no survivors";
-  let sv = Array.of_list survivors in
-  if
-    List.length (List.sort_uniq compare survivors) <> List.length survivors
-  then invalid_arg "Fault.remap_program: duplicate survivors";
-  Array.iter
-    (fun s ->
-      if s < 0 || s >= world then
-        invalid_arg "Fault.remap_program: survivor out of range";
-      if s = dead then
-        invalid_arg "Fault.remap_program: dead rank listed as survivor")
-    sv;
-  let n = Array.length sv in
-  let cpr = program.Program.pc_channels in
-  let new_cpr =
-    Mapping.remap_channels_per_rank ~channels_per_rank:cpr ~survivors:n
+  let new_cpr, reroute =
+    Mapping.remap_channels ~ranks:(Program.world_size program)
+      ~channels_per_rank:program.Program.pc_channels ~dead ~survivors
   in
   let retarget = function
-    | Instr.Pc { rank; channel } when rank = dead ->
-      Instr.Pc { rank = sv.(channel mod n); channel = cpr + (channel / n) }
+    | Instr.Pc { rank; channel } ->
+      let rank, channel = reroute rank channel in
+      Instr.Pc { rank; channel }
     | t -> t
   in
   let rewrite = function
@@ -331,7 +311,7 @@ let remap_program (program : Program.t) ~dead ~survivors =
   in
   Program.create
     ~name:(Program.name program ^ "+remap")
-    ~world_size:world ~pc_channels:new_cpr
+    ~world_size:(Program.world_size program) ~pc_channels:new_cpr
     ~peer_channels:program.Program.peer_channels plans
 
 let count_rank_instrs (program : Program.t) ~rank ~p =

@@ -47,16 +47,13 @@ val bump_notify_amount : Program.t -> rank:int -> nth:int -> Program.t
     one epoch beyond what the protocol registered waiters for. *)
 
 val remap_program : Program.t -> dead:int -> survivors:int list -> Program.t
-(** Rewrite every [Pc] target owned by [dead] onto the survivors using
-    {!Mapping.remap_rank}'s per-channel scheme (dead local channel [c]
-    to survivor [survivors.(c mod n)], fresh slot [cpr + c / n]) and
-    grow [pc_channels] to the remapped stride.  The survivor list's
-    order is preserved — a topology-aware coordinator lists intra-island
-    survivors first so rerouted channels land on NVLink-local peers.
-    Live targets, peer and host channels are unchanged.  This is the
+(** Rewrite every [Pc] target owned by [dead] onto the survivors with
+    {!Mapping.remap_channels} — the reroute {!Mapping.remap_rank}
+    applies — and grow [pc_channels] to the remapped stride.  Live
+    targets, peer and host channels are unchanged.  This is the
     protocol the analyzer re-validates against {!Mapping.remap_rank}'s
-    mapping before a failover replay.  Raises [Invalid_argument] on an
-    empty, duplicated or invalid survivor list. *)
+    mapping before a failover replay.  Raises like
+    {!Mapping.remap_channels}. *)
 
 val count_notifies : Program.t -> rank:int -> int
 val count_waits : Program.t -> rank:int -> int

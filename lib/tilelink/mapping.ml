@@ -263,43 +263,50 @@ let ranks_for_range t ~lo ~hi =
       d.f_r;
     Hashtbl.fold (fun r () acc -> r :: acc) seen [] |> List.sort compare
 
-(* Elastic remap after a rank crash: reroute every channel the dead
-   rank owned onto the survivors, round-robin, and return the resulting
-   (necessarily dynamic) mapping.
+(* The elastic-remap reroute after a rank crash, the one copy of the
+   scheme [remap_rank] and [Fault.remap_program] both apply.
 
    The scheme is per-CHANNEL, not per-tile: dead rank's local channel
    [c] moves to survivor [survivors.(c mod n)] at local slot
    [cpr + c / n] — a fresh slot range so rerouted channels can never
    collide with the survivor's own channels.  Live ranks keep their
    local indices; only the channels-per-rank stride grows to
-   [cpr + ceil(cpr / n)].  Completion thresholds transfer unchanged
-   (the old per-channel expected counts, multiplicity included, move
-   with the channel), so a replayed producer satisfies exactly the
-   same number of notifies the consumers were promised. *)
-let remap_rank t ~dead ~survivors =
-  let r = ranks t and cpr = channels_per_rank t in
-  if dead < 0 || dead >= r then
-    invalid_arg "Mapping.remap_rank: dead rank out of range";
-  if survivors = [] then invalid_arg "Mapping.remap_rank: no survivors";
-  (* Order is preserved (not sorted): a topology-aware caller lists
-     intra-island survivors first, and [Fault.remap_program] must agree
-     slot for slot. *)
-  let sv = Array.of_list survivors in
+   [cpr + ceil(cpr / n)].  The survivor order is preserved (not
+   sorted): a topology-aware caller lists intra-island survivors
+   first. *)
+let remap_channels ~ranks ~channels_per_rank:cpr ~dead ~survivors =
+  if dead < 0 || dead >= ranks then
+    invalid_arg "Mapping.remap_channels: dead rank out of range";
+  if survivors = [] then invalid_arg "Mapping.remap_channels: no survivors";
   if
     List.length (List.sort_uniq compare survivors) <> List.length survivors
-  then invalid_arg "Mapping.remap_rank: duplicate survivors";
-  Array.iter
+  then invalid_arg "Mapping.remap_channels: duplicate survivors";
+  List.iter
     (fun s ->
-      if s < 0 || s >= r then
-        invalid_arg "Mapping.remap_rank: survivor out of range";
+      if s < 0 || s >= ranks then
+        invalid_arg "Mapping.remap_channels: survivor out of range";
       if s = dead then
-        invalid_arg "Mapping.remap_rank: dead rank listed as survivor")
-    sv;
+        invalid_arg "Mapping.remap_channels: dead rank listed as survivor")
+    survivors;
+  let sv = Array.of_list survivors in
   let n = Array.length sv in
-  let new_cpr = cpr + ceil_div cpr n in
   let reroute rank local =
     if rank = dead then (sv.(local mod n), cpr + (local / n))
     else (rank, local)
+  in
+  (cpr + ceil_div cpr n, reroute)
+
+(* Elastic remap of a mapping: every channel the dead rank owned moves
+   onto the survivors ([remap_channels]), and the result is necessarily
+   dynamic.  Completion thresholds transfer unchanged (the old
+   per-channel expected counts, multiplicity included, move with the
+   channel), so a replayed producer satisfies exactly the same number
+   of notifies the consumers were promised. *)
+let remap_rank t ~dead ~survivors =
+  let r = ranks t in
+  let new_cpr, reroute =
+    remap_channels ~ranks:r ~channels_per_rank:(channels_per_rank t) ~dead
+      ~survivors
   in
   let nt = num_tiles t in
   let f_s_low = Array.init nt (fun tid -> fst (shape_range t ~tid)) in
@@ -342,13 +349,6 @@ let remap_rank t ~dead ~survivors =
       dyn_channels_per_rank = new_cpr;
       row_channels;
     }
-
-(* The channel-space stride a remapped protocol uses: mirrors
-   [remap_rank] so runtimes and program rewriters agree without
-   constructing a mapping. *)
-let remap_channels_per_rank ~channels_per_rank ~survivors =
-  if survivors <= 0 then invalid_arg "Mapping.remap_channels_per_rank";
-  channels_per_rank + ceil_div channels_per_rank survivors
 
 let pp ppf = function
   | Static s ->

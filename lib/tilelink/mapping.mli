@@ -66,21 +66,26 @@ val channels_for_rows : t -> int list -> (int * int) list
 val ranks_for_range : t -> lo:int -> hi:int -> int list
 (** Ranks owning any row of [lo, hi). *)
 
-val remap_rank : t -> dead:int -> survivors:int list -> t
-(** Elastic remap after [dead] crashes: reroute every channel [dead]
-    owned round-robin over [survivors] (dead local channel [c] moves to
-    survivor [survivors.(c mod n)] at fresh local slot
-    [cpr + c / n]); live ranks keep their local indices under the grown
-    stride [cpr + ceil(cpr / n)].  The survivor list's order is
-    preserved (intra-island-first callers rely on it); per-channel
-    completion thresholds (multiplicity included) transfer unchanged.
-    The result is always dynamic and keeps the original rank count —
-    the dead rank simply owns no tiles.  Raises [Invalid_argument] on
-    an empty, duplicated or invalid survivor list. *)
+val remap_channels :
+  ranks:int ->
+  channels_per_rank:int ->
+  dead:int ->
+  survivors:int list ->
+  int * (int -> int -> int * int)
+(** The elastic-remap reroute after [dead] crashes, as
+    [(new_channels_per_rank, reroute)]: [reroute rank local] moves dead
+    local channel [c] to survivor [survivors.(c mod n)] at fresh local
+    slot [cpr + c / n] and leaves live ranks' channels where they are;
+    the stride grows to [cpr + ceil(cpr / n)].  The survivor list's
+    order is preserved (intra-island-first callers rely on it).  Raises
+    [Invalid_argument] on a dead rank out of range or an empty,
+    duplicated, out-of-range or dead-containing survivor list. *)
 
-val remap_channels_per_rank : channels_per_rank:int -> survivors:int -> int
-(** The channels-per-rank stride of a remapped protocol — what
-    {!remap_rank} produces, exposed so program rewriters agree without
-    building a mapping. *)
+val remap_rank : t -> dead:int -> survivors:int list -> t
+(** Elastic remap of a mapping: every channel [dead] owned moves as
+    {!remap_channels} says; per-channel completion thresholds
+    (multiplicity included) transfer unchanged.  The result is always
+    dynamic and keeps the original rank count — the dead rank simply
+    owns no tiles.  Raises like {!remap_channels}. *)
 
 val pp : Format.formatter -> t -> unit

@@ -21,9 +21,9 @@
      {!Channel.cancel_rank_waits} this guarantees a dead rank's workers
      drain instead of parking forever;
    - a failover coordinator hooked into the watchdog tick: on a crash
-     it validates the remapped protocol, re-registers rerouted channel
-     keys, marks the dead shard recovered, and replays only the lost
-     tiles round-robin on the survivors. *)
+     it validates the remapped protocol, marks the dead shard
+     recovered, and replays only the lost tiles round-robin on the
+     survivors. *)
 
 open Tilelink_sim
 open Tilelink_machine
@@ -476,57 +476,33 @@ let lost_entries ledger ~dead =
       (not e.le_done) && (e.le_rank = dead || e.le_poisoned))
     ledger
 
-(* The structural no-survivor diagnostic: name the first channel whose
-   producer died with undelivered epochs — the unrecoverable channel. *)
-let no_survivor_stall ~dead ~lost ~t_crash ~now channels program =
-  let first_notify_key =
-    List.fold_left
-      (fun acc (e : ledger_entry) ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-          Program.fold_tasks program ~init:None
-            ~f:(fun acc ~rank (role : Program.role) (task : Program.task) ->
-              match acc with
-              | Some _ -> acc
-              | None ->
-                if
-                  rank = e.le_rank
-                  && role.Program.role_name = e.le_role
-                  && task.Program.label = e.le_label
-                then
-                  List.find_map
-                    (function
-                      | Instr.Notify { target; _ } ->
-                        Some (Instr.key_of_target target)
-                      | _ -> None)
-                    task.Program.instrs
-                else acc))
-      None lost
-  in
-  let key =
-    Option.value ~default:(Printf.sprintf "pc[%d][0]" dead) first_notify_key
-  in
-  let kind, owner, chan = Chaos.parse_key key in
-  let value = Option.value ~default:0 (Channel.key_value channels ~key) in
-  let intended = Channel.intended_value channels ~key in
-  {
-    Chaos.stall_key = key;
-    stall_kind = kind;
-    stall_owner = owner;
-    stall_channel = chan;
-    stall_rank = dead;
-    stall_threshold = intended + 1;
-    stall_value = value;
-    stall_intended = intended;
-    stall_since = t_crash;
-    stall_at = now;
-    stall_waiters =
-      List.map
-        (fun (pw : Channel.pending_wait) ->
-          (pw.Channel.pw_key, pw.Channel.pw_rank, pw.Channel.pw_threshold))
-        (Channel.pending_waits channels);
-  }
+(* The key a no-survivor stall names: the first channel whose producer
+   died with undelivered epochs — the unrecoverable channel. *)
+let no_survivor_key ~dead ~lost program =
+  List.fold_left
+    (fun acc (e : ledger_entry) ->
+      match acc with
+      | Some _ -> acc
+      | None ->
+        Program.fold_tasks program ~init:None
+          ~f:(fun acc ~rank (role : Program.role) (task : Program.task) ->
+            match acc with
+            | Some _ -> acc
+            | None ->
+              if
+                rank = e.le_rank
+                && role.Program.role_name = e.le_role
+                && task.Program.label = e.le_label
+              then
+                List.find_map
+                  (function
+                    | Instr.Notify { target; _ } ->
+                      Some (Instr.key_of_target target)
+                    | _ -> None)
+                  task.Program.instrs
+              else acc))
+    None lost
+  |> Option.value ~default:(Printf.sprintf "pc[%d][0]" dead)
 
 (* A structured "this combination does not exist" diagnostic: which
    backend, which feature, why, and what to do instead.  Raised for
@@ -673,10 +649,12 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
       wd.Chaos.policy = Chaos.Failover
     | _ -> false
   in
+  (* What the watchdog and the coordinator did; a throwaway record on
+     runs without chaos, which never touch it. *)
   let recovery =
     match chaos with
-    | Some control -> Some control.Chaos.c_recovery
-    | None -> None
+    | Some control -> control.Chaos.c_recovery
+    | None -> Chaos.fresh_recovery ()
   in
   (* Ledger: one entry per task, built in deterministic rank-major
      order before anything runs.  [tracked_for rank role] hands each
@@ -716,37 +694,26 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
         plan)
     (Program.plans program);
   let ledger = List.rev !ledger in
-  (match recovery with
-  | Some r when crashes <> [] -> r.Chaos.total_tiles <- List.length ledger
-  | _ -> ());
+  if crashes <> [] then recovery.Chaos.total_tiles <- List.length ledger;
   (* Liveness: once a rank has crashed its in-flight kernel state is
-     gone for good — a transient restart makes the rank *reachable*
-     again but does not resurrect the work, so its [crashed] flag stays
-     set for the rest of the run and the coordinator replays the loss.
-     Every instruction boundary reads the flag, so it is a plain array,
-     not a table. *)
+     gone for good, so its [crashed] flag stays set for the rest of the
+     run and the coordinator replays the loss.  Every instruction
+     boundary reads the flag, so it is a plain array, not a table. *)
   let crashed = Array.make (Program.world_size program) false in
   (* Crashes pending failover handling, in kill order. *)
   let pending_crashes : (int * float) Queue.t = Queue.create () in
   List.iter
-    (fun (crash_rank, { Chaos.cr_at; cr_until }) ->
+    (fun (crash_rank, { Chaos.cr_at }) ->
       Engine.schedule engine ~delay:cr_at (fun () ->
           if not crashed.(crash_rank) then begin
             crashed.(crash_rank) <- true;
             Cluster.kill_rank cluster ~rank_id:crash_rank;
             Queue.add (crash_rank, Cluster.now cluster) pending_crashes;
-            journal_ev
-              (Obs.Journal.Rank_crashed
-                 { rank = crash_rank; transient = cr_until <> None });
+            journal_ev (Obs.Journal.Rank_crashed { rank = crash_rank });
             (* Force-wake the dead rank's parked workers so they drain
                instead of holding the engine live forever. *)
             ignore (Channel.cancel_rank_waits channels ~rank:crash_rank)
-          end);
-      Option.iter
-        (fun until ->
-          Engine.schedule engine ~delay:until (fun () ->
-              Cluster.revive_rank cluster ~rank_id:crash_rank))
-        cr_until)
+          end))
     crashes;
   Array.iteri
     (fun rank plan ->
@@ -769,8 +736,8 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
      later tick, so parking the tick in a join would wedge recovery
      (and the whole run) for good.  Each tick makes three bounded,
      non-blocking passes:
-     1. newly detected crashes: validate the remapped protocol, alias
-        the rerouted channel keys, mark the dead shard recovered;
+     1. newly detected crashes: validate the remapped protocol and
+        mark the dead shard recovered;
      2. replay sweep: spawn replay processes for lost tiles nobody is
         replaying yet, without joining them.  A replay whose executing
         survivor dies mid-task abandons, re-poisons its entry and
@@ -778,11 +745,6 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
         remaining survivor;
      3. settle: once a crash's lost tiles are all done, record the
         detect->resume latency and journal the resume. *)
-  let cpr = program.Program.pc_channels in
-  (* Fresh alias slots per survivor, allocated monotonically across
-     crashes: a second crash must not reuse slots the first already
-     aliased, or two logical channels would share one counter. *)
-  let next_slot = Array.make (Program.world_size program) cpr in
   (* Crashes remapped but not yet settled, in crash order. *)
   let settling : (int * float) Queue.t = Queue.create () in
   let replayed_total = ref 0 in
@@ -817,21 +779,13 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
     let lost = lost_entries ledger ~dead in
     let survivors = ordered_survivors ~relative_to:dead in
     if survivors = [] then begin
-      let stall =
-        no_survivor_stall ~dead ~lost ~t_crash ~now channels program
-      in
-      (match recovery with
-      | Some r -> r.Chaos.stalls <- r.Chaos.stalls @ [ stall ]
-      | None -> ());
-      journal_ev
-        (Obs.Journal.Stall_detected
-           {
-             key = stall.Chaos.stall_key;
-             rank = stall.Chaos.stall_rank;
-             threshold = stall.Chaos.stall_threshold;
-             value = stall.Chaos.stall_value;
-           });
-      raise (Chaos.Stall stall)
+      let key = no_survivor_key ~dead ~lost program in
+      let kind, owner, channel = Chaos.parse_key key in
+      let intended = Channel.intended_value channels ~key in
+      Chaos.raise_stall ~telemetry ~recovery ~channels ~key ~kind ~owner
+        ~channel ~rank:dead ~threshold:(intended + 1)
+        ~value:(Option.value ~default:0 (Channel.key_value channels ~key))
+        ~intended ~since:t_crash ~now
     end;
     (* Unbridgeable partition: survivors exist, but every one sits
        across a NIC cut from the dead rank's island — re-hosting the
@@ -841,64 +795,22 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
     if
       (not (List.exists (fun r -> island_of r = home) survivors))
       && island_partitioned home ~now
-    then begin
-      let stall =
-        {
-          Chaos.stall_key = Printf.sprintf "nic[%d]" home;
-          stall_kind = "partition";
-          stall_owner = dead;
-          stall_channel = None;
-          stall_rank = dead;
-          stall_threshold = 0;
-          stall_value = 0;
-          stall_intended = 0;
-          stall_since = t_crash;
-          stall_at = now;
-          stall_waiters =
-            List.map
-              (fun (pw : Channel.pending_wait) ->
-                (pw.Channel.pw_key, pw.Channel.pw_rank, pw.Channel.pw_threshold))
-              (Channel.pending_waits channels);
-        }
-      in
-      (match recovery with
-      | Some r -> r.Chaos.stalls <- r.Chaos.stalls @ [ stall ]
-      | None -> ());
-      journal_ev
-        (Obs.Journal.Stall_detected
-           {
-             key = stall.Chaos.stall_key;
-             rank = stall.Chaos.stall_rank;
-             threshold = stall.Chaos.stall_threshold;
-             value = stall.Chaos.stall_value;
-           });
-      raise (Chaos.Stall stall)
-    end;
+    then
+      Chaos.raise_stall ~telemetry ~recovery ~channels
+        ~key:(Printf.sprintf "nic[%d]" home) ~kind:"partition" ~owner:dead
+        ~channel:None ~rank:dead ~threshold:0 ~value:0 ~intended:0
+        ~since:t_crash ~now;
     (* Re-validate the remapped protocol before touching anything:
-       the rewritten program must still be statically complete. *)
-    let remapped = Fault.remap_program program ~dead ~survivors in
-    Analyzer.check_exn remapped;
-    (* Alias each rerouted key to the counter the blocked consumers
-       are already parked on, so force-signals and watchdog retries
-       under the new names land on the right counter. *)
-    let n = List.length survivors in
-    let sv = Array.of_list survivors in
-    for c = 0 to cpr - 1 do
-      let target = sv.(c mod n) in
-      let slot = next_slot.(target) in
-      next_slot.(target) <- slot + 1;
-      Channel.register_remap channels
-        ~key:(Printf.sprintf "pc[%d][%d]" dead c)
-        ~alias:(Printf.sprintf "pc[%d][%d]" target slot)
-    done;
+       the rewritten program must still be statically complete.
+       Replays run the original tasks against the original keys, so
+       the remapped program is only checked, never run. *)
+    Analyzer.check_exn (Fault.remap_program program ~dead ~survivors);
     (* The survivors re-host the dead shard: transfers touching it
        succeed again, reading recovered memory. *)
     Cluster.mark_recovered cluster ~rank_id:dead;
     journal_ev (Obs.Journal.Remapped { rank = dead; tiles = List.length lost });
-    (match recovery with
-    | Some r ->
-      r.Chaos.remapped_tiles <- r.Chaos.remapped_tiles + List.length lost
-    | None -> ());
+    recovery.Chaos.remapped_tiles <-
+      recovery.Chaos.remapped_tiles + List.length lost;
     metrics_set "recovery.remapped_tiles" (float_of_int (List.length lost));
     Queue.add (dead, t_crash) settling
   in
@@ -979,11 +891,8 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
                     incr next_exec;
                     let cross_island = island_of exec_rank <> owner_island in
                     if cross_island then begin
-                      (match recovery with
-                      | Some r ->
-                        r.Chaos.cross_island_replays <-
-                          r.Chaos.cross_island_replays + 1
-                      | None -> ());
+                      recovery.Chaos.cross_island_replays <-
+                        recovery.Chaos.cross_island_replays + 1;
                       metric_inc "recovery.cross_island_replays"
                     end;
                     let skip = ref e.le_notified in
@@ -1031,10 +940,8 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
                       e.le_done <- true;
                       e.le_replaying <- false;
                       incr replayed_total;
-                      (match recovery with
-                      | Some r ->
-                        r.Chaos.replayed_tiles <- r.Chaos.replayed_tiles + 1
-                      | None -> ())
+                      recovery.Chaos.replayed_tiles <-
+                        recovery.Chaos.replayed_tiles + 1
                     | exception Abandoned ->
                       (* The executing survivor died mid-replay: poison
                          and release the entry; the next sweep replays
@@ -1052,10 +959,8 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
         let latency = Cluster.now cluster -. t_crash in
         let replayed = !replayed_total - !settled_replayed in
         settled_replayed := !replayed_total;
-        (match recovery with
-        | Some r ->
-          r.Chaos.failed_over <- r.Chaos.failed_over @ [ (dead, latency) ]
-        | None -> ());
+        recovery.Chaos.failed_over <-
+          recovery.Chaos.failed_over @ [ (dead, latency) ];
         metrics_set "recovery.replayed_tiles" (float_of_int replayed);
         metrics_observe "recovery.latency_us" latency;
         journal_ev (Obs.Journal.Resumed { rank = dead; replayed; latency });

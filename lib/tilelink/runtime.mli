@@ -71,17 +71,20 @@ val run :
 
     When the chaos schedule plans rank crashes, the runtime keeps a
     tile-completion ledger (one entry per task, producers checkpoint
-    issued notifies) and kills the scheduled ranks mid-run: their
-    parked waits are force-released, their workers drain, and
+    issued notifies) and kills the scheduled ranks mid-run, for good:
+    their parked waits are force-released, their workers drain, and
     transfers touching the dead shard fail fast.  Under the
     {!Chaos.Failover} policy a recovery coordinator hooked into the
     watchdog validates the remapped protocol
-    ({!Fault.remap_program} + {!Analyzer.check_exn}), aliases the
-    rerouted channel keys, marks the shard recovered, and replays only
-    the ledger's lost tiles round-robin over the survivors — recorded
-    as [failed_over] / [remapped_tiles] / [replayed_tiles] in the
-    recovery.  A crash with no survivors raises a structured
-    {!Chaos.Stall} naming the unrecoverable channel, never a hang.
+    ({!Fault.remap_program} + {!Analyzer.check_exn}), marks the shard
+    recovered, and replays only the ledger's lost tiles round-robin
+    over the survivors, running the original tasks against the
+    original channel keys — recorded as [failed_over] /
+    [remapped_tiles] / [replayed_tiles] in the recovery.  A crash with
+    no survivors, or whose only survivors sit behind a partitioned
+    NIC, raises a structured {!Chaos.Stall} (via {!Chaos.raise_stall},
+    so it is journaled and counted like a watchdog stall), never a
+    hang.
     [rebuild] supplies a fresh build of the program for replay — pass
     it whenever task closures hold accumulator state (flash-attention
     online softmax) that a partial first execution already advanced.

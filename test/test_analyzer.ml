@@ -360,36 +360,72 @@ let full_mapping_program ~mapping =
     (Array.init world plan)
 
 (* Remap mapping and program with the same (dead, survivors) and
-   re-validate: zero violations, for mapping shapes mirroring the three
-   chaos workloads (mlp 4x2, moe 4x4, attention 2x1). *)
-let test_remap_cross_checks_clean () =
-  List.iter
-    (fun (name, mapping, dead, survivors) ->
+   re-validate: zero violations, over random world size, channels per
+   rank, tile shape, dead rank and survivor order (any non-empty subset
+   of the live ranks, in any order). *)
+let prop_remap_cross_checks_clean =
+  let gen =
+    let open QCheck.Gen in
+    let* world = int_range 2 8 in
+    let* cpr = int_range 1 6 in
+    let* tile = oneofl [ 1; 2 ] in
+    let* segments = int_range 1 2 in
+    let* multiplicity = int_range 1 2 in
+    let* dead = int_bound (world - 1) in
+    let* order =
+      shuffle_l (List.filter (( <> ) dead) (List.init world Fun.id))
+    in
+    let+ keep = int_range 1 (world - 1) in
+    ( (world, cpr, tile * segments, tile, multiplicity),
+      (dead, List.filteri (fun i _ -> i < keep) order) )
+  in
+  let print ((world, cpr, rows_per_channel, tile, multiplicity), (dead, sv)) =
+    Printf.sprintf
+      "world=%d cpr=%d rows/channel=%d tile=%d multiplicity=%d dead=%d \
+       survivors=[%s]"
+      world cpr rows_per_channel tile multiplicity dead
+      (String.concat ";" (List.map string_of_int sv))
+  in
+  QCheck.Test.make ~name:"remap cross-checks clean" ~count:60
+    (QCheck.make ~print gen)
+    (fun ((world, cpr, rows_per_channel, tile, multiplicity), (dead, survivors))
+    ->
+      let mapping =
+        Mapping.static ~multiplicity
+          ~extent:(world * cpr * rows_per_channel)
+          ~ranks:world ~channels_per_rank:cpr ~tile ()
+      in
       let program = full_mapping_program ~mapping in
-      Alcotest.(check int)
-        (name ^ ": pre-remap clean")
-        0
-        (List.length (Analyzer.check_against_mapping program ~mapping));
       let mapping' = Mapping.remap_rank mapping ~dead ~survivors in
       let program' = Fault.remap_program program ~dead ~survivors in
-      Alcotest.(check int)
-        (name ^ ": post-remap clean")
-        0
-        (List.length
-           (Analyzer.check_against_mapping program' ~mapping:mapping')))
+      Analyzer.check_against_mapping program ~mapping = []
+      && Analyzer.check_against_mapping program' ~mapping:mapping' = [])
+
+(* Both remaps share one survivor-list validation: each bad list is
+   rejected by the mapping remap and the program remap alike. *)
+let test_remap_rejects_bad_survivors () =
+  let mapping =
+    Mapping.static ~extent:16 ~ranks:4 ~channels_per_rank:2 ~tile:2 ()
+  in
+  let program = full_mapping_program ~mapping in
+  let rejects name f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun (what, dead, survivors) ->
+      rejects ("Mapping.remap_rank: " ^ what) (fun () ->
+          ignore (Mapping.remap_rank mapping ~dead ~survivors));
+      rejects ("Fault.remap_program: " ^ what) (fun () ->
+          ignore (Fault.remap_program program ~dead ~survivors)))
     [
-      ( "mlp-style",
-        Mapping.static ~extent:16 ~ranks:4 ~channels_per_rank:2 ~tile:2 (),
-        2,
-        [ 0; 1; 3 ] );
-      ( "moe-style",
-        Mapping.static ~extent:32 ~ranks:4 ~channels_per_rank:4 ~tile:2 (),
-        1,
-        [ 0; 2; 3 ] );
-      ( "attention-style",
-        Mapping.static ~extent:16 ~ranks:2 ~channels_per_rank:1 ~tile:8 (),
-        0,
-        [ 1 ] );
+      ("empty", 1, []);
+      ("duplicated", 1, [ 0; 2; 0 ]);
+      ("survivor past the world", 1, [ 0; 4 ]);
+      ("negative survivor", 1, [ -1; 2 ]);
+      ("dead rank listed", 1, [ 0; 1; 2 ]);
+      ("dead rank out of range", 4, [ 0; 1 ]);
     ]
 
 (* A broken remap — the program's survivor list silently misses a rank
@@ -580,8 +616,9 @@ let () =
           Alcotest.test_case "cross-check" `Quick test_check_against_mapping;
           Alcotest.test_case "layout guard" `Quick
             test_check_against_mapping_layout_guard;
-          Alcotest.test_case "remap cross-checks clean" `Quick
-            test_remap_cross_checks_clean;
+          qc prop_remap_cross_checks_clean;
+          Alcotest.test_case "remap rejects bad survivors" `Quick
+            test_remap_rejects_bad_survivors;
           Alcotest.test_case "missing survivor flagged" `Quick
             test_remap_missing_survivor_flagged;
         ] );

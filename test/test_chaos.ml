@@ -229,6 +229,30 @@ let test_no_survivors_structural_stall () =
     Alcotest.(check string) "kind parsed" kind s.Harness.si_kind;
     Alcotest.(check int) "owner parsed" owner s.Harness.si_owner
 
+(* The coordinator's no-survivor stall goes through the same stall
+   path as the watchdog's: under full telemetry it is journaled and
+   counted in the [recovery.stalls] metric, exactly once. *)
+let test_no_survivors_stall_counted () =
+  let t, _, telemetry =
+    Harness.profile_trial ~crash_ranks:2 ~workload:Harness.Attention_ag
+      ~seed:42 ~index:0 ()
+  in
+  Alcotest.(check bool) "classified stalled" true
+    (t.Harness.classification = Harness.Stalled);
+  Alcotest.(check (option int)) "recovery.stalls counted once" (Some 1)
+    (Harness.Obs.Metrics.counter_value
+       (Harness.Obs.Telemetry.metrics telemetry)
+       "recovery.stalls");
+  Alcotest.(check int) "one Stall_detected journaled" 1
+    (List.length
+       (List.filter
+          (fun (e : Harness.Obs.Journal.entry) ->
+            match e.Harness.Obs.Journal.event with
+            | Harness.Obs.Journal.Stall_detected _ -> true
+            | _ -> false)
+          (Harness.Obs.Journal.entries
+             (Harness.Obs.Telemetry.journal telemetry))))
+
 (* Teardown regression: a sweep whose early trial stalls (poisoned
    cluster state, watchdog mid-flight) must leave later trials exactly
    as they would be when run fresh in isolation. *)
@@ -290,8 +314,8 @@ let test_crash_free_summary_unchanged () =
 
 (* A second crash landing squarely mid-replay of the first: the
    re-entrant coordinator must detect it on a later watchdog tick,
-   re-enter failover (remapping on top of the first remap without
-   reusing alias slots), and finish the run with bit-identical
+   re-enter failover (remapping the second dead rank over the
+   remaining survivors), and finish the run with bit-identical
    numerics.  The historical failure mode was the coordinator wedging
    in its replay join and the run dying as Engine.Deadlock — which
    lib/serve/batcher.ml then had to accept as an outcome. *)
@@ -335,8 +359,8 @@ let test_second_crash_mid_replay () =
       (Chaos.plan ~spec:quiet ~horizon_us:(2.0 *. ideal) ~seed:7
          ~world_size:4 ())
       [
-        (0, { Chaos.cr_at = t1; cr_until = None });
-        (1, { Chaos.cr_at = t2; cr_until = None });
+        (0, { Chaos.cr_at = t1 });
+        (1, { Chaos.cr_at = t2 });
       ]
   in
   let watchdog =
@@ -608,6 +632,8 @@ let () =
             (test_failover_recovers Harness.Attention_ag);
           Alcotest.test_case "no survivors: structural stall" `Quick
             test_no_survivors_structural_stall;
+          Alcotest.test_case "no survivors: stall counted" `Quick
+            test_no_survivors_stall_counted;
           Alcotest.test_case "second crash mid-replay re-enters failover"
             `Quick test_second_crash_mid_replay;
           Alcotest.test_case "stalled trial does not leak state" `Quick

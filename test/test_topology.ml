@@ -210,8 +210,8 @@ let test_island_crash_behind_partition_is_structural () =
          (Chaos.plan ~spec:quiet_spec ~horizon_us:(2.0 *. ideal) ~layout
             ~seed:7 ~world_size:4 ())
          [
-           (0, { Chaos.cr_at = t1; cr_until = None });
-           (1, { Chaos.cr_at = t1; cr_until = None });
+           (0, { Chaos.cr_at = t1 });
+           (1, { Chaos.cr_at = t1 });
          ])
       [ (0, { Chaos.w_from = 0.0; w_until = Float.infinity; w_factor = 0.0 }) ]
   in
@@ -229,9 +229,10 @@ let test_island_crash_behind_partition_is_structural () =
   let control = Chaos.control ~schedule ~watchdog () in
   let memory = Mlp.ag_gemm_alloc small_mlp ~seed:11 in
   let cluster = Cluster.create ~topology Calib.test_machine ~world_size:4 in
+  let telemetry = Harness.Obs.Telemetry.create () in
   match
-    Runtime.run ~data:true ~memory ~chaos:control ~rebuild:build cluster
-      (build ())
+    Runtime.run ~telemetry ~data:true ~memory ~chaos:control ~rebuild:build
+      cluster (build ())
   with
   | _ -> Alcotest.fail "island crash behind a partition must not complete"
   | exception Chaos.Stall s ->
@@ -243,7 +244,11 @@ let test_island_crash_behind_partition_is_structural () =
     Alcotest.(check bool) "stall recorded in recovery" true
       (List.exists
          (fun r -> r.Chaos.stall_kind = "partition")
-         control.Chaos.c_recovery.Chaos.stalls)
+         control.Chaos.c_recovery.Chaos.stalls);
+    Alcotest.(check (option int)) "recovery.stalls counted once" (Some 1)
+      (Harness.Obs.Metrics.counter_value
+         (Harness.Obs.Telemetry.metrics telemetry)
+         "recovery.stalls")
 
 (* Crashing every island leaves zero cross-island survivors: the
    harness must classify the trial Stalled with structured stall info
