@@ -1953,9 +1953,10 @@ let verify_cmd =
 (* ------------------------------------------------------------------ *)
 
 (* Auto-overlap planner: derive the Pc protocol for an operator graph
-   instead of picking a hand-written kernel.  --check runs the search
-   twice on fresh state and byte-compares the winners (exit 2 on
-   divergence); --emit prints the winning synthesized program. *)
+   instead of picking a hand-written kernel.  --check searches again
+   on fresh state and once more on the first search's cache, and
+   byte-compares the winners (exit 2 on divergence); --emit prints the
+   winning synthesized program. *)
 
 let plan_summary (p : Planner.plan) =
   Printf.sprintf "%s|%.6f" (Planner.fingerprint p.Planner.p_candidate)
@@ -2027,18 +2028,34 @@ let plan family m k n world seed jobs cache_path json_path check_flag emit_flag
     save_cache cache;
     if check_flag then begin
       (* A second search on fresh in-memory state must reproduce the
-         winner byte for byte, whatever the pool width. *)
-      match search ~cache:(Exec.Cache.create ()) () with
-      | None, _ ->
-        Printf.eprintf "plan check FAIL: second search found no plan\n";
-        exit 2
-      | Some p2, _ ->
-        if plan_summary p <> plan_summary p2 then begin
-          Printf.eprintf "plan check FAIL: %s <> %s\n" (plan_summary p)
-            (plan_summary p2);
+         winner byte for byte, whatever the pool width.  A third one on
+         the first search's cache, whose entries this process wrote,
+         skips synthesis and analysis for them: it must still return
+         the same winner and render the same program. *)
+      let rerun what cache =
+        match search ~cache () with
+        | None, _ ->
+          Printf.eprintf "plan check FAIL: %s search found no plan\n" what;
           exit 2
-        end;
-        Printf.printf "plan check ok: winner stable across searches\n"
+        | Some p2, _ ->
+          if plan_summary p <> plan_summary p2 then begin
+            Printf.eprintf "plan check FAIL (%s): %s <> %s\n" what
+              (plan_summary p) (plan_summary p2);
+            exit 2
+          end;
+          p2
+      in
+      ignore (rerun "fresh-cache" (Exec.Cache.create ()));
+      let warm = rerun "warm-cache" cache in
+      let render (p : Planner.plan) =
+        Format.asprintf "%a" Program.pp p.Planner.p_program
+      in
+      if render p <> render warm then begin
+        Printf.eprintf
+          "plan check FAIL: warm-cache search rendered another program\n";
+        exit 2
+      end;
+      Printf.printf "plan check ok: winner stable across searches\n"
     end;
     (match json_path with
     | None -> ()
@@ -2084,8 +2101,9 @@ let plan_cmd =
       value & flag
       & info [ "check" ]
           ~doc:
-            "Determinism gate: search twice on fresh state and require \
-             byte-identical winners (exit 2 on divergence).")
+            "Determinism gate: search again on fresh state and once more \
+             on the first search's cache, and require byte-identical \
+             winners (exit 2 on divergence).")
   in
   let emit_arg =
     Arg.(

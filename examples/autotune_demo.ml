@@ -38,7 +38,7 @@ let () =
   Printf.printf "searching %d candidates for AG+GEMM (M=%d K=%d N=%d)...\n"
     (List.length configs) shapes.Mlp.m shapes.Mlp.k shapes.Mlp.n;
   match
-    Tune.search_programs
+    Tune.search_programs ~workload:"demo:ag_gemm"
       ~build:(fun config -> Mlp.ag_gemm_program ~config shapes ~spec_gpu:spec)
       ~make_cluster:(fun () -> Cluster.create spec ~world_size:world)
       configs

@@ -9,11 +9,16 @@
 
    All operations take the lock, so the cache may be consulted from
    worker domains, though the intended pattern (and what [Tune] does)
-   is to resolve hits on the coordinating domain and only dispatch
-   misses to the pool. *)
+   is to look keys up on the coordinating domain and only store results
+   there.
+
+   Each entry also records whether [add] wrote it since [create].
+   Such an entry was computed by this process, from the code it is
+   running, so a caller may trust it more than one loaded from a file
+   an older build may have written. *)
 
 type t = {
-  table : (string, Tilelink_obs.Json.t) Hashtbl.t;
+  table : (string, Tilelink_obs.Json.t * bool) Hashtbl.t;
   lock : Mutex.t;
   path : string option;
   mutable hits : int;
@@ -45,7 +50,7 @@ let load_entries table path =
     | Ok doc -> (
       match Tilelink_obs.Json.member "entries" doc with
       | Some (Tilelink_obs.Json.Obj kvs) ->
-        List.iter (fun (k, v) -> Hashtbl.replace table k v) kvs
+        List.iter (fun (k, v) -> Hashtbl.replace table k (v, false)) kvs
       | _ -> ())
 
 let create ?path () =
@@ -60,7 +65,7 @@ let locked t f =
 let find t key =
   locked t (fun () ->
       match Hashtbl.find_opt t.table key with
-      | Some v ->
+      | Some (v, _) ->
         t.hits <- t.hits + 1;
         Some v
       | None ->
@@ -68,7 +73,13 @@ let find t key =
         None)
 
 let add t key value =
-  locked t (fun () -> Hashtbl.replace t.table key value)
+  locked t (fun () -> Hashtbl.replace t.table key (value, true))
+
+let written t key =
+  locked t (fun () ->
+      match Hashtbl.find_opt t.table key with
+      | Some (_, written) -> written
+      | None -> false)
 
 let length t = locked t (fun () -> Hashtbl.length t.table)
 let hits t = t.hits
@@ -78,7 +89,7 @@ let path t = t.path
 let to_json t =
   locked t (fun () ->
       let entries =
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.table []
+        Hashtbl.fold (fun k (v, _) acc -> (k, v) :: acc) t.table []
         |> List.sort (fun (a, _) (b, _) -> compare a b)
       in
       Tilelink_obs.Json.Obj

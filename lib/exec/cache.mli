@@ -20,6 +20,12 @@ val find : t -> string -> Tilelink_obs.Json.t option
 (** Lookup; bumps the hit or miss counter. *)
 
 val add : t -> string -> Tilelink_obs.Json.t -> unit
+
+val written : t -> string -> bool
+(** Whether {!add} stored [key] since {!create}: the entry was
+    computed in this process, not loaded from the backing file.  Does
+    not touch the hit or miss counters. *)
+
 val length : t -> int
 val hits : t -> int
 val misses : t -> int

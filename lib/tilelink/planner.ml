@@ -11,9 +11,12 @@
 
    Candidate pruning and scoring run through [Tune.search_planned]:
    the analyzer rejects statically-broken protocols before any
-   simulation (and before the cache), survivors are simulated for
-   makespan plus exposed-communication blame, and the planner picks
-   the makespan minimum with exposed communication as the tiebreak. *)
+   simulation (and before an entry loaded from a cache file replays),
+   survivors are simulated for makespan plus exposed-communication
+   blame, and the planner picks the makespan minimum with exposed
+   communication as the tiebreak.  A hit on an entry this process
+   wrote skips synthesis and analysis, which it passed when stored,
+   so a warm search synthesizes only its winner. *)
 
 open Tilelink_tensor
 

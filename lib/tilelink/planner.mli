@@ -133,4 +133,7 @@ val search :
     score every candidate; [None] when nothing both built and passed
     the protocol analysis.  The winner minimizes makespan with
     exposed-communication blame as the tiebreak (earliest candidate on
-    a full tie, so the result is deterministic across pool widths). *)
+    a full tie, so the result is deterministic across pool widths).
+    Candidates with an entry this process wrote to [cache] are scored
+    from it without synthesis or analysis; the plan is the same as on
+    a cold cache. *)

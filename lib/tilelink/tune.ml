@@ -16,10 +16,15 @@
    finish cannot change it.  Cache hits replay the stored time
    bit-for-bit within a process.
 
-   A built candidate (a whole synthesized program, for the program
-   searches) is dropped as soon as it has been analyzed and scored;
-   only the running best keeps one alive, so a search holds at most
-   one candidate per domain plus the winner. *)
+   A hit on an entry this process wrote is trusted outright: the
+   candidate is neither built nor analyzed, because the entry was
+   stored only after the same build and analysis passed.  Entries
+   loaded from a cache file still build and analyze before they
+   replay.  A built candidate (a whole synthesized program, for the
+   program searches) is dropped as soon as it has been analyzed and
+   scored; only the running best keeps one alive, so a search holds at
+   most one candidate per domain plus the winner.  A winner that came
+   from a trusted hit is built once, after the search. *)
 
 type 'a evaluation = {
   candidate : 'a;
@@ -50,9 +55,6 @@ type 'a outcome = {
   cache_misses : int;
 }
 
-let score_of (e : _ evaluation) =
-  { config = e.config; time = e.time; exposed_comm_us = e.exposed_comm_us }
-
 (* One candidate's fate, computed inside a pool task.  The four
    expected failure modes are folded into the variant here so they
    never cross a domain boundary as raw exceptions; anything else is a
@@ -65,56 +67,71 @@ type attempt =
   | Failed_deadlock
   | Failed_race
 
-(* The running best, shared by every task of one search.  [offer] is
-   the only place a built candidate can outlive its task: a candidate
-   that does not beat the leader is garbage as soon as [offer]
-   returns. *)
+(* What the cache holds for one candidate.  A [Loaded] entry came from
+   a persistent file and may predate a builder change, so it is only
+   replayed once the candidate has been built and analyzed again.  A
+   [Written] entry was stored by this process, after its candidate
+   built and passed [analyze], under a key that fingerprints workload,
+   machine and candidate: it cannot be stale and is replayed as is. *)
+type lookup =
+  | Miss
+  | Loaded of float * float option
+  | Written of float * float option
+
+(* The running best, shared by every task of one search: an index, its
+   score, and the built candidate unless the score came from a
+   [Written] hit, which never builds.  [offer] is the only place a
+   built candidate can outlive its task: a candidate that does not beat
+   the leader is garbage as soon as [offer] returns. *)
 type 'a leader = {
   lock : Mutex.t;
-  mutable lead : (int * 'a evaluation) option;
+  mutable lead : (int * score * 'a option) option;
 }
 
-let offer ~tie_break leader index (e : _ evaluation) =
-  let beats (i, (a : _ evaluation)) (j, (b : _ evaluation)) =
+let offer ~tie_break leader index (s : score) candidate =
+  let beats (i, (a : score)) (j, (b : score)) =
     if a.time <> b.time then a.time < b.time
     else
-      match tie_break (score_of a) (score_of b) with
+      match tie_break a b with
       | 0 -> i < j
       | c -> c < 0
   in
   Mutex.protect leader.lock (fun () ->
       match leader.lead with
-      | Some lead when not (beats (index, e) lead) -> ()
-      | _ -> leader.lead <- Some (index, e))
+      | Some (j, lead, _) when not (beats (index, s) (j, lead)) -> ()
+      | _ -> leader.lead <- Some (index, s, candidate))
 
-(* Static analysis runs right after build — before the cache lookup —
-   so a candidate with a broken protocol is rejected even when an old
-   cache entry would happily replay its simulated time. *)
-let attempt ?analyze ~config_of ~build ~evaluate ~record (item, cached) =
-  match build item with
-  | exception Invalid_argument _ -> Failed_build
-  | candidate -> (
-    let config = config_of item in
-    let analysis =
-      match analyze with
-      | None -> Ok ()
-      | Some f -> (f candidate : (unit, string) result)
-    in
-    match analysis with
-    | Error _ -> Failed_race
-    | Ok () -> (
-      let scored time exposed_comm_us =
-        let e = { candidate; config; time; exposed_comm_us } in
-        record e;
-        score_of e
+(* A [Written] hit is scored without building.  Otherwise static
+   analysis runs right after build, before a [Loaded] entry is
+   replayed, so a candidate with a broken protocol is rejected even
+   when an old cache file would happily replay its simulated time. *)
+let attempt ?analyze ~config_of ~build ~evaluate ~record (item, lookup) =
+  let scored ?candidate time exposed_comm_us =
+    let s = { config = config_of item; time; exposed_comm_us } in
+    record s candidate;
+    s
+  in
+  match lookup with
+  | Written (time, exposed_comm_us) -> From_cache (scored time exposed_comm_us)
+  | Miss | Loaded _ -> (
+    match build item with
+    | exception Invalid_argument _ -> Failed_build
+    | candidate -> (
+      let analysis =
+        match analyze with
+        | None -> Ok ()
+        | Some f -> (f candidate : (unit, string) result)
       in
-      match cached with
-      | Some (time, exposed_comm_us) -> From_cache (scored time exposed_comm_us)
-      | None -> (
+      match (analysis, lookup) with
+      | Error _, _ -> Failed_race
+      | Ok (), Loaded (time, exposed_comm_us) ->
+        From_cache (scored ~candidate time exposed_comm_us)
+      | Ok (), _ -> (
         match evaluate candidate with
         | exception Invalid_argument _ -> Failed_invalid
         | exception Tilelink_sim.Engine.Deadlock _ -> Failed_deadlock
-        | time, exposed_comm_us -> Evaluated (scored time exposed_comm_us))))
+        | time, exposed_comm_us ->
+          Evaluated (scored ~candidate time exposed_comm_us))))
 
 (* Persistent cache entries are schema-versioned: the current shape is
    {"v": 2, "time": t, "exposed_comm_us": x?}.  Two legacy shapes
@@ -160,7 +177,8 @@ let cached_to_json e =
    returns the simulated time plus the optional exposed-communication
    measurement, and [tie_break] orders equal times before the
    candidate index does.  The public [search] keeps its scalar
-   evaluator and wraps. *)
+   evaluator and wraps.  A [Written] hit costs its task no build; if
+   one wins, its candidate is built once, after the search. *)
 let search_items ?pool ?cache ?cache_key ?analyze
     ?(tie_break = fun _ _ -> 0) ~config_of ~build ~evaluate items =
   let keyed =
@@ -169,20 +187,27 @@ let search_items ?pool ?cache ?cache_key ?analyze
       List.mapi
         (fun index item ->
           let key = key_of item in
-          let cached =
-            Option.bind (Tilelink_exec.Cache.find cache key) cached_of_json
+          let lookup =
+            match
+              Option.bind (Tilelink_exec.Cache.find cache key) cached_of_json
+            with
+            | None -> Miss
+            | Some (time, exposed) ->
+              if Tilelink_exec.Cache.written cache key then
+                Written (time, exposed)
+              else Loaded (time, exposed)
           in
-          (index, item, Some key, cached))
+          (index, item, Some key, lookup))
         items
-    | _ -> List.mapi (fun index item -> (index, item, None, None)) items
+    | _ -> List.mapi (fun index item -> (index, item, None, Miss)) items
   in
   let leader = { lock = Mutex.create (); lead = None } in
   let attempts =
     Tilelink_exec.Pool.map pool
-      (fun (index, item, _key, cached) ->
+      (fun (index, item, _key, lookup) ->
         attempt ?analyze ~config_of ~build ~evaluate
           ~record:(offer ~tie_break leader index)
-          (item, cached))
+          (item, lookup))
       keyed
     |> List.map Tilelink_exec.Pool.get
   in
@@ -221,9 +246,20 @@ let search_items ?pool ?cache ?cache_key ?analyze
     | Some _ -> List.length attempts - cache_hits
   in
   Option.map
-    (fun (_, best) ->
+    (fun (index, (s : score), built) ->
+      let candidate =
+        match built with
+        | Some candidate -> candidate
+        | None -> build (List.nth items index)
+      in
       {
-        best;
+        best =
+          {
+            candidate;
+            config = s.config;
+            time = s.time;
+            exposed_comm_us = s.exposed_comm_us;
+          };
         evaluated;
         skipped =
           skipped_build + skipped_invalid + skipped_deadlock + skipped_race;
@@ -271,8 +307,7 @@ let machine_fingerprint ~make_cluster =
    cluster per candidate, built *inside* the evaluating task so every
    engine/channel/runtime structure stays confined to the domain that
    runs it — [make_cluster] is the enforced entry point. *)
-let search_programs ?pool ?cache ?(workload = "program") ?(analyze = true)
-    ~build ~make_cluster configs =
+let search_programs ?pool ?cache ~workload ~build ~make_cluster configs =
   let cache_key =
     match cache with
     | None -> None
@@ -284,10 +319,8 @@ let search_programs ?pool ?cache ?(workload = "program") ?(analyze = true)
             (String.concat "|"
                [ workload; machine; Design_space.fingerprint config ]))
   in
-  let analyze =
-    if analyze then Some Analyzer.check_message else None
-  in
-  search_items ?pool ?cache ?cache_key ?analyze ~config_of:Fun.id ~build
+  search_items ?pool ?cache ?cache_key ~analyze:Analyzer.check_message
+    ~config_of:Fun.id ~build
     ~evaluate:(evaluate_program ~make_cluster) configs
 
 (* The planner breaks makespan ties toward less exposed communication
@@ -305,8 +338,8 @@ let less_exposed_comm (a : score) (b : score) =
    candidate with its synthesized program, because the caller needs
    both: the candidate to describe the schedule, the program to emit
    or execute it. *)
-let search_planned ?pool ?cache ?(workload = "planned") ?(analyze = true)
-    ~fingerprint ~config_of ~build ~make_cluster candidates =
+let search_planned ?pool ?cache ~workload ~fingerprint ~config_of ~build
+    ~make_cluster candidates =
   let cache_key =
     match cache with
     | None -> None
@@ -317,13 +350,10 @@ let search_planned ?pool ?cache ?(workload = "planned") ?(analyze = true)
           Tilelink_exec.Cache.fingerprint
             (String.concat "|" [ workload; machine; fingerprint candidate ]))
   in
-  let analyze =
-    if analyze then
-      Some (fun ((_, program) : _ * Program.t) -> Analyzer.check_message program)
-    else None
-  in
-  search_items ?pool ?cache ?cache_key ?analyze ~tie_break:less_exposed_comm
-    ~config_of
+  search_items ?pool ?cache ?cache_key
+    ~analyze:(fun ((_, program) : _ * Program.t) ->
+      Analyzer.check_message program)
+    ~tie_break:less_exposed_comm ~config_of
     ~build:(fun candidate -> (candidate, build candidate))
     ~evaluate:(fun (_, program) -> evaluate_program ~make_cluster program)
     candidates

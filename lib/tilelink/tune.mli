@@ -53,18 +53,21 @@ val search :
     cluster per call).  The outcome is identical to the sequential
     path: [evaluated] is in candidate order and [best] is the earliest
     strict minimum.  Each built candidate is dropped once it has been
-    scored unless it leads the search so far, and the winner is never
-    rebuilt.  Caching needs both [cache] and [cache_key]; only
-    successful evaluations are stored.  [analyze] runs on each built
-    candidate {e before} the cache lookup, hit or miss: a failing
+    scored unless it leads the search so far.  Caching needs both
+    [cache] and [cache_key]; only successful evaluations are stored.
+    A hit on an entry this process stored ({!Tilelink_exec.Cache.written})
+    is scored without calling [build] or [analyze]; if it wins, the
+    winner is built once after the search.  Searches that share a
+    cache and key space must therefore pass the same [analyze].  A hit
+    on an entry loaded from a cache file builds and runs [analyze]
+    before the stored time replays, as does every miss: a failing
     candidate counts as [skipped_race] and is neither evaluated nor
     served from cache. *)
 
 val search_programs :
   ?pool:Tilelink_exec.Pool.t ->
   ?cache:Tilelink_exec.Cache.t ->
-  ?workload:string ->
-  ?analyze:bool ->
+  workload:string ->
   build:(Design_space.config -> Program.t) ->
   make_cluster:(unit -> Tilelink_machine.Cluster.t) ->
   Design_space.config list ->
@@ -73,16 +76,17 @@ val search_programs :
     [make_cluster] inside each evaluating task (simulated clusters are
     single-shot and must stay domain-confined).  Cache keys fingerprint
     [workload] — which must therefore identify the kernel {e and}
-    shape — together with the machine spec, world size and config.
-    [analyze] (default [true]) pre-flights every built program through
-    {!Analyzer.check_message}; statically-broken candidates count as
-    [skipped_race]. *)
+    shape, and differ between builders that share a cache — together
+    with the machine spec, world size and config.  Every built program
+    is pre-flighted through {!Analyzer.check_message};
+    statically-broken candidates count as [skipped_race].  An entry
+    this process stored is thus always built and analyzer-clean, and a
+    hit on it skips both. *)
 
 val search_planned :
   ?pool:Tilelink_exec.Pool.t ->
   ?cache:Tilelink_exec.Cache.t ->
-  ?workload:string ->
-  ?analyze:bool ->
+  workload:string ->
   fingerprint:('c -> string) ->
   config_of:('c -> Design_space.config) ->
   build:('c -> Program.t) ->
@@ -98,8 +102,11 @@ val search_planned :
     [best] pairs the winning candidate with its synthesized program.
     Candidates of equal time rank by less exposed communication
     (missing blame last) before the earlier candidate wins a full tie.
-    [analyze] (default [true]) pre-flights every synthesized program —
-    no planner-derived protocol is ever scored unchecked. *)
+    Every synthesized program is pre-flighted through the analyzer —
+    no planner-derived protocol is ever scored unchecked.  A hit on an
+    entry this process stored skips synthesis and analysis, since that
+    entry's program already passed both; when such a hit wins, its
+    program is synthesized once after the search. *)
 
 val cache_schema_version : int
 (** Version tag written into persistent cache entries.  Loads accept

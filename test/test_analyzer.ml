@@ -480,7 +480,7 @@ let test_tune_counts_skipped_race () =
       [ 1; 2 ]
   in
   let outcome =
-    Tune.search_programs
+    Tune.search_programs ~workload:"test:skipped-race"
       ~build:(fun c ->
         if c.Design_space.stages = 2 then deadlock_program ()
         else mlp_program ~world:2 ~comm_tile:2 ~stages:1 ())

@@ -101,8 +101,11 @@ let test_cache_persistence () =
   Cache.add c "alpha" (Json.Num 3.25);
   Cache.add c "beta" (Json.Obj [ ("makespan_us", Json.Num 7.0) ]);
   Cache.save c;
+  Alcotest.(check bool) "added entry is written" true (Cache.written c "alpha");
   let reloaded = Cache.create ~path () in
   Alcotest.(check int) "entries reloaded" 2 (Cache.length reloaded);
+  Alcotest.(check bool) "loaded entry is not written" false
+    (Cache.written reloaded "alpha");
   (match Cache.find reloaded "alpha" with
   | Some (Json.Num v) -> Alcotest.(check (float 0.0)) "value survives" 3.25 v
   | _ -> Alcotest.fail "alpha missing after reload");
@@ -209,49 +212,54 @@ let test_second_run_served_from_cache () =
   Alcotest.(check bool) "warm evaluated set identical" true
     (evaluations warm = evaluations cold)
 
+(* A toy AG+GEMM space: three comm tiles times three bindings. *)
+let toy_world = 2
+let toy_spec = { Mlp.m = 16; k = 4; n = 6; world_size = toy_world }
+
+let toy_configs =
+  List.concat_map
+    (fun comm_tm ->
+      List.map
+        (fun binding ->
+          {
+            Design_space.comm_tile = (comm_tm, comm_tm);
+            compute_tile = (2, 3);
+            comm_order = Tile.Ring_from_self { segments = toy_world };
+            compute_order = Tile.Row_major;
+            binding;
+            stages = 2;
+            micro_block = 0;
+          })
+        [
+          Design_space.Comm_on_sm 1;
+          Design_space.Comm_on_sm 2;
+          Design_space.Comm_on_dma;
+        ])
+    [ 2; 4; 8 ]
+
+let toy_program config =
+  Mlp.ag_gemm_program ~config toy_spec ~spec_gpu:Calib.test_machine
+
+let toy_cluster () = Cluster.create Calib.test_machine ~world_size:toy_world
+
 (* Every program [build] returns is registered weakly: once the search
    has returned and a full major GC has run, the winner's must be the
-   only one left alive, cache hits included. *)
+   only one left alive.  A warm pass over the cache this process
+   filled builds nothing but the winner, once. *)
 let test_search_keeps_only_the_winner () =
-  let world = 2 in
-  let spec = { Mlp.m = 16; k = 4; n = 6; world_size = world } in
-  let configs =
-    List.concat_map
-      (fun comm_tm ->
-        List.map
-          (fun binding ->
-            {
-              Design_space.comm_tile = (comm_tm, comm_tm);
-              compute_tile = (2, 3);
-              comm_order = Tile.Ring_from_self { segments = world };
-              compute_order = Tile.Row_major;
-              binding;
-              stages = 2;
-              micro_block = 0;
-            })
-          [
-            Design_space.Comm_on_sm 1;
-            Design_space.Comm_on_sm 2;
-            Design_space.Comm_on_dma;
-          ])
-      [ 2; 4; 8 ]
-  in
   let cache = Cache.create () in
   let search () =
-    let built = Weak.create (List.length configs) in
+    let built = Weak.create (List.length toy_configs) in
     let next = ref 0 in
     let build config =
-      let program =
-        Mlp.ag_gemm_program ~config spec ~spec_gpu:Calib.test_machine
-      in
+      let program = toy_program config in
       Weak.set built !next (Some program);
       incr next;
       program
     in
     match
       Tune.search_programs ~cache ~workload:"test:retention" ~build
-        ~make_cluster:(fun () -> Cluster.create Calib.test_machine ~world_size:world)
-        configs
+        ~make_cluster:toy_cluster toy_configs
     with
     | None -> Alcotest.fail "retention search built no candidate"
     | Some o ->
@@ -261,16 +269,134 @@ let test_search_keeps_only_the_winner () =
       in
       (o, !next, alive)
   in
+  let check pass ~builds (o, built, alive) =
+    Alcotest.(check int) (pass ^ ": builds") builds built;
+    Alcotest.(check int) (pass ^ ": one program alive") 1
+      (List.length alive);
+    Alcotest.(check bool) (pass ^ ": it is the winner's") true
+      (List.hd alive == o.Tune.best.Tune.candidate)
+  in
+  let cold = search () in
+  check "cold" ~builds:(List.length toy_configs) cold;
+  let warm = search () in
+  check "warm" ~builds:1 warm;
+  let o, _, _ = warm in
+  Alcotest.(check int) "warm: every candidate a hit"
+    (List.length toy_configs) o.Tune.cache_hits;
+  let cold_o, _, _ = cold in
+  Alcotest.(check string) "warm winner program identical"
+    (Program_digest.digest cold_o.Tune.best.Tune.candidate)
+    (Program_digest.digest o.Tune.best.Tune.candidate)
+
+(* [Tune.search] over the toy space with every [build] and [analyze]
+   call counted; [broken] names configs whose program is built with a
+   dropped notify, which the analyzer must reject. *)
+let counted_key config =
+  Cache.fingerprint ("test:counted|" ^ Design_space.fingerprint config)
+
+let counted_search ?pool ?(broken = []) ~cache () =
+  let builds = Atomic.make 0 and analyses = Atomic.make 0 in
+  let outcome =
+    Tune.search ?pool ~cache ~cache_key:counted_key
+      ~analyze:(fun program ->
+        Atomic.incr analyses;
+        Analyzer.check_message program)
+      ~build:(fun config ->
+        Atomic.incr builds;
+        let program = toy_program config in
+        if List.mem config broken then
+          Fault.drop_notify program ~rank:0 ~nth:0
+        else program)
+      ~evaluate:(fun program ->
+        (Runtime.run (toy_cluster ()) program).Runtime.makespan)
+      toy_configs
+  in
+  match outcome with
+  | None -> Alcotest.fail "counted search built no candidate"
+  | Some o -> (o, Atomic.get builds, Atomic.get analyses)
+
+let test_in_process_hits_skip_build_and_analysis () =
+  let n = List.length toy_configs in
+  let cache = Cache.create () in
+  let cold, builds, analyses = counted_search ~cache () in
+  Alcotest.(check (pair int int)) "cold: build and analyze all" (n, n)
+    (builds, analyses);
   List.iter
-    (fun pass ->
-      let o, built, alive = search () in
-      Alcotest.(check int) (pass ^ ": every candidate built")
-        (List.length configs) built;
-      Alcotest.(check int) (pass ^ ": one program alive") 1
-        (List.length alive);
-      Alcotest.(check bool) (pass ^ ": it is the winner's") true
-        (List.hd alive == o.Tune.best.Tune.candidate))
-    [ "cold"; "warm" ]
+    (fun domains ->
+      let pool = Option.map (fun domains -> Pool.create ~domains ()) domains in
+      let warm, builds, analyses = counted_search ?pool ~cache () in
+      let at =
+        Printf.sprintf " (%d domains)" (Option.value ~default:1 domains)
+      in
+      Alcotest.(check (pair int int))
+        ("warm: build the winner, analyze none" ^ at)
+        (1, 0) (builds, analyses);
+      Alcotest.(check int) ("warm: all hits" ^ at) n warm.Tune.cache_hits;
+      Alcotest.(check bool) ("warm winner identical" ^ at) true
+        (warm.Tune.best.Tune.config = cold.Tune.best.Tune.config
+        && warm.Tune.best.Tune.time = cold.Tune.best.Tune.time);
+      Alcotest.(check bool) ("warm evaluated set identical" ^ at) true
+        (evaluations warm = evaluations cold))
+    [ None; Some 2 ]
+
+(* Entries loaded from a file may predate a builder change, so a
+   reloaded cache replays nothing unchecked: every candidate is built
+   and analyzed again, and a planted entry under a candidate that now
+   fails analysis cannot resurrect it. *)
+let test_persistent_hits_rebuild_and_reanalyze () =
+  let n = List.length toy_configs in
+  let path = Filename.temp_file "tilelink_cache" ".json" in
+  Sys.remove path;
+  let bad = List.hd toy_configs in
+  let broken, _, _ =
+    counted_search ~broken:[ bad ] ~cache:(Cache.create ()) ()
+  in
+  Alcotest.(check int) "the broken candidate is a race" 1
+    broken.Tune.skipped_race;
+  let cold =
+    let cache = Cache.create ~path () in
+    let o, builds, analyses = counted_search ~cache () in
+    Alcotest.(check (pair int int)) "fresh file: build and analyze all"
+      (n, n) (builds, analyses);
+    Cache.save cache;
+    o
+  in
+  let reloaded, builds, analyses =
+    counted_search ~cache:(Cache.create ~path ()) ()
+  in
+  Alcotest.(check (pair int int)) "reloaded: build and analyze all" (n, n)
+    (builds, analyses);
+  Alcotest.(check int) "reloaded: all hits" n reloaded.Tune.cache_hits;
+  (* A file stores six significant digits, so only configs match
+     exactly after a reload. *)
+  List.iter2
+    (fun (a : Tune.score) (b : Tune.score) ->
+      Alcotest.(check bool) "reloaded config identical" true
+        (a.Tune.config = b.Tune.config);
+      Alcotest.(check (float (1e-5 *. a.Tune.time)))
+        "reloaded time within the file's precision" a.Tune.time b.Tune.time)
+    cold.Tune.evaluated reloaded.Tune.evaluated;
+  (* Plant an entry faster than any real one under the broken
+     candidate's key, in the file. *)
+  let planted = Cache.create ~path () in
+  Cache.add planted (counted_key bad)
+    (Json.Obj
+       [
+         ("v", Json.Num (float_of_int Tune.cache_schema_version));
+         ("time", Json.Num 1e-3);
+         ("exposed_comm_us", Json.Num 0.0);
+       ]);
+  Cache.save planted;
+  let o, builds, analyses =
+    counted_search ~broken:[ bad ] ~cache:(Cache.create ~path ()) ()
+  in
+  Alcotest.(check (pair int int)) "planted: build and analyze all" (n, n)
+    (builds, analyses);
+  Alcotest.(check int) "planted entry still a race" 1 o.Tune.skipped_race;
+  Alcotest.(check int) "planted entry not served" (n - 1) o.Tune.cache_hits;
+  Alcotest.(check bool) "winner is not the planted entry" true
+    (o.Tune.best.Tune.config <> bad && o.Tune.best.Tune.time > 1e-3);
+  Sys.remove path
 
 (* ------------------------------------------------------------------ *)
 (* Cache schema versioning: mixed legacy / current entry shapes        *)
@@ -440,6 +566,10 @@ let () =
         [
           Alcotest.test_case "keeps only the winner's program" `Quick
             test_search_keeps_only_the_winner;
+          Alcotest.test_case "in-process hits skip build and analysis" `Quick
+            test_in_process_hits_skip_build_and_analysis;
+          Alcotest.test_case "persistent hits rebuild and reanalyze" `Quick
+            test_persistent_hits_rebuild_and_reanalyze;
           Alcotest.test_case "parallel = sequential (table 2)" `Slow
             test_parallel_search_matches_sequential;
           Alcotest.test_case "warm cache >=90% hits" `Slow

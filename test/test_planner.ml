@@ -162,6 +162,53 @@ let test_search_deterministic () =
         (Program_digest.digest b.Planner.p_program))
     [ 1; 2; 4 ]
 
+(* A warm search over a cache this process filled trusts every entry,
+   synthesizing only the winner: it must still return exactly the cold
+   search's plan, at every pool width. *)
+let test_warm_search_matches_cold () =
+  let graph = Planned.mlp_graph mlp_spec in
+  let candidates = small_candidates ~world:2 ~shard_rows:4 in
+  List.iter
+    (fun domains ->
+      let pool =
+        if domains = 1 then None
+        else Some (Tilelink_exec.Pool.create ~domains ())
+      in
+      let cache = Tilelink_exec.Cache.create () in
+      let run () =
+        match
+          Planner.search ?pool ~cache ~candidates graph ~spec_gpu
+            ~make_cluster:(make_cluster 2) ()
+        with
+        | None -> Alcotest.fail "search returned no plan"
+        | Some plan -> plan
+      in
+      let cold = run () in
+      let warm = run () in
+      let at = Printf.sprintf " (%d domains)" domains in
+      let scores (p : Planner.plan) =
+        List.map
+          (fun (e : Tune.score) ->
+            (e.Tune.config, e.Tune.time, e.Tune.exposed_comm_us))
+          p.Planner.p_outcome.Tune.evaluated
+      in
+      Alcotest.(check string) ("same winner" ^ at)
+        (Planner.fingerprint cold.Planner.p_candidate)
+        (Planner.fingerprint warm.Planner.p_candidate);
+      Alcotest.(check (float 0.0)) ("same makespan" ^ at)
+        cold.Planner.p_time warm.Planner.p_time;
+      Alcotest.(check (option (float 0.0))) ("same exposed comm" ^ at)
+        cold.Planner.p_exposed_comm_us warm.Planner.p_exposed_comm_us;
+      Alcotest.(check bool) ("same evaluated list" ^ at) true
+        (scores cold = scores warm);
+      Alcotest.(check string) ("same winner program" ^ at)
+        (Program_digest.digest cold.Planner.p_program)
+        (Program_digest.digest warm.Planner.p_program);
+      Alcotest.(check int) ("warm pass all hits" ^ at)
+        (List.length warm.Planner.p_outcome.Tune.evaluated)
+        warm.Planner.p_outcome.Tune.cache_hits)
+    [ 1; 2 ]
+
 (* The search keeps scores, not programs: beyond the winner's program,
    a plan holds only the small per-candidate scores. *)
 let test_search_retains_only_the_winner () =
@@ -388,6 +435,8 @@ let () =
             test_search_ties_keep_earliest;
           Alcotest.test_case "deterministic across pool widths" `Quick
             test_search_deterministic;
+          Alcotest.test_case "warm search matches cold" `Quick
+            test_warm_search_matches_cold;
           qc qcheck_planner_matches_handwritten;
         ] );
       ( "graphs",

@@ -73,7 +73,10 @@ let search_lines () =
   let shapes = { Mlp.m = 2048; k = 1024; n = 1024; world_size = world } in
   let make_cluster () = Cluster.create Calib.h800 ~world_size:world in
   let lines name build configs =
-    match Tune.search_programs ~build ~make_cluster configs with
+    match
+      Tune.search_programs ~workload:("golden:" ^ name) ~build ~make_cluster
+        configs
+    with
     | None -> [ "search:" ^ name ^ "\tnone" ]
     | Some o ->
       List.map
