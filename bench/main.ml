@@ -8,10 +8,12 @@
    Flags:
      --jobs N     evaluate independent grid points on N domains
                   (default 1: sequential, identical output either way)
+     --json [SUITE...]  write BENCH_<suite>.json artifacts instead of
+                  tables; each suite is one [suite] record below
      --no-cache   do not consult/update BENCH_cache.json in --json mode
      --cache F    use F instead of BENCH_cache.json
      --check      re-parse each written BENCH_*.json and fail unless the
-                  schema holds (non-empty rows, numeric fields); with
+                  shared schema and the suite's gate hold; with
                   --compare, also self-test the gate (self-diff must
                   pass, a 2x-tolerance slowdown must trip)
      --compare OLD NEW   regression gate: diff two BENCH_*.json files
@@ -27,8 +29,9 @@
      fig9    MoE layers: both parts and full
      fig10   sequence-parallel attention + overlap ratio
      fig11   end-to-end LLMs, 1 node and 2 nodes
-     micro   Bechamel microbenchmarks of the compiler + simulator
+     ablation  the decoupled design space, one axis at a time
 
+   An unknown artifact or suite name exits 2 before anything runs.
    Absolute times come from the calibrated machine model; the claims
    to compare against the paper are orderings and ratios (see
    EXPERIMENTS.md). *)
@@ -544,134 +547,6 @@ let ablation () =
     ((coupled -. tuned.Tuned.best_time) /. tuned.Tuned.best_time *. 100.0)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks                                            *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  heading "Bechamel microbenchmarks (compiler + simulator hot paths)";
-  let open Bechamel in
-  let open Toolkit in
-  let small_config =
-    {
-      Design_space.comm_tile = (2, 2);
-      compute_tile = (2, 3);
-      comm_order = Tilelink_core.Tile.Row_major;
-      compute_order = Tilelink_core.Tile.Row_major;
-      binding = Design_space.Comm_on_sm 1;
-      stages = 2;
-      micro_block = 0;
-    }
-  in
-  let ag_spec = { Mlp.m = 8; k = 4; n = 6; world_size = 2 } in
-  let rs_spec = { Mlp.rs_m = 8; rs_k = 3; rs_n = 4; rs_world = 2 } in
-  let moe_spec =
-    {
-      Moe.tokens = 8;
-      hidden = 4;
-      intermediate = 8;
-      experts = 3;
-      topk = 2;
-      world_size = 2;
-    }
-  in
-  let attn_spec =
-    {
-      Attention.batch_heads = 2;
-      seq = 16;
-      head_dim = 4;
-      world_size = 2;
-      causal = false;
-    }
-  in
-  let tests =
-    [
-      (* Table 2 / Figure 8 path: build + simulate the MLP kernels. *)
-      Test.make ~name:"table2/fig8: ag_gemm build+simulate"
-        (Staged.stage (fun () ->
-             run_program
-               (Mlp.ag_gemm_program ~config:small_config ag_spec
-                  ~spec_gpu:Calib.test_machine)));
-      Test.make ~name:"table2/fig8: gemm_rs build+simulate"
-        (Staged.stage (fun () ->
-             run_program
-               (Mlp.gemm_rs_program
-                  ~config:{ small_config with Design_space.compute_tile = (2, 2) }
-                  rs_spec ~spec_gpu:Calib.test_machine)));
-      (* Figure 9 path: dynamic-mapping MoE kernels. *)
-      Test.make ~name:"fig9: moe part1 build+simulate"
-        (Staged.stage
-           (let route = Moe.routing moe_spec ~seed:3 in
-            fun () ->
-              run_program
-                (Moe.part1_program moe_spec route
-                   ~spec_gpu:Calib.test_machine
-                   ~config:
-                     {
-                       Moe.comm_tile_rows = 2;
-                       group_tile_rows = 2;
-                       comm_binding = Design_space.Comm_on_sm 1;
-                     })));
-      Test.make ~name:"fig9: moe part2 build+simulate"
-        (Staged.stage
-           (let route = Moe.routing moe_spec ~seed:3 in
-            fun () ->
-              run_program
-                (Moe.part2_program moe_spec route
-                   ~spec_gpu:Calib.test_machine
-                   ~config:
-                     {
-                       Moe.gg_tile_rows = 2;
-                       reduce_tile_rows = 2;
-                       rs_tile_rows = 2;
-                       reduce_sms = 1;
-                       rs_sms = 1;
-                     })));
-      (* Figure 10 path: host-primitive attention kernel. *)
-      Test.make ~name:"fig10: attention build+simulate"
-        (Staged.stage (fun () ->
-             run_program
-               (Attention.program
-                  ~config:{ Attention.q_tile = 4; kv_tile = 4 }
-                  attn_spec ~spec_gpu:Calib.test_machine)));
-      (* Figure 11 path: analytic baseline assembly. *)
-      Test.make ~name:"fig11: torch layer analytic time"
-        (Staged.stage (fun () ->
-             Torch_model.torch_layer_time spec (List.hd Model.models)
-               ~world_size:world));
-      (* Backend passes in isolation. *)
-      Test.make ~name:"backend: lower + pipeline + verify"
-        (Staged.stage (fun () ->
-             let program =
-               Mlp.ag_gemm_program ~config:small_config ag_spec
-                 ~spec_gpu:Calib.test_machine
-             in
-             match Tilelink_core.Consistency.verify_program program with
-             | Ok () -> ()
-             | Error _ -> failwith "verify"));
-    ]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~stabilize:false ()
-  in
-  let raw =
-    Benchmark.all cfg
-      Instance.[ monotonic_clock ]
-      (Test.make_grouped ~name:"tilelink" tests)
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name v acc -> (name, v) :: acc) results [] in
-  List.iter
-    (fun (name, result) ->
-      match Analyze.OLS.estimates result with
-      | Some [ estimate ] ->
-        Printf.printf "  %-45s %12.1f ns/run\n" name estimate
-      | _ -> Printf.printf "  %-45s (no estimate)\n" name)
-    (List.sort compare rows)
-
-(* ------------------------------------------------------------------ *)
 (* --json: machine-readable BENCH_<suite>.json artifacts               *)
 (* ------------------------------------------------------------------ *)
 
@@ -721,86 +596,86 @@ type row_spec = { descr : string; compute : unit -> Obs.Json.t }
 
 let machine_id = Printf.sprintf "%s|world=%d" (Spec.fingerprint spec) world
 
-(* Fixed representative configs (not tuned — the point is a stable
-   measurement, comparable across commits).  The AG comm tile must
-   divide the row shard (8192/8 = 1024) and the RS column tile must
-   divide H, which varies per shape, so RS uses the full H as its
-   column tile. *)
-let bench_json_mlp () =
+(* One profiled row: [program ()] built and run once on a traced
+   cluster with a fresh telemetry handle. *)
+let profiled_row ~descr ~config_name ~kernel program =
+  {
+    descr;
+    compute =
+      (fun () ->
+        let tel = Obs.Telemetry.create () in
+        bench_row ~config_name ~kernel
+          (Profiled.run ~telemetry:tel ~spec_gpu:spec (program ()))
+          tel);
+  }
+
+(* The AG+GEMM and GEMM+RS rows of one MLP shape at fixed
+   representative configs (not tuned — the point is a stable
+   measurement, comparable across commits).  The gather rings out from
+   each rank's own shard over DMA in [ag_comm_rows]-row tiles, which
+   must divide the row shard.  The GEMM+RS is consumed ring-aligned in
+   comm tiles as wide as its output, so they divide it at every shape.
+   [ids] name the two shapes in the row descriptors. *)
+let mlp_rows ~suite ~config_name ~ids:(ag_id, rs_id) ~ag_comm_rows ~ag_compute
+    ag_spec rs_spec =
   let ring = Tilelink_core.Tile.Ring_from_self { segments = world } in
+  let ag_config =
+    {
+      Design_space.comm_tile = (ag_comm_rows, 128);
+      compute_tile = (ag_compute, ag_compute);
+      comm_order = ring;
+      compute_order = ring;
+      binding = Design_space.Comm_on_dma;
+      stages = 2;
+      micro_block = 0;
+    }
+  in
+  let rs_config =
+    {
+      Design_space.comm_tile = (128, rs_spec.Mlp.rs_n);
+      compute_tile = (128, 128);
+      comm_order = Tilelink_core.Tile.Row_major;
+      compute_order = Tilelink_core.Tile.Ring_prev_first { segments = world };
+      binding = Design_space.Comm_hybrid { dma_fraction = 0.5; sms = 12 };
+      stages = 2;
+      micro_block = 0;
+    }
+  in
+  let descr kernel id config =
+    Printf.sprintf "bench-v1|%s|%s|%s|%s|%s" suite kernel id machine_id
+      (Design_space.fingerprint config)
+  in
+  [
+    profiled_row
+      ~descr:(descr "ag_gemm" ag_id ag_config)
+      ~config_name ~kernel:"ag_gemm"
+      (fun () -> Mlp.ag_gemm_program ~config:ag_config ag_spec ~spec_gpu:spec);
+    profiled_row
+      ~descr:(descr "gemm_rs" rs_id rs_config)
+      ~config_name ~kernel:"gemm_rs"
+      (fun () -> Mlp.gemm_rs_program ~config:rs_config rs_spec ~spec_gpu:spec);
+  ]
+
+let bench_json_mlp () =
   List.concat_map
     (fun (c : Shapes.mlp) ->
-      let ag_spec =
+      let shape_id =
+        Printf.sprintf "s=%d,h=%d,i=%d" c.Shapes.s c.Shapes.h c.Shapes.i
+      in
+      mlp_rows ~suite:"mlp" ~config_name:c.Shapes.mlp_name
+        ~ids:(shape_id, shape_id) ~ag_comm_rows:512 ~ag_compute:128
         {
           Mlp.m = c.Shapes.s;
           k = c.Shapes.h;
           n = 2 * c.Shapes.i / world;
           world_size = world;
         }
-      in
-      let rs_spec =
         {
           Mlp.rs_m = c.Shapes.s;
           rs_k = c.Shapes.i / world;
           rs_n = c.Shapes.h;
           rs_world = world;
-        }
-      in
-      let ag_config =
-        {
-          Design_space.comm_tile = (512, 128);
-          compute_tile = (128, 128);
-          comm_order = ring;
-          compute_order = ring;
-          binding = Design_space.Comm_on_dma;
-          stages = 2;
-          micro_block = 0;
-        }
-      in
-      let rs_config =
-        {
-          Design_space.comm_tile = (128, c.Shapes.h);
-          compute_tile = (128, 128);
-          comm_order = Tilelink_core.Tile.Row_major;
-          compute_order = Tilelink_core.Tile.Ring_prev_first { segments = world };
-          binding = Design_space.Comm_hybrid { dma_fraction = 0.5; sms = 12 };
-          stages = 2;
-          micro_block = 0;
-        }
-      in
-      let shape_id =
-        Printf.sprintf "s=%d,h=%d,i=%d" c.Shapes.s c.Shapes.h c.Shapes.i
-      in
-      [
-        {
-          descr =
-            Printf.sprintf "bench-v1|mlp|ag_gemm|%s|%s|%s" shape_id machine_id
-              (Design_space.fingerprint ag_config);
-          compute =
-            (fun () ->
-              let tel = Obs.Telemetry.create () in
-              let run =
-                Mlp.profile_ag_gemm ~config:ag_config ~telemetry:tel ag_spec
-                  ~spec_gpu:spec
-              in
-              bench_row ~config_name:c.Shapes.mlp_name ~kernel:"ag_gemm" run
-                tel);
-        };
-        {
-          descr =
-            Printf.sprintf "bench-v1|mlp|gemm_rs|%s|%s|%s" shape_id machine_id
-              (Design_space.fingerprint rs_config);
-          compute =
-            (fun () ->
-              let tel = Obs.Telemetry.create () in
-              let run =
-                Mlp.profile_gemm_rs ~config:rs_config ~telemetry:tel rs_spec
-                  ~spec_gpu:spec
-              in
-              bench_row ~config_name:c.Shapes.mlp_name ~kernel:"gemm_rs" run
-                tel);
-        };
-      ])
+        })
     Shapes.mlp_configs
 
 let bench_json_moe () =
@@ -810,25 +685,18 @@ let bench_json_moe () =
         Printf.sprintf "s=%d,h=%d,i=%d,e=%d,topk=%d,seed=17" c.Shapes.moe_s
           c.Shapes.moe_h c.Shapes.moe_i c.Shapes.experts c.Shapes.topk
       in
-      let part kernel profile =
-        {
-          descr =
-            Printf.sprintf "bench-v1|moe|%s|%s|%s|config=default" kernel
-              shape_id machine_id;
-          compute =
-            (fun () ->
-              let moe = Moe_baselines.spec_of_shape c ~world_size:world in
-              let route = Moe.routing moe ~seed:17 in
-              let tel = Obs.Telemetry.create () in
-              let run = profile ~telemetry:tel moe route ~spec_gpu:spec in
-              bench_row ~config_name:c.Shapes.moe_name ~kernel run tel);
-        }
+      let moe = Moe_baselines.spec_of_shape c ~world_size:world in
+      let part kernel program =
+        profiled_row
+          ~descr:
+            (Printf.sprintf "bench-v1|moe|%s|%s|%s|config=default" kernel
+               shape_id machine_id)
+          ~config_name:c.Shapes.moe_name ~kernel
+          (fun () -> program (Moe.routing moe ~seed:17))
       in
       [
-        part "moe_part1" (fun ~telemetry moe route ~spec_gpu ->
-            Moe.profile_part1 ~telemetry moe route ~spec_gpu);
-        part "moe_part2" (fun ~telemetry moe route ~spec_gpu ->
-            Moe.profile_part2 ~telemetry moe route ~spec_gpu);
+        part "moe_part1" (fun route -> Moe.part1_program moe route ~spec_gpu:spec);
+        part "moe_part2" (fun route -> Moe.part2_program moe route ~spec_gpu:spec);
       ])
     Shapes.moe_configs
 
@@ -836,71 +704,55 @@ let bench_json_moe () =
    GEMM+RS row at toy shapes, seconds not minutes, exercising the same
    row/cache/pool machinery and artifact schema as the real suites. *)
 let bench_json_smoke () =
-  let ring = Tilelink_core.Tile.Ring_from_self { segments = world } in
-  let ag_spec = { Mlp.m = 1024; k = 512; n = 256; world_size = world } in
-  let ag_config =
-    {
-      Design_space.comm_tile = (64, 128);
-      compute_tile = (64, 64);
-      comm_order = ring;
-      compute_order = ring;
-      binding = Design_space.Comm_on_dma;
-      stages = 2;
-      micro_block = 0;
-    }
-  in
-  let rs_spec =
+  mlp_rows ~suite:"smoke" ~config_name:"smoke"
+    ~ids:("m=1024,k=512,n=256", "m=1024,k=64,n=512")
+    ~ag_comm_rows:64 ~ag_compute:64
+    { Mlp.m = 1024; k = 512; n = 256; world_size = world }
     { Mlp.rs_m = 1024; rs_k = 64; rs_n = 512; rs_world = world }
-  in
-  let rs_config =
-    {
-      Design_space.comm_tile = (128, 512);
-      compute_tile = (128, 128);
-      comm_order = Tilelink_core.Tile.Row_major;
-      compute_order = Tilelink_core.Tile.Ring_prev_first { segments = world };
-      binding = Design_space.Comm_hybrid { dma_fraction = 0.5; sms = 12 };
-      stages = 2;
-      micro_block = 0;
-    }
-  in
-  [
-    {
-      descr =
-        Printf.sprintf "bench-v1|smoke|ag_gemm|m=1024,k=512,n=256|%s|%s"
-          machine_id
-          (Design_space.fingerprint ag_config);
-      compute =
-        (fun () ->
-          let tel = Obs.Telemetry.create () in
-          let run =
-            Mlp.profile_ag_gemm ~config:ag_config ~telemetry:tel ag_spec
-              ~spec_gpu:spec
-          in
-          bench_row ~config_name:"smoke" ~kernel:"ag_gemm" run tel);
-    };
-    {
-      descr =
-        Printf.sprintf "bench-v1|smoke|gemm_rs|m=1024,k=64,n=512|%s|%s"
-          machine_id
-          (Design_space.fingerprint rs_config);
-      compute =
-        (fun () ->
-          let tel = Obs.Telemetry.create () in
-          let run =
-            Mlp.profile_gemm_rs ~config:rs_config ~telemetry:tel rs_spec
-              ~spec_gpu:spec
-          in
-          bench_row ~config_name:"smoke" ~kernel:"gemm_rs" run tel);
-    };
-  ]
+
+module Harness = Tilelink_chaos.Harness
+
+(* A chaos-harness summary as a row.  The schema-checked fields keep
+   their usual meaning (makespan = mean chaos-run total, overlap = mean
+   achieved overlap vs the fault-free ideal); the failover outcome rides
+   along, then the caller's [extra] fields.  [efficiency] adds the
+   summary's overlap efficiency after the overlap ratio. *)
+let harness_row ~config ~kernel ?(efficiency = false) (s : Harness.summary)
+    extra =
+  let clamp01 x = Float.min 1.0 (Float.max 0.0 x) in
+  let mean f = Tilelink_sim.Stats.mean (List.map f s.Harness.s_trials) in
+  let fo = List.sort compare s.Harness.s_failover_latencies in
+  Obs.Json.Obj
+    ([
+       ("config", Obs.Json.Str config);
+       ("kernel", Obs.Json.Str kernel);
+       ("makespan_us", Obs.Json.Num (mean (fun t -> t.Harness.total_us)));
+       ( "overlap_ratio",
+         Obs.Json.Num (clamp01 (mean (fun t -> t.Harness.achieved_overlap))) );
+     ]
+    @ (if efficiency then
+         [
+           ( "overlap_efficiency",
+             Obs.Json.Num (clamp01 s.Harness.s_overlap_efficiency) );
+         ]
+       else [])
+    @ [
+        ("failed_over", Obs.Json.Num (float_of_int s.Harness.s_failed_over));
+        ( "recovery_p99_us",
+          if fo = [] then Obs.Json.Null
+          else Obs.Json.Num (Tilelink_sim.Stats.percentile 99.0 fo) );
+        ( "replayed_tiles",
+          Obs.Json.Num
+            (float_of_int
+               (List.fold_left
+                  (fun acc t -> acc + t.Harness.replayed_tiles)
+                  0 s.Harness.s_trials)) );
+      ]
+    @ extra)
 
 (* Crash-failover suite: one row per workload, each a short seeded
-   sweep with one forced rank crash per trial.  The schema-checked
-   fields keep their usual meaning (makespan = mean chaos-run total,
-   overlap = mean achieved overlap vs the fault-free ideal); the
-   failover-specific outcome rides along as extra fields. *)
+   sweep with one forced rank crash per trial. *)
 let bench_json_chaos () =
-  let module Harness = Tilelink_chaos.Harness in
   let trials = 2 and seed = 42 and crash_ranks = 1 in
   List.map
     (fun workload ->
@@ -911,36 +763,9 @@ let bench_json_chaos () =
             crash_ranks trials seed machine_id;
         compute =
           (fun () ->
-            let s =
-              Harness.run_trials ~crash_ranks ~workload ~seed ~trials ()
-            in
-            let mean f =
-              Tilelink_sim.Stats.mean
-                (List.map f s.Harness.s_trials)
-            in
-            let fo = List.sort compare s.Harness.s_failover_latencies in
-            Obs.Json.Obj
-              [
-                ("config", Obs.Json.Str wl);
-                ("kernel", Obs.Json.Str "chaos");
-                ("makespan_us", Obs.Json.Num (mean (fun t -> t.Harness.total_us)));
-                ( "overlap_ratio",
-                  Obs.Json.Num
-                    (Float.min 1.0
-                       (Float.max 0.0
-                          (mean (fun t -> t.Harness.achieved_overlap)))) );
-                ( "failed_over",
-                  Obs.Json.Num (float_of_int s.Harness.s_failed_over) );
-                ( "recovery_p99_us",
-                  if fo = [] then Obs.Json.Null
-                  else Obs.Json.Num (Tilelink_sim.Stats.percentile 99.0 fo) );
-                ( "replayed_tiles",
-                  Obs.Json.Num
-                    (float_of_int
-                       (List.fold_left
-                          (fun acc t -> acc + t.Harness.replayed_tiles)
-                          0 s.Harness.s_trials)) );
-              ]);
+            harness_row ~config:wl ~kernel:"chaos"
+              (Harness.run_trials ~crash_ranks ~workload ~seed ~trials ())
+              []);
       })
     [ Harness.Mlp_ag_gemm; Harness.Moe_part2; Harness.Attention_ag ]
 
@@ -1056,9 +881,7 @@ let bench_json_serving () =
    non-overlapped analytic baselines for the same scaled ag-gemm shape
    bracket the simulated runtime from both sides. *)
 let bench_json_topology () =
-  let module Harness = Tilelink_chaos.Harness in
   let trials = 2 and seed = 42 in
-  let workload = Harness.Mlp_ag_gemm in
   let configs =
     List.map (fun topo -> (Topology.name topo, topo, 1)) Topology.all
     @ [
@@ -1076,37 +899,14 @@ let bench_json_topology () =
         compute =
           (fun () ->
             let s =
-              Harness.run_trials ~crash_ranks ~topology:topo ~workload ~seed
-                ~trials ()
+              Harness.run_trials ~crash_ranks ~topology:topo
+                ~workload:Harness.Mlp_ag_gemm ~seed ~trials ()
             in
-            let mean f =
-              Tilelink_sim.Stats.mean (List.map f s.Harness.s_trials)
-            in
-            let fo = List.sort compare s.Harness.s_failover_latencies in
             let tw = Topology.natural_world topo in
             let tm = Calib.test_machine in
-            let clamp01 x = Float.min 1.0 (Float.max 0.0 x) in
-            Obs.Json.Obj
+            harness_row ~config:config_name ~kernel:"mlp_ag_gemm"
+              ~efficiency:true s
               [
-                ("config", Obs.Json.Str config_name);
-                ("kernel", Obs.Json.Str "mlp_ag_gemm");
-                ("makespan_us", Obs.Json.Num (mean (fun t -> t.Harness.total_us)));
-                ( "overlap_ratio",
-                  Obs.Json.Num
-                    (clamp01 (mean (fun t -> t.Harness.achieved_overlap))) );
-                ( "overlap_efficiency",
-                  Obs.Json.Num (clamp01 s.Harness.s_overlap_efficiency) );
-                ( "failed_over",
-                  Obs.Json.Num (float_of_int s.Harness.s_failed_over) );
-                ( "recovery_p99_us",
-                  if fo = [] then Obs.Json.Null
-                  else Obs.Json.Num (Tilelink_sim.Stats.percentile 99.0 fo) );
-                ( "replayed_tiles",
-                  Obs.Json.Num
-                    (float_of_int
-                       (List.fold_left
-                          (fun acc t -> acc + t.Harness.replayed_tiles)
-                          0 s.Harness.s_trials)) );
                 ( "cross_island_replays",
                   Obs.Json.Num (float_of_int s.Harness.s_cross_island_replays)
                 );
@@ -1191,24 +991,6 @@ let bench_json_kernels () =
    false — the gate is then determinism plus busy/wall accounting, not
    a speedup threshold. *)
 
-let parallel_bits_equal ma mb =
-  let open Tilelink_core in
-  List.for_all
-    (fun rank ->
-      let names = Memory.buffers ma ~rank in
-      names = Memory.buffers mb ~rank
-      && List.for_all
-           (fun name ->
-             let da = Ts.Tensor.data (Memory.find ma ~rank ~name)
-             and db = Ts.Tensor.data (Memory.find mb ~rank ~name) in
-             Array.length da = Array.length db
-             && Array.for_all2
-                  (fun x y ->
-                    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-                  da db)
-           names)
-    (List.init (Memory.world_size ma) Fun.id)
-
 let bench_json_parallel () =
   let open Tilelink_core in
   let machine = Calib.test_machine in
@@ -1262,7 +1044,7 @@ let bench_json_parallel () =
             ("notifies", Obs.Json.Num (float_of_int stats.B.total_notifies));
             ("parks", Obs.Json.Num (float_of_int stats.B.total_parks));
             ( "bit_identical",
-              Obs.Json.Bool (parallel_bits_equal mem_seq mem_par) );
+              Obs.Json.Bool (Memory.bits_equal mem_seq mem_par) );
           ])
       [
         "mlp_ag_gemm_pull/w2/t2";
@@ -1345,10 +1127,6 @@ let planner_descr name =
   String.concat "|"
     [ "planner"; Spec.fingerprint planner_machine; name; "v1" ]
 
-let tensors_equal a b =
-  Tilelink_tensor.Tensor.shape a = Tilelink_tensor.Tensor.shape b
-  && Tilelink_tensor.Tensor.data a = Tilelink_tensor.Tensor.data b
-
 let bench_json_planner () =
   let vs_hand_rows =
     List.concat_map
@@ -1428,7 +1206,7 @@ let bench_json_planner () =
               (fun (out, expected) ->
                 List.for_all
                   (fun rank ->
-                    tensors_equal (expected ~rank)
+                    Ts.Check.bits_equal (expected ~rank)
                       (Tilelink_core.Memory.find memory ~rank ~name:out))
                   (List.init world Fun.id))
               (checks memory)
@@ -1489,214 +1267,249 @@ let bench_json_planner () =
   in
   vs_hand_rows @ novel_rows
 
-let json_suites =
+(* --check failures unwind to [check_bench_json], which reports them
+   against the artifact's path. *)
+exception Check_failed of string
+
+let fail msg = raise (Check_failed msg)
+
+let str_field obj name =
+  match Obs.Json.member name obj with
+  | Some (Obs.Json.Str s) when s <> "" -> s
+  | _ -> fail (Printf.sprintf "missing or empty string field %S" name)
+
+let num_field obj name =
+  match Obs.Json.member name obj with
+  | Some (Obs.Json.Num x) when Float.is_finite x -> x
+  | _ -> fail (Printf.sprintf "missing or non-finite numeric field %S" name)
+
+(* The cache-blocked microkernel must actually pay off: at least one
+   blocked variant beats the naive loop at every shape. *)
+let kernels_gate rows =
+  let by_shape = Hashtbl.create 8 in
+  List.iter
+    (fun row ->
+      let shape = str_field row "config" in
+      let kernel = str_field row "kernel" in
+      if String.length kernel >= 6 && String.sub kernel 0 6 = "block=" then
+        let s = num_field row "speedup_vs_naive" in
+        let best =
+          match Hashtbl.find_opt by_shape shape with
+          | Some b -> Float.max b s
+          | None -> s
+        in
+        Hashtbl.replace by_shape shape best)
+    rows;
+  if Hashtbl.length by_shape = 0 then fail "kernels: no blocked rows";
+  Hashtbl.iter
+    (fun shape best ->
+      if best <= 1.0 then
+        fail
+          (Printf.sprintf
+             "kernels: no blocked variant beats naive at %s (best %.3fx)" shape
+             best))
+    by_shape
+
+(* Conservation gate: every offered request must be accounted for,
+   nothing may linger at drain, and the latency digests must be real
+   numbers whenever anything completed. *)
+let serving_gate rows =
+  List.iter
+    (fun row ->
+      let offered = num_field row "offered" in
+      let completed = num_field row "completed" in
+      let shed = num_field row "shed" in
+      let failed = num_field row "failed" in
+      let in_flight = num_field row "in_flight" in
+      if offered <> completed +. shed +. failed +. in_flight then
+        fail "serving: offered <> completed + shed + failed + in_flight";
+      if in_flight <> 0.0 then fail "serving: requests in flight at drain";
+      if failed < 0.0 then fail "serving: negative failed count";
+      if num_field row "goodput_rps" < 0.0 then fail "serving: negative goodput";
+      if num_field row "degraded_us" < 0.0 then
+        fail "serving: negative degraded-tier time";
+      if completed > 0.0 then begin
+        if num_field row "ttft_p99_us" < num_field row "ttft_p50_us" then
+          fail "serving: ttft p99 below p50";
+        if num_field row "tpot_p99_us" < num_field row "tpot_p50_us" then
+          fail "serving: tpot p99 below p50"
+      end)
+    rows
+
+(* Every synthesized winner must be analyzer-clean; rows with a
+   hand-written counterpart must rediscover or beat it (5% tolerance);
+   novel-graph rows must reproduce their references bit for bit.  Both
+   row kinds must actually be present. *)
+let planner_gate rows =
+  let compared = ref 0 and novel = ref 0 in
+  List.iter
+    (fun row ->
+      (match Obs.Json.member "analyzer_clean" row with
+      | Some (Obs.Json.Bool true) -> ()
+      | _ -> fail "planner: winner not analyzer-clean");
+      (match Obs.Json.member "ratio_vs_hand" row with
+      | Some (Obs.Json.Num r) ->
+        incr compared;
+        if not (Float.is_finite r) then fail "planner: non-finite ratio_vs_hand";
+        if r > 1.05 then
+          fail
+            (Printf.sprintf
+               "planner: %s loses to the hand-written schedule (%.3fx)"
+               (str_field row "config") r)
+      | Some _ -> fail "planner: ratio_vs_hand not numeric"
+      | None -> ());
+      match Obs.Json.member "numerics_ok" row with
+      | Some (Obs.Json.Bool true) -> incr novel
+      | Some _ -> fail "planner: novel graph numerics diverge"
+      | None -> ())
+    rows;
+  if !compared = 0 then fail "planner: no hand-written comparison rows";
+  if !novel = 0 then fail "planner: no novel-graph rows"
+
+(* Fault-domain gate: every topology row must carry a sane node / world
+   layout and a [0,1] overlap efficiency; rows that forced a crash must
+   report a recovery p99; the whole-island crash on a bridged shape
+   must replay across the NIC (cross-island count strictly positive);
+   the analytic baselines must bracket sanely (T3's overlapped estimate
+   at or below fully-serialized). *)
+let topology_gate rows =
+  let island_crash_rows = ref 0 in
+  List.iter
+    (fun row ->
+      if num_field row "nodes" < 1.0 then fail "topology: node count below 1";
+      if num_field row "world" < 2.0 then fail "topology: world below 2";
+      let eff = num_field row "overlap_efficiency" in
+      if eff < 0.0 || eff > 1.0 then
+        fail "topology: overlap_efficiency outside [0, 1]";
+      if num_field row "cross_island_replays" < 0.0 then
+        fail "topology: negative cross_island_replays";
+      if num_field row "failed_over" > 0.0 then begin
+        match Obs.Json.member "recovery_p99_us" row with
+        | Some (Obs.Json.Num p) when Float.is_finite p && p >= 0.0 -> ()
+        | _ -> fail "topology: failed-over row without recovery_p99_us"
+      end;
+      if num_field row "t3_us" > num_field row "nonoverlap_us" then
+        fail "topology: T3 overlapped estimate above serialized baseline";
+      if str_field row "config" = "islands2x8/island" then begin
+        incr island_crash_rows;
+        if num_field row "cross_island_replays" <= 0.0 then
+          fail "topology: island-wide crash produced no cross-island replays"
+      end)
+    rows;
+  if !island_crash_rows = 0 then fail "topology: no whole-island crash row"
+
+(* Determinism and accounting gate (a 1-CPU host cannot show wall-clock
+   speedup, so these are the hard requirements): tensors bit-identical
+   to the sequential interpreter, and per-domain busy time consistent
+   with the wall clock. *)
+let parallel_gate rows =
+  List.iter
+    (fun row ->
+      (match Obs.Json.member "bit_identical" row with
+      | Some (Obs.Json.Bool true) -> ()
+      | _ -> fail "parallel: row not bit-identical to sequential backend");
+      let busy = num_field row "busy_total_us" in
+      let wall = num_field row "makespan_us" in
+      let domains = num_field row "domains" in
+      if busy < 0.0 then fail "parallel: negative busy_total_us";
+      if busy > wall *. domains *. 1.05 then
+        fail "parallel: busy time exceeds domains * wall";
+      ignore (num_field row "host_cores"))
+    rows
+
+(* A --json suite: its rows, whether they may replay from the
+   evaluation cache, and the gate --check applies on top of the shared
+   schema.  Wall-clock suites are not cached: serving a timing from the
+   cache would freeze the numbers forever. *)
+type suite = {
+  name : string;
+  rows : unit -> row_spec list;
+  cached : bool;
+  gate : Obs.Json.t list -> unit;
+}
+
+let suites =
   [
-    ("mlp", bench_json_mlp);
-    ("moe", bench_json_moe);
-    ("smoke", bench_json_smoke);
-    ("chaos", bench_json_chaos);
-    ("topology", bench_json_topology);
-    ("serving", bench_json_serving);
-    ("kernels", bench_json_kernels);
-    ("parallel", bench_json_parallel);
-    ("planner", bench_json_planner);
+    { name = "mlp"; rows = bench_json_mlp; cached = true; gate = ignore };
+    { name = "moe"; rows = bench_json_moe; cached = true; gate = ignore };
+    { name = "smoke"; rows = bench_json_smoke; cached = true; gate = ignore };
+    { name = "chaos"; rows = bench_json_chaos; cached = true; gate = ignore };
+    {
+      name = "topology";
+      rows = bench_json_topology;
+      cached = true;
+      gate = topology_gate;
+    };
+    {
+      name = "serving";
+      rows = bench_json_serving;
+      cached = true;
+      gate = serving_gate;
+    };
+    {
+      name = "kernels";
+      rows = bench_json_kernels;
+      cached = false;
+      gate = kernels_gate;
+    };
+    {
+      name = "parallel";
+      rows = bench_json_parallel;
+      cached = false;
+      gate = parallel_gate;
+    };
+    {
+      name = "planner";
+      rows = bench_json_planner;
+      cached = true;
+      gate = planner_gate;
+    };
   ]
 
-(* Wall-clock suites must be re-measured every run: serving a timing
-   from the evaluation cache would freeze the numbers forever. *)
-let uncached_suites = [ "kernels"; "parallel" ]
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
 
 (* --check: re-parse a freshly written artifact and verify the schema
    downstream consumers rely on — non-empty suite name and rows, every
    row carrying string config/kernel and finite numeric makespan and
-   overlap fields. *)
-let check_bench_json path =
-  let fail msg =
+   overlap fields — then the suite's own gate. *)
+let check_bench_json suite path =
+  try
+    let doc =
+      match Obs.Json.parse (read_file path) with
+      | Ok v -> v
+      | Error msg -> fail ("not valid JSON: " ^ msg)
+    in
+    ignore (str_field doc "suite");
+    ignore (num_field doc "world_size");
+    let rows =
+      match Obs.Json.member "rows" doc with
+      | Some (Obs.Json.List (_ :: _ as rows)) -> rows
+      | Some (Obs.Json.List []) -> fail "rows is empty"
+      | _ -> fail "missing rows list"
+    in
+    List.iter
+      (fun row ->
+        ignore (str_field row "config");
+        ignore (str_field row "kernel");
+        if num_field row "makespan_us" < 0.0 then fail "negative makespan_us";
+        let o = num_field row "overlap_ratio" in
+        if o < 0.0 || o > 1.0 then fail "overlap_ratio outside [0, 1]")
+      rows;
+    suite.gate rows;
+    Printf.printf "[%s: check ok, %d rows]\n%!" path (List.length rows)
+  with Check_failed msg ->
     Printf.eprintf "bench check FAILED (%s): %s\n" path msg;
     exit 2
-  in
-  let read () =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  let doc =
-    match Obs.Json.parse (read ()) with
-    | Ok v -> v
-    | Error msg -> fail ("not valid JSON: " ^ msg)
-  in
-  let str_field obj name =
-    match Obs.Json.member name obj with
-    | Some (Obs.Json.Str s) when s <> "" -> s
-    | _ -> fail (Printf.sprintf "missing or empty string field %S" name)
-  in
-  let num_field obj name =
-    match Obs.Json.member name obj with
-    | Some (Obs.Json.Num x) when Float.is_finite x -> x
-    | _ -> fail (Printf.sprintf "missing or non-finite numeric field %S" name)
-  in
-  let suite = str_field doc "suite" in
-  ignore (num_field doc "world_size");
-  let rows =
-    match Obs.Json.member "rows" doc with
-    | Some (Obs.Json.List (_ :: _ as rows)) -> rows
-    | Some (Obs.Json.List []) -> fail "rows is empty"
-    | _ -> fail "missing rows list"
-  in
-  List.iter
-    (fun row ->
-      ignore (str_field row "config");
-      ignore (str_field row "kernel");
-      if num_field row "makespan_us" < 0.0 then fail "negative makespan_us";
-      let o = num_field row "overlap_ratio" in
-      if o < 0.0 || o > 1.0 then fail "overlap_ratio outside [0, 1]")
-    rows;
-  (* Suite-specific gates. *)
-  (if suite = "kernels" then
-     (* The cache-blocked microkernel must actually pay off: at least
-        one blocked variant beats the naive loop at every shape. *)
-     let by_shape = Hashtbl.create 8 in
-     List.iter
-       (fun row ->
-         let shape = str_field row "config" in
-         let kernel = str_field row "kernel" in
-         if String.length kernel >= 6 && String.sub kernel 0 6 = "block=" then
-           let s = num_field row "speedup_vs_naive" in
-           let best =
-             match Hashtbl.find_opt by_shape shape with
-             | Some b -> Float.max b s
-             | None -> s
-           in
-           Hashtbl.replace by_shape shape best)
-       rows;
-     if Hashtbl.length by_shape = 0 then fail "kernels: no blocked rows";
-     Hashtbl.iter
-       (fun shape best ->
-         if best <= 1.0 then
-           fail
-             (Printf.sprintf
-                "kernels: no blocked variant beats naive at %s (best %.3fx)"
-                shape best))
-       by_shape);
-  if suite = "serving" then
-    List.iter
-      (fun row ->
-        (* Conservation gate: every offered request must be accounted
-           for, nothing may linger at drain, and the latency digests
-           must be real numbers whenever anything completed. *)
-        let offered = num_field row "offered" in
-        let completed = num_field row "completed" in
-        let shed = num_field row "shed" in
-        let failed = num_field row "failed" in
-        let in_flight = num_field row "in_flight" in
-        if offered <> completed +. shed +. failed +. in_flight then
-          fail "serving: offered <> completed + shed + failed + in_flight";
-        if in_flight <> 0.0 then fail "serving: requests in flight at drain";
-        if failed < 0.0 then fail "serving: negative failed count";
-        if num_field row "goodput_rps" < 0.0 then
-          fail "serving: negative goodput";
-        if num_field row "degraded_us" < 0.0 then
-          fail "serving: negative degraded-tier time";
-        if completed > 0.0 then begin
-          if num_field row "ttft_p99_us" < num_field row "ttft_p50_us" then
-            fail "serving: ttft p99 below p50";
-          if num_field row "tpot_p99_us" < num_field row "tpot_p50_us" then
-            fail "serving: tpot p99 below p50"
-        end)
-      rows;
-  (if suite = "planner" then begin
-     (* Every synthesized winner must be analyzer-clean; rows with a
-        hand-written counterpart must rediscover or beat it (5%
-        tolerance); novel-graph rows must reproduce their references
-        bit for bit.  Both row kinds must actually be present. *)
-     let compared = ref 0 and novel = ref 0 in
-     List.iter
-       (fun row ->
-         (match Obs.Json.member "analyzer_clean" row with
-         | Some (Obs.Json.Bool true) -> ()
-         | _ -> fail "planner: winner not analyzer-clean");
-         (match Obs.Json.member "ratio_vs_hand" row with
-         | Some (Obs.Json.Num r) ->
-           incr compared;
-           if not (Float.is_finite r) then
-             fail "planner: non-finite ratio_vs_hand";
-           if r > 1.05 then
-             fail
-               (Printf.sprintf
-                  "planner: %s loses to the hand-written schedule (%.3fx)"
-                  (str_field row "config") r)
-         | Some _ -> fail "planner: ratio_vs_hand not numeric"
-         | None -> ());
-         match Obs.Json.member "numerics_ok" row with
-         | Some (Obs.Json.Bool true) -> incr novel
-         | Some _ -> fail "planner: novel graph numerics diverge"
-         | None -> ())
-       rows;
-     if !compared = 0 then fail "planner: no hand-written comparison rows";
-     if !novel = 0 then fail "planner: no novel-graph rows"
-   end);
-  if suite = "topology" then begin
-    (* Fault-domain gate: every topology row must carry a sane node /
-       world layout and a [0,1] overlap efficiency; rows that forced a
-       crash must report a recovery p99; the whole-island crash on a
-       bridged shape must replay across the NIC (cross-island count
-       strictly positive); the analytic baselines must bracket sanely
-       (T3's overlapped estimate at or below fully-serialized). *)
-    let island_crash_rows = ref 0 in
-    List.iter
-      (fun row ->
-        let nodes = num_field row "nodes" in
-        let world_sz = num_field row "world" in
-        if nodes < 1.0 then fail "topology: node count below 1";
-        if world_sz < 2.0 then fail "topology: world below 2";
-        let eff = num_field row "overlap_efficiency" in
-        if eff < 0.0 || eff > 1.0 then
-          fail "topology: overlap_efficiency outside [0, 1]";
-        if num_field row "cross_island_replays" < 0.0 then
-          fail "topology: negative cross_island_replays";
-        if num_field row "failed_over" > 0.0 then begin
-          match Obs.Json.member "recovery_p99_us" row with
-          | Some (Obs.Json.Num p) when Float.is_finite p && p >= 0.0 -> ()
-          | _ -> fail "topology: failed-over row without recovery_p99_us"
-        end;
-        if num_field row "t3_us" > num_field row "nonoverlap_us" then
-          fail "topology: T3 overlapped estimate above serialized baseline";
-        let cfg = str_field row "config" in
-        if cfg = "islands2x8/island" then begin
-          incr island_crash_rows;
-          if num_field row "cross_island_replays" <= 0.0 then
-            fail "topology: island-wide crash produced no cross-island replays"
-        end)
-      rows;
-    if !island_crash_rows = 0 then fail "topology: no whole-island crash row"
-  end;
-  if suite = "parallel" then
-    List.iter
-      (fun row ->
-        (* Determinism and accounting gate (a 1-CPU host cannot show
-           wall-clock speedup, so these are the hard requirements):
-           tensors bit-identical to the sequential interpreter, and
-           per-domain busy time consistent with the wall clock. *)
-        (match Obs.Json.member "bit_identical" row with
-        | Some (Obs.Json.Bool true) -> ()
-        | _ -> fail "parallel: row not bit-identical to sequential backend");
-        let busy = num_field row "busy_total_us" in
-        let wall = num_field row "makespan_us" in
-        let domains = num_field row "domains" in
-        if busy < 0.0 then fail "parallel: negative busy_total_us";
-        if busy > wall *. domains *. 1.05 then
-          fail "parallel: busy time exceeds domains * wall";
-        ignore (num_field row "host_cores"))
-      rows;
-  Printf.printf "[%s: check ok, %d rows]\n%!" path (List.length rows)
 
 (* Resolve every row through the cache, fan the misses out over the
    pool, and stitch the results back in row order.  The sweep stats go
    into the artifact so the perf trajectory (and the parallel/caching
    machinery itself) is visible across commits. *)
-let write_bench_json cache name rows_of =
+let write_bench_json cache { name; rows = rows_of; _ } =
   let path = Printf.sprintf "BENCH_%s.json" name in
   let t0 = Unix.gettimeofday () in
   let specs = rows_of () in
@@ -1779,12 +1592,7 @@ let write_bench_json cache name rows_of =
 
 let load_rows path =
   let contents =
-    try
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
+    try read_file path
     with Sys_error msg ->
       Printf.eprintf "bench compare: cannot read %s: %s\n" path msg;
       exit 2
@@ -1853,7 +1661,6 @@ let artifacts =
     ("fig10", fig10);
     ("fig11", fig11);
     ("ablation", ablation);
-    ("micro", micro);
   ]
 
 let compare_paths : (string * string) option ref = ref None
@@ -1891,49 +1698,45 @@ let () =
   | Some (baseline_path, candidate_path) ->
     run_compare ~tolerance:!compare_tolerance ~baseline_path ~candidate_path
   | None -> ());
-  if !jobs > 1 then pool := Some (Exec.Pool.create ~domains:!jobs ());
   let json_mode = List.mem "--json" args in
   let names = List.filter (fun a -> a <> "--json") args in
+  let kind, available =
+    if json_mode then ("suite", List.map (fun s -> s.name) suites)
+    else ("artifact", List.map fst artifacts)
+  in
+  (match List.find_opt (fun n -> not (List.mem n available)) names with
+  | Some name ->
+    Printf.printf "unknown %s %S; available: %s\n" kind name
+      (String.concat ", " available);
+    exit 2
+  | None -> ());
+  if !jobs > 1 then pool := Some (Exec.Pool.create ~domains:!jobs ());
   if json_mode then begin
     let cache =
       if !use_cache then Some (Exec.Cache.create ~path:!cache_file ())
       else None
     in
     let requested =
-      match names with [] -> List.map fst json_suites | ns -> ns
+      if names = [] then suites
+      else List.map (fun n -> List.find (fun s -> s.name = n) suites) names
     in
     List.iter
-      (fun name ->
-        match List.assoc_opt name json_suites with
-        | Some rows_of ->
-          let cache =
-            if List.mem name uncached_suites then None else cache
-          in
-          write_bench_json cache name rows_of;
-          if !check_artifacts then
-            check_bench_json (Printf.sprintf "BENCH_%s.json" name)
-        | None ->
-          Printf.printf "unknown suite %S; available: %s\n" name
-            (String.concat ", " (List.map fst json_suites)))
+      (fun suite ->
+        write_bench_json (if suite.cached then cache else None) suite;
+        if !check_artifacts then
+          check_bench_json suite (Printf.sprintf "BENCH_%s.json" suite.name))
       requested;
-    match cache with Some c -> Exec.Cache.save c | None -> ()
+    Option.iter Exec.Cache.save cache
   end
   else begin
-    let requested =
-      match names with [] -> List.map fst artifacts | ns -> ns
-    in
+    let requested = if names = [] then available else names in
     Printf.printf "TileLink reproduction benchmarks — %s, %d ranks\n"
       spec.Spec.gpu.Spec.gpu_name world;
     List.iter
       (fun name ->
-        match List.assoc_opt name artifacts with
-        | Some f ->
-          let t0 = Unix.gettimeofday () in
-          f ();
-          Printf.printf "[%s done in %.1fs]\n%!" name
-            (Unix.gettimeofday () -. t0)
-        | None ->
-          Printf.printf "unknown artifact %S; available: %s\n" name
-            (String.concat ", " (List.map fst artifacts)))
+        let t0 = Unix.gettimeofday () in
+        (List.assoc name artifacts) ();
+        Printf.printf "[%s done in %.1fs]\n%!" name
+          (Unix.gettimeofday () -. t0))
       requested
   end

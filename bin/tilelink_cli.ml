@@ -1,17 +1,29 @@
 (* tilelink — explore the TileLink reproduction from the command line.
 
      tilelink info
-     tilelink simulate --kernel ag-gemm --m 8192 --k 4096 --n 2752 \
+     tilelink simulate --kernel ag-gemm -m 8192 -k 4096 -n 2752 \
        --binding dma --comm-tile 512 --trace
-     tilelink tune --kernel gemm-rs --m 8192 --k 1376 --n 4096
+     tilelink profile --workload moe --critical-path
+     tilelink tune --kernel gemm-rs -m 8192 -k 1376 -n 4096
      tilelink validate --kernel moe
-     tilelink attention --seq 32768 --heads 32 *)
+     tilelink attention --seq 32768 --heads 32
+
+   [simulate], [emit] and [profile] run one program per kernel
+   ([kernel_program]).  Flags several subcommands take are defined once,
+   and every --check that demands a reproducible run goes through
+   [require_same].  Exit codes: 0 ok, 1 a failed result (mismatch,
+   analyzer error), 2 a user error or a failed --check, 3 a refused flag
+   combination ([Runtime.Unsupported]). *)
 
 open Cmdliner
 open Tilelink_core
 open Tilelink_machine
 open Tilelink_workloads
 open Tilelink_baselines
+module Exec = Tilelink_exec
+module Obs = Tilelink_obs
+
+let spec = Calib.h800
 
 (* ------------------------------------------------------------------ *)
 (* Shared arguments                                                    *)
@@ -54,30 +66,30 @@ let stages_arg =
 let trace_arg =
   Arg.(value & flag & info [ "trace" ] ~doc:"Print an ASCII timeline of rank 0.")
 
+let file_arg name ~doc =
+  Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
+
 let trace_json_arg =
+  file_arg "trace-json"
+    ~doc:"Write the full timeline in Chrome tracing format to $(docv)."
+
+let check_arg ~doc = Arg.(value & flag & info [ "check" ] ~doc)
+
+let seed_arg default ~doc =
+  Arg.(value & opt int default & info [ "seed" ] ~docv:"N" ~doc)
+
+let crash_ranks_arg ~doc =
+  Arg.(value & opt int 0 & info [ "crash-ranks" ] ~docv:"N" ~doc)
+
+let kernels = [ ("ag-gemm", `Ag_gemm); ("gemm-rs", `Gemm_rs); ("moe", `Moe) ]
+
+let kernel_arg kernels =
   Arg.(
     value
-    & opt (some string) None
-    & info [ "trace-json" ] ~docv:"FILE"
-        ~doc:"Write the full timeline in Chrome tracing format to $(docv).")
-
-let write_trace_json cluster = function
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc
-      (Tilelink_sim.Trace.to_chrome_json (Cluster.trace cluster));
-    close_out oc;
-    Printf.printf "wrote Chrome trace to %s (open in chrome://tracing)\n" path
-
-let kernel_arg =
-  Arg.(
-    value
-    & opt (enum [ ("ag-gemm", `Ag_gemm); ("gemm-rs", `Gemm_rs); ("moe", `Moe) ])
-        `Ag_gemm
-    & info [ "kernel" ] ~docv:"ag-gemm|gemm-rs|moe" ~doc:"Kernel to operate on.")
-
-let spec = Calib.h800
+    & opt (enum kernels) `Ag_gemm
+    & info [ "kernel" ]
+        ~docv:(String.concat "|" (List.map fst kernels))
+        ~doc:"Kernel to operate on.")
 
 (* Declarative topology presets; a bad value renders the full list and
    exits through the CLI-error path (mapped to exit 2 in main). *)
@@ -102,20 +114,50 @@ let topology_arg =
            size becomes the topology's natural world and workload shapes \
            scale with it.")
 
-let config ~world ~binding ~comm_tile ~compute_tile ~stages ~ring =
-  {
-    Design_space.comm_tile = (comm_tile, 128);
-    compute_tile = (compute_tile, compute_tile);
-    comm_order =
-      (if ring then Tile.Ring_from_self { segments = world }
-       else Tile.Row_major);
-    compute_order =
-      (if ring then Tile.Ring_from_self { segments = world }
-       else Tile.Row_major);
-    binding;
-    stages;
-    micro_block = 0;
-  }
+let print_topology =
+  Option.iter (fun topo ->
+      Printf.printf "topology: %s\n" (Topology.describe topo))
+
+(* ------------------------------------------------------------------ *)
+(* Output and reproducibility                                          *)
+(* ------------------------------------------------------------------ *)
+
+let write_file path contents =
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* --json FILE|-: '-' prints the document, a path is written and
+   announced as [what]. *)
+let write_json ~what path json =
+  let rendered = Obs.Json.to_string ~indent:true json in
+  if path = "-" then print_endline rendered
+  else begin
+    write_file path rendered;
+    Printf.printf "wrote %s to %s\n" what path
+  end
+
+(* The reproducibility half of --check: [rerun ()] repeats the work on
+   fresh state and must give [first] back byte for byte; otherwise print
+   [fail second] and exit 2. *)
+let require_same first rerun ~fail =
+  let second = rerun () in
+  if second <> first then begin
+    Printf.eprintf "%s\n" (fail second);
+    exit 2
+  end
+
+let write_trace_json cluster = function
+  | None -> ()
+  | Some path ->
+    write_file path (Tilelink_sim.Trace.to_chrome_json (Cluster.trace cluster));
+    Printf.printf "wrote Chrome trace to %s (open in chrome://tracing)\n" path
 
 let print_rank0_timeline cluster =
   let trace = Cluster.trace cluster in
@@ -128,6 +170,63 @@ let print_rank0_timeline cluster =
           ~t1:s.Tilelink_sim.Trace.t1)
     (Tilelink_sim.Trace.spans trace);
   print_endline (Tilelink_sim.Trace.render rank0)
+
+(* ------------------------------------------------------------------ *)
+(* One program per kernel                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A design point with both tile orders ringing out from the rank's own
+   shard. *)
+let config ~world ~binding ~comm_tile ~compute_tile ~stages =
+  let ring = Tile.Ring_from_self { segments = world } in
+  {
+    Design_space.comm_tile = (comm_tile, 128);
+    compute_tile = (compute_tile, compute_tile);
+    comm_order = ring;
+    compute_order = ring;
+    binding;
+    stages;
+    micro_block = 0;
+  }
+
+(* The point simulate's flags default to, for commands without them. *)
+let default_config ~world =
+  config ~world ~binding:Design_space.Comm_on_dma ~comm_tile:512
+    ~compute_tile:128 ~stages:2
+
+(* The program simulate, emit and profile run.  AG+GEMM takes [cfg] as
+   is.  GEMM+RS keeps its binding, compute tile and stages, but produces
+   row-major 128x2048 comm tiles in the order the ring consumes them.
+   MoE is part 1 (32 experts, top-2, routing seed 17) at its default
+   config. *)
+let kernel_program kernel ~world ~m ~k ~n cfg =
+  match kernel with
+  | `Ag_gemm ->
+    Mlp.ag_gemm_program ~config:cfg { Mlp.m; k; n; world_size = world }
+      ~spec_gpu:spec
+  | `Gemm_rs ->
+    Mlp.gemm_rs_program
+      ~config:
+        {
+          cfg with
+          Design_space.comm_order = Tile.Row_major;
+          compute_order = Tile.Ring_prev_first { segments = world };
+          comm_tile = (128, 2048);
+        }
+      { Mlp.rs_m = m; rs_k = k; rs_n = n; rs_world = world }
+      ~spec_gpu:spec
+  | `Moe ->
+    let moe =
+      {
+        Moe.tokens = m;
+        hidden = k;
+        intermediate = n;
+        experts = 32;
+        topk = 2;
+        world_size = world;
+      }
+    in
+    Moe.part1_program moe (Moe.routing moe ~seed:17) ~spec_gpu:spec
 
 (* ------------------------------------------------------------------ *)
 (* info                                                                *)
@@ -154,37 +253,9 @@ let info_cmd =
 
 let simulate kernel world m k n binding comm_tile compute_tile stages trace
     trace_json =
-  let cfg =
-    config ~world ~binding ~comm_tile ~compute_tile ~stages ~ring:true
-  in
   let program =
-    match kernel with
-    | `Ag_gemm ->
-      Mlp.ag_gemm_program ~config:cfg { Mlp.m; k; n; world_size = world }
-        ~spec_gpu:spec
-    | `Gemm_rs ->
-      Mlp.gemm_rs_program
-        ~config:
-          {
-            cfg with
-            Design_space.comm_order = Tile.Row_major;
-            compute_order = Tile.Ring_prev_first { segments = world };
-            comm_tile = (128, 2048);
-          }
-        { Mlp.rs_m = m; rs_k = k; rs_n = n; rs_world = world }
-        ~spec_gpu:spec
-    | `Moe ->
-      let moe =
-        {
-          Moe.tokens = m;
-          hidden = k;
-          intermediate = n;
-          experts = 32;
-          topk = 2;
-          world_size = world;
-        }
-      in
-      Moe.part1_program moe (Moe.routing moe ~seed:17) ~spec_gpu:spec
+    kernel_program kernel ~world ~m ~k ~n
+      (config ~world ~binding ~comm_tile ~compute_tile ~stages)
   in
   Format.printf "%a@." Program.pp program;
   (match Consistency.verify_program program with
@@ -206,15 +277,13 @@ let simulate kernel world m k n binding comm_tile compute_tile stages trace
 let simulate_cmd =
   Cmd.v (Cmd.info "simulate" ~doc:"Build and simulate one overlapped kernel.")
     Term.(
-      const simulate $ kernel_arg $ world_arg $ m_arg $ k_arg $ n_arg
+      const simulate $ kernel_arg kernels $ world_arg $ m_arg $ k_arg $ n_arg
       $ binding_arg $ comm_tile_arg $ compute_tile_arg $ stages_arg
       $ trace_arg $ trace_json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel evaluation: shared --jobs / --cache plumbing               *)
 (* ------------------------------------------------------------------ *)
-
-module Exec = Tilelink_exec
 
 let jobs_arg =
   Arg.(
@@ -224,12 +293,9 @@ let jobs_arg =
               sequential; results are identical either way).")
 
 let cache_path_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache" ] ~docv:"FILE"
-        ~doc:"Persist evaluation results to $(docv) and serve repeated \
-              points from it on later runs.")
+  file_arg "cache"
+    ~doc:"Persist evaluation results to $(docv) and serve repeated \
+          points from it on later runs."
 
 let make_pool jobs =
   if jobs > 1 then Some (Exec.Pool.create ~domains:jobs ()) else None
@@ -268,7 +334,7 @@ let tune kernel world m k n jobs cache_path =
   let cache = make_cache cache_path in
   let tuned =
     match kernel with
-    | `Ag_gemm | `Moe -> Tuned.ag_gemm ?pool ~cache spec ~world_size:world ~m ~k ~n
+    | `Ag_gemm -> Tuned.ag_gemm ?pool ~cache spec ~world_size:world ~m ~k ~n
     | `Gemm_rs -> Tuned.gemm_rs ?pool ~cache spec ~world_size:world ~m ~k ~n
   in
   Printf.printf "best of %d candidates: %.1f us\n  [%s]\n"
@@ -281,8 +347,9 @@ let tune_cmd =
   Cmd.v
     (Cmd.info "tune" ~doc:"Search the decoupled design space for a shape.")
     Term.(
-      const tune $ kernel_arg $ world_arg $ m_arg $ k_arg $ n_arg $ jobs_arg
-      $ cache_path_arg)
+      const tune
+      $ kernel_arg [ ("ag-gemm", `Ag_gemm); ("gemm-rs", `Gemm_rs) ]
+      $ world_arg $ m_arg $ k_arg $ n_arg $ jobs_arg $ cache_path_arg)
 
 (* ------------------------------------------------------------------ *)
 (* autotune                                                            *)
@@ -425,82 +492,6 @@ let autotune_cmd =
       $ jobs_arg $ cache_path_arg)
 
 (* ------------------------------------------------------------------ *)
-(* ablation                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* One design axis at a time around a fixed base point (the CLI's
-   counterpart of the bench ablation artifact); each axis's grid is an
-   independent batch of simulator runs, so it fans out over the pool. *)
-
-let ablation world m k n jobs =
-  let pool = make_pool jobs in
-  let ring = Tile.Ring_from_self { segments = world } in
-  let shapes = { Mlp.m; k; n; world_size = world } in
-  let base =
-    {
-      Design_space.comm_tile = (256, 128);
-      compute_tile = (128, 128);
-      comm_order = ring;
-      compute_order = ring;
-      binding = Design_space.Comm_on_dma;
-      stages = 2;
-      micro_block = 0;
-    }
-  in
-  let run_axis axis configs =
-    let times =
-      Exec.Pool.map pool
-        (fun (_, config) ->
-          let cluster = Cluster.create spec ~world_size:world in
-          (Runtime.run cluster
-             (Mlp.ag_gemm_program ~config shapes ~spec_gpu:spec))
-            .Runtime.makespan)
-        configs
-    in
-    Printf.printf "%s:\n" axis;
-    List.iter2
-      (fun (label, _) time ->
-        Printf.printf "  %-26s %8.1f us\n" label (Exec.Pool.get time))
-      configs times
-  in
-  run_axis "resource binding"
-    (List.map
-       (fun binding ->
-         ( Design_space.resource_binding_to_string binding,
-           { base with Design_space.binding } ))
-       [
-         Design_space.Comm_on_dma;
-         Design_space.Comm_on_sm 8;
-         Design_space.Comm_on_sm 20;
-         Design_space.Comm_on_sm 40;
-         Design_space.Comm_hybrid { dma_fraction = 0.5; sms = 12 };
-       ]);
-  run_axis "communication tile rows"
-    (List.filter_map
-       (fun tile ->
-         if m / world mod tile = 0 then
-           Some
-             ( Printf.sprintf "%d rows/tile" tile,
-               { base with Design_space.comm_tile = (tile, 128) } )
-         else None)
-       [ 128; 256; 512; 1024 ]);
-  run_axis "pipeline stages"
-    (List.map
-       (fun stages ->
-         (Printf.sprintf "stages=%d" stages, { base with Design_space.stages }))
-       [ 1; 2; 4 ]);
-  print_pool_stats pool
-
-let ablation_cmd =
-  Cmd.v
-    (Cmd.info "ablation"
-       ~doc:
-         "Sweep one design axis at a time around a fixed AG+GEMM base \
-          point, optionally in parallel (--jobs).")
-    Term.(
-      const ablation $ world_arg $ m_arg $ k_arg $ n_arg $ jobs_arg)
-
-(* ------------------------------------------------------------------ *)
 (* validate                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -536,64 +527,56 @@ let validate kernel backend domains topology =
     | None -> 4
   in
   let machine = Calib.test_machine in
-  (match topology with
-  | Some topo -> Printf.printf "topology: %s\n" (Topology.describe topo)
-  | None -> ());
-  let mk_cluster () = Cluster.create ?topology machine ~world_size:world in
-  let ranks = List.init world Fun.id in
-  let failed = ref false in
-  let check name ok =
-    Printf.printf "%-28s %s\n" name (if ok then "ok" else "MISMATCH");
-    if not ok then failed := true
+  print_topology topology;
+  (* Run [program] on real data, then compare buffer [out] on every
+     rank with [reference]. *)
+  let run label ?atol memory program ~out reference =
+    ignore
+      (Runtime.run ~data:true ~memory ~backend
+         (Cluster.create ?topology machine ~world_size:world)
+         program);
+    let ok =
+      List.for_all
+        (fun rank ->
+          Tilelink_tensor.Check.close ?atol (reference ~rank)
+            (Memory.find memory ~rank ~name:out))
+        (List.init world Fun.id)
+    in
+    Printf.printf "%-28s %s\n"
+      (Printf.sprintf "%s (%d ranks)" label world)
+      (if ok then "ok" else "MISMATCH");
+    if not ok then exit 1
   in
-  (match kernel with
+  match kernel with
   | `Ag_gemm ->
     let shapes = { Mlp.m = 4 * world; k = 4; n = 6; world_size = world } in
-    let cfg =
-      config ~world ~binding:(Design_space.Comm_on_sm 1) ~comm_tile:2
-        ~compute_tile:2 ~stages:2 ~ring:true
-    in
     let memory = Mlp.ag_gemm_alloc shapes ~seed:1 in
-    let cluster = mk_cluster () in
-    ignore
-      (Runtime.run ~data:true ~memory ~backend cluster
-         (Mlp.ag_gemm_program ~config:cfg shapes ~spec_gpu:machine));
-    check
-      (Printf.sprintf "ag-gemm (%d ranks)" world)
-      (List.for_all
-         (fun rank ->
-           Tilelink_tensor.Check.close
-             (Mlp.ag_gemm_reference memory shapes ~rank)
-             (Memory.find memory ~rank ~name:"y"))
-         ranks)
+    run "ag-gemm" memory
+      (Mlp.ag_gemm_program shapes ~spec_gpu:machine
+         ~config:
+           (config ~world ~binding:(Design_space.Comm_on_sm 1) ~comm_tile:2
+              ~compute_tile:2 ~stages:2))
+      ~out:"y"
+      (Mlp.ag_gemm_reference memory shapes)
   | `Gemm_rs ->
     let shapes =
       { Mlp.rs_m = 4 * world; rs_k = 3; rs_n = 4; rs_world = world }
     in
-    let cfg =
-      {
-        Design_space.comm_tile = (2, 2);
-        compute_tile = (2, 2);
-        comm_order = Tile.Row_major;
-        compute_order = Tile.Row_major;
-        binding = Design_space.Comm_on_sm 1;
-        stages = 1;
-        micro_block = 0;
-      }
-    in
     let memory = Mlp.gemm_rs_alloc shapes ~seed:2 in
-    let cluster = mk_cluster () in
-    ignore
-      (Runtime.run ~data:true ~memory ~backend cluster
-         (Mlp.gemm_rs_program ~config:cfg shapes ~spec_gpu:machine));
-    check
-      (Printf.sprintf "gemm-rs (%d ranks)" world)
-      (List.for_all
-         (fun rank ->
-           Tilelink_tensor.Check.close
-             (Mlp.gemm_rs_reference memory shapes ~rank)
-             (Memory.find memory ~rank ~name:"out"))
-         ranks)
+    run "gemm-rs" memory
+      (Mlp.gemm_rs_program shapes ~spec_gpu:machine
+         ~config:
+           {
+             Design_space.comm_tile = (2, 2);
+             compute_tile = (2, 2);
+             comm_order = Tile.Row_major;
+             compute_order = Tile.Row_major;
+             binding = Design_space.Comm_on_sm 1;
+             stages = 1;
+             micro_block = 0;
+           })
+      ~out:"out"
+      (Mlp.gemm_rs_reference memory shapes)
   | `Moe ->
     let moe =
       {
@@ -607,27 +590,18 @@ let validate kernel backend domains topology =
     in
     let route = Moe.routing moe ~seed:3 in
     let memory = Moe.part2_alloc moe ~seed:4 in
-    let cluster = mk_cluster () in
-    ignore
-      (Runtime.run ~data:true ~memory ~backend cluster
-         (Moe.part2_program moe route ~spec_gpu:machine
-            ~config:
-              {
-                Moe.gg_tile_rows = 2;
-                reduce_tile_rows = 2;
-                rs_tile_rows = 2;
-                reduce_sms = 1;
-                rs_sms = 1;
-              }));
-    check
-      (Printf.sprintf "moe part2 (%d ranks)" world)
-      (List.for_all
-         (fun rank ->
-           Tilelink_tensor.Check.close ~atol:1e-8
-             (Moe.part2_reference memory moe route ~rank)
-             (Memory.find memory ~rank ~name:"out"))
-         ranks));
-  if !failed then exit 1
+    run "moe part2" ~atol:1e-8 memory
+      (Moe.part2_program moe route ~spec_gpu:machine
+         ~config:
+           {
+             Moe.gg_tile_rows = 2;
+             reduce_tile_rows = 2;
+             rs_tile_rows = 2;
+             reduce_sms = 1;
+             rs_sms = 1;
+           })
+      ~out:"out"
+      (Moe.part2_reference memory moe route)
 
 let validate_cmd =
   Cmd.v
@@ -636,7 +610,9 @@ let validate_cmd =
          "Run a kernel with real data and compare to the reference, on \
           either execution backend (--backend parallel --domains N) and \
           optionally on a declarative topology (--topology).")
-    Term.(const validate $ kernel_arg $ backend_arg $ domains_arg $ topology_arg)
+    Term.(
+      const validate $ kernel_arg kernels $ backend_arg $ domains_arg
+      $ topology_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sanity                                                              *)
@@ -650,26 +626,6 @@ let validate_cmd =
    numerics. *)
 
 module Ts = Tilelink_tensor
-
-let sanity_bits_equal a b =
-  let da = Ts.Tensor.data a and db = Ts.Tensor.data b in
-  Array.length da = Array.length db
-  && Array.for_all2
-       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-       da db
-
-let sanity_memories_equal ma mb =
-  List.for_all
-    (fun rank ->
-      let names = Memory.buffers ma ~rank in
-      names = Memory.buffers mb ~rank
-      && List.for_all
-           (fun name ->
-             sanity_bits_equal
-               (Memory.find ma ~rank ~name)
-               (Memory.find mb ~rank ~name))
-           names)
-    (List.init (Memory.world_size ma) Fun.id)
 
 let sanity check domains =
   let failures = ref 0 in
@@ -686,12 +642,12 @@ let sanity check domains =
       let reference = Ts.Linalg.gemm_naive a b in
       report
         (Printf.sprintf "gemm %dx%dx%d ikj vs naive" m k n)
-        (sanity_bits_equal reference (Ts.Linalg.gemm a b));
+        (Ts.Check.bits_equal reference (Ts.Linalg.gemm a b));
       List.iter
         (fun block ->
           report
             (Printf.sprintf "gemm %dx%dx%d block=%d vs naive" m k n block)
-            (sanity_bits_equal reference (Ts.Linalg.gemm ~block a b)))
+            (Ts.Check.bits_equal reference (Ts.Linalg.gemm ~block a b)))
         [ 2; 4; 8; 16; 32; 64 ])
     gemm_shapes;
   (* --- every shipped workload, sequential vs parallel --- *)
@@ -710,7 +666,7 @@ let sanity check domains =
       let mem_par = run_case (`Parallel domains) case in
       report
         (Printf.sprintf "%s seq vs par(%d)" name domains)
-        (sanity_memories_equal mem_seq mem_par))
+        (Memory.bits_equal mem_seq mem_par))
     (Suite.data_cases ());
   (* --- self-test: the comparator must trip on a flipped bit --- *)
   if check then begin
@@ -718,7 +674,7 @@ let sanity check domains =
     let corrupt = Ts.Tensor.copy t in
     (Ts.Tensor.data corrupt).(5) <- (Ts.Tensor.data corrupt).(5) +. 1e-12;
     report "self-test: comparator detects flipped bit"
-      (not (sanity_bits_equal t corrupt))
+      (not (Ts.Check.bits_equal t corrupt))
   end;
   if !failures > 0 then begin
     Printf.printf "%d sanity failure(s)\n" !failures;
@@ -728,12 +684,9 @@ let sanity check domains =
 
 let sanity_cmd =
   let check_arg =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Also self-test the bitwise comparator on a deliberately \
-             corrupted tensor.")
+    check_arg
+      ~doc:"Also self-test the bitwise comparator on a deliberately \
+            corrupted tensor."
   in
   Cmd.v
     (Cmd.info "sanity"
@@ -744,85 +697,11 @@ let sanity_cmd =
     Term.(const sanity $ check_arg $ domains_arg)
 
 (* ------------------------------------------------------------------ *)
-(* report                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let report kernel world m k n =
-  let cfg =
-    config ~world ~binding:Design_space.Comm_on_dma ~comm_tile:512
-      ~compute_tile:128 ~stages:2 ~ring:true
-  in
-  let program =
-    match kernel with
-    | `Ag_gemm ->
-      Mlp.ag_gemm_program ~config:cfg { Mlp.m; k; n; world_size = world }
-        ~spec_gpu:spec
-    | `Gemm_rs ->
-      Mlp.gemm_rs_program
-        ~config:
-          {
-            cfg with
-            Design_space.comm_order = Tile.Row_major;
-            compute_order = Tile.Ring_prev_first { segments = world };
-            comm_tile = (128, 2048);
-            binding = Design_space.Comm_hybrid { dma_fraction = 0.5; sms = 12 };
-          }
-        { Mlp.rs_m = m; rs_k = k; rs_n = n; rs_world = world }
-        ~spec_gpu:spec
-    | `Moe ->
-      let moe =
-        { Moe.tokens = m; hidden = k; intermediate = n; experts = 32;
-          topk = 2; world_size = world }
-      in
-      Moe.part2_program moe (Moe.routing moe ~seed:17) ~spec_gpu:spec
-  in
-  let cluster = Cluster.create ~trace_enabled:true spec ~world_size:world in
-  let result = Runtime.run cluster program in
-  Printf.printf "makespan %.1f us; per-rank measured overlap:\n"
-    result.Runtime.makespan;
-  List.iter
-    (fun r -> Format.printf "  %a@." Report.pp r)
-    (Report.all_ranks (Cluster.trace cluster) ~world_size:world)
-
-let report_cmd =
-  Cmd.v
-    (Cmd.info "report"
-       ~doc:"Simulate a kernel and print the measured per-rank overlap.")
-    Term.(const report $ kernel_arg $ world_arg $ m_arg $ k_arg $ n_arg)
-
-(* ------------------------------------------------------------------ *)
 (* emit                                                                *)
 (* ------------------------------------------------------------------ *)
 
 let emit kernel world m k n tasks target =
-  let cfg =
-    config ~world ~binding:(Design_space.Comm_on_dma) ~comm_tile:512
-      ~compute_tile:128 ~stages:2 ~ring:true
-  in
-  let program =
-    match kernel with
-    | `Ag_gemm ->
-      Mlp.ag_gemm_program ~config:cfg { Mlp.m; k; n; world_size = world }
-        ~spec_gpu:spec
-    | `Gemm_rs ->
-      Mlp.gemm_rs_program
-        ~config:
-          {
-            cfg with
-            Design_space.comm_order = Tile.Row_major;
-            compute_order = Tile.Ring_prev_first { segments = world };
-            comm_tile = (128, 2048);
-            binding = Design_space.Comm_on_sm 20;
-          }
-        { Mlp.rs_m = m; rs_k = k; rs_n = n; rs_world = world }
-        ~spec_gpu:spec
-    | `Moe ->
-      let moe =
-        { Moe.tokens = m; hidden = k; intermediate = n; experts = 32;
-          topk = 2; world_size = world }
-      in
-      Moe.part2_program moe (Moe.routing moe ~seed:17) ~spec_gpu:spec
-  in
+  let program = kernel_program kernel ~world ~m ~k ~n (default_config ~world) in
   (* Print the first [tasks] tasks of each role of rank 0: enough to
      read the generated fence discipline without drowning in text. *)
   let rec take n = function
@@ -862,8 +741,8 @@ let emit_cmd =
     (Cmd.info "emit"
        ~doc:"Print the generated device code of one overlapped kernel.")
     Term.(
-      const emit $ kernel_arg $ world_arg $ m_arg $ k_arg $ n_arg $ tasks_arg
-      $ target_arg)
+      const emit $ kernel_arg kernels $ world_arg $ m_arg $ k_arg $ n_arg
+      $ tasks_arg $ target_arg)
 
 (* ------------------------------------------------------------------ *)
 (* attention                                                           *)
@@ -907,13 +786,6 @@ let attention_cmd =
 (* profile                                                             *)
 (* ------------------------------------------------------------------ *)
 
-module Obs = Tilelink_obs
-
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
-
 let print_wait_report metrics =
   Printf.printf "per-primitive wait latency (us):\n";
   Printf.printf "  %-10s %8s %10s %10s %10s %10s\n" "primitive" "count" "p50"
@@ -940,25 +812,19 @@ let print_wait_report metrics =
         (Option.get (Obs.Metrics.counter_value metrics name)))
     (Obs.Metrics.counter_names metrics)
 
+let profile_fail msg =
+  Printf.eprintf "profile check FAILED: %s\n" msg;
+  exit 2
+
 (* Structural checks over the freshly written artifacts: both files
    must re-parse, the Perfetto trace must contain at least one
    notify->wait flow pair and one counter track, and the metrics dump
    must hold a non-empty wait histogram.  This is the smoke test the
    dev-check alias runs. *)
 let check_artifacts ~metrics_path ~perfetto_path =
-  let read path =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  let fail msg =
-    Printf.eprintf "profile check FAILED: %s\n" msg;
-    exit 2
-  in
+  let fail = profile_fail in
   let parse label path =
-    match Obs.Json.parse (read path) with
+    match Obs.Json.parse (read_file path) with
     | Ok v -> v
     | Error msg -> fail (Printf.sprintf "%s is not valid JSON: %s" label msg)
   in
@@ -1003,55 +869,26 @@ let check_artifacts ~metrics_path ~perfetto_path =
                  histograms all present)\n"
 
 let profile workload world m k n out_prefix check critical_path min_level =
+  let name =
+    match workload with
+    | `Ag_gemm -> "mlp"
+    | `Gemm_rs -> "gemm-rs"
+    | `Moe -> "moe"
+  in
   (* One full instrumented run behind a closure: the critical-path
      determinism check replays it and compares rendered output. *)
   let run () =
     let telemetry = Obs.Telemetry.create () in
-    let cfg =
-      config ~world ~binding:Design_space.Comm_on_dma ~comm_tile:512
-        ~compute_tile:128 ~stages:2 ~ring:true
+    let cluster, result =
+      Profiled.run ~telemetry ~spec_gpu:spec
+        (kernel_program workload ~world ~m ~k ~n (default_config ~world))
     in
-    let name, (cluster, result) =
-      match workload with
-      | `Mlp ->
-        ( "mlp",
-          Mlp.profile_ag_gemm ~config:cfg ~telemetry
-            { Mlp.m; k; n; world_size = world }
-            ~spec_gpu:spec )
-      | `Gemm_rs ->
-        ( "gemm-rs",
-          Mlp.profile_gemm_rs
-            ~config:
-              {
-                cfg with
-                Design_space.comm_order = Tile.Row_major;
-                compute_order = Tile.Ring_prev_first { segments = world };
-                comm_tile = (128, 2048);
-              }
-            ~telemetry
-            { Mlp.rs_m = m; rs_k = k; rs_n = n; rs_world = world }
-            ~spec_gpu:spec )
-      | `Moe ->
-        let moe =
-          {
-            Moe.tokens = m;
-            hidden = k;
-            intermediate = n;
-            experts = 32;
-            topk = 2;
-            world_size = world;
-          }
-        in
-        ( "moe",
-          Moe.profile_part1 ~telemetry moe (Moe.routing moe ~seed:17)
-            ~spec_gpu:spec )
-    in
-    (name, telemetry, cluster, result)
+    (telemetry, cluster, result)
   in
-  let name, telemetry, cluster, result = run () in
+  let telemetry, cluster, result = run () in
   let metrics = Obs.Telemetry.metrics telemetry in
   let journal = Obs.Telemetry.journal telemetry in
-  let makespan = result.Tilelink_core.Runtime.makespan in
+  let makespan = result.Runtime.makespan in
   (* Causal profile of a finished run: span list -> attribution buckets
      + extracted critical path.  Shared by the report, the artifacts,
      and the --check validations. *)
@@ -1075,7 +912,7 @@ let profile workload world m k n out_prefix check critical_path min_level =
   let attribution, critpath = causal_profile ~makespan telemetry in
   Printf.printf "%s: makespan %.1f us, %d signal notifies, journal %d \
                  events (%d dropped)\n"
-    name makespan result.Tilelink_core.Runtime.notifies
+    name makespan result.Runtime.notifies
     (Obs.Journal.length journal)
     (Obs.Journal.dropped journal);
   print_wait_report metrics;
@@ -1131,29 +968,25 @@ let profile workload world m k n out_prefix check critical_path min_level =
   if check then begin
     check_artifacts ~metrics_path ~perfetto_path;
     if critical_path then begin
-      let fail msg =
-        Printf.eprintf "profile check FAILED: %s\n" msg;
-        exit 2
-      in
       if not (Obs.Attribution.conserved attribution) then
-        fail
+        profile_fail
           (Printf.sprintf
              "attribution buckets sum to %.3f us but makespan is %.3f us"
              (Obs.Attribution.bucket_sum attribution)
              makespan);
-      (match critpath with
-      | None -> fail "no spans recorded despite telemetry being enabled"
-      | Some _ -> ());
+      if critpath = None then
+        profile_fail "no spans recorded despite telemetry being enabled";
       (* Byte-determinism: a second identical run must render the same
          attribution + critical-path JSON. *)
-      let _, telemetry2, _, result2 = run () in
-      let rendered2 =
-        critpath_json
-          (causal_profile ~makespan:result2.Tilelink_core.Runtime.makespan
-             telemetry2)
-      in
-      if critpath_json (attribution, critpath) <> rendered2 then
-        fail "critical-path output not byte-identical across two runs";
+      require_same
+        (critpath_json (attribution, critpath))
+        (fun () ->
+          let telemetry2, _, result2 = run () in
+          critpath_json
+            (causal_profile ~makespan:result2.Runtime.makespan telemetry2))
+        ~fail:(fun _ ->
+          "profile check FAILED: critical-path output not byte-identical \
+           across two runs");
       Printf.printf
         "profile check: ok (attribution conserved, critical path \
          deterministic)\n"
@@ -1164,8 +997,8 @@ let profile_cmd =
   let workload_arg =
     Arg.(
       value
-      & opt (enum [ ("mlp", `Mlp); ("gemm-rs", `Gemm_rs); ("moe", `Moe) ])
-          `Mlp
+      & opt (enum [ ("mlp", `Ag_gemm); ("gemm-rs", `Gemm_rs); ("moe", `Moe) ])
+          `Ag_gemm
       & info [ "workload" ] ~docv:"mlp|gemm-rs|moe"
           ~doc:"Workload to profile.")
   in
@@ -1179,14 +1012,12 @@ let profile_cmd =
              PREFIX.metrics.json, PREFIX.prom, PREFIX.perfetto.json.")
   in
   let check_arg =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Re-parse the written artifacts and fail unless flow pairs, \
-             counter tracks and wait histograms are present.  With \
-             $(b,--critical-path), additionally require attribution \
-             conservation and byte-identical output across two runs.")
+    check_arg
+      ~doc:
+        "Re-parse the written artifacts and fail unless flow pairs, \
+         counter tracks and wait histograms are present.  With \
+         $(b,--critical-path), additionally require attribution \
+         conservation and byte-identical output across two runs."
   in
   let critical_path_arg =
     Arg.(
@@ -1235,20 +1066,14 @@ module Harness = Tilelink_chaos.Harness
 let chaos_run seed trials workload jobs no_retry policy crash_ranks topology
     out perfetto_path check =
   let retry = not no_retry in
-  let pool =
-    if jobs > 1 then
-      Some (Tilelink_exec.Pool.create ~domains:jobs ())
-    else None
-  in
+  let pool = make_pool jobs in
   let run () =
     Harness.run_trials ?pool ~retry ~policy ~crash_ranks ?topology ~workload
       ~seed ~trials ()
   in
   let summary = run () in
   let json = Harness.summary_to_string summary in
-  (match topology with
-  | Some topo -> Printf.printf "topology: %s\n" (Topology.describe topo)
-  | None -> ());
+  print_topology topology;
   Printf.printf
     "chaos %s seed %d: %d trials — %d clean, %d recovered, %s%d degraded, %d \
      stalled\n"
@@ -1324,20 +1149,15 @@ let chaos_run seed trials workload jobs no_retry policy crash_ranks topology
     Printf.printf "wrote %s (fault/retry/recovery instants marked)\n" path
   | None -> ());
   if check then begin
-    let json2 = Harness.summary_to_string (run ()) in
-    if json <> json2 then begin
-      Printf.eprintf
-        "chaos check FAILED: same seed produced different summary JSON\n";
-      exit 2
-    end;
+    require_same json
+      (fun () -> Harness.summary_to_string (run ()))
+      ~fail:(fun _ ->
+        "chaos check FAILED: same seed produced different summary JSON");
     Printf.printf
       "chaos check: ok (summary JSON byte-identical across two runs)\n"
   end
 
 let chaos_cmd =
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Chaos seed.")
-  in
   let trials_arg =
     Arg.(
       value & opt int 8
@@ -1383,34 +1203,6 @@ let chaos_cmd =
           ~doc:"What the watchdog does once retries are exhausted; failover \
                 additionally remaps crashed ranks onto the survivors.")
   in
-  let crash_ranks_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "crash-ranks" ] ~docv:"N"
-          ~doc:"Force N seeded permanent rank crashes per trial; implies the \
-                failover policy unless one is given explicitly.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write the summary JSON here.")
-  in
-  let perfetto_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "perfetto" ] ~docv:"FILE"
-          ~doc:"Re-run trial 0 with tracing and write a Perfetto trace with \
-                fault and recovery marks.")
-  in
-  let check_arg =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:"Run the sweep twice and fail unless the summary JSON is \
-                byte-identical.")
-  in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
@@ -1418,9 +1210,23 @@ let chaos_cmd =
           numerics against fault-free runs, and classify each trial as \
           clean, recovered, failed over, degraded, or stalled.")
     Term.(
-      const chaos_run $ seed_arg $ trials_arg $ workload_arg $ jobs_arg
-      $ no_retry_arg $ policy_arg $ crash_ranks_arg $ topology_arg $ out_arg
-      $ perfetto_arg $ check_arg)
+      const chaos_run
+      $ seed_arg 42 ~doc:"Chaos seed."
+      $ trials_arg $ workload_arg $ jobs_arg $ no_retry_arg $ policy_arg
+      $ crash_ranks_arg
+          ~doc:
+            "Force N seeded permanent rank crashes per trial; implies the \
+             failover policy unless one is given explicitly."
+      $ topology_arg
+      $ file_arg "out" ~doc:"Write the summary JSON here."
+      $ file_arg "perfetto"
+          ~doc:
+            "Re-run trial 0 with tracing and write a Perfetto trace with \
+             fault and recovery marks."
+      $ check_arg
+          ~doc:
+            "Run the sweep twice and fail unless the summary JSON is \
+             byte-identical.")
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
@@ -1485,9 +1291,7 @@ let serve_run trace_kind rate burst requests seed prompt_mean decode_mean
   let telemetry =
     if perfetto_path <> None then Some (Obs.Telemetry.create ()) else None
   in
-  (match topology with
-  | Some topo -> Printf.printf "topology: %s\n" (Topology.describe topo)
-  | None -> ());
+  print_topology topology;
   let report = serve ?telemetry () in
   let json = Serve.Server.report_to_string report in
   Printf.printf
@@ -1544,12 +1348,10 @@ let serve_run trace_kind rate burst requests seed prompt_mean decode_mean
         report.Serve.Server.r_failed report.Serve.Server.r_in_flight;
       exit 2
     end;
-    let json2 = Serve.Server.report_to_string (serve ()) in
-    if json <> json2 then begin
-      Printf.eprintf
-        "serve check FAILED: same seed produced different report JSON\n";
-      exit 2
-    end;
+    require_same json
+      (fun () -> Serve.Server.report_to_string (serve ()))
+      ~fail:(fun _ ->
+        "serve check FAILED: same seed produced different report JSON");
     Printf.printf
       "serve check: ok (conserved; report byte-identical across two runs)\n"
   end
@@ -1579,11 +1381,6 @@ let serve_cmd =
     Arg.(
       value & opt int 200
       & info [ "requests" ] ~docv:"N" ~doc:"Requests to generate.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"N" ~doc:"Trace generation seed.")
   in
   let prompt_mean_arg =
     Arg.(
@@ -1643,35 +1440,6 @@ let serve_cmd =
       & info [ "chaos-seed" ] ~docv:"N"
           ~doc:"Seed for the crash schedule (defaults to --seed).")
   in
-  let crash_ranks_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "crash-ranks" ] ~docv:"N"
-          ~doc:
-            "Crash N seeded ranks mid-trace; the serve continues on the \
-             survivors.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write the report JSON here.")
-  in
-  let perfetto_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "perfetto" ] ~docv:"FILE"
-          ~doc:"Write a Perfetto trace with shed/tier-change instants.")
-  in
-  let check_arg =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Fail unless the report conserves requests and is \
-             byte-identical across two runs.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -1680,10 +1448,22 @@ let serve_cmd =
           rank crashes.")
     Term.(
       const serve_run $ trace_arg $ rate_arg $ burst_arg $ requests_arg
-      $ seed_arg $ prompt_mean_arg $ decode_mean_arg $ world_arg
-      $ head_dim_arg $ slo_ttft_arg $ slo_tpot_arg $ queue_capacity_arg
-      $ max_batch_arg $ kv_capacity_arg $ timeout_arg $ chaos_seed_arg
-      $ crash_ranks_arg $ topology_arg $ out_arg $ perfetto_arg $ check_arg)
+      $ seed_arg 42 ~doc:"Trace generation seed."
+      $ prompt_mean_arg $ decode_mean_arg $ world_arg $ head_dim_arg
+      $ slo_ttft_arg $ slo_tpot_arg $ queue_capacity_arg $ max_batch_arg
+      $ kv_capacity_arg $ timeout_arg $ chaos_seed_arg
+      $ crash_ranks_arg
+          ~doc:
+            "Crash N seeded ranks mid-trace; the serve continues on the \
+             survivors."
+      $ topology_arg
+      $ file_arg "out" ~doc:"Write the report JSON here."
+      $ file_arg "perfetto"
+          ~doc:"Write a Perfetto trace with shed/tier-change instants."
+      $ check_arg
+          ~doc:
+            "Fail unless the report conserves requests and is \
+             byte-identical across two runs.")
 
 (* ------------------------------------------------------------------ *)
 (* verify                                                              *)
@@ -1877,76 +1657,52 @@ let verify json_path check_flag seed =
         "check ok: clean programs accepted; synthetic deadlock/epoch-reuse \
          and all seeded mutations flagged with structured diagnostics\n"
   end;
-  (match json_path with
-  | None -> ()
-  | Some path ->
-    let json =
-      Tilelink_obs.Json.Obj
-        [
-          ( "programs",
-            Tilelink_obs.Json.List
-              (List.map
-                 (fun (name, r) ->
-                   match Analyzer.report_to_json r with
-                   | Tilelink_obs.Json.Obj fields ->
-                     Tilelink_obs.Json.Obj
-                       (("name", Tilelink_obs.Json.Str name) :: fields)
-                   | other -> other)
-                 reports) );
-          ( "check",
-            if not check_flag then Tilelink_obs.Json.Null
-            else
-              Tilelink_obs.Json.Obj
-                [
-                  ("ok", Tilelink_obs.Json.Bool (check_failures = []));
-                  ( "failures",
-                    Tilelink_obs.Json.List
-                      (List.map
-                         (fun s -> Tilelink_obs.Json.Str s)
-                         check_failures) );
-                ] );
-        ]
-    in
-    let rendered = Tilelink_obs.Json.to_string ~indent:true json in
-    if path = "-" then print_endline rendered
-    else begin
-      let oc = open_out path in
-      output_string oc rendered;
-      close_out oc;
-      Printf.printf "wrote analyzer report to %s\n" path
-    end);
+  Option.iter
+    (fun path ->
+      let module J = Obs.Json in
+      write_json ~what:"analyzer report" path
+        (J.Obj
+           [
+             ( "programs",
+               J.List
+                 (List.map
+                    (fun (name, r) ->
+                      match Analyzer.report_to_json r with
+                      | J.Obj fields -> J.Obj (("name", J.Str name) :: fields)
+                      | other -> other)
+                    reports) );
+             ( "check",
+               if not check_flag then J.Null
+               else
+                 J.Obj
+                   [
+                     ("ok", J.Bool (check_failures = []));
+                     ( "failures",
+                       J.List (List.map (fun s -> J.Str s) check_failures) );
+                   ] );
+           ]))
+    json_path;
   if dirty <> [] || check_failures <> [] then exit 1
 
 let verify_cmd =
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the per-program analyzer reports as JSON ('-' for \
-                stdout).")
-  in
-  let check_arg =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Self-test: require every clean program to pass, and every \
-             seeded protocol mutation (dropped notify, swapped rank, epoch \
-             off-by-one, unsafe hoist) plus synthetic deadlock/epoch-reuse \
-             programs to be flagged with structured diagnostics.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 17
-      & info [ "seed" ] ~docv:"N" ~doc:"Seed for the mutation corpus.")
-  in
   Cmd.v
     (Cmd.info "verify"
        ~doc:
          "Run the whole-program protocol analyzer over all shipped workloads \
           across a rank and tile-shape sweep.")
-    Term.(const verify $ json_arg $ check_arg $ seed_arg)
+    Term.(
+      const verify
+      $ file_arg "json"
+          ~doc:
+            "Write the per-program analyzer reports as JSON ('-' for \
+             stdout)."
+      $ check_arg
+          ~doc:
+            "Self-test: require every clean program to pass, and every \
+             seeded protocol mutation (dropped notify, swapped rank, epoch \
+             off-by-one, unsafe hoist) plus synthetic deadlock/epoch-reuse \
+             programs to be flagged with structured diagnostics."
+      $ seed_arg 17 ~doc:"Seed for the mutation corpus.")
 
 (* ------------------------------------------------------------------ *)
 (* plan                                                                *)
@@ -1963,7 +1719,7 @@ let plan_summary (p : Planner.plan) =
     p.Planner.p_time
 
 let plan_json ~family ~graph (p : Planner.plan) =
-  let module J = Tilelink_obs.Json in
+  let module J = Obs.Json in
   let o = p.Planner.p_outcome in
   J.Obj
     [
@@ -2037,39 +1793,28 @@ let plan family m k n world seed jobs cache_path json_path check_flag emit_flag
         | None, _ ->
           Printf.eprintf "plan check FAIL: %s search found no plan\n" what;
           exit 2
-        | Some p2, _ ->
-          if plan_summary p <> plan_summary p2 then begin
-            Printf.eprintf "plan check FAIL (%s): %s <> %s\n" what
-              (plan_summary p) (plan_summary p2);
-            exit 2
-          end;
-          p2
+        | Some p2, _ -> p2
       in
-      ignore (rerun "fresh-cache" (Exec.Cache.create ()));
-      let warm = rerun "warm-cache" cache in
+      let differs what summary =
+        Printf.sprintf "plan check FAIL (%s): %s <> %s" what (plan_summary p)
+          summary
+      in
+      require_same (plan_summary p)
+        (fun () -> plan_summary (rerun "fresh-cache" (Exec.Cache.create ())))
+        ~fail:(differs "fresh-cache");
       let render (p : Planner.plan) =
-        Format.asprintf "%a" Program.pp p.Planner.p_program
+        (plan_summary p, Format.asprintf "%a" Program.pp p.Planner.p_program)
       in
-      if render p <> render warm then begin
-        Printf.eprintf
-          "plan check FAIL: warm-cache search rendered another program\n";
-        exit 2
-      end;
+      require_same (render p)
+        (fun () -> render (rerun "warm-cache" cache))
+        ~fail:(fun (summary, _) ->
+          if summary <> plan_summary p then differs "warm-cache" summary
+          else "plan check FAIL: warm-cache search rendered another program");
       Printf.printf "plan check ok: winner stable across searches\n"
     end;
-    (match json_path with
-    | None -> ()
-    | Some path ->
-      let rendered =
-        Tilelink_obs.Json.to_string ~indent:true (plan_json ~family ~graph p)
-      in
-      if path = "-" then print_endline rendered
-      else begin
-        let oc = open_out path in
-        output_string oc rendered;
-        close_out oc;
-        Printf.printf "wrote plan to %s\n" path
-      end);
+    Option.iter
+      (fun path -> write_json ~what:"plan" path (plan_json ~family ~graph p))
+      json_path;
     if emit_flag then Format.printf "%a@." Program.pp p.Planner.p_program
 
 let plan_cmd =
@@ -2083,28 +1828,6 @@ let plan_cmd =
              (AllGather+row softmax), moe (AllGather feeding gate and up \
              projections), fused (GEMM and softmax sharing one gather).")
   in
-  let seed_arg =
-    Arg.(
-      value & opt int 11
-      & info [ "seed" ] ~docv:"N" ~doc:"Seed for workload buffers.")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the winning plan and search statistics as JSON ('-' \
-                for stdout).")
-  in
-  let check_arg =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Determinism gate: search again on fresh state and once more \
-             on the first search's cache, and require byte-identical \
-             winners (exit 2 on divergence).")
-  in
   let emit_arg =
     Arg.(
       value & flag
@@ -2117,8 +1840,19 @@ let plan_cmd =
           push/pull schedules over the decoupled design space, prune with \
           the protocol analyzer, score under the simulator.")
     Term.(
-      const plan $ workload_arg $ m_arg $ k_arg $ n_arg $ world_arg $ seed_arg
-      $ jobs_arg $ cache_path_arg $ json_arg $ check_arg $ emit_arg)
+      const plan $ workload_arg $ m_arg $ k_arg $ n_arg $ world_arg
+      $ seed_arg 11 ~doc:"Seed for workload buffers."
+      $ jobs_arg $ cache_path_arg
+      $ file_arg "json"
+          ~doc:
+            "Write the winning plan and search statistics as JSON ('-' for \
+             stdout)."
+      $ check_arg
+          ~doc:
+            "Determinism gate: search again on fresh state and once more \
+             on the first search's cache, and require byte-identical \
+             winners (exit 2 on divergence)."
+      $ emit_arg)
 
 (* ------------------------------------------------------------------ *)
 
@@ -2136,12 +1870,10 @@ let () =
               tune_cmd;
               plan_cmd;
               autotune_cmd;
-              ablation_cmd;
               validate_cmd;
               sanity_cmd;
               attention_cmd;
               emit_cmd;
-              report_cmd;
               profile_cmd;
               chaos_cmd;
               serve_cmd;

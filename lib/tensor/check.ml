@@ -1,4 +1,4 @@
-(* Approximate tensor comparison for correctness tests. *)
+(* Tensor comparison for correctness tests: approximate and bitwise. *)
 
 type report = {
   max_abs_err : float;
@@ -37,6 +37,12 @@ let compare ?(atol = 1e-9) ?(rtol = 1e-6) expected actual =
 
 let close ?atol ?rtol expected actual =
   (compare ?atol ?rtol expected actual).within
+
+let bits_equal a b =
+  Shape.equal (Tensor.shape a) (Tensor.shape b)
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       (Tensor.data a) (Tensor.data b)
 
 let pp_report ppf r =
   Fmt.pf ppf "max_abs=%.3e max_rel=%.3e at %s %s" r.max_abs_err r.max_rel_err

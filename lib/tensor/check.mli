@@ -1,4 +1,4 @@
-(** Approximate tensor comparison for correctness tests. *)
+(** Tensor comparison for correctness tests: approximate and bitwise. *)
 
 type report = {
   max_abs_err : float;
@@ -12,4 +12,9 @@ val compare : ?atol:float -> ?rtol:float -> Tensor.t -> Tensor.t -> report
     [|e - a| <= atol + rtol * |e|]. *)
 
 val close : ?atol:float -> ?rtol:float -> Tensor.t -> Tensor.t -> bool
+
+val bits_equal : Tensor.t -> Tensor.t -> bool
+(** Same shape and every element bit for bit: no tolerance, and [-0.]
+    differs from [0.] while a NaN equals the same NaN. *)
+
 val pp_report : Format.formatter -> report -> unit

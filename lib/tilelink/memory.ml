@@ -52,3 +52,15 @@ let buffers t ~rank =
   check_rank t rank "buffers";
   Hashtbl.fold (fun name _ acc -> name :: acc) t.stores.(rank) []
   |> List.sort compare
+
+let bits_equal a b =
+  world_size a = world_size b
+  && List.for_all
+       (fun rank ->
+         let names = buffers a ~rank in
+         names = buffers b ~rank
+         && List.for_all
+              (fun name ->
+                Check.bits_equal (find a ~rank ~name) (find b ~rank ~name))
+              names)
+       (List.init (world_size a) Fun.id)

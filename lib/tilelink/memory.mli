@@ -12,3 +12,7 @@ val find : t -> rank:int -> name:string -> Tensor.t
 val mem : t -> rank:int -> name:string -> bool
 val alloc_symmetric : t -> name:string -> Shape.t -> unit
 val buffers : t -> rank:int -> string list
+
+val bits_equal : t -> t -> bool
+(** Same world, the same buffer names on every rank, and every buffer
+    {!Tilelink_tensor.Check.bits_equal}. *)

@@ -634,14 +634,3 @@ let gemm_rs_program ~(config : Design_space.config) spec ~(spec_gpu : Spec.t)
   Program.create ~name:"gemm_rs" ~world_size:r
     ~pc_channels:(Mapping.num_channels mapping)
     ~peer_channels:(rs_tiles * r) plans
-
-(* ------------------------------------------------------------------ *)
-(* Telemetry consumers                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let profile_ag_gemm ?k_chunks ?transfer ~config ~telemetry spec ~spec_gpu =
-  Profiled.run ~telemetry ~spec_gpu
-    (ag_gemm_program ?k_chunks ?transfer ~config spec ~spec_gpu)
-
-let profile_gemm_rs ~config ~telemetry spec ~spec_gpu =
-  Profiled.run ~telemetry ~spec_gpu (gemm_rs_program ~config spec ~spec_gpu)

@@ -4,7 +4,8 @@
 
     Both builders produce programs whose data actions implement real
     tensor semantics, so the same program is validated numerically at
-    small shapes and timed at paper shapes. *)
+    small shapes and timed at paper shapes.  To profile one, hand the
+    built program to {!Profiled.run}. *)
 
 open Tilelink_core
 open Tilelink_machine
@@ -61,25 +62,3 @@ val gemm_rs_reference :
 
 val gemm_rs_program :
   config:Design_space.config -> gemm_rs_spec -> spec_gpu:Spec.t -> Program.t
-
-(** {2 Telemetry consumers}
-
-    Build the kernel and run it on a fresh trace-enabled cluster with
-    the telemetry handle attached (see {!Profiled.run}); the returned
-    cluster carries the trace for Perfetto export. *)
-
-val profile_ag_gemm :
-  ?k_chunks:int ->
-  ?transfer:[ `Pull | `Push ] ->
-  config:Design_space.config ->
-  telemetry:Tilelink_obs.Telemetry.t ->
-  ag_gemm_spec ->
-  spec_gpu:Spec.t ->
-  Cluster.t * Runtime.result
-
-val profile_gemm_rs :
-  config:Design_space.config ->
-  telemetry:Tilelink_obs.Telemetry.t ->
-  gemm_rs_spec ->
-  spec_gpu:Spec.t ->
-  Cluster.t * Runtime.result

@@ -1,7 +1,8 @@
 (** Tensor-parallel MoE kernels with dynamic tile-centric mapping
     (Figure 5 of the paper): AG + Gather + GroupGEMM, and the
     three-stage GroupGEMM + Scatter + TopkReduce + ring ReduceScatter
-    chain. *)
+    chain.  To profile either part, hand the built program to
+    {!Profiled.run}. *)
 
 open Tilelink_core
 open Tilelink_tensor
@@ -60,24 +61,3 @@ val part2_reference : Memory.t -> spec -> Routing.t -> rank:int -> Tensor.t
 
 val part2_program :
   ?config:part2_config -> spec -> Routing.t -> spec_gpu:Spec.t -> Program.t
-
-(** {2 Telemetry consumers}
-
-    Build the kernel and run it on a fresh trace-enabled cluster with
-    the telemetry handle attached (see {!Profiled.run}). *)
-
-val profile_part1 :
-  ?config:part1_config ->
-  telemetry:Tilelink_obs.Telemetry.t ->
-  spec ->
-  Routing.t ->
-  spec_gpu:Spec.t ->
-  Cluster.t * Tilelink_core.Runtime.result
-
-val profile_part2 :
-  ?config:part2_config ->
-  telemetry:Tilelink_obs.Telemetry.t ->
-  spec ->
-  Routing.t ->
-  spec_gpu:Spec.t ->
-  Cluster.t * Tilelink_core.Runtime.result

@@ -435,8 +435,9 @@ let small_spec = { Mlp.m = 8; k = 4; n = 6; world_size = 2 }
 let test_profiled_run_populates_telemetry () =
   let telemetry = Telemetry.create () in
   let cluster, result =
-    Mlp.profile_ag_gemm ~config:small_config ~telemetry small_spec
-      ~spec_gpu:Calib.test_machine
+    Profiled.run ~telemetry ~spec_gpu:Calib.test_machine
+      (Mlp.ag_gemm_program ~config:small_config small_spec
+         ~spec_gpu:Calib.test_machine)
   in
   Alcotest.(check bool) "positive makespan" true
     (result.Runtime.makespan > 0.0);

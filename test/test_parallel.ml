@@ -13,44 +13,10 @@
 
 open Tilelink_core
 open Tilelink_machine
-open Tilelink_tensor
 module Backend = Tilelink_exec.Backend
 module Suite = Tilelink_workloads.Suite
 
 let machine = Calib.test_machine
-
-(* ------------------------------------------------------------------ *)
-(* Bitwise comparison                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let tensor_bits_equal a b =
-  Shape.equal (Tensor.shape a) (Tensor.shape b)
-  &&
-  let da = Tensor.data a and db = Tensor.data b in
-  let n = Array.length da in
-  Array.length db = n
-  &&
-  let rec go i =
-    i >= n
-    || Int64.equal (Int64.bits_of_float da.(i)) (Int64.bits_of_float db.(i))
-       && go (i + 1)
-  in
-  go 0
-
-(* Every buffer on every rank, bit for bit. *)
-let memories_bits_equal ma mb =
-  Memory.world_size ma = Memory.world_size mb
-  && List.for_all
-       (fun rank ->
-         let names = Memory.buffers ma ~rank in
-         names = Memory.buffers mb ~rank
-         && List.for_all
-              (fun name ->
-                tensor_bits_equal
-                  (Memory.find ma ~rank ~name)
-                  (Memory.find mb ~rank ~name))
-              names)
-       (List.init (Memory.world_size ma) Fun.id)
 
 (* All channel keys the program can touch, for counter cross-checks. *)
 let program_keys (program : Program.t) =
@@ -79,7 +45,7 @@ let check_case ~domains name case =
   Alcotest.(check bool)
     (Printf.sprintf "%s: bit-identical tensors (domains=%d)" name domains)
     true
-    (memories_bits_equal mem_seq mem_par);
+    (Memory.bits_equal mem_seq mem_par);
   Alcotest.(check int)
     (Printf.sprintf "%s: same notify count" name)
     r_seq.Runtime.notifies r_par.Runtime.notifies;
@@ -158,7 +124,7 @@ let qcheck_random_specs =
       in
       let mem_seq, _ = run_backend ~backend:`Sequential case in
       let mem_par, _ = run_backend ~backend:(`Parallel 3) case in
-      memories_bits_equal mem_seq mem_par)
+      Memory.bits_equal mem_seq mem_par)
 
 (* ------------------------------------------------------------------ *)
 (* Guards                                                              *)

@@ -167,13 +167,7 @@ let test_gemm_microkernel_bits () =
      naive loop *bit for bit* — the autotuner treats the block edge as
      a pure speed knob, which is only sound under exact equality. *)
   let bits_equal msg a b =
-    let da = Tensor.data a and db = Tensor.data b in
-    Alcotest.(check bool) msg true
-      (Array.length da = Array.length db
-      && Array.for_all2
-           (fun x y ->
-             Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-           da db)
+    Alcotest.(check bool) msg true (Check.bits_equal a b)
   in
   List.iter
     (fun (m, k, n) ->
