@@ -1733,6 +1733,7 @@ let plan_json ~family ~graph (p : Planner.plan) =
         | Some x -> J.Num x
         | None -> J.Null );
       ("evaluated", J.Num (float_of_int (List.length o.Tune.evaluated)));
+      ("pruned", J.Num (float_of_int o.Tune.pruned));
       ("skipped", J.Num (float_of_int o.Tune.skipped));
       ("skipped_build", J.Num (float_of_int o.Tune.skipped_build));
       ("skipped_race", J.Num (float_of_int o.Tune.skipped_race));
@@ -1774,11 +1775,11 @@ let plan family m k n world seed jobs cache_path json_path check_flag emit_flag
       | None -> "")
       (Planner.candidate_to_string p.Planner.p_candidate);
     Printf.printf
-      "   graph %s\n   %d evaluated, %d skipped (build %d, race %d), cache %d \
-       hits / %d misses\n"
+      "   graph %s\n   %d evaluated, %d pruned, %d skipped (build %d, race %d), \
+       cache %d hits / %d misses\n"
       (Planner.graph_fingerprint graph)
       (List.length o.Tune.evaluated)
-      o.Tune.skipped o.Tune.skipped_build o.Tune.skipped_race o.Tune.cache_hits
+      o.Tune.pruned o.Tune.skipped o.Tune.skipped_build o.Tune.skipped_race o.Tune.cache_hits
       o.Tune.cache_misses;
     print_pool_stats pool;
     save_cache cache;

@@ -3,8 +3,8 @@
    Simulator evaluations are deterministic functions of (workload,
    cluster spec, design-space config), so a stable fingerprint of that
    triple addresses the result forever.  The table holds JSON values —
-   a bare [Num] for autotuner times, whole rows for the bench harness —
-   and can persist to disk so repeated CLI / bench / autotune
+   schema-tagged scores and bounds for the search, whole rows for the
+   bench harness — and can persist to disk so repeated CLI / bench / autotune
    invocations skip points that any earlier run already evaluated.
 
    All operations take the lock, so the cache may be consulted from

@@ -1,8 +1,9 @@
 (** Content-addressed evaluation cache.
 
     Keys are stable fingerprints of (workload id, cluster spec,
-    design-space config); values are JSON — a bare [Num] for autotuner
-    times, whole rows for the bench harness.  Optionally persists to a
+    design-space config); values are JSON — schema-tagged scores and
+    bounds for the search ([Tune.cache_schema_version]), whole rows for
+    the bench harness.  Optionally persists to a
     JSON file so repeated invocations skip already-evaluated points.
     All operations are mutex-protected and safe to call from any
     domain. *)

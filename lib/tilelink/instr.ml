@@ -94,6 +94,18 @@ type cost =
   | Fixed_cost of float
   | Free
 
+(* The simulated duration of one compute tile on [sms] SMs: what the
+   interpreter charges a [Compute] and what {!Bound} sums. *)
+let cost_duration (spec : Tilelink_machine.Spec.t) ~sms = function
+  | Gemm_tile { tm; tn; k } ->
+    Tilelink_machine.Cost.gemm_tile_time spec ~tm ~tn ~k
+  | Attention_tile { tq; tkv; d } ->
+    Tilelink_machine.Cost.attention_tile_time spec ~tq ~tkv ~d
+  | Memory_tile { rows; cols; passes } ->
+    Tilelink_machine.Cost.memory_tile_time spec ~sms ~rows ~cols ~passes
+  | Fixed_cost d -> d
+  | Free -> 0.0
+
 (* A data action mutates the rank memories; [rank] is the executing
    rank so [mem_rank = None] accesses can be resolved. *)
 type action = Memory.t -> rank:int -> unit

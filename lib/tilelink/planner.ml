@@ -14,7 +14,9 @@
    simulation (and before an entry loaded from a cache file replays),
    survivors are simulated for makespan plus exposed-communication
    blame, and the planner picks the makespan minimum with exposed
-   communication as the tiebreak.  A hit on an entry this process
+   communication as the tiebreak.  A survivor whose makespan lower
+   bound ([Bound.makespan]) is above a simulated makespan is pruned
+   unsimulated; it could not have won.  A hit on an entry this process
    wrote skips synthesis and analysis, which it passed when stored,
    so a warm search synthesizes only its winner. *)
 

@@ -117,7 +117,9 @@ type plan = {
   p_time : float;  (** simulated makespan, µs *)
   p_exposed_comm_us : float option;
   p_outcome : (candidate * Program.t) Tune.outcome;
-      (** full search statistics (skips, cache hits, all evaluations) *)
+      (** full search statistics (skips, prunes, cache hits, all
+          evaluations); [|evaluated| + pruned + skipped] is the
+          candidate count *)
 }
 
 val search :
@@ -134,6 +136,10 @@ val search :
     the protocol analysis.  The winner minimizes makespan with
     exposed-communication blame as the tiebreak (earliest candidate on
     a full tie, so the result is deterministic across pool widths).
+    A candidate whose makespan lower bound exceeds a simulated
+    makespan is counted as [pruned] instead of simulated; it could
+    neither win nor tie, so the plan is the one exhaustive scoring
+    gives.
     Candidates with an entry this process wrote to [cache] are scored
     from it without synthesis or analysis; the plan is the same as on
     a cold cache. *)

@@ -37,15 +37,6 @@ type result = {
 
 let resolve_rank = Dataop.resolve_rank
 
-let cost_duration (spec : Spec.t) ~sms = function
-  | Instr.Gemm_tile { tm; tn; k } -> Cost.gemm_tile_time spec ~tm ~tn ~k
-  | Instr.Attention_tile { tq; tkv; d } ->
-    Cost.attention_tile_time spec ~tq ~tkv ~d
-  | Instr.Memory_tile { rows; cols; passes } ->
-    Cost.memory_tile_time spec ~sms ~rows ~cols ~passes
-  | Instr.Fixed_cost d -> d
-  | Instr.Free -> 0.0
-
 let exec_wait channels ~waiter ~worker (target : Instr.signal_target)
     ~threshold =
   match target with
@@ -201,7 +192,7 @@ let exec_instr cluster channels memory ~telemetry ~data ~rank ~ctx ~lane
     (* Straggler multiplier sampled at issue: a chaos disturbance can
        slow this rank's kernels; 1.0 when none is installed. *)
     let duration =
-      cost_duration spec ~sms:worker_sms cost
+      Instr.cost_duration spec ~sms:worker_sms cost
       *. interference
       *. Cluster.compute_scale cluster ~rank_id:ctx.ec_exec_rank
     in

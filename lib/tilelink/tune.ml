@@ -24,7 +24,19 @@
    program searches) is dropped as soon as it has been analyzed and
    scored; only the running best keeps one alive, so a search holds at
    most one candidate per domain plus the winner.  A winner that came
-   from a trusted hit is built once, after the search. *)
+   from a trusted hit is built once, after the search.
+
+   The planner's search also prunes with an admissible makespan bound
+   ({!Bound.makespan}), in two phases so that what it prunes does not
+   depend on the pool width.  Phase 1 builds, analyzes and bounds every
+   miss, then drops the program.  Phase 2 takes the incumbent [u]: the
+   best score hit, or the simulated time of the clean miss with the
+   least bound (earliest index on a tie) when that is smaller.  It
+   rebuilds and simulates every miss whose bound is at most [u]; the
+   rest are pruned.  A pruned candidate's makespan is at least its
+   bound, which is strictly above [u], which is at least the winner's
+   makespan: it could neither win nor tie, so the winner and its
+   tie-breaks are those of an exhaustive search. *)
 
 type 'a evaluation = {
   candidate : 'a;
@@ -46,6 +58,7 @@ type score = {
 type 'a outcome = {
   best : 'a evaluation;
   evaluated : score list;
+  pruned : int;
   skipped : int;
   skipped_build : int;
   skipped_invalid : int;
@@ -62,6 +75,10 @@ type 'a outcome = {
 type attempt =
   | Evaluated of score
   | From_cache of score
+  | Clean of float
+      (* phase 1 of a pruning search: built and analyzer-clean (or a
+         trusted bound entry), with this makespan bound *)
+  | Pruned of float
   | Failed_build
   | Failed_invalid
   | Failed_deadlock
@@ -72,11 +89,15 @@ type attempt =
    replayed once the candidate has been built and analyzed again.  A
    [Written] entry was stored by this process, after its candidate
    built and passed [analyze], under a key that fingerprints workload,
-   machine and candidate: it cannot be stale and is replayed as is. *)
+   machine and candidate: it cannot be stale and is replayed as is.
+   A [Bounded] entry is a pruned candidate's bound, written by this
+   process after the candidate built and passed [analyze]; a bound
+   entry loaded from a file is a [Miss]. *)
 type lookup =
   | Miss
   | Loaded of float * float option
   | Written of float * float option
+  | Bounded of float
 
 (* The running best, shared by every task of one search: an index, its
    score, and the built candidate unless the score came from a
@@ -104,16 +125,22 @@ let offer ~tie_break leader index (s : score) candidate =
 (* A [Written] hit is scored without building.  Otherwise static
    analysis runs right after build, before a [Loaded] entry is
    replayed, so a candidate with a broken protocol is rejected even
-   when an old cache file would happily replay its simulated time. *)
-let attempt ?analyze ~config_of ~build ~evaluate ~record (item, lookup) =
+   when an old cache file would happily replay its simulated time.
+   With [bound], a clean miss is bounded instead of simulated, and its
+   program dropped; phase 2 of the search decides whether to simulate
+   it. *)
+let attempt ?analyze ?bound ~config_of ~build ~evaluate ~record (item, lookup)
+    =
   let scored ?candidate time exposed_comm_us =
     let s = { config = config_of item; time; exposed_comm_us } in
     record s candidate;
     s
   in
-  match lookup with
-  | Written (time, exposed_comm_us) -> From_cache (scored time exposed_comm_us)
-  | Miss | Loaded _ -> (
+  match (lookup, bound) with
+  | Written (time, exposed_comm_us), _ ->
+    From_cache (scored time exposed_comm_us)
+  | Bounded b, Some _ -> Clean b
+  | (Miss | Loaded _ | Bounded _), _ -> (
     match build item with
     | exception Invalid_argument _ -> Failed_build
     | candidate -> (
@@ -122,54 +149,60 @@ let attempt ?analyze ~config_of ~build ~evaluate ~record (item, lookup) =
         | None -> Ok ()
         | Some f -> (f candidate : (unit, string) result)
       in
-      match (analysis, lookup) with
-      | Error _, _ -> Failed_race
-      | Ok (), Loaded (time, exposed_comm_us) ->
+      match (analysis, lookup, bound) with
+      | Error _, _, _ -> Failed_race
+      | Ok (), Loaded (time, exposed_comm_us), _ ->
         From_cache (scored ~candidate time exposed_comm_us)
-      | Ok (), _ -> (
+      | Ok (), _, Some bound -> Clean (bound candidate)
+      | Ok (), _, None -> (
         match evaluate candidate with
         | exception Invalid_argument _ -> Failed_invalid
         | exception Tilelink_sim.Engine.Deadlock _ -> Failed_deadlock
         | time, exposed_comm_us ->
           Evaluated (scored ~candidate time exposed_comm_us))))
 
-(* Persistent cache entries are schema-versioned: the current shape is
-   {"v": 2, "time": t, "exposed_comm_us": x?}.  Two legacy shapes
-   predate the tag — bare numbers (pre-profiler) and untagged objects.
-   An untagged object that carries the full measurement migrates
-   losslessly; a bare number (no exposed-communication blame at all)
-   or an untagged object missing [exposed_comm_us] would silently skew
-   any scoring that weighs exposed communication — the planner's in
-   particular — so those are *invalidated* on load: treated as a miss,
-   re-evaluated, and rewritten under the current schema. *)
-let cache_schema_version = 2
+(* Persistent cache entries are schema-versioned.  The current shape
+   stores every float exactly, as an OCaml hex literal (["%h"]), so a
+   reloaded entry replays the very time it recorded: a score is
+   {"v": 3, "time": "0x...", "exposed_comm_us": "0x..."?} and a pruned
+   candidate's bound is {"v": 3, "bound": "0x..."}.  Every older shape
+   (bare numbers, untagged objects, schema 2) stored decimal numbers
+   with six significant digits, so replaying one could reorder two
+   close candidates; they are all invalidated on load: treated as a
+   miss, re-evaluated, and rewritten under the current schema. *)
+let cache_schema_version = 3
+
+type cached = Score of float * float option | Bound_entry of float
 
 let cached_of_json json =
   let module Json = Tilelink_obs.Json in
-  let time = Option.bind (Json.member "time" json) Json.to_float in
-  let exposed =
-    Option.bind (Json.member "exposed_comm_us" json) Json.to_float
+  let exact field =
+    Option.bind
+      (Option.bind (Json.member field json) Json.to_str)
+      float_of_string_opt
   in
   match Option.bind (Json.member "v" json) Json.to_float with
-  | Some v when int_of_float v = cache_schema_version ->
-    Option.map (fun t -> (t, exposed)) time
-  | Some _ ->
-    (* A future (or corrupt) schema: never guess at its semantics. *)
-    None
-  | None -> (
-    match (time, exposed) with
-    | Some t, Some x -> Some (t, Some x)
-    | _ -> None)
+  | Some v when v = float_of_int cache_schema_version -> (
+    match (exact "time", exact "bound") with
+    | Some t, _ -> Some (Score (t, exact "exposed_comm_us"))
+    | None, Some b -> Some (Bound_entry b)
+    | None, None -> None)
+  | _ -> None
 
-let cached_to_json e =
+let cached_to_json entry =
   let module Json = Tilelink_obs.Json in
+  let exact x = Json.Str (Printf.sprintf "%h" x) in
   Json.Obj
     (("v", Json.Num (float_of_int cache_schema_version))
-    :: ("time", Json.Num e.time)
     ::
-    (match e.exposed_comm_us with
-    | Some x -> [ ("exposed_comm_us", Json.Num x) ]
-    | None -> []))
+    (match entry with
+    | Bound_entry b -> [ ("bound", exact b) ]
+    | Score (time, exposed) ->
+      ("time", exact time)
+      ::
+      (match exposed with
+      | Some x -> [ ("exposed_comm_us", exact x) ]
+      | None -> [])))
 
 (* The internal search, generic over the searched item: [config_of]
    projects the design-space point recorded in each evaluation (the
@@ -178,57 +211,113 @@ let cached_to_json e =
    measurement, and [tie_break] orders equal times before the
    candidate index does.  The public [search] keeps its scalar
    evaluator and wraps.  A [Written] hit costs its task no build; if
-   one wins, its candidate is built once, after the search. *)
-let search_items ?pool ?cache ?cache_key ?analyze
+   one wins, its candidate is built once, after the search.  With
+   [bound], misses go through the two pruning phases. *)
+let search_items ?pool ?cache ?cache_key ?analyze ?bound
     ?(tie_break = fun _ _ -> 0) ~config_of ~build ~evaluate items =
-  let keyed =
+  let items = Array.of_list items in
+  let keys =
     match (cache, cache_key) with
-    | Some cache, Some key_of ->
-      List.mapi
-        (fun index item ->
-          let key = key_of item in
-          let lookup =
-            match
-              Option.bind (Tilelink_exec.Cache.find cache key) cached_of_json
-            with
-            | None -> Miss
-            | Some (time, exposed) ->
-              if Tilelink_exec.Cache.written cache key then
-                Written (time, exposed)
-              else Loaded (time, exposed)
-          in
-          (index, item, Some key, lookup))
-        items
-    | _ -> List.mapi (fun index item -> (index, item, None, Miss)) items
+    | Some _, Some key_of -> Array.map (fun item -> Some (key_of item)) items
+    | _ -> Array.map (fun _ -> None) items
+  in
+  let lookup index =
+    match (cache, keys.(index)) with
+    | Some cache, Some key -> (
+      let written () = Tilelink_exec.Cache.written cache key in
+      match
+        Option.bind (Tilelink_exec.Cache.find cache key) cached_of_json
+      with
+      | None -> Miss
+      | Some (Score (time, exposed)) ->
+        if written () then Written (time, exposed) else Loaded (time, exposed)
+      | Some (Bound_entry b) -> if written () then Bounded b else Miss)
+    | _ -> Miss
   in
   let leader = { lock = Mutex.create (); lead = None } in
-  let attempts =
-    Tilelink_exec.Pool.map pool
-      (fun (index, item, _key, lookup) ->
-        attempt ?analyze ~config_of ~build ~evaluate
-          ~record:(offer ~tie_break leader index)
-          (item, lookup))
-      keyed
-    |> List.map Tilelink_exec.Pool.get
+  let run ?analyze ?bound index lookup =
+    attempt ?analyze ?bound ~config_of ~build ~evaluate
+      ~record:(offer ~tie_break leader index)
+      (items.(index), lookup)
   in
-  (* Store fresh evaluations back under their keys (coordinator only,
-     after the parallel section). *)
+  let attempts =
+    Array.of_list
+      (Tilelink_exec.Pool.map pool
+         (fun (index, lookup) -> run ?analyze ?bound index lookup)
+         (List.init (Array.length items) (fun index -> (index, lookup index)))
+      |> List.map Tilelink_exec.Pool.get)
+  in
+  (* Phase 2: simulate the clean misses that may still win.  Phase 1
+     ran [analyze] on each of them, so the rebuild skips it. *)
+  if bound <> None then begin
+    let clean =
+      List.filter_map
+        (fun index ->
+          match attempts.(index) with
+          | Clean b -> Some (b, index)
+          | _ -> None)
+        (List.init (Array.length items) Fun.id)
+      |> List.sort compare
+    in
+    let lower t = function None -> Some t | Some u -> Some (Float.min u t) in
+    let above u b = match u with Some u -> b > u | None -> false in
+    let best_hit =
+      Array.fold_left
+        (fun u -> function From_cache s -> lower s.time u | _ -> u)
+        None attempts
+    in
+    (* The incumbent: the best score hit, lowered by the first clean
+       miss in bound order that simulates, unless its bound is already
+       above the hits' best (it is then pruned like the rest). *)
+    let rec incumbent u = function
+      | (b, _) :: _ when above u b -> u
+      | [] -> u
+      | (_, index) :: rest -> (
+        attempts.(index) <- run index Miss;
+        match attempts.(index) with
+        | Evaluated s -> lower s.time u
+        | _ -> incumbent u rest)
+    in
+    let u = incumbent best_hit clean in
+    let survivors =
+      List.filter_map
+        (fun (b, index) ->
+          match attempts.(index) with
+          | Clean _ when above u b ->
+            attempts.(index) <- Pruned b;
+            None
+          | Clean _ -> Some index
+          | _ -> None)
+        clean
+    in
+    List.iter2
+      (fun index att -> attempts.(index) <- Tilelink_exec.Pool.get att)
+      survivors
+      (Tilelink_exec.Pool.map pool (fun index -> run index Miss) survivors)
+  end;
+  (* Store fresh evaluations and bounds back under their keys
+     (coordinator only, after the parallel sections). *)
   (match cache with
   | None -> ()
   | Some cache ->
-    List.iter2
-      (fun (_, _, key, _) att ->
-        match (key, att) with
+    Array.iteri
+      (fun index att ->
+        match (keys.(index), att) with
         | Some key, Evaluated e ->
-          Tilelink_exec.Cache.add cache key (cached_to_json e)
+          Tilelink_exec.Cache.add cache key
+            (cached_to_json (Score (e.time, e.exposed_comm_us)))
+        | Some key, Pruned b ->
+          Tilelink_exec.Cache.add cache key (cached_to_json (Bound_entry b))
         | _ -> ())
-      keyed attempts);
+      attempts);
+  let attempts = Array.to_list attempts in
   let evaluated =
     List.filter_map
       (function Evaluated e | From_cache e -> Some e | _ -> None)
       attempts
   in
   let count p = List.length (List.filter p attempts) in
+  let pruned = count (function Pruned _ -> true | _ -> false) in
   let skipped_build = count (function Failed_build -> true | _ -> false) in
   let skipped_invalid =
     count (function Failed_invalid -> true | _ -> false)
@@ -250,7 +339,7 @@ let search_items ?pool ?cache ?cache_key ?analyze
       let candidate =
         match built with
         | Some candidate -> candidate
-        | None -> build (List.nth items index)
+        | None -> build items.(index)
       in
       {
         best =
@@ -261,6 +350,7 @@ let search_items ?pool ?cache ?cache_key ?analyze
             exposed_comm_us = s.exposed_comm_us;
           };
         evaluated;
+        pruned;
         skipped =
           skipped_build + skipped_invalid + skipped_deadlock + skipped_race;
         skipped_build;
@@ -295,10 +385,9 @@ let evaluate_program ~make_cluster program =
       attribution.Tilelink_obs.Attribution.buckets
         .Tilelink_obs.Attribution.exposed_comm )
 
-(* One probe cluster pins down the machine identity behind a cache
-   key; simulated clusters are single-shot, so it is discarded. *)
-let machine_fingerprint ~make_cluster =
-  let probe = make_cluster () in
+(* A probe cluster pins down the machine identity behind a cache key;
+   simulated clusters are single-shot, so a probe never runs. *)
+let machine_fingerprint probe =
   Printf.sprintf "%s|world=%d"
     (Tilelink_machine.Spec.fingerprint (Tilelink_machine.Cluster.spec probe))
     (Tilelink_machine.Cluster.world_size probe)
@@ -312,7 +401,7 @@ let search_programs ?pool ?cache ~workload ~build ~make_cluster configs =
     match cache with
     | None -> None
     | Some _ ->
-      let machine = machine_fingerprint ~make_cluster in
+      let machine = machine_fingerprint (make_cluster ()) in
       Some
         (fun config ->
           Tilelink_exec.Cache.fingerprint
@@ -340,11 +429,14 @@ let less_exposed_comm (a : score) (b : score) =
    or execute it. *)
 let search_planned ?pool ?cache ~workload ~fingerprint ~config_of ~build
     ~make_cluster candidates =
+  (* The bound reads only the cluster's static configuration, so one
+     probe serves every domain. *)
+  let probe = make_cluster () in
   let cache_key =
     match cache with
     | None -> None
     | Some _ ->
-      let machine = machine_fingerprint ~make_cluster in
+      let machine = machine_fingerprint probe in
       Some
         (fun candidate ->
           Tilelink_exec.Cache.fingerprint
@@ -353,6 +445,7 @@ let search_planned ?pool ?cache ~workload ~fingerprint ~config_of ~build
   search_items ?pool ?cache ?cache_key
     ~analyze:(fun ((_, program) : _ * Program.t) ->
       Analyzer.check_message program)
+    ~bound:(fun (_, program) -> Bound.makespan probe program)
     ~tie_break:less_exposed_comm ~config_of
     ~build:(fun candidate -> (candidate, build candidate))
     ~evaluate:(fun (_, program) -> evaluate_program ~make_cluster program)

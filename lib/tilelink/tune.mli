@@ -26,6 +26,12 @@ type 'a outcome = {
       (** the winner, the only evaluation that holds its built
           candidate *)
   evaluated : score list;  (** in candidate order, both paths *)
+  pruned : int;
+      (** candidates {!search_planned} never simulated because their
+          makespan lower bound ({!Bound.makespan}) exceeds a known
+          makespan; always 0 for {!search} and {!search_programs}.
+          [List.length evaluated + pruned + skipped] is the candidate
+          count. *)
   skipped : int;
       (** total skips, [= build + invalid + deadlock + race] *)
   skipped_build : int;
@@ -106,11 +112,21 @@ val search_planned :
     no planner-derived protocol is ever scored unchecked.  A hit on an
     entry this process stored skips synthesis and analysis, since that
     entry's program already passed both; when such a hit wins, its
-    program is synthesized once after the search. *)
+    program is synthesized once after the search.
+
+    Candidates that cannot win are not simulated.  Every miss is
+    synthesized, analyzed and bounded ({!Bound.makespan}) first; the
+    incumbent is the least of the best score hit and the simulated
+    time of the clean miss with the least bound.  A miss whose bound
+    is above the incumbent counts as [pruned], and its bound is cached
+    so that a later search in this process skips its synthesis and
+    analysis too.  The rest are synthesized again and simulated.  The
+    winner, its tie-breaks and every count are those of the same
+    search at any pool width, and the winner is the one an exhaustive
+    search would pick. *)
 
 val cache_schema_version : int
-(** Version tag written into persistent cache entries.  Loads accept
-    the current version, migrate untagged legacy objects that carry
-    the full measurement, and invalidate anything else (bare-number
-    entries in particular) so stale shapes re-evaluate instead of
-    silently skewing exposed-communication scoring. *)
+(** Version tag written into persistent cache entries, which store
+    times and bounds exactly (hex float literals).  Loads accept only
+    the current version: older entries stored rounded decimals, so they
+    are invalidated and re-evaluated rather than replayed. *)

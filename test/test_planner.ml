@@ -132,9 +132,45 @@ let test_search_picks_analyzer_clean_winner () =
           (plan.Planner.p_time <= e.Tune.time))
       plan.Planner.p_outcome.Tune.evaluated
 
+(* The exhaustive reference: every candidate synthesized, analyzed
+   and simulated, scored as the search scores it (makespan, then
+   exposed communication, then candidate index). *)
+let exhaustive_scores graph ~world candidates =
+  List.filter_map
+    (fun (index, cand) ->
+      match Planner.synthesize graph cand ~spec_gpu with
+      | exception Invalid_argument _ -> None
+      | program when Analyzer.check program <> Ok () -> None
+      | program ->
+        let telemetry = Tilelink_obs.Telemetry.spans_only () in
+        let r = Runtime.run ~telemetry (make_cluster world ()) program in
+        let a =
+          Tilelink_obs.Attribution.of_spans ~makespan:r.Runtime.makespan
+            (Tilelink_obs.Span.spans (Tilelink_obs.Telemetry.spans telemetry))
+        in
+        Some
+          ( r.Runtime.makespan,
+            a.Tilelink_obs.Attribution.buckets.Tilelink_obs.Attribution
+              .exposed_comm,
+            index,
+            cand ))
+    (List.mapi (fun i c -> (i, c)) candidates)
+
+(* Pruning must not change the plan: the winner, its time, exposed
+   communication and program equal an exhaustive scoring of the same
+   candidates, every pruned candidate is strictly slower than the
+   winner, and what is pruned, evaluated or skipped does not depend on
+   the pool width. *)
 let test_search_deterministic () =
   let graph = Planned.mlp_graph mlp_spec in
-  let candidates = small_candidates ~world:2 ~shard_rows:4 in
+  let candidates = Planner.enumerate (Planner.default_space graph) in
+  let scores = exhaustive_scores graph ~world:2 candidates in
+  let best_time, best_exposed, _, best =
+    List.fold_left
+      (fun ((t, x, i, _) as acc) ((t', x', i', _) as e) ->
+        if compare (t', x', i') (t, x, i) < 0 then e else acc)
+      (List.hd scores) scores
+  in
   let run ?pool () =
     match
       Planner.search ?pool ~candidates graph ~spec_gpu
@@ -143,23 +179,63 @@ let test_search_deterministic () =
     | None -> Alcotest.fail "search returned no plan"
     | Some plan -> plan
   in
-  (* Candidates are synthesized on the pool's domains, so the winner's
-     rendered program pins that builds on concurrent domains agree. *)
+  let counts (o : _ Tune.outcome) =
+    [
+      List.length o.Tune.evaluated; o.Tune.pruned; o.Tune.skipped;
+      o.Tune.skipped_build; o.Tune.skipped_invalid; o.Tune.skipped_deadlock;
+      o.Tune.skipped_race; o.Tune.cache_hits; o.Tune.cache_misses;
+    ]
+  in
   let a = run () in
+  Alcotest.(check bool) "the bound prunes something" true
+    (a.Planner.p_outcome.Tune.pruned > 0);
   List.iter
     (fun domains ->
+      (* Candidates are synthesized on the pool's domains, so the
+         winner's rendered program pins that builds on concurrent
+         domains agree. *)
       let b = run ~pool:(Tilelink_exec.Pool.create ~domains ()) () in
+      let o = b.Planner.p_outcome in
       let at = Printf.sprintf " (%d domains)" domains in
       Alcotest.(check string)
-        ("same winner across pool widths" ^ at)
-        (Planner.fingerprint a.Planner.p_candidate)
+        ("winner = exhaustive" ^ at)
+        (Planner.fingerprint best)
         (Planner.fingerprint b.Planner.p_candidate);
-      Alcotest.(check (float 0.0))
-        ("same makespan" ^ at) a.Planner.p_time b.Planner.p_time;
+      Alcotest.(check (float 0.0)) ("time = exhaustive" ^ at) best_time
+        b.Planner.p_time;
+      Alcotest.(check (option (float 0.0)))
+        ("exposed comm = exhaustive" ^ at)
+        (Some best_exposed) b.Planner.p_exposed_comm_us;
       Alcotest.(check string)
-        ("same winner program" ^ at)
-        (Program_digest.digest a.Planner.p_program)
-        (Program_digest.digest b.Planner.p_program))
+        ("program = exhaustive" ^ at)
+        (Program_digest.digest (Planner.synthesize graph best ~spec_gpu))
+        (Program_digest.digest b.Planner.p_program);
+      Alcotest.(check (list int))
+        ("same counts" ^ at)
+        (counts a.Planner.p_outcome) (counts o);
+      Alcotest.(check int)
+        ("evaluated + pruned + skipped = candidates" ^ at)
+        (List.length candidates)
+        (List.length o.Tune.evaluated + o.Tune.pruned + o.Tune.skipped);
+      List.iter
+        (fun (e : Tune.score) ->
+          Alcotest.(check bool) ("evaluated score is exhaustive" ^ at) true
+            (List.exists
+               (fun (t, x, _, c) ->
+                 c.Planner.pl_config = e.Tune.config
+                 && t = e.Tune.time
+                 && Some x = e.Tune.exposed_comm_us)
+               scores))
+        o.Tune.evaluated;
+      let ties times = List.length (List.filter (( = ) best_time) times) in
+      Alcotest.(check int)
+        ("every candidate tying the winner simulated" ^ at)
+        (ties (List.map (fun (t, _, _, _) -> t) scores))
+        (ties
+           (List.map (fun (e : Tune.score) -> e.Tune.time) o.Tune.evaluated));
+      Alcotest.(check int) ("pruned = clean candidates not simulated" ^ at)
+        (List.length scores - List.length o.Tune.evaluated)
+        o.Tune.pruned)
     [ 1; 2; 4 ]
 
 (* A warm search over a cache this process filled trusts every entry,
@@ -209,6 +285,65 @@ let test_warm_search_matches_cold () =
         warm.Planner.p_outcome.Tune.cache_hits)
     [ 1; 2 ]
 
+(* [Planner.search]'s call into [Tune.search_planned] with every
+   synthesis counted.  A cold pass synthesizes every candidate to bound
+   it and the simulated ones once more; a warm pass on the same cache
+   trusts its score and bound entries and synthesizes only the winner.
+   After a reload from the cache file, every candidate is synthesized
+   and analyzed again (loaded bound entries are misses), none is
+   simulated, and the exact stored times replay. *)
+let test_warm_pass_builds_only_the_winner () =
+  let graph = Planned.mlp_graph mlp_spec in
+  let candidates = Planner.enumerate (Planner.default_space graph) in
+  let path = Filename.temp_file "tilelink_plan" ".json" in
+  Sys.remove path;
+  let counted_search ?pool cache =
+    let builds = Atomic.make 0 in
+    match
+      Tune.search_planned ?pool ~cache
+        ~workload:("plan:" ^ Planner.graph_fingerprint graph)
+        ~fingerprint:Planner.fingerprint
+        ~config_of:(fun c -> c.Planner.pl_config)
+        ~build:(fun c ->
+          Atomic.incr builds;
+          Planner.synthesize graph c ~spec_gpu)
+        ~make_cluster:(make_cluster 2) candidates
+    with
+    | None -> Alcotest.fail "search returned no plan"
+    | Some o -> (o, Atomic.get builds)
+  in
+  let n = List.length candidates in
+  let cache = Tilelink_exec.Cache.create ~path () in
+  let cold, builds = counted_search cache in
+  let evaluated = List.length cold.Tune.evaluated in
+  Alcotest.(check int) "cold: bound every candidate, rebuild the simulated"
+    (n + evaluated) builds;
+  let same pass ~builds:expected (o, builds) =
+    Alcotest.(check int) (pass ^ ": synthesis calls") expected builds;
+    Alcotest.(check int) (pass ^ ": every score a hit") evaluated
+      o.Tune.cache_hits;
+    Alcotest.(check int) (pass ^ ": the same candidates pruned")
+      cold.Tune.pruned o.Tune.pruned;
+    Alcotest.(check bool) (pass ^ ": the same scores, exactly") true
+      (o.Tune.evaluated = cold.Tune.evaluated);
+    Alcotest.(check string) (pass ^ ": winner program identical")
+      (Program_digest.digest (snd cold.Tune.best.Tune.candidate))
+      (Program_digest.digest (snd o.Tune.best.Tune.candidate))
+  in
+  List.iter
+    (fun domains ->
+      let pool =
+        Option.map (fun d -> Tilelink_exec.Pool.create ~domains:d ()) domains
+      in
+      same
+        (Printf.sprintf "warm, %d domains" (Option.value ~default:1 domains))
+        ~builds:1 (counted_search ?pool cache))
+    [ None; Some 2 ];
+  Tilelink_exec.Cache.save cache;
+  same "reloaded" ~builds:n
+    (counted_search (Tilelink_exec.Cache.create ~path ()));
+  Sys.remove path
+
 (* The search keeps scores, not programs: beyond the winner's program,
    a plan holds only the small per-candidate scores. *)
 let test_search_retains_only_the_winner () =
@@ -223,9 +358,10 @@ let test_search_retains_only_the_winner () =
     let words x = Obj.reachable_words (Obj.repr x) in
     let program = words plan.Planner.p_program in
     let rest = words plan - program in
+    let o = plan.Planner.p_outcome in
     Alcotest.(check int)
-      "every candidate scored" (List.length candidates)
-      (List.length plan.Planner.p_outcome.Tune.evaluated);
+      "every candidate scored or pruned" (List.length candidates)
+      (List.length o.Tune.evaluated + o.Tune.pruned);
     Alcotest.(check bool)
       (Printf.sprintf "plan holds %d words beside its %d-word program" rest
          program)
@@ -394,6 +530,132 @@ let test_moe_graph () =
     done
 
 (* ------------------------------------------------------------------ *)
+(* Makespan lower bound                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The bound may prune only if it never exceeds a simulated makespan:
+   on both calibrations and on a topology cluster with slower ranks and
+   narrower links. *)
+let bound_machines =
+  [
+    ( "test_machine",
+      fun world -> Cluster.create Calib.test_machine ~world_size:world );
+    ("h800", fun world -> Cluster.create Calib.h800 ~world_size:world);
+    ( "hetero16",
+      fun world ->
+        Cluster.create ~topology:Topology.hetero16 Calib.h800
+          ~world_size:world );
+  ]
+
+let admissible ~what program =
+  List.for_all
+    (fun (machine, make) ->
+      let world = Program.world_size program in
+      let bound = Bound.makespan (make world) program in
+      let makespan = (Runtime.run (make world) program).Runtime.makespan in
+      bound <= makespan
+      || QCheck.Test.fail_reportf "%s on %s: bound %h > makespan %h" what
+           machine bound makespan)
+    bound_machines
+
+(* Every candidate that builds and passes the analyzer, as the search
+   would see it; at least one must. *)
+let admissible_candidates ~what build candidates =
+  let clean =
+    List.filter_map
+      (fun (name, cand) ->
+        match build cand with
+        | exception Invalid_argument _ -> None
+        | program when Analyzer.check program <> Ok () -> None
+        | program -> Some (name, program))
+      candidates
+  in
+  (clean <> [] || QCheck.Test.fail_reportf "%s: no candidate built" what)
+  && List.for_all
+       (fun (name, program) -> admissible ~what:(what ^ " " ^ name) program)
+       clean
+
+let test_bound_suite () =
+  List.iter
+    (fun (name, program) ->
+      Alcotest.(check bool) (name ^ ": bound <= makespan") true
+        (admissible ~what:name program))
+    (Suite.programs ())
+
+let qcheck_bound_planned =
+  QCheck.Test.make ~count:4
+    ~name:"bound <= makespan: planner default-space candidates"
+    QCheck.(
+      quad (int_range 0 3) (int_range 1 2) (int_range 2 6) (int_range 2 6))
+    (fun (family, world_half, k, n) ->
+      let world = 2 * world_half in
+      let m = world * 4 in
+      let family =
+        List.nth Planned.[ Fam_mlp; Fam_softmax; Fam_moe; Fam_fused ] family
+      in
+      let graph, _ = Planned.build family ~m ~k ~n ~world ~seed:1 in
+      admissible_candidates ~what:graph.Planner.g_name
+        (fun c -> Planner.synthesize graph c ~spec_gpu)
+        (List.map
+           (fun c -> (Planner.candidate_to_string c, c))
+           (Planner.enumerate (Planner.default_space graph))))
+
+let qcheck_bound_tuned =
+  QCheck.Test.make ~count:4
+    ~name:"bound <= makespan: tuned AG+GEMM and GEMM+RS candidates"
+    QCheck.(triple (int_range 1 2) (int_range 1 2) (int_range 1 4))
+    (fun (world_half, rows, cols) ->
+      let world = 2 * world_half in
+      let m = world * 512 * rows and k = 128 * cols and n = 512 * cols in
+      let named configs =
+        List.map (fun c -> (Design_space.config_to_string c, c)) configs
+      in
+      admissible_candidates ~what:"ag_gemm"
+        (fun config ->
+          Mlp.ag_gemm_program ~config
+            { Mlp.m; k; n; world_size = world }
+            ~spec_gpu)
+        (named (Tuned.ag_gemm_candidates ~world_size:world))
+      && admissible_candidates ~what:"gemm_rs"
+           (fun config ->
+             Mlp.gemm_rs_program ~config
+               { Mlp.rs_m = m; rs_k = k; rs_n = n; rs_world = world }
+               ~spec_gpu)
+           (named (Tuned.gemm_rs_candidates ~world_size:world)))
+
+(* On one worker running one chain of compute tiles, every term of the
+   bound but the margin is exact: the simulator adds the same durations
+   one at a time, the bound sums them first.  Only the [1 - 1e-9]
+   margin keeps that reassociation from lifting the bound above the
+   makespan. *)
+let qcheck_bound_serial_chain =
+  QCheck.Test.make ~count:200 ~name:"bound <= makespan: serial compute chain"
+    QCheck.(list_of_size Gen.(int_range 2 12) (float_range 0.01 50.0))
+    (fun durations ->
+      let compute d =
+        Instr.Compute
+          {
+            label = "c";
+            cost = Instr.Fixed_cost d;
+            reads = [];
+            writes = [];
+            action = None;
+          }
+      in
+      let role =
+        {
+          Program.role_name = "chain";
+          resource = Program.Sm_partition 1;
+          lane = Tilelink_sim.Trace.Compute_sm;
+          tasks =
+            [ { Program.label = "t"; instrs = List.map compute durations } ];
+        }
+      in
+      admissible ~what:"chain"
+        (Program.create ~name:"chain" ~world_size:1 ~pc_channels:1
+           ~peer_channels:1 [| [ role ] |]))
+
+(* ------------------------------------------------------------------ *)
 (* Space enumeration                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -437,7 +699,17 @@ let () =
             test_search_deterministic;
           Alcotest.test_case "warm search matches cold" `Quick
             test_warm_search_matches_cold;
+          Alcotest.test_case "warm pass synthesizes only the winner" `Quick
+            test_warm_pass_builds_only_the_winner;
           qc qcheck_planner_matches_handwritten;
+        ] );
+      ( "bound",
+        [
+          Alcotest.test_case "suite programs admissible" `Quick
+            test_bound_suite;
+          qc qcheck_bound_planned;
+          qc qcheck_bound_tuned;
+          qc qcheck_bound_serial_chain;
         ] );
       ( "graphs",
         [
