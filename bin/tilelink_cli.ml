@@ -619,11 +619,11 @@ let validate_cmd =
 (* ------------------------------------------------------------------ *)
 
 (* Every kernel variant against the scalar reference, bit for bit: the
-   gemm microkernel at each shipped block size against the
-   bounds-checked naive loop, then every shipped workload program
-   sequential vs parallel.  Exact equality, not tolerance — variant
-   selection (autotuned block sizes, backend choice) must never change
-   numerics. *)
+   gemm kernel at each shipped k-panel edge and gemm_tile on an
+   interior tile against the bounds-checked naive loop, then every
+   shipped workload program sequential vs parallel.  Exact equality,
+   not tolerance — variant selection (autotuned block sizes, backend
+   choice) must never change numerics. *)
 
 module Ts = Tilelink_tensor
 
@@ -641,8 +641,21 @@ let sanity check domains =
       let b = Ts.Tensor.random ~seed:(k + n) (Ts.Shape.of_list [ k; n ]) in
       let reference = Ts.Linalg.gemm_naive a b in
       report
-        (Printf.sprintf "gemm %dx%dx%d ikj vs naive" m k n)
+        (Printf.sprintf "gemm %dx%dx%d default vs naive" m k n)
         (Ts.Check.bits_equal reference (Ts.Linalg.gemm a b));
+      (* The tile [1, m) x [1, n) in place: its block must be the naive
+         product of the slices, and the rest of [out] must keep its
+         bits. *)
+      let out = Ts.Tensor.random ~seed:m (Ts.Shape.of_list [ m; n ]) in
+      let expected = Ts.Tensor.copy out in
+      Ts.Tensor.set_block expected ~row_lo:1 ~col_lo:1
+        (Ts.Linalg.gemm_naive
+           (Ts.Tensor.row_slice a ~lo:1 ~hi:m)
+           (Ts.Tensor.col_slice b ~lo:1 ~hi:n));
+      Ts.Linalg.gemm_tile ~out ~rows:(1, m) ~cols:(1, n) a b;
+      report
+        (Printf.sprintf "gemm_tile %dx%dx%d vs naive" m k n)
+        (Ts.Check.bits_equal expected out);
       List.iter
         (fun block ->
           report
@@ -1741,11 +1754,10 @@ let plan_json ~family ~graph (p : Planner.plan) =
       ("cache_misses", J.Num (float_of_int o.Tune.cache_misses));
     ]
 
-let plan family m k n world seed jobs cache_path json_path check_flag emit_flag
-    =
-  let graph, _memory =
+let plan family m k n world jobs cache_path json_path check_flag emit_flag =
+  let graph =
     match Planned.family_of_string family with
-    | Some fam -> Planned.build fam ~m ~k ~n ~world ~seed
+    | Some fam -> Planned.graph fam ~m ~k ~n ~world
     | None ->
       Printf.eprintf "tilelink plan: unknown workload %S (one of %s)\n" family
         (String.concat ", " Planned.family_names);
@@ -1841,9 +1853,8 @@ let plan_cmd =
           push/pull schedules over the decoupled design space, prune with \
           the protocol analyzer, score under the simulator.")
     Term.(
-      const plan $ workload_arg $ m_arg $ k_arg $ n_arg $ world_arg
-      $ seed_arg 11 ~doc:"Seed for workload buffers."
-      $ jobs_arg $ cache_path_arg
+      const plan $ workload_arg $ m_arg $ k_arg $ n_arg $ world_arg $ jobs_arg
+      $ cache_path_arg
       $ file_arg "json"
           ~doc:
             "Write the winning plan and search statistics as JSON ('-' for \

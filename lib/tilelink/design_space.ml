@@ -27,9 +27,8 @@ type config = {
   binding : resource_binding;
   stages : int;  (* software pipeline depth *)
   micro_block : int;
-      (* GEMM microkernel cache-block edge; 0 = plain streaming kernel.
-         Bit-identical numerics either way — a pure speed knob for the
-         parallel backend. *)
+      (* GEMM kernel k-panel edge; 0 = one panel over the whole k.
+         Bit-identical numerics either way — a pure host speed knob. *)
 }
 
 let config_to_string c =
@@ -101,9 +100,9 @@ let default_space ~world_size =
       ];
     stage_choices = [ 1; 2 ];
     (* [0] alone keeps the default enumeration size unchanged; the
-       microkernel block is a parallel-backend speed knob that never
-       affects numerics, so searching it only pays off when tuning for
-       real wall-clock. *)
+       kernel's k-panel edge is a host speed knob that never affects
+       numerics, so searching it only pays off when tuning for real
+       wall-clock. *)
     micro_blocks = [ 0 ];
   }
 

@@ -16,12 +16,11 @@ type config = {
   binding : resource_binding;
   stages : int;
   micro_block : int;
-      (** Cache-block edge of the GEMM microkernel executing each
-          compute tile ([Linalg.gemm ~block]); [0] = the plain
-          streaming kernel.  Purely an execution-speed knob: the
-          blocked kernel is bit-identical to the plain one, so this
-          subspace never changes numerics, only wall-clock on the
-          parallel backend. *)
+      (** k-panel edge of the GEMM kernel executing each compute tile
+          ([Linalg.gemm_tile ~block]); [0] = one panel over the whole
+          k.  Purely an execution-speed knob: every panel edge is
+          bit-identical, so this subspace never changes numerics,
+          only host wall-clock when tiles run on real data. *)
 }
 
 val config_to_string : config -> string

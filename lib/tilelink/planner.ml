@@ -294,12 +294,8 @@ let consumer_task g cand co ~grid tile =
         let x = Memory.find memory ~rank ~name:g.g_gathered in
         let w = Memory.find memory ~rank ~name:weights in
         let y = Memory.find memory ~rank ~name:co.co_out in
-        let block =
-          Linalg.gemm ~block:config.Design_space.micro_block
-            (Tensor.row_slice x ~lo ~hi)
-            (Tensor.col_slice w ~lo:clo ~hi:chi)
-        in
-        Tensor.set_block y ~row_lo:lo ~col_lo:clo block
+        Linalg.gemm_tile ~out:y ~rows:(lo, hi) ~cols:(clo, chi)
+          ~block:config.Design_space.micro_block x w
       in
       List.concat
         (List.init live_chunks (fun kc ->

@@ -163,12 +163,8 @@ let ag_gemm_program ?(k_chunks = 2) ?(transfer = `Pull)
       let x = Memory.find memory ~rank ~name:"x_full" in
       let w = Memory.find memory ~rank ~name:"w" in
       let y = Memory.find memory ~rank ~name:"y" in
-      let block =
-        Linalg.gemm ~block:config.Design_space.micro_block
-          (Tensor.row_slice x ~lo ~hi)
-          (Tensor.col_slice w ~lo:clo ~hi:chi)
-      in
-      Tensor.set_block y ~row_lo:lo ~col_lo:clo block
+      Linalg.gemm_tile ~out:y ~rows:(lo, hi) ~cols:(clo, chi)
+        ~block:config.Design_space.micro_block x w
     in
     let chunk = ceil_div spec.k k_chunks in
     (* The data action rides on the last *non-empty* chunk: with
@@ -405,10 +401,8 @@ let gemm_rs_program ~(config : Design_space.config) spec ~(spec_gpu : Spec.t)
       let a = Memory.find memory ~rank ~name:"act" in
       let w = Memory.find memory ~rank ~name:"w2" in
       let g = Memory.find memory ~rank ~name:"gemm_out" in
-      Tensor.set_block g ~row_lo:lo ~col_lo:clo
-        (Linalg.gemm ~block:config.Design_space.micro_block
-           (Tensor.row_slice a ~lo ~hi)
-           (Tensor.col_slice w ~lo:clo ~hi:chi))
+      Linalg.gemm_tile ~out:g ~rows:(lo, hi) ~cols:(clo, chi)
+        ~block:config.Design_space.micro_block a w
     in
     let label = Printf.sprintf "gemm[%d,%d]" tid_m tile.Tile.tid_n in
     {

@@ -163,10 +163,7 @@ let program ?(config = default_config) spec ~(spec_gpu : Spec.t) =
             let x = Memory.find memory ~rank ~name:"in_buf" in
             let w = Memory.find memory ~rank ~name:"w" in
             let y = Memory.find memory ~rank ~name:"out_buf" in
-            Tensor.set_block y ~row_lo:lo ~col_lo:clo
-              (Linalg.gemm
-                 (Tensor.row_slice x ~lo ~hi)
-                 (Tensor.col_slice w ~lo:clo ~hi:chi))
+            Linalg.gemm_tile ~out:y ~rows:(lo, hi) ~cols:(clo, chi) x w
           in
           let stmts =
             [

@@ -115,13 +115,9 @@ let family_of_string = function
   | "fused" -> Some Fam_fused
   | _ -> None
 
-let build family ~m ~k ~n ~world ~seed =
+let graph family ~m ~k ~n ~world =
   match family with
-  | Fam_mlp ->
-    let spec = { Mlp.m; k; n; world_size = world } in
-    (mlp_graph spec, Mlp.ag_gemm_alloc spec ~seed)
-  | Fam_softmax -> (softmax_graph ~m ~k ~world, softmax_alloc ~m ~k ~world ~seed)
-  | Fam_moe -> (moe_graph ~m ~k ~n ~world, moe_alloc ~m ~k ~n ~world ~seed)
-  | Fam_fused ->
-    let spec = { Mlp.m; k; n; world_size = world } in
-    (fused_graph spec, fused_alloc spec ~seed)
+  | Fam_mlp -> mlp_graph { Mlp.m; k; n; world_size = world }
+  | Fam_softmax -> softmax_graph ~m ~k ~world
+  | Fam_moe -> moe_graph ~m ~k ~n ~world
+  | Fam_fused -> fused_graph { Mlp.m; k; n; world_size = world }

@@ -69,13 +69,7 @@ type family = Fam_mlp | Fam_softmax | Fam_moe | Fam_fused
 val family_of_string : string -> family option
 val family_names : string list
 
-val build :
-  family ->
-  m:int ->
-  k:int ->
-  n:int ->
-  world:int ->
-  seed:int ->
-  Planner.graph * Memory.t
-(** Graph plus allocated memories for any family at the given shape
-    ([n] is ignored by [Fam_softmax]). *)
+val graph : family -> m:int -> k:int -> n:int -> world:int -> Planner.graph
+(** The operator graph of any family at the given shape ([n] is ignored
+    by [Fam_softmax]).  Allocates no buffers: planning needs only the
+    graph, and a paper-shape family's buffers run to gigabytes. *)

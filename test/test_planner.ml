@@ -593,7 +593,7 @@ let qcheck_bound_planned =
       let family =
         List.nth Planned.[ Fam_mlp; Fam_softmax; Fam_moe; Fam_fused ] family
       in
-      let graph, _ = Planned.build family ~m ~k ~n ~world ~seed:1 in
+      let graph = Planned.graph family ~m ~k ~n ~world in
       admissible_candidates ~what:graph.Planner.g_name
         (fun c -> Planner.synthesize graph c ~spec_gpu)
         (List.map

@@ -244,6 +244,137 @@ let prop_gemm_transpose =
         (Tensor.transpose (Linalg.gemm a b))
         (Linalg.gemm (Tensor.transpose b) (Tensor.transpose a)))
 
+(* Operands that make a broken kernel visible bit for bit: [a] mixes in
+   [0.0] and [-0.0] (a kernel that drops the naive loop's zero-skip
+   multiplies them into [b]'s infinities and yields NaN), and [b] holds
+   sparse ±infinity among finite values. *)
+let adversarial_operands ~seed ~m ~k ~n =
+  let rng = Random.State.make [| seed |] in
+  let a_elem _ =
+    match Random.State.int rng 8 with
+    | 0 | 1 -> 0.0
+    | 2 -> -0.0
+    | _ -> Random.State.float rng 2.0 -. 1.0
+  in
+  let b_elem _ =
+    match Random.State.int rng 16 with
+    | 0 -> infinity
+    | 1 -> neg_infinity
+    | _ -> Random.State.float rng 2.0 -. 1.0
+  in
+  ( Tensor.init (shape [ m; k ]) a_elem,
+    Tensor.init (shape [ k; n ]) b_elem,
+    rng )
+
+let gemm_dims =
+  QCheck.(quad (int_range 0 9) (int_range 0 13) (int_range 0 11) int)
+
+let print_dims (m, k, n, seed) =
+  Printf.sprintf "m=%d k=%d n=%d seed=%d" m k n seed
+
+let prop_gemm_bits_adversarial =
+  QCheck.Test.make ~count:300
+    ~name:"gemm bits = naive (zeros, -0.0, infinities)"
+    (QCheck.set_print print_dims gemm_dims)
+    (fun (m, k, n, seed) ->
+      let a, b, _ = adversarial_operands ~seed ~m ~k ~n in
+      let reference = Linalg.gemm_naive a b in
+      let start = Tensor.random ~seed (shape [ m; n ]) in
+      let acc_reference =
+        Linalg.gemm_naive ~accumulate:true ~out:(Tensor.copy start) a b
+      in
+      Check.bits_equal reference (Linalg.gemm a b)
+      && List.for_all
+           (fun block ->
+             Check.bits_equal reference
+               (Linalg.gemm ~out:(Tensor.copy start) ~block a b)
+             && Check.bits_equal acc_reference
+                  (Linalg.gemm ~accumulate:true ~out:(Tensor.copy start)
+                     ~block a b))
+           [ 0; 1; 3; 4; 64 ])
+
+let prop_gemm_tile_bits_adversarial =
+  QCheck.Test.make ~count:300
+    ~name:"gemm_tile block = naive on slices; rest of out untouched"
+    (QCheck.set_print print_dims gemm_dims)
+    (fun (m, k, n, seed) ->
+      let a, b, rng = adversarial_operands ~seed ~m ~k ~n in
+      let range extent =
+        let lo = Random.State.int rng (extent + 1) in
+        (lo, lo + Random.State.int rng (extent - lo + 1))
+      in
+      let lo, hi = range m in
+      let clo, chi = range n in
+      (* A wider, taller [out] gives it its own row stride. *)
+      let out_rows = m + Random.State.int rng 3 in
+      let out_cols = n + Random.State.int rng 3 in
+      let before =
+        Tensor.random ~seed:(seed + 1) (shape [ out_rows; out_cols ])
+      in
+      (* [before] with only the tile replaced by the naive product. *)
+      let expected = Tensor.copy before in
+      Tensor.set_block expected ~row_lo:lo ~col_lo:clo
+        (Linalg.gemm_naive (Tensor.row_slice a ~lo ~hi)
+           (Tensor.col_slice b ~lo:clo ~hi:chi));
+      List.for_all
+        (fun block ->
+          let out = Tensor.copy before in
+          Linalg.gemm_tile ~out ~rows:(lo, hi) ~cols:(clo, chi) ~block a b;
+          Check.bits_equal expected out)
+        [ 0; 1; 3; 64 ])
+
+let test_gemm_tile_rejects_bad_ranges () =
+  let a = Tensor.random ~seed:1 (shape [ 4; 3 ]) in
+  let b = Tensor.random ~seed:2 (shape [ 3; 5 ]) in
+  let out = Tensor.zeros (shape [ 4; 5 ]) in
+  let rejects what rows cols =
+    Alcotest.(check bool) what true
+      (try
+         Linalg.gemm_tile ~out ~rows ~cols a b;
+         false
+       with Invalid_argument _ -> true)
+  in
+  rejects "rows past out" (0, 5) (0, 5);
+  rejects "reversed rows" (3, 2) (0, 5);
+  rejects "cols past b" (0, 4) (2, 6);
+  rejects "negative cols" (0, 4) (-1, 2)
+
+(* Two domains run the kernel at once on shared inputs: every result
+   must be the sequential bits, so no scratch buffer may be shared
+   between concurrent calls. *)
+let test_gemm_concurrent_bits () =
+  let m = 24 and k = 96 and n = 20 in
+  let a = Tensor.random ~seed:5 (shape [ m; k ]) in
+  let b = Tensor.random ~seed:6 (shape [ k; n ]) in
+  let expected = Linalg.gemm_naive a b in
+  let ready = Atomic.make 0 in
+  let worker ~tile () =
+    (* Start together, so the two domains' calls really overlap. *)
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    let ok = ref true in
+    for round = 0 to 499 do
+      let block = List.nth [ 0; 7; 32 ] (round mod 3) in
+      if tile then begin
+        let out = Tensor.zeros (shape [ m; n ]) in
+        let half = n / 2 in
+        Linalg.gemm_tile ~out ~rows:(0, m) ~cols:(0, half) ~block a b;
+        Linalg.gemm_tile ~out ~rows:(0, m) ~cols:(half, n) ~block a b;
+        if not (Check.bits_equal expected out) then ok := false
+      end
+      else if not (Check.bits_equal expected (Linalg.gemm ~block a b)) then
+        ok := false
+    done;
+    !ok
+  in
+  let other = Domain.spawn (worker ~tile:true) in
+  let here = worker ~tile:false () in
+  let there = Domain.join other in
+  Alcotest.(check bool) "gemm on the main domain" true here;
+  Alcotest.(check bool) "gemm_tile on a second domain" true there
+
 (* ------------------------------------------------------------------ *)
 (* Nn                                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -507,8 +638,14 @@ let () =
             test_gemm_microkernel_bits;
           Alcotest.test_case "batch gemm" `Quick test_batch_gemm;
           Alcotest.test_case "group gemm" `Quick test_group_gemm;
+          Alcotest.test_case "gemm_tile rejects bad ranges" `Quick
+            test_gemm_tile_rejects_bad_ranges;
+          Alcotest.test_case "concurrent bit-identity" `Quick
+            test_gemm_concurrent_bits;
           qc prop_gemm_distributes_over_row_split;
           qc prop_gemm_transpose;
+          qc prop_gemm_bits_adversarial;
+          qc prop_gemm_tile_bits_adversarial;
         ] );
       ( "nn",
         [
