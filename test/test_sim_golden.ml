@@ -28,10 +28,10 @@ let buckets_line (a : Obs.Attribution.t) =
     b.Obs.Attribution.wait_stall b.Obs.Attribution.contention
     b.Obs.Attribution.straggler b.Obs.Attribution.recovery
 
-let run_suite_program ?(telemetry = Obs.Telemetry.create ()) program =
+let run_suite_program ?(telemetry = Obs.Telemetry.create ())
+    ?(machine = Calib.test_machine) program =
   let cluster =
-    Cluster.create Calib.test_machine
-      ~world_size:(Program.world_size program)
+    Cluster.create machine ~world_size:(Program.world_size program)
   in
   let r = Runtime.run ~telemetry cluster program in
   let spans = Obs.Span.spans (Obs.Telemetry.spans telemetry) in
@@ -45,6 +45,39 @@ let suite_lines () =
   List.map
     (fun (name, program) -> "suite:" ^ name ^ "\t" ^ run_suite_program program)
     (Suite.programs ())
+
+(* The test machine zeroes the load latency and both signal fences, so
+   no [suite:] row ever stalls on a load or pays a wait or notify
+   fence.  These rows run programs on the paper machine, where each of
+   those paths costs events: a few [Suite] programs, one serve step
+   signature (attention at the serving tile, 8) and one MoE part 2. *)
+let h800_lines () =
+  let suite =
+    List.filter
+      (fun (name, _) ->
+        List.mem name
+          [ "mlp_ag_gemm_push/w4/t2"; "mlp_gemm_rs/w4"; "moe_part2/w4";
+            "attention/w4"; "ring_attention/w4"; "ep_moe/w4" ])
+      (Suite.programs ())
+  in
+  let serve =
+    Attention.program ~config:{ Attention.q_tile = 8; kv_tile = 8 }
+      { Attention.batch_heads = 8; seq = 512; head_dim = 64; world_size = 8;
+        causal = false }
+      ~spec_gpu:Calib.h800
+  in
+  let moe =
+    let s =
+      { Moe.tokens = 1024; hidden = 256; intermediate = 512; experts = 8;
+        topk = 2; world_size = 4 }
+    in
+    Moe.part2_program s (Moe.routing s ~seed:5) ~spec_gpu:Calib.h800
+  in
+  List.map
+    (fun (name, program) ->
+      "h800:" ^ name ^ "\t" ^ run_suite_program ~machine:Calib.h800 program)
+    (suite
+    @ [ ("serve_attention/b8/kv512/w8", serve); ("moe_part2/t1024/w4", moe) ])
 
 (* A spans-only handle (what search scoring and chaos trials use) must
    see exactly the run a fully enabled one sees, and record nothing in
@@ -123,7 +156,7 @@ let trial_lines () =
 
 let test_sim_golden () =
   Golden.check ~what:"simulation outputs" "sim_golden.tsv"
-    (suite_lines () @ search_lines () @ trial_lines ())
+    (suite_lines () @ h800_lines () @ search_lines () @ trial_lines ())
 
 let () =
   Alcotest.run "sim_golden"
