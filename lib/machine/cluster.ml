@@ -267,6 +267,10 @@ let nvlink_bytes t ~rank_id =
    NICs (modeled as the source node NIC, the bottleneck in practice).
    A local "transfer" is a no-op time-wise beyond HBM, which callers
    model separately. *)
+let link t ~src ~dst =
+  if same_node t src dst then t.ranks.(src).nvlink_egress
+  else t.nics.(t.ranks.(src).node)
+
 let transfer ?(force = false) t ~src ~dst ~bytes =
   if src = dst then ()
   else if (not force) && (unreachable t src || unreachable t dst) then
@@ -274,9 +278,7 @@ let transfer ?(force = false) t ~src ~dst ~bytes =
        immediately with no time charged and no bytes moved.  The caller
        must treat the destination contents as garbage. *)
     ()
-  else if same_node t src dst then
-    Tilelink_sim.Bandwidth.transfer t.ranks.(src).nvlink_egress ~bytes
-  else Tilelink_sim.Bandwidth.transfer t.nics.(t.ranks.(src).node) ~bytes
+  else Tilelink_sim.Bandwidth.transfer (link t ~src ~dst) ~bytes
 
 let transfer_duration t ~src ~dst ~bytes =
   if src = dst then 0.0

@@ -103,6 +103,12 @@ val transfer : ?force:bool -> t -> src:int -> dst:int -> bytes:float -> unit
     path forces transfers because it executes against recovered
     memory. *)
 
+val link : t -> src:int -> dst:int -> Tilelink_sim.Bandwidth.t
+(** The server a transfer from [src] to [dst] ([src <> dst]) binds
+    on: [src]'s NVLink egress within a node, [src]'s node NIC across
+    nodes.  {!transfer} runs {!Tilelink_sim.Bandwidth.transfer} on it
+    when the endpoints are reachable (or forced). *)
+
 val transfer_ok : t -> src:int -> dst:int -> bool
 (** Whether a (non-forced) transfer between these endpoints would
     actually move data right now. *)

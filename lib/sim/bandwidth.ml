@@ -58,13 +58,24 @@ let duration t ~bytes =
   if bytes < 0.0 then invalid_arg "Bandwidth.duration: negative size";
   t.latency +. (bytes /. t.rate)
 
-(* The server is held only for the wire time (bytes / rate); latency is
-   propagation and overlaps with the next transfer's wire time, so
-   back-to-back small messages pipeline instead of serializing their
-   latencies. *)
+(* A transfer has three phases: admission to a stream (FIFO), the wire
+   time, and the latency.  The stream is held only for the wire time
+   (bytes / rate); latency is propagation and overlaps with the next
+   transfer's wire time, so back-to-back small messages pipeline
+   instead of serializing their latencies. *)
+let try_admit t = Resource.try_acquire t.server 1
+let admit_later t wake = Resource.enqueue t.server 1 wake
+let wire_time t ~bytes = bytes /. effective_rate t
+
+let wire_done t ~bytes =
+  t.bytes_moved <- t.bytes_moved +. bytes;
+  t.transfer_count <- t.transfer_count + 1;
+  Resource.release t.server 1
+
+let latency t = t.latency
+
 let transfer t ~bytes =
-  Resource.use t.server 1 (fun () ->
-      Process.wait (bytes /. effective_rate t);
-      t.bytes_moved <- t.bytes_moved +. bytes;
-      t.transfer_count <- t.transfer_count + 1);
+  if not (try_admit t) then Process.suspend (admit_later t);
+  Process.wait (wire_time t ~bytes);
+  wire_done t ~bytes;
   Process.wait t.latency

@@ -27,6 +27,28 @@ val transfer : t -> bytes:float -> unit
 (** Blocking transfer; must run inside a process.  The wire time uses
     the throttled rate sampled at admission. *)
 
+(** {2 Callback form}
+
+    The phases {!transfer} runs, for callers that are not processes:
+    admit ({!try_admit}, else {!admit_later} and wait for the wake),
+    hold the stream for {!wire_time} computed at admission, call
+    {!wire_done}, then wait {!latency}. *)
+
+val try_admit : t -> bool
+(** Take a stream now if nobody is queued and one is free. *)
+
+val admit_later : t -> (unit -> unit) -> unit
+(** Queue for a stream after a failed {!try_admit}; the stream is
+    taken on the caller's behalf, then the callback is called. *)
+
+val wire_time : t -> bytes:float -> float
+(** [bytes] over the throttled rate sampled now. *)
+
+val wire_done : t -> bytes:float -> unit
+(** Count the transfer and free its stream. *)
+
+val latency : t -> float
+
 val set_throttle : t -> (now:float -> float) -> unit
 (** Install a time-varying rate multiplier, evaluated at each
     transfer's admission instant.  Multipliers are clamped to a small

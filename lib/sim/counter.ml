@@ -45,10 +45,11 @@ let set_at_least t target =
     wake t
   end
 
-let await_ge ?(tag = no_tag) t threshold =
-  if t.value < threshold then
-    Process.suspend (fun resume ->
-        t.waiters <- { threshold; resume; tag } :: t.waiters)
+let when_ge ?(tag = no_tag) t threshold resume =
+  t.waiters <- { threshold; resume; tag } :: t.waiters
+
+let await_ge ?tag t threshold =
+  if t.value < threshold then Process.suspend (when_ge ?tag t threshold)
 
 (* Cancel-by-tag: wake every waiter registered under [tag] without
    raising the counter value.  The resumed process observes an

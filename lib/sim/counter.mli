@@ -20,6 +20,14 @@ val await_ge : ?tag:int -> t -> int -> unit
     runtimes tag waits with the executing rank so a crashed rank's
     blocked workers can be force-woken. *)
 
+val when_ge : ?tag:int -> t -> int -> (unit -> unit) -> unit
+(** [when_ge t threshold wake] registers [wake] to be called once, by
+    the first {!add} or {!set_at_least} that brings [value] to
+    [threshold] (or by {!cancel_tag}).  The callback form of
+    {!await_ge}, which parks on exactly this registration; the caller
+    checks [value] first, as a satisfied threshold is not re-checked
+    until the next notify. *)
+
 val no_tag : int
 (** The reserved "never cancelled" tag. *)
 

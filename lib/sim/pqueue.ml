@@ -43,12 +43,13 @@ let create () =
 let length t = t.size
 let is_empty t = t.size = 0
 
-(* Does heap position [a] order strictly before position [b]? *)
-let lt t a b =
+(* Does heap position [a] order strictly before position [b]?  [lt]
+   and [move] run on every level of every sift, so they are inlined. *)
+let[@inline] lt t a b =
   let pa = t.prio.(a) and pb = t.prio.(b) in
   pa < pb || (pa = pb && t.seqs.(a) < t.seqs.(b))
 
-let move t ~from ~into =
+let[@inline] move t ~from ~into =
   t.prio.(into) <- t.prio.(from);
   t.seqs.(into) <- t.seqs.(from);
   t.slots.(into) <- t.slots.(from)

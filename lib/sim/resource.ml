@@ -62,7 +62,7 @@ let rec drain t =
     drain t
   | _ -> ()
 
-let acquire t amount =
+let try_acquire t amount =
   if amount <= 0 then invalid_arg "Resource.acquire: amount must be > 0";
   if amount > t.capacity then
     invalid_arg
@@ -70,11 +70,15 @@ let acquire t amount =
          t.capacity t.name);
   if Queue.is_empty t.waiting && amount <= t.available then begin
     account t;
-    t.available <- t.available - amount
+    t.available <- t.available - amount;
+    true
   end
-  else
-    Process.suspend (fun resume ->
-        Queue.push { amount; resume } t.waiting)
+  else false
+
+let enqueue t amount resume = Queue.push { amount; resume } t.waiting
+
+let acquire t amount =
+  if not (try_acquire t amount) then Process.suspend (enqueue t amount)
 
 let release t amount =
   if amount <= 0 then invalid_arg "Resource.release: amount must be > 0";

@@ -16,6 +16,17 @@ val acquire : t -> int -> unit
 (** Block (FIFO, no barging) until [amount] units are free, then take
     them.  Must run inside a process. *)
 
+val try_acquire : t -> int -> bool
+(** Take [amount] units now if nobody is queued and they are free.
+    Raises [Invalid_argument] on a non-positive amount or one above
+    capacity. *)
+
+val enqueue : t -> int -> (unit -> unit) -> unit
+(** [enqueue t amount wake] queues a request after a failed
+    {!try_acquire}: the units are taken on the caller's behalf when
+    its turn comes, then [wake] is called.  {!acquire} parks on exactly
+    this queue. *)
+
 val release : t -> int -> unit
 
 val use : t -> int -> (unit -> 'a) -> 'a

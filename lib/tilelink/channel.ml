@@ -20,19 +20,29 @@ type pending_wait = {
   pw_since : float;
 }
 
+(* One channel: its counter plus the cumulative value it *should* have
+   received, including dropped notifies: threshold <= intended means
+   the signal was sent and lost in flight (retryable); threshold >
+   intended means the producer never issued it (structural). *)
+type chan = { counter : Tilelink_sim.Counter.t; mutable intended : int }
+
+(* The pending-wait registry is keyed by wait id; an int-keyed table
+   compares keys without the polymorphic compare. *)
+module Waits = Hashtbl.Make (Int)
+
 type t = {
   world_size : int;
   channels_per_rank : int;
   (* producer/consumer channels: [rank].(channel) *)
-  pc : Tilelink_sim.Counter.t array array;
+  pc : chan array array;
   (* peer channels: [dst_rank].(src_rank).(channel), one row per
      (dst, src) pair allocated on first use — ring kernels give every
      (stage, tile) its own channel, so most rows of a large table are
      never touched *)
-  peer : Tilelink_sim.Counter.t array option array array;
+  peer : chan array option array array;
   peer_channels : int;
   (* host channels: [dst_rank].(src_rank) *)
-  host : Tilelink_sim.Counter.t array array;
+  host : chan array array;
   (* Telemetry sink plus the simulation clock that timestamps its
      events.  [None] (the default) keeps the original zero-overhead
      signal path. *)
@@ -44,17 +54,12 @@ type t = {
   (* How to defer a delayed delivery (the runtime wires this to
      [Engine.schedule]); without it delays degrade to prompt delivery. *)
   scheduler : (float -> (unit -> unit) -> unit) option;
-  (* Counter lookup by name, so the watchdog can re-issue a signal
+  (* Channel lookup by name, so the watchdog can re-issue a signal
      knowing only its key. *)
-  by_key : (string, Tilelink_sim.Counter.t) Hashtbl.t;
-  (* Cumulative value each counter *should* have received, including
-     dropped notifies: threshold <= intended means the signal was sent
-     and lost in flight (retryable); threshold > intended means the
-     producer never issued it (structural). *)
-  intended : (string, int) Hashtbl.t;
+  by_key : (string, chan) Hashtbl.t;
   (* In-flight waits keyed by a unique id, so a watchdog can see who is
      blocked on what and since when. *)
-  pending : (int, pending_wait) Hashtbl.t;
+  pending : pending_wait Waits.t;
   mutable next_wait_id : int;
 }
 
@@ -125,28 +130,23 @@ let fault_mark t ~fault_kind ~key ~rank =
       (Tilelink_obs.Journal.Fault_injected { kind = fault_kind; key; rank })
   end
 
-let intended_value t ~key =
-  Option.value ~default:0 (Hashtbl.find_opt t.intended key)
-
 (* Notify with fault interception.  Intended-value bookkeeping counts
    the notify once regardless of the decision: a dropped signal was
    still *sent* (so a retry may legitimately re-issue it), a duplicate
    only entitles the consumer to one increment. *)
-let notify_instr ?worker t ~kind ~rank counter ~amount =
+let notify_instr t ~worker ~kind ~rank chan ~amount =
+  let counter = chan.counter in
   let key = Tilelink_sim.Counter.name counter in
-  let epoch = intended_value t ~key + amount in
-  Hashtbl.replace t.intended key epoch;
+  let epoch = chan.intended + amount in
+  chan.intended <- epoch;
   (* Causal predecessor of the (eventual) delivery: the issuing
      worker's last span, captured *now* so a delayed delivery still
      points at what the producer had done when it issued the signal. *)
   let pred =
-    if Tilelink_obs.Telemetry.active t.telemetry then
-      match worker with
-      | Some w when w >= 0 ->
-        Tilelink_obs.Span.cursor
-          (Tilelink_obs.Telemetry.spans (Option.get t.telemetry))
-          ~worker:w
-      | _ -> None
+    if worker >= 0 && Tilelink_obs.Telemetry.active t.telemetry then
+      Tilelink_obs.Span.cursor
+        (Tilelink_obs.Telemetry.spans (Option.get t.telemetry))
+        ~worker
     else None
   in
   match t.interceptor with
@@ -166,60 +166,63 @@ let notify_instr ?worker t ~kind ~rank counter ~amount =
         sched d (fun () -> deliver t ?pred ~kind ~rank counter ~epoch ~amount)
       | None -> deliver t ?pred ~kind ~rank counter ~epoch ~amount))
 
-(* Instrumented wait: journal begin/end (even for waits that are
-   satisfied immediately — a zero-latency wait is still a pairing
-   point) and feed the per-primitive wait-latency histogram.  The
-   pending-wait registry is maintained regardless of telemetry: it is
-   what watchdogs and deadlock enrichment read.  Only a wait that parks
-   enters it — a satisfied wait never yields, so no other process can
-   observe it in flight. *)
-let wait_instr ?waiter ?worker t ~kind ~rank counter ~threshold =
-  let key = Tilelink_sim.Counter.name counter in
+(* Instrumented wait, in three parts so the interpreter's cursors and
+   blocking processes share one path.  [wait_begin] journals the start
+   (even for a wait satisfied at once — a zero-latency wait is still a
+   pairing point) and, when the counter is below the threshold, enters
+   the wait in the pending-wait registry and returns its id; the caller
+   then parks on [wait_park].  [wait_end] journals the end, feeds the
+   per-primitive wait-latency histogram and stall spans, and drops the
+   registry entry.  The registry is maintained regardless of telemetry:
+   it is what watchdogs and deadlock enrichment read.  Only a wait that
+   parks enters it — a satisfied wait never yields, so no other process
+   can observe it in flight. *)
+let wait_begin_chan t ~rank chan ~threshold =
+  let key = Tilelink_sim.Counter.name chan.counter in
   let id =
-    if Tilelink_sim.Counter.value counter >= threshold then -1
+    if Tilelink_sim.Counter.value chan.counter >= threshold then -1
     else begin
       let id = t.next_wait_id in
       t.next_wait_id <- id + 1;
-      Hashtbl.replace t.pending id
+      Waits.replace t.pending id
         { pw_key = key; pw_rank = rank; pw_threshold = threshold;
           pw_since = t.clock () };
       id
     end
   in
-  (* The cancellation tag is the *executing* rank (the process that
-     blocks here), which for pc waits differs from [rank] (the channel
-     owner): killing a rank must wake the workers it hosts, not the
-     waiters watching its channels. *)
-  let tag = Option.value ~default:Tilelink_sim.Counter.no_tag waiter in
-  (if Tilelink_obs.Telemetry.active t.telemetry then begin
-     let tele = Option.get t.telemetry in
-     let journal = Tilelink_obs.Telemetry.journal tele in
-     let journaling = Tilelink_obs.Journal.enabled journal in
-     let t0 = t.clock () in
-     if journaling then
-       Tilelink_obs.Journal.record journal ~t:t0
-         (Tilelink_obs.Journal.Wait_begin { key; rank; threshold });
-     Tilelink_sim.Counter.await_ge ~tag counter threshold;
-     let t1 = t.clock () in
-     if journaling then
-       Tilelink_obs.Journal.record journal ~t:t1
-         (Tilelink_obs.Journal.Wait_end
-            { key; rank; threshold; started = t0 });
-     let metrics = Tilelink_obs.Telemetry.metrics tele in
-     Tilelink_obs.Metrics.inc metrics kind.waits;
-     Tilelink_obs.Metrics.observe metrics kind.wait_us (t1 -. t0);
-     (* Only a wait that actually blocked becomes a stall span; an
-        immediately satisfied wait has no causal weight. *)
-     if t1 > t0 then
-       Tilelink_obs.Span.record_wait
-         (Tilelink_obs.Telemetry.spans tele)
-         ~label:kind.wait
-         ~rank:(Option.value ~default:rank waiter)
-         ~worker:(Option.value ~default:(-1) worker)
-         ~key ~threshold ~t0 ~t1
-   end
-   else Tilelink_sim.Counter.await_ge ~tag counter threshold);
-  if id >= 0 then Hashtbl.remove t.pending id
+  if Tilelink_obs.Telemetry.active t.telemetry then begin
+    let journal =
+      Tilelink_obs.Telemetry.journal (Option.get t.telemetry)
+    in
+    if Tilelink_obs.Journal.enabled journal then
+      Tilelink_obs.Journal.record journal ~t:(t.clock ())
+        (Tilelink_obs.Journal.Wait_begin { key; rank; threshold })
+  end;
+  id
+
+let wait_end_chan t ~waiter ~worker ~kind ~rank chan ~threshold ~id ~since =
+  if Tilelink_obs.Telemetry.active t.telemetry then begin
+    let tele = Option.get t.telemetry in
+    let key = Tilelink_sim.Counter.name chan.counter in
+    let journal = Tilelink_obs.Telemetry.journal tele in
+    let t1 = t.clock () in
+    if Tilelink_obs.Journal.enabled journal then
+      Tilelink_obs.Journal.record journal ~t:t1
+        (Tilelink_obs.Journal.Wait_end
+           { key; rank; threshold; started = since });
+    let metrics = Tilelink_obs.Telemetry.metrics tele in
+    Tilelink_obs.Metrics.inc metrics kind.waits;
+    Tilelink_obs.Metrics.observe metrics kind.wait_us (t1 -. since);
+    (* Only a wait that actually blocked becomes a stall span; an
+       immediately satisfied wait has no causal weight. *)
+    if t1 > since then
+      Tilelink_obs.Span.record_wait
+        (Tilelink_obs.Telemetry.spans tele)
+        ~label:kind.wait
+        ~rank:(if waiter >= 0 then waiter else rank)
+        ~worker ~key ~threshold ~t0:since ~t1
+  end;
+  if id >= 0 then Waits.remove t.pending id
 
 let create ~world_size ~channels_per_rank ?(peer_channels = 1) ?telemetry
     ?(clock = fun () -> 0.0) ?interceptor ?scheduler () =
@@ -228,7 +231,7 @@ let create ~world_size ~channels_per_rank ?(peer_channels = 1) ?telemetry
     invalid_arg "Channel.create: channels_per_rank";
   let by_key = Hashtbl.create 64 in
   let mk name =
-    let c = Tilelink_sim.Counter.create ~name () in
+    let c = { counter = Tilelink_sim.Counter.create ~name (); intended = 0 } in
     Hashtbl.replace by_key name c;
     c
   in
@@ -240,8 +243,7 @@ let create ~world_size ~channels_per_rank ?(peer_channels = 1) ?telemetry
     interceptor;
     scheduler;
     by_key;
-    intended = Hashtbl.create 64;
-    pending = Hashtbl.create 16;
+    pending = Waits.create 16;
     next_wait_id = 0;
     pc =
       Array.init world_size (fun r ->
@@ -258,7 +260,7 @@ let create ~world_size ~channels_per_rank ?(peer_channels = 1) ?telemetry
 (* Deterministic ordering: oldest wait first, ties broken
    lexicographically so the watchdog's pick is reproducible. *)
 let pending_waits t =
-  Hashtbl.fold (fun _ pw acc -> pw :: acc) t.pending []
+  Waits.fold (fun _ pw acc -> pw :: acc) t.pending []
   |> List.sort (fun a b ->
          match compare a.pw_since b.pw_since with
          | 0 -> compare (a.pw_key, a.pw_rank, a.pw_threshold)
@@ -275,9 +277,11 @@ let peer_row t ~dst ~src =
           let name =
             Instr.key_of_target (Instr.Peer { src; dst; channel = c })
           in
-          let counter = Tilelink_sim.Counter.create ~name () in
-          Hashtbl.add t.by_key name counter;
-          counter)
+          let c =
+            { counter = Tilelink_sim.Counter.create ~name (); intended = 0 }
+          in
+          Hashtbl.add t.by_key name c;
+          c)
     in
     t.peer.(dst).(src) <- Some row;
     row
@@ -296,7 +300,11 @@ let find_key t key =
       Hashtbl.find_opt t.by_key key
     | _ -> None)
 
-let key_value t ~key = Option.map Tilelink_sim.Counter.value (find_key t key)
+let key_value t ~key =
+  Option.map (fun c -> Tilelink_sim.Counter.value c.counter) (find_key t key)
+
+let intended_value t ~key =
+  match find_key t key with Some c -> c.intended | None -> 0
 
 (* The watchdog's re-issue path: idempotent (set-at-least, not add) and
    deliberately bypasses the interceptor — a recovery action must not
@@ -305,7 +313,7 @@ let key_value t ~key = Option.map Tilelink_sim.Counter.value (find_key t key)
 let force_signal t ~key ~target =
   match find_key t key with
   | None -> invalid_arg (Printf.sprintf "Channel.force_signal: unknown key %s" key)
-  | Some c -> Tilelink_sim.Counter.set_at_least c target
+  | Some c -> Tilelink_sim.Counter.set_at_least c.counter target
 
 let world_size t = t.world_size
 let channels_per_rank t = t.channels_per_rank
@@ -326,60 +334,118 @@ let check_channel t c label =
 let cancel_rank_waits t ~rank =
   check_rank t rank "cancel_rank_waits";
   let n = ref 0 in
-  let cancel c = n := !n + Tilelink_sim.Counter.cancel_tag c ~tag:rank in
+  let cancel c = n := !n + Tilelink_sim.Counter.cancel_tag c.counter ~tag:rank in
   Array.iter (Array.iter cancel) t.pc;
   Array.iter (Array.iter (Option.iter (Array.iter cancel))) t.peer;
   Array.iter (Array.iter cancel) t.host;
   !n
 
-(* Producer/consumer channel on [rank]. *)
-let pc_notify ?worker t ~rank ~channel ~amount =
-  check_rank t rank "pc_notify";
-  check_channel t channel "pc_notify";
-  notify_instr ?worker t ~kind:pc_kind ~rank t.pc.(rank).(channel) ~amount
+(* The channel of a signal target, with its kind and the rank its
+   telemetry names: the owner for [Pc], the receiving side of a wait
+   and the sending side of a notify for [Peer]/[Host].  [op] names the
+   operation in range errors. *)
+let chan_of t (target : Instr.signal_target) ~op =
+  match target with
+  | Instr.Pc { rank; channel } ->
+    check_rank t rank op;
+    check_channel t channel op;
+    t.pc.(rank).(channel)
+  | Instr.Peer { src; dst; channel } ->
+    check_rank t src op;
+    check_rank t dst op;
+    (peer_row t ~dst ~src).(channel)
+  | Instr.Host { src; dst } ->
+    check_rank t src op;
+    check_rank t dst op;
+    t.host.(dst).(src)
+
+let kind_of : Instr.signal_target -> kind = function
+  | Instr.Pc _ -> pc_kind
+  | Instr.Peer _ -> peer_kind
+  | Instr.Host _ -> host_kind
+
+let wait_rank : Instr.signal_target -> int = function
+  | Instr.Pc { rank; _ } -> rank
+  | Instr.Peer { dst; _ } | Instr.Host { dst; _ } -> dst
+
+let notify t ~worker target ~amount =
+  let op =
+    match target with
+    | Instr.Pc _ -> "pc_notify"
+    | Instr.Peer _ -> "peer_notify"
+    | Instr.Host _ -> "host_notify"
+  in
+  let rank =
+    match target with
+    | Instr.Pc { rank; _ } -> rank
+    | Instr.Peer { src; _ } | Instr.Host { src; _ } -> src
+  in
+  notify_instr t ~worker ~kind:(kind_of target) ~rank (chan_of t target ~op)
+    ~amount
+
+let wait_op = function
+  | Instr.Pc _ -> "pc_wait"
+  | Instr.Peer _ -> "peer_wait"
+  | Instr.Host _ -> "host_wait"
+
+let wait_begin t target ~threshold =
+  wait_begin_chan t ~rank:(wait_rank target)
+    (chan_of t target ~op:(wait_op target))
+    ~threshold
+
+(* The cancellation tag is the *executing* rank (the process that
+   blocks here), which for pc waits differs from the channel owner:
+   killing a rank must wake the workers it hosts, not the waiters
+   watching its channels.  [Counter.no_tag] is -1, the "no waiter"
+   value. *)
+let wait_park t ~waiter target ~threshold wake =
+  Tilelink_sim.Counter.when_ge ~tag:waiter
+    (chan_of t target ~op:(wait_op target)).counter threshold wake
+
+let wait_end t ~waiter ~worker target ~threshold ~id ~since =
+  wait_end_chan t ~waiter ~worker ~kind:(kind_of target)
+    ~rank:(wait_rank target)
+    (chan_of t target ~op:(wait_op target))
+    ~threshold ~id ~since
+
+let wait ?(waiter = -1) ?(worker = -1) t target ~threshold =
+  let since = t.clock () in
+  let id = wait_begin t target ~threshold in
+  if id >= 0 then
+    Tilelink_sim.Process.suspend (wait_park t ~waiter target ~threshold);
+  wait_end t ~waiter ~worker target ~threshold ~id ~since
+
+let pc_notify ?(worker = -1) t ~rank ~channel ~amount =
+  notify t ~worker (Instr.Pc { rank; channel }) ~amount
 
 let pc_wait ?waiter ?worker t ~rank ~channel ~threshold =
-  check_rank t rank "pc_wait";
-  check_channel t channel "pc_wait";
-  wait_instr ?waiter ?worker t ~kind:pc_kind ~rank t.pc.(rank).(channel)
-    ~threshold
+  wait ?waiter ?worker t (Instr.Pc { rank; channel }) ~threshold
 
 let pc_value t ~rank ~channel =
   check_rank t rank "pc_value";
   check_channel t channel "pc_value";
-  Tilelink_sim.Counter.value t.pc.(rank).(channel)
+  Tilelink_sim.Counter.value t.pc.(rank).(channel).counter
 
 (* Peer channel: [src] signals [dst]. *)
-let peer_notify ?worker t ~src ~dst ?(channel = 0) ~amount () =
-  check_rank t src "peer_notify";
-  check_rank t dst "peer_notify";
-  notify_instr ?worker t ~kind:peer_kind ~rank:src
-    (peer_row t ~dst ~src).(channel) ~amount
+let peer_notify ?(worker = -1) t ~src ~dst ?(channel = 0) ~amount () =
+  notify t ~worker (Instr.Peer { src; dst; channel }) ~amount
 
 let peer_wait ?waiter ?worker t ~src ~dst ?(channel = 0) ~threshold () =
-  check_rank t src "peer_wait";
-  check_rank t dst "peer_wait";
-  wait_instr ?waiter ?worker t ~kind:peer_kind ~rank:dst
-    (peer_row t ~dst ~src).(channel) ~threshold
+  wait ?waiter ?worker t (Instr.Peer { src; dst; channel }) ~threshold
 
 let peer_value t ~src ~dst ?(channel = 0) () =
-  Tilelink_sim.Counter.value (peer_row t ~dst ~src).(channel)
+  Tilelink_sim.Counter.value (peer_row t ~dst ~src).(channel).counter
 
 (* Host channel: copy-engine completion signalled to [dst]'s kernels. *)
-let host_notify ?worker t ~src ~dst ~amount =
-  check_rank t src "host_notify";
-  check_rank t dst "host_notify";
-  notify_instr ?worker t ~kind:host_kind ~rank:src t.host.(dst).(src) ~amount
+let host_notify ?(worker = -1) t ~src ~dst ~amount =
+  notify t ~worker (Instr.Host { src; dst }) ~amount
 
 let host_wait ?waiter ?worker t ~src ~dst ~threshold =
-  check_rank t src "host_wait";
-  check_rank t dst "host_wait";
-  wait_instr ?waiter ?worker t ~kind:host_kind ~rank:dst t.host.(dst).(src)
-    ~threshold
+  wait ?waiter ?worker t (Instr.Host { src; dst }) ~threshold
 
 let total_notifies t =
   let sum = ref 0 in
-  let count c = sum := !sum + Tilelink_sim.Counter.notify_count c in
+  let count c = sum := !sum + Tilelink_sim.Counter.notify_count c.counter in
   Array.iter (Array.iter count) t.pc;
   Array.iter (Array.iter (Option.iter (Array.iter count))) t.peer;
   Array.iter (Array.iter count) t.host;

@@ -101,6 +101,36 @@ val host_notify : ?worker:int -> t -> src:int -> dst:int -> amount:int -> unit
 val host_wait :
   ?waiter:int -> ?worker:int -> t -> src:int -> dst:int -> threshold:int -> unit
 
+(** {2 By signal target}
+
+    What the interpreter's cursors use.  [worker] is a span-recorder
+    worker id and [waiter] an executing rank, as in the per-kind
+    functions above, with [-1] for none.  A cursor's wait is
+    [wait_begin], then, if that returned an id, [wait_park] with its
+    wake callback, then (after the wake, or at once) [wait_end]; the
+    blocking waits above run the same three steps around
+    {!Tilelink_sim.Process.suspend}. *)
+
+val notify : t -> worker:int -> Instr.signal_target -> amount:int -> unit
+
+val wait_begin : t -> Instr.signal_target -> threshold:int -> int
+(** Start a wait: journal it (with telemetry) and, when the counter is
+    below [threshold], list it in {!pending_waits} and return its id
+    ([>= 0]).  Returns [-1] when the wait is satisfied already. *)
+
+val wait_park :
+  t -> waiter:int -> Instr.signal_target -> threshold:int ->
+  (unit -> unit) -> unit
+(** Register a wake callback for when the counter reaches [threshold],
+    tagged with [waiter] for {!cancel_rank_waits}. *)
+
+val wait_end :
+  t -> waiter:int -> worker:int -> Instr.signal_target -> threshold:int ->
+  id:int -> since:float -> unit
+(** Finish the wait [wait_begin] started at time [since] and numbered
+    [id]: journal its end, feed wait metrics and stall spans (with
+    telemetry), and drop it from {!pending_waits}. *)
+
 val cancel_rank_waits : t -> rank:int -> int
 (** Force-wake every wait whose executing rank (the [waiter] tag) is
     [rank], without delivering anything: counters keep their values and

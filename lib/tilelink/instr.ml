@@ -21,7 +21,8 @@ type access = {
 
 let access ?rank ~buffer ~row ~col () = { buffer; mem_rank = rank; row; col }
 
-let ranges_overlap (a_lo, a_hi) (b_lo, b_hi) = a_lo < b_hi && b_lo < a_hi
+let ranges_overlap ((a_lo, a_hi) : range) ((b_lo, b_hi) : range) =
+  a_lo < b_hi && b_lo < a_hi
 
 (* Two accesses may alias: same buffer ("*" is a wildcard matching any
    buffer), same resolved rank (a [None] rank conservatively aliases

@@ -37,26 +37,6 @@ type result = {
 
 let resolve_rank = Dataop.resolve_rank
 
-let exec_wait channels ~waiter ~worker (target : Instr.signal_target)
-    ~threshold =
-  match target with
-  | Instr.Pc { rank; channel } ->
-    Channel.pc_wait ~waiter ~worker channels ~rank ~channel ~threshold
-  | Instr.Peer { src; dst; channel } ->
-    Channel.peer_wait ~waiter ~worker channels ~src ~dst ~channel ~threshold ()
-  | Instr.Host { src; dst } ->
-    Channel.host_wait ~waiter ~worker channels ~src ~dst ~threshold
-
-let exec_notify channels ~rank:_ ~worker (target : Instr.signal_target)
-    ~amount =
-  match target with
-  | Instr.Pc { rank; channel } ->
-    Channel.pc_notify ~worker channels ~rank ~channel ~amount
-  | Instr.Peer { src; dst; channel } ->
-    Channel.peer_notify ~worker channels ~src ~dst ~channel ~amount ()
-  | Instr.Host { src; dst } ->
-    Channel.host_notify ~worker channels ~src ~dst ~amount
-
 module Obs = Tilelink_obs
 
 (* Replayed tasks run under "<label>+replay"; their spans are recorded
@@ -99,30 +79,97 @@ type ledger_entry = {
    one lost copy) or drains (the worker's own rank crashed). *)
 exception Abandoned
 
-(* Per-execution context threaded through the interpreter.  The
-   executing rank [ec_exec_rank] differs from the task's owning rank on
-   the replay path (a survivor executes the dead rank's task: data
-   semantics keep the owner, timing and trace attribution follow the
-   executor).  A task is only as alive as its executor: [ec_crashed] is
-   the run's per-rank crash flags, indexed by [ec_exec_rank]. *)
-type exec_ctx = {
-  ec_exec_rank : int;
-  ec_crashed : bool array;
-  ec_replay : replay;  (* span kind and label marker of replayed work *)
-  ec_force_copy : bool;  (* replay: transfers against recovered memory *)
-  ec_on_notify : unit -> unit;  (* ledger checkpoint hook *)
+(* ------------------------------------------------------------------ *)
+(* Cursor interpreter                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Every execution stream — an SM or DMA pool worker, a host stream, a
+   failover replay group — runs as a cursor: a mutable record holding
+   a program counter into the current task's instruction list and a
+   per-instruction phase, instead of an effect fiber.  The counter is
+   the list's remaining tail, so a task runs from the program's own
+   list with no copy.  The engine
+   re-enters a cursor through its [step] closure (one per cursor) and
+   a waiter list resumes it through its [wake] closure, so an event
+   allocates no continuation and no thunk.  Each phase boundary is one
+   [Process.wait] or [Process.suspend] of a direct-style interpreter,
+   booked as the same events in the same order. *)
+
+(* What every cursor of one run shares. *)
+type env = {
+  cluster : Cluster.t;
+  spec : Spec.t;
+  engine : Engine.t;
+  trace : Trace.t;
+  channels : Channel.t;
+  memory : Memory.t;
+  telemetry : Obs.Telemetry.t option;
+  data : bool;
+  crashed : bool array;
+      (* the run's per-rank crash flags: a task is only as alive as its
+         executing rank *)
 }
 
-let check_live ctx =
-  if ctx.ec_crashed.(ctx.ec_exec_rank) then raise Abandoned
+(* Times of the instruction in flight: its span start, the issue and
+   ready instants of a load stall, and when a channel wait began.  An
+   all-float record keeps its fields unboxed, so setting one allocates
+   nothing. *)
+type marks = {
+  mutable t0 : float;
+  mutable issue : float;
+  mutable ready : float;
+  mutable since : float;
+}
 
-let span_kind ctx plain =
-  match ctx.ec_replay with
+type cursor = {
+  env : env;
+  sim : Cursor.t;
+  lane : Trace.lane;
+  pool : Resource.t option;  (* one unit held per task body *)
+  comm_active : int ref;
+      (* communication roles live on the rank; compute pays the fusion
+         interference while it is > 0 *)
+  mutable worker : int;
+      (* causal span worker id: spans chain in this stream's program
+         order and its notifies carry its last span as predecessor;
+         -1 (telemetry off) skips chaining *)
+  (* The task.  [rank] owns it (data semantics); [exec_rank] runs it
+     (timing, liveness, trace attribution) and differs on replay. *)
+  mutable rank : int;
+  mutable exec_rank : int;
+  mutable replay : replay;  (* span kind and label marker *)
+  mutable entry : ledger_entry option;
+  mutable label : string;
+  mutable rest : Instr.t list;
+      (* the program counter: the instruction in flight and those after
+         it, in the task's own list *)
+  mutable lead : int;
+      (* instructions left before the pool unit is taken; -1: none is *)
+  mutable holding : bool;
+  mutable skip : int;  (* checkpointed notifies a replay skips *)
+  mutable phase : int;
+  mutable wait_id : int;
+  mutable loads : (Instr.access * float) list;
+      (* in flight: (access, ready time) *)
+  marks : marks;
+  (* The stream's source of tasks: load the next one (false when there
+     is none), account a completed or an abandoned one (whether to
+     carry on), and run the stream's exit. *)
+  next : cursor -> bool;
+  finished : cursor -> unit;
+  abandoned : cursor -> bool;
+  on_exit : unit -> unit;
+}
+
+let check_live c = if c.env.crashed.(c.exec_rank) then raise Abandoned
+
+let span_kind c plain =
+  match c.replay with
   | Not_replay -> plain
   | Replay | Cross_island_replay -> Obs.Span.Replay
 
-let span_label ctx label =
-  match ctx.ec_replay with
+let span_label c label =
+  match c.replay with
   | Cross_island_replay -> label ^ "@x"
   | Not_replay | Replay -> label
 
@@ -130,7 +177,7 @@ let span_label ctx label =
    [prune_loads t] drops the loads that completed by [t] and returns
    the list itself when none did, so a steady pipeline does not copy it
    on every Load. *)
-let rec prune_loads t = function
+let rec prune_loads (t : float) = function
   | [] -> []
   | ((_, ready) as load) :: rest as loads ->
     let kept = prune_loads t rest in
@@ -144,7 +191,7 @@ let rec reads_overlap access = function
 (* When [reads] can start: the latest ready time of a pending load they
    overlap, or [now].  Only a load still in flight can raise the result
    above [now], so completed loads skip the overlap test. *)
-let rec load_ready acc reads = function
+let rec load_ready (acc : float) reads = function
   | [] -> acc
   | (access, ready) :: rest ->
     let acc =
@@ -152,269 +199,450 @@ let rec load_ready acc reads = function
     in
     load_ready acc reads rest
 
-(* Execute one instruction on behalf of [rank], on a worker of a role
-   bound to [lane].  [worker_sms] is how many SMs this worker stands
-   for (1 for an SM worker, irrelevant for DMA/host).  [interference]
-   multiplies compute durations when a fused kernel also runs
-   communication on the same chip. *)
-let exec_instr cluster channels memory ~telemetry ~data ~rank ~ctx ~lane
-    ~worker_sms ~comm_active ~pending_loads ~worker ~label instr =
-  let spec = Cluster.spec cluster in
-  let trace = Cluster.trace cluster in
-  check_live ctx;
+(* A task's leading waits/loads execute before the worker occupies an
+   execution unit: a CTA is only scheduled once its dependencies are
+   satisfied (stream-ordered concurrent kernels), so a blocked consumer
+   does not hold an SM hostage while its producer needs one.  The unit
+   is taken after them even when nothing follows. *)
+let rec leading_waits n = function
+  | (Instr.Wait _ | Instr.Sleep _ | Instr.Load _) :: rest ->
+    leading_waits (n + 1) rest
+  | _ -> n
+
+let load_task c ~instrs ~lead ~entry ~label =
+  c.rest <- instrs;
+  c.lead <- lead;
+  c.entry <- entry;
+  c.label <- label;
+  c.phase <- 0
+
+let now c = Cluster.now c.env.cluster
+
+let park c = Cursor.park c.sim
+
+let release_unit c =
+  if c.holding then begin
+    c.holding <- false;
+    Option.iter (fun pool -> Resource.release pool 1) c.pool
+  end
+
+let exit_stream c =
+  c.on_exit ();
+  Cursor.finish c.sim
+
+(* Run the cursor until it books an event or parks.  Every path that
+   carries on is a tail call. *)
+let rec advance c =
+  if c.lead = 0 && not c.holding then take_unit c
+  else
+    match c.rest with
+    | instr :: _ -> exec c instr
+    | [] ->
+      release_unit c;
+      c.finished c;
+      if c.next c then advance c else exit_stream c
+
+and take_unit c =
+  match c.pool with
+  | None -> invalid_arg "Runtime: pool unit without a pool"
+  | Some pool ->
+    (* Held from here on: a queued request is granted before the
+       wake. *)
+    c.holding <- true;
+    if Resource.try_acquire pool 1 then advance c
+    else begin
+      park c;
+      Resource.enqueue pool 1 (Cursor.waker c.sim)
+    end
+
+and next_instr c =
+  (match c.rest with _ :: rest -> c.rest <- rest | [] -> ());
+  if c.lead > 0 then c.lead <- c.lead - 1;
+  c.phase <- 0;
+  advance c
+
+(* Each instruction checks liveness first: a dead rank's stream
+   abandons its task at the next instruction boundary and after every
+   blocking phase. *)
+and exec c instr =
   match instr with
   | Instr.Load { access } ->
     (* Loads issue asynchronously (cp.async / TMA): they complete
        [load_latency] after issue.  A consumer stalls only if it reads
        the data before then — which multi-stage pipelining avoids by
        hoisting the load ahead of the previous tile's compute. *)
-    if spec.Spec.gpu.load_latency > 0.0 then begin
-      let t = Cluster.now cluster in
-      pending_loads :=
-        (access, t +. spec.Spec.gpu.load_latency)
-        :: prune_loads t !pending_loads
-    end
-  | Instr.Store _ -> ()
+    check_live c;
+    let latency = c.env.spec.Spec.gpu.load_latency in
+    if latency > 0.0 then begin
+      let t = now c in
+      c.loads <- (access, t +. latency) :: prune_loads t c.loads
+    end;
+    next_instr c
+  | Instr.Store _ ->
+    check_live c;
+    next_instr c
   | Instr.Sleep d ->
-    Process.wait d;
-    check_live ctx
-  | Instr.Compute { label = clabel; cost; reads; action; _ } ->
-    let ready = load_ready (Cluster.now cluster) reads !pending_loads in
-    let issue = Cluster.now cluster in
-    if ready > issue then Process.wait (ready -. issue);
+    check_live c;
+    if c.phase = 0 then begin
+      c.phase <- 1;
+      Cursor.wait c.sim d
+    end
+    else next_instr c
+  | Instr.Compute { label; cost; reads; action; _ } ->
+    compute c ~label ~cost ~reads ~action
+  | Instr.Copy { label; src; dst; bytes; action } ->
+    copy c ~label ~src ~dst ~bytes ~action
+  | Instr.Wait { target; threshold; _ } -> wait c ~target ~threshold
+  | Instr.Notify { target; amount; _ } ->
+    if c.skip > 0 then begin
+      (* Checkpointed epoch: already delivered before the crash;
+         re-issuing would overshoot the counter past epochs other
+         waits rely on. *)
+      c.skip <- c.skip - 1;
+      next_instr c
+    end
+    else notify c ~target ~amount
+
+(* Phases: 0 issue (stall on overlapping in-flight loads), 1 run the
+   tile, 2 record it. *)
+and compute c ~label ~cost ~reads ~action =
+  let env = c.env and m = c.marks in
+  match c.phase with
+  | 0 ->
+    check_live c;
+    let issue = now c in
+    let ready = load_ready issue reads c.loads in
+    m.issue <- issue;
+    m.ready <- ready;
+    c.phase <- 1;
+    if ready > issue then Cursor.wait c.sim (ready -. issue)
+    else compute c ~label ~cost ~reads ~action
+  | 1 ->
     (* Fusion interference applies only while a communication role is
        actually running on this rank: L2 pollution, scheduler and HBM
-       contention vanish once the comm side drains. *)
+       contention vanish once the comm side drains.  The straggler
+       multiplier is sampled at issue: a chaos disturbance can slow
+       this rank's kernels; 1.0 when none is installed. *)
     let interference =
-      if !comm_active > 0 then spec.Spec.overheads.fusion_interference
+      if !(c.comm_active) > 0 then env.spec.Spec.overheads.fusion_interference
       else 1.0
     in
-    (* Straggler multiplier sampled at issue: a chaos disturbance can
-       slow this rank's kernels; 1.0 when none is installed. *)
     let duration =
-      Instr.cost_duration spec ~sms:worker_sms cost
+      Instr.cost_duration env.spec ~sms:1 cost
       *. interference
-      *. Cluster.compute_scale cluster ~rank_id:ctx.ec_exec_rank
+      *. Cluster.compute_scale env.cluster ~rank_id:c.exec_rank
     in
-    let t0 = Cluster.now cluster in
-    if duration > 0.0 then Process.wait duration;
+    m.t0 <- now c;
+    c.phase <- 2;
+    if duration > 0.0 then Cursor.wait c.sim duration
+    else compute c ~label ~cost ~reads ~action
+  | _ ->
     (* A kernel that was mid-tile when its rank died produced nothing:
        no trace span, no data mutation — the ledger marks the tile
        lost and the coordinator replays it. *)
-    check_live ctx;
-    Trace.add trace ~rank:ctx.ec_exec_rank ~lane ~label:clabel ~t0
-      ~t1:(Cluster.now cluster);
-    if Obs.Telemetry.active telemetry then begin
-      let tele = Option.get telemetry in
-      let m = Obs.Telemetry.metrics tele in
-      Obs.Metrics.inc m "tiles.compute";
-      Obs.Metrics.observe m "compute_us" (Cluster.now cluster -. t0);
-      if ready > issue then
-        Obs.Metrics.observe m "load_stall_us" (ready -. issue);
+    check_live c;
+    let t1 = now c in
+    Trace.add env.trace ~rank:c.exec_rank ~lane:c.lane ~label ~t0:m.t0 ~t1;
+    if Obs.Telemetry.active env.telemetry then begin
+      let tele = Option.get env.telemetry in
+      let metrics = Obs.Telemetry.metrics tele in
+      Obs.Metrics.inc metrics "tiles.compute";
+      Obs.Metrics.observe metrics "compute_us" (t1 -. m.t0);
+      if m.ready > m.issue then
+        Obs.Metrics.observe metrics "load_stall_us" (m.ready -. m.issue);
       Obs.Span.record_task
         (Obs.Telemetry.spans tele)
-        ~kind:(span_kind ctx Obs.Span.Compute)
-        ~label:(span_label ctx clabel)
-        ~rank:ctx.ec_exec_rank ~worker ~t0 ~t1:(Cluster.now cluster)
+        ~kind:(span_kind c Obs.Span.Compute)
+        ~label:(span_label c label)
+        ~rank:c.exec_rank ~worker:c.worker ~t0:m.t0 ~t1
     end;
-    if data then Option.iter (fun act -> act memory ~rank) action
-  | Instr.Copy { label = clabel; src; dst; bytes; action } ->
-    let src_rank = resolve_rank ~self:rank src.Instr.mem_rank in
-    let dst_rank = resolve_rank ~self:rank dst.Instr.mem_rank in
+    (match action with
+    | Some act when env.data -> act env.memory ~rank:c.rank
+    | _ -> ());
+    next_instr c
+
+(* Phases: 0 admit (a copy-engine stall), 1 start the move, 2 hold a
+   link stream for the wire time, 3 wait the link latency, 4 record
+   it. *)
+and copy c ~label ~src ~dst ~bytes ~action =
+  let env = c.env in
+  let src_rank = resolve_rank ~self:c.rank src.Instr.mem_rank in
+  let dst_rank = resolve_rank ~self:c.rank dst.Instr.mem_rank in
+  (* Replays transfer against recovered memory. *)
+  let force = match c.replay with Not_replay -> false | _ -> true in
+  match c.phase with
+  | 0 ->
+    check_live c;
     (* Fail fast on a dead endpoint: the copy moves nothing, charges
        nothing, and poisons the task so the coordinator replays it
-       against recovered memory.  The replay path forces transfers. *)
+       against recovered memory. *)
     if
-      (not ctx.ec_force_copy)
-      && src_rank <> dst_rank
-      && not (Cluster.transfer_ok cluster ~src:src_rank ~dst:dst_rank)
+      (not force) && src_rank <> dst_rank
+      && not (Cluster.transfer_ok env.cluster ~src:src_rank ~dst:dst_rank)
     then raise Abandoned;
-    let t0 = Cluster.now cluster in
+    c.marks.t0 <- now c;
     (* Copy-engine stall injection: charged before the copy admits, so
        it shows up inside the traced copy span. *)
-    let stall = Cluster.copy_stall_us cluster ~rank_id:ctx.ec_exec_rank in
-    if stall > 0.0 then Process.wait stall;
-    check_live ctx;
+    let stall = Cluster.copy_stall_us env.cluster ~rank_id:c.exec_rank in
+    c.phase <- 1;
+    if stall > 0.0 then Cursor.wait c.sim stall
+    else copy c ~label ~src ~dst ~bytes ~action
+  | 1 ->
+    check_live c;
     if src_rank = dst_rank then begin
       (* Local move: a round trip through HBM at full bandwidth share —
          bulk copies saturate HBM regardless of the issuing unit. *)
       let duration =
-        Cost.memory_pass_time spec ~sms:spec.Spec.gpu.num_sms
+        Cost.memory_pass_time env.spec ~sms:env.spec.Spec.gpu.num_sms
           ~bytes:(2.0 *. bytes)
       in
-      if duration > 0.0 then Process.wait duration
+      c.phase <- 4;
+      if duration > 0.0 then Cursor.wait c.sim duration
+      else copy c ~label ~src ~dst ~bytes ~action
     end
-    else
-      Cluster.transfer ~force:ctx.ec_force_copy cluster ~src:src_rank
-        ~dst:dst_rank ~bytes;
-    check_live ctx;
-    Trace.add trace ~rank:ctx.ec_exec_rank ~lane ~label:clabel ~t0
-      ~t1:(Cluster.now cluster);
-    if Obs.Telemetry.active telemetry then begin
-      let tele = Option.get telemetry in
-      let m = Obs.Telemetry.metrics tele in
-      Obs.Metrics.inc m "tiles.copy";
-      Obs.Metrics.add_gauge m "bytes.copied" bytes;
-      Obs.Metrics.observe m "copy_us" (Cluster.now cluster -. t0);
+    else if
+      (not force)
+      && not (Cluster.transfer_ok env.cluster ~src:src_rank ~dst:dst_rank)
+    then begin
+      (* The endpoint died during the stall: the transfer moves
+         nothing, as {!Cluster.transfer} does. *)
+      c.phase <- 4;
+      copy c ~label ~src ~dst ~bytes ~action
+    end
+    else begin
+      let link = Cluster.link env.cluster ~src:src_rank ~dst:dst_rank in
+      c.phase <- 2;
+      if Bandwidth.try_admit link then copy c ~label ~src ~dst ~bytes ~action
+      else begin
+        park c;
+        Bandwidth.admit_later link (Cursor.waker c.sim)
+      end
+    end
+  | 2 ->
+    let link = Cluster.link env.cluster ~src:src_rank ~dst:dst_rank in
+    c.phase <- 3;
+    Cursor.wait c.sim (Bandwidth.wire_time link ~bytes)
+  | 3 ->
+    let link = Cluster.link env.cluster ~src:src_rank ~dst:dst_rank in
+    Bandwidth.wire_done link ~bytes;
+    c.phase <- 4;
+    Cursor.wait c.sim (Bandwidth.latency link)
+  | _ ->
+    check_live c;
+    let t0 = c.marks.t0 and t1 = now c in
+    Trace.add env.trace ~rank:c.exec_rank ~lane:c.lane ~label ~t0 ~t1;
+    if Obs.Telemetry.active env.telemetry then begin
+      let tele = Option.get env.telemetry in
+      let metrics = Obs.Telemetry.metrics tele in
+      Obs.Metrics.inc metrics "tiles.copy";
+      Obs.Metrics.add_gauge metrics "bytes.copied" bytes;
+      Obs.Metrics.observe metrics "copy_us" (t1 -. t0);
       let journal = Obs.Telemetry.journal tele in
       if src_rank <> dst_rank && Obs.Journal.enabled journal then
         (* A copy whose destination is the executing rank fetched a
            remote tile (pull); one that lands remotely pushed ours. *)
-        Obs.Journal.record journal ~t:(Cluster.now cluster)
-          (if dst_rank = rank then
+        Obs.Journal.record journal ~t:t1
+          (if dst_rank = c.rank then
              Obs.Journal.Tile_pull
-               { label = clabel; src = src_rank; dst = dst_rank; bytes }
+               { label; src = src_rank; dst = dst_rank; bytes }
            else
              Obs.Journal.Tile_push
-               { label = clabel; src = src_rank; dst = dst_rank; bytes });
+               { label; src = src_rank; dst = dst_rank; bytes });
       Obs.Span.record_task
         (Obs.Telemetry.spans tele)
-        ~kind:(span_kind ctx Obs.Span.Copy)
-        ~label:(span_label ctx clabel)
-        ~rank:ctx.ec_exec_rank ~worker ~t0 ~t1:(Cluster.now cluster)
+        ~kind:(span_kind c Obs.Span.Copy)
+        ~label:(span_label c label)
+        ~rank:c.exec_rank ~worker:c.worker ~t0 ~t1
     end;
-    if data then begin
+    if env.data then begin
       match action with
-      | Some act -> act memory ~rank
-      | None -> Dataop.copy_action src dst memory ~rank
+      | Some act -> act env.memory ~rank:c.rank
+      | None -> Dataop.copy_action src dst env.memory ~rank:c.rank
+    end;
+    next_instr c
+
+(* Phases: 0 the acquire fence, 1 the wait proper (parks unless
+   satisfied), 2 record it. *)
+and wait c ~target ~threshold =
+  let env = c.env in
+  match c.phase with
+  | 0 ->
+    check_live c;
+    c.marks.t0 <- now c;
+    c.phase <- 1;
+    let fence = env.spec.Spec.overheads.signal_wait in
+    if fence > 0.0 then Cursor.wait c.sim fence else wait c ~target ~threshold
+  | 1 ->
+    c.marks.since <- now c;
+    let id = Channel.wait_begin env.channels target ~threshold in
+    c.wait_id <- id;
+    c.phase <- 2;
+    if id >= 0 then begin
+      park c;
+      Channel.wait_park env.channels ~waiter:c.exec_rank target ~threshold
+        (Cursor.waker c.sim)
     end
-  | Instr.Wait { target; threshold; _ } ->
-    let t0 = Cluster.now cluster in
-    if spec.Spec.overheads.signal_wait > 0.0 then
-      Process.wait spec.Spec.overheads.signal_wait;
-    exec_wait channels ~waiter:ctx.ec_exec_rank ~worker target ~threshold;
+    else wait c ~target ~threshold
+  | _ ->
+    Channel.wait_end env.channels ~waiter:c.exec_rank ~worker:c.worker target
+      ~threshold ~id:c.wait_id ~since:c.marks.since;
     (* A force-woken wait (the rank died while parked) returns with its
        threshold unsatisfied — abandon before touching anything. *)
-    check_live ctx;
-    let t1 = Cluster.now cluster in
+    check_live c;
+    let t0 = c.marks.t0 and t1 = now c in
     if t1 > t0 then
-      Trace.add trace ~rank:ctx.ec_exec_rank ~lane:Trace.Wait ~label ~t0 ~t1
-  | Instr.Notify { target; amount; _ } ->
-    (* Release atomic + memory fence before the signal is visible. *)
-    if spec.Spec.overheads.signal_notify > 0.0 then
-      Process.wait spec.Spec.overheads.signal_notify;
+      Trace.add env.trace ~rank:c.exec_rank ~lane:Trace.Wait ~label:c.label
+        ~t0 ~t1;
+    next_instr c
+
+(* Phases: 0 the release fence (atomic + memory fence before the signal
+   is visible), 1 signal. *)
+and notify c ~target ~amount =
+  match c.phase with
+  | 0 ->
+    check_live c;
+    c.phase <- 1;
+    let fence = c.env.spec.Spec.overheads.signal_notify in
+    if fence > 0.0 then Cursor.wait c.sim fence else notify c ~target ~amount
+  | _ ->
     (* Dying inside the fence means the signal never became visible. *)
-    check_live ctx;
-    exec_notify channels ~rank ~worker target ~amount;
+    check_live c;
+    Channel.notify c.env.channels ~worker:c.worker target ~amount;
     (* Producer-side checkpoint: this epoch is now delivered (or at
        least issued); replay will skip it. *)
-    ctx.ec_on_notify ()
+    (match c.entry with
+    | Some e -> e.le_notified <- e.le_notified + 1
+    | None -> ());
+    next_instr c
 
-(* A task's leading waits/loads execute before the worker occupies an
-   execution unit: a CTA is only scheduled once its dependencies are
-   satisfied (stream-ordered concurrent kernels), so a blocked consumer
-   does not hold an SM hostage while its producer needs one. *)
-let split_leading_waits instrs =
-  let rec go prefix = function
-    | (Instr.Wait _ | Instr.Sleep _ | Instr.Load _) as instr :: rest ->
-      go (instr :: prefix) rest
-    | rest -> (List.rev prefix, rest)
-  in
-  go [] instrs
+(* One event of the cursor.  A task abandoned mid-flight gives back its
+   pool unit, and its source decides whether the stream carries on with
+   the next task in the same event. *)
+let rec step c =
+  match advance c with
+  | () -> ()
+  | exception Abandoned ->
+    release_unit c;
+    if c.abandoned c && c.next c then step c else exit_stream c
 
-(* A worker repeatedly takes the next task from the role's shared
-   queue, acquiring one unit of [unit_pool] per task; wave scheduling
-   (ceil(tiles / workers) waves) and dynamic sharing of idle units
-   across roles both emerge.  Each queue item carries its optional
-   ledger entry; a task abandoned mid-flight poisons its entry, and the
-   worker drains if its own rank is the casualty. *)
-let worker_body cluster channels memory ~telemetry ~data ~rank ~crashed ~lane
-    ~worker_sms ~comm_active ~unit_pool queue () =
-  let pending_loads = ref [] in
-  let current : ledger_entry option ref = ref None in
-  (* One causal worker id per sequential execution stream: spans it
-     records chain in program order, and its notifies carry its cursor
-     as the delivery's predecessor.  -1 (telemetry off) skips chaining. *)
-  let worker =
-    if Obs.Telemetry.active telemetry then
-      Obs.Span.fresh_worker (Obs.Telemetry.spans (Option.get telemetry))
-    else -1
-  in
-  let ctx =
+(* A stream's first event: take a causal worker id, then the first
+   task. *)
+let begin_stream c =
+  if Obs.Telemetry.active c.env.telemetry then
+    c.worker <-
+      Obs.Span.fresh_worker (Obs.Telemetry.spans (Option.get c.env.telemetry));
+  if c.next c then step c else exit_stream c
+
+let make_cursor env ~lane ~pool ~comm_active ~rank ~next ~finished ~abandoned
+    ~on_exit =
+  let c =
     {
-      ec_exec_rank = rank;
-      ec_crashed = crashed;
-      ec_replay = Not_replay;
-      ec_force_copy = false;
-      ec_on_notify =
-        (fun () ->
-          match !current with
-          | Some e -> e.le_notified <- e.le_notified + 1
-          | None -> ());
+      env;
+      sim = Cursor.create env.engine;
+      lane;
+      pool;
+      comm_active;
+      worker = -1;
+      rank;
+      exec_rank = rank;
+      replay = Not_replay;
+      entry = None;
+      label = "";
+      rest = [];
+      lead = -1;
+      holding = false;
+      skip = 0;
+      phase = 0;
+      wait_id = -1;
+      loads = [];
+      marks = { t0 = 0.0; issue = 0.0; ready = 0.0; since = 0.0 };
+      next;
+      finished;
+      abandoned;
+      on_exit;
     }
   in
-  let exec =
-    exec_instr cluster channels memory ~telemetry ~data ~rank ~ctx ~lane
-      ~worker_sms ~comm_active ~pending_loads ~worker
-  in
-  let rec loop () =
-    match
+  Cursor.set_step c.sim (fun () -> step c);
+  c
+
+(* A worker repeatedly takes the next task from the role's shared
+   queue, acquiring one unit of [pool] per task body; wave scheduling
+   (ceil(tiles / workers) waves) and dynamic sharing of idle units
+   across roles both emerge.  A task abandoned mid-flight poisons its
+   ledger entry, and the worker drains if its own rank is the
+   casualty; a survivor that lost one copy to a dead shard keeps
+   going. *)
+let queue_cursor env ~rank ~lane ~pool ~comm_active ~on_exit queue =
+  make_cursor env ~lane ~pool ~comm_active ~rank ~on_exit
+    ~next:(fun c ->
       match !queue with
-      | [] -> None
-      | task :: rest ->
+      | [] -> false
+      | ((task : Program.task), entry) :: rest ->
         queue := rest;
-        Some task
-    with
-    | None -> ()
-    | Some ((task : Program.task), entry) -> (
-      current := entry;
-      let label = task.Program.label in
-      let leading, body = split_leading_waits task.Program.instrs in
-      match
-        List.iter (exec ~label) leading;
-        (match unit_pool with
-        | None -> List.iter (exec ~label) body
-        | Some pool ->
-          Resource.use pool 1 (fun () -> List.iter (exec ~label) body))
-      with
-      | () ->
-        Option.iter (fun e -> e.le_done <- true) entry;
-        current := None;
-        loop ()
-      | exception Abandoned ->
-        Option.iter (fun e -> e.le_poisoned <- true) entry;
-        current := None;
-        (* A survivor that lost one copy to a dead shard keeps going —
-           only its own rank dying drains the worker. *)
-        if not crashed.(rank) then loop ())
-  in
-  loop ()
+        let instrs = task.Program.instrs in
+        load_task c ~instrs
+          ~lead:(match pool with Some _ -> leading_waits 0 instrs | None -> -1)
+          ~entry ~label:task.Program.label;
+        true)
+    ~finished:(fun c ->
+      Option.iter (fun e -> e.le_done <- true) c.entry;
+      c.entry <- None)
+    ~abandoned:(fun c ->
+      Option.iter (fun e -> e.le_poisoned <- true) c.entry;
+      c.entry <- None;
+      not env.crashed.(rank))
 
 let is_comm_lane = function
   | Trace.Comm_sm | Trace.Dma | Trace.Host | Trace.Link -> true
   | Trace.Compute_sm | Trace.Wait -> false
 
-let run_role cluster channels memory ~telemetry ~data ~rank ~crashed
-    ~comm_active ~tracked (role : Program.role) () =
-  let spec = Cluster.spec cluster in
-  let cluster_rank = Cluster.rank cluster rank in
-  (* Kernel launch latency before the role's work becomes visible. *)
-  Process.wait spec.overheads.kernel_launch;
-  let comm_role = is_comm_lane role.Program.lane in
-  if comm_role then incr comm_active;
-  Fun.protect ~finally:(fun () -> if comm_role then decr comm_active)
-  @@ fun () ->
-  let run_workers count unit_pool =
-    let queue = ref tracked in
-    let join =
-      Process.spawn_all (Cluster.engine cluster)
-        (List.init count (fun _ ->
-             worker_body cluster channels memory ~telemetry ~data ~rank
-               ~crashed ~lane:role.Program.lane ~worker_sms:1 ~comm_active
-               ~unit_pool queue))
+(* A role is one process: it starts, pays the kernel launch latency,
+   then either runs its host stream inline or starts one worker cursor
+   per pool worker and parks until the last one exits, resuming one
+   instant-0 event later. *)
+let launch_role env ~rank ~comm_active ~queue (role : Program.role) =
+  let engine = env.engine in
+  let lane = role.Program.lane in
+  let comm_role = is_comm_lane lane in
+  let role_done () = if comm_role then decr comm_active in
+  let launched () =
+    if comm_role then incr comm_active;
+    let run_workers count pool =
+      let finish () =
+        role_done ();
+        Engine.process_finished engine
+      in
+      let remaining = ref count in
+      let worker_exit () =
+        decr remaining;
+        if !remaining = 0 then begin
+          Engine.process_unblocked engine;
+          Engine.schedule engine ~delay:0.0 finish
+        end
+      in
+      for _ = 1 to count do
+        let c =
+          queue_cursor env ~rank ~lane ~pool:(Some pool) ~comm_active
+            ~on_exit:worker_exit queue
+        in
+        Cursor.start c.sim (fun () -> begin_stream c)
+      done;
+      if count > 0 then Engine.process_blocked engine else finish ()
     in
-    Process.Join.wait join
+    let cluster_rank = Cluster.rank env.cluster rank in
+    match role.Program.resource with
+    | Program.Sm_partition count -> run_workers count cluster_rank.Cluster.sms
+    | Program.Dma_engines count -> run_workers count cluster_rank.Cluster.dma
+    | Program.Host_stream ->
+      begin_stream
+        (queue_cursor env ~rank ~lane ~pool:None ~comm_active
+           ~on_exit:role_done queue)
   in
-  match role.Program.resource with
-  | Program.Sm_partition count ->
-    run_workers count (Some cluster_rank.Cluster.sms)
-  | Program.Dma_engines count ->
-    run_workers count (Some cluster_rank.Cluster.dma)
-  | Program.Host_stream ->
-    let queue = ref tracked in
-    worker_body cluster channels memory ~telemetry ~data ~rank ~crashed
-      ~lane:role.Program.lane ~worker_sms:1 ~comm_active ~unit_pool:None
-      queue ()
+  Engine.process_started engine;
+  Engine.schedule engine ~delay:0.0 (fun () ->
+      (* Kernel launch latency before the role's work becomes visible. *)
+      Engine.schedule engine ~delay:env.spec.Spec.overheads.kernel_launch
+        launched)
 
 (* Append the pending-waiter edge list and the tail of the journal to a
    deadlock message, so even un-hardened callers get an actionable
@@ -691,6 +919,19 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
      run and the coordinator replays the loss.  Every instruction
      boundary reads the flag, so it is a plain array, not a table. *)
   let crashed = Array.make (Program.world_size program) false in
+  let env =
+    {
+      cluster;
+      spec = Cluster.spec cluster;
+      engine;
+      trace = Cluster.trace cluster;
+      channels;
+      memory;
+      telemetry;
+      data;
+      crashed;
+    }
+  in
   (* Crashes pending failover handling, in kill order. *)
   let pending_crashes : (int * float) Queue.t = Queue.create () in
   List.iter
@@ -713,12 +954,10 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
       let comm_active = ref 0 in
       List.iter
         (fun (role : Program.role) ->
-          let tracked =
-            Hashtbl.find tracked_tbl (rank, role.Program.role_name)
+          let queue =
+            ref (Hashtbl.find tracked_tbl (rank, role.Program.role_name))
           in
-          Process.spawn (Cluster.engine cluster)
-            (run_role cluster channels memory ~telemetry ~data ~rank ~crashed
-               ~comm_active ~tracked role))
+          launch_role env ~rank ~comm_active ~queue role)
         plan)
     (Program.plans program);
   (* The failover coordinator: runs at the top of every watchdog tick
@@ -855,91 +1094,78 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
           let sv = Array.of_list (ordered_survivors ~relative_to:owner_rank) in
           let n = Array.length sv in
           let owner_island = island_of owner_rank in
-          Process.spawn engine (fun () ->
-              (* Each replay group is one sequential stream: its own
-                 causal worker keeps replayed spans chained in order. *)
-              let worker =
-                if Obs.Telemetry.active telemetry then
-                  Obs.Span.fresh_worker
-                    (Obs.Telemetry.spans (Option.get telemetry))
-                else -1
-              in
-              List.iter
-                (fun (e : ledger_entry) ->
-                  match
-                    Hashtbl.find_opt fresh_task
-                      (e.le_rank, e.le_role, e.le_label)
-                  with
-                  | None ->
-                    (* The rebuild lost this task: nothing to replay —
-                       release the claim and count it done so the crash
-                       can settle instead of wedging accounting. *)
+          (* Each replay group is one sequential stream, run by one
+             cursor with its own causal worker, so replayed spans chain
+             in order.  Replays take no pool unit and split no leading
+             waits. *)
+          let entries = ref entries in
+          let rec next c =
+            match !entries with
+            | [] -> false
+            | (e : ledger_entry) :: rest -> (
+              entries := rest;
+              match
+                Hashtbl.find_opt fresh_task (e.le_rank, e.le_role, e.le_label)
+              with
+              | None ->
+                (* The rebuild lost this task: nothing to replay —
+                   release the claim and count it done so the crash
+                   can settle instead of wedging accounting. *)
+                e.le_done <- true;
+                e.le_replaying <- false;
+                next c
+              | Some task ->
+                (* Round-robin the executing survivor per tile. *)
+                let exec_rank = sv.(!next_exec mod n) in
+                incr next_exec;
+                let cross_island = island_of exec_rank <> owner_island in
+                if cross_island then begin
+                  recovery.Chaos.cross_island_replays <-
+                    recovery.Chaos.cross_island_replays + 1;
+                  metric_inc "recovery.cross_island_replays"
+                end;
+                let replay =
+                  if cross_island then Cross_island_replay else Replay
+                in
+                (* A replay is only as alive as its executor: a survivor
+                   dying mid-replay must abandon, not plough on against
+                   a dead rank's resources.  Replayed notifies are
+                   checkpointed too, so a replay cut short by a second
+                   crash resumes past the epochs it already
+                   delivered. *)
+                c.exec_rank <- exec_rank;
+                c.replay <- replay;
+                c.skip <- e.le_notified;
+                c.loads <- [];
+                load_task c ~instrs:task.Program.instrs ~lead:(-1)
+                  ~entry:(Some e)
+                  ~label:(task.Program.label ^ replay_suffix replay);
+                true)
+          in
+          let c =
+            make_cursor env ~lane:Trace.Comm_sm ~pool:None
+              ~comm_active:(ref 0) ~rank:owner_rank ~next ~on_exit:ignore
+              ~finished:(fun c ->
+                Option.iter
+                  (fun e ->
                     e.le_done <- true;
-                    e.le_replaying <- false
-                  | Some task -> (
-                    (* Round-robin the executing survivor per tile. *)
-                    let exec_rank = sv.(!next_exec mod n) in
-                    incr next_exec;
-                    let cross_island = island_of exec_rank <> owner_island in
-                    if cross_island then begin
-                      recovery.Chaos.cross_island_replays <-
-                        recovery.Chaos.cross_island_replays + 1;
-                      metric_inc "recovery.cross_island_replays"
-                    end;
-                    let skip = ref e.le_notified in
-                    let replay =
-                      if cross_island then Cross_island_replay else Replay
-                    in
-                    let ctx =
-                      {
-                        (* A replay is only as alive as its executor: a
-                           survivor dying mid-replay must abandon, not
-                           plough on against a dead rank's resources. *)
-                        ec_exec_rank = exec_rank;
-                        ec_crashed = crashed;
-                        ec_replay = replay;
-                        ec_force_copy = true;
-                        (* Checkpoint replayed notifies too, so a replay
-                           cut short by a second crash resumes past the
-                           epochs it already delivered. *)
-                        ec_on_notify =
-                          (fun () -> e.le_notified <- e.le_notified + 1);
-                      }
-                    in
-                    let pending_loads = ref [] in
-                    let comm_active = ref 0 in
-                    let exec =
-                      exec_instr cluster channels memory ~telemetry ~data
-                        ~rank:owner_rank ~ctx ~lane:Trace.Comm_sm ~worker_sms:1
-                        ~comm_active ~pending_loads ~worker
-                        ~label:(task.Program.label ^ replay_suffix replay)
-                    in
-                    match
-                      List.iter
-                        (fun instr ->
-                          match instr with
-                          | Instr.Notify _ when !skip > 0 ->
-                            (* Checkpointed epoch: already delivered
-                               before the crash; re-issuing would
-                               overshoot the counter past epochs other
-                               waits rely on. *)
-                            decr skip
-                          | instr -> exec instr)
-                        task.Program.instrs
-                    with
-                    | () ->
-                      e.le_done <- true;
-                      e.le_replaying <- false;
-                      incr replayed_total;
-                      recovery.Chaos.replayed_tiles <-
-                        recovery.Chaos.replayed_tiles + 1
-                    | exception Abandoned ->
-                      (* The executing survivor died mid-replay: poison
-                         and release the entry; the next sweep replays
-                         it on a remaining survivor. *)
-                      e.le_poisoned <- true;
-                      e.le_replaying <- false))
-                entries))
+                    e.le_replaying <- false)
+                  c.entry;
+                incr replayed_total;
+                recovery.Chaos.replayed_tiles <-
+                  recovery.Chaos.replayed_tiles + 1)
+              ~abandoned:(fun c ->
+                (* The executing survivor died mid-replay: poison and
+                   release the entry; the next sweep replays it on a
+                   remaining survivor. *)
+                Option.iter
+                  (fun e ->
+                    e.le_poisoned <- true;
+                    e.le_replaying <- false)
+                  c.entry;
+                true)
+          in
+          Cursor.start c.sim (fun () -> begin_stream c))
         groups
   in
   let settle () =

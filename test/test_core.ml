@@ -1229,6 +1229,110 @@ let test_pipelining_hides_load_latency () =
      first. *)
   Alcotest.(check bool) "hides most stalls" true (serial -. pipelined > 20.0)
 
+(* Interpreter corners: tiny one-rank programs whose event counts are
+   worked out by hand, so a rewrite of the interpreter cannot drop or
+   add an event on an edge path without a test noticing. *)
+let one_role_program ~resource tasks =
+  Program.create ~name:"corner" ~world_size:1 ~pc_channels:1 ~peer_channels:1
+    [|
+      [
+        {
+          Program.role_name = "r";
+          resource;
+          lane = Tilelink_sim.Trace.Compute_sm;
+          tasks =
+            List.mapi
+              (fun i instrs -> { Program.label = Printf.sprintf "t%d" i; instrs })
+              tasks;
+        };
+      ];
+    |]
+
+let fixed_compute cost =
+  Instr.Compute
+    { label = "c"; cost = Instr.Fixed_cost cost; reads = []; writes = [];
+      action = None }
+
+(* Makespan, executed events and blocked process-time of one run. *)
+let run_counts program =
+  let cluster = Cluster.create Calib.test_machine ~world_size:1 in
+  let r = Runtime.run cluster program in
+  let engine = Cluster.engine cluster in
+  ( r.Runtime.makespan,
+    Tilelink_sim.Engine.executed_events engine,
+    Tilelink_sim.Engine.blocked_time engine )
+
+let check_counts msg (makespan, events, blocked) program =
+  let m, e, b = run_counts program in
+  check_float (msg ^ ": makespan") makespan m;
+  Alcotest.(check int) (msg ^ ": events") events e;
+  check_float (msg ^ ": blocked time") blocked b
+
+let test_empty_body_queues_for_pool () =
+  (* The test machine has one DMA channel.  Worker 1 holds it for a
+     10us tile from t=2 (after the launch); worker 2's task is a lone
+     leading Sleep, so its body is empty, yet it still queues for the
+     unit at t=3 and takes it at t=12.  Events: role start, launch,
+     two worker starts, the sleep, the compute, worker 2's grant and
+     the role's resume = 8.  Blocked: the role 2..12, worker 2 3..12. *)
+  check_counts "empty body" (12.0, 8, 19.0)
+    (one_role_program ~resource:(Program.Dma_engines 2)
+       [ [ fixed_compute 10.0 ]; [ Instr.Sleep 1.0 ] ])
+
+let test_zero_sleep_costs_an_event () =
+  (* A host stream runs inline in its role: role start and launch are
+     the only events of an empty task.  [Sleep 0.0] adds one event, a
+     zero-duration compute none. *)
+  let host tasks = one_role_program ~resource:Program.Host_stream tasks in
+  check_counts "empty task" (2.0, 2, 0.0) (host [ [] ]);
+  check_counts "sleep 0" (2.0, 3, 0.0) (host [ [ Instr.Sleep 0.0 ] ]);
+  check_counts "compute 0" (2.0, 2, 0.0) (host [ [ fixed_compute 0.0 ] ])
+
+let test_unsignalled_wait_deadlocks () =
+  (* The role is parked on its worker, the worker on pc[0][0]. *)
+  let program =
+    one_role_program ~resource:(Program.Sm_partition 1)
+      [
+        [
+          Instr.Wait
+            { target = Instr.Pc { rank = 0; channel = 0 }; threshold = 1;
+              guards = [] };
+        ];
+      ]
+  in
+  let cluster = Cluster.create Calib.test_machine ~world_size:1 in
+  match Runtime.run cluster program with
+  | _ -> Alcotest.fail "expected a deadlock"
+  | exception Tilelink_sim.Engine.Deadlock msg ->
+    Alcotest.(check string) "message"
+      "simulation deadlock: 2 process(es) still blocked at t=2.000\n\
+       pending waiters (1):\n\
+      \  rank 0 waits pc[0][0] >= 1 (since t=2.0)"
+      msg
+
+(* Guard against per-event allocation creeping back into the
+   interpreter: one MLP-1 AG+GEMM (8192x4096x2752 per rank pair, world
+   8) on the paper machine, timing only. *)
+let test_runtime_allocation_per_event () =
+  let world = 8 in
+  let program =
+    Tilelink_workloads.Mlp.ag_gemm_program
+      ~config:(List.hd (Tilelink_workloads.Tuned.ag_gemm_candidates ~world_size:world))
+      { Tilelink_workloads.Mlp.m = 8192; k = 4096; n = 2 * 11008 / world;
+        world_size = world }
+      ~spec_gpu:Calib.h800
+  in
+  let cluster = Cluster.create Calib.h800 ~world_size:world in
+  let before = Gc.minor_words () in
+  ignore (Runtime.run cluster program);
+  let words = Gc.minor_words () -. before in
+  let events = Tilelink_sim.Engine.executed_events (Cluster.engine cluster) in
+  let per_event = words /. float_of_int events in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per event over %d events (bound 35)"
+       per_event events)
+    true (per_event <= 35.0)
+
 (* ------------------------------------------------------------------ *)
 (* Design space + tuner                                                *)
 (* ------------------------------------------------------------------ *)
@@ -1436,6 +1540,14 @@ let () =
             test_runtime_roles_share_sms_dynamically;
           Alcotest.test_case "pipelining hides load latency" `Quick
             test_pipelining_hides_load_latency;
+          Alcotest.test_case "empty body queues for the pool" `Quick
+            test_empty_body_queues_for_pool;
+          Alcotest.test_case "sleep 0 costs an event" `Quick
+            test_zero_sleep_costs_an_event;
+          Alcotest.test_case "unsignalled wait deadlocks" `Quick
+            test_unsignalled_wait_deadlocks;
+          Alcotest.test_case "allocation per event" `Quick
+            test_runtime_allocation_per_event;
         ] );
       ( "design space",
         [

@@ -258,6 +258,80 @@ let test_negative_wait_rejected () =
   Alcotest.(check bool) "invalid_arg" true !raised
 
 (* ------------------------------------------------------------------ *)
+(* Cursor                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The same stream written both ways — wait 5, wait 2.5, block on a
+   counter a second process raises at t=10, then wait 1 — must book the
+   same events, blocked time and finish time. *)
+let test_cursor_matches_process () =
+  let run body =
+    let engine = Engine.create () in
+    let c = Counter.create () in
+    let finished = ref nan in
+    body engine c finished;
+    Process.spawn engine (fun () ->
+        Process.wait 10.0;
+        Counter.add c 1);
+    Engine.run engine;
+    ( Engine.executed_events engine,
+      Engine.blocked_time engine,
+      !finished,
+      Engine.live_processes engine )
+  in
+  let as_process engine c finished =
+    Process.spawn engine (fun () ->
+        Process.wait 5.0;
+        Process.wait 2.5;
+        Counter.await_ge c 1;
+        Process.wait 1.0;
+        finished := Engine.now engine)
+  in
+  let as_cursor engine c finished =
+    let cur = Cursor.create engine in
+    let phase = ref 0 in
+    Cursor.set_step cur (fun () ->
+        incr phase;
+        match !phase with
+        | 1 -> Cursor.wait cur 2.5
+        | 2 ->
+          Cursor.park cur;
+          Counter.when_ge c 1 (Cursor.waker cur)
+        | 3 -> Cursor.wait cur 1.0
+        | _ ->
+          finished := Engine.now engine;
+          Cursor.finish cur);
+    Cursor.start cur (fun () -> Cursor.wait cur 5.0)
+  in
+  let pe, pb, pf, pl = run as_process and ce, cb, cf, cl = run as_cursor in
+  Alcotest.(check int) "events" pe ce;
+  check_float "blocked time" pb cb;
+  check_float "finish" pf cf;
+  check_float "finish at" 11.0 cf;
+  Alcotest.(check int) "no live process" pl cl
+
+(* A second wake of one park raises, as a [Process] resume called twice
+   does; so does waking a cursor that never parked. *)
+let test_cursor_double_wake () =
+  let engine = Engine.create () in
+  let cur = Cursor.create engine in
+  Alcotest.check_raises "wake before park"
+    (Invalid_argument "Cursor: woken while not parked")
+    (fun () -> Cursor.waker cur ());
+  Cursor.park cur;
+  Cursor.waker cur ();
+  Alcotest.check_raises "second wake"
+    (Invalid_argument "Cursor: woken while not parked")
+    (fun () -> Cursor.waker cur ());
+  Alcotest.(check int) "one resume booked" 1 (Engine.pending_events engine)
+
+let test_cursor_negative_wait () =
+  let cur = Cursor.create (Engine.create ()) in
+  Alcotest.check_raises "negative"
+    (Invalid_argument "Cursor.wait: negative duration")
+    (fun () -> Cursor.wait cur (-1.0))
+
+(* ------------------------------------------------------------------ *)
 (* Resource                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -721,6 +795,13 @@ let () =
             test_deadlock_detection;
           Alcotest.test_case "negative wait" `Quick
             test_negative_wait_rejected;
+        ] );
+      ( "cursor",
+        [
+          Alcotest.test_case "matches a process" `Quick
+            test_cursor_matches_process;
+          Alcotest.test_case "double wake" `Quick test_cursor_double_wake;
+          Alcotest.test_case "negative wait" `Quick test_cursor_negative_wait;
         ] );
       ( "resource",
         [
