@@ -289,24 +289,6 @@ let transfer_duration t ~src ~dst ~bytes =
 let transfer_ok t ~src ~dst =
   src = dst || not (unreachable t src || unreachable t dst)
 
-(* Run a kernel-shaped activity on [sms] SMs of [rank_id] for
-   [duration]: acquire the SM pool, wait, trace. *)
-let on_sms t ~rank_id ~sms ~label ~lane duration =
-  let r = t.ranks.(rank_id) in
-  Tilelink_sim.Resource.use r.sms sms (fun () ->
-      let t0 = now t in
-      Tilelink_sim.Process.wait duration;
-      Tilelink_sim.Trace.add t.trace ~rank:rank_id ~lane ~label ~t0
-        ~t1:(now t))
-
-let on_dma t ~rank_id ~label body =
-  let r = t.ranks.(rank_id) in
-  Tilelink_sim.Resource.use r.dma 1 (fun () ->
-      let t0 = now t in
-      body ();
-      Tilelink_sim.Trace.add t.trace ~rank:rank_id ~lane:Tilelink_sim.Trace.Dma
-        ~label ~t0 ~t1:(now t))
-
 (* Snapshot per-rank lane utilization into the metrics registry:
    fraction of each SM/DMA pool that was busy over the elapsed horizon,
    plus interconnect byte counts and busy time.  Called after a run so

@@ -115,19 +115,6 @@ val transfer_ok : t -> src:int -> dst:int -> bool
 
 val transfer_duration : t -> src:int -> dst:int -> bytes:float -> float
 
-val on_sms :
-  t ->
-  rank_id:int ->
-  sms:int ->
-  label:string ->
-  lane:Tilelink_sim.Trace.lane ->
-  float ->
-  unit
-(** Occupy [sms] SMs for the given duration and trace the span. *)
-
-val on_dma : t -> rank_id:int -> label:string -> (unit -> unit) -> unit
-(** Run [body] while holding one DMA channel; traces the span. *)
-
 val record_utilization : t -> Tilelink_obs.Telemetry.t -> unit
 (** Snapshot per-rank lane-utilization gauges ([util.sm.rank<r>],
     [util.dma.rank<r>]) and interconnect byte/busy gauges into the

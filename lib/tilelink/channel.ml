@@ -166,64 +166,6 @@ let notify_instr t ~worker ~kind ~rank chan ~amount =
         sched d (fun () -> deliver t ?pred ~kind ~rank counter ~epoch ~amount)
       | None -> deliver t ?pred ~kind ~rank counter ~epoch ~amount))
 
-(* Instrumented wait, in three parts so the interpreter's cursors and
-   blocking processes share one path.  [wait_begin] journals the start
-   (even for a wait satisfied at once — a zero-latency wait is still a
-   pairing point) and, when the counter is below the threshold, enters
-   the wait in the pending-wait registry and returns its id; the caller
-   then parks on [wait_park].  [wait_end] journals the end, feeds the
-   per-primitive wait-latency histogram and stall spans, and drops the
-   registry entry.  The registry is maintained regardless of telemetry:
-   it is what watchdogs and deadlock enrichment read.  Only a wait that
-   parks enters it — a satisfied wait never yields, so no other process
-   can observe it in flight. *)
-let wait_begin_chan t ~rank chan ~threshold =
-  let key = Tilelink_sim.Counter.name chan.counter in
-  let id =
-    if Tilelink_sim.Counter.value chan.counter >= threshold then -1
-    else begin
-      let id = t.next_wait_id in
-      t.next_wait_id <- id + 1;
-      Waits.replace t.pending id
-        { pw_key = key; pw_rank = rank; pw_threshold = threshold;
-          pw_since = t.clock () };
-      id
-    end
-  in
-  if Tilelink_obs.Telemetry.active t.telemetry then begin
-    let journal =
-      Tilelink_obs.Telemetry.journal (Option.get t.telemetry)
-    in
-    if Tilelink_obs.Journal.enabled journal then
-      Tilelink_obs.Journal.record journal ~t:(t.clock ())
-        (Tilelink_obs.Journal.Wait_begin { key; rank; threshold })
-  end;
-  id
-
-let wait_end_chan t ~waiter ~worker ~kind ~rank chan ~threshold ~id ~since =
-  if Tilelink_obs.Telemetry.active t.telemetry then begin
-    let tele = Option.get t.telemetry in
-    let key = Tilelink_sim.Counter.name chan.counter in
-    let journal = Tilelink_obs.Telemetry.journal tele in
-    let t1 = t.clock () in
-    if Tilelink_obs.Journal.enabled journal then
-      Tilelink_obs.Journal.record journal ~t:t1
-        (Tilelink_obs.Journal.Wait_end
-           { key; rank; threshold; started = since });
-    let metrics = Tilelink_obs.Telemetry.metrics tele in
-    Tilelink_obs.Metrics.inc metrics kind.waits;
-    Tilelink_obs.Metrics.observe metrics kind.wait_us (t1 -. since);
-    (* Only a wait that actually blocked becomes a stall span; an
-       immediately satisfied wait has no causal weight. *)
-    if t1 > since then
-      Tilelink_obs.Span.record_wait
-        (Tilelink_obs.Telemetry.spans tele)
-        ~label:kind.wait
-        ~rank:(if waiter >= 0 then waiter else rank)
-        ~worker ~key ~threshold ~t0:since ~t1
-  end;
-  if id >= 0 then Waits.remove t.pending id
-
 let create ~world_size ~channels_per_rank ?(peer_channels = 1) ?telemetry
     ?(clock = fun () -> 0.0) ?interceptor ?scheduler () =
   if world_size <= 0 then invalid_arg "Channel.create: world_size";
@@ -388,25 +330,77 @@ let wait_op = function
   | Instr.Peer _ -> "peer_wait"
   | Instr.Host _ -> "host_wait"
 
+(* Instrumented wait, in three parts so the interpreter's cursors and
+   blocking processes share one path.  [wait_begin] journals the start
+   (even for a wait satisfied at once — a zero-latency wait is still a
+   pairing point) and, when the counter is below the threshold, enters
+   the wait in the pending-wait registry and returns its id; the caller
+   then parks on [wait_park].  [wait_end] journals the end, feeds the
+   per-primitive wait-latency histogram and stall spans, and drops the
+   registry entry.  The registry is maintained regardless of telemetry:
+   it is what watchdogs and deadlock enrichment read.  Only a wait that
+   parks enters it — a satisfied wait never yields, so no other process
+   can observe it in flight. *)
 let wait_begin t target ~threshold =
-  wait_begin_chan t ~rank:(wait_rank target)
-    (chan_of t target ~op:(wait_op target))
-    ~threshold
+  let rank = wait_rank target in
+  let chan = chan_of t target ~op:(wait_op target) in
+  let key = Tilelink_sim.Counter.name chan.counter in
+  let id =
+    if Tilelink_sim.Counter.value chan.counter >= threshold then -1
+    else begin
+      let id = t.next_wait_id in
+      t.next_wait_id <- id + 1;
+      Waits.replace t.pending id
+        { pw_key = key; pw_rank = rank; pw_threshold = threshold;
+          pw_since = t.clock () };
+      id
+    end
+  in
+  if Tilelink_obs.Telemetry.active t.telemetry then begin
+    let journal =
+      Tilelink_obs.Telemetry.journal (Option.get t.telemetry)
+    in
+    if Tilelink_obs.Journal.enabled journal then
+      Tilelink_obs.Journal.record journal ~t:(t.clock ())
+        (Tilelink_obs.Journal.Wait_begin { key; rank; threshold })
+  end;
+  id
 
 (* The cancellation tag is the *executing* rank (the process that
    blocks here), which for pc waits differs from the channel owner:
    killing a rank must wake the workers it hosts, not the waiters
-   watching its channels.  [Counter.no_tag] is -1, the "no waiter"
-   value. *)
+   watching its channels. *)
 let wait_park t ~waiter target ~threshold wake =
-  Tilelink_sim.Counter.when_ge ~tag:waiter
+  let tag = if waiter >= 0 then waiter else Tilelink_sim.Counter.no_tag in
+  Tilelink_sim.Counter.when_ge ~tag
     (chan_of t target ~op:(wait_op target)).counter threshold wake
 
 let wait_end t ~waiter ~worker target ~threshold ~id ~since =
-  wait_end_chan t ~waiter ~worker ~kind:(kind_of target)
-    ~rank:(wait_rank target)
-    (chan_of t target ~op:(wait_op target))
-    ~threshold ~id ~since
+  if Tilelink_obs.Telemetry.active t.telemetry then begin
+    let tele = Option.get t.telemetry in
+    let kind = kind_of target and rank = wait_rank target in
+    let key =
+      Tilelink_sim.Counter.name (chan_of t target ~op:(wait_op target)).counter
+    in
+    let journal = Tilelink_obs.Telemetry.journal tele in
+    let t1 = t.clock () in
+    if Tilelink_obs.Journal.enabled journal then
+      Tilelink_obs.Journal.record journal ~t:t1
+        (Tilelink_obs.Journal.Wait_end
+           { key; rank; threshold; started = since });
+    let metrics = Tilelink_obs.Telemetry.metrics tele in
+    Tilelink_obs.Metrics.inc metrics kind.waits;
+    Tilelink_obs.Metrics.observe metrics kind.wait_us (t1 -. since);
+    (* Only a wait that actually blocked becomes a stall span; an
+       immediately satisfied wait has no causal weight. *)
+    if t1 > since then
+      Tilelink_obs.Span.record_wait
+        (Tilelink_obs.Telemetry.spans tele)
+        ~label:kind.wait
+        ~rank:(if waiter >= 0 then waiter else rank)
+        ~worker ~key ~threshold ~t0:since ~t1
+  end;
+  if id >= 0 then Waits.remove t.pending id
 
 let wait ?(waiter = -1) ?(worker = -1) t target ~threshold =
   let since = t.clock () in

@@ -74,9 +74,9 @@ type ledger_entry = {
 }
 
 (* Raised inside instruction execution when the executing rank is found
-   dead (or a copy endpoint is unreachable); caught by the worker loop,
-   which poisons the ledger entry and either moves on (survivor rank,
-   one lost copy) or drains (the worker's own rank crashed). *)
+   dead (or a copy endpoint is unreachable); caught by the cursor's
+   step, which poisons the ledger entry and either moves on (survivor
+   rank, one lost copy) or drains (the worker's own rank crashed). *)
 exception Abandoned
 
 (* ------------------------------------------------------------------ *)
@@ -84,16 +84,16 @@ exception Abandoned
 (* ------------------------------------------------------------------ *)
 
 (* Every execution stream — an SM or DMA pool worker, a host stream, a
-   failover replay group — runs as a cursor: a mutable record holding
-   a program counter into the current task's instruction list and a
-   per-instruction phase, instead of an effect fiber.  The counter is
-   the list's remaining tail, so a task runs from the program's own
-   list with no copy.  The engine
-   re-enters a cursor through its [step] closure (one per cursor) and
-   a waiter list resumes it through its [wake] closure, so an event
-   allocates no continuation and no thunk.  Each phase boundary is one
-   [Process.wait] or [Process.suspend] of a direct-style interpreter,
-   booked as the same events in the same order. *)
+   failover replay group — runs as a cursor: a mutable record holding a
+   program counter into the current task's instruction list and a
+   per-instruction phase.  The counter is the list's remaining tail, so
+   a task runs from the program's own list with no copy.  The engine
+   re-enters a cursor through its [step] closure (one per cursor) and a
+   waiter list resumes it through its [wake] closure, so an event
+   allocates no continuation and no thunk.  A phase boundary books
+   exactly what a [Process.wait] or [Process.suspend] would, so a run
+   executes the events a direct-style process running the same
+   instructions would, in the same order. *)
 
 (* What every cursor of one run shares. *)
 type env = {
