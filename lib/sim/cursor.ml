@@ -21,9 +21,9 @@ let create engine =
 
 let set_step t step = t.step <- step
 
-let start ?(at = 0.0) t first =
+let start t first =
   Engine.process_started t.engine;
-  Engine.schedule t.engine ~delay:at first
+  Engine.schedule t.engine ~delay:0.0 first
 
 let wait t dt =
   if dt < 0.0 then invalid_arg "Cursor.wait: negative duration";

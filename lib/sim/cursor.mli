@@ -18,10 +18,9 @@ val create : Engine.t -> t
 
 val set_step : t -> (unit -> unit) -> unit
 
-val start : ?at:float -> t -> (unit -> unit) -> unit
-(** [start t first] counts a started process and runs [first] at
-    [now + at] (default 0).  [first] runs once; later events run the
-    step. *)
+val start : t -> (unit -> unit) -> unit
+(** [start t first] counts a started process and runs [first] at the
+    current instant.  [first] runs once; later events run the step. *)
 
 val wait : t -> float -> unit
 (** Run the step again after the given duration (µs).  Raises
