@@ -262,15 +262,16 @@ let nic_bytes t ~node =
 let nvlink_bytes t ~rank_id =
   Tilelink_sim.Bandwidth.bytes_moved t.ranks.(rank_id).nvlink_egress
 
-(* Move [bytes] from [src] to [dst].  Intra-node traffic binds on the
-   source's NVLink egress; inter-node traffic binds on both nodes'
-   NICs (modeled as the source node NIC, the bottleneck in practice).
-   A local "transfer" is a no-op time-wise beyond HBM, which callers
-   model separately. *)
+(* Intra-node traffic binds on the source's NVLink egress; inter-node
+   traffic binds on both nodes' NICs (modeled as the source node NIC,
+   the bottleneck in practice). *)
 let link t ~src ~dst =
   if same_node t src dst then t.ranks.(src).nvlink_egress
   else t.nics.(t.ranks.(src).node)
 
+(* Move [bytes] from [src] to [dst] over their link.  A local
+   "transfer" is a no-op time-wise beyond HBM, which callers model
+   separately. *)
 let transfer ?(force = false) t ~src ~dst ~bytes =
   if src = dst then ()
   else if (not force) && (unreachable t src || unreachable t dst) then

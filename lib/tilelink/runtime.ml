@@ -218,8 +218,6 @@ let load_task c ~instrs ~lead ~entry ~label =
 
 let now c = Cluster.now c.env.cluster
 
-let park c = Cursor.park c.sim
-
 let release_unit c =
   if c.holding then begin
     c.holding <- false;
@@ -251,7 +249,7 @@ and take_unit c =
     c.holding <- true;
     if Resource.try_acquire pool 1 then advance c
     else begin
-      park c;
+      Cursor.park c.sim;
       Resource.enqueue pool 1 (Cursor.waker c.sim)
     end
 
@@ -414,7 +412,7 @@ and copy c ~label ~src ~dst ~bytes ~action =
       c.phase <- 2;
       if Bandwidth.try_admit link then copy c ~label ~src ~dst ~bytes ~action
       else begin
-        park c;
+        Cursor.park c.sim;
         Bandwidth.admit_later link (Cursor.waker c.sim)
       end
     end
@@ -478,7 +476,7 @@ and wait c ~target ~threshold =
     c.wait_id <- id;
     c.phase <- 2;
     if id >= 0 then begin
-      park c;
+      Cursor.park c.sim;
       Channel.wait_park env.channels ~waiter:c.exec_rank target ~threshold
         (Cursor.waker c.sim)
     end
