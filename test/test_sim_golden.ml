@@ -6,6 +6,8 @@
    case ([Golden]) pins what a run reports:
    - every [Suite] program: makespan, notifies, executed events, span
      count and the six attribution buckets;
+   - the same for a few programs on the paper machine, where load
+     stalls and signal fences cost events;
    - the scores [Tune.search_programs] gives a small design space;
    - one forced-crash chaos trial per workload, plus a whole-island
      crash on islands2x8 and a default-spec trial (machine and signal
