@@ -149,8 +149,12 @@ type cursor = {
   mutable skip : int;  (* checkpointed notifies a replay skips *)
   mutable phase : int;
   mutable wait_id : int;
-  mutable loads : (Instr.access * float) list;
-      (* in flight: (access, ready time) *)
+  (* Loads in flight: [load_access.(i)] completes at [load_ready.(i)]
+     for [i < nloads].  The arrays grow by doubling, so a Load
+     allocates nothing. *)
+  mutable load_access : Instr.access array;
+  mutable load_ready : float array;
+  mutable nloads : int;
   marks : marks;
   (* The stream's source of tasks: load the next one (false when there
      is none), account a completed or an abandoned one (whether to
@@ -173,32 +177,6 @@ let span_label c label =
   | Cross_island_replay -> label ^ "@x"
   | Not_replay | Replay -> label
 
-(* In-flight loads of one worker: (access, ready time) pairs.
-   [prune_loads t] drops the loads that completed by [t] and returns
-   the list itself when none did, so a steady pipeline does not copy it
-   on every Load. *)
-let rec prune_loads (t : float) = function
-  | [] -> []
-  | ((_, ready) as load) :: rest as loads ->
-    let kept = prune_loads t rest in
-    if ready > t then if kept == rest then loads else load :: kept else kept
-
-let rec reads_overlap access = function
-  | [] -> false
-  | read :: rest ->
-    Instr.accesses_overlap access read || reads_overlap access rest
-
-(* When [reads] can start: the latest ready time of a pending load they
-   overlap, or [now].  Only a load still in flight can raise the result
-   above [now], so completed loads skip the overlap test. *)
-let rec load_ready (acc : float) reads = function
-  | [] -> acc
-  | (access, ready) :: rest ->
-    let acc =
-      if ready > acc && reads_overlap access reads then ready else acc
-    in
-    load_ready acc reads rest
-
 (* A task's leading waits/loads execute before the worker occupies an
    execution unit: a CTA is only scheduled once its dependencies are
    satisfied (stream-ordered concurrent kernels), so a blocked consumer
@@ -217,6 +195,50 @@ let load_task c ~instrs ~lead ~entry ~label =
   c.phase <- 0
 
 let now c = Cluster.now c.env.cluster
+
+(* A Load issued now: drop the loads that completed by now, then add
+   [access], ready [latency] from now. *)
+let add_load c access ~latency =
+  let t = now c in
+  let kept = ref 0 in
+  for i = 0 to c.nloads - 1 do
+    if c.load_ready.(i) > t then begin
+      c.load_access.(!kept) <- c.load_access.(i);
+      c.load_ready.(!kept) <- c.load_ready.(i);
+      incr kept
+    end
+  done;
+  let n = !kept in
+  if n = Array.length c.load_ready then begin
+    let grow a fill =
+      let b = Array.make (max 4 (2 * n)) fill in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    c.load_access <- grow c.load_access access;
+    c.load_ready <- grow c.load_ready 0.0
+  end;
+  c.load_access.(n) <- access;
+  c.load_ready.(n) <- t +. latency;
+  c.nloads <- n + 1
+
+let rec reads_overlap access = function
+  | [] -> false
+  | read :: rest ->
+    Instr.accesses_overlap access read || reads_overlap access rest
+
+(* Mark a compute issued now, ready once every in-flight load that
+   [reads] overlap has completed.  Only a load still in flight can put
+   [ready] past [issue], so completed loads skip the overlap test. *)
+let mark_issue c reads =
+  let m = c.marks in
+  m.issue <- now c;
+  m.ready <- m.issue;
+  for i = 0 to c.nloads - 1 do
+    let ready = c.load_ready.(i) in
+    if ready > m.ready && reads_overlap c.load_access.(i) reads then
+      m.ready <- ready
+  done
 
 let release_unit c =
   if c.holding then begin
@@ -271,10 +293,7 @@ and exec c instr =
        hoisting the load ahead of the previous tile's compute. *)
     check_live c;
     let latency = c.env.spec.Spec.gpu.load_latency in
-    if latency > 0.0 then begin
-      let t = now c in
-      c.loads <- (access, t +. latency) :: prune_loads t c.loads
-    end;
+    if latency > 0.0 then add_load c access ~latency;
     next_instr c
   | Instr.Store _ ->
     check_live c;
@@ -308,12 +327,9 @@ and compute c ~label ~cost ~reads ~action =
   match c.phase with
   | 0 ->
     check_live c;
-    let issue = now c in
-    let ready = load_ready issue reads c.loads in
-    m.issue <- issue;
-    m.ready <- ready;
+    mark_issue c reads;
     c.phase <- 1;
-    if ready > issue then Cursor.wait c.sim (ready -. issue)
+    if m.ready > m.issue then Cursor.wait c.sim (m.ready -. m.issue)
     else compute c ~label ~cost ~reads ~action
   | 1 ->
     (* Fusion interference applies only while a communication role is
@@ -552,7 +568,9 @@ let make_cursor env ~lane ~pool ~comm_active ~rank ~next ~finished ~abandoned
       skip = 0;
       phase = 0;
       wait_id = -1;
-      loads = [];
+      load_access = [||];
+      load_ready = [||];
+      nloads = 0;
       marks = { t0 = 0.0; issue = 0.0; ready = 0.0; since = 0.0 };
       next;
       finished;
@@ -1134,7 +1152,7 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
                 c.exec_rank <- exec_rank;
                 c.replay <- replay;
                 c.skip <- e.le_notified;
-                c.loads <- [];
+                c.nloads <- 0;
                 load_task c ~instrs:task.Program.instrs ~lead:(-1)
                   ~entry:(Some e)
                   ~label:(task.Program.label ^ replay_suffix replay);
