@@ -144,7 +144,7 @@ type cursor = {
       (* the program counter: the instruction in flight and those after
          it, in the task's own list *)
   mutable lead : int;
-      (* instructions left before the pool unit is taken; -1: none is *)
+      (* instructions left before the pool unit is taken *)
   mutable holding : bool;
   mutable skip : int;  (* checkpointed notifies a replay skips *)
   mutable phase : int;
@@ -253,19 +253,8 @@ let exit_stream c =
 (* Run the cursor until it books an event or parks.  Every path that
    carries on is a tail call. *)
 let rec advance c =
-  if c.lead = 0 && not c.holding then take_unit c
-  else
-    match c.rest with
-    | instr :: _ -> exec c instr
-    | [] ->
-      release_unit c;
-      c.finished c;
-      if c.next c then advance c else exit_stream c
-
-and take_unit c =
   match c.pool with
-  | None -> invalid_arg "Runtime: pool unit without a pool"
-  | Some pool ->
+  | Some pool when c.lead = 0 && not c.holding ->
     (* Held from here on: a queued request is granted before the
        wake. *)
     c.holding <- true;
@@ -274,6 +263,13 @@ and take_unit c =
       Cursor.park c.sim;
       Resource.enqueue pool 1 (Cursor.waker c.sim)
     end
+  | _ -> (
+    match c.rest with
+    | instr :: _ -> exec c instr
+    | [] ->
+      release_unit c;
+      c.finished c;
+      if c.next c then advance c else exit_stream c)
 
 and next_instr c =
   (match c.rest with _ :: rest -> c.rest <- rest | [] -> ());
@@ -563,7 +559,7 @@ let make_cursor env ~lane ~pool ~comm_active ~rank ~next ~finished ~abandoned
       entry = None;
       label = "";
       rest = [];
-      lead = -1;
+      lead = 0;
       holding = false;
       skip = 0;
       phase = 0;
@@ -597,7 +593,7 @@ let queue_cursor env ~rank ~lane ~pool ~comm_active ~on_exit queue =
         queue := rest;
         let instrs = task.Program.instrs in
         load_task c ~instrs
-          ~lead:(match pool with Some _ -> leading_waits 0 instrs | None -> -1)
+          ~lead:(leading_waits 0 instrs)
           ~entry ~label:task.Program.label;
         true)
     ~finished:(fun c ->
@@ -1153,7 +1149,7 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
                 c.replay <- replay;
                 c.skip <- e.le_notified;
                 c.nloads <- 0;
-                load_task c ~instrs:task.Program.instrs ~lead:(-1)
+                load_task c ~instrs:task.Program.instrs ~lead:0
                   ~entry:(Some e)
                   ~label:(task.Program.label ^ replay_suffix replay);
                 true)
