@@ -275,12 +275,21 @@ let stall_info_of case (s : Chaos.stall) =
     si_tile_rows = Option.bind s.Chaos.stall_channel case.tile_rows;
   }
 
-let run_trial_impl ?(spec = Chaos.default_spec) ?(retry = true)
-    ?(policy = Chaos.Degrade) ?(crash_ranks = 0) ?watchdog ?topology
-    ?(profile = false) ~workload ~seed ~index () =
+(* The case and its fault-free run: the ideal makespan, and proof the
+   memory checker passes without faults.  Neither depends on the seed or
+   the trial index, so a sweep makes them once. *)
+let trial_base ?topology workload =
   let case =
     case_of ?world:(Option.map Topology.natural_world topology) workload
   in
+  let memory = case.alloc () in
+  let cluster = Cluster.create ?topology case.machine ~world_size:case.world in
+  let r = Runtime.run ~data:true ~memory cluster (case.build ()) in
+  (case, r.Runtime.makespan)
+
+let run_trial_impl ?(spec = Chaos.default_spec) ?(retry = true)
+    ?(policy = Chaos.Degrade) ?(crash_ranks = 0) ?watchdog ?topology
+    ?(profile = false) ~base:(case, ideal) ~seed ~index () =
   let layout =
     Option.map (fun t -> Topology.layout t ~world_size:case.world) topology
   in
@@ -306,14 +315,6 @@ let run_trial_impl ?(spec = Chaos.default_spec) ?(retry = true)
   let policy =
     if crash_ranks > 0 && policy = Chaos.Degrade then Chaos.Failover
     else policy
-  in
-  (* Fault-free run: ideal makespan, and proof the memory checker
-     passes without faults. *)
-  let ideal =
-    let memory = case.alloc () in
-    let cluster = Cluster.create ?topology case.machine ~world_size:case.world in
-    let r = Runtime.run ~data:true ~memory cluster (case.build ()) in
-    r.Runtime.makespan
   in
   let wd =
     match watchdog with
@@ -434,17 +435,14 @@ let run_trial ?spec ?retry ?policy ?crash_ranks ?watchdog ?topology ~workload
     ~seed ~index () =
   let trial, _, _ =
     run_trial_impl ?spec ?retry ?policy ?crash_ranks ?watchdog ?topology
-      ~workload ~seed ~index ()
+      ~base:(trial_base ?topology workload) ~seed ~index ()
   in
   trial
 
 let profile_trial ?spec ?retry ?policy ?crash_ranks ?watchdog ?topology
     ~workload ~seed ~index () =
-  let trial, trace, telemetry =
-    run_trial_impl ?spec ?retry ?policy ?crash_ranks ?watchdog ?topology
-      ~profile:true ~workload ~seed ~index ()
-  in
-  (trial, trace, telemetry)
+  run_trial_impl ?spec ?retry ?policy ?crash_ranks ?watchdog ?topology
+    ~profile:true ~base:(trial_base ?topology workload) ~seed ~index ()
 
 let summarize ~workload ~seed trials =
   let count c =
@@ -480,12 +478,16 @@ let summarize ~workload ~seed trials =
 let run_trials ?pool ?spec ?retry ?policy ?crash_ranks ?watchdog ?topology
     ~workload ~seed ~trials () =
   if trials <= 0 then invalid_arg "Harness.run_trials: trials must be > 0";
+  let base = trial_base ?topology workload in
   let indices = List.init trials Fun.id in
   let results =
     Pool.map pool
       (fun index ->
-        run_trial ?spec ?retry ?policy ?crash_ranks ?watchdog ?topology
-          ~workload ~seed ~index ())
+        let trial, _, _ =
+          run_trial_impl ?spec ?retry ?policy ?crash_ranks ?watchdog ?topology
+            ~base ~seed ~index ()
+        in
+        trial)
       indices
   in
   summarize ~workload ~seed (List.map Pool.get results)

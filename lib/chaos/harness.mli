@@ -151,7 +151,9 @@ val run_trials :
   summary
 (** Run [trials] independent trials (sub-seeded from [seed]) on the
     pool when given, sequentially otherwise; results are in trial-index
-    order either way.  Raises [Invalid_argument] when [trials <= 0]. *)
+    order either way, and trial [i] equals [run_trial ~index:i].  The
+    fault-free run depends on neither seed nor index, so it runs once
+    per sweep.  Raises [Invalid_argument] when [trials <= 0]. *)
 
 val summarize : workload:workload -> seed:int -> trial list -> summary
 val trial_to_json : trial -> Obs.Json.t

@@ -9,29 +9,18 @@
 type t = {
   config : Lower.config;  (* mapping, rank, world size, copy labels *)
   channel_base : int;  (* offset into the rank's pc channel array *)
-  peer_channels : int;
 }
 
 let make ~channel_base ~labels ~rank ~world_size mapping =
-  if rank < 0 || rank >= world_size then
+  if rank <> Lower.self && (rank < 0 || rank >= world_size) then
     invalid_arg "Block_channel.create: rank out of range";
   if Mapping.ranks mapping <> world_size then
     invalid_arg "Block_channel.create: mapping/world size mismatch";
-  {
-    config = { Lower.mapping; rank; world_size; labels };
-    channel_base;
-    peer_channels = 1;
-  }
+  { config = { Lower.mapping; rank; world_size; labels }; channel_base }
 
-let create ?(channel_base = 0) ?(peer_channels = 1) ~rank ~world_size mapping
-    =
-  {
-    (make ~channel_base
-       ~labels:(Lower.copy_labels ~world_size)
-       ~rank ~world_size mapping)
-    with
-    peer_channels;
-  }
+let create ?(channel_base = 0) ~rank ~world_size mapping =
+  make ~channel_base ~labels:(Lower.copy_labels ~world_size) ~rank
+    ~world_size mapping
 
 (* One context per rank over a single mapping: the metadata one compiled
    kernel reads on each rank.  The copy labels are rendered once and
@@ -41,87 +30,28 @@ let per_rank ?(channel_base = 0) ~world_size mapping =
   Array.init world_size (fun rank ->
       make ~channel_base ~labels ~rank ~world_size mapping)
 
-let rank t = t.config.Lower.rank
-let world_size t = t.config.Lower.world_size
-let mapping t = t.config.Lower.mapping
-let channel_base t = t.channel_base
-let peer_channels t = t.peer_channels
-
-(* Channels this link occupies: [channel_base, channel_base + extent). *)
-let channel_extent t = Mapping.num_channels (mapping t)
+(* The kernel before it knows its rank: lowering in this context leaves
+   [Lower.self] wherever the executing rank names a signal target. *)
+let symbolic ?channel_base ~world_size mapping =
+  create ?channel_base ~rank:Lower.self ~world_size mapping
 
 let lower_config t = t.config
 
+let shift base = function
+  | Instr.Pc { rank; channel } -> Instr.Pc { rank; channel = channel + base }
+  | target -> target
+
 (* Lower a statement list in this context, applying the channel-base
-   offset to every producer/consumer signal target.
-
-   With [telemetry], lowering also reports the static shape of the
-   signal fabric it is about to occupy: a [Channel_acquire] journal
-   event for the channel range (timestamped 0 — lowering happens before
-   simulation time starts) and counters for how many wait/notify
-   instructions the tile-centric primitives expanded into. *)
-let lower ?telemetry t stmts =
-  if Tilelink_obs.Telemetry.active telemetry then begin
-    let tele = Option.get telemetry in
-    Tilelink_obs.Journal.record
-      (Tilelink_obs.Telemetry.journal tele)
-      ~t:0.0
-      (Tilelink_obs.Journal.Channel_acquire
-         { rank = rank t; base = t.channel_base; extent = channel_extent t });
-    (* Zero-length marker span at t=0: makes the lowering's channel
-       occupation visible to the span DAG without adding any charged
-       time (never on the critical path — zero duration, no preds). *)
-    Tilelink_obs.Span.record_task
-      (Tilelink_obs.Telemetry.spans tele)
-      ~kind:Tilelink_obs.Span.Compute
-      ~label:
-        (Printf.sprintf "lower.acquire[%d..%d)" t.channel_base
-           (t.channel_base + channel_extent t))
-      ~rank:(rank t) ~worker:(-1) ~t0:0.0 ~t1:0.0
-  end;
-  let note_instr = function
-    | Instr.Wait _ ->
-      Option.iter
-        (fun tele ->
-          Tilelink_obs.Metrics.inc
-            (Tilelink_obs.Telemetry.metrics tele)
-            "lowered.waits")
-        telemetry
-    | Instr.Notify _ ->
-      Option.iter
-        (fun tele ->
-          Tilelink_obs.Metrics.inc
-            (Tilelink_obs.Telemetry.metrics tele)
-            "lowered.notifies")
-        telemetry
-    | _ -> ()
-  in
-  let shift = function
-    | Instr.Wait { target = Instr.Pc { rank; channel }; threshold; guards } ->
-      Instr.Wait
-        {
-          target = Instr.Pc { rank; channel = channel + t.channel_base };
-          threshold;
-          guards;
-        }
-    | Instr.Notify { target = Instr.Pc { rank; channel }; amount; releases }
-      ->
-      Instr.Notify
-        {
-          target = Instr.Pc { rank; channel = channel + t.channel_base };
-          amount;
-          releases;
-        }
-    | instr -> instr
-  in
+   offset to every producer/consumer signal target. *)
+let lower t stmts =
   let instrs = Lower.lower t.config stmts in
-  let instrs = if t.channel_base = 0 then instrs else List.map shift instrs in
-  if Tilelink_obs.Telemetry.active telemetry then List.iter note_instr instrs;
-  instrs
+  if t.channel_base = 0 then instrs
+  else List.map (Instr.map_target shift t.channel_base) instrs
 
-(* A task in rank-free form.  Builders make one per tile of a program
-   and lower it on every rank that runs the tile, so labels, statements
-   and data actions are built once per program, not once per rank. *)
+(* A task in rank-free form.  Builders make one per tile of a program,
+   lower it once in the [symbolic] context and [instantiate] it on every
+   rank that runs the tile, so labels, statements, data actions and
+   instructions are built once per program, not once per rank. *)
 type task = { label : string; stmts : Primitive.t list }
 
 (* Ring labels depend on the stage and tile only:
@@ -130,5 +60,33 @@ type task = { label : string; stmts : Primitive.t list }
 let stage_labels ~stages ~tiles fmt =
   Array.init stages (fun stage -> Array.init tiles (fmt stage))
 
-let lower_task ?telemetry t task =
-  { Program.label = task.label; instrs = lower ?telemetry t task.stmts }
+let lower_task t task =
+  { Program.label = task.label; instrs = lower t task.stmts }
+
+(* Substituting the rank returns its argument physically wherever it
+   names no [Lower.self], so a rank's copy of a template allocates only
+   the signal instructions that name it and the list cells before the
+   last of them. *)
+let self_to rank r = if r = Lower.self then rank else r
+
+let substitute rank target =
+  match target with
+  | Instr.Pc { rank = r; channel } when r = Lower.self ->
+    Instr.Pc { rank; channel }
+  | Instr.Peer { src; dst; channel } when src = Lower.self || dst = Lower.self
+    ->
+    Instr.Peer { src = self_to rank src; dst = self_to rank dst; channel }
+  | Instr.Host { src; dst } when src = Lower.self || dst = Lower.self ->
+    Instr.Host { src = self_to rank src; dst = self_to rank dst }
+  | _ -> target
+
+let rec instantiate ~rank = function
+  | [] -> []
+  | instr :: rest as instrs ->
+    let instr' = Instr.map_target substitute rank instr in
+    let rest' = instantiate ~rank rest in
+    if instr' == instr && rest' == rest then instrs else instr' :: rest'
+
+let instantiate_task ~rank (task : Program.task) =
+  let instrs = instantiate ~rank task.Program.instrs in
+  if instrs == task.Program.instrs then task else { task with Program.instrs }

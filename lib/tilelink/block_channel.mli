@@ -4,38 +4,30 @@
 type t
 
 val create :
-  ?channel_base:int ->
-  ?peer_channels:int ->
-  rank:int ->
-  world_size:int ->
-  Mapping.t ->
-  t
+  ?channel_base:int -> rank:int -> world_size:int -> Mapping.t -> t
+(** The context of [rank]: in [0, world_size), or {!Lower.self} for
+    {!symbolic}. *)
 
 val per_rank : ?channel_base:int -> world_size:int -> Mapping.t -> t array
 (** The contexts of ranks [0 .. world_size - 1] over one mapping, built
     once per program: element [r] equals [create ?channel_base ~rank:r],
     and every rank shares one set of copy labels. *)
 
-val rank : t -> int
-val world_size : t -> int
-val mapping : t -> Mapping.t
-val channel_base : t -> int
-val peer_channels : t -> int
-val channel_extent : t -> int
 val lower_config : t -> Lower.config
 
-val lower :
-  ?telemetry:Tilelink_obs.Telemetry.t -> t -> Primitive.t list -> Instr.t list
+val symbolic : ?channel_base:int -> world_size:int -> Mapping.t -> t
+(** The context of the one kernel every rank runs: its rank is
+    {!Lower.self}.  Lower a rank-free task in it once per program, then
+    {!instantiate_task} the result on each rank that runs the tile. *)
+
+val lower : t -> Primitive.t list -> Instr.t list
 (** Lower statements in this context, offsetting producer/consumer
-    channel ids by [channel_base].  With [telemetry], records a
-    [Channel_acquire] journal event for the occupied channel range and
-    counts the wait/notify instructions the primitives lowered into
-    ([lowered.waits] / [lowered.notifies]). *)
+    channel ids by [channel_base]. *)
 
 type task = { label : string; stmts : Primitive.t list }
 (** A task before lowering: its label and statements, which hold no
-    rank.  Build one per tile of a program and lower it on each rank
-    that runs the tile. *)
+    rank.  Build one per tile of a program and lower it once, in the
+    {!symbolic} context. *)
 
 val stage_labels :
   stages:int -> tiles:int -> (int -> int -> string) -> string array array
@@ -43,6 +35,13 @@ val stage_labels :
     labels of a ring with [stages] stages of [tiles] tiles, built once
     per program and shared by every rank. *)
 
-val lower_task :
-  ?telemetry:Tilelink_obs.Telemetry.t -> t -> task -> Program.task
+val lower_task : t -> task -> Program.task
 (** [lower] the statements under the task's label. *)
+
+val instantiate : rank:int -> Instr.t list -> Instr.t list
+(** Substitute [rank] for {!Lower.self} in every signal target; it
+    commutes with {!Pipeline}.  Every instruction without [self], and the
+    tail after the last one with it, is shared with the template. *)
+
+val instantiate_task : rank:int -> Program.task -> Program.task
+(** [instantiate] a template task's instructions. *)

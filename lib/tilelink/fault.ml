@@ -277,19 +277,13 @@ let remap_program (program : Program.t) ~dead ~survivors =
     Mapping.remap_channels ~ranks:(Program.world_size program)
       ~channels_per_rank:program.Program.pc_channels ~dead ~survivors
   in
-  let retarget = function
+  let retarget reroute = function
     | Instr.Pc { rank; channel } ->
       let rank, channel = reroute rank channel in
       Instr.Pc { rank; channel }
     | t -> t
   in
-  let rewrite = function
-    | Instr.Notify { target; amount; releases } ->
-      Instr.Notify { target = retarget target; amount; releases }
-    | Instr.Wait { target; threshold; guards } ->
-      Instr.Wait { target = retarget target; threshold; guards }
-    | instr -> instr
-  in
+  let rewrite = Instr.map_target retarget reroute in
   let plans =
     Array.map
       (fun plan ->

@@ -141,6 +141,19 @@ type t =
   | Sleep of float
       (** Fixed latency (host gaps, launch overheads inside a role). *)
 
+(* [instr] with its signal target [t] replaced by [f x t]: [instr]
+   itself when [f] returns [t], so a rewrite that changes nothing
+   allocates nothing.  [x] saves a closure per call. *)
+let map_target f x instr =
+  match instr with
+  | Wait w ->
+    let target = f x w.target in
+    if target == w.target then instr else Wait { w with target }
+  | Notify n ->
+    let target = f x n.target in
+    if target == n.target then instr else Notify { n with target }
+  | Load _ | Store _ | Compute _ | Copy _ | Sleep _ -> instr
+
 let reads_of = function
   | Load { access } -> [ access ]
   | Compute { reads; _ } -> reads

@@ -17,9 +17,12 @@ let copy_labels ~world_size =
   in
   { push_to = render "push->r"; pull_from = render "pull<-r" }
 
+(* The executing rank of a template (Block_channel.instantiate). *)
+let self = min_int
+
 type config = {
   mapping : Mapping.t;
-  rank : int;        (* the executing rank the statements belong to *)
+  rank : int;        (* the executing rank, or [self] in a template *)
   world_size : int;
   labels : copy_labels;
 }

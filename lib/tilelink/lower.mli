@@ -7,9 +7,14 @@ type copy_labels
 
 val copy_labels : world_size:int -> copy_labels
 
+val self : int
+(** The symbolic rank: lowering with [rank = self] leaves it in every
+    signal target that names the executing rank.  It is negative, so
+    {!Program.validate} rejects a program it leaks into. *)
+
 type config = {
   mapping : Mapping.t;
-  rank : int;
+  rank : int;  (** The executing rank, or {!self}. *)
   world_size : int;
   labels : copy_labels;
       (** Shared by every rank of a program when built once (see

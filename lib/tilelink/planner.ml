@@ -372,9 +372,10 @@ let consumer_task g cand co ~grid tile =
   }
 
 (* Synthesis builds everything that does not depend on the rank once:
-   the mapping, the grids and one task per tile, labels included.  Each
-   rank then only lowers the tasks it runs, in its own tile order, which
-   resolves its signal targets. *)
+   the mapping, the grids and one lowered (and, for consumers,
+   pipelined) task per tile, labels included.  Each rank then only
+   instantiates the tasks it runs, in its own tile order, which resolves
+   its signal targets. *)
 let synthesize g cand ~spec_gpu =
   let r = g.g_world in
   let config = cand.pl_config in
@@ -404,15 +405,21 @@ let synthesize g cand ~spec_gpu =
       Tile.grid ~extent_m:g.g_rows ~extent_n:g.g_cols ~tile_m:compute_tm
         ~tile_n:g.g_cols
   in
-  let gather = gather_tasks g cand ~mapping ~comm_grid in
+  let bc = Block_channel.symbolic ~world_size:r mapping in
+  let gather =
+    Array.map (Block_channel.lower_task bc)
+      (gather_tasks g cand ~mapping ~comm_grid)
+  in
   let consumers =
     List.map
       (fun co ->
         let grid = consumer_grid co in
-        ( co,
-          grid,
-          Array.init (Tile.tile_count grid) (fun tid ->
-              consumer_task g cand co ~grid (Tile.of_linear grid tid)) ))
+        let template tid =
+          Pipeline.pipeline_task ~stages:config.Design_space.stages
+            (Block_channel.lower_task bc
+               (consumer_task g cand co ~grid (Tile.of_linear grid tid)))
+        in
+        (co, grid, Array.init (Tile.tile_count grid) template))
       g.g_consumers
   in
   let comm_sms =
@@ -428,17 +435,16 @@ let synthesize g cand ~spec_gpu =
   let dma =
     Program.Dma_engines (min 2 spec_gpu.Tilelink_machine.Spec.gpu.dma_channels)
   in
-  let bcs = Block_channel.per_rank ~world_size:r mapping in
   let plans =
     Array.init r (fun rank ->
-        let bc = bcs.(rank) in
         let gathers =
           let tiles =
             Tile.enumerate ~rank comm_grid
               config.Design_space.comm_order
           in
           let lower tile =
-            Block_channel.lower_task bc gather.(Tile.linearize comm_grid tile)
+            Block_channel.instantiate_task ~rank
+              gather.(Tile.linearize comm_grid tile)
           in
           match cand.pl_transfer with
           | Pull -> List.map lower tiles
@@ -494,9 +500,8 @@ let synthesize g cand ~spec_gpu =
           List.map
             (fun (co, grid, tasks) ->
               let lower tile =
-                Pipeline.pipeline_task ~stages:config.Design_space.stages
-                  (Block_channel.lower_task bc
-                     tasks.(Tile.linearize grid tile))
+                Block_channel.instantiate_task ~rank
+                  tasks.(Tile.linearize grid tile)
               in
               {
                 Program.role_name = co.co_name;

@@ -97,24 +97,25 @@ type config = {
 let default_config = { q_tile = 128; kv_tile = 512 }
 
 (* A consumer tile's work on one KV tile, free of any rank: the wait
-   and loads that start it, and the flash step's reads and data action.
-   Only the flash step's label depends on the rank, through the ring
-   step at which the rank reaches the KV tile. *)
+   and loads that start it, lowered once with the rank symbolic, and the
+   flash step's reads and data action.  Only the flash step's label
+   depends on the rank, through the ring step at which the rank reaches
+   the KV tile. *)
 type kv_step = {
-  prologue : Primitive.t list;
+  prologue : Instr.t list;
   reads : Instr.access list;
   action : Instr.action option;
 }
 
 (* One consumer tile, a (z, q-tile) pair: its labels, with the flash
-   labels indexed by ring step, and its statements, with the KV steps
-   indexed by global KV tile. *)
+   labels indexed by ring step, and its lowered instructions, with the
+   KV steps indexed by global KV tile. *)
 type consumer = {
   label : string;
   flash_labels : string array;
-  load_q : Primitive.t;
+  load_q : Instr.t list;
   kv_steps : kv_step array;
-  epilogue : Primitive.t list;
+  epilogue : Instr.t list;
 }
 
 let program ?(config = default_config) spec ~(spec_gpu : Spec.t) =
@@ -132,9 +133,10 @@ let program ?(config = default_config) spec ~(spec_gpu : Spec.t) =
       ()
   in
   let d = spec.head_dim in
-  (* Everything rank-invariant is built once per program: labels,
-     statements and data actions.  Each rank only rotates the tasks
-     into its own ring order and lowers them. *)
+  (* Everything rank-invariant is built and lowered once per program:
+     labels, instructions and data actions.  Each rank only rotates the
+     fragments into its own ring order and instantiates them. *)
+  let bc = Block_channel.symbolic ~world_size:r mapping in
   (* --- host stream: copy-engine AllGather of K and V ---
      One rank_copy_data per (tensor, segment): the copy engine moves the
      whole z-strided segment in a single transfer; the strided scatter
@@ -216,12 +218,13 @@ let program ?(config = default_config) spec ~(spec_gpu : Spec.t) =
       let k_rows = access ~buffer:"k_full" ~row:rows ~col:(0, d) () in
       {
         prologue =
-          [
-            Primitive.Consumer_tile_wait
-              { lo = klo; hi = khi; buffer = "k_full"; col = (0, d) };
-            Primitive.Load k_rows;
-            Primitive.Load (access ~buffer:"v_full" ~row:rows ~col:(0, d) ());
-          ];
+          Block_channel.lower bc
+            [
+              Primitive.Consumer_tile_wait
+                { lo = klo; hi = khi; buffer = "k_full"; col = (0, d) };
+              Primitive.Load k_rows;
+              Primitive.Load (access ~buffer:"v_full" ~row:rows ~col:(0, d) ());
+            ];
         reads = [ k_rows ];
         action = Some action;
       }
@@ -236,21 +239,28 @@ let program ?(config = default_config) spec ~(spec_gpu : Spec.t) =
       label = Printf.sprintf "attn[z%d,m%d]" z mt;
       flash_labels =
         Array.init kv_count (Printf.sprintf "flash[z%d,m%d,s%d]" z mt);
-      load_q = Primitive.Load (access ~buffer:"q" ~row:(qlo, qhi) ~col:(0, d) ());
+      load_q =
+        Block_channel.lower bc
+          [
+            Primitive.Load (access ~buffer:"q" ~row:(qlo, qhi) ~col:(0, d) ());
+          ];
       kv_steps = Array.init kv_count kv_step;
       epilogue =
-        [
-          Primitive.Compute
-            {
-              label = Printf.sprintf "finish[z%d,m%d]" z mt;
-              cost =
-                Instr.Memory_tile { rows = config.q_tile; cols = d; passes = 1 };
-              reads = [];
-              writes = [ access ~buffer:"o" ~row:(qlo, qhi) ~col:(0, d) () ];
-              action = Some finish_action;
-            };
-          Primitive.Store (access ~buffer:"o" ~row:(qlo, qhi) ~col:(0, d) ());
-        ];
+        Block_channel.lower bc
+          [
+            Primitive.Compute
+              {
+                label = Printf.sprintf "finish[z%d,m%d]" z mt;
+                cost =
+                  Instr.Memory_tile
+                    { rows = config.q_tile; cols = d; passes = 1 };
+                reads = [];
+                writes = [ access ~buffer:"o" ~row:(qlo, qhi) ~col:(0, d) () ];
+                action = Some finish_action;
+              };
+            Primitive.Store
+              (access ~buffer:"o" ~row:(qlo, qhi) ~col:(0, d) ());
+          ];
     }
   in
   let m_tiles = spr / config.q_tile in
@@ -259,40 +269,40 @@ let program ?(config = default_config) spec ~(spec_gpu : Spec.t) =
       (List.init spec.batch_heads (fun z -> List.init m_tiles (consumer z)))
   in
   let steps_per_segment = spr / config.kv_tile in
-  let bcs = Block_channel.per_rank ~world_size:r mapping in
+  let segments = Array.map (Block_channel.lower_task bc) segments in
   let plans =
     Array.init r (fun rank ->
-        let bc = bcs.(rank) in
         (* Own segment first (local copies), then ring order. *)
         let host_tasks =
           List.init r (fun step ->
-              Block_channel.lower_task bc segments.((rank + step) mod r))
+              Block_channel.instantiate_task ~rank
+                segments.((rank + step) mod r))
         in
         (* Start at the local segment's first KV tile, walk the ring. *)
         let first = rank * steps_per_segment in
         let attn_task c =
           let flash_step step =
             let kv = c.kv_steps.((first + step) mod kv_count) in
-            kv.prologue
-            @ [
-                Primitive.Compute
-                  {
-                    label = c.flash_labels.(step);
-                    cost = flash_cost;
-                    reads = kv.reads;
-                    writes = [];
-                    action = kv.action;
-                  };
-              ]
+            Block_channel.instantiate ~rank kv.prologue
+            @ Block_channel.lower bc
+                [
+                  Primitive.Compute
+                    {
+                      label = c.flash_labels.(step);
+                      cost = flash_cost;
+                      reads = kv.reads;
+                      writes = [];
+                      action = kv.action;
+                    };
+                ]
           in
-          Block_channel.lower_task bc
-            {
-              Block_channel.label = c.label;
-              stmts =
-                c.load_q
-                :: List.concat (List.init kv_count flash_step)
-                @ c.epilogue;
-            }
+          {
+            Program.label = c.label;
+            instrs =
+              c.load_q
+              @ List.concat (List.init kv_count flash_step)
+              @ c.epilogue;
+          }
         in
         [
           {

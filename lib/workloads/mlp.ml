@@ -107,8 +107,9 @@ let ag_gemm_program ?(k_chunks = 2) ?(transfer = `Pull)
       ~tile_n:compute_tn
   in
   (* Everything rank-invariant is built once per program: one task per
-     tile, labels, statements and data actions included.  Each rank
-     only lowers the tasks it runs, in its own tile order. *)
+     tile, labels, statements and data actions included, lowered and
+     pipelined once.  Each rank only instantiates the tasks it runs, in
+     its own tile order. *)
   let comm_table =
     (* Pull mode (Figure 3b left): the running rank fetches the tile
        into its own [x_full] and signals its local consumers.  Push
@@ -214,17 +215,24 @@ let ag_gemm_program ?(k_chunks = 2) ?(transfer = `Pull)
     Array.init (Tile.tile_count compute_grid) (fun tid ->
         compute_task (Tile.of_linear compute_grid tid))
   in
-  let bcs = Block_channel.per_rank ~world_size:r mapping in
+  let bc = Block_channel.symbolic ~world_size:r mapping in
+  let comm_templates = Array.map (Block_channel.lower_task bc) comm_table in
+  let compute_templates =
+    Array.map
+      (fun task ->
+        Pipeline.pipeline_task ~stages:config.Design_space.stages
+          (Block_channel.lower_task bc task))
+      compute_table
+  in
   let plans =
     Array.init r (fun rank ->
-        let bc = bcs.(rank) in
         let comm_tasks =
           let tiles =
             Tile.enumerate ~rank comm_grid config.Design_space.comm_order
           in
           let lower tile =
-            Block_channel.lower_task bc
-              comm_table.(Tile.linearize comm_grid tile)
+            Block_channel.instantiate_task ~rank
+              comm_templates.(Tile.linearize comm_grid tile)
           in
           match transfer with
           | `Pull -> List.map lower tiles
@@ -240,9 +248,8 @@ let ag_gemm_program ?(k_chunks = 2) ?(transfer = `Pull)
         let compute_tasks =
           List.map
             (fun tile ->
-              Pipeline.pipeline_task ~stages:config.Design_space.stages
-                (Block_channel.lower_task bc
-                   compute_table.(Tile.linearize compute_grid tile)))
+              Block_channel.instantiate_task ~rank
+                compute_templates.(Tile.linearize compute_grid tile))
             (Tile.enumerate ~rank compute_grid
                config.Design_space.compute_order)
         in
@@ -437,6 +444,10 @@ let gemm_rs_program ~(config : Design_space.config) spec ~(spec_gpu : Spec.t)
   let stage_labels = Block_channel.stage_labels ~stages:r ~tiles:rs_tiles in
   let rs_labels = stage_labels (Printf.sprintf "rs[s%d,%d]") in
   let reduce_labels = stage_labels (Printf.sprintf "reduce[s%d,%d]") in
+  let symbolic = Block_channel.symbolic ~world_size:r mapping in
+  let gemm_templates =
+    Array.map (Block_channel.lower_task symbolic) gemm_table
+  in
   let bcs = Block_channel.per_rank ~world_size:r mapping in
   let plans =
     Array.init r (fun rank ->
@@ -446,8 +457,8 @@ let gemm_rs_program ~(config : Design_space.config) spec ~(spec_gpu : Spec.t)
         let gemm_tasks =
           List.map
             (fun tile ->
-              Block_channel.lower_task bc
-                gemm_table.(Tile.linearize gemm_grid tile))
+              Block_channel.instantiate_task ~rank
+                gemm_templates.(Tile.linearize gemm_grid tile))
             (Tile.enumerate ~rank gemm_grid config.Design_space.compute_order)
         in
         (* --- consumer ring ReduceScatter (Figure 4 lines 11-26) --- *)

@@ -139,9 +139,9 @@ let part1_program ?(config = default_part1_config) spec route
     Tile.grid ~extent_m:spec.tokens ~extent_n:spec.hidden
       ~tile_m:config.comm_tile_rows ~tile_n:spec.hidden
   in
-  (* Tasks are rank-invariant here, so each is built once per program;
-     a rank lowers the gather tiles in its own ring order and every
-     GroupGEMM tile in table order. *)
+  (* Tasks are rank-invariant here, so each is built and lowered once
+     per program; a rank instantiates the gather tiles in its own ring
+     order and every GroupGEMM tile in table order. *)
   let comm_table =
     Array.init (Tile.tile_count comm_grid) (fun tid ->
         let lo, hi = Mapping.shape_range mapping ~tid in
@@ -222,19 +222,22 @@ let part1_program ?(config = default_part1_config) spec route
     }
   in
   let group_table = List.mapi group_task tiles in
-  let bcs = Block_channel.per_rank ~world_size:r mapping in
+  let bc = Block_channel.symbolic ~world_size:r mapping in
+  let comm_templates = Array.map (Block_channel.lower_task bc) comm_table in
+  let group_templates = List.map (Block_channel.lower_task bc) group_table in
   let plans =
     Array.init r (fun rank ->
-        let bc = bcs.(rank) in
         let comm_tasks =
           List.map
             (fun tile ->
-              Block_channel.lower_task bc
-                comm_table.(Tile.linearize comm_grid tile))
+              Block_channel.instantiate_task ~rank
+                comm_templates.(Tile.linearize comm_grid tile))
             (Tile.enumerate ~rank comm_grid
                (Tile.Ring_from_self { segments = r }))
         in
-        let group_tasks = List.map (Block_channel.lower_task bc) group_table in
+        let group_tasks =
+          List.map (Block_channel.instantiate_task ~rank) group_templates
+        in
         let comm_roles, comm_sms =
           match config.comm_binding with
           | Design_space.Comm_on_sm sms ->
@@ -418,8 +421,8 @@ let part2_program ?(config = default_part2_config) spec route
      a shared counter would then release the receiver onto a segment
      that was never written. *)
   let ring_channel ~stage tile_key = (stage * rs_tiles) + tile_key in
-  (* Roles A and B do not depend on the rank: their tasks are built once
-     per program and lowered on every rank. *)
+  (* Roles A and B do not depend on the rank: their tasks are built and
+     lowered once per program and instantiated on every rank. *)
   (* --- role A: GroupGEMM producer --- *)
   let gg_task index (expert, plo, phi) =
     let action memory ~rank =
@@ -531,24 +534,31 @@ let part2_program ?(config = default_part2_config) spec route
   let stage_labels = Block_channel.stage_labels ~stages:r ~tiles:rs_tiles in
   let rs_labels = stage_labels (Printf.sprintf "rs[s%d,%d]") in
   let rs_red_labels = stage_labels (Printf.sprintf "rs-red[s%d,%d]") in
-  let bcs_a = Block_channel.per_rank ~world_size:r mapping_a in
+  let bc_a = Block_channel.symbolic ~world_size:r mapping_a in
+  let bc_b =
+    Block_channel.symbolic ~channel_base:base_b ~world_size:r mapping_b
+  in
+  let gg_templates = List.map (Block_channel.lower_task bc_a) gg_table in
+  let reduce_templates =
+    List.map
+      (fun (label, front, back) ->
+        {
+          Program.label;
+          instrs =
+            Block_channel.lower bc_a front @ Block_channel.lower bc_b back;
+        })
+      reduce_table
+  in
   let bcs_b =
     Block_channel.per_rank ~channel_base:base_b ~world_size:r mapping_b
   in
   let plans =
     Array.init r (fun rank ->
-        let bc_a = bcs_a.(rank) and bc_b = bcs_b.(rank) in
-        let gg_tasks = List.map (Block_channel.lower_task bc_a) gg_table in
+        let gg_tasks =
+          List.map (Block_channel.instantiate_task ~rank) gg_templates
+        in
         let reduce_tasks =
-          List.map
-            (fun (label, front, back) ->
-              {
-                Program.label;
-                instrs =
-                  Block_channel.lower bc_a front
-                  @ Block_channel.lower bc_b back;
-              })
-            reduce_table
+          List.map (Block_channel.instantiate_task ~rank) reduce_templates
         in
         (* --- role C: ring ReduceScatter over red_out (Figure 4) --- *)
         let to_rank = (rank - 1 + r) mod r in
@@ -669,7 +679,7 @@ let part2_program ?(config = default_part2_config) spec route
         let rs_task ~stage tile =
           {
             Program.label = rs_labels.(stage).(Tile.linearize rs_grid tile);
-            instrs = Block_channel.lower bc_b (rs_stmts ~stage tile);
+            instrs = Block_channel.lower bcs_b.(rank) (rs_stmts ~stage tile);
           }
         in
         let rs_tasks =

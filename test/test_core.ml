@@ -467,6 +467,125 @@ let test_lower_pull_translates_shard_rows () =
     Alcotest.(check (float 0.01)) "bytes" (4.0 *. 4.0 *. 2.0) bytes
   | _ -> Alcotest.fail "expected single copy"
 
+(* Templates: a task lowered once with the rank symbolic, then
+   instantiated per rank, equals the task lowered on that rank. *)
+let template_mapping =
+  Mapping.static ~extent:16 ~ranks:4 ~channels_per_rank:2 ~tile:2 ()
+
+(* One statement of every [Primitive] constructor (every notify mode),
+   with loads placed so the pipeliner has something to hoist across the
+   waits. *)
+let every_primitive_task =
+  let a buffer row = Instr.access ~buffer ~row ~col:(0, 4) () in
+  {
+    Block_channel.label = "every";
+    stmts =
+      [
+        Primitive.Load (a "w" (0, 4));
+        Primitive.Consumer_tile_wait
+          { lo = 2; hi = 6; buffer = "x"; col = (0, 4) };
+        Primitive.Load (a "x" (2, 6));
+        Primitive.Load (a "y" (0, 2));
+        Primitive.Consumer_tile_wait_rows
+          { rows = [ 1; 9; 14 ]; buffer = "x"; col = (0, 4) };
+        Primitive.Load (a "x" (8, 16));
+        Primitive.Compute
+          {
+            label = "mma";
+            cost = Instr.Gemm_tile { tm = 4; tn = 4; k = 4 };
+            reads = [ a "x" (2, 6) ];
+            writes = [ a "out" (2, 6) ];
+            action = None;
+          };
+        Primitive.Store (a "out" (2, 6));
+        Primitive.Producer_tile_notify { tid = 1; mode = Primitive.P2p };
+        Primitive.Producer_tile_notify { tid = 5; mode = Primitive.Owner };
+        Primitive.Producer_tile_notify { tid = 2; mode = Primitive.Broadcast };
+        Primitive.Producer_tile_notify { tid = 3; mode = Primitive.To_rank 2 };
+        Primitive.Peer_tile_wait
+          { tile_key = 0; src = 1; threshold = 1; guards = [ a "rs" (0, 2) ] };
+        Primitive.Load (a "rs" (0, 2));
+        Primitive.Peer_tile_notify
+          { tile_key = 0; dst = 3; amount = 1; releases = [ a "rs" (0, 2) ] };
+        Primitive.Rank_wait { src = 2; threshold = 1 };
+        Primitive.Rank_notify { dst = 0; amount = 1 };
+        Primitive.Tile_push_data
+          { src = a "out" (2, 6); dst_rank = 1; dst = a "x" (2, 6) };
+        Primitive.Tile_pull_data
+          {
+            tid = 6;
+            src_buffer = "shard";
+            src_view = `Shard;
+            col = (0, 4);
+            dst = a "x" (12, 14);
+            action = None;
+          };
+        Primitive.Rank_copy_data
+          { src = a "k" (0, 4); dst = a "k_full" (0, 4); action = None };
+        Primitive.Sleep 1.5;
+      ];
+  }
+
+let render_instrs instrs =
+  let buf = Buffer.create 1024 in
+  List.iter (Program_digest.instr buf) instrs;
+  Buffer.contents buf
+
+let render_task (task : Program.task) =
+  task.Program.label ^ "\n" ^ render_instrs task.Program.instrs
+
+let test_template_equals_per_rank_lowering () =
+  List.iter
+    (fun channel_base ->
+      let template =
+        Block_channel.lower_task
+          (Block_channel.symbolic ~channel_base ~world_size:4 template_mapping)
+          every_primitive_task
+      in
+      for rank = 0 to 3 do
+        let on_rank =
+          Block_channel.lower_task
+            (Block_channel.create ~channel_base ~rank ~world_size:4
+               template_mapping)
+            every_primitive_task
+        in
+        let what = Printf.sprintf "base %d rank %d" channel_base rank in
+        Alcotest.(check string) (what ^ ": instantiate = lower on rank")
+          (render_task on_rank)
+          (render_task (Block_channel.instantiate_task ~rank template));
+        List.iter
+          (fun stages ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s: pipeline commutes (stages %d)" what stages)
+              (render_task
+                 (Pipeline.pipeline_task ~stages
+                    (Block_channel.instantiate_task ~rank template)))
+              (render_task
+                 (Block_channel.instantiate_task ~rank
+                    (Pipeline.pipeline_task ~stages template))))
+          [ 2; 3 ]
+      done;
+      Alcotest.(check bool) "the pipeliner moves a load" false
+        (render_task (Pipeline.pipeline_task ~stages:2 template)
+        = render_task template);
+      (* A template that reaches a program un-instantiated is refused. *)
+      let leaked =
+        Program.create ~name:"leak" ~world_size:4 ~pc_channels:16
+          ~peer_channels:1
+          (Array.make 4
+             [
+               {
+                 Program.role_name = "r";
+                 resource = Program.Sm_partition 1;
+                 lane = Tilelink_sim.Trace.Compute_sm;
+                 tasks = [ template ];
+               };
+             ])
+      in
+      Alcotest.(check bool) "symbolic rank rejected" true
+        (Result.is_error (Program.validate leaked)))
+    [ 0; 3 ]
+
 (* ------------------------------------------------------------------ *)
 (* Pipelining + consistency                                            *)
 (* ------------------------------------------------------------------ *)
@@ -1310,18 +1429,24 @@ let test_unsignalled_wait_deadlocks () =
       \  rank 0 waits pc[0][0] >= 1 (since t=2.0)"
       msg
 
+(* MLP-1 AG+GEMM (8192x4096x2752 per rank pair, world 8) on the paper
+   machine, first tuned candidate. *)
+let mlp1_world = 8
+
+let mlp1_ag_gemm_config =
+  List.hd (Tilelink_workloads.Tuned.ag_gemm_candidates ~world_size:mlp1_world)
+
+let mlp1_ag_gemm () =
+  Tilelink_workloads.Mlp.ag_gemm_program ~config:mlp1_ag_gemm_config
+    { Tilelink_workloads.Mlp.m = 8192; k = 4096; n = 2 * 11008 / mlp1_world;
+      world_size = mlp1_world }
+    ~spec_gpu:Calib.h800
+
 (* Guard against per-event allocation creeping back into the
-   interpreter: one MLP-1 AG+GEMM (8192x4096x2752 per rank pair, world
-   8) on the paper machine, timing only. *)
+   interpreter: one MLP-1 AG+GEMM, timing only. *)
 let test_runtime_allocation_per_event () =
-  let world = 8 in
-  let program =
-    Tilelink_workloads.Mlp.ag_gemm_program
-      ~config:(List.hd (Tilelink_workloads.Tuned.ag_gemm_candidates ~world_size:world))
-      { Tilelink_workloads.Mlp.m = 8192; k = 4096; n = 2 * 11008 / world;
-        world_size = world }
-      ~spec_gpu:Calib.h800
-  in
+  let world = mlp1_world in
+  let program = mlp1_ag_gemm () in
   let cluster = Cluster.create Calib.h800 ~world_size:world in
   let before = Gc.minor_words () in
   ignore (Runtime.run cluster program);
@@ -1332,6 +1457,56 @@ let test_runtime_allocation_per_event () =
     (Printf.sprintf "%.1f minor words per event over %d events (bound 35)"
        per_event events)
     true (per_event <= 35.0)
+
+(* A rank's compute tasks are its instances of the shared templates:
+   every instruction but the waits (the only ones naming the executing
+   rank) is rank 0's record itself. *)
+let test_ranks_share_template_instructions () =
+  let program = mlp1_ag_gemm () in
+  let gemm rank =
+    (List.find
+       (fun role -> role.Program.role_name = "gemm")
+       (Program.plans program).(rank))
+      .Program.tasks
+  in
+  let rank0 = Hashtbl.create 1024 in
+  List.iter (fun t -> Hashtbl.replace rank0 t.Program.label t) (gemm 0);
+  let shared = ref 0 and waits = ref 0 in
+  List.iter
+    (fun (t3 : Program.task) ->
+      let t0 = Hashtbl.find rank0 t3.Program.label in
+      List.iter2
+        (fun i3 i0 ->
+          match (i3, i0) with
+          | Instr.Wait { target = Instr.Pc { rank = 3; _ }; _ },
+            Instr.Wait { target = Instr.Pc { rank = 0; _ }; _ } ->
+            incr waits
+          | Instr.Wait _, _ -> Alcotest.failf "unexpected wait in %s" t3.label
+          | _ ->
+            if i3 != i0 then
+              Alcotest.failf "%s: %s is not shared" t3.label
+                (Instr.to_string i3);
+            incr shared)
+        t3.Program.instrs t0.Program.instrs)
+    (gemm 3);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d shared, %d waits" !shared !waits)
+    true (!shared > 0 && !waits > 0)
+
+(* Guard against per-rank lowering creeping back into the builders:
+   building MLP-1 AG+GEMM allocates at most 20 minor words per
+   instruction of the program (31.3 when every rank lowered every
+   tile). *)
+let test_build_allocation_per_instr () =
+  let before = Gc.minor_words () in
+  let program = mlp1_ag_gemm () in
+  let words = Gc.minor_words () -. before in
+  let instrs = Program.instr_count program in
+  let per_instr = words /. float_of_int instrs in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per instruction over %d (bound 20)"
+       per_instr instrs)
+    true (per_instr <= 20.0)
 
 (* ------------------------------------------------------------------ *)
 (* Design space + tuner                                                *)
@@ -1476,6 +1651,12 @@ let () =
           Alcotest.test_case "consumer wait" `Quick test_lower_consumer_wait;
           Alcotest.test_case "pull shard rows" `Quick
             test_lower_pull_translates_shard_rows;
+          Alcotest.test_case "template equals per-rank lowering" `Quick
+            test_template_equals_per_rank_lowering;
+          Alcotest.test_case "ranks share template instructions" `Quick
+            test_ranks_share_template_instructions;
+          Alcotest.test_case "build allocation per instruction" `Quick
+            test_build_allocation_per_instr;
         ] );
       ( "pipeline+consistency",
         [

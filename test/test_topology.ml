@@ -151,6 +151,29 @@ let test_default_summary_mentions_no_topology () =
   Alcotest.(check bool) "no cross_island_replays key" false
     (contains "cross_island_replays")
 
+(* A sweep runs the fault-free run once and shares it; every trial must
+   still equal the same trial run alone, flat and on a topology. *)
+let test_sweep_equals_single_trials () =
+  List.iter
+    (fun (name, topology) ->
+      let sweep =
+        Harness.run_trials ~crash_ranks:1 ?topology
+          ~workload:Harness.Mlp_ag_gemm ~seed:42 ~trials:3 ()
+      in
+      List.iteri
+        (fun index in_sweep ->
+          let alone =
+            Harness.run_trial ~crash_ranks:1 ?topology
+              ~workload:Harness.Mlp_ag_gemm ~seed:42 ~index ()
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s trial %d equals run_trial" name index)
+            true (alone = in_sweep))
+        sweep.Harness.s_trials;
+      Alcotest.(check int) (name ^ " trials") 3
+        (List.length sweep.Harness.s_trials))
+    [ ("flat", None); ("hetero16", Some Topology.hetero16) ]
+
 (* ------------------------------------------------------------------ *)
 (* Partition triage                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -288,6 +311,8 @@ let () =
             test_flat8_no_cross_island_replays;
           Alcotest.test_case "default summary mentions no topology" `Quick
             test_default_summary_mentions_no_topology;
+          Alcotest.test_case "sweep equals single trials" `Quick
+            test_sweep_equals_single_trials;
         ] );
       ( "partition",
         [
