@@ -846,18 +846,111 @@ let mlp1_graph () =
       world_size = 8;
     }
 
-(* Every shipped program, plus the planner's synthesis of each
-   default-space candidate of Table-4 MLP-1 on 8 ranks, one line per
-   program: name, a tab, then the digest of its closure-free rendering
-   ([Program_digest]).  The committed file pins every builder's output
-   byte for byte ([Golden]): labels, instruction order, signal targets
-   and costs. *)
-let builder_golden_lines () =
-  let suite =
-    List.map
-      (fun (name, program) -> name ^ "\t" ^ Program_digest.digest program)
-      (Suite.programs ())
+(* The resource bindings [Suite] and the default planner space leave
+   out: DMA and hybrid communication for the hand builders (world 4),
+   and a hybrid split for the planner at MLP-1 in both transfer
+   directions. *)
+let binding_programs () =
+  let machine = Calib.test_machine in
+  let world = 4 in
+  let bindings =
+    [
+      ("dma", Design_space.Comm_on_dma);
+      ("hybrid", Design_space.Comm_hybrid { dma_fraction = 0.5; sms = 12 });
+    ]
   in
+  let ring = Tile.Ring_from_self { segments = world } in
+  let ag_spec = { Mlp.m = 8 * world; k = 4; n = 6; world_size = world } in
+  let rs_spec = { Mlp.rs_m = 4 * world; rs_k = 3; rs_n = 4; rs_world = world } in
+  let moe_spec =
+    {
+      Moe.tokens = 4 * world;
+      hidden = 4;
+      intermediate = 8;
+      experts = 3;
+      topk = 2;
+      world_size = world;
+    }
+  in
+  let mlp =
+    List.concat_map
+      (fun (bname, binding) ->
+        let ag_config =
+          {
+            Design_space.comm_tile = (2, 128);
+            compute_tile = (2, 2);
+            comm_order = ring;
+            compute_order = ring;
+            binding;
+            stages = 2;
+            micro_block = 0;
+          }
+        in
+        let rs_config =
+          {
+            Design_space.comm_tile = (2, 2);
+            compute_tile = (2, 2);
+            comm_order = Tile.Row_major;
+            compute_order = Tile.Row_major;
+            binding;
+            stages = 1;
+            micro_block = 0;
+          }
+        in
+        [
+          ( "mlp_ag_gemm_pull/w4/" ^ bname,
+            Mlp.ag_gemm_program ~config:ag_config ag_spec ~spec_gpu:machine );
+          ( "mlp_ag_gemm_push/w4/" ^ bname,
+            Mlp.ag_gemm_program ~transfer:`Push ~config:ag_config ag_spec
+              ~spec_gpu:machine );
+          ( "mlp_gemm_rs/w4/" ^ bname,
+            Mlp.gemm_rs_program ~config:rs_config rs_spec ~spec_gpu:machine );
+        ])
+      bindings
+  in
+  let moe =
+    ( "moe_part1/w4/dma",
+      Moe.part1_program
+        ~config:
+          {
+            Moe.comm_tile_rows = 2;
+            group_tile_rows = 2;
+            comm_binding = Design_space.Comm_on_dma;
+          }
+        moe_spec
+        (Moe.routing moe_spec ~seed:5)
+        ~spec_gpu:machine )
+  in
+  let graph = mlp1_graph () in
+  let first = List.hd (Planner.enumerate (Planner.default_space graph)) in
+  let planned =
+    List.map
+      (fun pl_transfer ->
+        let cand =
+          {
+            first with
+            Planner.pl_transfer;
+            pl_config =
+              {
+                first.Planner.pl_config with
+                Design_space.binding = List.assoc "hybrid" bindings;
+              };
+          }
+        in
+        ( "plan:MLP-1/" ^ Planner.fingerprint cand,
+          Planner.synthesize graph cand ~spec_gpu:Calib.h800 ))
+      [ Planner.Pull; Planner.Push ]
+  in
+  mlp @ [ moe ] @ planned
+
+(* Every shipped program, the planner's synthesis of each
+   default-space candidate of Table-4 MLP-1 on 8 ranks and
+   [binding_programs], one line per program: name, a tab, then the
+   digest of its closure-free rendering ([Program_digest]).  The
+   committed file pins every builder's output byte for byte
+   ([Golden]): labels, instruction order, signal targets and costs. *)
+let builder_golden_lines () =
+  let line (name, program) = name ^ "\t" ^ Program_digest.digest program in
   let graph = mlp1_graph () in
   let planned =
     List.map
@@ -869,7 +962,9 @@ let builder_golden_lines () =
         | exception Invalid_argument msg -> "invalid: " ^ msg)
       (Planner.enumerate (Planner.default_space graph))
   in
-  suite @ planned
+  List.map line (Suite.programs ())
+  @ planned
+  @ List.map line (binding_programs ())
 
 let test_builders_match_golden () =
   Golden.check ~what:"builder digests" "builder_golden.tsv"
