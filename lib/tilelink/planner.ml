@@ -8,6 +8,9 @@
    ordinary [Program.t] using only [Primitive] statements lowered
    through a [Mapping.static]: every notify and wait in the result
    comes out of the tile-centric lowering, none is written by hand.
+   The gather producer, its resource roles and the chunked GEMM
+   consumer are [Overlap]'s, the same blocks the hand-written [Mlp]
+   kernel is built from.
 
    Candidate pruning and scoring run through [Tune.search_planned]:
    the analyzer rejects statically-broken protocols before any
@@ -188,7 +191,6 @@ let size space = List.length (enumerate space)
 (* ------------------------------------------------------------------ *)
 
 let access = Instr.access
-let ceil_div a b = (a + b - 1) / b
 
 (* Row softmax, max-subtracted, strictly row by row and left to right:
    the single definition shared by synthesized programs and reference
@@ -214,116 +216,22 @@ let softmax_rows x =
   done;
   out
 
-let split_fraction fraction tasks =
-  let cut = int_of_float (fraction *. float_of_int (List.length tasks)) in
-  let rec take i = function
-    | [] -> ([], [])
-    | x :: rest ->
-      if i = 0 then ([], x :: rest)
-      else begin
-        let front, back = take (i - 1) rest in
-        (x :: front, back)
-      end
-  in
-  take cut tasks
-
-(* The gather tasks of a program, one per producer tile, indexed by
-   tile id: pull mode fetches the tile into the running rank's gathered
-   buffer and signals its local consumers; push mode broadcasts the tile
-   from its owner into every rank's gathered buffer and notifies all of
-   them. *)
-let gather_tasks g cand ~mapping ~comm_grid =
-  let pull tid =
-    let lo, hi = Mapping.shape_range mapping ~tid in
-    {
-      Block_channel.label = Printf.sprintf "gather[%d]" tid;
-      stmts =
-        [
-          Primitive.Tile_pull_data
-            {
-              tid;
-              src_buffer = g.g_shard;
-              src_view = `Shard;
-              col = (0, g.g_cols);
-              dst =
-                access ~buffer:g.g_gathered ~row:(lo, hi) ~col:(0, g.g_cols) ();
-              action = None;
-            };
-          Primitive.Producer_tile_notify { tid; mode = Primitive.P2p };
-        ];
-    }
-  in
-  let push tid =
-    let glo, ghi = Mapping.shape_range mapping ~tid in
-    let slo, shi = Mapping.src_shard_range mapping ~tid in
-    let src = access ~buffer:g.g_shard ~row:(slo, shi) ~col:(0, g.g_cols) () in
-    let dst =
-      access ~buffer:g.g_gathered ~row:(glo, ghi) ~col:(0, g.g_cols) ()
-    in
-    {
-      Block_channel.label = Printf.sprintf "gather-push[%d]" tid;
-      stmts =
-        List.init g.g_world (fun dst_rank ->
-            Primitive.Tile_push_data { src; dst_rank; dst })
-        @ [
-            Primitive.Producer_tile_notify { tid; mode = Primitive.Broadcast };
-          ];
-    }
-  in
-  Array.init (Tile.tile_count comm_grid)
-    (match cand.pl_transfer with Pull -> pull | Push -> push)
-
 (* One consumer tile: wait for the gathered rows it reads, loop over
    [pl_chunks] column chunks of the gathered buffer, run the kind's
    compute (the data action rides on the last non-empty chunk), store
    the output tile. *)
 let consumer_task g cand co ~grid tile =
-  let config = cand.pl_config in
-  let lo, hi = Tile.rows grid tile in
-  let clo, chi = Tile.cols grid tile in
-  let chunk = ceil_div g.g_cols cand.pl_chunks in
-  let live_chunks = ceil_div g.g_cols chunk in
-  let chunk_range kc = (kc * chunk, min g.g_cols ((kc + 1) * chunk)) in
+  let ((lo, hi) as rows) = Tile.rows grid tile in
+  let ((clo, chi) as cols) = Tile.cols grid tile in
   let label =
     Printf.sprintf "%s[%d,%d]" co.co_name tile.Tile.tid_m tile.Tile.tid_n
   in
   let body =
     match co.co_kind with
     | Gemm { weights; n = _ } ->
-      let action memory ~rank =
-        let x = Memory.find memory ~rank ~name:g.g_gathered in
-        let w = Memory.find memory ~rank ~name:weights in
-        let y = Memory.find memory ~rank ~name:co.co_out in
-        Linalg.gemm_tile ~out:y ~rows:(lo, hi) ~cols:(clo, chi)
-          ~block:config.Design_space.micro_block x w
-      in
-      List.concat
-        (List.init live_chunks (fun kc ->
-             let klo, khi = chunk_range kc in
-             if klo >= khi then []
-             else
-               [
-                 Primitive.Load
-                   (access ~buffer:g.g_gathered ~row:(lo, hi) ~col:(klo, khi)
-                      ());
-                 Primitive.Load
-                   (access ~buffer:weights ~row:(klo, khi) ~col:(clo, chi) ());
-                 Primitive.Compute
-                   {
-                     label = label ^ "k" ^ string_of_int kc;
-                     cost =
-                       Instr.Gemm_tile
-                         { tm = hi - lo; tn = chi - clo; k = khi - klo };
-                     reads =
-                       [
-                         access ~buffer:g.g_gathered ~row:(lo, hi)
-                           ~col:(klo, khi) ();
-                       ];
-                     writes = [];
-                     action =
-                       (if kc = live_chunks - 1 then Some action else None);
-                   };
-               ]))
+      Overlap.gemm_chunks ~label ~gathered:g.g_gathered ~weights ~out:co.co_out
+        ~k:g.g_cols ~chunks:cand.pl_chunks
+        ~micro_block:cand.pl_config.Design_space.micro_block ~rows ~cols
     | Softmax_rows ->
       (* Full-width tiles (the grid guarantees clo = 0, chi = cols):
          chunked loads for pipelining, one compute pass. *)
@@ -333,16 +241,10 @@ let consumer_task g cand co ~grid tile =
         Tensor.set_block out ~row_lo:lo ~col_lo:0
           (softmax_rows (Tensor.row_slice x ~lo ~hi))
       in
-      List.concat
-        (List.init live_chunks (fun kc ->
-             let klo, khi = chunk_range kc in
-             if klo >= khi then []
-             else
-               [
-                 Primitive.Load
-                   (access ~buffer:g.g_gathered ~row:(lo, hi) ~col:(klo, khi)
-                      ());
-               ]))
+      List.map
+        (fun col ->
+          Primitive.Load (access ~buffer:g.g_gathered ~row:rows ~col ()))
+        (Overlap.chunk_ranges ~extent:g.g_cols ~chunks:cand.pl_chunks)
       @ [
           Primitive.Compute
             {
@@ -350,26 +252,14 @@ let consumer_task g cand co ~grid tile =
               cost =
                 Instr.Memory_tile
                   { rows = hi - lo; cols = chi - clo; passes = 3 };
-              reads =
-                [
-                  access ~buffer:g.g_gathered ~row:(lo, hi) ~col:(clo, chi) ();
-                ];
+              reads = [ access ~buffer:g.g_gathered ~row:rows ~col:cols () ];
               writes = [];
               action = Some action;
             };
         ]
   in
-  {
-    Block_channel.label;
-    stmts =
-      Primitive.Consumer_tile_wait
-        { lo; hi; buffer = g.g_gathered; col = (0, g.g_cols) }
-      :: body
-      @ [
-          Primitive.Store
-            (access ~buffer:co.co_out ~row:(lo, hi) ~col:(clo, chi) ());
-        ];
-  }
+  Overlap.row_consumer ~label ~gathered:g.g_gathered ~k:g.g_cols
+    ~out:co.co_out ~rows ~cols body
 
 (* Synthesis builds everything that does not depend on the rank once:
    the mapping, the grids and one lowered (and, for consumers,
@@ -407,8 +297,9 @@ let synthesize g cand ~spec_gpu =
   in
   let bc = Block_channel.symbolic ~world_size:r mapping in
   let gather =
-    Array.map (Block_channel.lower_task bc)
-      (gather_tasks g cand ~mapping ~comm_grid)
+    Overlap.gather bc ~name:"gather"
+      ~transfer:(match cand.pl_transfer with Pull -> `Pull | Push -> `Push)
+      ~mapping ~grid:comm_grid ~shard:g.g_shard ~gathered:g.g_gathered
   in
   let consumers =
     List.map
@@ -422,95 +313,26 @@ let synthesize g cand ~spec_gpu =
         (co, grid, Array.init (Tile.tile_count grid) template))
       g.g_consumers
   in
-  let comm_sms =
-    match config.Design_space.binding with
-    | Design_space.Comm_on_sm sms -> sms
-    | Design_space.Comm_on_dma -> 0
-    | Design_space.Comm_hybrid { sms; _ } -> sms
-  in
-  let compute_sms =
-    max 1 (spec_gpu.Tilelink_machine.Spec.gpu.num_sms - comm_sms)
-  in
-  let per_consumer_sms = max 1 (compute_sms / List.length g.g_consumers) in
-  let dma =
-    Program.Dma_engines (min 2 spec_gpu.Tilelink_machine.Spec.gpu.dma_channels)
-  in
   let plans =
     Array.init r (fun rank ->
-        let gathers =
-          let tiles =
-            Tile.enumerate ~rank comm_grid
-              config.Design_space.comm_order
-          in
-          let lower tile =
-            Block_channel.instantiate_task ~rank
-              gather.(Tile.linearize comm_grid tile)
-          in
-          match cand.pl_transfer with
-          | Pull -> List.map lower tiles
-          | Push ->
-            (* Only this rank's own shard tiles are pushed. *)
-            List.filter_map
-              (fun tile ->
-                let tid = Tile.linearize comm_grid tile in
-                if Mapping.rank_of mapping ~tid = rank then Some (lower tile)
-                else None)
-              tiles
+        let comm_roles, compute_sms =
+          Overlap.gather_roles ~name:"gather" ~spec_gpu
+            config.Design_space.binding
+            (Overlap.gather_tasks gather ~rank config.Design_space.comm_order)
         in
-        let comm_roles =
-          match config.Design_space.binding with
-          | Design_space.Comm_on_sm sms ->
-            [
-              {
-                Program.role_name = "gather-sm";
-                resource = Program.Sm_partition sms;
-                lane = Tilelink_sim.Trace.Comm_sm;
-                tasks = gathers;
-              };
-            ]
-          | Design_space.Comm_on_dma ->
-            [
-              {
-                Program.role_name = "gather-dma";
-                resource = dma;
-                lane = Tilelink_sim.Trace.Dma;
-                tasks = gathers;
-              };
-            ]
-          | Design_space.Comm_hybrid { dma_fraction; sms } ->
-            let dma_tasks, sm_tasks =
-              split_fraction dma_fraction gathers
-            in
-            [
-              {
-                Program.role_name = "gather-dma";
-                resource = dma;
-                lane = Tilelink_sim.Trace.Dma;
-                tasks = dma_tasks;
-              };
-              {
-                Program.role_name = "gather-sm";
-                resource = Program.Sm_partition sms;
-                lane = Tilelink_sim.Trace.Comm_sm;
-                tasks = sm_tasks;
-              };
-            ]
+        let per_consumer_sms =
+          max 1 (compute_sms / List.length g.g_consumers)
         in
         let consumer_roles =
           List.map
-            (fun (co, grid, tasks) ->
-              let lower tile =
-                Block_channel.instantiate_task ~rank
-                  tasks.(Tile.linearize grid tile)
-              in
+            (fun (co, grid, templates) ->
               {
                 Program.role_name = co.co_name;
                 resource = Program.Sm_partition per_consumer_sms;
                 lane = Tilelink_sim.Trace.Compute_sm;
                 tasks =
-                  List.map lower
-                    (Tile.enumerate ~rank grid
-                       config.Design_space.compute_order);
+                  Overlap.tile_tasks templates grid ~rank
+                    config.Design_space.compute_order;
               })
             consumers
         in

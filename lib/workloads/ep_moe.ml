@@ -525,7 +525,7 @@ let program ?(config = default_config) spec route ~(spec_gpu : Spec.t) =
           match config.comm_binding with
           | Design_space.Comm_on_sm sms -> Program.Sm_partition sms
           | Design_space.Comm_on_dma | Design_space.Comm_hybrid _ ->
-            Program.Dma_engines (min 2 spec_gpu.Spec.gpu.dma_channels)
+            Overlap.dma_engines spec_gpu
         in
         let comm_lane =
           match config.comm_binding with

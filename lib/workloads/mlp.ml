@@ -30,24 +30,6 @@ type ag_gemm_spec = {
 
 let access = Instr.access
 
-let ceil_div a b = (a + b - 1) / b
-
-(* Split a task list between a DMA-bound prefix and an SM-bound
-   remainder for hybrid bindings. *)
-let split_fraction fraction tasks =
-  let n = List.length tasks in
-  let cut = int_of_float (fraction *. float_of_int n) in
-  let rec take i = function
-    | [] -> ([], [])
-    | x :: rest ->
-      if i = 0 then ([], x :: rest)
-      else begin
-        let front, back = take (i - 1) rest in
-        (x :: front, back)
-      end
-  in
-  take cut tasks
-
 (* ------------------------------------------------------------------ *)
 (* AllGather + GEMM                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -110,201 +92,46 @@ let ag_gemm_program ?(k_chunks = 2) ?(transfer = `Pull)
      tile, labels, statements and data actions included, lowered and
      pipelined once.  Each rank only instantiates the tasks it runs, in
      its own tile order. *)
-  let comm_table =
-    (* Pull mode (Figure 3b left): the running rank fetches the tile
-       into its own [x_full] and signals its local consumers.  Push
-       mode (Figure 3b right): the tile's owner broadcasts it into
-       every rank's [x_full] and notifies all remote consumers. *)
-    let pull tid =
-      let lo, hi = Mapping.shape_range mapping ~tid in
-      {
-        Block_channel.label = Printf.sprintf "ag[%d]" tid;
-        stmts =
-          [
-            Primitive.Tile_pull_data
-              {
-                tid;
-                src_buffer = "x_shard";
-                src_view = `Shard;
-                col = (0, spec.k);
-                dst = access ~buffer:"x_full" ~row:(lo, hi) ~col:(0, spec.k) ();
-                action = None;
-              };
-            Primitive.Producer_tile_notify { tid; mode = Primitive.P2p };
-          ];
-      }
-    in
-    let push tid =
-      let glo, ghi = Mapping.shape_range mapping ~tid in
-      let slo, shi = Mapping.src_shard_range mapping ~tid in
-      let src = access ~buffer:"x_shard" ~row:(slo, shi) ~col:(0, spec.k) () in
-      let dst = access ~buffer:"x_full" ~row:(glo, ghi) ~col:(0, spec.k) () in
-      {
-        Block_channel.label = Printf.sprintf "ag-push[%d]" tid;
-        stmts =
-          List.init r (fun dst_rank ->
-              Primitive.Tile_push_data { src; dst_rank; dst })
-          @ [
-              Primitive.Producer_tile_notify
-                { tid; mode = Primitive.Broadcast };
-            ];
-      }
-    in
-    Array.init (Tile.tile_count comm_grid)
-      (match transfer with `Pull -> pull | `Push -> push)
+  let bc = Block_channel.symbolic ~world_size:r mapping in
+  let gather =
+    Overlap.gather bc ~name:"ag" ~transfer ~mapping ~grid:comm_grid
+      ~shard:"x_shard" ~gathered:"x_full"
   in
   (* --- computation: consumer GEMM tiles --- *)
-  let compute_task tile =
-    let lo, hi = Tile.rows compute_grid tile in
-    let clo, chi = Tile.cols compute_grid tile in
+  let compute_task tid =
+    let tile = Tile.of_linear compute_grid tid in
+    let rows = Tile.rows compute_grid tile in
+    let cols = Tile.cols compute_grid tile in
     let label =
       Printf.sprintf "gemm[%d,%d]" tile.Tile.tid_m tile.Tile.tid_n
     in
-    let action memory ~rank =
-      let x = Memory.find memory ~rank ~name:"x_full" in
-      let w = Memory.find memory ~rank ~name:"w" in
-      let y = Memory.find memory ~rank ~name:"y" in
-      Linalg.gemm_tile ~out:y ~rows:(lo, hi) ~cols:(clo, chi)
-        ~block:config.Design_space.micro_block x w
-    in
-    let chunk = ceil_div spec.k k_chunks in
-    (* The data action rides on the last *non-empty* chunk: with
-       k < k_chunks the trailing chunks are empty. *)
-    let live_chunks = ceil_div spec.k chunk in
-    let k_loop =
-      List.concat
-        (List.init live_chunks (fun kc ->
-             let klo = kc * chunk and khi = min spec.k ((kc + 1) * chunk) in
-             if klo >= khi then []
-             else
-               [
-                 Primitive.Load
-                   (access ~buffer:"x_full" ~row:(lo, hi) ~col:(klo, khi) ());
-                 Primitive.Load
-                   (access ~buffer:"w" ~row:(klo, khi) ~col:(clo, chi) ());
-                 Primitive.Compute
-                   {
-                     label = label ^ "k" ^ string_of_int kc;
-                     cost =
-                       Instr.Gemm_tile
-                         { tm = hi - lo; tn = chi - clo; k = khi - klo };
-                     reads =
-                       [
-                         access ~buffer:"x_full" ~row:(lo, hi) ~col:(klo, khi)
-                           ();
-                       ];
-                     writes = [];
-                     action =
-                       (if kc = live_chunks - 1 then Some action else None);
-                   };
-               ]))
-    in
-    {
-      Block_channel.label;
-      stmts =
-        Primitive.Consumer_tile_wait
-          { lo; hi; buffer = "x_full"; col = (0, spec.k) }
-        :: k_loop
-        @ [
-            Primitive.Store
-              (access ~buffer:"y" ~row:(lo, hi) ~col:(clo, chi) ());
-          ];
-    }
+    Overlap.row_consumer ~label ~gathered:"x_full" ~k:spec.k ~out:"y" ~rows
+      ~cols
+      (Overlap.gemm_chunks ~label ~gathered:"x_full" ~weights:"w" ~out:"y"
+         ~k:spec.k ~chunks:k_chunks
+         ~micro_block:config.Design_space.micro_block ~rows ~cols)
   in
-  let compute_table =
-    Array.init (Tile.tile_count compute_grid) (fun tid ->
-        compute_task (Tile.of_linear compute_grid tid))
-  in
-  let bc = Block_channel.symbolic ~world_size:r mapping in
-  let comm_templates = Array.map (Block_channel.lower_task bc) comm_table in
   let compute_templates =
-    Array.map
-      (fun task ->
+    Array.init (Tile.tile_count compute_grid) (fun tid ->
         Pipeline.pipeline_task ~stages:config.Design_space.stages
-          (Block_channel.lower_task bc task))
-      compute_table
+          (Block_channel.lower_task bc (compute_task tid)))
   in
   let plans =
     Array.init r (fun rank ->
-        let comm_tasks =
-          let tiles =
-            Tile.enumerate ~rank comm_grid config.Design_space.comm_order
-          in
-          let lower tile =
-            Block_channel.instantiate_task ~rank
-              comm_templates.(Tile.linearize comm_grid tile)
-          in
-          match transfer with
-          | `Pull -> List.map lower tiles
-          | `Push ->
-            (* Only this rank's own shard tiles are pushed. *)
-            List.filter_map
-              (fun tile ->
-                let tid = Tile.linearize comm_grid tile in
-                if Mapping.rank_of mapping ~tid = rank then Some (lower tile)
-                else None)
-              tiles
+        let comm_roles, compute_sms =
+          Overlap.gather_roles ~name:"allgather" ~spec_gpu
+            config.Design_space.binding
+            (Overlap.gather_tasks gather ~rank config.Design_space.comm_order)
         in
-        let compute_tasks =
-          List.map
-            (fun tile ->
-              Block_channel.instantiate_task ~rank
-                compute_templates.(Tile.linearize compute_grid tile))
-            (Tile.enumerate ~rank compute_grid
-               config.Design_space.compute_order)
-        in
-        let comm_roles =
-          match config.Design_space.binding with
-          | Design_space.Comm_on_sm sms ->
-            [
-              {
-                Program.role_name = "allgather-sm";
-                resource = Program.Sm_partition sms;
-                lane = Tilelink_sim.Trace.Comm_sm;
-                tasks = comm_tasks;
-              };
-            ]
-          | Design_space.Comm_on_dma ->
-            [
-              {
-                Program.role_name = "allgather-dma";
-                resource = Program.Dma_engines (min 2 spec_gpu.Spec.gpu.dma_channels);
-                lane = Tilelink_sim.Trace.Dma;
-                tasks = comm_tasks;
-              };
-            ]
-          | Design_space.Comm_hybrid { dma_fraction; sms } ->
-            let dma_tasks, sm_tasks = split_fraction dma_fraction comm_tasks in
-            [
-              {
-                Program.role_name = "allgather-dma";
-                resource = Program.Dma_engines (min 2 spec_gpu.Spec.gpu.dma_channels);
-                lane = Tilelink_sim.Trace.Dma;
-                tasks = dma_tasks;
-              };
-              {
-                Program.role_name = "allgather-sm";
-                resource = Program.Sm_partition sms;
-                lane = Tilelink_sim.Trace.Comm_sm;
-                tasks = sm_tasks;
-              };
-            ]
-        in
-        let comm_sms =
-          match config.Design_space.binding with
-          | Design_space.Comm_on_sm sms -> sms
-          | Design_space.Comm_on_dma -> 0
-          | Design_space.Comm_hybrid { sms; _ } -> sms
-        in
-        (* The compute partition takes whatever communication leaves. *)
-        let compute_sms = max 1 (spec_gpu.Spec.gpu.num_sms - comm_sms) in
         comm_roles
         @ [
             {
               Program.role_name = "gemm";
               resource = Program.Sm_partition compute_sms;
               lane = Tilelink_sim.Trace.Compute_sm;
-              tasks = compute_tasks;
+              tasks =
+                Overlap.tile_tasks compute_templates compute_grid ~rank
+                  config.Design_space.compute_order;
             };
           ])
   in
@@ -392,13 +219,6 @@ let gemm_rs_program ~(config : Design_space.config) spec ~(spec_gpu : Spec.t)
       ~tile_n:rs_tn
   in
   let rs_tiles = Tile.tile_count rs_grid in
-  (* Ring invariant: one peer channel per (receiving stage, tile),
-     signalled once and awaited at threshold 1 — never [threshold =
-     stage] on a counter shared by all stages.  With more than one ring
-     worker a sender can finish stage s+1 of a tile before stage s, and
-     a shared counter would then release the receiver onto a segment
-     that was never written. *)
-  let ring_channel ~stage tile_key = (stage * rs_tiles) + tile_key in
   (* --- producer GEMM: one task per tile, built once --- *)
   let gemm_task tile =
     let lo, hi = Tile.rows gemm_grid tile in
@@ -441,9 +261,11 @@ let gemm_rs_program ~(config : Design_space.config) spec ~(spec_gpu : Spec.t)
     Array.init (Tile.tile_count gemm_grid) (fun tid ->
         gemm_task (Tile.of_linear gemm_grid tid))
   in
-  let stage_labels = Block_channel.stage_labels ~stages:r ~tiles:rs_tiles in
-  let rs_labels = stage_labels (Printf.sprintf "rs[s%d,%d]") in
-  let reduce_labels = stage_labels (Printf.sprintf "reduce[s%d,%d]") in
+  (* --- consumer ring ReduceScatter (Figure 4 lines 11-26) --- *)
+  let ring_stages =
+    Overlap.ring_reduce_scatter ~world:r ~grid:rs_grid ~src:"gemm_out"
+      ~reduce:"reduce" ~load_received:true
+  in
   let symbolic = Block_channel.symbolic ~world_size:r mapping in
   let gemm_templates =
     Array.map (Block_channel.lower_task symbolic) gemm_table
@@ -451,142 +273,11 @@ let gemm_rs_program ~(config : Design_space.config) spec ~(spec_gpu : Spec.t)
   let bcs = Block_channel.per_rank ~world_size:r mapping in
   let plans =
     Array.init r (fun rank ->
-        let bc = bcs.(rank) in
-        let to_rank = (rank - 1 + r) mod r in
-        let from_rank = (rank + 1) mod r in
         let gemm_tasks =
-          List.map
-            (fun tile ->
-              Block_channel.instantiate_task ~rank
-                gemm_templates.(Tile.linearize gemm_grid tile))
-            (Tile.enumerate ~rank gemm_grid config.Design_space.compute_order)
+          Overlap.tile_tasks gemm_templates gemm_grid ~rank
+            config.Design_space.compute_order
         in
-        (* --- consumer ring ReduceScatter (Figure 4 lines 11-26) --- *)
-        let reduce_stmts ~stage tile =
-          let seg = (rank + stage + 1) mod r in
-          let llo, lhi = Tile.rows rs_grid tile in
-          let clo, chi = Tile.cols rs_grid tile in
-          let glo = (seg * m_per_rank) + llo and ghi = (seg * m_per_rank) + lhi in
-          let tile_key = Tile.linearize rs_grid tile in
-          let last = stage = r - 1 in
-          let action memory ~rank =
-            let g = Memory.find memory ~rank ~name:"gemm_out" in
-            let data =
-              Tensor.block g ~row_lo:glo ~row_hi:ghi ~col_lo:clo ~col_hi:chi
-            in
-            let data =
-              if stage = 0 then data
-              else
-                Tensor.add data
-                  (Tensor.block
-                     (Memory.find memory ~rank ~name:"rs_buffer")
-                     ~row_lo:glo ~row_hi:ghi ~col_lo:clo ~col_hi:chi)
-            in
-            if last then
-              Tensor.set_block
-                (Memory.find memory ~rank ~name:"out")
-                ~row_lo:llo ~col_lo:clo data
-            else
-              Tensor.set_block
-                (Memory.find memory ~rank ~name:"rs_send")
-                ~row_lo:glo ~col_lo:clo data
-          in
-          let wait_peer =
-            if stage = 0 then []
-            else
-              [
-                Primitive.Peer_tile_wait
-                  {
-                    tile_key = ring_channel ~stage tile_key;
-                    src = from_rank;
-                    threshold = 1;
-                    guards =
-                      [
-                        access ~buffer:"rs_buffer" ~row:(glo, ghi)
-                          ~col:(clo, chi) ();
-                      ];
-                  };
-                Primitive.Load
-                  (access ~buffer:"rs_buffer" ~row:(glo, ghi) ~col:(clo, chi)
-                     ());
-              ]
-          in
-          let tail =
-            if last then
-              [
-                Primitive.Store
-                  (access ~buffer:"out" ~row:(llo, lhi) ~col:(clo, chi) ());
-              ]
-            else
-              [
-                Primitive.Tile_push_data
-                  {
-                    src =
-                      access ~buffer:"rs_send" ~row:(glo, ghi) ~col:(clo, chi)
-                        ();
-                    dst_rank = to_rank;
-                    dst =
-                      access ~buffer:"rs_buffer" ~row:(glo, ghi)
-                        ~col:(clo, chi) ();
-                  };
-                Primitive.Peer_tile_notify
-                  {
-                    tile_key = ring_channel ~stage:(stage + 1) tile_key;
-                    dst = to_rank;
-                    amount = 1;
-                    releases =
-                      [
-                        access ~rank:to_rank ~buffer:"rs_buffer"
-                          ~row:(glo, ghi) ~col:(clo, chi) ();
-                      ];
-                  };
-              ]
-          in
-          [
-            Primitive.Consumer_tile_wait
-              { lo = glo; hi = ghi; buffer = "gemm_out"; col = (clo, chi) };
-            Primitive.Load
-              (access ~buffer:"gemm_out" ~row:(glo, ghi) ~col:(clo, chi) ());
-          ]
-          @ wait_peer
-          @ [
-              Primitive.Compute
-                {
-                  label = reduce_labels.(stage).(tile_key);
-                  cost =
-                    Instr.Memory_tile
-                      {
-                        rows = lhi - llo;
-                        cols = chi - clo;
-                        passes = (if stage = 0 then 2 else 3);
-                      };
-                  reads =
-                    [
-                      access ~buffer:"gemm_out" ~row:(glo, ghi) ~col:(clo, chi)
-                        ();
-                    ];
-                  writes =
-                    [
-                      access
-                        ~buffer:(if last then "out" else "rs_send")
-                        ~row:(if last then (llo, lhi) else (glo, ghi))
-                        ~col:(clo, chi) ();
-                    ];
-                  action = Some action;
-                };
-            ]
-          @ tail
-        in
-        let rs_task ~stage tile =
-          {
-            Program.label = rs_labels.(stage).(Tile.linearize rs_grid tile);
-            instrs = Block_channel.lower bc (reduce_stmts ~stage tile);
-          }
-        in
-        let stage_tasks stage =
-          List.map (rs_task ~stage) (Tile.enumerate ~rank rs_grid Tile.Row_major)
-        in
-        let rs_tasks = List.concat (List.init r stage_tasks) in
+        let rs_tasks = ring_stages bcs.(rank) ~rank in
         (* Resource binding for the RS consumer. *)
         let comm_roles, comm_sms =
           match config.Design_space.binding with
@@ -605,7 +296,7 @@ let gemm_rs_program ~(config : Design_space.config) spec ~(spec_gpu : Spec.t)
             ( [
                 {
                   Program.role_name = "ring-rs-dma";
-                  resource = Program.Dma_engines (min 2 spec_gpu.Spec.gpu.dma_channels);
+                  resource = Overlap.dma_engines spec_gpu;
                   lane = Tilelink_sim.Trace.Dma;
                   tasks = rs_tasks;
                 };

@@ -142,28 +142,6 @@ let part1_program ?(config = default_part1_config) spec route
   (* Tasks are rank-invariant here, so each is built and lowered once
      per program; a rank instantiates the gather tiles in its own ring
      order and every GroupGEMM tile in table order. *)
-  let comm_table =
-    Array.init (Tile.tile_count comm_grid) (fun tid ->
-        let lo, hi = Mapping.shape_range mapping ~tid in
-        {
-          Block_channel.label = Printf.sprintf "ag[%d]" tid;
-          stmts =
-            [
-              Primitive.Tile_pull_data
-                {
-                  tid;
-                  src_buffer = "tok_shard";
-                  src_view = `Shard;
-                  col = (0, spec.hidden);
-                  dst =
-                    access ~buffer:"tokens" ~row:(lo, hi)
-                      ~col:(0, spec.hidden) ();
-                  action = None;
-                };
-              Primitive.Producer_tile_notify { tid; mode = Primitive.P2p };
-            ];
-        })
-  in
   (* GroupGEMM tile with fused gather: the tokens this tile needs are
      scattered, so the wait set comes from the routing tables — the
      dynamic mapping in action. *)
@@ -223,17 +201,16 @@ let part1_program ?(config = default_part1_config) spec route
   in
   let group_table = List.mapi group_task tiles in
   let bc = Block_channel.symbolic ~world_size:r mapping in
-  let comm_templates = Array.map (Block_channel.lower_task bc) comm_table in
+  let gather =
+    Overlap.gather bc ~name:"ag" ~transfer:`Pull ~mapping ~grid:comm_grid
+      ~shard:"tok_shard" ~gathered:"tokens"
+  in
   let group_templates = List.map (Block_channel.lower_task bc) group_table in
   let plans =
     Array.init r (fun rank ->
         let comm_tasks =
-          List.map
-            (fun tile ->
-              Block_channel.instantiate_task ~rank
-                comm_templates.(Tile.linearize comm_grid tile))
-            (Tile.enumerate ~rank comm_grid
-               (Tile.Ring_from_self { segments = r }))
+          Overlap.gather_tasks gather ~rank
+            (Tile.Ring_from_self { segments = r })
         in
         let group_tasks =
           List.map (Block_channel.instantiate_task ~rank) group_templates
@@ -254,8 +231,7 @@ let part1_program ?(config = default_part1_config) spec route
             ( [
                 {
                   Program.role_name = "ag-dma";
-                  resource =
-                    Program.Dma_engines (min 2 spec_gpu.Spec.gpu.dma_channels);
+                  resource = Overlap.dma_engines spec_gpu;
                   lane = Tilelink_sim.Trace.Dma;
                   tasks = comm_tasks;
                 };
@@ -414,13 +390,6 @@ let part2_program ?(config = default_part2_config) spec route
       ~tile_m:config.rs_tile_rows ~tile_n:spec.hidden
   in
   let rs_tiles = Tile.tile_count rs_grid in
-  (* Ring invariant: one peer channel per (receiving stage, tile),
-     signalled once and awaited at threshold 1 — never [threshold =
-     stage] on a counter shared by all stages.  With more than one ring
-     worker a sender can finish stage s+1 of a tile before stage s, and
-     a shared counter would then release the receiver onto a segment
-     that was never written. *)
-  let ring_channel ~stage tile_key = (stage * rs_tiles) + tile_key in
   (* Roles A and B do not depend on the rank: their tasks are built and
      lowered once per program and instantiated on every rank. *)
   (* --- role A: GroupGEMM producer --- *)
@@ -531,9 +500,11 @@ let part2_program ?(config = default_part2_config) spec route
     (Printf.sprintf "reduce[%d]" ti, front, back)
   in
   let reduce_table = List.init (m / config.reduce_tile_rows) reduce_task in
-  let stage_labels = Block_channel.stage_labels ~stages:r ~tiles:rs_tiles in
-  let rs_labels = stage_labels (Printf.sprintf "rs[s%d,%d]") in
-  let rs_red_labels = stage_labels (Printf.sprintf "rs-red[s%d,%d]") in
+  (* --- role C: ring ReduceScatter over red_out (Figure 4) --- *)
+  let ring_stages =
+    Overlap.ring_reduce_scatter ~world:r ~grid:rs_grid ~src:"red_out"
+      ~reduce:"rs-red" ~load_received:false
+  in
   let bc_a = Block_channel.symbolic ~world_size:r mapping_a in
   let bc_b =
     Block_channel.symbolic ~channel_base:base_b ~world_size:r mapping_b
@@ -560,134 +531,7 @@ let part2_program ?(config = default_part2_config) spec route
         let reduce_tasks =
           List.map (Block_channel.instantiate_task ~rank) reduce_templates
         in
-        (* --- role C: ring ReduceScatter over red_out (Figure 4) --- *)
-        let to_rank = (rank - 1 + r) mod r in
-        let from_rank = (rank + 1) mod r in
-        let rs_stmts ~stage tile =
-          let seg = (rank + stage + 1) mod r in
-          let llo, lhi = Tile.rows rs_grid tile in
-          let glo = (seg * m_per_rank) + llo and ghi = (seg * m_per_rank) + lhi in
-          let tile_key = Tile.linearize rs_grid tile in
-          let last = stage = r - 1 in
-          let action memory ~rank =
-            let red = Memory.find memory ~rank ~name:"red_out" in
-            let data =
-              Tensor.block red ~row_lo:glo ~row_hi:ghi ~col_lo:0
-                ~col_hi:spec.hidden
-            in
-            let data =
-              if stage = 0 then data
-              else
-                Tensor.add data
-                  (Tensor.block
-                     (Memory.find memory ~rank ~name:"rs_buffer")
-                     ~row_lo:glo ~row_hi:ghi ~col_lo:0 ~col_hi:spec.hidden)
-            in
-            if last then
-              Tensor.set_block
-                (Memory.find memory ~rank ~name:"out")
-                ~row_lo:llo ~col_lo:0 data
-            else
-              Tensor.set_block
-                (Memory.find memory ~rank ~name:"rs_send")
-                ~row_lo:glo ~col_lo:0 data
-          in
-          let wait_peer =
-            if stage = 0 then []
-            else
-              [
-                Primitive.Peer_tile_wait
-                  {
-                    tile_key = ring_channel ~stage tile_key;
-                    src = from_rank;
-                    threshold = 1;
-                    guards =
-                      [
-                        access ~buffer:"rs_buffer" ~row:(glo, ghi)
-                          ~col:(0, spec.hidden) ();
-                      ];
-                  };
-              ]
-          in
-          let tail =
-            if last then
-              [
-                Primitive.Store
-                  (access ~buffer:"out" ~row:(llo, lhi) ~col:(0, spec.hidden) ());
-              ]
-            else
-              [
-                Primitive.Tile_push_data
-                  {
-                    src =
-                      access ~buffer:"rs_send" ~row:(glo, ghi)
-                        ~col:(0, spec.hidden) ();
-                    dst_rank = to_rank;
-                    dst =
-                      access ~buffer:"rs_buffer" ~row:(glo, ghi)
-                        ~col:(0, spec.hidden) ();
-                  };
-                Primitive.Peer_tile_notify
-                  {
-                    tile_key = ring_channel ~stage:(stage + 1) tile_key;
-                    dst = to_rank;
-                    amount = 1;
-                    releases =
-                      [
-                        access ~rank:to_rank ~buffer:"rs_buffer"
-                          ~row:(glo, ghi) ~col:(0, spec.hidden) ();
-                      ];
-                  };
-              ]
-          in
-          [
-            Primitive.Consumer_tile_wait
-              { lo = glo; hi = ghi; buffer = "red_out"; col = (0, spec.hidden) };
-            Primitive.Load
-              (access ~buffer:"red_out" ~row:(glo, ghi) ~col:(0, spec.hidden)
-                 ());
-          ]
-          @ wait_peer
-          @ [
-              Primitive.Compute
-                {
-                  label = rs_red_labels.(stage).(tile_key);
-                  cost =
-                    Instr.Memory_tile
-                      {
-                        rows = lhi - llo;
-                        cols = spec.hidden;
-                        passes = (if stage = 0 then 2 else 3);
-                      };
-                  reads =
-                    [
-                      access ~buffer:"red_out" ~row:(glo, ghi)
-                        ~col:(0, spec.hidden) ();
-                    ];
-                  writes =
-                    [
-                      access
-                        ~buffer:(if last then "out" else "rs_send")
-                        ~row:(if last then (llo, lhi) else (glo, ghi))
-                        ~col:(0, spec.hidden) ();
-                    ];
-                  action = Some action;
-                };
-            ]
-          @ tail
-        in
-        let rs_task ~stage tile =
-          {
-            Program.label = rs_labels.(stage).(Tile.linearize rs_grid tile);
-            instrs = Block_channel.lower bcs_b.(rank) (rs_stmts ~stage tile);
-          }
-        in
-        let rs_tasks =
-          List.concat
-            (List.init r (fun stage ->
-                 List.map (rs_task ~stage)
-                   (Tile.enumerate ~rank rs_grid Tile.Row_major)))
-        in
+        let rs_tasks = ring_stages bcs_b.(rank) ~rank in
         let gg_sms = spec_gpu.Spec.gpu.num_sms in
         [
           {

@@ -274,7 +274,7 @@ let program ?(config = default_config) spec ~(spec_gpu : Spec.t) =
             [
               {
                 Program.role_name = "stage-comm";
-                resource = Program.Dma_engines (min 2 spec_gpu.Spec.gpu.dma_channels);
+                resource = Overlap.dma_engines spec_gpu;
                 lane = Tilelink_sim.Trace.Dma;
                 tasks;
               };
