@@ -70,17 +70,23 @@ type permutation = {
   segment_offsets : int array;
 }
 
+(* One counting pass: each expert's segment starts at the running sum
+   of [expert_load], and tokens are placed in ascending order, so every
+   segment lists its (token, slot) pairs as [tokens_of_expert] does. *)
 let permutation t =
-  let buffer = ref [] in
-  for expert = t.num_experts - 1 downto 0 do
-    List.iter
-      (fun (token, slot) -> buffer := (expert, token, slot) :: !buffer)
-      (List.rev (tokens_of_expert t expert))
-  done;
-  let entries = Array.of_list !buffer in
-  let segment_offsets = Array.make (t.num_experts + 1) 0 in
   let load = expert_load t in
+  let segment_offsets = Array.make (t.num_experts + 1) 0 in
   for e = 0 to t.num_experts - 1 do
     segment_offsets.(e + 1) <- segment_offsets.(e) + load.(e)
   done;
+  let next = Array.sub segment_offsets 0 t.num_experts in
+  let entries = Array.make segment_offsets.(t.num_experts) (0, 0, 0) in
+  Array.iteri
+    (fun token ids ->
+      Array.iteri
+        (fun slot e ->
+          entries.(next.(e)) <- (e, token, slot);
+          next.(e) <- next.(e) + 1)
+        ids)
+    t.expert_ids;
   { entries; segment_offsets }

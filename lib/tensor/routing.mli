@@ -25,3 +25,6 @@ type permutation = {
 }
 
 val permutation : t -> permutation
+(** Every (expert, token, slot) once, grouped by expert in ascending
+    order and, within an expert, in {!tokens_of_expert} order; one pass
+    over the routing. *)

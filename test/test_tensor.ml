@@ -518,6 +518,33 @@ let prop_routing_tokens_of_expert_consistent =
       done;
       !ok)
 
+(* The per-expert definition [Routing.permutation] replaced: scan every
+   token once per expert, kept here as the reference. *)
+let permutation_by_expert_scan r =
+  let experts = Routing.num_experts r in
+  let buffer = ref [] in
+  for expert = experts - 1 downto 0 do
+    List.iter
+      (fun (token, slot) -> buffer := (expert, token, slot) :: !buffer)
+      (List.rev (Routing.tokens_of_expert r expert))
+  done;
+  let load = Routing.expert_load r in
+  let segment_offsets = Array.make (experts + 1) 0 in
+  for e = 0 to experts - 1 do
+    segment_offsets.(e + 1) <- segment_offsets.(e) + load.(e)
+  done;
+  { Routing.entries = Array.of_list !buffer; segment_offsets }
+
+let prop_routing_permutation_matches_scan =
+  QCheck.Test.make ~name:"permutation equals the per-expert scan" ~count:100
+    QCheck.(quad small_nat (int_range 0 40) (int_range 1 9) (int_range 1 4))
+    (fun (seed, tokens, experts, topk) ->
+      let topk = min topk experts in
+      let r =
+        Routing.random ~seed ~num_tokens:tokens ~num_experts:experts ~topk
+      in
+      Routing.permutation r = permutation_by_expert_scan r)
+
 (* ------------------------------------------------------------------ *)
 (* More edge cases                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -671,6 +698,7 @@ let () =
             test_routing_load_conservation;
           Alcotest.test_case "permutation" `Quick test_routing_permutation;
           qc prop_routing_tokens_of_expert_consistent;
+          qc prop_routing_permutation_matches_scan;
         ] );
       ( "edges",
         [
