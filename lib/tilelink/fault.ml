@@ -9,260 +9,154 @@
    waits surface as wrong data, and that pure delays never affect
    results (only time). *)
 
-let map_rank_tasks (program : Program.t) ~rank ~f =
+(* One walk over every plan: rebuild [program], named with [suffix],
+   with [f ~rank role task] in place of each task. *)
+let map_tasks ?pc_channels (program : Program.t) ~suffix ~f =
   let plans =
     Array.mapi
-      (fun r plan ->
-        if r <> rank then plan
-        else
-          List.map
-            (fun role -> { role with Program.tasks = f role.Program.tasks })
-            plan)
+      (fun rank plan ->
+        List.map
+          (fun role ->
+            {
+              role with
+              Program.tasks = List.map (f ~rank role) role.Program.tasks;
+            })
+          plan)
       (Program.plans program)
   in
   Program.create
-    ~name:(Program.name program ^ "+fault")
+    ~name:(Program.name program ^ suffix)
     ~world_size:(Program.world_size program)
-    ~pc_channels:program.Program.pc_channels
+    ~pc_channels:
+      (Option.value pc_channels ~default:program.Program.pc_channels)
     ~peer_channels:program.Program.peer_channels plans
+
+(* The instruction rewrite every signalling fault is made of: on [rank],
+   the [i]th instruction [select] picks (0-based, in task order) is
+   replaced by [f i instr]. *)
+let rewrite (program : Program.t) ~rank ~select ~f =
+  let seen = ref 0 in
+  map_tasks program ~suffix:"+fault" ~f:(fun ~rank:r _role task ->
+      if r <> rank then task
+      else
+        {
+          task with
+          Program.instrs =
+            List.concat_map
+              (fun instr ->
+                if select instr then begin
+                  let i = !seen in
+                  incr seen;
+                  f i instr
+                end
+                else [ instr ])
+              task.Program.instrs;
+        })
+
+(* Replace only the [nth] selected instruction. *)
+let at_nth nth g i instr = if i = nth then g instr else [ instr ]
+
+let is_notify = function Instr.Notify _ -> true | _ -> false
+let is_wait = function Instr.Wait _ -> true | _ -> false
+
+let rank_instrs (program : Program.t) ~rank =
+  List.concat_map
+    (fun role ->
+      List.concat_map (fun task -> task.Program.instrs) role.Program.tasks)
+    (Program.plans program).(rank)
 
 (* Drop the [nth] Notify instruction (0-based, in task order) on
    [rank]: a lost signal.  Consumers of that signal wait forever and
    the engine reports a deadlock instead of hanging. *)
-let drop_notify (program : Program.t) ~rank ~nth =
-  let seen = ref 0 in
-  map_rank_tasks program ~rank ~f:(fun tasks ->
-      List.map
-        (fun (task : Program.task) ->
-          {
-            task with
-            Program.instrs =
-              List.filter
-                (fun instr ->
-                  match instr with
-                  | Instr.Notify _ ->
-                    let keep = !seen <> nth in
-                    incr seen;
-                    keep
-                  | _ -> true)
-                task.Program.instrs;
-          })
-        tasks)
+let drop_notify program ~rank ~nth =
+  rewrite program ~rank ~select:is_notify ~f:(at_nth nth (fun _ -> []))
 
 (* Weaken every Wait on [rank] by [delta]: the consumer stops waiting
    for the last [delta] producer signals of each channel and may read
    data that has not arrived.  On a machine where transfers are slow
    this surfaces as wrong results — which is precisely what the tests
    assert. *)
-let weaken_waits (program : Program.t) ~rank ~delta =
+let weaken_waits program ~rank ~delta =
   if delta <= 0 then invalid_arg "Fault.weaken_waits: delta must be > 0";
-  map_rank_tasks program ~rank ~f:(fun tasks ->
-      List.map
-        (fun (task : Program.task) ->
-          {
-            task with
-            Program.instrs =
-              List.map
-                (fun instr ->
-                  match instr with
-                  | Instr.Wait { target; threshold; guards } ->
-                    Instr.Wait
-                      { target; threshold = max 0 (threshold - delta); guards }
-                  | instr -> instr)
-                task.Program.instrs;
-          })
-        tasks)
+  rewrite program ~rank ~select:is_wait ~f:(fun _ -> function
+    | Instr.Wait { target; threshold; guards } ->
+      [ Instr.Wait { target; threshold = max 0 (threshold - delta); guards } ]
+    | instr -> [ instr ])
 
 (* Prepend a fixed delay to every task of the named role on [rank]:
    timing skew.  A correct program must produce identical data (only
    the makespan may change). *)
-let delay_role (program : Program.t) ~rank ~role_name ~us =
+let delay_role program ~rank ~role_name ~us =
   if us < 0.0 then invalid_arg "Fault.delay_role: negative delay";
-  let plans =
-    Array.mapi
-      (fun r plan ->
-        if r <> rank then plan
-        else
-          List.map
-            (fun role ->
-              if role.Program.role_name <> role_name then role
-              else
-                {
-                  role with
-                  Program.tasks =
-                    List.map
-                      (fun (task : Program.task) ->
-                        {
-                          task with
-                          Program.instrs =
-                            Instr.Sleep us :: task.Program.instrs;
-                        })
-                      role.Program.tasks;
-                })
-            plan)
-      (Program.plans program)
-  in
-  Program.create
-    ~name:(Program.name program ^ "+skew")
-    ~world_size:(Program.world_size program)
-    ~pc_channels:program.Program.pc_channels
-    ~peer_channels:program.Program.peer_channels plans
+  map_tasks program ~suffix:"+skew" ~f:(fun ~rank:r role task ->
+      if r <> rank || role.Program.role_name <> role_name then task
+      else { task with Program.instrs = Instr.Sleep us :: task.Program.instrs })
 
 (* Emit the [nth] Notify twice: a retransmitted signal.  Because waits
    are >= comparisons on monotonic counters, a correct program must
    tolerate duplication — only the counter value inflates. *)
-let duplicate_notify (program : Program.t) ~rank ~nth =
-  let seen = ref 0 in
-  map_rank_tasks program ~rank ~f:(fun tasks ->
-      List.map
-        (fun (task : Program.task) ->
-          {
-            task with
-            Program.instrs =
-              List.concat_map
-                (fun instr ->
-                  match instr with
-                  | Instr.Notify _ ->
-                    let dup = !seen = nth in
-                    incr seen;
-                    if dup then [ instr; instr ] else [ instr ]
-                  | _ -> [ instr ])
-                task.Program.instrs;
-          })
-        tasks)
+let duplicate_notify program ~rank ~nth =
+  rewrite program ~rank ~select:is_notify
+    ~f:(at_nth nth (fun instr -> [ instr; instr ]))
 
 (* Swap the payloads (target and amount) of the [nth] and [nth+1]
    Notify instructions in the rank's task order, keeping their
    positions: a reordered delivery.  If the two notifies land on
    different channels, the earlier channel's consumer can be released
    before its tile has been produced — premature data visibility. *)
-let reorder_notifies (program : Program.t) ~rank ~nth =
-  let notifies = ref [] in
-  Array.iteri
-    (fun r plan ->
-      if r = rank then
-        List.iter
-          (fun role ->
-            List.iter
-              (fun (task : Program.task) ->
-                List.iter
-                  (fun instr ->
-                    match instr with
-                    | Instr.Notify _ -> notifies := instr :: !notifies
-                    | _ -> ())
-                  task.Program.instrs)
-              role.Program.tasks)
-          plan)
-    (Program.plans program);
-  let order = Array.of_list (List.rev !notifies) in
+let reorder_notifies program ~rank ~nth =
+  let order =
+    Array.of_list (List.filter is_notify (rank_instrs program ~rank))
+  in
   if nth < 0 || nth + 1 >= Array.length order then
     invalid_arg "Fault.reorder_notifies: nth out of range";
   let tmp = order.(nth) in
   order.(nth) <- order.(nth + 1);
   order.(nth + 1) <- tmp;
-  let seen = ref 0 in
-  map_rank_tasks program ~rank ~f:(fun tasks ->
-      List.map
-        (fun (task : Program.task) ->
-          {
-            task with
-            Program.instrs =
-              List.map
-                (fun instr ->
-                  match instr with
-                  | Instr.Notify _ ->
-                    let replacement = order.(!seen) in
-                    incr seen;
-                    replacement
-                  | _ -> instr)
-                task.Program.instrs;
-          })
-        tasks)
+  rewrite program ~rank ~select:is_notify ~f:(fun i _ -> [ order.(i) ])
 
 (* Retarget the [nth] Notify on [rank] to the next rank's counter (a
    wrong f_R resolution): [Pc] moves to the neighbouring rank's channel,
    [Peer]/[Host] to the neighbouring destination.  The intended consumer
    is never signalled and a bystander key is signalled for nothing —
    the analyzer must report both ends. *)
-let swap_notify_rank (program : Program.t) ~rank ~nth =
+let swap_notify_rank program ~rank ~nth =
   let world = Program.world_size program in
-  let seen = ref 0 in
-  map_rank_tasks program ~rank ~f:(fun tasks ->
-      List.map
-        (fun (task : Program.task) ->
-          {
-            task with
-            Program.instrs =
-              List.map
-                (fun instr ->
-                  match instr with
-                  | Instr.Notify { target; amount; releases } ->
-                    let hit = !seen = nth in
-                    incr seen;
-                    if not hit then instr
-                    else
-                      let target =
-                        match target with
-                        | Instr.Pc { rank; channel } ->
-                          Instr.Pc { rank = (rank + 1) mod world; channel }
-                        | Instr.Peer { src; dst; channel } ->
-                          Instr.Peer { src; dst = (dst + 1) mod world; channel }
-                        | Instr.Host { src; dst } ->
-                          Instr.Host { src; dst = (dst + 1) mod world }
-                      in
-                      Instr.Notify { target; amount; releases }
-                  | _ -> instr)
-                task.Program.instrs;
-          })
-        tasks)
+  let next r = (r + 1) mod world in
+  rewrite program ~rank ~select:is_notify
+    ~f:
+      (at_nth nth (function
+        | Instr.Notify { target; amount; releases } ->
+          let target =
+            match target with
+            | Instr.Pc { rank; channel } ->
+              Instr.Pc { rank = next rank; channel }
+            | Instr.Peer { src; dst; channel } ->
+              Instr.Peer { src; dst = next dst; channel }
+            | Instr.Host { src; dst } -> Instr.Host { src; dst = next dst }
+          in
+          [ Instr.Notify { target; amount; releases } ]
+        | instr -> [ instr ]))
 
 (* Raise the [nth] Wait threshold on [rank] by one: an off-by-one epoch
    — the consumer demands a signal no producer will ever send. *)
-let bump_wait_threshold (program : Program.t) ~rank ~nth =
-  let seen = ref 0 in
-  map_rank_tasks program ~rank ~f:(fun tasks ->
-      List.map
-        (fun (task : Program.task) ->
-          {
-            task with
-            Program.instrs =
-              List.map
-                (fun instr ->
-                  match instr with
-                  | Instr.Wait { target; threshold; guards } ->
-                    let hit = !seen = nth in
-                    incr seen;
-                    if hit then
-                      Instr.Wait { target; threshold = threshold + 1; guards }
-                    else instr
-                  | _ -> instr)
-                task.Program.instrs;
-          })
-        tasks)
+let bump_wait_threshold program ~rank ~nth =
+  rewrite program ~rank ~select:is_wait
+    ~f:
+      (at_nth nth (function
+        | Instr.Wait { target; threshold; guards } ->
+          [ Instr.Wait { target; threshold = threshold + 1; guards } ]
+        | instr -> [ instr ]))
 
 (* Raise the [nth] Notify amount on [rank] by one: the key advances one
    epoch further than the protocol registered waiters for. *)
-let bump_notify_amount (program : Program.t) ~rank ~nth =
-  let seen = ref 0 in
-  map_rank_tasks program ~rank ~f:(fun tasks ->
-      List.map
-        (fun (task : Program.task) ->
-          {
-            task with
-            Program.instrs =
-              List.map
-                (fun instr ->
-                  match instr with
-                  | Instr.Notify { target; amount; releases } ->
-                    let hit = !seen = nth in
-                    incr seen;
-                    if hit then
-                      Instr.Notify { target; amount = amount + 1; releases }
-                    else instr
-                  | _ -> instr)
-                task.Program.instrs;
-          })
-        tasks)
+let bump_notify_amount program ~rank ~nth =
+  rewrite program ~rank ~select:is_notify
+    ~f:
+      (at_nth nth (function
+        | Instr.Notify { target; amount; releases } ->
+          [ Instr.Notify { target; amount = amount + 1; releases } ]
+        | instr -> [ instr ]))
 
 (* Elastic remap after a rank crash: rewrite every [Pc] signal target
    the dead rank owns onto the survivors with [Mapping.remap_channels],
@@ -284,48 +178,12 @@ let remap_program (program : Program.t) ~dead ~survivors =
     | t -> t
   in
   let rewrite = Instr.map_target retarget reroute in
-  let plans =
-    Array.map
-      (fun plan ->
-        List.map
-          (fun role ->
-            {
-              role with
-              Program.tasks =
-                List.map
-                  (fun (task : Program.task) ->
-                    {
-                      task with
-                      Program.instrs = List.map rewrite task.Program.instrs;
-                    })
-                  role.Program.tasks;
-            })
-          plan)
-      (Program.plans program)
-  in
-  Program.create
-    ~name:(Program.name program ^ "+remap")
-    ~world_size:(Program.world_size program) ~pc_channels:new_cpr
-    ~peer_channels:program.Program.peer_channels plans
+  map_tasks program ~suffix:"+remap" ~pc_channels:new_cpr
+    ~f:(fun ~rank:_ _role task ->
+      { task with Program.instrs = List.map rewrite task.Program.instrs })
 
-let count_rank_instrs (program : Program.t) ~rank ~p =
-  List.fold_left
-    (fun acc role ->
-      List.fold_left
-        (fun acc (task : Program.task) ->
-          List.fold_left
-            (fun acc instr -> if p instr then acc + 1 else acc)
-            acc task.Program.instrs)
-        acc role.Program.tasks)
-    0
-    (Program.plans program).(rank)
+let count_notifies program ~rank =
+  List.length (List.filter is_notify (rank_instrs program ~rank))
 
-let count_notifies (program : Program.t) ~rank =
-  count_rank_instrs program ~rank ~p:(function
-    | Instr.Notify _ -> true
-    | _ -> false)
-
-let count_waits (program : Program.t) ~rank =
-  count_rank_instrs program ~rank ~p:(function
-    | Instr.Wait _ -> true
-    | _ -> false)
+let count_waits program ~rank =
+  List.length (List.filter is_wait (rank_instrs program ~rank))
