@@ -12,8 +12,7 @@
    ([kernel_program]).  Flags several subcommands take are defined once,
    and every --check that demands a reproducible run goes through
    [require_same].  Exit codes: 0 ok, 1 a failed result (mismatch,
-   analyzer error), 2 a user error or a failed --check, 3 a refused flag
-   combination ([Runtime.Unsupported]). *)
+   analyzer error), 2 a user error or a failed --check. *)
 
 open Cmdliner
 open Tilelink_core
@@ -511,13 +510,7 @@ let domains_arg =
     & info [ "domains" ] ~docv:"N"
         ~doc:"Worker domains for the parallel backend (ignored otherwise).")
 
-let resolve_backend backend domains =
-  match backend with
-  | `Sequential -> `Sequential
-  | `Parallel -> `Parallel domains
-
 let validate kernel backend domains topology =
-  let backend = resolve_backend backend domains in
   (* A topology fixes the world to its natural size; shapes scale with
      it so every rank keeps the same per-rank tile volume as the flat
      world-4 case. *)
@@ -531,10 +524,13 @@ let validate kernel backend domains topology =
   (* Run [program] on real data, then compare buffer [out] on every
      rank with [reference]. *)
   let run label ?atol memory program ~out reference =
-    ignore
-      (Runtime.run ~data:true ~memory ~backend
-         (Cluster.create ?topology machine ~world_size:world)
-         program);
+    (match backend with
+    | `Sequential ->
+      ignore
+        (Runtime.run ~data:true ~memory
+           (Cluster.create ?topology machine ~world_size:world)
+           program)
+    | `Parallel -> ignore (Parallel.run ~memory ~domains program));
     let ok =
       List.for_all
         (fun rank ->
@@ -665,18 +661,15 @@ let sanity check domains =
     gemm_shapes;
   (* --- every shipped workload, sequential vs parallel --- *)
   let machine = Calib.test_machine in
-  let run_case backend case =
-    let memory, program = case () in
-    let cluster =
-      Cluster.create machine ~world_size:(Program.world_size program)
-    in
-    ignore (Runtime.run ~data:true ~memory ~backend cluster program);
-    memory
-  in
   List.iter
     (fun (name, case) ->
-      let mem_seq = run_case `Sequential case in
-      let mem_par = run_case (`Parallel domains) case in
+      let mem_seq, program = case () in
+      ignore
+        (Runtime.run ~data:true ~memory:mem_seq
+           (Cluster.create machine ~world_size:(Program.world_size program))
+           program);
+      let memory, program = case () in
+      let mem_par, _ = Parallel.run ~memory ~domains program in
       report
         (Printf.sprintf "%s seq vs par(%d)" name domains)
         (Memory.bits_equal mem_seq mem_par))
@@ -1898,11 +1891,6 @@ let () =
           to the conventional 2. *)
        if code = Cmd.Exit.cli_error then 2 else code
      with
-    (* A structured flag-combination rejection is user error, not a
-       crash: render backend/feature/reason/hint without a backtrace. *)
-    | Runtime.Unsupported u ->
-      Printf.eprintf "tilelink: %s\n" (Runtime.unsupported_to_string u);
-      3
     (* Out-of-range numeric flags surface as Invalid_argument/Failure
        from the validation layers; one line, exit 2, no backtrace. *)
     | Invalid_argument msg | Failure msg ->

@@ -3,8 +3,10 @@
     monotonic counters (notify = fetch-and-add, release; wait =
     spin-then-park, acquire).
 
-    Usually reached through [Runtime.run ~backend:(`Parallel n)],
-    which wraps the result back into the interpreter's result type. *)
+    Callers that execute for real call {!run} directly: the CLI's
+    [validate --backend parallel] and [sanity], the bench harnesses
+    and the tests.  {!Runtime.run} is the simulated interpreter only;
+    chaos and failover live on its clock. *)
 
 type result = {
   p_wall_us : float;  (** wall-clock µs, the parallel "makespan" *)

@@ -735,90 +735,18 @@ let no_survivor_key ~dead ~lost program =
     None lost
   |> Option.value ~default:(Printf.sprintf "pc[%d][0]" dead)
 
-(* A structured "this combination does not exist" diagnostic: which
-   backend, which feature, why, and what to do instead.  Raised for
-   flag combinations that are wrong by construction (not by program
-   content), so callers — the CLI in particular — can render it
-   without a backtrace. *)
-type unsupported = {
-  u_backend : string;
-  u_feature : string;
-  u_reason : string;
-  u_hint : string;
-}
-
-exception Unsupported of unsupported
-
-let unsupported_to_string u =
-  Printf.sprintf
-    "the %s backend does not support %s: %s (hint: %s)" u.u_backend
-    u.u_feature u.u_reason u.u_hint
-
-let () =
-  Printexc.register_printer (function
-    | Unsupported u -> Some ("Runtime.Unsupported: " ^ unsupported_to_string u)
-    | _ -> None)
-
 let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
-    ?(backend = `Sequential) cluster (program : Program.t) =
+    cluster (program : Program.t) =
   (match Program.validate program with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Runtime.run: invalid program: " ^ msg));
   (* Optional static pre-flight: a protocol that can never complete is
      reported as a structured [Analyzer.Protocol_violation] here, with
      key/rank/channel diagnostics, instead of wedging mid-simulation as
-     a generic [Engine.Deadlock].  The parallel backend always
-     analyzes — that is its admission gate — so [analyze] only
-     matters for the sequential interpreter. *)
-  if analyze && backend = `Sequential then Analyzer.check_exn program;
+     a generic [Engine.Deadlock]. *)
+  if analyze then Analyzer.check_exn program;
   if Cluster.world_size cluster <> Program.world_size program then
     invalid_arg "Runtime.run: cluster/program world size mismatch";
-  match backend with
-  | `Parallel domains ->
-    (* Real execution on a domain team.  Chaos fault injection is a
-       simulated-clock concept (schedules, watchdog ticks, crash
-       windows are all in sim time) — reject it loudly rather than
-       silently ignoring the control. *)
-    if chaos <> None then
-      raise
-        (Unsupported
-           {
-             u_backend = "parallel";
-             u_feature = "chaos fault injection";
-             u_reason =
-               "fault schedules and the watchdog live on the simulated \
-                clock, which the domain-per-rank backend does not run";
-             u_hint =
-               "use the sequential interpreter (drop ~backend / pass \
-                `Sequential) for chaos runs";
-           });
-    ignore rebuild;
-    let memory =
-      match memory with
-      | Some m -> m
-      | None -> Memory.create ~world_size:(Program.world_size program)
-    in
-    let memory, p = Parallel.run ?telemetry ~data ~memory ~domains program in
-    (* Mirror the final counter values into a Channel.t so result
-       consumers ([pc_value], reporting) see the same interface as the
-       sequential interpreter. *)
-    let channels =
-      Channel.create
-        ~world_size:(Program.world_size program)
-        ~channels_per_rank:program.Program.pc_channels
-        ~peer_channels:program.Program.peer_channels ()
-    in
-    List.iter
-      (fun (key, v) ->
-        if v > 0 then Channel.force_signal channels ~key ~target:v)
-      p.Parallel.p_key_values;
-    {
-      makespan = p.Parallel.p_wall_us;
-      channels;
-      memory;
-      notifies = p.Parallel.p_notifies;
-    }
-  | `Sequential ->
   let memory =
     match memory with
     | Some m -> m

@@ -8,47 +8,14 @@ type result = {
   notifies : int;
 }
 
-(** A flag combination that is wrong by construction, independent of
-    the program's content: which backend refused, which feature, why,
-    and what to use instead.  Today the only producer is
-    [~backend:(`Parallel _)] combined with [~chaos] — fault schedules
-    and the watchdog live on the simulated clock, which the real
-    domain-per-rank backend does not run. *)
-type unsupported = {
-  u_backend : string;  (** backend that refused, e.g. ["parallel"] *)
-  u_feature : string;  (** the unsupported feature, e.g. ["chaos"] *)
-  u_reason : string;  (** why the combination cannot work *)
-  u_hint : string;  (** what to do instead *)
-}
-
-exception Unsupported of unsupported
-
-val unsupported_to_string : unsupported -> string
-(** One-line human rendering; also installed as an exception printer. *)
-
 val run :
   ?telemetry:Tilelink_obs.Telemetry.t ->
   ?data:bool -> ?memory:Memory.t -> ?chaos:Chaos.control ->
   ?analyze:bool ->
   ?rebuild:(unit -> Program.t) ->
-  ?backend:[ `Sequential | `Parallel of int ] ->
   Tilelink_machine.Cluster.t -> Program.t -> result
-(** Execute the program to completion.
-
-    With [~backend:(`Parallel n)] (default [`Sequential]), the program
-    is not simulated at all: it runs for real on a persistent team of
-    [n] OCaml 5 domains ({!Parallel.run}), with tile channels lowered
-    to atomic monotonic counters (notify = fetch-and-add, release;
-    wait = spin-then-park, acquire) and data actions executed
-    concurrently on the domains.  The static analyzer pre-flights
-    every program admitted to the parallel path (regardless of
-    [analyze]) — that gate makes the backend deadlock-free, and the
-    protocol's happens-before edges make the resulting tensors
-    bit-identical to the sequential interpreter's.  In the result,
-    [makespan] is wall-clock µs, [channels] mirrors the final counter
-    values, and [notifies] counts real atomic signals.  Chaos controls
-    are rejected with a structured {!Unsupported} (fault schedules
-    live on the simulated clock).
+(** Execute the program to completion on the simulated clock.  Real
+    execution on OCaml 5 domains is {!Parallel.run}.
 
     With [~analyze:true] (default
     false), the static protocol analyzer pre-flights the program and a

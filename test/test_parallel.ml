@@ -1,8 +1,7 @@
 (* The parallel execution backend: sequential-vs-parallel bit-identity
    across every shipped workload program and randomized Table-2-style
    specs, the substrate's structured failure modes (deadlock backstop,
-   stream exceptions), and the admission guards (chaos rejection,
-   analyzer gate).
+   stream exceptions), and the analyzer admission gate.
 
    Bit-identity is the backend's headline contract: all cross-task
    tensor traffic is ordered by the signal protocol (the analyzer's
@@ -31,32 +30,35 @@ let program_keys (program : Program.t) =
         task.Program.instrs);
   Hashtbl.fold (fun k () acc -> k :: acc) keys [] |> List.sort compare
 
-let run_backend ~backend case =
+let run_sequential case =
   let memory, program = case () in
   let cluster =
     Cluster.create machine ~world_size:(Program.world_size program)
   in
-  let result = Runtime.run ~data:true ~memory ~backend cluster program in
-  (memory, result)
+  (memory, Runtime.run ~data:true ~memory cluster program)
+
+let run_parallel ~domains case =
+  let memory, program = case () in
+  Parallel.run ~memory ~domains program
 
 let check_case ~domains name case =
-  let mem_seq, r_seq = run_backend ~backend:`Sequential case in
-  let mem_par, r_par = run_backend ~backend:(`Parallel domains) case in
+  let mem_seq, r_seq = run_sequential case in
+  let mem_par, r_par = run_parallel ~domains case in
   Alcotest.(check bool)
     (Printf.sprintf "%s: bit-identical tensors (domains=%d)" name domains)
     true
     (Memory.bits_equal mem_seq mem_par);
   Alcotest.(check int)
     (Printf.sprintf "%s: same notify count" name)
-    r_seq.Runtime.notifies r_par.Runtime.notifies;
-  (* The mirrored channel state must agree counter by counter. *)
+    r_seq.Runtime.notifies r_par.Parallel.p_notifies;
+  (* The final channel state must agree counter by counter. *)
   let _, program = case () in
   List.iter
     (fun key ->
       Alcotest.(check (option int))
         (Printf.sprintf "%s: counter %s" name key)
         (Channel.key_value r_seq.Runtime.channels ~key)
-        (Channel.key_value r_par.Runtime.channels ~key))
+        (List.assoc_opt key r_par.Parallel.p_key_values))
     (program_keys program)
 
 (* ------------------------------------------------------------------ *)
@@ -122,42 +124,13 @@ let qcheck_random_specs =
           Tilelink_workloads.Mlp.ag_gemm_program ~transfer ~config shapes
             ~spec_gpu:machine )
       in
-      let mem_seq, _ = run_backend ~backend:`Sequential case in
-      let mem_par, _ = run_backend ~backend:(`Parallel 3) case in
+      let mem_seq, _ = run_sequential case in
+      let mem_par, _ = run_parallel ~domains:3 case in
       Memory.bits_equal mem_seq mem_par)
 
 (* ------------------------------------------------------------------ *)
 (* Guards                                                              *)
 (* ------------------------------------------------------------------ *)
-
-let test_rejects_chaos () =
-  let name, case = List.hd (Suite.data_cases ()) in
-  let memory, program = case () in
-  let cluster =
-    Cluster.create machine ~world_size:(Program.world_size program)
-  in
-  let chaos = Chaos.control ~schedule:(Chaos.plan ~seed:7 ~world_size:2 ()) () in
-  (* The rejection must be the structured Unsupported diagnostic — a
-     caller (the CLI) renders backend/feature/reason/hint without a
-     backtrace — not a bare Invalid_argument. *)
-  match
-    Runtime.run ~data:true ~memory ~chaos ~backend:(`Parallel 2) cluster
-      program
-  with
-  | exception Runtime.Unsupported u ->
-    Alcotest.(check string)
-      (Printf.sprintf "%s: refusing backend" name)
-      "parallel" u.Runtime.u_backend;
-    Alcotest.(check bool)
-      "feature names chaos" true
-      (u.Runtime.u_feature = "chaos fault injection");
-    Alcotest.(check bool)
-      "reason and hint are non-empty" true
-      (u.Runtime.u_reason <> "" && u.Runtime.u_hint <> "")
-  | exception e ->
-    Alcotest.failf "expected Runtime.Unsupported, got %s"
-      (Printexc.to_string e)
-  | _ -> Alcotest.fail "chaos admitted to the parallel backend"
 
 let test_analyzer_gate () =
   let _, case = List.hd (Suite.data_cases ()) in
@@ -165,12 +138,7 @@ let test_analyzer_gate () =
   (* A statically broken protocol (hoisted wait threshold) must be
      refused before any domain runs. *)
   let broken = Fault.bump_wait_threshold program ~rank:0 ~nth:0 in
-  let cluster =
-    Cluster.create machine ~world_size:(Program.world_size program)
-  in
-  match
-    Runtime.run ~data:true ~memory ~backend:(`Parallel 2) cluster broken
-  with
+  match Parallel.run ~memory ~domains:2 broken with
   | exception Analyzer.Protocol_violation _ -> ()
   | exception e ->
     Alcotest.failf "expected Protocol_violation, got %s" (Printexc.to_string e)
@@ -229,7 +197,6 @@ let () =
         ] );
       ( "guards",
         [
-          Alcotest.test_case "rejects chaos" `Quick test_rejects_chaos;
           Alcotest.test_case "analyzer gate" `Quick test_analyzer_gate;
         ] );
       ( "substrate",

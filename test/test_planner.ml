@@ -35,9 +35,14 @@ let exact_equal msg expected actual =
     (Tensor.shape expected = Tensor.shape actual
     && Tensor.data expected = Tensor.data actual)
 
-let run_data ?backend ~memory ~world program =
-  let cluster = Cluster.create spec_gpu ~world_size:world in
-  Runtime.run ~data:true ~memory ?backend cluster program
+(* Run [program] on real data: on the sequential interpreter, or on
+   [domains] domains with [Parallel.run]. *)
+let run_data ?domains ~memory ~world program =
+  match domains with
+  | None ->
+    let cluster = Cluster.create spec_gpu ~world_size:world in
+    ignore (Runtime.run ~data:true ~memory cluster program)
+  | Some domains -> ignore (Parallel.run ~memory ~domains program)
 
 (* ------------------------------------------------------------------ *)
 (* Synthesis mirrors the hand-written kernel                           *)
@@ -72,8 +77,8 @@ let test_synthesize_matches_handwritten () =
          hand-written run, not just the reference. *)
       let mem_planned = Mlp.ag_gemm_alloc mlp_spec ~seed:11 in
       let mem_hand = Mlp.ag_gemm_alloc mlp_spec ~seed:11 in
-      ignore (run_data ~memory:mem_planned ~world:2 planned);
-      ignore (run_data ~memory:mem_hand ~world:2 hand);
+      run_data ~memory:mem_planned ~world:2 planned;
+      run_data ~memory:mem_hand ~world:2 hand;
       for rank = 0 to 1 do
         let name = Printf.sprintf "%s rank %d" (Planner.transfer_to_string transfer) rank in
         exact_equal (name ^ " vs handwritten")
@@ -442,11 +447,11 @@ let qcheck_planner_matches_handwritten =
             ~config:cand.Planner.pl_config spec ~spec_gpu
         in
         List.for_all
-          (fun backend ->
+          (fun domains ->
             let mem_p = Mlp.ag_gemm_alloc spec ~seed:23 in
             let mem_h = Mlp.ag_gemm_alloc spec ~seed:23 in
-            ignore (run_data ~backend ~memory:mem_p ~world plan.Planner.p_program);
-            ignore (run_data ~backend ~memory:mem_h ~world hand);
+            run_data ?domains ~memory:mem_p ~world plan.Planner.p_program;
+            run_data ?domains ~memory:mem_h ~world hand;
             List.for_all
               (fun rank ->
                 let y_p = Memory.find mem_p ~rank ~name:"y" in
@@ -455,7 +460,7 @@ let qcheck_planner_matches_handwritten =
                 && Tensor.data y_p
                    = Tensor.data (Mlp.ag_gemm_reference mem_p spec ~rank))
               (List.init world Fun.id))
-          [ `Sequential; `Parallel 2 ])
+          [ None; Some 2 ])
 
 (* ------------------------------------------------------------------ *)
 (* Novel graphs: no hand-written counterpart                           *)
@@ -472,7 +477,7 @@ let test_softmax_graph () =
   | None -> Alcotest.fail "search returned no plan"
   | Some plan ->
     let memory = Planned.softmax_alloc ~m ~k ~world ~seed:7 in
-    ignore (run_data ~memory ~world plan.Planner.p_program);
+    run_data ~memory ~world plan.Planner.p_program;
     let expected = Planned.softmax_reference memory ~m ~world in
     for rank = 0 to world - 1 do
       exact_equal
@@ -494,7 +499,7 @@ let test_fused_graph_zero_manual_protocol () =
     | Ok () -> ()
     | Error _ -> Alcotest.fail "fused winner failed the analyzer");
     let memory = Planned.fused_alloc spec ~seed:13 in
-    ignore (run_data ~memory ~world:2 plan.Planner.p_program);
+    run_data ~memory ~world:2 plan.Planner.p_program;
     let softmax_expected = Planned.fused_softmax_reference memory spec in
     for rank = 0 to 1 do
       exact_equal
@@ -518,7 +523,7 @@ let test_moe_graph () =
   | None -> Alcotest.fail "search returned no plan"
   | Some plan ->
     let memory = Planned.moe_alloc ~m ~k ~n ~world ~seed:19 in
-    ignore (run_data ~memory ~world plan.Planner.p_program);
+    run_data ~memory ~world plan.Planner.p_program;
     for rank = 0 to world - 1 do
       List.iter
         (fun (weights, out) ->

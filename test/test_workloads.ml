@@ -494,13 +494,9 @@ let check_attention spec msg =
   let build () =
     Attention.program ~config:attn_config spec ~spec_gpu:Calib.test_machine
   in
-  let run ?chaos how backend =
+  let run how execute =
     let memory = Attention.alloc spec ~seed:51 in
-    let cluster = Cluster.create Calib.test_machine ~world_size:world in
-    let _result =
-      Runtime.run ~data:true ~memory ~backend ?chaos ~rebuild:build cluster
-        (build ())
-    in
+    execute memory;
     for rank = 0 to world - 1 do
       tensor_close ~atol:1e-8
         (Printf.sprintf "%s %s rank %d" msg how rank)
@@ -508,8 +504,14 @@ let check_attention spec msg =
         (Memory.find memory ~rank ~name:"o")
     done
   in
-  run "sequential" `Sequential;
-  run "parallel" (`Parallel 2);
+  let sequential ?chaos memory =
+    let cluster = Cluster.create Calib.test_machine ~world_size:world in
+    ignore
+      (Runtime.run ~data:true ~memory ?chaos ~rebuild:build cluster (build ()))
+  in
+  run "sequential" (fun memory -> sequential memory);
+  run "parallel" (fun memory ->
+      ignore (Parallel.run ~memory ~domains:2 (build ())));
   let ideal =
     (Runtime.run (Cluster.create Calib.test_machine ~world_size:world)
        (build ()))
@@ -525,7 +527,7 @@ let check_attention spec msg =
       ~watchdog:{ Chaos.default_watchdog with policy = Chaos.Failover }
       ()
   in
-  run ~chaos:control "crash replay" `Sequential;
+  run "crash replay" (sequential ~chaos:control);
   Alcotest.(check bool) (msg ^ ": the crash replayed tiles") true
     (control.Chaos.c_recovery.Chaos.replayed_tiles > 0)
 
