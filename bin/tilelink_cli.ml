@@ -668,8 +668,8 @@ let sanity check domains =
         (Runtime.run ~data:true ~memory:mem_seq
            (Cluster.create machine ~world_size:(Program.world_size program))
            program);
-      let memory, program = case () in
-      let mem_par, _ = Parallel.run ~memory ~domains program in
+      let mem_par, program = case () in
+      ignore (Parallel.run ~memory:mem_par ~domains program);
       report
         (Printf.sprintf "%s seq vs par(%d)" name domains)
         (Memory.bits_equal mem_seq mem_par))

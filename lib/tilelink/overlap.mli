@@ -41,11 +41,6 @@ val gather_tasks : gather -> rank:int -> Tile.order -> Program.task list
 (** The gather tasks [rank] runs, in [order]: every tile when pulling,
     only the rank's own shard tiles when pushing. *)
 
-val split_fraction : float -> 'a list -> 'a list * 'a list
-(** [split_fraction f xs] cuts [xs] after [truncate (f * length xs)]
-    elements: the DMA-bound prefix and SM-bound rest of a hybrid
-    binding. *)
-
 val gather_roles :
   name:string ->
   spec_gpu:Tilelink_machine.Spec.t ->
@@ -53,9 +48,9 @@ val gather_roles :
   Program.task list ->
   Program.role list * int
 (** Bind a rank's gather tasks: ["name-sm"] on an SM partition,
-    ["name-dma"] on {!dma_engines}, or a hybrid that puts the
-    [dma_fraction] prefix on DMA and the rest on SMs.  Also returns the
-    SMs left to compute (at least one). *)
+    ["name-dma"] on {!dma_engines}, or a hybrid that puts the first
+    [truncate (dma_fraction * length tasks)] tasks on DMA and the rest
+    on SMs.  Also returns the SMs left to compute (at least one). *)
 
 (** {1 Row-range consumers of the gathered buffer} *)
 
