@@ -370,8 +370,10 @@ let print_outcome label (o : _ Tune.outcome) =
     o.Tune.skipped_deadlock o.Tune.skipped_race o.Tune.cache_hits
     o.Tune.cache_misses;
   (* Why the winners win: schedules ranked by how much communication
-     they left exposed on the critical path (fresh evaluations carry
-     the measurement; pre-profiler cache hits may not). *)
+     they left exposed on the critical path.  [autotune] searches with
+     blame, so its fresh evaluations carry the measurement; a hit on an
+     entry stored without blame (pre-profiler, or written by a
+     blame-less search such as [tune]) carries none and is left out. *)
   let by_blame =
     List.filter_map
       (fun (e : Tune.score) ->
@@ -462,7 +464,8 @@ let autotune workload world m k n jobs cache_path =
       Printf.printf "%s: searching %d candidates...\n%!" label
         (List.length configs);
       match
-        Tune.search_programs ?pool ~cache ~workload:workload_id ~build
+        Tune.search_programs ?pool ~cache ~blame:true ~workload:workload_id
+          ~build
           ~make_cluster:(fun () -> Cluster.create spec ~world_size:world)
           configs
       with

@@ -149,6 +149,7 @@ let gather_roles ~name ~spec_gpu binding tasks =
 (* ------------------------------------------------------------------ *)
 
 let chunk_ranges ~extent ~chunks =
+  if chunks < 1 then invalid_arg "Overlap.chunk_ranges: chunks must be >= 1";
   let chunk = ceil_div extent chunks in
   List.init (ceil_div extent chunk) (fun kc ->
       (kc * chunk, min extent ((kc + 1) * chunk)))

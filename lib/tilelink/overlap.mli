@@ -56,7 +56,8 @@ val gather_roles :
 
 val chunk_ranges : extent:int -> chunks:int -> (int * int) list
 (** The non-empty column ranges of [extent] cut into [chunks] chunks of
-    [ceil (extent / chunks)] columns. *)
+    [ceil (extent / chunks)] columns.  Raises [Invalid_argument] when
+    [chunks < 1]. *)
 
 val row_consumer :
   label:string ->
@@ -84,7 +85,7 @@ val gemm_chunks :
 (** The body of a GEMM tile [out = gathered @ weights] over
     [chunk_ranges ~extent:k ~chunks]: per chunk, load both operands and
     compute (labelled [label ^ "k<chunk>"]); the data action rides on
-    the last chunk. *)
+    the last chunk.  Raises [Invalid_argument] when [chunks < 1]. *)
 
 (** {1 Ring ReduceScatter} *)
 

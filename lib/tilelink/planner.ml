@@ -269,8 +269,6 @@ let consumer_task g cand co ~grid tile =
 let synthesize g cand ~spec_gpu =
   let r = g.g_world in
   let config = cand.pl_config in
-  if cand.pl_chunks < 1 then
-    invalid_arg "Planner.synthesize: chunks must be >= 1";
   let comm_tm = fst config.Design_space.comm_tile in
   let shard_rows = g.g_rows / r in
   if shard_rows mod comm_tm <> 0 then

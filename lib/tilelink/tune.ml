@@ -44,7 +44,8 @@ type 'a evaluation = {
   time : float;
   exposed_comm_us : float option;
       (* exposed-communication blame from the causal profiler, when the
-         evaluator ran with telemetry (program-valued searches do) *)
+         evaluator ran with telemetry (planner searches and
+         [search_programs ~blame:true] do) *)
 }
 
 (* Defined after [evaluation] so an unannotated [e.config] or [e.time]
@@ -367,23 +368,29 @@ let search ?pool ?cache ?cache_key ?analyze ~build ~evaluate configs =
     ~evaluate:(fun candidate -> (evaluate candidate, None))
     configs
 
-(* The shared program evaluator: telemetry adds no simulated time, so
-   the makespan is the one the plain evaluator would report; the spans
-   additionally give each candidate its exposed-communication blame —
-   the why behind its rank in the sweep.  Nothing else of the run is
-   read, so only the span half records. *)
-let evaluate_program ~make_cluster program =
+(* The shared program evaluator.  A search that reads no blame scores
+   a candidate on the bare simulator: one run without telemetry, whose
+   makespan is the score.  With [blame], only the span half of
+   telemetry records as well; it adds no simulated time, so the
+   makespan is the same, and the spans give the candidate its
+   exposed-communication blame, the why behind its rank in the sweep.
+   Span records nearly quadruple what the simulator promotes to the
+   major heap per event, so they are paid only where something reads
+   the blame. *)
+let evaluate_program ~blame ~make_cluster program =
   let cluster = make_cluster () in
-  let telemetry = Tilelink_obs.Telemetry.spans_only () in
-  let r = Runtime.run ~telemetry cluster program in
-  let attribution =
-    Tilelink_obs.Attribution.of_spans ~makespan:r.Runtime.makespan
-      (Tilelink_obs.Span.spans (Tilelink_obs.Telemetry.spans telemetry))
-  in
-  ( r.Runtime.makespan,
-    Some
-      attribution.Tilelink_obs.Attribution.buckets
-        .Tilelink_obs.Attribution.exposed_comm )
+  if not blame then ((Runtime.run cluster program).Runtime.makespan, None)
+  else
+    let telemetry = Tilelink_obs.Telemetry.spans_only () in
+    let r = Runtime.run ~telemetry cluster program in
+    let attribution =
+      Tilelink_obs.Attribution.of_spans ~makespan:r.Runtime.makespan
+        (Tilelink_obs.Span.spans (Tilelink_obs.Telemetry.spans telemetry))
+    in
+    ( r.Runtime.makespan,
+      Some
+        attribution.Tilelink_obs.Attribution.buckets
+          .Tilelink_obs.Attribution.exposed_comm )
 
 (* A probe cluster pins down the machine identity behind a cache key;
    simulated clusters are single-shot, so a probe never runs. *)
@@ -395,8 +402,11 @@ let machine_fingerprint probe =
 (* Convenience for program-valued candidates: simulate on a fresh
    cluster per candidate, built *inside* the evaluating task so every
    engine/channel/runtime structure stays confined to the domain that
-   runs it — [make_cluster] is the enforced entry point. *)
-let search_programs ?pool ?cache ~workload ~build ~make_cluster configs =
+   runs it — [make_cluster] is the enforced entry point.  The
+   tie-break ignores blame, so [blame] changes what a score carries,
+   never which candidate wins, and the cache key leaves it out. *)
+let search_programs ?pool ?cache ?(blame = false) ~workload ~build
+    ~make_cluster configs =
   let cache_key =
     match cache with
     | None -> None
@@ -410,7 +420,7 @@ let search_programs ?pool ?cache ~workload ~build ~make_cluster configs =
   in
   search_items ?pool ?cache ?cache_key ~analyze:Analyzer.check_message
     ~config_of:Fun.id ~build
-    ~evaluate:(evaluate_program ~make_cluster) configs
+    ~evaluate:(evaluate_program ~blame ~make_cluster) configs
 
 (* The planner breaks makespan ties toward less exposed communication
    (missing blame sorts last), before the earliest candidate wins a
@@ -448,5 +458,6 @@ let search_planned ?pool ?cache ~workload ~fingerprint ~config_of ~build
     ~bound:(fun (_, program) -> Bound.makespan probe program)
     ~tie_break:less_exposed_comm ~config_of
     ~build:(fun candidate -> (candidate, build candidate))
-    ~evaluate:(fun (_, program) -> evaluate_program ~make_cluster program)
+    ~evaluate:(fun (_, program) ->
+      evaluate_program ~blame:true ~make_cluster program)
     candidates

@@ -8,9 +8,11 @@ type 'a evaluation = {
   time : float;
   exposed_comm_us : float option;
       (** exposed-communication blame (µs on the critical path) from
-          the causal profiler; [Some] for {!search_programs}
-          candidates, [None] for scalar {!search} evaluators and
-          pre-profiler cache entries *)
+          the causal profiler; [Some] for {!search_planned} candidates
+          and {!search_programs} candidates evaluated with
+          [~blame:true], [None] for scalar {!search} evaluators,
+          {!search_programs} evaluations without [~blame:true], and
+          cache hits on entries stored without blame *)
 }
 
 type score = {
@@ -73,6 +75,7 @@ val search :
 val search_programs :
   ?pool:Tilelink_exec.Pool.t ->
   ?cache:Tilelink_exec.Cache.t ->
+  ?blame:bool ->
   workload:string ->
   build:(Design_space.config -> Program.t) ->
   make_cluster:(unit -> Tilelink_machine.Cluster.t) ->
@@ -87,7 +90,18 @@ val search_programs :
     is pre-flighted through {!Analyzer.check_message};
     statically-broken candidates count as [skipped_race].  An entry
     this process stored is thus always built and analyzer-clean, and a
-    hit on it skips both. *)
+    hit on it skips both.
+
+    By default ([blame = false]) a candidate is scored by the makespan
+    of one run without telemetry, and a fresh evaluation carries
+    [exposed_comm_us = None].  With [~blame:true] the run also records
+    spans, and each fresh evaluation carries its exposed-communication
+    blame; pass it only when the caller reads or ranks by blame, since
+    recording spans nearly quadruples what the simulator promotes to
+    the major heap per event.  [blame] never changes the times, the winner or any count,
+    and cache keys ignore it: a hit replays whatever blame its entry
+    stored, so a blame-reading search reports [None] for an entry a
+    blame-less one wrote. *)
 
 val search_planned :
   ?pool:Tilelink_exec.Pool.t ->

@@ -288,6 +288,67 @@ let test_search_keeps_only_the_winner () =
     (Program_digest.digest cold_o.Tune.best.Tune.candidate)
     (Program_digest.digest o.Tune.best.Tune.candidate)
 
+(* Blame is an annotation, not an input to the search: over the toy
+   space plus one candidate that fails to build, a search with
+   [~blame:true] and one without agree on every score, the winner, its
+   program and every count, at pool widths 1 and 2, cold and warm on an
+   in-process cache of their own.  Only the blame differs: [Some] on
+   every score with it, [None] on every score without it. *)
+let test_blame_changes_no_search_result () =
+  let unbuildable =
+    { (List.hd toy_configs) with Design_space.comm_tile = (3, 3) }
+  in
+  let configs = toy_configs @ [ unbuildable ] in
+  let search ~pool ~cache ~blame =
+    match
+      Tune.search_programs ~pool ~cache ~blame ~workload:"test:blame"
+        ~build:toy_program ~make_cluster:toy_cluster configs
+    with
+    | Some o -> o
+    | None -> Alcotest.fail "blame search built no candidate"
+  in
+  let counts (o : _ Tune.outcome) =
+    [
+      o.Tune.skipped; o.Tune.skipped_build; o.Tune.skipped_invalid;
+      o.Tune.skipped_deadlock; o.Tune.skipped_race; o.Tune.cache_hits;
+      o.Tune.cache_misses;
+    ]
+  in
+  let blamed (o : _ Tune.outcome) =
+    List.map (fun e -> e.Tune.exposed_comm_us <> None) o.Tune.evaluated
+  in
+  List.iter
+    (fun domains ->
+      let pool = Pool.create ~domains () in
+      let bare_cache = Cache.create () and blame_cache = Cache.create () in
+      List.iter
+        (fun (pass, hits) ->
+          let what = Printf.sprintf "%s, %d domains" pass domains in
+          let bare = search ~pool ~cache:bare_cache ~blame:false in
+          let blame = search ~pool ~cache:blame_cache ~blame:true in
+          Alcotest.(check bool) (what ^ ": evaluated identical") true
+            (evaluations bare = evaluations blame);
+          Alcotest.(check bool) (what ^ ": winner config identical") true
+            (bare.Tune.best.Tune.config = blame.Tune.best.Tune.config);
+          Alcotest.(check (float 0.0))
+            (what ^ ": winner time identical") blame.Tune.best.Tune.time
+            bare.Tune.best.Tune.time;
+          Alcotest.(check string) (what ^ ": winner program identical")
+            (Program_digest.digest blame.Tune.best.Tune.candidate)
+            (Program_digest.digest bare.Tune.best.Tune.candidate);
+          Alcotest.(check (list int)) (what ^ ": counts identical")
+            (counts blame) (counts bare);
+          Alcotest.(check int) (what ^ ": one skipped build") 1
+            bare.Tune.skipped_build;
+          Alcotest.(check int) (what ^ ": cache hits") hits
+            bare.Tune.cache_hits;
+          Alcotest.(check bool) (what ^ ": bare scores carry no blame") true
+            (List.for_all not (blamed bare));
+          Alcotest.(check bool) (what ^ ": blame scores carry it") true
+            (List.for_all Fun.id (blamed blame)))
+        [ ("cold", 0); ("warm", List.length toy_configs) ])
+    [ 1; 2 ]
+
 (* [Tune.search] over the toy space with every [build] and [analyze]
    call counted; [broken] names configs whose program is built with a
    dropped notify, which the analyzer must reject. *)
@@ -424,7 +485,7 @@ let schema_configs =
 
 let schema_search ~cache () =
   match
-    Tune.search_programs ~cache ~workload:"test:schema-mlp"
+    Tune.search_programs ~cache ~blame:true ~workload:"test:schema-mlp"
       ~build:(fun config ->
         Mlp.ag_gemm_program ~config schema_shapes ~spec_gpu:Calib.test_machine)
       ~make_cluster:(fun () ->
@@ -561,6 +622,8 @@ let () =
         [
           Alcotest.test_case "keeps only the winner's program" `Quick
             test_search_keeps_only_the_winner;
+          Alcotest.test_case "blame changes no search result" `Quick
+            test_blame_changes_no_search_result;
           Alcotest.test_case "in-process hits skip build and analysis" `Quick
             test_in_process_hits_skip_build_and_analysis;
           Alcotest.test_case "persistent hits rebuild and reanalyze" `Quick

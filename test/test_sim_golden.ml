@@ -109,8 +109,8 @@ let search_lines () =
   let make_cluster () = Cluster.create Calib.h800 ~world_size:world in
   let lines name build configs =
     match
-      Tune.search_programs ~workload:("golden:" ^ name) ~build ~make_cluster
-        configs
+      Tune.search_programs ~blame:true ~workload:("golden:" ^ name) ~build
+        ~make_cluster configs
     with
     | None -> [ "search:" ^ name ^ "\tnone" ]
     | Some o ->

@@ -147,6 +147,63 @@ let test_ag_gemm_rejects_bad_tile () =
        false
      with Invalid_argument _ -> true)
 
+(* A chunk count below 1 is a bad design point like a non-dividing
+   tile: building it raises [Invalid_argument] (not [Division_by_zero],
+   and never a program with empty GEMM tiles), in the hand-written
+   kernel and in planner synthesis alike, so the tuner counts it as a
+   skipped build. *)
+let test_ag_gemm_rejects_bad_chunks () =
+  let rejects what build =
+    Alcotest.(check bool) what true
+      (try
+         ignore (build ());
+         false
+       with Invalid_argument _ -> true)
+  in
+  let graph = Planned.mlp_graph ag_spec in
+  List.iter
+    (fun k_chunks ->
+      rejects (Printf.sprintf "ag_gemm k_chunks=%d rejected" k_chunks)
+        (fun () ->
+          Mlp.ag_gemm_program ~k_chunks ~config:base_config ag_spec
+            ~spec_gpu:Calib.test_machine);
+      rejects (Printf.sprintf "planner chunks=%d rejected" k_chunks)
+        (fun () ->
+          Planner.synthesize graph
+            {
+              Planner.pl_config = base_config;
+              pl_transfer = Planner.Pull;
+              pl_chunks = k_chunks;
+            }
+            ~spec_gpu:Calib.test_machine))
+    [ 0; -1 ];
+  (* The stage count marks which candidate gets which chunk count. *)
+  let configs =
+    List.map
+      (fun stages -> { base_config with Design_space.stages })
+      [ 1; 2; 3 ]
+  in
+  let build (config : Design_space.config) =
+    let k_chunks =
+      match config.Design_space.stages with 1 -> 0 | 2 -> -1 | _ -> 2
+    in
+    Mlp.ag_gemm_program ~k_chunks ~config ag_spec
+      ~spec_gpu:Calib.test_machine
+  in
+  match
+    Tune.search_programs ~workload:"test:bad-chunks" ~build
+      ~make_cluster:(fun () -> Cluster.create Calib.test_machine ~world_size:2)
+      configs
+  with
+  | None -> Alcotest.fail "bad-chunk search built no candidate"
+  | Some o ->
+    Alcotest.(check int) "both bad chunk counts skipped at build" 2
+      o.Tune.skipped_build;
+    Alcotest.(check int) "one candidate evaluated" 1
+      (List.length o.Tune.evaluated);
+    Alcotest.(check int) "the winner has 3 stages" 3
+      o.Tune.best.Tune.config.Design_space.stages
+
 let prop_ag_gemm_correct_random_shapes =
   QCheck.Test.make
     ~name:"ag+gemm correct across random shapes, tiles and modes" ~count:25
@@ -1079,6 +1136,8 @@ let () =
             test_ag_gemm_program_is_consistent;
           Alcotest.test_case "rejects bad tile" `Quick
             test_ag_gemm_rejects_bad_tile;
+          Alcotest.test_case "rejects bad chunk count" `Quick
+            test_ag_gemm_rejects_bad_chunks;
           QCheck_alcotest.to_alcotest prop_ag_gemm_correct_random_shapes;
         ] );
       ( "gemm_rs",
