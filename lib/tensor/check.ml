@@ -15,18 +15,32 @@ let compare ?(atol = 1e-9) ?(rtol = 1e-6) expected actual =
          (Shape.to_string (Tensor.shape actual)));
   let e = Tensor.data expected and a = Tensor.data actual in
   let max_abs = ref 0.0 and max_rel = ref 0.0 and worst = ref 0 in
-  let within = ref true in
+  let within = ref true and class_mismatch = ref false in
   Array.iteri
     (fun i ev ->
       let av = a.(i) in
-      let abs_err = Float.abs (ev -. av) in
-      let rel_err = abs_err /. Float.max (Float.abs ev) 1e-30 in
-      if abs_err > !max_abs then begin
-        max_abs := abs_err;
-        worst := i
-      end;
-      if rel_err > !max_rel then max_rel := rel_err;
-      if abs_err > atol +. (rtol *. Float.abs ev) then within := false)
+      if Float.is_finite ev && Float.is_finite av then begin
+        let abs_err = Float.abs (ev -. av) in
+        let rel_err = abs_err /. Float.max (Float.abs ev) 1e-30 in
+        if abs_err > !max_abs && not !class_mismatch then begin
+          max_abs := abs_err;
+          worst := i
+        end;
+        if rel_err > !max_rel then max_rel := rel_err;
+        if abs_err > atol +. (rtol *. Float.abs ev) then within := false
+      end
+      (* A NaN or an infinity matches only its own class: NaN with NaN,
+         an infinity with the same-signed one.  The first mismatch is
+         the worst index, with infinite error. *)
+      else if not ((Float.is_nan ev && Float.is_nan av) || ev = av) then begin
+        within := false;
+        max_rel := infinity;
+        if not !class_mismatch then begin
+          class_mismatch := true;
+          max_abs := infinity;
+          worst := i
+        end
+      end)
     e;
   {
     max_abs_err = !max_abs;

@@ -8,8 +8,11 @@ type report = {
 }
 
 val compare : ?atol:float -> ?rtol:float -> Tensor.t -> Tensor.t -> report
-(** [compare expected actual]; [within] holds when every element obeys
-    [|e - a| <= atol + rtol * |e|]. *)
+(** [compare expected actual]; [within] holds when every finite pair
+    obeys [|e - a| <= atol + rtol * |e|] and every other pair is in one
+    class: both NaN, or the same infinity.  The first pair that is not
+    is the [worst_index], with infinite [max_abs_err] and
+    [max_rel_err]. *)
 
 val close : ?atol:float -> ?rtol:float -> Tensor.t -> Tensor.t -> bool
 

@@ -3,7 +3,10 @@
 
    The blockwise attention keeps explicit online-softmax state so the
    TileLink attention kernel can consume KV tiles in any arrival order
-   a schedule produces and still match the monolithic reference. *)
+   a schedule produces and still match the monolithic reference.  Both
+   of a flash step's contractions, Q·K^T and P·V, run on the
+   register-blocked kernel of [Linalg.gemm]; only the softmax
+   bookkeeping between them is a scalar loop. *)
 
 let silu x = x /. (1.0 +. exp (-.x))
 
@@ -112,30 +115,33 @@ module Flash = struct
   (* Consume one KV block located at absolute sequence offset
      [kv_offset].  Standard flash-attention rescaling: when the running
      max changes, previously accumulated sums and outputs are scaled by
-     exp(old_max - new_max). *)
+     exp(old_max - new_max).  The scores become the probabilities P in
+     place — 0.0 where masked and across rows with no unmasked score —
+     and P·V is added to [acc] by the register-blocked GEMM, whose
+     zero-skip drops exactly the masked entries. *)
   let update state q k_block v_block ~kv_offset =
     let m = state.m and d = state.d in
     if Tensor.rows q <> m || Tensor.cols q <> d then
       invalid_arg "Flash.update: q shape mismatch";
     let block = Tensor.rows k_block in
-    if Tensor.cols k_block <> d || Tensor.rows v_block <> block then
-      invalid_arg "Flash.update: kv shape mismatch";
+    if
+      Tensor.cols k_block <> d
+      || Tensor.rows v_block <> block
+      || Tensor.cols v_block <> d
+    then invalid_arg "Flash.update: kv shape mismatch";
     let inv_sqrt_d = 1.0 /. sqrt (float_of_int d) in
-    let scores = Linalg.gemm q (Tensor.transpose k_block) in
-    let scores_data = Tensor.data scores
-    and acc_data = Tensor.data state.acc
-    and v_data = Tensor.data v_block in
+    let probs = Linalg.gemm q (Tensor.transpose k_block) in
+    let p_data = Tensor.data probs and acc_data = Tensor.data state.acc in
     for i = 0 to m - 1 do
-      let s_row = i * block and acc_row = i * d in
-      (* Block-local max for row i. *)
+      let p_row = i * block and acc_row = i * d in
+      (* Masked scores and their block-local max for row i. *)
       let block_max = ref neg_infinity in
-      let masked = Array.make block neg_infinity in
       for j = 0 to block - 1 do
         let s =
           masked_score state.mask ~q_row:i ~kv_col:(kv_offset + j)
-            (scores_data.(s_row + j) *. inv_sqrt_d)
+            (p_data.(p_row + j) *. inv_sqrt_d)
         in
-        masked.(j) <- s;
+        p_data.(p_row + j) <- s;
         block_max := Float.max !block_max s
       done;
       if !block_max > neg_infinity then begin
@@ -149,25 +155,32 @@ module Flash = struct
           acc_data.(acc_row + c) <- acc_data.(acc_row + c) *. correction
         done;
         for j = 0 to block - 1 do
-          if masked.(j) > neg_infinity then begin
-            let p = exp (masked.(j) -. new_max) in
+          let s = p_data.(p_row + j) in
+          if s > neg_infinity then begin
+            let p = exp (s -. new_max) in
             state.row_sum.(i) <- state.row_sum.(i) +. p;
-            let v_row = j * d in
-            for c = 0 to d - 1 do
-              acc_data.(acc_row + c) <-
-                acc_data.(acc_row + c) +. (p *. v_data.(v_row + c))
-            done
+            p_data.(p_row + j) <- p
           end
+          else p_data.(p_row + j) <- 0.0
         done;
         state.row_max.(i) <- new_max
       end
-    done
+      else Array.fill p_data p_row block 0.0
+    done;
+    ignore (Linalg.gemm ~accumulate:true ~out:state.acc probs v_block)
 
   let finish state =
-    Tensor.init (Shape.of_list [ state.m; state.d ]) (fun idx ->
-        let i = idx.(0) and c = idx.(1) in
-        if state.row_sum.(i) = 0.0 then 0.0
-        else Tensor.get2 state.acc i c /. state.row_sum.(i))
+    let m = state.m and d = state.d in
+    let out = Tensor.zeros (Shape.of_list [ m; d ]) in
+    let out_data = Tensor.data out and acc_data = Tensor.data state.acc in
+    for i = 0 to m - 1 do
+      let sum = state.row_sum.(i) in
+      if sum <> 0.0 then
+        for c = (i * d) to (i * d) + d - 1 do
+          out_data.(c) <- acc_data.(c) /. sum
+        done
+    done;
+    out
 end
 
 (* Convenience: full flash attention by sweeping blocks left to right —

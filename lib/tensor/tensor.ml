@@ -1,8 +1,8 @@
 (* Dense row-major float tensors.
 
-   Deliberately simple: contiguous [float array] storage, copying
-   slices.  The functional executor only runs at validation shapes
-   (hundreds of rows), so clarity beats zero-copy tricks. *)
+   Deliberately simple: contiguous [float array] storage and copying
+   slices.  The executors' per-tile data actions, which run once per
+   tile and ring stage, use the in-place block moves instead. *)
 
 type t = { shape : Shape.t; data : float array }
 
@@ -120,9 +120,6 @@ let set_col_slice t ~lo src =
     Array.blit src.data (i * w) t.data ((i * n) + lo) w
   done
 
-let block t ~row_lo ~row_hi ~col_lo ~col_hi =
-  col_slice (row_slice t ~lo:row_lo ~hi:row_hi) ~lo:col_lo ~hi:col_hi
-
 let set_block t ~row_lo ~col_lo src =
   let n = cols t in
   let w = cols src in
@@ -134,19 +131,61 @@ let set_block t ~row_lo ~col_lo src =
     Array.blit src.data (i * w) t.data (((row_lo + i) * n) + col_lo) w
   done
 
-let add_block t ~row_lo ~col_lo src =
-  let n = cols t in
-  let w = cols src in
-  if col_lo < 0 || col_lo + w > n then
-    invalid_arg "Tensor.add_block: bad column range";
-  if row_lo < 0 || row_lo + rows src > rows t then
-    invalid_arg "Tensor.add_block: bad row range";
-  for i = 0 to rows src - 1 do
-    for j = 0 to w - 1 do
-      let off = ((row_lo + i) * n) + col_lo + j in
-      t.data.(off) <- t.data.(off) +. src.data.((i * w) + j)
+(* Block-to-block moves with no intermediate tensor.  Both check the
+   source block [rows x cols] inside [src] and the destination block at
+   [at] inside [dst] before writing anything, then hand [move_row] each
+   source row index with the offset of its destination row.  When [dst]
+   is a source tensor and the destination lies after the source in
+   row-major order, rows (and, in [add_blocks], columns) run backwards,
+   so every source element is read before the overlap overwrites it. *)
+let move_block name ~src ~rows:(lo, hi) ~cols:(clo, chi) ~dst ~at:(r, c)
+    ~aliased move_row =
+  if lo < 0 || lo > hi || hi > rows src then
+    invalid_arg (name ^ ": bad source row range");
+  if clo < 0 || clo > chi || chi > cols src then
+    invalid_arg (name ^ ": bad source column range");
+  let h = hi - lo and w = chi - clo in
+  if r < 0 || r + h > rows dst then invalid_arg (name ^ ": bad row range");
+  if c < 0 || c + w > cols dst then invalid_arg (name ^ ": bad column range");
+  let nd = cols dst in
+  let backward = aliased && (r > lo || (r = lo && c > clo)) in
+  let row i = move_row ~row:(lo + i) ~d:(((r + i) * nd) + c) ~w ~backward in
+  if backward then
+    for i = h - 1 downto 0 do
+      row i
     done
-  done
+  else
+    for i = 0 to h - 1 do
+      row i
+    done
+
+let blit_block ~src ~rows ~cols:((clo, _) as col_range) ~dst ~at =
+  let ns = cols src in
+  move_block "Tensor.blit_block" ~src ~rows ~cols:col_range ~dst ~at
+    ~aliased:(src.data == dst.data) (fun ~row ~d ~w ~backward:_ ->
+      Array.blit src.data ((row * ns) + clo) dst.data d w)
+
+let add_blocks a b ~rows:((_, hi) as row_range)
+    ~cols:((clo, chi) as col_range) ~dst ~at =
+  if hi > rows b || chi > cols b then
+    invalid_arg "Tensor.add_blocks: bad second operand range";
+  let ad = a.data and bd = b.data and dd = dst.data in
+  let na = cols a and nb = cols b in
+  move_block "Tensor.add_blocks" ~src:a ~rows:row_range ~cols:col_range ~dst
+    ~at ~aliased:(ad == dd || bd == dd) (fun ~row ~d ~w ~backward ->
+      let sa = (row * na) + clo and sb = (row * nb) + clo in
+      let add j =
+        Array.unsafe_set dd (d + j)
+          (Array.unsafe_get ad (sa + j) +. Array.unsafe_get bd (sb + j))
+      in
+      if backward then
+        for j = w - 1 downto 0 do
+          add j
+        done
+      else
+        for j = 0 to w - 1 do
+          add j
+        done)
 
 let concat_rows = function
   | [] -> invalid_arg "Tensor.concat_rows: empty"

@@ -1,7 +1,8 @@
-(** Dense row-major float tensors with copying slices.
+(** Dense row-major float tensors.
 
-    Used by the functional executor at validation shapes; clarity over
-    zero-copy. *)
+    Slices copy; {!blit_block} and {!add_blocks} move a block from
+    tensor to tensor in place, which is what the executors' tile data
+    actions run. *)
 
 type t
 
@@ -38,9 +39,26 @@ val set_row_slice : t -> lo:int -> t -> unit
 val add_row_slice : t -> lo:int -> t -> unit
 val col_slice : t -> lo:int -> hi:int -> t
 val set_col_slice : t -> lo:int -> t -> unit
-val block : t -> row_lo:int -> row_hi:int -> col_lo:int -> col_hi:int -> t
 val set_block : t -> row_lo:int -> col_lo:int -> t -> unit
-val add_block : t -> row_lo:int -> col_lo:int -> t -> unit
+
+val blit_block :
+  src:t -> rows:int * int -> cols:int * int -> dst:t -> at:int * int -> unit
+(** [blit_block ~src ~rows:(lo, hi) ~cols:(clo, chi) ~dst ~at:(r, c)]
+    sets [dst[r + i, c + j] <- src[lo + i, clo + j]] for the whole
+    [(hi - lo) x (chi - clo)] block, one row blit at a time and with no
+    intermediate tensor.  [src] and [dst] may be the same tensor with
+    overlapping blocks: the result is that of copying the source block
+    out first.  [Invalid_argument], before anything is written, unless
+    [0 <= lo <= hi <= rows src], [0 <= clo <= chi <= cols src] and the
+    destination block lies inside [dst]. *)
+
+val add_blocks :
+  t -> t -> rows:int * int -> cols:int * int -> dst:t -> at:int * int -> unit
+(** [add_blocks a b ~rows ~cols ~dst ~at] is {!blit_block} of the sum:
+    [dst[r + i, c + j] <- a[lo + i, clo + j] +. b[lo + i, clo + j]].
+    The same block of [a] and [b] must lie inside each; [dst] may be
+    either operand, overlapping or not. *)
+
 val concat_rows : t list -> t
 val transpose : t -> t
 

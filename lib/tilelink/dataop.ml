@@ -6,18 +6,16 @@
 
 let resolve_rank ~self = function Some r -> r | None -> self
 
-(* Blit the source block into the destination block. *)
+(* Blit the source block into the destination block, row by row and
+   in place; a same-buffer copy with overlapping rows reads each source
+   row before it is overwritten. *)
 let copy_action (src : Instr.access) (dst : Instr.access) : Instr.action =
  fun memory ~rank ->
-  let open Tilelink_tensor in
-  let src_rank = resolve_rank ~self:rank src.Instr.mem_rank in
-  let dst_rank = resolve_rank ~self:rank dst.Instr.mem_rank in
-  let src_tensor = Memory.find memory ~rank:src_rank ~name:src.Instr.buffer in
-  let dst_tensor = Memory.find memory ~rank:dst_rank ~name:dst.Instr.buffer in
-  let block =
-    Tensor.block src_tensor ~row_lo:(fst src.Instr.row)
-      ~row_hi:(snd src.Instr.row) ~col_lo:(fst src.Instr.col)
-      ~col_hi:(snd src.Instr.col)
+  let find (a : Instr.access) =
+    Memory.find memory
+      ~rank:(resolve_rank ~self:rank a.Instr.mem_rank)
+      ~name:a.Instr.buffer
   in
-  Tensor.set_block dst_tensor ~row_lo:(fst dst.Instr.row)
-    ~col_lo:(fst dst.Instr.col) block
+  Tilelink_tensor.Tensor.blit_block ~src:(find src) ~rows:src.Instr.row
+    ~cols:src.Instr.col ~dst:(find dst)
+    ~at:(fst dst.Instr.row, fst dst.Instr.col)

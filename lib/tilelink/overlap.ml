@@ -230,23 +230,17 @@ let ring_reduce_scatter ~world ~grid ~src ~reduce ~load_received =
       let last = stage = world - 1 in
       let at ?rank buffer row = access ?rank ~buffer ~row ~col:(clo, chi) () in
       let action memory ~rank =
-        let block name =
-          Tensor.block
-            (Memory.find memory ~rank ~name)
-            ~row_lo:glo ~row_hi:ghi ~col_lo:clo ~col_hi:chi
+        let find name = Memory.find memory ~rank ~name in
+        let rows = (glo, ghi) and cols = (clo, chi) in
+        let dst, pos =
+          if last then (find "out", (llo, clo))
+          else (find "rs_send", (glo, clo))
         in
-        let data = block src in
-        let data =
-          if stage = 0 then data else Tensor.add data (block "rs_buffer")
-        in
-        if last then
-          Tensor.set_block
-            (Memory.find memory ~rank ~name:"out")
-            ~row_lo:llo ~col_lo:clo data
+        if stage = 0 then
+          Tensor.blit_block ~src:(find src) ~rows ~cols ~dst ~at:pos
         else
-          Tensor.set_block
-            (Memory.find memory ~rank ~name:"rs_send")
-            ~row_lo:glo ~col_lo:clo data
+          Tensor.add_blocks (find src) (find "rs_buffer") ~rows ~cols ~dst
+            ~at:pos
       in
       let wait_peer =
         if stage = 0 then []

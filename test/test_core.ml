@@ -1458,6 +1458,42 @@ let test_runtime_allocation_per_event () =
        per_event events)
     true (per_event <= 35.0)
 
+(* Guard against operand copies creeping back into the data path: one
+   GEMM + ring ReduceScatter with real tensors (m 512, k 256, n 1024,
+   world 4, H800) in the ring config of the execute benchmark.  Its
+   tiles are far above the minor heap's size limit, so every copied
+   tile is a major-heap allocation.  The run allocates ~137k major
+   words, nearly all the GEMM kernel's packed B strips; it allocated
+   ~17.5M when each ring stage and copy moved its tile through
+   temporary tensors. *)
+let test_data_path_major_allocation () =
+  let world = 4 in
+  let rs = { Tilelink_workloads.Mlp.rs_m = 512; rs_k = 256; rs_n = 1024;
+             rs_world = world } in
+  let config =
+    {
+      Design_space.comm_tile = (128, 512);
+      compute_tile = (128, 128);
+      comm_order = Tile.Row_major;
+      compute_order = Tile.Ring_prev_first { segments = world };
+      binding = Design_space.Comm_on_sm 20;
+      stages = 2;
+      micro_block = 0;
+    }
+  in
+  let memory = Tilelink_workloads.Mlp.gemm_rs_alloc rs ~seed:7 in
+  let program =
+    Tilelink_workloads.Mlp.gemm_rs_program ~config rs ~spec_gpu:Calib.h800
+  in
+  let cluster = Cluster.create Calib.h800 ~world_size:world in
+  let _, _, before = Gc.counters () in
+  ignore (Runtime.run ~data:true ~memory cluster program);
+  let _, _, after = Gc.counters () in
+  let words = after -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f major words (bound 1e6)" words)
+    true (words <= 1e6)
+
 (* A rank's compute tasks are its instances of the shared templates:
    every instruction but the waits (the only ones naming the executing
    rank) is rank 0's record itself. *)
@@ -1729,6 +1765,8 @@ let () =
             test_unsignalled_wait_deadlocks;
           Alcotest.test_case "allocation per event" `Quick
             test_runtime_allocation_per_event;
+          Alcotest.test_case "data path major allocation" `Quick
+            test_data_path_major_allocation;
         ] );
       ( "design space",
         [

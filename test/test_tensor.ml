@@ -74,13 +74,102 @@ let test_tensor_col_and_block () =
   let c = Tensor.col_slice t ~lo:1 ~hi:3 in
   Alcotest.(check int) "col slice width" 2 (Tensor.cols c);
   check_float "col slice content" 6.0 (Tensor.get2 c 1 1);
-  let b = Tensor.block t ~row_lo:1 ~row_hi:3 ~col_lo:2 ~col_hi:4 in
+  let b = Tensor.zeros (shape [ 2; 2 ]) in
+  Tensor.blit_block ~src:t ~rows:(1, 3) ~cols:(2, 4) ~dst:b ~at:(0, 0);
   check_float "block content" 11.0 (Tensor.get2 b 1 1);
   let dst = Tensor.zeros (shape [ 3; 4 ]) in
   Tensor.set_block dst ~row_lo:0 ~col_lo:1 b;
   check_float "set_block" 11.0 (Tensor.get2 dst 1 2);
-  Tensor.add_block dst ~row_lo:0 ~col_lo:1 b;
-  check_float "add_block doubles" 22.0 (Tensor.get2 dst 1 2)
+  Tensor.add_blocks dst dst ~rows:(1, 2) ~cols:(2, 3) ~dst ~at:(1, 2);
+  check_float "add_blocks doubles" 22.0 (Tensor.get2 dst 1 2)
+
+(* The composition [Dataop.copy_action] and the ring ReduceScatter ran
+   before [blit_block] and [add_blocks]: copy the source block out
+   ([row_slice] then [col_slice]), add, then [set_block] it. *)
+let old_block t ~rows:(lo, hi) ~cols:(clo, chi) =
+  Tensor.col_slice (Tensor.row_slice t ~lo ~hi) ~lo:clo ~hi:chi
+
+let old_blit ~src ~rows ~cols ~dst ~at:(r, c) =
+  Tensor.set_block dst ~row_lo:r ~col_lo:c (old_block src ~rows ~cols)
+
+let old_add a b ~rows ~cols ~dst ~at:(r, c) =
+  Tensor.set_block dst ~row_lo:r ~col_lo:c
+    (Tensor.add (old_block a ~rows ~cols) (old_block b ~rows ~cols))
+
+(* A range of at most 4 along an extent: usually valid, sometimes
+   pushed out. *)
+let gen_range extent =
+  QCheck.Gen.(
+    let* len = int_range 0 (min 4 extent) in
+    let* lo = int_range 0 (extent - len) in
+    let hi = lo + len in
+    frequency
+      [
+        (6, return (lo, hi));
+        (1, return (lo - 1, hi));
+        (1, return (lo, extent + 1));
+        (1, return (hi + 1, hi));
+      ])
+
+(* Tensors [x] and [y], a block of [x] (and of [y] when adding), the
+   destination position, and which tensor is the destination:
+   0 a third tensor, 1 [x] itself, 2 [y] itself.  Most positions lie
+   within two rows and columns of the source block, so a destination
+   that is [x] or [y] often overlaps it, the same row included. *)
+let gen_block_case =
+  QCheck.Gen.(
+    let* xr = int_range 1 8 and* xc = int_range 1 8 in
+    let* yr = int_range 1 8 and* yc = int_range 1 8 in
+    let* rows = gen_range xr and* cols = gen_range xc in
+    let* at =
+      frequency
+        [
+          (1, pair (int_range (-1) 7) (int_range (-1) 7));
+          ( 3,
+            map2
+              (fun dr dc -> (fst rows + dr, fst cols + dc))
+              (int_range (-2) 2) (int_range (-2) 2) );
+        ]
+    in
+    let* dst = int_range 0 2 and* seed = small_nat in
+    return ((xr, xc), (yr, yc), rows, cols, at, dst, seed))
+
+let prop_block_moves_match_old =
+  QCheck.Test.make
+    ~name:"blit_block/add_blocks equal block -> add -> set_block, bitwise"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun ((xr, xc), (yr, yc), (lo, hi), (clo, chi), (r, c), d, s) ->
+         Printf.sprintf
+           "x %dx%d y %dx%d rows %d..%d cols %d..%d at (%d,%d) dst %d seed %d"
+           xr xc yr yc lo hi clo chi r c d s)
+       gen_block_case)
+    (fun ((xr, xc), (yr, yc), rows, cols, at, which, seed) ->
+      let fresh () =
+        let x = Tensor.random ~seed (shape [ xr; xc ])
+        and y = Tensor.random ~seed:(seed + 1) (shape [ yr; yc ])
+        and z = Tensor.random ~seed:(seed + 2) (shape [ 5; 6 ]) in
+        (x, y, match which with 0 -> z | 1 -> x | _ -> y)
+      in
+      let outcome move =
+        let x, y, dst = fresh () in
+        let before = Tensor.copy dst in
+        match move x y dst with
+        | () -> Ok dst
+        | exception Invalid_argument _ -> Error (Check.bits_equal before dst)
+      in
+      let agree old_move new_move =
+        match (outcome old_move, outcome new_move) with
+        | Ok a, Ok b -> Check.bits_equal a b
+        | Error _, Error untouched -> untouched
+        | _ -> false
+      in
+      agree
+        (fun x _ dst -> old_blit ~src:x ~rows ~cols ~dst ~at)
+        (fun x _ dst -> Tensor.blit_block ~src:x ~rows ~cols ~dst ~at)
+      && agree
+           (fun x y dst -> old_add x y ~rows ~cols ~dst ~at)
+           (fun x y dst -> Tensor.add_blocks x y ~rows ~cols ~dst ~at))
 
 let test_tensor_concat_transpose () =
   let a = Tensor.init (shape [ 1; 2 ]) (fun i -> float_of_int i.(1)) in
@@ -465,6 +554,141 @@ let prop_flash_equals_reference =
         (Nn.attention q k v)
         (Nn.flash_attention ~block:5 q k v))
 
+(* The scalar flash update [Nn.Flash] replaced: per-row masked scores
+   in a fresh array and P·V as an i-j-c loop over the unmasked keys. *)
+module Scalar_flash = struct
+  type t = {
+    m : int;
+    d : int;
+    mask : Nn.mask;
+    acc : Tensor.t;
+    row_max : float array;
+    row_sum : float array;
+  }
+
+  let masked_score mask ~q_row ~kv_col score =
+    match mask with
+    | Nn.No_mask -> score
+    | Nn.Causal { q_offset } ->
+      if kv_col > q_row + q_offset then neg_infinity else score
+
+  let create ~mask ~m ~d =
+    {
+      m;
+      d;
+      mask;
+      acc = Tensor.zeros (shape [ m; d ]);
+      row_max = Array.make m neg_infinity;
+      row_sum = Array.make m 0.0;
+    }
+
+  let update state q k_block v_block ~kv_offset =
+    let m = state.m and d = state.d in
+    let block = Tensor.rows k_block in
+    let inv_sqrt_d = 1.0 /. sqrt (float_of_int d) in
+    let scores = Linalg.gemm q (Tensor.transpose k_block) in
+    let scores_data = Tensor.data scores
+    and acc_data = Tensor.data state.acc
+    and v_data = Tensor.data v_block in
+    for i = 0 to m - 1 do
+      let s_row = i * block and acc_row = i * d in
+      let block_max = ref neg_infinity in
+      let masked = Array.make block neg_infinity in
+      for j = 0 to block - 1 do
+        let s =
+          masked_score state.mask ~q_row:i ~kv_col:(kv_offset + j)
+            (scores_data.(s_row + j) *. inv_sqrt_d)
+        in
+        masked.(j) <- s;
+        block_max := Float.max !block_max s
+      done;
+      if !block_max > neg_infinity then begin
+        let new_max = Float.max state.row_max.(i) !block_max in
+        let correction =
+          if state.row_max.(i) = neg_infinity then 0.0
+          else exp (state.row_max.(i) -. new_max)
+        in
+        state.row_sum.(i) <- state.row_sum.(i) *. correction;
+        for c = 0 to d - 1 do
+          acc_data.(acc_row + c) <- acc_data.(acc_row + c) *. correction
+        done;
+        for j = 0 to block - 1 do
+          if masked.(j) > neg_infinity then begin
+            let p = exp (masked.(j) -. new_max) in
+            state.row_sum.(i) <- state.row_sum.(i) +. p;
+            let v_row = j * d in
+            for c = 0 to d - 1 do
+              acc_data.(acc_row + c) <-
+                acc_data.(acc_row + c) +. (p *. v_data.(v_row + c))
+            done
+          end
+        done;
+        state.row_max.(i) <- new_max
+      end
+    done
+
+  let finish state =
+    Tensor.init (shape [ state.m; state.d ]) (fun idx ->
+        let i = idx.(0) and c = idx.(1) in
+        if state.row_sum.(i) = 0.0 then 0.0
+        else Tensor.get2 state.acc i c /. state.row_sum.(i))
+end
+
+(* Random m, d, sequence and block sizes, input scales, and masks whose
+   negative or small causal offsets mask whole rows and whole blocks;
+   the blocks arrive in a shuffled order and the outputs are compared
+   after every update. *)
+let prop_flash_matches_scalar =
+  QCheck.Test.make ~name:"flash update is bit-identical to the scalar loop"
+    ~count:3001
+    QCheck.(
+      pair
+        (quad small_nat (int_range 1 9) (int_range 1 9) (int_range 0 30))
+        (quad (int_range 1 12) (int_range 1 8) bool (int_range (-40) 40)))
+    (fun ((seed, m, d, s), (block, scale, causal, q_offset)) ->
+      let mask = if causal then Nn.Causal { q_offset } else Nn.No_mask in
+      let input i rows =
+        Tensor.scale (float_of_int scale)
+          (Tensor.random ~seed:((3 * seed) + i) (shape [ rows; d ]))
+      in
+      let q = input 0 m and k = input 1 s and v = input 2 s in
+      let offsets = Array.init ((s + block - 1) / block) (fun b -> b * block) in
+      let rng = Random.State.make [| seed |] in
+      for i = Array.length offsets - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let t = offsets.(i) in
+        offsets.(i) <- offsets.(j);
+        offsets.(j) <- t
+      done;
+      let fast = Nn.Flash.create ~mask ~m ~d ()
+      and slow = Scalar_flash.create ~mask ~m ~d in
+      Check.bits_equal (Scalar_flash.finish slow) (Nn.Flash.finish fast)
+      && Array.for_all
+           (fun lo ->
+             let hi = min s (lo + block) in
+             let k_block = Tensor.row_slice k ~lo ~hi
+             and v_block = Tensor.row_slice v ~lo ~hi in
+             Nn.Flash.update fast q k_block v_block ~kv_offset:lo;
+             Scalar_flash.update slow q k_block v_block ~kv_offset:lo;
+             Check.bits_equal (Scalar_flash.finish slow) (Nn.Flash.finish fast))
+           offsets)
+
+let test_flash_rejects_bad_kv () =
+  let q = Tensor.random ~seed:61 (shape [ 3; 4 ]) in
+  let k = Tensor.random ~seed:62 (shape [ 5; 4 ]) in
+  List.iter
+    (fun (name, k_block, v_block) ->
+      let state = Nn.Flash.create ~m:3 ~d:4 () in
+      Alcotest.check_raises name
+        (Invalid_argument "Flash.update: kv shape mismatch") (fun () ->
+          Nn.Flash.update state q k_block v_block ~kv_offset:0))
+    [
+      ("wider v", k, Tensor.random ~seed:63 (shape [ 5; 6 ]));
+      ("narrower v", k, Tensor.random ~seed:64 (shape [ 5; 2 ]));
+      ("shorter v", k, Tensor.random ~seed:65 (shape [ 4; 4 ]));
+      ("narrower k", Tensor.random ~seed:66 (shape [ 5; 3 ]), k);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Routing                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -564,7 +788,9 @@ let test_bad_slices_rejected () =
       (fun () -> Tensor.row_slice t ~lo:(-1) ~hi:2);
       (fun () -> Tensor.row_slice t ~lo:2 ~hi:6);
       (fun () -> Tensor.col_slice t ~lo:3 ~hi:2);
-      (fun () -> Tensor.block t ~row_lo:0 ~row_hi:5 ~col_lo:0 ~col_hi:2);
+      (fun () ->
+        Tensor.blit_block ~src:t ~rows:(0, 5) ~cols:(0, 2) ~dst:t ~at:(0, 0);
+        t);
     ]
 
 let test_gated_activation_gelu () =
@@ -632,6 +858,36 @@ let test_check_reports_mismatch () =
   Alcotest.(check (list int)) "worst index" [ 1; 0 ]
     (Array.to_list r.Check.worst_index)
 
+(* A NaN or an infinity matches only its own class, whichever side it
+   is on, and is reported as the worst index. *)
+let test_check_nonfinite () =
+  let t values = Tensor.of_array (shape [ 2 ]) values in
+  List.iter
+    (fun (name, expected, actual, within, worst) ->
+      let r = Check.compare (t expected) (t actual) in
+      Alcotest.(check bool) (name ^ ": within") within r.Check.within;
+      Alcotest.(check bool) (name ^ ": close") within
+        (Check.close (t expected) (t actual));
+      Option.iter
+        (fun worst ->
+          Alcotest.(check (list int)) (name ^ ": worst index") [ worst ]
+            (Array.to_list r.Check.worst_index);
+          Alcotest.(check bool) (name ^ ": infinite error") true
+            (r.Check.max_abs_err = infinity))
+        worst)
+    [
+      ("nan actual", [| 1.0; 2.0 |], [| nan; 2.0 |], false, Some 0);
+      ("nan expected", [| 1.0; 2.0 |], [| 1.0; nan |], false, Some 1);
+      ("inf vs finite", [| infinity; 2.0 |], [| 1.0; 2.0 |], false, Some 0);
+      ("inf sign", [| 1.0; infinity |], [| 1.0; neg_infinity |], false, Some 1);
+      ("nan vs inf", [| nan; 2.0 |], [| infinity; 2.0 |], false, Some 0);
+      ( "outranks a finite error",
+        [| 5.0; nan |], [| 0.0; 1.0 |], false, Some 1 );
+      ("nan matches nan", [| nan; 2.0 |], [| nan; 2.0 |], true, None);
+      ("inf matches inf", [| neg_infinity; 2.0 |], [| neg_infinity; 2.0 |],
+       true, None);
+    ]
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "tensor"
@@ -653,6 +909,7 @@ let () =
             test_tensor_random_deterministic;
           Alcotest.test_case "random range" `Quick test_tensor_random_range;
           qc prop_blit_roundtrip;
+          qc prop_block_moves_match_old;
         ] );
       ( "linalg",
         [
@@ -690,6 +947,9 @@ let () =
           Alcotest.test_case "flash out of order" `Quick
             test_flash_out_of_order_blocks;
           qc prop_flash_equals_reference;
+          qc prop_flash_matches_scalar;
+          Alcotest.test_case "flash rejects bad kv" `Quick
+            test_flash_rejects_bad_kv;
         ] );
       ( "routing",
         [
@@ -719,5 +979,8 @@ let () =
           qc prop_sum_linear;
         ] );
       ( "check",
-        [ Alcotest.test_case "mismatch report" `Quick test_check_reports_mismatch ] );
+        [
+          Alcotest.test_case "mismatch report" `Quick test_check_reports_mismatch;
+          Alcotest.test_case "nan and infinity" `Quick test_check_nonfinite;
+        ] );
     ]
