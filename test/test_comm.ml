@@ -115,11 +115,14 @@ let test_missing_participant_deadlocks () =
   (* Only rank 0 joins: entry barrier never completes. *)
   Tilelink_sim.Process.spawn (Cluster.engine cluster) (fun () ->
       Collective.run_rank op ~rank:0);
-  Alcotest.(check bool) "deadlock" true
+  (* Rank 0 is the one process left, parked on the entry barrier it
+     reached after the 3 µs collective setup. *)
+  Alcotest.(check (option string)) "deadlock"
+    (Some "simulation deadlock: 1 process(es) still blocked at t=3.000")
     (try
        Tilelink_sim.Engine.run (Cluster.engine cluster);
-       false
-     with Tilelink_sim.Engine.Deadlock _ -> true)
+       None
+     with Tilelink_sim.Engine.Deadlock msg -> Some msg)
 
 let prop_data_collectives_preserve_sum =
   QCheck.Test.make ~name:"reducescatter preserves the total sum" ~count:50

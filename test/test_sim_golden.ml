@@ -11,13 +11,16 @@
    - the scores [Tune.search_programs] gives a small design space;
    - one forced-crash chaos trial per workload, plus a whole-island
      crash on islands2x8 and a default-spec trial (machine and signal
-     faults drawn against a layout) on hetero16, as JSON records.
+     faults drawn against a layout) on hetero16, as JSON records;
+   - every operator-centric collective (kind x algorithm) run alone:
+     makespan and executed events.
 
    Floats are rendered with [%h], so a one-ulp drift is a failure. *)
 
 open Tilelink_core
 open Tilelink_machine
 open Tilelink_workloads
+open Tilelink_comm
 module Obs = Tilelink_obs
 module Harness = Tilelink_chaos.Harness
 
@@ -156,9 +159,48 @@ let trial_lines () =
            ~workload:Harness.Mlp_ag_gemm ~seed:42 ~index:0 ());
     ]
 
+(* The baselines' collectives, every kind and algorithm, at worlds 2,
+   4 and 8 on the test machine and at world 16 on the paper machine
+   (two nodes, so the ring and the mesh cross the NIC).  The makespan is
+   [Collective.standalone_time]'s; the event count comes from the same
+   run driven by hand, which must end at the same time. *)
+let collective_lines () =
+  let kinds =
+    [ (Collective.Allgather, "allgather");
+      (Collective.Reducescatter, "reducescatter");
+      (Collective.Allreduce, "allreduce"); (Collective.All2all, "all2all") ]
+  in
+  let algos = [ (Collective.Ring, "ring"); (Collective.Mesh, "mesh") ] in
+  let bytes_per_shard = 1048576.0 in
+  let line (machine, mname) world ((kind, kname), (algo, aname)) =
+    let cluster = Cluster.create machine ~world_size:world in
+    let op = Collective.create cluster ~kind ~algo ~bytes_per_shard in
+    for rank = 0 to world - 1 do
+      Tilelink_sim.Process.spawn (Cluster.engine cluster) (fun () ->
+          Collective.run_rank op ~rank)
+    done;
+    Tilelink_sim.Engine.run (Cluster.engine cluster);
+    let makespan =
+      Collective.standalone_time machine ~world_size:world ~kind ~algo
+        ~bytes_per_shard
+    in
+    if Cluster.now cluster <> makespan then
+      Alcotest.failf "collective %s-%s: %h by hand, %h standalone" kname aname
+        (Cluster.now cluster) makespan;
+    Printf.sprintf "collective:%s-%s/%s/w%d\tmakespan=%h events=%d" kname
+      aname mname world makespan
+      (Tilelink_sim.Engine.executed_events (Cluster.engine cluster))
+  in
+  let cases = List.concat_map (fun k -> List.map (fun a -> (k, a)) algos) kinds in
+  List.concat_map
+    (fun world -> List.map (line (Calib.test_machine, "test") world) cases)
+    [ 2; 4; 8 ]
+  @ List.map (line (Calib.h800, "h800") 16) cases
+
 let test_sim_golden () =
   Golden.check ~what:"simulation outputs" "sim_golden.tsv"
-    (suite_lines () @ h800_lines () @ search_lines () @ trial_lines ())
+    (suite_lines () @ h800_lines () @ search_lines () @ trial_lines ()
+   @ collective_lines ())
 
 let () =
   Alcotest.run "sim_golden"
