@@ -6,15 +6,11 @@ open Tilelink_machine
 
 type algo = Ring | Mesh
 
-val algo_to_string : algo -> string
-
 type kind =
   | Allgather
   | Reducescatter
   | Allreduce
   | All2all
-
-val kind_to_string : kind -> string
 
 type t
 
@@ -22,9 +18,10 @@ val create :
   Cluster.t -> kind:kind -> algo:algo -> bytes_per_shard:float -> t
 (** Shared synchronization state for one collective invocation. *)
 
-val run_rank : t -> rank:int -> unit
-(** Execute rank's part; call from inside a simulation process.  Every
-    rank of the cluster must participate or the run deadlocks. *)
+val start_rank : t -> rank:int -> unit
+(** Start rank's part as a cursor on the cluster's engine, at the
+    current instant; {!Tilelink_sim.Engine.run} then runs it.  Every
+    rank of the cluster must be started or the run deadlocks. *)
 
 val standalone_time :
   Spec.t ->

@@ -269,18 +269,6 @@ let link t ~src ~dst =
   if same_node t src dst then t.ranks.(src).nvlink_egress
   else t.nics.(t.ranks.(src).node)
 
-(* Move [bytes] from [src] to [dst] over their link.  A local
-   "transfer" is a no-op time-wise beyond HBM, which callers model
-   separately. *)
-let transfer ?(force = false) t ~src ~dst ~bytes =
-  if src = dst then ()
-  else if (not force) && (unreachable t src || unreachable t dst) then
-    (* Fail fast: a transfer touching a dead, unrecovered rank returns
-       immediately with no time charged and no bytes moved.  The caller
-       must treat the destination contents as garbage. *)
-    ()
-  else Tilelink_sim.Bandwidth.transfer (link t ~src ~dst) ~bytes
-
 let transfer_duration t ~src ~dst ~bytes =
   if src = dst then 0.0
   else if same_node t src dst then
@@ -316,13 +304,3 @@ let record_utilization t (telemetry : Tilelink_obs.Telemetry.t) =
         gauge "nic.busy_us.node%d" node (Tilelink_sim.Bandwidth.busy_time nic))
       t.nics
   end
-
-(* Convenience: run a full simulation given per-rank process bodies and
-   return the makespan. *)
-let run_ranks t bodies =
-  let open Tilelink_sim in
-  if Array.length bodies <> t.world_size then
-    invalid_arg "Cluster.run_ranks: need one body per rank";
-  Array.iteri (fun _i body -> Process.spawn t.engine body) bodies;
-  Engine.run t.engine;
-  now t

@@ -95,23 +95,17 @@ val mark_recovered : t -> rank_id:int -> unit
 
 val is_recovered : t -> rank_id:int -> bool
 
-val transfer : ?force:bool -> t -> src:int -> dst:int -> bytes:float -> unit
-(** Blocking move over NVLink (intra-node) or NIC (inter-node); no-op
-    when [src = dst].  Must run inside a process.  When either endpoint
-    is dead and not recovered the transfer fails fast (returns
-    immediately, no bytes moved) unless [force] is set — the replay
-    path forces transfers because it executes against recovered
-    memory. *)
-
 val link : t -> src:int -> dst:int -> Tilelink_sim.Bandwidth.t
 (** The server a transfer from [src] to [dst] ([src <> dst]) binds
     on: [src]'s NVLink egress within a node, [src]'s node NIC across
-    nodes.  {!transfer} runs {!Tilelink_sim.Bandwidth.transfer} on it
-    when the endpoints are reachable (or forced). *)
+    nodes.  A transfer runs {!Tilelink_sim.Bandwidth}'s phases on it. *)
 
 val transfer_ok : t -> src:int -> dst:int -> bool
 (** Whether a (non-forced) transfer between these endpoints would
-    actually move data right now. *)
+    actually move data right now.  A transfer touching a dead,
+    unrecovered rank moves nothing and takes no time; the caller must
+    treat the destination contents as garbage.  The failover replay
+    forces its transfers, as it runs against recovered memory. *)
 
 val transfer_duration : t -> src:int -> dst:int -> bytes:float -> float
 
@@ -119,6 +113,3 @@ val record_utilization : t -> Tilelink_obs.Telemetry.t -> unit
 (** Snapshot per-rank lane-utilization gauges ([util.sm.rank<r>],
     [util.dma.rank<r>]) and interconnect byte/busy gauges into the
     telemetry registry, over the elapsed simulation horizon. *)
-
-val run_ranks : t -> (unit -> unit) array -> float
-(** Spawn one process per rank, run to completion, return makespan. *)

@@ -18,10 +18,10 @@ type rank_report = {
 
 let is_compute_lane = function
   | Trace.Compute_sm -> true
-  | Trace.Comm_sm | Trace.Dma | Trace.Host | Trace.Link | Trace.Wait -> false
+  | Trace.Comm_sm | Trace.Dma | Trace.Host | Trace.Wait -> false
 
 let is_comm_lane = function
-  | Trace.Comm_sm | Trace.Dma | Trace.Host | Trace.Link -> true
+  | Trace.Comm_sm | Trace.Dma | Trace.Host -> true
   | Trace.Compute_sm | Trace.Wait -> false
 
 (* Union of intervals as a sorted disjoint list. *)

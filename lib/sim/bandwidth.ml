@@ -73,9 +73,3 @@ let wire_done t ~bytes =
   Resource.release t.server 1
 
 let latency t = t.latency
-
-let transfer t ~bytes =
-  if not (try_admit t) then Process.suspend (admit_later t);
-  Process.wait (wire_time t ~bytes);
-  wire_done t ~bytes;
-  Process.wait t.latency

@@ -1,7 +1,7 @@
 (** Bandwidth server: FIFO link with fixed rate and latency.
 
-    A transfer holds one of the link's [streams] for
-    [latency_us + bytes / rate]. *)
+    A transfer holds one of the link's [streams] for [bytes / rate],
+    then pays [latency_us], which overlaps the next transfer. *)
 
 type t
 
@@ -23,16 +23,11 @@ val duration : t -> bytes:float -> float
 (** Nominal service time of a transfer, excluding queueing and any
     installed throttle (analytic models want the undisturbed figure). *)
 
-val transfer : t -> bytes:float -> unit
-(** Blocking transfer; must run inside a process.  The wire time uses
-    the throttled rate sampled at admission. *)
+(** {2 Transfer phases}
 
-(** {2 Callback form}
-
-    The phases {!transfer} runs, for callers that are not processes:
-    admit ({!try_admit}, else {!admit_later} and wait for the wake),
-    hold the stream for {!wire_time} computed at admission, call
-    {!wire_done}, then wait {!latency}. *)
+    A transfer is admit ({!try_admit}, else {!admit_later} and wait for
+    the wake), hold the stream for {!wire_time} computed at admission,
+    call {!wire_done}, then wait {!latency}. *)
 
 val try_admit : t -> bool
 (** Take a stream now if nobody is queued and one is free. *)

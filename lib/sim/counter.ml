@@ -48,9 +48,6 @@ let set_at_least t target =
 let when_ge ?(tag = no_tag) t threshold resume =
   t.waiters <- { threshold; resume; tag } :: t.waiters
 
-let await_ge ?tag t threshold =
-  if t.value < threshold then Process.suspend (when_ge ?tag t threshold)
-
 (* Cancel-by-tag: wake every waiter registered under [tag] without
    raising the counter value.  The resumed process observes an
    unsatisfied threshold and must decide for itself what to do (a dead

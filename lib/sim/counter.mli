@@ -14,19 +14,14 @@ val add : t -> int -> unit
 val set_at_least : t -> int -> unit
 (** Raise the value to at least [target] (idempotent notify). *)
 
-val await_ge : ?tag:int -> t -> int -> unit
-(** Park the calling process until [value >= threshold].  [tag]
-    (default {!no_tag}) labels the parked waiter for {!cancel_tag} —
-    runtimes tag waits with the executing rank so a crashed rank's
-    blocked workers can be force-woken. *)
-
 val when_ge : ?tag:int -> t -> int -> (unit -> unit) -> unit
 (** [when_ge t threshold wake] registers [wake] to be called once, by
     the first {!add} or {!set_at_least} that brings [value] to
-    [threshold] (or by {!cancel_tag}).  The callback form of
-    {!await_ge}, which parks on exactly this registration; the caller
-    checks [value] first, as a satisfied threshold is not re-checked
-    until the next notify. *)
+    [threshold] (or by {!cancel_tag}).  The caller checks [value]
+    first, as a satisfied threshold is not re-checked until the next
+    notify.  [tag] (default {!no_tag}) labels the waiter for
+    {!cancel_tag} — runtimes tag waits with the executing rank so a
+    crashed rank's parked workers can be force-woken. *)
 
 val no_tag : int
 (** The reserved "never cancelled" tag. *)

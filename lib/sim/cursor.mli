@@ -1,15 +1,16 @@
-(** The engine-facing half of a cursor: a process written as a step
-    callback instead of an effect fiber.
+(** A simulation process: the one way anything waits on the engine.
 
     A cursor's owner keeps its own program state (what to run next)
     and hands the engine two closures allocated once per cursor:
     [step], which the engine calls whenever the cursor is due, and
     [wake], which a waiter list calls to end a park.  Neither a wait
-    nor a park allocates a continuation or a thunk.  Each operation
-    books exactly the events and process accounting of its {!Process}
-    counterpart: {!wait} is {!Process.wait}, {!park} plus a
-    registration of {!waker} is {!Process.suspend}, {!start} is
-    {!Process.spawn}. *)
+    nor a park allocates a continuation or a thunk.  The events it
+    books: {!start} counts a live process and schedules its first step
+    at the current instant; {!wait} schedules the step [d] µs on; a
+    {!park} counts the process blocked, and its {!waker} counts it
+    unblocked and schedules the step at the current instant.  An owner
+    that waits on several things in turn may instead {!set_step} the
+    continuation before each wait or park. *)
 
 type t
 

@@ -22,8 +22,8 @@ val blocked_processes : t -> int
 (** Processes currently parked on a condition. *)
 
 val live_processes : t -> int
-(** Processes started and not yet finished.  A watchdog process can
-    poll this to learn when it is the only thing left running. *)
+(** Processes started and not yet finished.  The chaos watchdog, a
+    process itself, polls this to learn when it is the only one left. *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs [f] at [now t +. delay]. *)

@@ -63,10 +63,10 @@ let rec drain t =
   | _ -> ()
 
 let try_acquire t amount =
-  if amount <= 0 then invalid_arg "Resource.acquire: amount must be > 0";
+  if amount <= 0 then invalid_arg "Resource.try_acquire: amount must be > 0";
   if amount > t.capacity then
     invalid_arg
-      (Printf.sprintf "Resource.acquire: %d exceeds capacity %d of %s" amount
+      (Printf.sprintf "Resource.try_acquire: %d exceeds capacity %d of %s" amount
          t.capacity t.name);
   if Queue.is_empty t.waiting && amount <= t.available then begin
     account t;
@@ -77,9 +77,6 @@ let try_acquire t amount =
 
 let enqueue t amount resume = Queue.push { amount; resume } t.waiting
 
-let acquire t amount =
-  if not (try_acquire t amount) then Process.suspend (enqueue t amount)
-
 let release t amount =
   if amount <= 0 then invalid_arg "Resource.release: amount must be > 0";
   account t;
@@ -88,16 +85,3 @@ let release t amount =
     invalid_arg
       (Printf.sprintf "Resource.release: %s over capacity" t.name);
   drain t
-
-(* Release on both exits without a [Fun.protect] closure per use: this
-   wraps every task an SM or DMA worker runs. *)
-let use t amount f =
-  acquire t amount;
-  match f () with
-  | v ->
-    release t amount;
-    v
-  | exception e ->
-    let bt = Printexc.get_raw_backtrace () in
-    release t amount;
-    Printexc.raise_with_backtrace e bt

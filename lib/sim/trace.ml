@@ -10,7 +10,6 @@ type lane =
   | Comm_sm
   | Dma
   | Host
-  | Link
   | Wait
 
 let lane_to_string = function
@@ -18,7 +17,6 @@ let lane_to_string = function
   | Comm_sm -> "comm-sm"
   | Dma -> "dma"
   | Host -> "host"
-  | Link -> "link"
   | Wait -> "wait"
 
 type span = {
@@ -122,7 +120,6 @@ let render ?(width = 72) t =
           | Comm_sm -> '+'
           | Dma -> '='
           | Host -> 'h'
-          | Link -> '-'
           | Wait -> 'w'
         in
         for c = c0 to min c1 (width - 1) do

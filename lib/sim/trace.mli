@@ -7,7 +7,6 @@ type lane =
   | Comm_sm
   | Dma
   | Host
-  | Link
   | Wait
 
 val lane_to_string : lane -> string

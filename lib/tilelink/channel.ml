@@ -330,12 +330,11 @@ let wait_op = function
   | Instr.Peer _ -> "peer_wait"
   | Instr.Host _ -> "host_wait"
 
-(* Instrumented wait, in three parts so the interpreter's cursors and
-   blocking processes share one path.  [wait_begin] journals the start
-   (even for a wait satisfied at once — a zero-latency wait is still a
-   pairing point) and, when the counter is below the threshold, enters
-   the wait in the pending-wait registry and returns its id; the caller
-   then parks on [wait_park].  [wait_end] journals the end, feeds the
+(* Instrumented wait, in three parts so a cursor can park between
+   them.  [wait_begin] journals the start (even for a wait satisfied at
+   once — a zero-latency wait is still a pairing point) and, when the
+   counter is below the threshold, enters the wait in the pending-wait
+   registry and returns its id; the caller then parks on [wait_park].  [wait_end] journals the end, feeds the
    per-primitive wait-latency histogram and stall spans, and drops the
    registry entry.  The registry is maintained regardless of telemetry:
    it is what watchdogs and deadlock enrichment read.  Only a wait that
@@ -402,18 +401,8 @@ let wait_end t ~waiter ~worker target ~threshold ~id ~since =
   end;
   if id >= 0 then Waits.remove t.pending id
 
-let wait ?(waiter = -1) ?(worker = -1) t target ~threshold =
-  let since = t.clock () in
-  let id = wait_begin t target ~threshold in
-  if id >= 0 then
-    Tilelink_sim.Process.suspend (wait_park t ~waiter target ~threshold);
-  wait_end t ~waiter ~worker target ~threshold ~id ~since
-
 let pc_notify ?(worker = -1) t ~rank ~channel ~amount =
   notify t ~worker (Instr.Pc { rank; channel }) ~amount
-
-let pc_wait ?waiter ?worker t ~rank ~channel ~threshold =
-  wait ?waiter ?worker t (Instr.Pc { rank; channel }) ~threshold
 
 let pc_value t ~rank ~channel =
   check_rank t rank "pc_value";
@@ -424,18 +413,12 @@ let pc_value t ~rank ~channel =
 let peer_notify ?(worker = -1) t ~src ~dst ?(channel = 0) ~amount () =
   notify t ~worker (Instr.Peer { src; dst; channel }) ~amount
 
-let peer_wait ?waiter ?worker t ~src ~dst ?(channel = 0) ~threshold () =
-  wait ?waiter ?worker t (Instr.Peer { src; dst; channel }) ~threshold
-
 let peer_value t ~src ~dst ?(channel = 0) () =
   Tilelink_sim.Counter.value (peer_row t ~dst ~src).(channel).counter
 
 (* Host channel: copy-engine completion signalled to [dst]'s kernels. *)
 let host_notify ?(worker = -1) t ~src ~dst ~amount =
   notify t ~worker (Instr.Host { src; dst }) ~amount
-
-let host_wait ?waiter ?worker t ~src ~dst ~threshold =
-  wait ?waiter ?worker t (Instr.Host { src; dst }) ~threshold
 
 let total_notifies t =
   let sum = ref 0 in

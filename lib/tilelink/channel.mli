@@ -16,7 +16,7 @@ type interceptor =
 (** Called on every notify with the channel kind ([pc]/[peer]/[host]),
     the counter key, the signalling rank and the amount. *)
 
-(** A wait currently blocked inside {!pc_wait}/{!peer_wait}/{!host_wait}:
+(** A wait currently parked between {!wait_begin} and {!wait_end}:
     which counter, which rank is waiting, for what threshold, since
     when (simulation time). *)
 type pending_wait = {
@@ -57,20 +57,6 @@ val pc_notify :
     stream; when telemetry is on, the delivery span's causal
     predecessor is that worker's last span at issue time. *)
 
-val pc_wait :
-  ?waiter:int ->
-  ?worker:int ->
-  t ->
-  rank:int ->
-  channel:int ->
-  threshold:int ->
-  unit
-(** [waiter] is the *executing* rank blocking in the wait (which for pc
-    channels differs from [rank], the channel owner); it tags the parked
-    process so {!cancel_rank_waits} can force-wake it if that rank
-    crashes.  [worker] chains the stall span (if the wait blocks) into
-    that execution stream's program order. *)
-
 val pc_value : t -> rank:int -> channel:int -> int
 
 val peer_notify :
@@ -83,33 +69,18 @@ val peer_notify :
   unit ->
   unit
 
-val peer_wait :
-  ?waiter:int ->
-  ?worker:int ->
-  t ->
-  src:int ->
-  dst:int ->
-  ?channel:int ->
-  threshold:int ->
-  unit ->
-  unit
-
 val peer_value : t -> src:int -> dst:int -> ?channel:int -> unit -> int
 
 val host_notify : ?worker:int -> t -> src:int -> dst:int -> amount:int -> unit
 
-val host_wait :
-  ?waiter:int -> ?worker:int -> t -> src:int -> dst:int -> threshold:int -> unit
-
 (** {2 By signal target}
 
-    What the interpreter's cursors use.  [worker] is a span-recorder
-    worker id and [waiter] an executing rank, as in the per-kind
-    functions above, with [-1] for none.  A cursor's wait is
-    [wait_begin], then, if that returned an id, [wait_park] with its
-    wake callback, then (after the wake, or at once) [wait_end]; the
-    blocking waits above run the same three steps around
-    {!Tilelink_sim.Process.suspend}. *)
+    [worker] is a span-recorder worker id, as for the notifies above,
+    and [waiter] is the *executing* rank blocking in a wait (which for
+    pc channels differs from the channel owner), with [-1] for none.
+    A wait is [wait_begin], then, if that returned an id, [wait_park]
+    with a cursor's wake callback, then (after the wake, or at once)
+    [wait_end]. *)
 
 val notify : t -> worker:int -> Instr.signal_target -> amount:int -> unit
 
@@ -128,8 +99,9 @@ val wait_end :
   t -> waiter:int -> worker:int -> Instr.signal_target -> threshold:int ->
   id:int -> since:float -> unit
 (** Finish the wait [wait_begin] started at time [since] and numbered
-    [id]: journal its end, feed wait metrics and stall spans (with
-    telemetry), and drop it from {!pending_waits}. *)
+    [id]: journal its end, feed wait metrics and, if it blocked, a
+    stall span chained into [worker]'s program order (with telemetry),
+    and drop it from {!pending_waits}. *)
 
 val cancel_rank_waits : t -> rank:int -> int
 (** Force-wake every wait whose executing rank (the [waiter] tag) is

@@ -556,13 +556,14 @@ let group_overdue overdue =
       | Some _ -> acc)
     [] overdue
 
-(* The watchdog process: spawned by the runtime alongside the role
-   processes, polls while anything else is alive, and turns overdue
+(* The watchdog: a cursor started by the runtime after the execution
+   streams, polls while anything else is alive, and turns overdue
    waits into retries, degradations or a structured Stall.  All timing
    is simulation time; all randomness is the schedule's seeded coin. *)
-let watchdog_body ?hooks ?quiesce ~engine ~channels ~telemetry
+let start_watchdog ?hooks ?quiesce ~engine ~channels ~telemetry
     ~(control : control) ~wd () =
   let open Tilelink_sim in
+  let sim = Cursor.create engine in
   let recov = control.c_recovery in
   let retry_state : (string, int * float) Hashtbl.t = Hashtbl.create 8 in
   let journal_ev ev =
@@ -657,8 +658,7 @@ let watchdog_body ?hooks ?quiesce ~engine ~channels ~telemetry
       end
     end
   in
-  let rec tick () =
-    Process.wait wd.poll_interval_us;
+  let tick () =
     (* Failover hooks run first, and *before* the live-process check:
        a crash can drain every worker (they all abandon), leaving only
        the watchdog live — the recovery coordinator must still get its
@@ -707,7 +707,9 @@ let watchdog_body ?hooks ?quiesce ~engine ~channels ~telemetry
                pathological straggler would have produced it. *)
             give_up ~now rep ~value ~intended)
         (group_overdue overdue);
-      tick ()
+      Cursor.wait sim wd.poll_interval_us
     end
+    else Cursor.finish sim
   in
-  tick ()
+  Cursor.set_step sim tick;
+  Cursor.start sim (fun () -> Cursor.wait sim wd.poll_interval_us)

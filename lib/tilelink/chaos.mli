@@ -221,7 +221,7 @@ type control = {
 
 val control : ?schedule:schedule -> ?watchdog:watchdog -> unit -> control
 
-val watchdog_body :
+val start_watchdog :
   ?hooks:(unit -> unit) ->
   ?quiesce:(unit -> bool) ->
   engine:Tilelink_sim.Engine.t ->
@@ -231,13 +231,13 @@ val watchdog_body :
   wd:watchdog ->
   unit ->
   unit
-(** The watchdog process body; spawned by the runtime after the role
-    processes.  Polls every [poll_interval_us] while other processes
-    are live; raises {!Stall} under [Fail_stop].  [hooks] (the
-    runtime's crash-failover coordinator) runs at the top of every
-    tick, before the live-process check and before overdue-wait
-    processing — a crash that drains every worker must still be
-    recovered, and remap must precede any retry force-signals.
+(** Start the watchdog as a cursor on [engine]; the runtime starts it
+    after the execution streams.  Polls every [poll_interval_us] while
+    other processes are live; raises {!Stall} under [Fail_stop].
+    [hooks] (the runtime's crash-failover coordinator) runs at the top
+    of every tick, before the live-process check and before
+    overdue-wait processing — a crash that drains every worker must
+    still be recovered, and remap must precede any retry force-signals.
     [quiesce] (also the coordinator's) defers *structural* stall triage
     while it returns [true]: during failover replay a never-sent signal
     is usually one the replay is about to produce, so only recoverable

@@ -90,10 +90,9 @@ exception Abandoned
    a task runs from the program's own list with no copy.  The engine
    re-enters a cursor through its [step] closure (one per cursor) and a
    waiter list resumes it through its [wake] closure, so an event
-   allocates no continuation and no thunk.  A phase boundary books
-   exactly what a [Process.wait] or [Process.suspend] would, so a run
-   executes the events a direct-style process running the same
-   instructions would, in the same order. *)
+   allocates no continuation and no thunk.  A phase boundary is one
+   [Cursor.wait] (one event) or one [Cursor.park] (a blocked process
+   until the wake, which books one event at the current instant). *)
 
 (* What every cursor of one run shares. *)
 type env = {
@@ -415,7 +414,7 @@ and copy c ~label ~src ~dst ~bytes ~action =
       && not (Cluster.transfer_ok env.cluster ~src:src_rank ~dst:dst_rank)
     then begin
       (* The endpoint died during the stall: the transfer moves
-         nothing, as {!Cluster.transfer} does. *)
+         nothing, as {!Cluster.transfer_ok} says. *)
       c.phase <- 4;
       copy c ~label ~src ~dst ~bytes ~action
     end
@@ -605,15 +604,15 @@ let queue_cursor env ~rank ~lane ~pool ~comm_active ~on_exit queue =
       not env.crashed.(rank))
 
 let is_comm_lane = function
-  | Trace.Comm_sm | Trace.Dma | Trace.Host | Trace.Link -> true
+  | Trace.Comm_sm | Trace.Dma | Trace.Host -> true
   | Trace.Compute_sm | Trace.Wait -> false
 
-(* A role is one process: it starts, pays the kernel launch latency,
+(* A role is one cursor: it starts, pays the kernel launch latency,
    then either runs its host stream inline or starts one worker cursor
    per pool worker and parks until the last one exits, resuming one
    instant-0 event later. *)
 let launch_role env ~rank ~comm_active ~queue (role : Program.role) =
-  let engine = env.engine in
+  let sim = Cursor.create env.engine in
   let lane = role.Program.lane in
   let comm_role = is_comm_lane lane in
   let role_done () = if comm_role then decr comm_active in
@@ -622,15 +621,12 @@ let launch_role env ~rank ~comm_active ~queue (role : Program.role) =
     let run_workers count pool =
       let finish () =
         role_done ();
-        Engine.process_finished engine
+        Cursor.finish sim
       in
       let remaining = ref count in
       let worker_exit () =
         decr remaining;
-        if !remaining = 0 then begin
-          Engine.process_unblocked engine;
-          Engine.schedule engine ~delay:0.0 finish
-        end
+        if !remaining = 0 then Cursor.waker sim ()
       in
       for _ = 1 to count do
         let c =
@@ -639,7 +635,11 @@ let launch_role env ~rank ~comm_active ~queue (role : Program.role) =
         in
         Cursor.start c.sim (fun () -> begin_stream c)
       done;
-      if count > 0 then Engine.process_blocked engine else finish ()
+      if count > 0 then begin
+        Cursor.set_step sim finish;
+        Cursor.park sim
+      end
+      else finish ()
     in
     let cluster_rank = Cluster.rank env.cluster rank in
     match role.Program.resource with
@@ -650,11 +650,10 @@ let launch_role env ~rank ~comm_active ~queue (role : Program.role) =
         (queue_cursor env ~rank ~lane ~pool:None ~comm_active
            ~on_exit:role_done queue)
   in
-  Engine.process_started engine;
-  Engine.schedule engine ~delay:0.0 (fun () ->
-      (* Kernel launch latency before the role's work becomes visible. *)
-      Engine.schedule engine ~delay:env.spec.Spec.overheads.kernel_launch
-        launched)
+  Cursor.set_step sim launched;
+  (* Kernel launch latency before the role's work becomes visible. *)
+  Cursor.start sim (fun () ->
+      Cursor.wait sim env.spec.Spec.overheads.kernel_launch)
 
 (* Append the pending-waiter edge list and the tail of the journal to a
    deadlock message, so even un-hardened callers get an actionable
@@ -1143,9 +1142,8 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
   | Some ({ Chaos.c_watchdog = Some wd; _ } as control) ->
     let hooks = if failover_armed then Some failover_hook else None in
     let quiesce = if failover_armed then Some recovering else None in
-    Process.spawn engine
-      (Chaos.watchdog_body ?hooks ?quiesce ~engine ~channels ~telemetry
-         ~control ~wd)
+    Chaos.start_watchdog ?hooks ?quiesce ~engine ~channels ~telemetry
+      ~control ~wd ()
   | _ -> ());
   (try Engine.run engine with
    | Engine.Deadlock msg ->

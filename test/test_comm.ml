@@ -113,8 +113,7 @@ let test_missing_participant_deadlocks () =
       ~algo:Collective.Ring ~bytes_per_shard:100.0
   in
   (* Only rank 0 joins: entry barrier never completes. *)
-  Tilelink_sim.Process.spawn (Cluster.engine cluster) (fun () ->
-      Collective.run_rank op ~rank:0);
+  Collective.start_rank op ~rank:0;
   (* Rank 0 is the one process left, parked on the entry barrier it
      reached after the 3 µs collective setup. *)
   Alcotest.(check (option string)) "deadlock"

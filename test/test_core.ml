@@ -228,17 +228,43 @@ let with_engine body =
   body engine;
   Tilelink_sim.Engine.run engine
 
+(* A channel wait on a cursor, the way the interpreter runs one:
+   [wait_begin], a park on [wait_park] if the counter is short, then
+   [wait_end]; [k] runs once the wait is over. *)
+let cursor_wait engine channels target ~threshold k =
+  let module Cursor = Tilelink_sim.Cursor in
+  let c = Cursor.create engine in
+  let since = Tilelink_sim.Engine.now engine in
+  let finish id () =
+    Channel.wait_end channels ~waiter:(-1) ~worker:(-1) target ~threshold ~id
+      ~since;
+    Cursor.finish c;
+    k ()
+  in
+  Cursor.start c (fun () ->
+      let id = Channel.wait_begin channels target ~threshold in
+      if id < 0 then finish id ()
+      else begin
+        Cursor.set_step c (finish id);
+        Cursor.park c;
+        Channel.wait_park channels ~waiter:(-1) target ~threshold
+          (Cursor.waker c)
+      end)
+
 let test_channel_pc_roundtrip () =
   let channels = Channel.create ~world_size:2 ~channels_per_rank:3 () in
   let woke = ref false in
   with_engine (fun engine ->
-      Tilelink_sim.Process.spawn engine (fun () ->
-          Channel.pc_wait channels ~rank:1 ~channel:2 ~threshold:2;
-          woke := true);
-      Tilelink_sim.Process.spawn engine (fun () ->
-          Tilelink_sim.Process.wait 1.0;
+      cursor_wait engine channels (Instr.Pc { rank = 1; channel = 2 })
+        ~threshold:2 (fun () -> woke := true);
+      Tilelink_sim.Engine.schedule engine ~delay:1.0 (fun () ->
+          Alcotest.(check bool) "parked" false !woke;
+          Alcotest.(check int) "one pending wait" 1
+            (List.length (Channel.pending_waits channels));
           Channel.pc_notify channels ~rank:1 ~channel:2 ~amount:2));
   Alcotest.(check bool) "woke" true !woke;
+  Alcotest.(check int) "no pending wait" 0
+    (List.length (Channel.pending_waits channels));
   Alcotest.(check int) "value" 2 (Channel.pc_value channels ~rank:1 ~channel:2)
 
 let test_channel_peer_isolated_by_direction () =
@@ -253,9 +279,8 @@ let test_channel_host () =
   let channels = Channel.create ~world_size:2 ~channels_per_rank:1 () in
   let woke = ref false in
   with_engine (fun engine ->
-      Tilelink_sim.Process.spawn engine (fun () ->
-          Channel.host_wait channels ~src:0 ~dst:1 ~threshold:1;
-          woke := true);
+      cursor_wait engine channels (Instr.Host { src = 0; dst = 1 })
+        ~threshold:1 (fun () -> woke := true);
       Channel.host_notify channels ~src:0 ~dst:1 ~amount:1);
   Alcotest.(check bool) "woke" true !woke
 

@@ -148,16 +148,72 @@ let prop_pqueue_fifo_interleaved =
       && drain ())
 
 (* ------------------------------------------------------------------ *)
-(* Engine + Process                                                    *)
+(* Engine + cursors                                                    *)
 (* ------------------------------------------------------------------ *)
+
+(* Sequential test processes over one cursor, in continuation-passing
+   style: each wait or park installs what runs next as the step. *)
+let wait c dt k =
+  Cursor.set_step c k;
+  Cursor.wait c dt
+
+let park c register k =
+  Cursor.set_step c k;
+  Cursor.park c;
+  register (Cursor.waker c)
+
+(* Start [body] on a fresh cursor at the current instant; the process
+   finishes when [body] calls its continuation. *)
+let spawn engine body =
+  let c = Cursor.create engine in
+  Cursor.start c (fun () -> body c (fun () -> Cursor.finish c))
+
+let await_ge c counter threshold k =
+  if Counter.value counter < threshold then
+    park c (Counter.when_ge counter threshold) k
+  else k ()
+
+let acquire c r amount k =
+  if Resource.try_acquire r amount then k ()
+  else park c (Resource.enqueue r amount) k
+
+(* Hold [amount] units of [r] while [f] runs. *)
+let use c r amount f k =
+  acquire c r amount (fun () ->
+      f (fun () ->
+          Resource.release r amount;
+          k ()))
+
+(* A transfer's phases: admission, wire time sampled at admission, then
+   latency. *)
+let transfer c link ~bytes k =
+  let wire () =
+    wait c (Bandwidth.wire_time link ~bytes) (fun () ->
+        Bandwidth.wire_done link ~bytes;
+        wait c (Bandwidth.latency link) k)
+  in
+  if Bandwidth.try_admit link then wire ()
+  else park c (Bandwidth.admit_later link) wire
+
+(* [n] waits of [dt], counting each in [count]. *)
+let ticks c n dt count k =
+  let rec go i =
+    if i = n then k ()
+    else
+      wait c dt (fun () ->
+          incr count;
+          go (i + 1))
+  in
+  go 0
 
 let test_clock_advances () =
   let engine = Engine.create () in
   let finished = ref (-1.0) in
-  Process.spawn engine (fun () ->
-      Process.wait 5.0;
-      Process.wait 2.5;
-      finished := Engine.now engine);
+  spawn engine (fun c k ->
+      wait c 5.0 (fun () ->
+          wait c 2.5 (fun () ->
+              finished := Engine.now engine;
+              k ())));
   Engine.run engine;
   check_float "ends at 7.5" 7.5 !finished
 
@@ -165,15 +221,17 @@ let test_processes_interleave () =
   let engine = Engine.create () in
   let log = ref [] in
   let emit tag () = log := (tag, Engine.now engine) :: !log in
-  Process.spawn engine (fun () ->
+  spawn engine (fun c k ->
       emit "a0" ();
-      Process.wait 10.0;
-      emit "a1" ());
-  Process.spawn engine (fun () ->
-      Process.wait 4.0;
-      emit "b0" ();
-      Process.wait 4.0;
-      emit "b1" ());
+      wait c 10.0 (fun () ->
+          emit "a1" ();
+          k ()));
+  spawn engine (fun c k ->
+      wait c 4.0 (fun () ->
+          emit "b0" ();
+          wait c 4.0 (fun () ->
+              emit "b1" ();
+              k ())));
   Engine.run engine;
   Alcotest.(check (list (pair string (float 1e-9))))
     "interleaving order"
@@ -183,29 +241,24 @@ let test_processes_interleave () =
 let test_spawn_at () =
   let engine = Engine.create () in
   let t = ref 0.0 in
-  Process.spawn ~at:3.0 engine (fun () -> t := Engine.now engine);
+  Engine.schedule engine ~delay:3.0 (fun () ->
+      spawn engine (fun _ k ->
+          t := Engine.now engine;
+          k ()));
   Engine.run engine;
   check_float "starts at 3" 3.0 !t
 
 let test_run_until () =
   let engine = Engine.create () in
   let count = ref 0 in
-  Process.spawn engine (fun () ->
-      for _ = 1 to 10 do
-        Process.wait 1.0;
-        incr count
-      done);
+  spawn engine (fun c k -> ticks c 10 1.0 count k);
   Engine.run ~until:4.5 engine;
   Alcotest.(check int) "4 ticks by t=4.5" 4 !count
 
 let test_run_until_boundary_and_resume () =
   let engine = Engine.create () in
   let count = ref 0 in
-  Process.spawn engine (fun () ->
-      for _ = 1 to 6 do
-        Process.wait 1.0;
-        incr count
-      done);
+  spawn engine (fun c k -> ticks c 6 1.0 count k);
   (* An event scheduled exactly at the limit still fires. *)
   Engine.run ~until:3.0 engine;
   Alcotest.(check int) "3 ticks by t=3.0" 3 !count;
@@ -218,32 +271,37 @@ let test_run_until_boundary_and_resume () =
 
 let test_run_until_idle_advances_clock () =
   let engine = Engine.create () in
-  Process.spawn engine (fun () -> Process.wait 1.0);
+  spawn engine (fun c k -> wait c 1.0 k);
   Engine.run ~until:9.0 engine;
   check_float "idle clock advances to the limit" 9.0 (Engine.now engine)
 
+(* A fan-out: a parent starts three children and parks until the last
+   of them ends, which wakes it. *)
 let test_join_latch () =
   let engine = Engine.create () in
   let joined_at = ref (-1.0) in
-  let join =
-    Process.spawn_all engine
-      [
-        (fun () -> Process.wait 3.0);
-        (fun () -> Process.wait 7.0);
-        (fun () -> Process.wait 1.0);
-      ]
-  in
-  Process.spawn engine (fun () ->
-      Process.Join.wait join;
-      joined_at := Engine.now engine);
+  spawn engine (fun parent k ->
+      let remaining = ref 3 in
+      List.iter
+        (fun dt ->
+          spawn engine (fun c k ->
+              wait c dt (fun () ->
+                  decr remaining;
+                  if !remaining = 0 then Cursor.waker parent ();
+                  k ())))
+        [ 3.0; 7.0; 1.0 ];
+      park parent ignore (fun () ->
+          joined_at := Engine.now engine;
+          k ()));
   Engine.run engine;
-  check_float "join waits for slowest" 7.0 !joined_at
+  check_float "join waits for slowest" 7.0 !joined_at;
+  Alcotest.(check int) "every process finished" 0
+    (Engine.live_processes engine)
 
 let test_deadlock_detection () =
   let engine = Engine.create () in
-  Process.spawn engine (fun () ->
-      (* Suspend with a register that never resumes. *)
-      Process.suspend (fun _resume -> ()));
+  (* Park with a register that never wakes. *)
+  spawn engine (fun c k -> park c (fun _wake -> ()) k);
   Alcotest.check_raises "deadlock raised"
     (Engine.Deadlock
        "simulation deadlock: 1 process(es) still blocked at t=0.000")
@@ -252,8 +310,9 @@ let test_deadlock_detection () =
 let test_negative_wait_rejected () =
   let engine = Engine.create () in
   let raised = ref false in
-  Process.spawn engine (fun () ->
-      try Process.wait (-1.0) with Invalid_argument _ -> raised := true);
+  spawn engine (fun c k ->
+      (try wait c (-1.0) ignore with Invalid_argument _ -> raised := true);
+      k ());
   Engine.run engine;
   Alcotest.(check bool) "invalid_arg" true !raised
 
@@ -261,33 +320,36 @@ let test_negative_wait_rejected () =
 (* Cursor                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The same stream written both ways — wait 5, wait 2.5, block on a
-   counter a second process raises at t=10, then wait 1 — must book the
-   same events, blocked time and finish time. *)
-let test_cursor_matches_process () =
+(* The same stream written with one fixed step and with a continuation
+   per phase — wait 5, wait 2.5, block on a counter a second process
+   raises at t=10, then wait 1 — must book the same events, blocked
+   time and finish time: one event per start, wait and wake. *)
+let test_cursor_step_styles_agree () =
   let run body =
     let engine = Engine.create () in
     let c = Counter.create () in
     let finished = ref nan in
     body engine c finished;
-    Process.spawn engine (fun () ->
-        Process.wait 10.0;
-        Counter.add c 1);
+    spawn engine (fun cur k ->
+        wait cur 10.0 (fun () ->
+            Counter.add c 1;
+            k ()));
     Engine.run engine;
     ( Engine.executed_events engine,
       Engine.blocked_time engine,
       !finished,
       Engine.live_processes engine )
   in
-  let as_process engine c finished =
-    Process.spawn engine (fun () ->
-        Process.wait 5.0;
-        Process.wait 2.5;
-        Counter.await_ge c 1;
-        Process.wait 1.0;
-        finished := Engine.now engine)
+  let as_continuations engine c finished =
+    spawn engine (fun cur k ->
+        wait cur 5.0 (fun () ->
+            wait cur 2.5 (fun () ->
+                await_ge cur c 1 (fun () ->
+                    wait cur 1.0 (fun () ->
+                        finished := Engine.now engine;
+                        k ())))))
   in
-  let as_cursor engine c finished =
+  let as_fixed_step engine c finished =
     let cur = Cursor.create engine in
     let phase = ref 0 in
     Cursor.set_step cur (fun () ->
@@ -303,15 +365,18 @@ let test_cursor_matches_process () =
           Cursor.finish cur);
     Cursor.start cur (fun () -> Cursor.wait cur 5.0)
   in
-  let pe, pb, pf, pl = run as_process and ce, cb, cf, cl = run as_cursor in
+  let pe, pb, pf, pl = run as_continuations
+  and ce, cb, cf, cl = run as_fixed_step in
   Alcotest.(check int) "events" pe ce;
+  Alcotest.(check int) "5 + 2 events" 7 ce;
   check_float "blocked time" pb cb;
+  check_float "blocked from 7.5 to 10" 2.5 cb;
   check_float "finish" pf cf;
   check_float "finish at" 11.0 cf;
   Alcotest.(check int) "no live process" pl cl
 
-(* A second wake of one park raises, as a [Process] resume called twice
-   does; so does waking a cursor that never parked. *)
+(* A second wake of one park raises; so does waking a cursor that
+   never parked. *)
 let test_cursor_double_wake () =
   let engine = Engine.create () in
   let cur = Cursor.create engine in
@@ -339,13 +404,16 @@ let test_resource_blocks_and_grants () =
   let engine = Engine.create () in
   let sms = Resource.create engine ~name:"sm" ~capacity:4 in
   let order = ref [] in
-  let worker tag units dt () =
-    Resource.use sms units (fun () ->
-        Process.wait dt;
-        order := (tag, Engine.now engine) :: !order)
+  let worker tag units dt c k =
+    use c sms units
+      (fun k ->
+        wait c dt (fun () ->
+            order := (tag, Engine.now engine) :: !order;
+            k ()))
+      k
   in
-  Process.spawn engine (worker "big" 4 10.0);
-  Process.spawn engine (worker "small" 1 1.0);
+  spawn engine (worker "big" 4 10.0);
+  spawn engine (worker "small" 1 1.0);
   Engine.run engine;
   (* capacity taken by big, so small runs after. *)
   Alcotest.(check (list (pair string (float 1e-9))))
@@ -357,22 +425,24 @@ let test_resource_concurrent_fit () =
   let engine = Engine.create () in
   let sms = Resource.create engine ~name:"sm" ~capacity:4 in
   let ends = ref [] in
-  let worker units dt () =
-    Resource.use sms units (fun () ->
-        Process.wait dt;
-        ends := Engine.now engine :: !ends)
+  let worker units dt c k =
+    use c sms units
+      (fun k ->
+        wait c dt (fun () ->
+            ends := Engine.now engine :: !ends;
+            k ()))
+      k
   in
-  Process.spawn engine (worker 2 5.0);
-  Process.spawn engine (worker 2 5.0);
+  spawn engine (worker 2 5.0);
+  spawn engine (worker 2 5.0);
   Engine.run engine;
   Alcotest.(check (list (float 1e-9))) "both end at 5" [ 5.0; 5.0 ] !ends
 
 let test_resource_utilization () =
   let engine = Engine.create () in
   let r = Resource.create engine ~name:"u" ~capacity:2 in
-  Process.spawn engine (fun () ->
-      Resource.use r 2 (fun () -> Process.wait 10.0);
-      Process.wait 10.0);
+  spawn engine (fun c k ->
+      use c r 2 (fun k -> wait c 10.0 k) (fun () -> wait c 10.0 k));
   Engine.run engine;
   check_float "busy integral" 20.0 (Resource.busy_time r);
   check_float "utilization 50%" 0.5 (Resource.utilization r ~horizon:20.0)
@@ -389,11 +459,13 @@ let test_resource_over_release () =
 let test_resource_too_large_request () =
   let engine = Engine.create () in
   let r = Resource.create engine ~name:"x" ~capacity:2 in
-  let raised = ref false in
-  Process.spawn engine (fun () ->
-      try Resource.acquire r 3 with Invalid_argument _ -> raised := true);
-  Engine.run engine;
-  Alcotest.(check bool) "oversized acquire rejected" true !raised
+  Alcotest.check_raises "oversized request rejected"
+    (Invalid_argument "Resource.try_acquire: 3 exceeds capacity 2 of x")
+    (fun () -> ignore (Resource.try_acquire r 3));
+  Alcotest.check_raises "empty request rejected"
+    (Invalid_argument "Resource.try_acquire: amount must be > 0")
+    (fun () -> ignore (Resource.try_acquire r 0));
+  Alcotest.(check int) "nothing taken" 2 (Resource.available r)
 
 let prop_resource_never_negative =
   QCheck.Test.make ~name:"resource availability stays within [0, capacity]"
@@ -408,13 +480,15 @@ let prop_resource_never_negative =
       List.iter
         (fun (units, dt) ->
           let units = min units capacity in
-          Process.spawn engine (fun () ->
-              Resource.use r units (fun () ->
+          spawn engine (fun c k ->
+              use c r units
+                (fun k ->
                   if
                     Resource.available r < 0
                     || Resource.available r > capacity
                   then ok := false;
-                  Process.wait (Float.abs dt))))
+                  wait c (Float.abs dt) k)
+                k))
         jobs;
       Engine.run engine;
       !ok && Resource.available r = capacity)
@@ -437,12 +511,13 @@ let test_bandwidth_serializes () =
     Bandwidth.create engine ~name:"nvl" ~gbps:100.0 ~latency_us:0.0 ()
   in
   let ends = ref [] in
-  let sender () =
-    Bandwidth.transfer link ~bytes:1.0e6;
-    ends := Engine.now engine :: !ends
+  let sender c k =
+    transfer c link ~bytes:1.0e6 (fun () ->
+        ends := Engine.now engine :: !ends;
+        k ())
   in
-  Process.spawn engine sender;
-  Process.spawn engine sender;
+  spawn engine sender;
+  spawn engine sender;
   Engine.run engine;
   Alcotest.(check (list (float 1e-6)))
     "fifo serialization" [ 20.0; 10.0 ] !ends
@@ -454,12 +529,13 @@ let test_bandwidth_streams () =
       ~streams:2 ()
   in
   let ends = ref [] in
-  let sender () =
-    Bandwidth.transfer link ~bytes:1.0e6;
-    ends := Engine.now engine :: !ends
+  let sender c k =
+    transfer c link ~bytes:1.0e6 (fun () ->
+        ends := Engine.now engine :: !ends;
+        k ())
   in
-  Process.spawn engine sender;
-  Process.spawn engine sender;
+  spawn engine sender;
+  spawn engine sender;
   Engine.run engine;
   Alcotest.(check (list (float 1e-6)))
     "parallel streams" [ 10.0; 10.0 ] !ends
@@ -469,9 +545,9 @@ let test_bandwidth_accounting () =
   let link =
     Bandwidth.create engine ~name:"n" ~gbps:50.0 ~latency_us:1.0 ()
   in
-  Process.spawn engine (fun () ->
-      Bandwidth.transfer link ~bytes:1000.0;
-      Bandwidth.transfer link ~bytes:2000.0);
+  spawn engine (fun c k ->
+      transfer c link ~bytes:1000.0 (fun () ->
+          transfer c link ~bytes:2000.0 k));
   Engine.run engine;
   check_float "bytes" 3000.0 (Bandwidth.bytes_moved link);
   Alcotest.(check int) "count" 2 (Bandwidth.transfer_count link)
@@ -484,14 +560,19 @@ let test_counter_wait_release () =
   let engine = Engine.create () in
   let c = Counter.create ~name:"barrier" () in
   let woke_at = ref (-1.0) in
-  Process.spawn engine (fun () ->
-      Counter.await_ge c 3;
-      woke_at := Engine.now engine);
-  Process.spawn engine (fun () ->
-      for _ = 1 to 3 do
-        Process.wait 2.0;
-        Counter.add c 1
-      done);
+  spawn engine (fun cur k ->
+      await_ge cur c 3 (fun () ->
+          woke_at := Engine.now engine;
+          k ()));
+  spawn engine (fun cur k ->
+      let rec add i =
+        if i = 3 then k ()
+        else
+          wait cur 2.0 (fun () ->
+              Counter.add c 1;
+              add (i + 1))
+      in
+      add 0);
   Engine.run engine;
   check_float "woken when value reaches 3" 6.0 !woke_at
 
@@ -500,11 +581,13 @@ let test_counter_already_satisfied () =
   let c = Counter.create () in
   Counter.add c 5;
   let woke = ref false in
-  Process.spawn engine (fun () ->
-      Counter.await_ge c 5;
-      woke := true);
+  spawn engine (fun cur k ->
+      await_ge cur c 5 (fun () ->
+          woke := true;
+          k ()));
   Engine.run engine;
-  Alcotest.(check bool) "no blocking when satisfied" true !woke
+  Alcotest.(check bool) "no blocking when satisfied" true !woke;
+  check_float "never blocked" 0.0 (Engine.blocked_time engine)
 
 let test_counter_set_at_least () =
   let engine = Engine.create () in
@@ -520,15 +603,17 @@ let test_counter_multiple_waiters () =
   let woke = ref [] in
   List.iter
     (fun (tag, threshold) ->
-      Process.spawn engine (fun () ->
-          Counter.await_ge c threshold;
-          woke := (tag, Engine.now engine) :: !woke))
+      spawn engine (fun cur k ->
+          await_ge cur c threshold (fun () ->
+              woke := (tag, Engine.now engine) :: !woke;
+              k ())))
     [ ("t1", 1); ("t2", 2); ("t3", 3) ];
-  Process.spawn engine (fun () ->
-      Process.wait 1.0;
-      Counter.add c 2;
-      Process.wait 1.0;
-      Counter.add c 1);
+  spawn engine (fun cur k ->
+      wait cur 1.0 (fun () ->
+          Counter.add c 2;
+          wait cur 1.0 (fun () ->
+              Counter.add c 1;
+              k ())));
   Engine.run engine;
   Alcotest.(check (list (pair string (float 1e-9))))
     "waiters wake by threshold"
@@ -585,33 +670,26 @@ let test_trace_render_nonempty () =
   Alcotest.(check bool) "mentions dma lane" true (string_contains s "dma")
 
 (* ------------------------------------------------------------------ *)
-(* More engine / process edges                                         *)
+(* More engine / cursor edges                                          *)
 (* ------------------------------------------------------------------ *)
 
 let test_nested_spawn () =
   let engine = Engine.create () in
   let log = ref [] in
-  Process.spawn engine (fun () ->
-      Process.wait 1.0;
-      Process.spawn ~at:2.0 engine (fun () ->
-          log := ("child", Engine.now engine) :: !log);
-      Process.wait 0.5;
-      log := ("parent", Engine.now engine) :: !log);
+  spawn engine (fun c k ->
+      wait c 1.0 (fun () ->
+          Engine.schedule engine ~delay:2.0 (fun () ->
+              spawn engine (fun _ k ->
+                  log := ("child", Engine.now engine) :: !log;
+                  k ()));
+          wait c 0.5 (fun () ->
+              log := ("parent", Engine.now engine) :: !log;
+              k ())));
   Engine.run engine;
   Alcotest.(check (list (pair string (float 1e-9))))
     "nested spawn timing"
     [ ("parent", 1.5); ("child", 3.0) ]
     (List.rev !log)
-
-let test_join_zero () =
-  let engine = Engine.create () in
-  let woke = ref false in
-  let join = Process.Join.create 0 in
-  Process.spawn engine (fun () ->
-      Process.Join.wait join;
-      woke := true);
-  Engine.run engine;
-  Alcotest.(check bool) "zero-latch never blocks" true !woke
 
 let test_schedule_at () =
   let engine = Engine.create () in
@@ -632,14 +710,18 @@ let test_engine_counters () =
   Alcotest.(check int) "executed" 2 (Engine.executed_events engine);
   Alcotest.(check int) "drained" 0 (Engine.pending_events engine)
 
+(* A zero wait still books an event, behind those already due now. *)
 let test_yield_interleaves_same_time () =
   let engine = Engine.create () in
   let log = ref [] in
-  Process.spawn engine (fun () ->
+  spawn engine (fun c k ->
       log := "a1" :: !log;
-      Process.yield ();
-      log := "a2" :: !log);
-  Process.spawn engine (fun () -> log := "b" :: !log);
+      wait c 0.0 (fun () ->
+          log := "a2" :: !log;
+          k ()));
+  spawn engine (fun _ k ->
+      log := "b" :: !log;
+      k ());
   Engine.run engine;
   Alcotest.(check (list string)) "yield lets b run" [ "a1"; "b"; "a2" ]
     (List.rev !log)
@@ -648,9 +730,10 @@ let test_bandwidth_zero_bytes () =
   let engine = Engine.create () in
   let link = Bandwidth.create engine ~name:"z" ~gbps:10.0 ~latency_us:2.0 () in
   let t = ref (-1.0) in
-  Process.spawn engine (fun () ->
-      Bandwidth.transfer link ~bytes:0.0;
-      t := Engine.now engine);
+  spawn engine (fun c k ->
+      transfer c link ~bytes:0.0 (fun () ->
+          t := Engine.now engine;
+          k ()));
   Engine.run engine;
   check_float "latency only" 2.0 !t
 
@@ -680,11 +763,12 @@ let test_trace_chrome_json_wellformed () =
 let test_resource_queue_length () =
   let engine = Engine.create () in
   let r = Resource.create engine ~name:"q" ~capacity:1 in
-  Process.spawn engine (fun () -> Resource.use r 1 (fun () -> Process.wait 5.0));
-  Process.spawn engine (fun () -> Resource.use r 1 (fun () -> ()));
-  Process.spawn engine (fun () ->
-      Process.wait 1.0;
-      Alcotest.(check int) "one waiter" 1 (Resource.queue_length r));
+  spawn engine (fun c k -> use c r 1 (fun k -> wait c 5.0 k) k);
+  spawn engine (fun c k -> use c r 1 (fun k -> k ()) k);
+  spawn engine (fun c k ->
+      wait c 1.0 (fun () ->
+          Alcotest.(check int) "one waiter" 1 (Resource.queue_length r);
+          k ()));
   Engine.run engine
 
 (* ------------------------------------------------------------------ *)
@@ -751,10 +835,11 @@ let prop_percentile_bounded =
 let test_engine_blocked_time () =
   let engine = Engine.create () in
   let c = Counter.create () in
-  Process.spawn engine (fun () -> Counter.await_ge c 1);
-  Process.spawn engine (fun () ->
-      Process.wait 3.0;
-      Counter.add c 1);
+  spawn engine (fun cur k -> await_ge cur c 1 k);
+  spawn engine (fun cur k ->
+      wait cur 3.0 (fun () ->
+          Counter.add c 1;
+          k ()));
   Engine.run engine;
   check_float "one process blocked for 3us" 3.0 (Engine.blocked_time engine);
   Alcotest.(check int) "nobody left blocked" 0
@@ -798,8 +883,8 @@ let () =
         ] );
       ( "cursor",
         [
-          Alcotest.test_case "matches a process" `Quick
-            test_cursor_matches_process;
+          Alcotest.test_case "step styles agree" `Quick
+            test_cursor_step_styles_agree;
           Alcotest.test_case "double wake" `Quick test_cursor_double_wake;
           Alcotest.test_case "negative wait" `Quick test_cursor_negative_wait;
         ] );
@@ -842,7 +927,6 @@ let () =
       ( "edges",
         [
           Alcotest.test_case "nested spawn" `Quick test_nested_spawn;
-          Alcotest.test_case "join zero" `Quick test_join_zero;
           Alcotest.test_case "schedule_at" `Quick test_schedule_at;
           Alcotest.test_case "engine counters" `Quick test_engine_counters;
           Alcotest.test_case "yield" `Quick test_yield_interleaves_same_time;

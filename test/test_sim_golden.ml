@@ -176,8 +176,7 @@ let collective_lines () =
     let cluster = Cluster.create machine ~world_size:world in
     let op = Collective.create cluster ~kind ~algo ~bytes_per_shard in
     for rank = 0 to world - 1 do
-      Tilelink_sim.Process.spawn (Cluster.engine cluster) (fun () ->
-          Collective.run_rank op ~rank)
+      Collective.start_rank op ~rank
     done;
     Tilelink_sim.Engine.run (Cluster.engine cluster);
     let makespan =

@@ -660,13 +660,17 @@ let test_cross_node_slower_than_intra () =
   (* Same transfer volume, NIC vs NVLink: the inter-node path must be
      slower on the calibrated machine. *)
   let time src dst =
+    let open Tilelink_sim in
     let cluster = Cluster.create Calib.test_machine ~world_size:8 in
-    let t = ref 0.0 in
-    Tilelink_sim.Process.spawn (Cluster.engine cluster) (fun () ->
-        Cluster.transfer cluster ~src ~dst ~bytes:1.0e6;
-        t := Cluster.now cluster);
-    Tilelink_sim.Engine.run (Cluster.engine cluster);
-    !t
+    let engine = Cluster.engine cluster in
+    let link = Cluster.link cluster ~src ~dst in
+    let bytes = 1.0e6 in
+    Alcotest.(check bool) "idle link admits" true (Bandwidth.try_admit link);
+    Engine.schedule engine ~delay:(Bandwidth.wire_time link ~bytes) (fun () ->
+        Bandwidth.wire_done link ~bytes;
+        Engine.schedule engine ~delay:(Bandwidth.latency link) ignore);
+    Engine.run engine;
+    Cluster.now cluster
   in
   Alcotest.(check bool) "NIC slower than NVLink" true (time 0 4 > time 0 1)
 
