@@ -9,8 +9,8 @@
    through a [Mapping.static]: every notify and wait in the result
    comes out of the tile-centric lowering, none is written by hand.
    The gather producer, its resource roles and the chunked GEMM
-   consumer are [Overlap]'s, the same blocks the hand-written [Mlp]
-   kernel is built from.
+   consumer are [Overlap]'s.  The AG+GEMM kernel of [Mlp] is this
+   synthesis of a one-GEMM graph, so it has no second builder.
 
    Candidate pruning and scoring run through [Tune.search_planned]:
    the analyzer rejects statically-broken protocols before any
@@ -295,7 +295,7 @@ let synthesize g cand ~spec_gpu =
   in
   let bc = Block_channel.symbolic ~world_size:r mapping in
   let gather =
-    Overlap.gather bc ~name:"gather"
+    Overlap.gather bc ~name:"ag"
       ~transfer:(match cand.pl_transfer with Pull -> `Pull | Push -> `Push)
       ~mapping ~grid:comm_grid ~shard:g.g_shard ~gathered:g.g_gathered
   in
@@ -314,7 +314,7 @@ let synthesize g cand ~spec_gpu =
   let plans =
     Array.init r (fun rank ->
         let comm_roles, compute_sms =
-          Overlap.gather_roles ~name:"gather" ~spec_gpu
+          Overlap.gather_roles ~name:"allgather" ~spec_gpu
             config.Design_space.binding
             (Overlap.gather_tasks gather ~rank config.Design_space.comm_order)
         in

@@ -3,10 +3,11 @@
    Two overlapped kernels (Figure 1 / Figure 4 of the paper):
 
    - [ag_gemm_program]: AllGather of the activation over M, overlapped
-     with GEMM.  The communication role pulls remote shards tile by
-     tile (SM-, DMA- or hybrid-bound per the design-space config) and
-     signals producer channels; GEMM consumer tiles wait only for the
-     rows they read.
+     with GEMM, synthesized by the planner from a one-GEMM operator
+     graph ([ag_gemm_graph]).  The communication role moves shards tile
+     by tile (SM-, DMA- or hybrid-bound per the design-space config)
+     and signals producer channels; GEMM consumer tiles wait only for
+     the rows they read.
 
    - [gemm_rs_program]: GEMM producing a partial [M, N] overlapped with
      a ring ReduceScatter consumer exactly as in Figure 4 — per-tile
@@ -66,78 +67,23 @@ let ag_gemm_reference memory spec ~rank =
   Linalg.gemm (Tensor.concat_rows shards)
     (Memory.find memory ~rank ~name:"w")
 
+let ag_gemm_graph ~name spec =
+  Planner.graph ~name ~rows:spec.m ~cols:spec.k ~world:spec.world_size
+    [
+      Planner.consumer ~name:"gemm" ~out:"y"
+        (Planner.Gemm { weights = "w"; n = spec.n });
+    ]
+
 let ag_gemm_program ?(k_chunks = 2) ?(transfer = `Pull)
     ~(config : Design_space.config) spec ~(spec_gpu : Spec.t) =
-  let r = spec.world_size in
-  if spec.m mod r <> 0 then invalid_arg "Mlp.ag_gemm: m not divisible";
-  let comm_tm = fst config.Design_space.comm_tile in
-  let compute_tm, compute_tn = config.Design_space.compute_tile in
-  let shard_rows = spec.m / r in
-  if shard_rows mod comm_tm <> 0 then
-    invalid_arg "Mlp.ag_gemm: comm tile must divide the shard";
-  let channels_per_rank = shard_rows / comm_tm in
-  let mapping =
-    Mapping.static ~extent:spec.m ~ranks:r ~channels_per_rank ~tile:comm_tm
-      ()
-  in
-  let comm_grid =
-    Tile.grid ~extent_m:spec.m ~extent_n:spec.k ~tile_m:comm_tm
-      ~tile_n:spec.k
-  in
-  let compute_grid =
-    Tile.grid ~extent_m:spec.m ~extent_n:spec.n ~tile_m:compute_tm
-      ~tile_n:compute_tn
-  in
-  (* Everything rank-invariant is built once per program: one task per
-     tile, labels, statements and data actions included, lowered and
-     pipelined once.  Each rank only instantiates the tasks it runs, in
-     its own tile order. *)
-  let bc = Block_channel.symbolic ~world_size:r mapping in
-  let gather =
-    Overlap.gather bc ~name:"ag" ~transfer ~mapping ~grid:comm_grid
-      ~shard:"x_shard" ~gathered:"x_full"
-  in
-  (* --- computation: consumer GEMM tiles --- *)
-  let compute_task tid =
-    let tile = Tile.of_linear compute_grid tid in
-    let rows = Tile.rows compute_grid tile in
-    let cols = Tile.cols compute_grid tile in
-    let label =
-      Printf.sprintf "gemm[%d,%d]" tile.Tile.tid_m tile.Tile.tid_n
-    in
-    Overlap.row_consumer ~label ~gathered:"x_full" ~k:spec.k ~out:"y" ~rows
-      ~cols
-      (Overlap.gemm_chunks ~label ~gathered:"x_full" ~weights:"w" ~out:"y"
-         ~k:spec.k ~chunks:k_chunks
-         ~micro_block:config.Design_space.micro_block ~rows ~cols)
-  in
-  let compute_templates =
-    Array.init (Tile.tile_count compute_grid) (fun tid ->
-        Pipeline.pipeline_task ~stages:config.Design_space.stages
-          (Block_channel.lower_task bc (compute_task tid)))
-  in
-  let plans =
-    Array.init r (fun rank ->
-        let comm_roles, compute_sms =
-          Overlap.gather_roles ~name:"allgather" ~spec_gpu
-            config.Design_space.binding
-            (Overlap.gather_tasks gather ~rank config.Design_space.comm_order)
-        in
-        comm_roles
-        @ [
-            {
-              Program.role_name = "gemm";
-              resource = Program.Sm_partition compute_sms;
-              lane = Tilelink_sim.Trace.Compute_sm;
-              tasks =
-                Overlap.tile_tasks compute_templates compute_grid ~rank
-                  config.Design_space.compute_order;
-            };
-          ])
-  in
-  Program.create ~name:"ag_gemm" ~world_size:r
-    ~pc_channels:(Mapping.num_channels mapping)
-    ~peer_channels:1 plans
+  Planner.synthesize
+    (ag_gemm_graph ~name:"ag_gemm" spec)
+    {
+      Planner.pl_config = config;
+      pl_transfer = (match transfer with `Pull -> Planner.Pull | `Push -> Push);
+      pl_chunks = k_chunks;
+    }
+    ~spec_gpu
 
 (* ------------------------------------------------------------------ *)
 (* GEMM + ring ReduceScatter (Figure 4)                                *)

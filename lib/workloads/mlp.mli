@@ -29,6 +29,11 @@ val ag_gemm_alloc : ag_gemm_spec -> seed:int -> Memory.t
 val ag_gemm_reference :
   Memory.t -> ag_gemm_spec -> rank:int -> Tilelink_tensor.Tensor.t
 
+val ag_gemm_graph : name:string -> ag_gemm_spec -> Planner.graph
+(** The operator graph of the kernel: one AllGather of ["x_shard"] into
+    ["x_full"] feeding one [Gemm] consumer, named ["gemm"], that reads
+    weights ["w"] and writes ["y"]. *)
+
 val ag_gemm_program :
   ?k_chunks:int ->
   ?transfer:[ `Pull | `Push ] ->
@@ -36,11 +41,14 @@ val ag_gemm_program :
   ag_gemm_spec ->
   spec_gpu:Spec.t ->
   Program.t
-(** Build the overlapped kernel for the given design-space point.
-    [`Pull] (default) fetches remote tiles and signals locally;
-    [`Push] broadcasts the rank's own tiles to every peer and notifies
-    remote consumers (Figure 3b).  Raises [Invalid_argument] when the
-    comm tile does not divide the shard. *)
+(** The planner's synthesis ({!Planner.synthesize}) of
+    [ag_gemm_graph ~name:"ag_gemm"] at the given design-space point,
+    with [k_chunks] (default 2) column chunks per GEMM tile.  [`Pull]
+    (default) fetches remote tiles and signals locally; [`Push]
+    broadcasts the rank's own tiles to every peer and notifies remote
+    consumers (Figure 3b).  Raises [Invalid_argument] when the world
+    is smaller than 2, [m] does not divide over it, or the comm tile
+    does not divide the shard. *)
 
 (** {2 GEMM + ring ReduceScatter (Figure 4)}
 

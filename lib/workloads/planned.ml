@@ -5,13 +5,7 @@ open Tilelink_tensor
 (* MLP                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let mlp_graph (spec : Mlp.ag_gemm_spec) =
-  Planner.graph ~name:"planned_ag_gemm" ~rows:spec.Mlp.m ~cols:spec.Mlp.k
-    ~world:spec.Mlp.world_size
-    [
-      Planner.consumer ~name:"gemm" ~out:"y"
-        (Planner.Gemm { weights = "w"; n = spec.Mlp.n });
-    ]
+let mlp_graph spec = Mlp.ag_gemm_graph ~name:"planned_ag_gemm" spec
 
 (* ------------------------------------------------------------------ *)
 (* Softmax                                                             *)

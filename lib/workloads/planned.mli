@@ -1,10 +1,9 @@
 (** Planner-built workload variants: the operator graphs, allocators
     and references the auto-overlap planner is exercised against.
 
-    Each family mirrors (or extends) a hand-written workload so
-    planner-derived schedules can be compared — the MLP graph uses the
-    exact buffer names of {!Mlp.ag_gemm_program}, so
-    {!Mlp.ag_gemm_alloc} and {!Mlp.ag_gemm_reference} apply verbatim.
+    Each family mirrors (or extends) a workload of the suite — the MLP
+    graph is {!Mlp.ag_gemm_graph}, so {!Mlp.ag_gemm_alloc} and
+    {!Mlp.ag_gemm_reference} apply verbatim.
     The fused graph is deliberately {e not} in the hand-written suite:
     it is the "new operator graph" acceptance case. *)
 
@@ -13,9 +12,9 @@ open Tilelink_core
 (** {2 MLP: AllGather + GEMM (mirrors {!Mlp})} *)
 
 val mlp_graph : Mlp.ag_gemm_spec -> Planner.graph
-(** One [Gemm] consumer writing ["y"], weights ["w"] — the same
-    buffers {!Mlp.ag_gemm_alloc} binds and
-    {!Mlp.ag_gemm_reference} checks. *)
+(** [Mlp.ag_gemm_graph ~name:"planned_ag_gemm"]: one [Gemm] consumer
+    writing ["y"], weights ["w"] — the buffers {!Mlp.ag_gemm_alloc}
+    binds and {!Mlp.ag_gemm_reference} checks. *)
 
 (** {2 Softmax: AllGather + row softmax}
 
