@@ -10,6 +10,10 @@ type rank_report = {
   makespan : float;
 }
 
+val is_comm_lane : Tilelink_sim.Trace.lane -> bool
+(** Communication lanes: SM communication workers, copy engines and
+    host streams. *)
+
 val merge_intervals : (float * float) list -> (float * float) list
 val intersect :
   (float * float) list -> (float * float) list -> (float * float) list

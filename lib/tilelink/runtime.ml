@@ -56,15 +56,18 @@ let replay_suffix = function
 (* Tile-completion ledger                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* One entry per task.  [le_notified] is the producer-side checkpoint:
-   how many of the task's Notify instructions were actually issued —
-   on replay those epochs are skipped so counters never overshoot.
+(* One entry per task, naming it by position: rank, role index in the
+   rank's plan and task index in the role (names and labels need not
+   be unique).  [le_notified] is the producer-side checkpoint: how many
+   of the task's Notify instructions were actually issued — on replay
+   those epochs are skipped so counters never overshoot.
    [le_poisoned] marks a task whose execution was cut short (its rank
    died mid-task, or one of its copies touched a dead shard). *)
 type ledger_entry = {
   le_rank : int;
-  le_role : string;
-  le_label : string;
+  le_role : int;
+  le_index : int;
+  le_task : Program.task;
   mutable le_notified : int;
   mutable le_done : bool;
   mutable le_poisoned : bool;
@@ -603,10 +606,6 @@ let queue_cursor env ~rank ~lane ~pool ~comm_active ~on_exit queue =
       c.entry <- None;
       not env.crashed.(rank))
 
-let is_comm_lane = function
-  | Trace.Comm_sm | Trace.Dma | Trace.Host -> true
-  | Trace.Compute_sm | Trace.Wait -> false
-
 (* A role is one cursor: it starts, pays the kernel launch latency,
    then either runs its host stream inline or starts one worker cursor
    per pool worker and parks until the last one exits, resuming one
@@ -614,7 +613,7 @@ let is_comm_lane = function
 let launch_role env ~rank ~comm_active ~queue (role : Program.role) =
   let sim = Cursor.create env.engine in
   let lane = role.Program.lane in
-  let comm_role = is_comm_lane lane in
+  let comm_role = Report.is_comm_lane lane in
   let role_done () = if comm_role then decr comm_active in
   let launched () =
     if comm_role then incr comm_active;
@@ -708,31 +707,29 @@ let lost_entries ledger ~dead =
 
 (* The key a no-survivor stall names: the first channel whose producer
    died with undelivered epochs — the unrecoverable channel. *)
-let no_survivor_key ~dead ~lost program =
-  List.fold_left
-    (fun acc (e : ledger_entry) ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-        Program.fold_tasks program ~init:None
-          ~f:(fun acc ~rank (role : Program.role) (task : Program.task) ->
-            match acc with
-            | Some _ -> acc
-            | None ->
-              if
-                rank = e.le_rank
-                && role.Program.role_name = e.le_role
-                && task.Program.label = e.le_label
-              then
-                List.find_map
-                  (function
-                    | Instr.Notify { target; _ } ->
-                      Some (Instr.key_of_target target)
-                    | _ -> None)
-                  task.Program.instrs
-              else acc))
-    None lost
+let no_survivor_key ~dead ~lost =
+  List.find_map
+    (fun e ->
+      List.find_map
+        (function
+          | Instr.Notify { target; _ } -> Some (Instr.key_of_target target)
+          | _ -> None)
+        e.le_task.Program.instrs)
+    lost
   |> Option.value ~default:(Printf.sprintf "pc[%d][0]" dead)
+
+(* Consecutive entries sharing (rank, role), in order: the replay
+   groups of a ledger-ordered entry list, one replay cursor each, which
+   keeps intra-role task order. *)
+let runs entries =
+  let same a b = a.le_rank = b.le_rank && a.le_role = b.le_role in
+  List.fold_left
+    (fun acc e ->
+      match acc with
+      | (run :: _ as run') :: rest when same run e -> (e :: run') :: rest
+      | _ -> [ e ] :: acc)
+    [] entries
+  |> List.rev_map List.rev
 
 let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
     cluster (program : Program.t) =
@@ -815,43 +812,39 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
     | None -> Chaos.fresh_recovery ()
   in
   (* Ledger: one entry per task, built in deterministic rank-major
-     order before anything runs.  [tracked_for rank role] hands each
-     role its (task, entry) queue.  Entries exist only when a crash is
-     planned — plain runs keep the zero-bookkeeping path. *)
-  let ledger : ledger_entry list ref = ref [] in
-  let tracked_tbl : (int * string, (Program.task * ledger_entry option) list)
-      Hashtbl.t =
-    Hashtbl.create 16
+     order before anything runs, and each role's (task, entry) queue,
+     by position.  Entries exist only when a crash is planned — plain
+     runs keep the zero-bookkeeping path. *)
+  let queues =
+    Array.mapi
+      (fun rank plan ->
+        List.mapi
+          (fun ri (role : Program.role) ->
+            ( role,
+              List.mapi
+                (fun ti (task : Program.task) ->
+                  if crashes = [] then (task, None)
+                  else
+                    ( task,
+                      Some
+                        {
+                          le_rank = rank;
+                          le_role = ri;
+                          le_index = ti;
+                          le_task = task;
+                          le_notified = 0;
+                          le_done = false;
+                          le_poisoned = false;
+                          le_replaying = false;
+                        } ))
+                role.Program.tasks ))
+          plan)
+      (Program.plans program)
   in
-  Array.iteri
-    (fun rank plan ->
-      List.iter
-        (fun (role : Program.role) ->
-          let tracked =
-            List.map
-              (fun (task : Program.task) ->
-                if crashes = [] then (task, None)
-                else begin
-                  let e =
-                    {
-                      le_rank = rank;
-                      le_role = role.Program.role_name;
-                      le_label = task.Program.label;
-                      le_notified = 0;
-                      le_done = false;
-                      le_poisoned = false;
-                      le_replaying = false;
-                    }
-                  in
-                  ledger := e :: !ledger;
-                  (task, Some e)
-                end)
-              role.Program.tasks
-          in
-          Hashtbl.replace tracked_tbl (rank, role.Program.role_name) tracked)
-        plan)
-    (Program.plans program);
-  let ledger = List.rev !ledger in
+  let ledger =
+    Array.to_list queues
+    |> List.concat_map (List.concat_map (fun (_, q) -> List.filter_map snd q))
+  in
   if crashes <> [] then recovery.Chaos.total_tiles <- List.length ledger;
   (* Liveness: once a rank has crashed its in-flight kernel state is
      gone for good, so its [crashed] flag stays set for the rest of the
@@ -887,18 +880,15 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
           end))
     crashes;
   Array.iteri
-    (fun rank plan ->
+    (fun rank roles ->
       (* Tracks how many communication roles are live on this rank;
          compute tiles pay the interference factor while it is > 0. *)
       let comm_active = ref 0 in
       List.iter
-        (fun (role : Program.role) ->
-          let queue =
-            ref (Hashtbl.find tracked_tbl (rank, role.Program.role_name))
-          in
-          launch_role env ~rank ~comm_active ~queue role)
-        plan)
-    (Program.plans program);
+        (fun (role, queue) ->
+          launch_role env ~rank ~comm_active ~queue:(ref queue) role)
+        roles)
+    queues;
   (* The failover coordinator: runs at the top of every watchdog tick
      and must *return without blocking* — a second crash landing while
      the first crash's tiles are still replaying is only detected on a
@@ -948,7 +938,7 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
     let lost = lost_entries ledger ~dead in
     let survivors = ordered_survivors ~relative_to:dead in
     if survivors = [] then begin
-      let key = no_survivor_key ~dead ~lost program in
+      let key = no_survivor_key ~dead ~lost in
       let kind, owner, channel = Chaos.parse_key key in
       let intended = Channel.intended_value channels ~key in
       Chaos.raise_stall ~telemetry ~recovery ~channels ~key ~kind ~owner
@@ -998,35 +988,31 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
       (* Replay from a *fresh* build of the program when the caller
          provides one: task closures can hold accumulator state
          (flash-attention online softmax), so re-running a partially
-         executed closure would double-count. *)
-      let source = match rebuild with Some f -> f () | None -> program in
-      let fresh_task : (int * string * string, Program.task) Hashtbl.t =
-        Hashtbl.create 64
-      in
-      Program.iter_tasks source ~f:(fun ~rank role task ->
-          let key = (rank, role.Program.role_name, task.Program.label) in
-          if not (Hashtbl.mem fresh_task key) then
-            Hashtbl.replace fresh_task key task);
-      (* Group by (rank, role) preserving ledger order; one replay
-         process per group keeps intra-role task order. *)
-      let groups : ((int * string) * ledger_entry list) list =
-        List.fold_left
-          (fun acc e ->
-            let key = (e.le_rank, e.le_role) in
-            match List.assoc_opt key acc with
-            | None -> acc @ [ (key, [ e ]) ]
-            | Some _ ->
-              List.map
-                (fun (k, v) -> if k = key then (k, v @ [ e ]) else (k, v))
-                acc)
-          [] pending
+         executed closure would double-count.  The rebuild's task at
+         the entry's position replaces the original. *)
+      let task_of =
+        match rebuild with
+        | None -> fun e -> e.le_task
+        | Some f ->
+          let fresh =
+            Array.map
+              (List.map (fun (r : Program.role) ->
+                   Array.of_list r.Program.tasks))
+              (Program.plans (f ()))
+          in
+          if
+            Array.map (List.map Array.length) fresh
+            <> Array.map (List.map (fun (_, q) -> List.length q)) queues
+          then invalid_arg "Runtime.run: the rebuilt program changed shape";
+          fun e -> (List.nth fresh.(e.le_rank) e.le_role).(e.le_index)
       in
       (* Claim every entry inside the tick, before any replay runs, so
          the next tick's sweep cannot spawn a duplicate replay. *)
       List.iter (fun e -> e.le_replaying <- true) pending;
       let next_exec = ref 0 in
       List.iter
-        (fun (((owner_rank : int), _role), entries) ->
+        (fun entries ->
+          let owner_rank = (List.hd entries).le_rank in
           (* Executing survivors for this group, intra-island-first
              relative to the entries' owner: NVLink-local survivors
              absorb the replays before any cross-island peer does. *)
@@ -1038,48 +1024,38 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
              in order.  Replays take no pool unit and split no leading
              waits. *)
           let entries = ref entries in
-          let rec next c =
+          let next c =
             match !entries with
             | [] -> false
-            | (e : ledger_entry) :: rest -> (
+            | (e : ledger_entry) :: rest ->
               entries := rest;
-              match
-                Hashtbl.find_opt fresh_task (e.le_rank, e.le_role, e.le_label)
-              with
-              | None ->
-                (* The rebuild lost this task: nothing to replay —
-                   release the claim and count it done so the crash
-                   can settle instead of wedging accounting. *)
-                e.le_done <- true;
-                e.le_replaying <- false;
-                next c
-              | Some task ->
-                (* Round-robin the executing survivor per tile. *)
-                let exec_rank = sv.(!next_exec mod n) in
-                incr next_exec;
-                let cross_island = island_of exec_rank <> owner_island in
-                if cross_island then begin
-                  recovery.Chaos.cross_island_replays <-
-                    recovery.Chaos.cross_island_replays + 1;
-                  metric_inc "recovery.cross_island_replays"
-                end;
-                let replay =
-                  if cross_island then Cross_island_replay else Replay
-                in
-                (* A replay is only as alive as its executor: a survivor
-                   dying mid-replay must abandon, not plough on against
-                   a dead rank's resources.  Replayed notifies are
-                   checkpointed too, so a replay cut short by a second
-                   crash resumes past the epochs it already
-                   delivered. *)
-                c.exec_rank <- exec_rank;
-                c.replay <- replay;
-                c.skip <- e.le_notified;
-                c.nloads <- 0;
-                load_task c ~instrs:task.Program.instrs ~lead:0
-                  ~entry:(Some e)
-                  ~label:(task.Program.label ^ replay_suffix replay);
-                true)
+              let task = task_of e in
+              (* Round-robin the executing survivor per tile. *)
+              let exec_rank = sv.(!next_exec mod n) in
+              incr next_exec;
+              let cross_island = island_of exec_rank <> owner_island in
+              if cross_island then begin
+                recovery.Chaos.cross_island_replays <-
+                  recovery.Chaos.cross_island_replays + 1;
+                metric_inc "recovery.cross_island_replays"
+              end;
+              let replay =
+                if cross_island then Cross_island_replay else Replay
+              in
+              (* A replay is only as alive as its executor: a survivor
+                 dying mid-replay must abandon, not plough on against
+                 a dead rank's resources.  Replayed notifies are
+                 checkpointed too, so a replay cut short by a second
+                 crash resumes past the epochs it already
+                 delivered. *)
+              c.exec_rank <- exec_rank;
+              c.replay <- replay;
+              c.skip <- e.le_notified;
+              c.nloads <- 0;
+              load_task c ~instrs:task.Program.instrs ~lead:0
+                ~entry:(Some e)
+                ~label:(task.Program.label ^ replay_suffix replay);
+              true
           in
           let c =
             make_cursor env ~lane:Trace.Comm_sm ~pool:None
@@ -1105,7 +1081,7 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
                 true)
           in
           Cursor.start c.sim (fun () -> begin_stream c))
-        groups
+        (runs pending)
   in
   let settle () =
     let rec go () =

@@ -440,6 +440,91 @@ let test_second_crash_mid_replay () =
            (Memory.find memory ~rank ~name:"y")))
     [ 0; 1; 2; 3 ]
 
+(* Expert-parallel MoE labels its FFN tiles [ffn[e,t]] on every
+   expert-owning rank, so task labels repeat within a program.  A
+   replay must take the lost task at its own position: each of these
+   single crashes must fail over once and leave every rank's output
+   equal to the reference. *)
+let test_ep_moe_crash_replays_by_position () =
+  let spec =
+    {
+      Ep_moe.tokens = 32;
+      hidden = 4;
+      intermediate = 6;
+      experts = 8;
+      topk = 2;
+      world_size = 4;
+    }
+  in
+  let route = Ep_moe.routing spec ~seed:13 in
+  let build () =
+    Ep_moe.program
+      ~config:{ Ep_moe.tile_rows = 2; comm_binding = Design_space.Comm_on_dma }
+      spec route ~spec_gpu:Calib.test_machine
+  in
+  let ideal =
+    (Runtime.run (Cluster.create Calib.test_machine ~world_size:4) (build ()))
+      .Runtime.makespan
+  in
+  let quiet =
+    {
+      (Chaos.no_machine_faults Chaos.default_spec) with
+      Chaos.drop_prob = 0.0;
+      duplicate_prob = 0.0;
+      delay_prob = 0.0;
+    }
+  in
+  let crash ~rebuild (dead, frac) =
+    let schedule =
+      Chaos.with_crashes
+        (Chaos.plan ~spec:quiet ~horizon_us:(2.0 *. ideal) ~seed:7
+           ~world_size:4 ())
+        [ (dead, { Chaos.cr_at = frac *. ideal }) ]
+    in
+    let control =
+      Chaos.control ~schedule
+        ~watchdog:{ Chaos.default_watchdog with policy = Chaos.Failover }
+        ()
+    in
+    let memory, _ = Ep_moe.alloc spec route ~seed:19 in
+    ignore
+      (Runtime.run ~data:true ~memory ~chaos:control ~rebuild
+         (Cluster.create Calib.test_machine ~world_size:4)
+         (build ()));
+    (control, memory)
+  in
+  List.iter
+    (fun (dead, frac) ->
+      let msg = Printf.sprintf "rank %d dies at %.1fx" dead frac in
+      let control, memory = crash ~rebuild:build (dead, frac) in
+      Alcotest.(check int) (msg ^ ": failed over once") 1
+        (List.length control.Chaos.c_recovery.Chaos.failed_over);
+      for rank = 0 to 3 do
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: rank %d output" msg rank)
+          true
+          (Check.close
+             (Ep_moe.reference memory spec route ~rank)
+             (Memory.find memory ~rank ~name:"out"))
+      done)
+    [ (0, 0.3); (1, 0.3); (2, 0.3); (3, 0.3); (1, 0.1); (2, 0.5); (0, 0.6) ];
+  (* A rebuild missing a task has no task at some lost position. *)
+  let truncated () =
+    let p = build () in
+    let plans = Array.copy p.Program.plans in
+    plans.(1) <-
+      List.map
+        (fun (r : Program.role) ->
+          { r with Program.tasks = List.tl r.Program.tasks })
+        plans.(1);
+    { p with Program.plans }
+  in
+  Alcotest.(check bool) "a rebuild of another shape is refused" true
+    (try
+       ignore (crash ~rebuild:truncated (1, 0.3));
+       false
+     with Invalid_argument _ -> true)
+
 (* ------------------------------------------------------------------ *)
 (* Summary determinism                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -636,6 +721,8 @@ let () =
             test_no_survivors_stall_counted;
           Alcotest.test_case "second crash mid-replay re-enters failover"
             `Quick test_second_crash_mid_replay;
+          Alcotest.test_case "ep_moe: crash replays tasks by position" `Quick
+            test_ep_moe_crash_replays_by_position;
           Alcotest.test_case "stalled trial does not leak state" `Quick
             test_stalled_trial_does_not_leak;
           qc prop_crash_summary_deterministic;

@@ -1322,6 +1322,56 @@ let test_runtime_roles_share_sms_dynamically () =
     (20.0 +. Calib.test_machine.Spec.overheads.kernel_launch)
     result.Runtime.makespan
 
+(* Role names need not be unique on a rank: two roles both named "r"
+   must each run their own task once, on the interpreter as on the
+   domain backend, which walks roles directly. *)
+let test_runtime_same_name_roles () =
+  let ran = ref [] in
+  let role label =
+    {
+      Program.role_name = "r";
+      resource = Program.Sm_partition 1;
+      lane = Tilelink_sim.Trace.Compute_sm;
+      tasks =
+        [
+          {
+            Program.label;
+            instrs =
+              [
+                Instr.Compute
+                  {
+                    label;
+                    cost = Instr.Fixed_cost 10.0;
+                    reads = [];
+                    writes = [];
+                    action = Some (fun _ ~rank:_ -> ran := label :: !ran);
+                  };
+              ];
+          };
+        ];
+    }
+  in
+  let program =
+    Program.create ~name:"twins" ~world_size:1 ~pc_channels:1
+      ~peer_channels:1
+      [| [ role "first"; role "second" ] |]
+  in
+  let ran_by execute =
+    ran := [];
+    execute ();
+    List.sort compare !ran
+  in
+  Alcotest.(check (list string)) "interpreter runs each role's task once"
+    [ "first"; "second" ]
+    (ran_by (fun () ->
+         ignore
+           (Runtime.run ~data:true
+              (Cluster.create Calib.test_machine ~world_size:1)
+              program)));
+  Alcotest.(check (list string)) "domain backend runs each role's task once"
+    [ "first"; "second" ]
+    (ran_by (fun () -> ignore (Parallel.run ~domains:1 program)))
+
 let test_pipelining_hides_load_latency () =
   (* On a machine with load latency, stages=3 must beat stages=1 for a
      serial chain of (load, compute) pairs. *)
@@ -1780,6 +1830,8 @@ let () =
           Alcotest.test_case "single wave" `Quick test_runtime_single_wave;
           Alcotest.test_case "dynamic SM sharing" `Quick
             test_runtime_roles_share_sms_dynamically;
+          Alcotest.test_case "roles sharing a name each run" `Quick
+            test_runtime_same_name_roles;
           Alcotest.test_case "pipelining hides load latency" `Quick
             test_pipelining_hides_load_latency;
           Alcotest.test_case "empty body queues for the pool" `Quick
