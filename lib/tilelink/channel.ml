@@ -401,25 +401,6 @@ let wait_end t ~waiter ~worker target ~threshold ~id ~since =
   end;
   if id >= 0 then Waits.remove t.pending id
 
-let pc_notify ?(worker = -1) t ~rank ~channel ~amount =
-  notify t ~worker (Instr.Pc { rank; channel }) ~amount
-
-let pc_value t ~rank ~channel =
-  check_rank t rank "pc_value";
-  check_channel t channel "pc_value";
-  Tilelink_sim.Counter.value t.pc.(rank).(channel).counter
-
-(* Peer channel: [src] signals [dst]. *)
-let peer_notify ?(worker = -1) t ~src ~dst ?(channel = 0) ~amount () =
-  notify t ~worker (Instr.Peer { src; dst; channel }) ~amount
-
-let peer_value t ~src ~dst ?(channel = 0) () =
-  Tilelink_sim.Counter.value (peer_row t ~dst ~src).(channel).counter
-
-(* Host channel: copy-engine completion signalled to [dst]'s kernels. *)
-let host_notify ?(worker = -1) t ~src ~dst ~amount =
-  notify t ~worker (Instr.Host { src; dst }) ~amount
-
 let total_notifies t =
   let sum = ref 0 in
   let count c = sum := !sum + Tilelink_sim.Counter.notify_count c.counter in

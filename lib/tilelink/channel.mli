@@ -51,33 +51,14 @@ val create :
 val world_size : t -> int
 val channels_per_rank : t -> int
 
-val pc_notify :
-  ?worker:int -> t -> rank:int -> channel:int -> amount:int -> unit
-(** [worker] is the span-recorder worker id of the issuing execution
-    stream; when telemetry is on, the delivery span's causal
-    predecessor is that worker's last span at issue time. *)
-
-val pc_value : t -> rank:int -> channel:int -> int
-
-val peer_notify :
-  ?worker:int ->
-  t ->
-  src:int ->
-  dst:int ->
-  ?channel:int ->
-  amount:int ->
-  unit ->
-  unit
-
-val peer_value : t -> src:int -> dst:int -> ?channel:int -> unit -> int
-
-val host_notify : ?worker:int -> t -> src:int -> dst:int -> amount:int -> unit
-
 (** {2 By signal target}
 
-    [worker] is a span-recorder worker id, as for the notifies above,
-    and [waiter] is the *executing* rank blocking in a wait (which for
-    pc channels differs from the channel owner), with [-1] for none.
+    [worker] is the span-recorder worker id of the issuing execution
+    stream, with [-1] for none; when telemetry is on, a notify's
+    delivery span has that worker's last span at issue time as its
+    causal predecessor.  [waiter] is the *executing* rank blocking in
+    a wait (which for pc channels differs from the channel owner), with
+    [-1] for none.
     A wait is [wait_begin], then, if that returned an id, [wait_park]
     with a cursor's wake callback, then (after the wake, or at once)
     [wait_end]. *)

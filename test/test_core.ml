@@ -251,6 +251,10 @@ let cursor_wait engine channels target ~threshold k =
           (Cursor.waker c)
       end)
 
+(* A notify from no worker, the way the runtime issues one. *)
+let notify channels target ~amount =
+  Channel.notify channels ~worker:(-1) target ~amount
+
 let test_channel_pc_roundtrip () =
   let channels = Channel.create ~world_size:2 ~channels_per_rank:3 () in
   let woke = ref false in
@@ -261,19 +265,20 @@ let test_channel_pc_roundtrip () =
           Alcotest.(check bool) "parked" false !woke;
           Alcotest.(check int) "one pending wait" 1
             (List.length (Channel.pending_waits channels));
-          Channel.pc_notify channels ~rank:1 ~channel:2 ~amount:2));
+          notify channels (Instr.Pc { rank = 1; channel = 2 }) ~amount:2));
   Alcotest.(check bool) "woke" true !woke;
   Alcotest.(check int) "no pending wait" 0
     (List.length (Channel.pending_waits channels));
-  Alcotest.(check int) "value" 2 (Channel.pc_value channels ~rank:1 ~channel:2)
+  Alcotest.(check (option int)) "value" (Some 2)
+    (Channel.key_value channels ~key:"pc[1][2]")
 
 let test_channel_peer_isolated_by_direction () =
   let channels = Channel.create ~world_size:2 ~channels_per_rank:1 () in
-  Channel.peer_notify channels ~src:0 ~dst:1 ~amount:3 ();
-  Alcotest.(check int) "0->1 set" 3
-    (Channel.peer_value channels ~src:0 ~dst:1 ());
-  Alcotest.(check int) "1->0 untouched" 0
-    (Channel.peer_value channels ~src:1 ~dst:0 ())
+  notify channels (Instr.Peer { src = 0; dst = 1; channel = 0 }) ~amount:3;
+  Alcotest.(check (option int)) "0->1 set" (Some 3)
+    (Channel.key_value channels ~key:"peer[1<-0][0]");
+  Alcotest.(check (option int)) "1->0 untouched" (Some 0)
+    (Channel.key_value channels ~key:"peer[0<-1][0]")
 
 let test_channel_host () =
   let channels = Channel.create ~world_size:2 ~channels_per_rank:1 () in
@@ -281,23 +286,23 @@ let test_channel_host () =
   with_engine (fun engine ->
       cursor_wait engine channels (Instr.Host { src = 0; dst = 1 })
         ~threshold:1 (fun () -> woke := true);
-      Channel.host_notify channels ~src:0 ~dst:1 ~amount:1);
+      notify channels (Instr.Host { src = 0; dst = 1 }) ~amount:1);
   Alcotest.(check bool) "woke" true !woke
 
 let test_channel_bounds () =
   let channels = Channel.create ~world_size:2 ~channels_per_rank:1 () in
   Alcotest.(check bool) "rank bound" true
-    (try Channel.pc_notify channels ~rank:5 ~channel:0 ~amount:1; false
+    (try notify channels (Instr.Pc { rank = 5; channel = 0 }) ~amount:1; false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "channel bound" true
-    (try Channel.pc_notify channels ~rank:0 ~channel:7 ~amount:1; false
+    (try notify channels (Instr.Pc { rank = 0; channel = 7 }) ~amount:1; false
      with Invalid_argument _ -> true)
 
 let test_channel_total_notifies () =
   let channels = Channel.create ~world_size:2 ~channels_per_rank:2 () in
-  Channel.pc_notify channels ~rank:0 ~channel:0 ~amount:1;
-  Channel.peer_notify channels ~src:0 ~dst:1 ~amount:1 ();
-  Channel.host_notify channels ~src:1 ~dst:0 ~amount:4;
+  notify channels (Instr.Pc { rank = 0; channel = 0 }) ~amount:1;
+  notify channels (Instr.Peer { src = 0; dst = 1; channel = 0 }) ~amount:1;
+  notify channels (Instr.Host { src = 1; dst = 0 }) ~amount:4;
   Alcotest.(check int) "three notifies" 3 (Channel.total_notifies channels)
 
 (* Peer keys resolve by name before any notify or wait touched their
@@ -311,10 +316,12 @@ let test_channel_untouched_peer_keys () =
   Channel.force_signal channels ~key:"peer[1<-2][1]" ~target:5;
   Alcotest.(check (option int)) "forced key" (Some 5)
     (Channel.key_value channels ~key:"peer[1<-2][1]");
-  Alcotest.(check int) "forced counter is the runtime's" 5
-    (Channel.peer_value channels ~src:2 ~dst:1 ~channel:1 ());
-  Alcotest.(check int) "sibling channel untouched" 0
-    (Channel.peer_value channels ~src:2 ~dst:1 ~channel:0 ());
+  Alcotest.(check int) "forced counter is the one a wait reads" (-1)
+    (Channel.wait_begin channels
+       (Instr.Peer { src = 2; dst = 1; channel = 1 })
+       ~threshold:5);
+  Alcotest.(check (option int)) "sibling channel untouched" (Some 0)
+    (Channel.key_value channels ~key:"peer[1<-2][0]");
   Alcotest.(check (option int)) "channel past the table" None
     (Channel.key_value channels ~key:"peer[1<-2][4]");
   Alcotest.(check (option int)) "rank past the world" None
