@@ -1076,11 +1076,11 @@ let bench_json_parallel () =
 (* planner suite                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The auto-overlap planner against every hand-written AG+GEMM schedule
-   of the shipped-program sweep (same shapes, machine and design points
-   as [Suite.build_cases]), plus operator graphs no hand-written kernel
-   covers.  The candidate list handed to the planner includes the
-   hand-written design points, so "rediscover or beat" is a sharp gate:
+(* The auto-overlap planner against every hand-picked AG+GEMM design
+   point of the shipped-program sweep (same shapes, machine and design
+   points as [Suite.build_cases]), plus operator graphs no hand-written
+   kernel covers.  The candidate list handed to the planner includes the
+   hand-picked design points, so "rediscover or beat" is a sharp gate:
    the search minimum can never lose to a hand schedule by more than
    simulation noise (and the simulator is deterministic, so not even
    that). *)

@@ -65,11 +65,6 @@ let iter_tasks t ~f =
         plan)
     t.plans
 
-let fold_tasks t ~init ~f =
-  let acc = ref init in
-  iter_tasks t ~f:(fun ~rank role task -> acc := f !acc ~rank role task);
-  !acc
-
 let instr_count t =
   Array.fold_left
     (fun acc plan ->

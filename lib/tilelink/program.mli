@@ -45,8 +45,6 @@ val iter_tasks : t -> f:(rank:int -> role -> task -> unit) -> unit
     shared traversal of validation, the protocol analyzer and fault
     transforms. *)
 
-val fold_tasks : t -> init:'a -> f:('a -> rank:int -> role -> task -> 'a) -> 'a
-
 val validate : t -> (unit, string) result
 (** Check every signal target against the channel layout. *)
 

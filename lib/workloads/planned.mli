@@ -3,9 +3,9 @@
 
     Each family mirrors (or extends) a workload of the suite — the MLP
     graph is {!Mlp.ag_gemm_graph}, so {!Mlp.ag_gemm_alloc} and
-    {!Mlp.ag_gemm_reference} apply verbatim.
-    The fused graph is deliberately {e not} in the hand-written suite:
-    it is the "new operator graph" acceptance case. *)
+    {!Mlp.ag_gemm_reference} apply verbatim.  The fused graph is
+    deliberately {e not} in the suite: it is the "new operator graph"
+    acceptance case. *)
 
 open Tilelink_core
 
