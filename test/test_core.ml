@@ -1837,8 +1837,6 @@ let () =
           Alcotest.test_case "single wave" `Quick test_runtime_single_wave;
           Alcotest.test_case "dynamic SM sharing" `Quick
             test_runtime_roles_share_sms_dynamically;
-          Alcotest.test_case "roles sharing a name each run" `Quick
-            test_runtime_same_name_roles;
           Alcotest.test_case "pipelining hides load latency" `Quick
             test_pipelining_hides_load_latency;
           Alcotest.test_case "empty body queues for the pool" `Quick
@@ -1851,6 +1849,8 @@ let () =
             test_runtime_allocation_per_event;
           Alcotest.test_case "data path major allocation" `Quick
             test_data_path_major_allocation;
+          Alcotest.test_case "roles sharing a name each run" `Quick
+            test_runtime_same_name_roles;
         ] );
       ( "design space",
         [
