@@ -560,9 +560,50 @@ let test_unsafe_hoist_always_flagged () =
 (* Golden reports                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Every shipped program and each of its seed-17 mutants, one line per
-   program: name, a tab, then the report JSON.  The committed file pins
-   the analyzer's output byte for byte ([Golden]). *)
+(* The chaos harness's world-16 MLP case (4 rows and 2-row comm tiles
+   per rank), remapped the way failover remaps it: each dead rank's
+   channels move onto its survivors, intra-island survivors first.
+   These are the programs the runtime re-validates once per crash. *)
+let remapped_programs () =
+  let world = 16 in
+  let comm_rows = 2 in
+  let config =
+    {
+      Design_space.comm_tile = (comm_rows, 128);
+      compute_tile = (2, 2);
+      comm_order = Tile.Ring_from_self { segments = world };
+      compute_order = Tile.Ring_from_self { segments = world };
+      binding = Design_space.Comm_on_sm 1;
+      stages = 2;
+      micro_block = 0;
+    }
+  in
+  let program =
+    Mlp.ag_gemm_program ~config
+      { Mlp.m = 4 * world; k = 4; n = 6; world_size = world }
+      ~spec_gpu:Calib.test_machine
+  in
+  let remapped topology dead =
+    let layout = Topology.layout topology ~world_size:world in
+    let home = Topology.island_of layout dead in
+    let intra, cross =
+      List.filter (fun r -> r <> dead) (List.init world Fun.id)
+      |> List.partition (fun r -> Topology.island_of layout r = home)
+    in
+    ( Printf.sprintf "mlp_chaos/w16/%s/remap_dead%d" (Topology.name topology)
+        dead,
+      Fault.remap_program program ~dead ~survivors:(intra @ cross) )
+  in
+  List.init (Topology.ranks_per_island Topology.islands2x8)
+    (remapped Topology.islands2x8)
+  @ [ remapped Topology.hetero16 11 ]
+
+(* Every shipped program and each of its seed-17 mutants, then each
+   remapped chaos program and its seed-17 signalling mutants (its
+   unsafe hoist is thousands of per-task races the remap does not
+   touch), one line per program: name, a tab, then the report JSON.
+   The committed file pins the analyzer's output byte for byte
+   ([Golden]). *)
 let golden_lines () =
   let line name program =
     name ^ "\t"
@@ -576,6 +617,15 @@ let golden_lines () =
            (fun (mutation, mutant) -> line (name ^ "/" ^ mutation) mutant)
            (Analyzer.mutation_corpus ~seed:17 program))
     (Suite.programs ())
+  @ List.concat_map
+      (fun (name, program) ->
+        line name program
+        :: List.filter_map
+             (fun (mutation, mutant) ->
+               if mutation = "unsafe_hoist" then None
+               else Some (line (name ^ "/" ^ mutation) mutant))
+             (Analyzer.mutation_corpus ~seed:17 program))
+      (remapped_programs ())
 
 let test_reports_match_golden () =
   Golden.check ~what:"analyzer reports" "analyzer_golden.tsv"
