@@ -198,6 +198,75 @@ let test_read_before_acquire_race () =
   | ds -> Alcotest.failf "expected one data_race, got %d" (List.length ds)
 
 (* ------------------------------------------------------------------ *)
+(* Targets outside the channel layout                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Signal targets no builder emits, as a mutant or a hand-written
+   program may: a [Pc] channel past [pc_channels] and below 0, a [Pc]
+   rank past the world, a [Peer] source past the world and a channel
+   past [peer_channels], a negative [Host] destination.  Each is its
+   own key, distinct from every in-layout key it could alias by
+   arithmetic ([pc[1][-1]] against [pc[0][1]]).  They carry an
+   unmatched wait, an unconsumed notify, an epoch reuse, a circular
+   wait and a read-before-acquire race, interleaved with in-layout
+   keys so first-touch order mixes both.  Its golden rows were
+   generated when the analyzer hashed every target. *)
+let out_of_layout_program () =
+  let a = Instr.access ~buffer:"x" ~row:(0, 2) ~col:(0, 2) () in
+  let host_bad = Instr.Host { src = 0; dst = -1 } in
+  let plan0 =
+    [
+      role ~name:"sync"
+        [
+          task "a"
+            [
+              notify (pc ~rank:0 ~channel:0);
+              notify (pc ~rank:0 ~channel:5);
+              notify (pc ~rank:1 ~channel:(-1));
+              wait ~threshold:1 (Instr.Peer { src = 3; dst = 0; channel = 0 });
+              notify host_bad;
+            ];
+          task "b"
+            [
+              wait ~threshold:1 (pc ~rank:0 ~channel:0);
+              wait ~threshold:1 (pc ~rank:0 ~channel:5);
+              wait ~threshold:1 (pc ~rank:0 ~channel:1);
+              notify (peer ~src:0 ~dst:1);
+              notify (Instr.Peer { src = 0; dst = 1; channel = 1 });
+            ];
+          task "d"
+            [
+              wait ~threshold:1 (Instr.Peer { src = 5; dst = 0; channel = 2 });
+              notify (pc ~rank:7 ~channel:0);
+            ];
+        ];
+    ]
+  in
+  let plan1 =
+    [
+      role ~name:"sync"
+        [
+          task "c"
+            [
+              wait ~threshold:1 (peer ~src:0 ~dst:1);
+              notify ~amount:2 (pc ~rank:1 ~channel:1);
+              Instr.Load { access = a };
+              wait ~guards:[ a ] ~threshold:2 host_bad;
+              wait ~threshold:1 (pc ~rank:1 ~channel:1);
+              wait ~threshold:1 (pc ~rank:1 ~channel:(-1));
+            ];
+          task "e"
+            [
+              wait ~threshold:1 (pc ~rank:7 ~channel:0);
+              notify (Instr.Peer { src = 5; dst = 0; channel = 2 });
+            ];
+        ];
+    ]
+  in
+  Program.create ~name:"out_of_layout" ~world_size:2 ~pc_channels:2
+    ~peer_channels:1 [| plan0; plan1 |]
+
+(* ------------------------------------------------------------------ *)
 (* Clean workloads and the mutation corpus                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -598,12 +667,12 @@ let remapped_programs () =
     (remapped Topology.islands2x8)
   @ [ remapped Topology.hetero16 11 ]
 
-(* Every shipped program and each of its seed-17 mutants, then each
-   remapped chaos program and its seed-17 signalling mutants (its
-   unsafe hoist is thousands of per-task races the remap does not
-   touch), one line per program: name, a tab, then the report JSON.
-   The committed file pins the analyzer's output byte for byte
-   ([Golden]). *)
+(* Every shipped program and the out-of-layout program, and each of
+   their seed-17 mutants, then each remapped chaos program and its
+   seed-17 signalling mutants (its unsafe hoist is thousands of
+   per-task races the remap does not touch), one line per program:
+   name, a tab, then the report JSON.  The committed file pins the
+   analyzer's output byte for byte ([Golden]). *)
 let golden_lines () =
   let line name program =
     name ^ "\t"
@@ -616,7 +685,7 @@ let golden_lines () =
       :: List.map
            (fun (mutation, mutant) -> line (name ^ "/" ^ mutation) mutant)
            (Analyzer.mutation_corpus ~seed:17 program))
-    (Suite.programs ())
+    (Suite.programs () @ [ ("out_of_layout", out_of_layout_program ()) ])
   @ List.concat_map
       (fun (name, program) ->
         line name program
