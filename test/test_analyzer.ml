@@ -266,6 +266,30 @@ let out_of_layout_program () =
   Program.create ~name:"out_of_layout" ~world_size:2 ~pc_channels:2
     ~peer_channels:1 [| plan0; plan1 |]
 
+(* A negative notify amount breaks the counters' monotonicity, so the
+   eager fixpoint's schedule decides what is stuck.  [wait] blocks on
+   [key]; [up]'s +1 wakes it, but [down]'s -1 lands before it resumes,
+   so it blocks again, and [cross] waits for [wait]'s signal before
+   sending the [key] signal [wait] needs: a reported cycle.  Had [wait]
+   resumed right after [up], nothing would be stuck.  Its golden rows
+   were generated when the fixpoint ran from a queue of every stream in
+   traversal order, woken streams appended. *)
+let negative_notify_program () =
+  let key = pc ~rank:0 ~channel:0 and signal = pc ~rank:0 ~channel:1 in
+  Program.create ~name:"negative_notify" ~world_size:1 ~pc_channels:2
+    ~peer_channels:1
+    [|
+      [
+        role ~name:"sync"
+          [
+            task "wait" [ wait ~threshold:1 key; notify signal ];
+            task "up" [ notify key ];
+            task "down" [ notify ~amount:(-1) key ];
+            task "cross" [ wait ~threshold:1 signal; notify key ];
+          ];
+      ];
+    |]
+
 (* ------------------------------------------------------------------ *)
 (* Clean workloads and the mutation corpus                             *)
 (* ------------------------------------------------------------------ *)
@@ -667,12 +691,12 @@ let remapped_programs () =
     (remapped Topology.islands2x8)
   @ [ remapped Topology.hetero16 11 ]
 
-(* Every shipped program and the out-of-layout program, and each of
-   their seed-17 mutants, then each remapped chaos program and its
-   seed-17 signalling mutants (its unsafe hoist is thousands of
-   per-task races the remap does not touch), one line per program:
-   name, a tab, then the report JSON.  The committed file pins the
-   analyzer's output byte for byte ([Golden]). *)
+(* Every shipped program, the out-of-layout and negative-notify
+   programs, and each of their seed-17 mutants; then each remapped
+   chaos program and its seed-17 signalling mutants (its unsafe hoist
+   is thousands of per-task races the remap does not touch).  One line
+   per program: name, a tab, then the report JSON.  The committed file
+   pins the analyzer's output byte for byte ([Golden]). *)
 let golden_lines () =
   let line name program =
     name ^ "\t"
@@ -685,7 +709,11 @@ let golden_lines () =
       :: List.map
            (fun (mutation, mutant) -> line (name ^ "/" ^ mutation) mutant)
            (Analyzer.mutation_corpus ~seed:17 program))
-    (Suite.programs () @ [ ("out_of_layout", out_of_layout_program ()) ])
+    (Suite.programs ()
+    @ [
+        ("out_of_layout", out_of_layout_program ());
+        ("negative_notify", negative_notify_program ());
+      ])
   @ List.concat_map
       (fun (name, program) ->
         line name program
