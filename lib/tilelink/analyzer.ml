@@ -99,66 +99,261 @@ type endpoint = {
   ep_task : string;
 }
 
-(* One distinct signal target.  The passes below work on the dense
-   [k_id]; the runtime counter key is rendered at most once, when a
-   diagnostic first names it — a clean program renders none. *)
-type key_info = {
-  k_id : int; (* first-touch index *)
-  k_key : string Lazy.t;
-  k_target : Instr.signal_target;
-  mutable k_notifies : endpoint list; (* reverse traversal order *)
-  mutable k_waits : endpoint list;
-  mutable k_supply : int; (* total amount ever notified *)
+(* Every distinct signal target gets a dense id in first-touch
+   (traversal) order, which is the order diagnostics come out in.  A
+   target inside the program's channel layout maps by arithmetic to a
+   slot: [Pc] slots first, then [Peer] by (dst, src, channel), then
+   [Host] by (dst, src).  The slot maps to its id through a flat array,
+   or through an int-keyed table when the layout has more than
+   [max_dense_slots] slots.  A target outside the layout (a mutant's or
+   a hand-written program's) keeps its own entry in a structural table,
+   so it never aliases an in-layout key. *)
+let max_dense_slots = 1 lsl 16
+
+type keys = {
+  world : int;
+  pc : int;
+  peer : int;
+  dense : int array; (* slot -> id, -1 unseen; [||] for a large layout *)
+  sparse : (int, int) Hashtbl.t; (* slot -> id when [dense] is [||] *)
+  outside : (Instr.signal_target, int) Hashtbl.t;
 }
 
-(* One task's instruction stream, copied into an array once and shared
-   by every pass.  [s_keys.(i)] is the key id of instruction [i] when it
-   is a Wait or Notify, [-1] otherwise. *)
-type stream = {
-  s_id : int;
-  s_rank : int;
-  s_role : string;
-  s_task : string;
-  s_instrs : Instr.t array;
-  s_keys : int array;
-  mutable s_pc : int;
+let slot_of k = function
+  | Instr.Pc { rank; channel } ->
+    if rank >= 0 && rank < k.world && channel >= 0 && channel < k.pc then
+      (rank * k.pc) + channel
+    else -1
+  | Instr.Peer { src; dst; channel } ->
+    if
+      src >= 0 && src < k.world && dst >= 0 && dst < k.world && channel >= 0
+      && channel < k.peer
+    then (k.world * k.pc) + ((((dst * k.world) + src) * k.peer) + channel)
+    else -1
+  | Instr.Host { src; dst } ->
+    if src >= 0 && src < k.world && dst >= 0 && dst < k.world then
+      (k.world * k.pc) + (k.world * k.world * k.peer) + (dst * k.world) + src
+    else -1
+
+(* A stream the eager fixpoint has parked: [p_rest] starts at the Wait
+   it is blocked on. *)
+type parked = {
+  p_id : int; (* [Program.iter_tasks] order *)
+  p_rank : int;
+  p_role : Program.role;
+  p_task : Program.task;
+  mutable p_rest : Instr.t list;
 }
 
+(* Per-key state lives in flat int arrays indexed by key id, grown by
+   doubling as keys are first touched. *)
 type inventory = {
-  inv_keys : key_info array; (* by id = first-touch order *)
-  inv_streams : stream array; (* [Program.iter_tasks] order *)
-  inv_notifies : int;
-  inv_waits : int;
+  keys : keys;
+  mutable count : int;
+  mutable targets : Instr.signal_target array;
+  mutable supply : int array; (* total amount ever notified *)
+  mutable notify_count : int array;
+  mutable wait_count : int array;
+  mutable max_wait : int array; (* highest threshold; min_int if none *)
+  mutable avail : int array; (* fixpoint counter *)
+  mutable blocked : parked list array; (* fixpoint: parked on the key *)
+  woken : parked Queue.t; (* fixpoint: to resume, in wake order *)
+  mutable notifies : int;
+  mutable waits : int;
 }
 
-(* The single traversal: resolve every target once, record its
-   endpoints and build the streams. *)
-let inventory_of (p : Program.t) =
-  let by_target = Hashtbl.create 64 in
-  let order = ref [] and next_key = ref 0 in
-  let notifies = ref 0 and waits = ref 0 in
-  let info target =
-    match Hashtbl.find_opt by_target target with
-    | Some ki -> ki
-    | None ->
-      let ki =
-        {
-          k_id = !next_key;
-          k_key = lazy (Instr.key_of_target target);
-          k_target = target;
-          k_notifies = [];
-          k_waits = [];
-          k_supply = 0;
-        }
-      in
-      incr next_key;
-      Hashtbl.add by_target target ki;
-      order := ki :: !order;
-      ki
+let grow inv =
+  let cap = 2 * Array.length inv.supply in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 inv.count;
+    b
   in
-  let streams = ref [] and next_stream = ref 0 in
+  inv.targets <- extend inv.targets inv.targets.(0);
+  inv.supply <- extend inv.supply 0;
+  inv.notify_count <- extend inv.notify_count 0;
+  inv.wait_count <- extend inv.wait_count 0;
+  inv.max_wait <- extend inv.max_wait min_int;
+  inv.avail <- extend inv.avail 0;
+  inv.blocked <- extend inv.blocked []
+
+let add_key inv target =
+  if inv.count = Array.length inv.supply then grow inv;
+  let id = inv.count in
+  inv.targets.(id) <- target;
+  inv.count <- id + 1;
+  id
+
+(* The id of [target], given the next id on first touch. *)
+let key_id inv target =
+  let k = inv.keys in
+  let slot = slot_of k target in
+  if slot < 0 then (
+    match Hashtbl.find_opt k.outside target with
+    | Some id -> id
+    | None ->
+      let id = add_key inv target in
+      Hashtbl.add k.outside target id;
+      id)
+  else if Array.length k.dense > 0 then begin
+    let id = k.dense.(slot) in
+    if id >= 0 then id
+    else
+      let id = add_key inv target in
+      k.dense.(slot) <- id;
+      id
+  end
+  else
+    match Hashtbl.find_opt k.sparse slot with
+    | Some id -> id
+    | None ->
+      let id = add_key inv target in
+      Hashtbl.add k.sparse slot id;
+      id
+
+let key_name inv k = Instr.key_of_target inv.targets.(k)
+
+(* ------------------------------------------------------------------ *)
+(* The walk: inventory and eager fixpoint                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Reachability runs every stream eagerly until all are finished or
+   blocked on a wait.  Counters are monotonic and waits are [>=]
+   comparisons, so this schedule is maximally permissive and the
+   blocked set is exactly the statically-doomed set.  The first run of
+   each stream happens during the inventory walk, as the stream is
+   walked: a stream that blocks is parked on the key it waits for, and
+   a notify on that key queues it to resume once the walk is done.
+   That is the order of a queue holding every stream in traversal
+   order, with woken streams appended, so even a negative notify
+   amount, which breaks monotonicity, meets the same schedule.  Only
+   parked streams get a record. *)
+let rec enqueue q = function
+  | [] -> ()
+  | p :: rest ->
+    Queue.add p q;
+    enqueue q rest
+
+let signal inv k amount =
+  inv.avail.(k) <- inv.avail.(k) + amount;
+  match inv.blocked.(k) with
+  | [] -> ()
+  | woken ->
+    inv.blocked.(k) <- [];
+    enqueue inv.woken woken
+
+(* Run [l] until it ends ([[]]) or reaches a Wait its counter does not
+   satisfy (the suffix from that Wait). *)
+let rec run inv l =
+  match l with
+  | [] -> l
+  | Instr.Wait { target; threshold; _ } :: rest ->
+    if inv.avail.(key_id inv target) >= threshold then run inv rest else l
+  | Instr.Notify { target; amount; _ } :: rest ->
+    signal inv (key_id inv target) amount;
+    run inv rest
+  | _ :: rest -> run inv rest
+
+let park inv p =
+  match p.p_rest with
+  | Instr.Wait { target; _ } :: _ ->
+    let k = key_id inv target in
+    inv.blocked.(k) <- p :: inv.blocked.(k)
+  | _ -> assert false (* streams only block on waits *)
+
+let rec resume_woken inv =
+  if not (Queue.is_empty inv.woken) then begin
+    let p = Queue.take inv.woken in
+    (match run inv p.p_rest with
+    | [] -> ()
+    | l ->
+      p.p_rest <- l;
+      park inv p);
+    resume_woken inv
+  end
+
+(* One task's stream: count every signal into its key's state, and run
+   the stream until [blocked_at] (empty while it still runs) is the
+   Wait it blocks on.  Returns [blocked_at]. *)
+let rec take_stock inv ~blocked_at l =
+  match l with
+  | [] -> blocked_at
+  | Instr.Wait { target; threshold; _ } :: rest ->
+    let k = key_id inv target in
+    inv.waits <- inv.waits + 1;
+    inv.wait_count.(k) <- inv.wait_count.(k) + 1;
+    if threshold > inv.max_wait.(k) then inv.max_wait.(k) <- threshold;
+    let blocked_at =
+      match blocked_at with
+      | [] when inv.avail.(k) < threshold -> l
+      | _ -> blocked_at
+    in
+    take_stock inv ~blocked_at rest
+  | Instr.Notify { target; amount; _ } :: rest ->
+    let k = key_id inv target in
+    inv.notifies <- inv.notifies + 1;
+    inv.notify_count.(k) <- inv.notify_count.(k) + 1;
+    inv.supply.(k) <- inv.supply.(k) + amount;
+    (match blocked_at with [] -> signal inv k amount | _ -> ());
+    take_stock inv ~blocked_at rest
+  | _ :: rest -> take_stock inv ~blocked_at rest
+
+(* The single traversal of the program: resolve every target, total
+   every key and run the fixpoint, over the tasks' own lists. *)
+let inventory_of (p : Program.t) =
+  let world = Program.world_size p in
+  let pc = p.Program.pc_channels and peer = p.Program.peer_channels in
+  let slots = (world * pc) + (world * world * peer) + (world * world) in
+  let large = slots > max_dense_slots in
+  let cap = 64 in
+  let inv =
+    {
+      keys =
+        {
+          world;
+          pc;
+          peer;
+          dense = (if large then [||] else Array.make slots (-1));
+          sparse = Hashtbl.create (if large then 256 else 1);
+          outside = Hashtbl.create 1;
+        };
+      count = 0;
+      targets = Array.make cap (Instr.Host { src = 0; dst = 0 });
+      supply = Array.make cap 0;
+      notify_count = Array.make cap 0;
+      wait_count = Array.make cap 0;
+      max_wait = Array.make cap min_int;
+      avail = Array.make cap 0;
+      blocked = Array.make cap [];
+      woken = Queue.create ();
+      notifies = 0;
+      waits = 0;
+    }
+  in
+  let next_stream = ref 0 in
   Program.iter_tasks p ~f:(fun ~rank role task ->
-      let instrs = Array.of_list task.Program.instrs in
+      let id = !next_stream in
+      incr next_stream;
+      match take_stock inv ~blocked_at:[] task.Program.instrs with
+      | [] -> ()
+      | blocked_at ->
+        park inv
+          {
+            p_id = id;
+            p_rank = rank;
+            p_role = role;
+            p_task = task;
+            p_rest = blocked_at;
+          });
+  resume_woken inv;
+  inv
+
+(* The endpoints of the keys [keep] selects, in traversal order.  They
+   are rebuilt from the streams only when a pass needs them: for a key
+   that yields a diagnostic, and in the mapping cross-check. *)
+let endpoints inv (p : Program.t) ~keep =
+  let notifies = Array.make inv.count [] and waits = Array.make inv.count [] in
+  Program.iter_tasks p ~f:(fun ~rank role task ->
       let endpoint amount =
         {
           ep_amount = amount;
@@ -167,61 +362,30 @@ let inventory_of (p : Program.t) =
           ep_task = task.Program.label;
         }
       in
-      let keys =
-        Array.map
-          (function
-            | Instr.Notify { target; amount; _ } ->
-              let ki = info target in
-              ki.k_notifies <- endpoint amount :: ki.k_notifies;
-              ki.k_supply <- ki.k_supply + amount;
-              incr notifies;
-              ki.k_id
-            | Instr.Wait { target; threshold; _ } ->
-              let ki = info target in
-              ki.k_waits <- endpoint threshold :: ki.k_waits;
-              incr waits;
-              ki.k_id
-            | _ -> -1)
-          instrs
-      in
-      streams :=
-        {
-          s_id = !next_stream;
-          s_rank = rank;
-          s_role = role.Program.role_name;
-          s_task = task.Program.label;
-          s_instrs = instrs;
-          s_keys = keys;
-          s_pc = 0;
-        }
-        :: !streams;
-      incr next_stream);
-  let keys = Array.of_list (List.rev !order) in
-  Array.iter
-    (fun ki ->
-      ki.k_notifies <- List.rev ki.k_notifies;
-      ki.k_waits <- List.rev ki.k_waits)
-    keys;
-  {
-    inv_keys = keys;
-    inv_streams = Array.of_list (List.rev !streams);
-    inv_notifies = !notifies;
-    inv_waits = !waits;
-  }
+      List.iter
+        (function
+          | Instr.Notify { target; amount; _ } ->
+            let k = key_id inv target in
+            if keep k then notifies.(k) <- endpoint amount :: notifies.(k)
+          | Instr.Wait { target; threshold; _ } ->
+            let k = key_id inv target in
+            if keep k then waits.(k) <- endpoint threshold :: waits.(k)
+          | _ -> ())
+        task.Program.instrs);
+  (Array.map List.rev notifies, Array.map List.rev waits)
 
-let key_name ki = Lazy.force ki.k_key
+(* The highest registered threshold, or 0 for a key nobody waits on. *)
+let max_threshold inv k = max 0 inv.max_wait.(k)
 
-let max_threshold ki =
-  List.fold_left (fun a ep -> max a ep.ep_amount) 0 ki.k_waits
-
-let mk_diag severity kind (ki : key_info) (ep : endpoint) detail =
+let mk_diag severity kind inv k (ep : endpoint) detail =
+  let target = inv.targets.(k) in
   {
     severity;
     kind;
-    key = key_name ki;
+    key = key_name inv k;
     rank = ep.ep_rank;
-    channel = Instr.channel_of_target ki.k_target;
-    producer = Instr.producer_of_target ki.k_target;
+    channel = Instr.channel_of_target target;
+    producer = Instr.producer_of_target target;
     role = ep.ep_role;
     task = ep.ep_task;
     detail;
@@ -231,44 +395,56 @@ let mk_diag severity kind (ki : key_info) (ep : endpoint) detail =
 (* 1. Accounting: unmatched / unconsumed / epoch reuse                 *)
 (* ------------------------------------------------------------------ *)
 
-let accounting_diags inv =
-  let diags = ref [] in
-  let emit d = diags := d :: !diags in
-  Array.iter
-    (fun ki ->
-      let avail = ki.k_supply in
-      let unmatched =
-        List.filter (fun ep -> ep.ep_amount > avail) ki.k_waits
-      in
+(* The key totals say which keys have a diagnostic; only those keys'
+   endpoints are rebuilt, to name the first offending task. *)
+let accounting_diags inv p =
+  let unmatched k = inv.wait_count.(k) > 0 && inv.max_wait.(k) > inv.supply.(k)
+  and unconsumed k = inv.notify_count.(k) > 0 && inv.wait_count.(k) = 0
+  and reused k =
+    inv.wait_count.(k) > 0
+    && inv.notify_count.(k) > 0
+    && inv.supply.(k) > max_threshold inv k
+  in
+  let flagged k = unmatched k || unconsumed k || reused k in
+  let rec any k = k < inv.count && (flagged k || any (k + 1)) in
+  if not (any 0) then []
+  else begin
+    let notifies, waits = endpoints inv p ~keep:flagged in
+    let diags = ref [] in
+    let emit d = diags := d :: !diags in
+    for k = 0 to inv.count - 1 do
+      let avail = inv.supply.(k) in
+      let unmatched = List.filter (fun ep -> ep.ep_amount > avail) waits.(k) in
       (match unmatched with
       | [] -> ()
       | first :: _ ->
         emit
           (mk_diag Error
              (Unmatched_wait { threshold = first.ep_amount; available = avail })
-             ki first
+             inv k first
              (Printf.sprintf
                 "rank %d %s/%s waits %s >= %d but producers only ever signal \
                  %d%s"
-                first.ep_rank first.ep_role first.ep_task (key_name ki) first.ep_amount
-                avail
+                first.ep_rank first.ep_role first.ep_task (key_name inv k)
+                first.ep_amount avail
                 (match List.length unmatched with
                 | 1 -> ""
                 | n -> Printf.sprintf " (%d waits affected)" n))));
-      (match (ki.k_notifies, ki.k_waits) with
+      (match (notifies.(k), waits.(k)) with
       | first :: _, [] ->
         emit
           (mk_diag Warning
              (Unconsumed_notify { amount = avail })
-             ki first
+             inv k first
              (Printf.sprintf
                 "rank %d %s/%s signals %s (+%d total) but no task ever waits \
                  on it"
-                first.ep_rank first.ep_role first.ep_task (key_name ki) avail))
+                first.ep_rank first.ep_role first.ep_task (key_name inv k)
+                avail))
       | _ -> ());
-      match ki.k_waits with
-      | first_wait :: _ when ki.k_notifies <> [] ->
-        let t_max = max_threshold ki in
+      match waits.(k) with
+      | first_wait :: _ when notifies.(k) <> [] ->
+        let t_max = max_threshold inv k in
         if avail > t_max then
           emit
             (mk_diag Error
@@ -276,54 +452,22 @@ let accounting_diags inv =
                   {
                     available = avail;
                     max_threshold = t_max;
-                    waiters = List.length ki.k_waits;
+                    waiters = inv.wait_count.(k);
                   })
-               ki first_wait
+               inv k first_wait
                (Printf.sprintf
                   "%s is signalled to %d but the highest of its %d registered \
                    waiter thresholds is %d: the key is re-signalled past \
                    every registered waiter's epoch"
-                  (key_name ki) avail (List.length ki.k_waits) t_max))
-      | _ -> ())
-    inv.inv_keys;
-  List.rev !diags
+                  (key_name inv k) avail inv.wait_count.(k) t_max))
+      | _ -> ()
+    done;
+    List.rev !diags
+  end
 
 (* ------------------------------------------------------------------ *)
-(* 2. Reachability: eager fixpoint + wait-for cycles                   *)
+(* 2. Reachability: wait-for cycles among the streams left parked      *)
 (* ------------------------------------------------------------------ *)
-
-(* Run every stream eagerly until all are finished or blocked on a
-   wait.  Monotone counters make this schedule maximally permissive,
-   so the blocked set is exactly the statically-doomed set.  Counters
-   and wait lists are indexed by the pre-resolved key ids. *)
-let run_fixpoint inv =
-  let streams = inv.inv_streams in
-  let avail = Array.make (Array.length inv.inv_keys) 0 in
-  let blocked = Array.make (Array.length inv.inv_keys) [] in
-  let runnable = Queue.create () in
-  Array.iter (fun s -> Queue.add s.s_id runnable) streams;
-  while not (Queue.is_empty runnable) do
-    let s = streams.(Queue.pop runnable) in
-    let len = Array.length s.s_instrs in
-    let running = ref true in
-    while !running && s.s_pc < len do
-      match s.s_instrs.(s.s_pc) with
-      | Instr.Wait { threshold; _ } ->
-        let k = s.s_keys.(s.s_pc) in
-        if avail.(k) >= threshold then s.s_pc <- s.s_pc + 1
-        else begin
-          blocked.(k) <- s.s_id :: blocked.(k);
-          running := false
-        end
-      | Instr.Notify { amount; _ } ->
-        let k = s.s_keys.(s.s_pc) in
-        avail.(k) <- avail.(k) + amount;
-        s.s_pc <- s.s_pc + 1;
-        List.iter (fun id -> Queue.add id runnable) blocked.(k);
-        blocked.(k) <- []
-      | _ -> s.s_pc <- s.s_pc + 1
-    done
-  done
 
 (* Wait-for cycles among statically-matched blocked streams: streams
    stuck on a key whose supply is short are already reported as
@@ -331,48 +475,46 @@ let run_fixpoint inv =
    cannot be emitted — the circular part of the graph is the root
    cause. *)
 let deadlock_diags inv =
-  let streams = inv.inv_streams in
-  let stuck =
-    Array.to_list streams
-    |> List.filter (fun s -> s.s_pc < Array.length s.s_instrs)
-  in
-  if stuck = [] then []
+  let stuck = ref [] in
+  Array.iter (List.iter (fun s -> stuck := s :: !stuck)) inv.blocked;
+  if !stuck = [] then []
   else begin
+    let stuck = List.sort (fun a b -> compare a.p_id b.p_id) !stuck in
     let wait_of s =
-      match s.s_instrs.(s.s_pc) with
-      | Instr.Wait { threshold; _ } -> (inv.inv_keys.(s.s_keys.(s.s_pc)), threshold)
-      | _ -> assert false (* fixpoint only blocks on waits *)
+      match s.p_rest with
+      | Instr.Wait { target; threshold; _ } :: _ -> (key_id inv target, threshold)
+      | _ -> assert false (* parked streams block on waits *)
     in
     let statically_matched s =
-      let ki, threshold = wait_of s in
-      threshold <= ki.k_supply
+      let k, threshold = wait_of s in
+      threshold <= inv.supply.(k)
     in
     let nodes = List.filter statically_matched stuck in
-    let node_ids = List.map (fun s -> s.s_id) nodes in
+    let node_ids = List.map (fun s -> s.p_id) nodes in
     let by_id = Hashtbl.create 16 in
-    List.iter (fun s -> Hashtbl.replace by_id s.s_id s) nodes;
+    List.iter (fun s -> Hashtbl.replace by_id s.p_id s) nodes;
     (* key id -> stuck matched streams still holding a notify to it *)
     let producers : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
     List.iter
       (fun s ->
         let seen = Hashtbl.create 8 in
-        for i = s.s_pc to Array.length s.s_instrs - 1 do
-          match s.s_instrs.(i) with
-          | Instr.Notify _ ->
-            let k = s.s_keys.(i) in
-            if not (Hashtbl.mem seen k) then begin
-              Hashtbl.add seen k ();
-              match Hashtbl.find_opt producers k with
-              | Some ids -> ids := s.s_id :: !ids
-              | None -> Hashtbl.add producers k (ref [ s.s_id ])
-            end
-          | _ -> ()
-        done)
+        List.iter
+          (function
+            | Instr.Notify { target; _ } ->
+              let k = key_id inv target in
+              if not (Hashtbl.mem seen k) then begin
+                Hashtbl.add seen k ();
+                match Hashtbl.find_opt producers k with
+                | Some ids -> ids := s.p_id :: !ids
+                | None -> Hashtbl.add producers k (ref [ s.p_id ])
+              end
+            | _ -> ())
+          s.p_rest)
       nodes;
     let succs id =
       let s = Hashtbl.find by_id id in
-      let ki, _ = wait_of s in
-      match Hashtbl.find_opt producers ki.k_id with
+      let k, _ = wait_of s in
+      match Hashtbl.find_opt producers k with
       | None -> []
       | Some ids -> List.rev !ids
     in
@@ -416,20 +558,21 @@ let deadlock_diags inv =
       let edges =
         List.mapi
           (fun i s ->
-            let ki, threshold = wait_of s in
+            let k, threshold = wait_of s in
             let next = List.nth streams_in ((i + 1) mod n) in
             {
-              e_rank = s.s_rank;
-              e_role = s.s_role;
-              e_task = s.s_task;
-              e_key = key_name ki;
+              e_rank = s.p_rank;
+              e_role = s.p_role.Program.role_name;
+              e_task = s.p_task.Program.label;
+              e_key = key_name inv k;
               e_threshold = threshold;
-              e_producer_rank = next.s_rank;
+              e_producer_rank = next.p_rank;
             })
           streams_in
       in
       let first = List.hd streams_in in
-      let ki, threshold = wait_of first in
+      let k, threshold = wait_of first in
+      let target = inv.targets.(k) in
       let rendered =
         String.concat " -> "
           (List.map
@@ -441,17 +584,17 @@ let deadlock_diags inv =
       {
         severity = Error;
         kind = Deadlock_cycle { cycle = edges };
-        key = key_name ki;
-        rank = first.s_rank;
-        channel = Instr.channel_of_target ki.k_target;
-        producer = Instr.producer_of_target ki.k_target;
-        role = first.s_role;
-        task = first.s_task;
+        key = key_name inv k;
+        rank = first.p_rank;
+        channel = Instr.channel_of_target target;
+        producer = Instr.producer_of_target target;
+        role = first.p_role.Program.role_name;
+        task = first.p_task.Program.label;
         detail =
           Printf.sprintf
             "circular wait among %d task streams (threshold %d): %s -> back \
              to rank %d"
-            n threshold rendered first.s_rank;
+            n threshold rendered first.p_rank;
       }
     in
     let norm ids = List.sort compare ids in
@@ -474,52 +617,57 @@ let deadlock_diags inv =
 (* 3. Ordering: per-task fence violations, resolved to keys            *)
 (* ------------------------------------------------------------------ *)
 
-let race_diags inv =
+let race_diags (p : Program.t) =
   let diags = ref [] in
-  Array.iter
-    (fun s ->
-      List.iter
-        (fun (fv : Consistency.fence_violation) ->
-          (* Fences are waits/notifies by construction, so the fence
-             position always carries a resolved key. *)
-          let ki = inv.inv_keys.(s.s_keys.(fv.Consistency.fv_fence_position)) in
-          let key = key_name ki in
-          let producer = Instr.producer_of_target ki.k_target in
-          let access = Instr.to_string fv.Consistency.fv_instr in
-          let verb =
-            match fv.Consistency.fv_kind with
-            | Consistency.Read_before_acquire ->
-              "reads before the acquire wait on"
-            | Consistency.Write_after_release ->
-              "writes after the release notify on"
-          in
-          diags :=
-            {
-              severity = Error;
-              kind =
-                Data_race
-                  {
-                    race = fv.Consistency.fv_kind;
-                    position = fv.Consistency.fv_position;
-                    fence_position = fv.Consistency.fv_fence_position;
-                    access;
-                  };
-              key;
-              rank = s.s_rank;
-              channel = Instr.channel_of_target ki.k_target;
-              producer;
-              role = s.s_role;
-              task = s.s_task;
-              detail =
-                Printf.sprintf
-                  "rank %d %s/%s instr %d (%s) %s %s (instr %d): data race \
-                   with the producing rank %d"
-                  s.s_rank s.s_role s.s_task fv.Consistency.fv_position access
-                  verb key fv.Consistency.fv_fence_position producer;
-            }
-            :: !diags)
-        (Consistency.fence_violations s.s_instrs))
-    inv.inv_streams;
+  Program.iter_tasks p ~f:(fun ~rank role task ->
+      match Consistency.fence_violations task.Program.instrs with
+      | [] -> ()
+      | violations ->
+        List.iter
+          (fun (fv : Consistency.fence_violation) ->
+            (* Fences are waits/notifies by construction. *)
+            let target =
+              match fv.Consistency.fv_fence with
+              | Instr.Wait { target; _ } | Instr.Notify { target; _ } -> target
+              | _ -> assert false
+            in
+            let key = Instr.key_of_target target in
+            let producer = Instr.producer_of_target target in
+            let access = Instr.to_string fv.Consistency.fv_instr in
+            let verb =
+              match fv.Consistency.fv_kind with
+              | Consistency.Read_before_acquire ->
+                "reads before the acquire wait on"
+              | Consistency.Write_after_release ->
+                "writes after the release notify on"
+            in
+            let role = role.Program.role_name and task = task.Program.label in
+            diags :=
+              {
+                severity = Error;
+                kind =
+                  Data_race
+                    {
+                      race = fv.Consistency.fv_kind;
+                      position = fv.Consistency.fv_position;
+                      fence_position = fv.Consistency.fv_fence_position;
+                      access;
+                    };
+                key;
+                rank;
+                channel = Instr.channel_of_target target;
+                producer;
+                role;
+                task;
+                detail =
+                  Printf.sprintf
+                    "rank %d %s/%s instr %d (%s) %s %s (instr %d): data race \
+                     with the producing rank %d"
+                    rank role task fv.Consistency.fv_position access verb key
+                    fv.Consistency.fv_fence_position producer;
+              }
+              :: !diags)
+          violations);
   List.rev !diags
 
 (* ------------------------------------------------------------------ *)
@@ -528,15 +676,14 @@ let race_diags inv =
 
 let analyze (p : Program.t) =
   let inv = inventory_of p in
-  run_fixpoint inv;
-  let diags = accounting_diags inv @ deadlock_diags inv @ race_diags inv in
+  let diags = accounting_diags inv p @ deadlock_diags inv @ race_diags p in
   {
     program = Program.name p;
     world_size = Program.world_size p;
     diags;
-    keys = Array.length inv.inv_keys;
-    notifies = inv.inv_notifies;
-    waits = inv.inv_waits;
+    keys = inv.count;
+    notifies = inv.notifies;
+    waits = inv.waits;
   }
 
 let errors report =
@@ -671,45 +818,46 @@ let check_against_mapping (p : Program.t) ~mapping =
     invalid_arg
       "Analyzer.check_against_mapping: mapping layout does not match program";
   let inv = inventory_of p in
+  let is_pc k = match inv.targets.(k) with Instr.Pc _ -> true | _ -> false in
+  let notifies, waits = endpoints inv p ~keep:is_pc in
   let diags = ref [] in
-  Array.iter
-    (fun ki ->
-      match ki.k_target with
-      | Instr.Pc { rank; channel } ->
-        let expected =
-          Mapping.expected mapping
-            ~channel:(Mapping.global_channel mapping ~rank ~local:channel)
-        in
-        let over_waits =
-          List.filter (fun ep -> ep.ep_amount > expected) ki.k_waits
-        in
-        (match over_waits with
-        | [] -> ()
-        | first :: _ ->
-          diags :=
-            mk_diag Error
-              (Mapping_mismatch { expected; actual = first.ep_amount })
-              ki first
-              (Printf.sprintf
-                 "rank %d %s/%s waits %s >= %d but the mapping registers only \
-                  %d producer tiles for this channel"
-                 first.ep_rank first.ep_role first.ep_task (key_name ki)
-                 first.ep_amount expected)
-            :: !diags);
-        let total = ki.k_supply in
-        if total > expected then
-          let first = List.hd ki.k_notifies in
-          diags :=
-            mk_diag Error
-              (Mapping_mismatch { expected; actual = total })
-              ki first
-              (Printf.sprintf
-                 "%s receives %d signals but the mapping registers only %d \
-                  producer tiles for this channel"
-                 (key_name ki) total expected)
-            :: !diags
-      | Instr.Peer _ | Instr.Host _ -> ())
-    inv.inv_keys;
+  for k = 0 to inv.count - 1 do
+    match inv.targets.(k) with
+    | Instr.Pc { rank; channel } ->
+      let expected =
+        Mapping.expected mapping
+          ~channel:(Mapping.global_channel mapping ~rank ~local:channel)
+      in
+      let over_waits =
+        List.filter (fun ep -> ep.ep_amount > expected) waits.(k)
+      in
+      (match over_waits with
+      | [] -> ()
+      | first :: _ ->
+        diags :=
+          mk_diag Error
+            (Mapping_mismatch { expected; actual = first.ep_amount })
+            inv k first
+            (Printf.sprintf
+               "rank %d %s/%s waits %s >= %d but the mapping registers only \
+                %d producer tiles for this channel"
+               first.ep_rank first.ep_role first.ep_task (key_name inv k)
+               first.ep_amount expected)
+          :: !diags);
+      let total = inv.supply.(k) in
+      if total > expected then
+        let first = List.hd notifies.(k) in
+        diags :=
+          mk_diag Error
+            (Mapping_mismatch { expected; actual = total })
+            inv k first
+            (Printf.sprintf
+               "%s receives %d signals but the mapping registers only %d \
+                producer tiles for this channel"
+               (key_name inv k) total expected)
+          :: !diags
+    | Instr.Peer _ | Instr.Host _ -> ()
+  done;
   List.rev !diags
 
 (* ------------------------------------------------------------------ *)
@@ -717,28 +865,29 @@ let check_against_mapping (p : Program.t) ~mapping =
 (* ------------------------------------------------------------------ *)
 
 (* [rank]'s Notify/Wait instructions in [Fault]'s task order, paired
-   with their resolved key. *)
-let rank_signals inv ~rank =
+   with their key id. *)
+let rank_signals inv (p : Program.t) ~rank =
   let notifies = ref [] and waits = ref [] in
-  Array.iter
-    (fun s ->
-      if s.s_rank = rank then
-        Array.iteri
-          (fun i instr ->
-            match instr with
-            | Instr.Notify { amount; _ } ->
-              notifies := (inv.inv_keys.(s.s_keys.(i)), amount) :: !notifies
-            | Instr.Wait { threshold; _ } ->
-              waits := (inv.inv_keys.(s.s_keys.(i)), threshold) :: !waits
-            | _ -> ())
-          s.s_instrs)
-    inv.inv_streams;
+  List.iter
+    (fun role ->
+      List.iter
+        (fun task ->
+          List.iter
+            (function
+              | Instr.Notify { target; amount; _ } ->
+                notifies := (key_id inv target, amount) :: !notifies
+              | Instr.Wait { target; threshold; _ } ->
+                waits := (key_id inv target, threshold) :: !waits
+              | _ -> ())
+            task.Program.instrs)
+        role.Program.tasks)
+    (Program.plans p).(rank);
   (List.rev !notifies, List.rev !waits)
 
 let mutation_corpus ~seed (p : Program.t) =
   let world = Program.world_size p in
   let inv = inventory_of p in
-  let key_stats ki = (ki.k_supply, max_threshold ki, List.length ki.k_waits) in
+  let key_stats k = (inv.supply.(k), max_threshold inv k, inv.wait_count.(k)) in
   (* All (rank, nth) whose mutation is statically visible, across the
      whole program; the seed picks one deterministically. *)
   let eligible ~signals ~keep =
@@ -755,8 +904,8 @@ let mutation_corpus ~seed (p : Program.t) =
     | candidates ->
       Some (List.nth candidates ((seed + salt) mod List.length candidates))
   in
-  let notify_signals rank = fst (rank_signals inv ~rank) in
-  let wait_signals rank = snd (rank_signals inv ~rank) in
+  let notify_signals rank = fst (rank_signals inv p ~rank) in
+  let wait_signals rank = snd (rank_signals inv p ~rank) in
   (* Losing this notify leaves some registered waiter short. *)
   let drop_visible (key, amount) =
     let avail, t_max, waiters = key_stats key in

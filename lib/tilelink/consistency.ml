@@ -27,6 +27,72 @@ type fence_violation = {
   fv_kind : fence_kind;
 }
 
+(* Does any access of [instr]'s read (resp. write) footprint overlap
+   any fenced range?  Written as plain recursion over the instruction's
+   own lists so a clean scan allocates nothing. *)
+let rec overlaps_access fenced a =
+  match fenced with
+  | [] -> false
+  | f :: rest -> Instr.accesses_overlap f a || overlaps_access rest a
+
+let rec overlaps_any fenced = function
+  | [] -> false
+  | a :: rest -> overlaps_access fenced a || overlaps_any fenced rest
+
+let reads_overlap fenced = function
+  | Instr.Load { access } -> overlaps_access fenced access
+  | Instr.Compute { reads; _ } -> overlaps_any fenced reads
+  | Instr.Copy { src; _ } -> overlaps_access fenced src
+  | Instr.Store _ | Instr.Wait _ | Instr.Notify _ | Instr.Sleep _ -> false
+
+let writes_overlap fenced = function
+  | Instr.Store { access } -> overlaps_access fenced access
+  | Instr.Compute { writes; _ } -> overlaps_any fenced writes
+  | Instr.Copy { dst; _ } -> overlaps_access fenced dst
+  | Instr.Load _ | Instr.Wait _ | Instr.Notify _ | Instr.Sleep _ -> false
+
+let record ~kind i instr j fence found =
+  {
+    fv_position = i;
+    fv_fence_position = j;
+    fv_instr = instr;
+    fv_fence = fence;
+    fv_kind = kind;
+  }
+  :: found
+
+(* Reads of [instr] (at [i]) before a guarding Wait at [j] in
+   [i+1 .. last], ascending [j]; [l] is the stream from [j]. *)
+let rec reads_before_acquire i instr j last l found =
+  if j > last then found
+  else
+    match l with
+    | [] -> found
+    | fence :: rest ->
+      let found =
+        match fence with
+        | Instr.Wait { guards; _ } when reads_overlap guards instr ->
+          record ~kind:Read_before_acquire i instr j fence found
+        | _ -> found
+      in
+      reads_before_acquire i instr (j + 1) last rest found
+
+(* Writes of [instr] (at [i]) after a releasing Notify at [j] in
+   [j .. i-1], ascending [j]; [l] is the stream from [j]. *)
+let rec writes_after_release i instr j l found =
+  if j >= i then found
+  else
+    match l with
+    | [] -> found
+    | fence :: rest ->
+      let found =
+        match fence with
+        | Instr.Notify { releases; _ } when writes_overlap releases instr ->
+          record ~kind:Write_after_release i instr j fence found
+        | _ -> found
+      in
+      writes_after_release i instr (j + 1) rest found
+
 (* Acquire rule: a read of access [a] at position [i] must come after
    every Wait guarding an overlapping range.  Release rule: a write of
    access [a] at position [i] must come before every Notify releasing
@@ -34,61 +100,47 @@ type fence_violation = {
    (ascending access position; reads before writes at equal position;
    ascending fence position) so [verify_task]'s head is the same first
    violation it has always reported, while the whole-program analyzer
-   can resolve every one through the channel mappings.  Only the
-   fences are scanned per access, positions gathered once up front. *)
-let fence_violations (arr : Instr.t array) : fence_violation list =
-  let n = Array.length arr in
-  let positions keep =
-    let acc = ref [] in
-    for j = n - 1 downto 0 do
-      if keep arr.(j) then acc := j :: !acc
-    done;
-    Array.of_list !acc
-  in
-  let waits = positions (function Instr.Wait _ -> true | _ -> false) in
-  let notifies = positions (function Instr.Notify _ -> true | _ -> false) in
-  let found = ref [] in
-  let record i j kind =
-    found :=
-      {
-        fv_position = i;
-        fv_fence_position = j;
-        fv_instr = arr.(i);
-        fv_fence = arr.(j);
-        fv_kind = kind;
-      }
-      :: !found
-  in
-  let overlaps fenced accessed =
-    List.exists
-      (fun f -> List.exists (fun a -> Instr.accesses_overlap f a) accessed)
-      fenced
-  in
-  for i = 0 to n - 1 do
-    (* Reads before a later guarding Wait. *)
-    let reads = Instr.reads_of arr.(i) in
-    if reads <> [] then
-      Array.iter
-        (fun j ->
-          if j > i then
-            match arr.(j) with
-            | Instr.Wait { guards; _ } ->
-              if overlaps guards reads then record i j Read_before_acquire
-            | _ -> ())
-        waits;
-    (* Writes after an earlier releasing Notify. *)
-    let writes = Instr.writes_of arr.(i) in
-    if writes <> [] then
-      Array.iter
-        (fun j ->
-          if j < i then
-            match arr.(j) with
-            | Instr.Notify { releases; _ } ->
-              if overlaps releases writes then record i j Write_after_release
-            | _ -> ())
-        notifies
-  done;
-  List.rev !found
+   can resolve every one through the channel mappings.
+
+   Only a Wait with guards or a Notify with releases can be crossed.  A
+   first walk finds the last such Wait and the first such Notify; a
+   stream with neither returns at once.  The second walk checks reads
+   only against the stream up to that last Wait and writes only against
+   the stream from that first Notify, without copying the stream or
+   building footprint lists. *)
+let rec scan_accesses i l ~last_wait ~first_notify ~notify_from found =
+  match l with
+  | [] -> List.rev found
+  | instr :: rest ->
+    let found =
+      if i < last_wait then
+        reads_before_acquire i instr (i + 1) last_wait rest found
+      else found
+    in
+    let found =
+      if first_notify >= 0 && i > first_notify then
+        writes_after_release i instr first_notify notify_from found
+      else found
+    in
+    scan_accesses (i + 1) rest ~last_wait ~first_notify ~notify_from found
+
+(* The last guarding Wait's position, and the first releasing Notify's
+   position and stream suffix. *)
+let rec scan_fences instrs i l ~last_wait ~first_notify ~notify_from =
+  match l with
+  | [] ->
+    if last_wait < 0 && first_notify < 0 then []
+    else scan_accesses 0 instrs ~last_wait ~first_notify ~notify_from []
+  | Instr.Wait { guards = _ :: _; _ } :: rest ->
+    scan_fences instrs (i + 1) rest ~last_wait:i ~first_notify ~notify_from
+  | Instr.Notify { releases = _ :: _; _ } :: rest when first_notify < 0 ->
+    scan_fences instrs (i + 1) rest ~last_wait ~first_notify:i ~notify_from:l
+  | _ :: rest ->
+    scan_fences instrs (i + 1) rest ~last_wait ~first_notify ~notify_from
+
+let fence_violations (instrs : Instr.t list) : fence_violation list =
+  scan_fences instrs 0 instrs ~last_wait:(-1) ~first_notify:(-1)
+    ~notify_from:[]
 
 let violation_of_fence fv =
   let rule =
@@ -105,7 +157,7 @@ let violation_of_fence fv =
   { position = fv.fv_position; instr = Instr.to_string fv.fv_instr; rule }
 
 let verify_task (instrs : Instr.t list) : (unit, violation) result =
-  match fence_violations (Array.of_list instrs) with
+  match fence_violations instrs with
   | [] -> Ok ()
   | fv :: _ -> Error (violation_of_fence fv)
 

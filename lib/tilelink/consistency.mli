@@ -19,12 +19,14 @@ type fence_violation = {
   fv_kind : fence_kind;
 }
 
-val fence_violations : Instr.t array -> fence_violation list
+val fence_violations : Instr.t list -> fence_violation list
 (** Every acquire/release ordering violation of one task's stream, in
-    scan order; [verify_task] reports the head.  The whole-program
-    analyzer passes the array it shares across its passes and resolves
-    each violation's fence through the channel mappings to name the
-    racing producer. *)
+    scan order; [verify_task] reports the head.  The stream is walked
+    in place: a stream with no guarding Wait and no releasing Notify
+    costs one walk, and a clean stream allocates nothing.  The
+    whole-program analyzer calls it on each task's own instruction list
+    and resolves each violation's fence through the channel key space
+    to name the racing producer. *)
 
 val verify_task : Instr.t list -> (unit, violation) result
 val verify_role : Program.role -> (unit, violation) result

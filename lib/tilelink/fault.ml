@@ -158,29 +158,43 @@ let bump_notify_amount program ~rank ~nth =
           [ Instr.Notify { target; amount = amount + 1; releases } ]
         | instr -> [ instr ]))
 
+(* [List.map f l], sharing the longest suffix [f] leaves physically
+   unchanged: [l] itself when [f] changes nothing. *)
+let rec map_shared f l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+    let x' = f x in
+    let rest' = map_shared f rest in
+    if x' == x && rest' == rest then l else x' :: rest'
+
 (* Elastic remap after a rank crash: rewrite every [Pc] signal target
    the dead rank owns onto the survivors with [Mapping.remap_channels],
    the same reroute [Mapping.remap_rank] applies; live targets carry
    rank-local coordinates and are unchanged.  The result's
    [pc_channels] grows to the remapped stride so the rerouted slots
-   exist.  This is the *protocol-level* remap the analyzer re-validates
-   before replay; peer/host channels are point-to-point and not part of
-   f_C, so they stay as they are. *)
+   exist.  Every target, instruction and task the remap leaves
+   unchanged is the original value itself, so only the rerouted ones
+   are copied.  This is the *protocol-level* remap the analyzer
+   re-validates before replay; peer/host channels are point-to-point
+   and not part of f_C, so they stay as they are. *)
 let remap_program (program : Program.t) ~dead ~survivors =
   let new_cpr, reroute =
     Mapping.remap_channels ~ranks:(Program.world_size program)
       ~channels_per_rank:program.Program.pc_channels ~dead ~survivors
   in
-  let retarget reroute = function
-    | Instr.Pc { rank; channel } ->
+  let retarget (dead, reroute) = function
+    | Instr.Pc { rank; channel } when rank = dead ->
       let rank, channel = reroute rank channel in
       Instr.Pc { rank; channel }
     | t -> t
   in
-  let rewrite = Instr.map_target retarget reroute in
+  let rewrite = Instr.map_target retarget (dead, reroute) in
   map_tasks program ~suffix:"+remap" ~pc_channels:new_cpr
     ~f:(fun ~rank:_ _role task ->
-      { task with Program.instrs = List.map rewrite task.Program.instrs })
+      let instrs = map_shared rewrite task.Program.instrs in
+      if instrs == task.Program.instrs then task
+      else { task with Program.instrs })
 
 let count_notifies program ~rank =
   List.length (List.filter is_notify (rank_instrs program ~rank))

@@ -81,6 +81,37 @@ let mlp_program ?transfer ~world ~comm_tile ~stages () =
     { Mlp.m = 8 * world; k = 4; n = 6; world_size = world }
     ~spec_gpu:Calib.test_machine
 
+(* The chaos harness's world-16 MLP case (4 rows and 2-row comm tiles
+   per rank). *)
+let chaos_world = 16
+
+let chaos_mlp_program () =
+  let world = chaos_world in
+  let config =
+    {
+      Design_space.comm_tile = (2, 128);
+      compute_tile = (2, 2);
+      comm_order = Tile.Ring_from_self { segments = world };
+      compute_order = Tile.Ring_from_self { segments = world };
+      binding = Design_space.Comm_on_sm 1;
+      stages = 2;
+      micro_block = 0;
+    }
+  in
+  Mlp.ag_gemm_program ~config
+    { Mlp.m = 4 * world; k = 4; n = 6; world_size = world }
+    ~spec_gpu:Calib.test_machine
+
+(* Failover's survivor order: intra-island survivors first. *)
+let intra_island_first topology ~dead =
+  let layout = Topology.layout topology ~world_size:chaos_world in
+  let home = Topology.island_of layout dead in
+  let intra, cross =
+    List.filter (fun r -> r <> dead) (List.init chaos_world Fun.id)
+    |> List.partition (fun r -> Topology.island_of layout r = home)
+  in
+  intra @ cross
+
 let find_kind report name =
   List.filter (fun d -> Analyzer.kind_name d.Analyzer.kind = name)
     report.Analyzer.diags
@@ -289,6 +320,32 @@ let negative_notify_program () =
           ];
       ];
     |]
+
+(* A layout too large for a flat slot array keys its targets through an
+   int table instead; the reports must not change.  Each of the first
+   shipped programs and its mutants is re-created with enough [Pc]
+   channels per rank to pass any slot-array limit, which moves no
+   target. *)
+let test_large_layout_reports_unchanged () =
+  let widen p =
+    Program.create ~name:(Program.name p) ~world_size:(Program.world_size p)
+      ~pc_channels:(1 lsl 20) ~peer_channels:p.Program.peer_channels
+      (Program.plans p)
+  in
+  let json p =
+    Tilelink_obs.Json.to_string (Analyzer.report_to_json (Analyzer.analyze p))
+  in
+  List.iter
+    (fun (name, program) ->
+      List.iter
+        (fun (what, p) ->
+          Alcotest.(check string) (name ^ what) (json p) (json (widen p)))
+        (("", program)
+        :: List.map
+             (fun (mutation, mutant) -> ("/" ^ mutation, mutant))
+             (Analyzer.mutation_corpus ~seed:17 program)))
+    (List.filteri (fun i _ -> i < 4) (Suite.programs ())
+    @ [ ("out_of_layout", out_of_layout_program ()) ])
 
 (* ------------------------------------------------------------------ *)
 (* Clean workloads and the mutation corpus                             *)
@@ -547,6 +604,53 @@ let test_remap_missing_survivor_flagged () =
         | _ -> Alcotest.fail "expected Mapping_mismatch diagnostics")
       diags
 
+(* The remap copies only what it reroutes: every instruction whose
+   target it leaves unchanged is the original instruction itself, and
+   each rerouted one is a [Pc] target of the dead rank. *)
+let test_remap_shares_unchanged_instructions () =
+  let program = chaos_mlp_program () in
+  List.iter
+    (fun dead ->
+      let remapped =
+        Fault.remap_program program ~dead
+          ~survivors:(intra_island_first Topology.islands2x8 ~dead)
+      in
+      let rerouted = ref 0 and shared = ref 0 in
+      let target_of = function
+        | Instr.Wait { target; _ } | Instr.Notify { target; _ } -> Some target
+        | _ -> None
+      in
+      Array.iter2
+        (List.iter2 (fun role role' ->
+             List.iter2
+               (fun task task' ->
+                 List.iter2
+                   (fun instr instr' ->
+                     if target_of instr = target_of instr' then begin
+                       if instr != instr' then
+                         Alcotest.failf "dead %d: %s/%s: %s was copied" dead
+                           role.Program.role_name task.Program.label
+                           (Instr.to_string instr);
+                       incr shared
+                     end
+                     else begin
+                       (match target_of instr with
+                       | Some (Instr.Pc { rank; _ }) when rank = dead -> ()
+                       | _ ->
+                         Alcotest.failf "dead %d: %s rerouted" dead
+                           (Instr.to_string instr));
+                       incr rerouted
+                     end)
+                   task.Program.instrs task'.Program.instrs)
+               role.Program.tasks role'.Program.tasks))
+        (Program.plans program) (Program.plans remapped);
+      Alcotest.(check bool)
+        (Printf.sprintf "dead %d: %d rerouted, %d shared" dead !rerouted
+           !shared)
+        true
+        (!rerouted > 0 && !shared > 0))
+    [ 0; 5 ]
+
 (* ------------------------------------------------------------------ *)
 (* Wiring: Runtime pre-flight and Tune skip accounting                 *)
 (* ------------------------------------------------------------------ *)
@@ -653,39 +757,16 @@ let test_unsafe_hoist_always_flagged () =
 (* Golden reports                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The chaos harness's world-16 MLP case (4 rows and 2-row comm tiles
-   per rank), remapped the way failover remaps it: each dead rank's
-   channels move onto its survivors, intra-island survivors first.
-   These are the programs the runtime re-validates once per crash. *)
+(* The chaos MLP case remapped the way failover remaps it: each dead
+   rank's channels move onto its survivors.  These are the programs the
+   runtime re-validates once per crash. *)
 let remapped_programs () =
-  let world = 16 in
-  let comm_rows = 2 in
-  let config =
-    {
-      Design_space.comm_tile = (comm_rows, 128);
-      compute_tile = (2, 2);
-      comm_order = Tile.Ring_from_self { segments = world };
-      compute_order = Tile.Ring_from_self { segments = world };
-      binding = Design_space.Comm_on_sm 1;
-      stages = 2;
-      micro_block = 0;
-    }
-  in
-  let program =
-    Mlp.ag_gemm_program ~config
-      { Mlp.m = 4 * world; k = 4; n = 6; world_size = world }
-      ~spec_gpu:Calib.test_machine
-  in
+  let program = chaos_mlp_program () in
   let remapped topology dead =
-    let layout = Topology.layout topology ~world_size:world in
-    let home = Topology.island_of layout dead in
-    let intra, cross =
-      List.filter (fun r -> r <> dead) (List.init world Fun.id)
-      |> List.partition (fun r -> Topology.island_of layout r = home)
-    in
     ( Printf.sprintf "mlp_chaos/w16/%s/remap_dead%d" (Topology.name topology)
         dead,
-      Fault.remap_program program ~dead ~survivors:(intra @ cross) )
+      Fault.remap_program program ~dead
+        ~survivors:(intra_island_first topology ~dead) )
   in
   List.init (Topology.ranks_per_island Topology.islands2x8)
     (remapped Topology.islands2x8)
@@ -749,6 +830,11 @@ let () =
           Alcotest.test_case "unsafe hoist flagged" `Quick
             test_unsafe_hoist_always_flagged;
         ] );
+      ( "layout",
+        [
+          Alcotest.test_case "large layouts report the same" `Quick
+            test_large_layout_reports_unchanged;
+        ] );
       ( "workloads",
         [
           Alcotest.test_case "clean MLP passes" `Quick
@@ -768,6 +854,8 @@ let () =
             test_remap_rejects_bad_survivors;
           Alcotest.test_case "missing survivor flagged" `Quick
             test_remap_missing_survivor_flagged;
+          Alcotest.test_case "remap shares unchanged instructions" `Quick
+            test_remap_shares_unchanged_instructions;
         ] );
       ( "wiring",
         [

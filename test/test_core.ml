@@ -739,6 +739,139 @@ let prop_pipeline_preserves_multiset =
       && List.sort compare (List.map Instr.to_string out)
          = List.sort compare (List.map Instr.to_string stream))
 
+(* The fence scan as it was before it walked the stream in place: the
+   stream copied into an array, fence positions gathered up front, and
+   each access's footprint built as a list.  Kept as the reference the
+   in-place scan must reproduce, order included. *)
+let reference_fence_violations (arr : Instr.t array) =
+  let n = Array.length arr in
+  let positions keep =
+    let acc = ref [] in
+    for j = n - 1 downto 0 do
+      if keep arr.(j) then acc := j :: !acc
+    done;
+    Array.of_list !acc
+  in
+  let reads_of = function
+    | Instr.Load { access } -> [ access ]
+    | Instr.Compute { reads; _ } -> reads
+    | Instr.Copy { src; _ } -> [ src ]
+    | Instr.Store _ | Instr.Wait _ | Instr.Notify _ | Instr.Sleep _ -> []
+  in
+  let writes_of = function
+    | Instr.Store { access } -> [ access ]
+    | Instr.Compute { writes; _ } -> writes
+    | Instr.Copy { dst; _ } -> [ dst ]
+    | Instr.Load _ | Instr.Wait _ | Instr.Notify _ | Instr.Sleep _ -> []
+  in
+  let waits = positions (function Instr.Wait _ -> true | _ -> false) in
+  let notifies = positions (function Instr.Notify _ -> true | _ -> false) in
+  let found = ref [] in
+  let record i j kind =
+    found :=
+      {
+        Consistency.fv_position = i;
+        fv_fence_position = j;
+        fv_instr = arr.(i);
+        fv_fence = arr.(j);
+        fv_kind = kind;
+      }
+      :: !found
+  in
+  let overlaps fenced accessed =
+    List.exists
+      (fun f -> List.exists (fun a -> Instr.accesses_overlap f a) accessed)
+      fenced
+  in
+  for i = 0 to n - 1 do
+    let reads = reads_of arr.(i) in
+    if reads <> [] then
+      Array.iter
+        (fun j ->
+          if j > i then
+            match arr.(j) with
+            | Instr.Wait { guards; _ } ->
+              if overlaps guards reads then
+                record i j Consistency.Read_before_acquire
+            | _ -> ())
+        waits;
+    let writes = writes_of arr.(i) in
+    if writes <> [] then
+      Array.iter
+        (fun j ->
+          if j < i then
+            match arr.(j) with
+            | Instr.Notify { releases; _ } ->
+              if overlaps releases writes then
+                record i j Consistency.Write_after_release
+            | _ -> ())
+        notifies
+  done;
+  List.rev !found
+
+(* Random streams over a few small rectangles of two buffers and the
+   ["*"] wildcard, on rank 0, rank 1 or the executing rank: copies
+   (which read and write), computes with zero to three reads and
+   writes, waits and notifies with empty or several guards/releases. *)
+let prop_fence_scan_matches_reference =
+  let open QCheck.Gen in
+  let range = map (fun (lo, len) -> (lo, lo + len)) (pair (int_range 0 3) (int_range 0 2)) in
+  let access =
+    let* buffer = oneofl [ "a"; "b"; "*" ] in
+    let* rank = oneofl [ None; Some 0; Some 1 ] in
+    let* row = range in
+    let* col = range in
+    return (Instr.access ?rank ~buffer ~row ~col ())
+  in
+  let accesses = list_size (int_range 0 3) access in
+  let target = Instr.Pc { rank = 0; channel = 0 } in
+  let instr =
+    frequency
+      [
+        (2, map (fun access -> Instr.Load { access }) access);
+        (2, map (fun access -> Instr.Store { access }) access);
+        ( 3,
+          map2
+            (fun reads writes ->
+              Instr.Compute
+                { label = "c"; cost = Instr.Free; reads; writes; action = None })
+            accesses accesses );
+        ( 2,
+          map2
+            (fun src dst ->
+              Instr.Copy { label = "cp"; src; dst; bytes = 1.0; action = None })
+            access access );
+        ( 3,
+          map
+            (fun guards -> Instr.Wait { target; threshold = 1; guards })
+            accesses );
+        ( 3,
+          map
+            (fun releases -> Instr.Notify { target; amount = 1; releases })
+            accesses );
+        (1, return (Instr.Sleep 1.0));
+      ]
+  in
+  let print stream = String.concat "; " (List.map Instr.to_string stream) in
+  let summary =
+    List.map (fun (fv : Consistency.fence_violation) ->
+        ( fv.Consistency.fv_position,
+          fv.Consistency.fv_fence_position,
+          fv.Consistency.fv_kind ))
+  in
+  QCheck.Test.make ~name:"fence scan matches the list-based reference"
+    ~count:2000
+    (QCheck.make ~print (list_size (int_range 0 12) instr))
+    (fun stream ->
+      let got = Consistency.fence_violations stream in
+      let want = reference_fence_violations (Array.of_list stream) in
+      summary got = summary want
+      && List.for_all2
+           (fun (g : Consistency.fence_violation) w ->
+             g.Consistency.fv_instr == w.Consistency.fv_instr
+             && g.Consistency.fv_fence == w.Consistency.fv_fence)
+           got want)
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end: hand-built pull-mode AG + GEMM on 2 ranks               *)
 (* ------------------------------------------------------------------ *)
@@ -1626,6 +1759,34 @@ let test_build_allocation_per_instr () =
        per_instr instrs)
     true (per_instr <= 20.0)
 
+(* Guard against per-instruction allocation creeping back into the
+   protocol analyzer, which checks every tuner and planner candidate
+   and every failover remap: analyzing MLP-1 GEMM+RS (first Tuned
+   candidate, 109,056 instructions) allocates at most 4 minor words per
+   instruction (0.4 when it walks the tasks' own lists; 30.4 when it
+   copied every task into an array and kept per-signal endpoint
+   lists). *)
+let test_analyzer_allocation_per_instr () =
+  let program =
+    Tilelink_workloads.Mlp.gemm_rs_program
+      ~config:
+        (List.hd
+           (Tilelink_workloads.Tuned.gemm_rs_candidates ~world_size:mlp1_world))
+      { Tilelink_workloads.Mlp.rs_m = 8192; rs_k = 11008 / mlp1_world;
+        rs_n = 4096; rs_world = mlp1_world }
+      ~spec_gpu:Calib.h800
+  in
+  let before = Gc.minor_words () in
+  let report = Analyzer.analyze program in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "clean" true (Analyzer.ok report);
+  let instrs = Program.instr_count program in
+  let per_instr = words /. float_of_int instrs in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per instruction over %d (bound 4)"
+       per_instr instrs)
+    true (per_instr <= 4.0)
+
 (* ------------------------------------------------------------------ *)
 (* Design space + tuner                                                *)
 (* ------------------------------------------------------------------ *)
@@ -1775,6 +1936,8 @@ let () =
             test_ranks_share_template_instructions;
           Alcotest.test_case "build allocation per instruction" `Quick
             test_build_allocation_per_instr;
+          Alcotest.test_case "analyzer allocation per instruction" `Quick
+            test_analyzer_allocation_per_instr;
         ] );
       ( "pipeline+consistency",
         [
@@ -1789,6 +1952,7 @@ let () =
           Alcotest.test_case "release violation" `Quick
             test_notify_release_violation_detected;
           qc prop_pipeline_preserves_multiset;
+          qc prop_fence_scan_matches_reference;
         ] );
       ( "runtime",
         [
