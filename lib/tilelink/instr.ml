@@ -154,12 +154,6 @@ let map_target f x instr =
     if target == n.target then instr else Notify { n with target }
   | Load _ | Store _ | Compute _ | Copy _ | Sleep _ -> instr
 
-let reads_of = function
-  | Load { access } -> [ access ]
-  | Compute { reads; _ } -> reads
-  | Copy { src; _ } -> [ src ]
-  | Store _ | Wait _ | Notify _ | Sleep _ -> []
-
 let writes_of = function
   | Store { access } -> [ access ]
   | Compute { writes; _ } -> writes
