@@ -245,6 +245,8 @@ let case_of ?world = function
   | Moe_part2 -> moe_case ?world ()
   | Attention_ag -> attention_case ?world ()
 
+let program ?world workload = (case_of ?world workload).build ()
+
 (* Scale the watchdog to the workload: suspicion after twice the ideal
    makespan (a delivered-but-slow signal can never be that late on
    these small kernels), structural give-up well beyond any straggler

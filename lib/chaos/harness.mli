@@ -16,6 +16,10 @@ type workload = Mlp_ag_gemm | Moe_part2 | Attention_ag
 val workload_to_string : workload -> string
 val workload_of_string : string -> workload option
 
+val program : ?world:int -> workload -> Program.t
+(** The kernel a trial of [workload] runs on [world] ranks (default:
+    the workload's own world; a topology run uses its natural world). *)
+
 (** Trial outcome, in decreasing order of health: [Clean] (no recovery
     action needed), [Recovered] (watchdog re-issued lost signals),
     [Failed_over] (a rank crashed; its unfinished tiles were remapped

@@ -81,26 +81,13 @@ let mlp_program ?transfer ~world ~comm_tile ~stages () =
     { Mlp.m = 8 * world; k = 4; n = 6; world_size = world }
     ~spec_gpu:Calib.test_machine
 
-(* The chaos harness's world-16 MLP case (4 rows and 2-row comm tiles
-   per rank). *)
+(* The chaos harness's MLP kernel at world 16, as a topology run of
+   islands2x8 or hetero16 builds it. *)
 let chaos_world = 16
 
 let chaos_mlp_program () =
-  let world = chaos_world in
-  let config =
-    {
-      Design_space.comm_tile = (2, 128);
-      compute_tile = (2, 2);
-      comm_order = Tile.Ring_from_self { segments = world };
-      compute_order = Tile.Ring_from_self { segments = world };
-      binding = Design_space.Comm_on_sm 1;
-      stages = 2;
-      micro_block = 0;
-    }
-  in
-  Mlp.ag_gemm_program ~config
-    { Mlp.m = 4 * world; k = 4; n = 6; world_size = world }
-    ~spec_gpu:Calib.test_machine
+  Tilelink_chaos.Harness.program ~world:chaos_world
+    Tilelink_chaos.Harness.Mlp_ag_gemm
 
 (* Failover's survivor order: intra-island survivors first. *)
 let intra_island_first topology ~dead =
