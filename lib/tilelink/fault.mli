@@ -50,7 +50,9 @@ val remap_program : Program.t -> dead:int -> survivors:int list -> Program.t
 (** Rewrite every [Pc] target owned by [dead] onto the survivors with
     {!Mapping.remap_channels} — the reroute {!Mapping.remap_rank}
     applies — and grow [pc_channels] to the remapped stride.  Live
-    targets, peer and host channels are unchanged.  This is the
+    targets, peer and host channels are unchanged, and every target,
+    instruction and task the remap leaves unchanged is the original
+    value itself (physically equal).  This is the
     protocol the analyzer re-validates against {!Mapping.remap_rank}'s
     mapping before a failover replay.  Raises like
     {!Mapping.remap_channels}. *)
