@@ -103,11 +103,11 @@ type endpoint = {
    (traversal) order, which is the order diagnostics come out in.  A
    target inside the program's channel layout maps by arithmetic to a
    slot: [Pc] slots first, then [Peer] by (dst, src, channel), then
-   [Host] by (dst, src).  The slot maps to its id through a flat array,
-   or through an int-keyed table when the layout has more than
-   [max_dense_slots] slots.  A target outside the layout (a mutant's or
-   a hand-written program's) keeps its own entry in a structural table,
-   so it never aliases an in-layout key. *)
+   [Host] by (dst, src).  The slot maps to its id through a flat array.
+   A target outside the layout (a mutant's or a hand-written program's),
+   or any target of a layout with more than [max_dense_slots] slots,
+   keeps its own entry in a structural table, so it never aliases an
+   in-layout key. *)
 let max_dense_slots = 1 lsl 16
 
 type keys = {
@@ -115,7 +115,6 @@ type keys = {
   pc : int;
   peer : int;
   dense : int array; (* slot -> id, -1 unseen; [||] for a large layout *)
-  sparse : (int, int) Hashtbl.t; (* slot -> id when [dense] is [||] *)
   outside : (Instr.signal_target, int) Hashtbl.t;
 }
 
@@ -187,7 +186,7 @@ let add_key inv target =
 (* The id of [target], given the next id on first touch. *)
 let key_id inv target =
   let k = inv.keys in
-  let slot = slot_of k target in
+  let slot = if Array.length k.dense = 0 then -1 else slot_of k target in
   if slot < 0 then (
     match Hashtbl.find_opt k.outside target with
     | Some id -> id
@@ -195,20 +194,12 @@ let key_id inv target =
       let id = add_key inv target in
       Hashtbl.add k.outside target id;
       id)
-  else if Array.length k.dense > 0 then begin
+  else
     let id = k.dense.(slot) in
     if id >= 0 then id
     else
       let id = add_key inv target in
       k.dense.(slot) <- id;
-      id
-  end
-  else
-    match Hashtbl.find_opt k.sparse slot with
-    | Some id -> id
-    | None ->
-      let id = add_key inv target in
-      Hashtbl.add k.sparse slot id;
       id
 
 let key_name inv k = Instr.key_of_target inv.targets.(k)
@@ -220,10 +211,10 @@ let key_name inv k = Instr.key_of_target inv.targets.(k)
 (* Reachability runs every stream eagerly until all are finished or
    blocked on a wait.  Counters are monotonic and waits are [>=]
    comparisons, so this schedule is maximally permissive and the
-   blocked set is exactly the statically-doomed set.  The first run of
-   each stream happens during the inventory walk, as the stream is
-   walked: a stream that blocks is parked on the key it waits for, and
-   a notify on that key queues it to resume once the walk is done.
+   blocked set is exactly the statically-doomed set.  After the
+   inventory walk, each stream runs once in traversal order: a stream
+   that blocks is parked on the key it waits for, and a notify on that
+   key queues it to resume once every stream has had its first run.
    That is the order of a queue holding every stream in traversal
    order, with woken streams appended, so even a negative notify
    amount, which breaks monotonicity, meets the same schedule.  Only
@@ -272,39 +263,29 @@ let rec resume_woken inv =
     resume_woken inv
   end
 
-(* One task's stream: count every signal into its key's state, and run
-   the stream until [blocked_at] (empty while it still runs) is the
-   Wait it blocks on.  Returns [blocked_at]. *)
-let rec take_stock inv ~blocked_at l =
-  match l with
-  | [] -> blocked_at
+(* One task's stream: count every signal into its key's state. *)
+let rec take_stock inv = function
+  | [] -> ()
   | Instr.Wait { target; threshold; _ } :: rest ->
     let k = key_id inv target in
     inv.waits <- inv.waits + 1;
     inv.wait_count.(k) <- inv.wait_count.(k) + 1;
     if threshold > inv.max_wait.(k) then inv.max_wait.(k) <- threshold;
-    let blocked_at =
-      match blocked_at with
-      | [] when inv.avail.(k) < threshold -> l
-      | _ -> blocked_at
-    in
-    take_stock inv ~blocked_at rest
+    take_stock inv rest
   | Instr.Notify { target; amount; _ } :: rest ->
     let k = key_id inv target in
     inv.notifies <- inv.notifies + 1;
     inv.notify_count.(k) <- inv.notify_count.(k) + 1;
     inv.supply.(k) <- inv.supply.(k) + amount;
-    (match blocked_at with [] -> signal inv k amount | _ -> ());
-    take_stock inv ~blocked_at rest
-  | _ :: rest -> take_stock inv ~blocked_at rest
+    take_stock inv rest
+  | _ :: rest -> take_stock inv rest
 
-(* The single traversal of the program: resolve every target, total
-   every key and run the fixpoint, over the tasks' own lists. *)
+(* Resolve every target and total every key, then run the fixpoint,
+   both over the tasks' own lists. *)
 let inventory_of (p : Program.t) =
   let world = Program.world_size p in
   let pc = p.Program.pc_channels and peer = p.Program.peer_channels in
   let slots = (world * pc) + (world * world * peer) + (world * world) in
-  let large = slots > max_dense_slots in
   let cap = 64 in
   let inv =
     {
@@ -313,8 +294,8 @@ let inventory_of (p : Program.t) =
           world;
           pc;
           peer;
-          dense = (if large then [||] else Array.make slots (-1));
-          sparse = Hashtbl.create (if large then 256 else 1);
+          dense =
+            (if slots > max_dense_slots then [||] else Array.make slots (-1));
           outside = Hashtbl.create 1;
         };
       count = 0;
@@ -330,21 +311,17 @@ let inventory_of (p : Program.t) =
       waits = 0;
     }
   in
+  Program.iter_tasks p ~f:(fun ~rank:_ _ task ->
+      take_stock inv task.Program.instrs);
   let next_stream = ref 0 in
   Program.iter_tasks p ~f:(fun ~rank role task ->
       let id = !next_stream in
       incr next_stream;
-      match take_stock inv ~blocked_at:[] task.Program.instrs with
+      match run inv task.Program.instrs with
       | [] -> ()
-      | blocked_at ->
+      | rest ->
         park inv
-          {
-            p_id = id;
-            p_rank = rank;
-            p_role = role;
-            p_task = task;
-            p_rest = blocked_at;
-          });
+          { p_id = id; p_rank = rank; p_role = role; p_task = task; p_rest = rest });
   resume_woken inv;
   inv
 

@@ -51,6 +51,16 @@ let writes_overlap fenced = function
   | Instr.Copy { dst; _ } -> overlaps_access fenced dst
   | Instr.Load _ | Instr.Wait _ | Instr.Notify _ | Instr.Sleep _ -> false
 
+(* Has [instr] a read (resp. write) footprint at all?  Only such an
+   instruction is checked against the fences. *)
+let has_reads = function
+  | Instr.Load _ | Instr.Copy _ | Instr.Compute { reads = _ :: _; _ } -> true
+  | _ -> false
+
+let has_writes = function
+  | Instr.Store _ | Instr.Copy _ | Instr.Compute { writes = _ :: _; _ } -> true
+  | _ -> false
+
 let record ~kind i instr j fence found =
   {
     fv_position = i;
@@ -106,19 +116,20 @@ let rec writes_after_release i instr j l found =
    first walk finds the last such Wait and the first such Notify; a
    stream with neither returns at once.  The second walk checks reads
    only against the stream up to that last Wait and writes only against
-   the stream from that first Notify, without copying the stream or
+   the stream from that first Notify, and only an access with a read
+   (resp. write) footprint is checked, without copying the stream or
    building footprint lists. *)
 let rec scan_accesses i l ~last_wait ~first_notify ~notify_from found =
   match l with
   | [] -> List.rev found
   | instr :: rest ->
     let found =
-      if i < last_wait then
+      if i < last_wait && has_reads instr then
         reads_before_acquire i instr (i + 1) last_wait rest found
       else found
     in
     let found =
-      if first_notify >= 0 && i > first_notify then
+      if first_notify >= 0 && i > first_notify && has_writes instr then
         writes_after_release i instr first_notify notify_from found
       else found
     in

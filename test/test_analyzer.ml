@@ -308,8 +308,8 @@ let negative_notify_program () =
       ];
     |]
 
-(* A layout too large for a flat slot array keys its targets through an
-   int table instead; the reports must not change.  Each of the first
+(* A layout too large for a flat slot array keys its targets through
+   the structural table instead; the reports must not change.  Each of the first
    shipped programs and its mutants is re-created with enough [Pc]
    channels per rank to pass any slot-array limit, which moves no
    target. *)
