@@ -287,6 +287,14 @@ let trial_base ?topology workload =
   let memory = case.alloc () in
   let cluster = Cluster.create ?topology case.machine ~world_size:case.world in
   let r = Runtime.run ~data:true ~memory cluster (case.build ()) in
+  if not (case.check memory) then
+    failwith
+      (Printf.sprintf "Harness.trial_base: %s%s fails its memory check \
+                       without faults"
+         (workload_to_string workload)
+         (match topology with
+         | Some t -> " on " ^ Topology.name t
+         | None -> ""));
   (case, r.Runtime.makespan)
 
 let run_trial_impl ?(spec = Chaos.default_spec) ?(retry = true)

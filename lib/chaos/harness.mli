@@ -107,7 +107,8 @@ val run_trial :
   unit ->
   trial
 (** Run one trial: a fault-free run to measure the ideal makespan,
-    then the seeded chaos run with a watchdog scaled to it ([watchdog]
+    whose memory must pass the workload's checker (otherwise [Failure]
+    naming the workload), then the seeded chaos run with a watchdog scaled to it ([watchdog]
     overrides the scaling verbatim).  [retry] defaults to [true],
     [policy] to [Degrade], [spec] to {!Chaos.default_spec}.
 

@@ -151,14 +151,13 @@ let scaled_watchdog ~ideal =
   }
 
 (* One step under a planned rank crash: seeded schedule, failover
-   watchdog, data run with a rebuild hook so replayed flash tasks get
-   fresh accumulators.  Chaos.Stall (no survivors, unrecoverable
-   channel) falls back to the serialized baseline — the step always
-   completes. *)
+   watchdog, timing-only run like every other step cost (no tensors,
+   so replayed flash tasks need no fresh accumulators).  Chaos.Stall
+   (no survivors, unrecoverable channel) falls back to the serialized
+   baseline — the step always completes. *)
 let crash_step t ~crash ~batch_q ~kv_q =
   let ideal = overlapped_cost t ~batch_q ~kv_q in
   let spec = spec_of t ~batch_q ~kv_q in
-  let build () = Attention.program ~config spec ~spec_gpu:t.machine in
   let layout =
     Option.map (fun topo -> Topology.layout topo ~world_size:t.world) t.topology
   in
@@ -175,14 +174,13 @@ let crash_step t ~crash ~batch_q ~kv_q =
   let cluster =
     Cluster.create ?topology:t.topology t.machine ~world_size:t.world
   in
-  let memory = Attention.alloc spec ~seed:crash.ck_seed in
   let result =
     Fun.protect
       ~finally:(fun () -> Cluster.clear_disturbance cluster)
       (fun () ->
         match
-          Runtime.run ~data:true ~memory ~chaos:control ~rebuild:build cluster
-            (build ())
+          Runtime.run ~chaos:control cluster
+            (Attention.program ~config spec ~spec_gpu:t.machine)
         with
         | r -> Ok r.Runtime.makespan
         (* Chaos.Stall is the one legitimate bail-out: no survivors

@@ -22,8 +22,9 @@
 
     A crash step composes the chaos machinery exactly as the fault
     harness does: seeded schedule with [crash_ranks] permanent
-    crashes, [Failover] watchdog scaled to the fault-free ideal, and a
-    rebuild hook for replay.  A structured {!Tilelink_core.Chaos.Stall}
+    crashes, [Failover] watchdog scaled to the fault-free ideal, on
+    the timing-only simulator like every other step cost (no tensor
+    data).  A structured {!Tilelink_core.Chaos.Stall}
     (e.g. no survivors) falls back to the serialized cost, so the step
     always completes.  Any other exception, including
     {!Tilelink_sim.Engine.Deadlock}, is a bug and propagates.  After a

@@ -15,9 +15,10 @@
    Candidate pruning and scoring run through [Tune.search_planned]:
    the analyzer rejects statically-broken protocols before any
    simulation (and before an entry loaded from a cache file replays),
-   survivors are simulated for makespan plus exposed-communication
-   blame, and the planner picks the makespan minimum with exposed
-   communication as the tiebreak.  A survivor whose makespan lower
+   survivors are simulated on the bare simulator for their makespan,
+   and the planner picks the makespan minimum with exposed
+   communication as the tiebreak, traced only for the candidates that
+   tie the best.  A survivor whose makespan lower
    bound ([Bound.makespan]) is above a simulated makespan is pruned
    unsimulated; it could not have won.  A hit on an entry this process
    wrote skips synthesis and analysis, which it passed when stored,

@@ -11,9 +11,9 @@
    consults a [Tilelink_exec.Cache] keyed by (workload, machine spec,
    config) fingerprints.  Both paths — and any pool width — return the
    identical outcome: scores come back in candidate order, and the best
-   is the least element of a total order (time, then the caller's
-   tie-break, then candidate index), so the order in which domains
-   finish cannot change it.  Cache hits replay the stored time
+   is the least element of a total order (time, then, for the planner,
+   exposed communication, then candidate index), so the order in which
+   domains finish cannot change it.  Cache hits replay the stored time
    bit-for-bit within a process.
 
    A hit on an entry this process wrote is trusted outright: the
@@ -23,7 +23,8 @@
    replay.  A built candidate (a whole synthesized program, for the
    program searches) is dropped as soon as it has been analyzed and
    scored; only the running best keeps one alive, so a search holds at
-   most one candidate per domain plus the winner.  A winner that came
+   most one candidate per domain plus the winner (the planner's, which
+   keeps every candidate tying the best so far, plus those ties).  A winner that came
    from a trusted hit is built once, after the search.
 
    The planner's search also prunes with an admissible makespan bound
@@ -36,7 +37,16 @@
    rest are pruned.  A pruned candidate's makespan is at least its
    bound, which is strictly above [u], which is at least the winner's
    makespan: it could neither win nor tie, so the winner and its
-   tie-breaks are those of an exhaustive search. *)
+   tie-breaks are those of an exhaustive search.
+
+   The planner's tie-break reads exposed-communication blame, which
+   takes a traced run, only between equal makespans.  So its search
+   scores every candidate on the bare simulator, and the running best
+   keeps every score that ties it, with its built candidate.  After the
+   search, only the scores that tie the best makespan are traced for
+   blame (a tied [Written] hit is built first), and every other score
+   drops any blame a cache file gave it, so neither the outcome nor
+   the cache depends on the pool width. *)
 
 type 'a evaluation = {
   candidate : 'a;
@@ -44,8 +54,9 @@ type 'a evaluation = {
   time : float;
   exposed_comm_us : float option;
       (* exposed-communication blame from the causal profiler, when the
-         evaluator ran with telemetry (planner searches and
-         [search_programs ~blame:true] do) *)
+         candidate ran with telemetry ([search_programs ~blame:true]
+         does for every score, planner searches for the scores that tie
+         the best makespan) *)
 }
 
 (* Defined after [evaluation] so an unannotated [e.config] or [e.time]
@@ -100,28 +111,31 @@ type lookup =
   | Written of float * float option
   | Bounded of float
 
-(* The running best, shared by every task of one search: an index, its
-   score, and the built candidate unless the score came from a
-   [Written] hit, which never builds.  [offer] is the only place a
-   built candidate can outlive its task: a candidate that does not beat
-   the leader is garbage as soon as [offer] returns. *)
+(* The running best, shared by every task of one search: the least
+   time offered so far and the scores offered at that time, each with
+   its index and its built candidate unless it came from a [Written]
+   hit, which never builds.  Without [keep_ties] only the earliest of
+   them is kept, since the index alone breaks a tie.  [offer] is the
+   only place a built candidate can outlive its task: a candidate that
+   does not tie or beat the best is garbage as soon as [offer]
+   returns. *)
 type 'a leader = {
   lock : Mutex.t;
-  mutable lead : (int * score * 'a option) option;
+  mutable best : float;
+  mutable ties : (int * score * 'a option) list;
 }
 
-let offer ~tie_break leader index (s : score) candidate =
-  let beats (i, (a : score)) (j, (b : score)) =
-    if a.time <> b.time then a.time < b.time
-    else
-      match tie_break a b with
-      | 0 -> i < j
-      | c -> c < 0
-  in
+let offer ~keep_ties leader index (s : score) candidate =
   Mutex.protect leader.lock (fun () ->
-      match leader.lead with
-      | Some (j, lead, _) when not (beats (index, s) (j, lead)) -> ()
-      | _ -> leader.lead <- Some (index, s, candidate))
+      if s.time < leader.best then begin
+        leader.best <- s.time;
+        leader.ties <- [ (index, s, candidate) ]
+      end
+      else if s.time = leader.best then
+        match leader.ties with
+        | [ (j, _, _) ] when not keep_ties ->
+          if index < j then leader.ties <- [ (index, s, candidate) ]
+        | ties -> leader.ties <- (index, s, candidate) :: ties)
 
 (* A [Written] hit is scored without building.  Otherwise static
    analysis runs right after build, before a [Loaded] entry is
@@ -207,15 +221,17 @@ let cached_to_json entry =
 
 (* The internal search, generic over the searched item: [config_of]
    projects the design-space point recorded in each evaluation (the
-   planner searches richer candidates that embed one), [evaluate]
+   planner searches richer candidates that embed one), and [evaluate]
    returns the simulated time plus the optional exposed-communication
-   measurement, and [tie_break] orders equal times before the
-   candidate index does.  The public [search] keeps its scalar
-   evaluator and wraps.  A [Written] hit costs its task no build; if
-   one wins, its candidate is built once, after the search.  With
-   [bound], misses go through the two pruning phases. *)
-let search_items ?pool ?cache ?cache_key ?analyze ?bound
-    ?(tie_break = fun _ _ -> 0) ~config_of ~build ~evaluate items =
+   measurement.  The public [search] keeps its scalar evaluator and
+   wraps.  A [Written] hit costs its task no build; if one wins, its
+   candidate is built once, after the search.  With [bound], misses go
+   through the two pruning phases.  With [blame_ties], equal times rank
+   by less exposed communication before the candidate index does, and
+   [blame_ties] measures it for the scores that tie the best time, and
+   only for them. *)
+let search_items ?pool ?cache ?cache_key ?analyze ?bound ?blame_ties
+    ~config_of ~build ~evaluate items =
   let items = Array.of_list items in
   let keys =
     match (cache, cache_key) with
@@ -235,10 +251,11 @@ let search_items ?pool ?cache ?cache_key ?analyze ?bound
       | Some (Bound_entry b) -> if written () then Bounded b else Miss)
     | _ -> Miss
   in
-  let leader = { lock = Mutex.create (); lead = None } in
+  let leader = { lock = Mutex.create (); best = infinity; ties = [] } in
+  let keep_ties = blame_ties <> None in
   let run ?analyze ?bound index lookup =
     attempt ?analyze ?bound ~config_of ~build ~evaluate
-      ~record:(offer ~tie_break leader index)
+      ~record:(offer ~keep_ties leader index)
       (items.(index), lookup)
   in
   let attempts =
@@ -296,6 +313,45 @@ let search_items ?pool ?cache ?cache_key ?analyze ?bound
       survivors
       (Tilelink_exec.Pool.map pool (fun index -> run index Miss) survivors)
   end;
+  (* Blame exactly the scores that tie the best time: trace each one
+     that has no blame yet, on the candidate the running best kept, or
+     built now for a [Written] hit (stored by a search over other
+     candidates, where it did not tie).  Every other score drops its
+     blame, which only a cache file can have given it. *)
+  let ties =
+    List.sort (fun (i, _, _) (j, _, _) -> compare i j) leader.ties
+  in
+  let ties =
+    match blame_ties with
+    | None -> ties
+    | Some measure ->
+      let rescore index s =
+        attempts.(index) <-
+          (match attempts.(index) with
+          | Evaluated _ -> Evaluated s
+          | _ -> From_cache s)
+      in
+      Array.iteri
+        (fun index -> function
+          | (Evaluated s | From_cache s) when s.time <> leader.best ->
+            rescore index { s with exposed_comm_us = None }
+          | _ -> ())
+        attempts;
+      List.map
+        (fun ((index, (s : score), built) as tie) ->
+          match s.exposed_comm_us with
+          | Some _ -> tie
+          | None ->
+            let candidate =
+              match built with
+              | Some candidate -> candidate
+              | None -> build items.(index)
+            in
+            let s = { s with exposed_comm_us = Some (measure candidate) } in
+            rescore index s;
+            (index, s, Some candidate))
+        ties
+  in
   (* Store fresh evaluations and bounds back under their keys
      (coordinator only, after the parallel sections). *)
   (match cache with
@@ -335,6 +391,20 @@ let search_items ?pool ?cache ?cache_key ?analyze ?bound
     | None -> 0
     | Some _ -> List.length attempts - cache_hits
   in
+  (* The least (blame, index) of the ties: ties are in index order, and
+     without [blame_ties] there is only one. *)
+  let blame (_, (s : score), _) =
+    Option.value ~default:infinity s.exposed_comm_us
+  in
+  let winner =
+    match ties with
+    | [] -> None
+    | first :: rest ->
+      Some
+        (List.fold_left
+           (fun w tie -> if blame tie < blame w then tie else w)
+           first rest)
+  in
   Option.map
     (fun (index, (s : score), built) ->
       let candidate =
@@ -361,36 +431,38 @@ let search_items ?pool ?cache ?cache_key ?analyze ?bound
         cache_hits;
         cache_misses;
       })
-    leader.lead
+    winner
 
 let search ?pool ?cache ?cache_key ?analyze ~build ~evaluate configs =
   search_items ?pool ?cache ?cache_key ?analyze ~config_of:Fun.id ~build
     ~evaluate:(fun candidate -> (evaluate candidate, None))
     configs
 
-(* The shared program evaluator.  A search that reads no blame scores
-   a candidate on the bare simulator: one run without telemetry, whose
-   makespan is the score.  With [blame], only the span half of
-   telemetry records as well; it adds no simulated time, so the
-   makespan is the same, and the spans give the candidate its
-   exposed-communication blame, the why behind its rank in the sweep.
-   Span records nearly quadruple what the simulator promotes to the
-   major heap per event, so they are paid only where something reads
-   the blame. *)
+(* The shared program evaluators.  A score is the makespan of one run
+   on the bare simulator, without telemetry.  Blame comes from a traced
+   run: only the span half of telemetry records, which adds no
+   simulated time, so the makespan is the same, and the spans give the
+   candidate its exposed-communication blame, the why behind its rank
+   in the sweep.  Span records nearly quadruple what the simulator
+   promotes to the major heap per event, so they are paid only where
+   something reads the blame. *)
+let traced_run ~make_cluster program =
+  let telemetry = Tilelink_obs.Telemetry.spans_only () in
+  let r = Runtime.run ~telemetry (make_cluster ()) program in
+  let attribution =
+    Tilelink_obs.Attribution.of_spans ~makespan:r.Runtime.makespan
+      (Tilelink_obs.Span.spans (Tilelink_obs.Telemetry.spans telemetry))
+  in
+  ( r.Runtime.makespan,
+    attribution.Tilelink_obs.Attribution.buckets
+      .Tilelink_obs.Attribution.exposed_comm )
+
 let evaluate_program ~blame ~make_cluster program =
-  let cluster = make_cluster () in
-  if not blame then ((Runtime.run cluster program).Runtime.makespan, None)
+  if not blame then
+    ((Runtime.run (make_cluster ()) program).Runtime.makespan, None)
   else
-    let telemetry = Tilelink_obs.Telemetry.spans_only () in
-    let r = Runtime.run ~telemetry cluster program in
-    let attribution =
-      Tilelink_obs.Attribution.of_spans ~makespan:r.Runtime.makespan
-        (Tilelink_obs.Span.spans (Tilelink_obs.Telemetry.spans telemetry))
-    in
-    ( r.Runtime.makespan,
-      Some
-        attribution.Tilelink_obs.Attribution.buckets
-          .Tilelink_obs.Attribution.exposed_comm )
+    let makespan, exposed = traced_run ~make_cluster program in
+    (makespan, Some exposed)
 
 (* A probe cluster pins down the machine identity behind a cache key;
    simulated clusters are single-shot, so a probe never runs. *)
@@ -422,13 +494,6 @@ let search_programs ?pool ?cache ?(blame = false) ~workload ~build
     ~config_of:Fun.id ~build
     ~evaluate:(evaluate_program ~blame ~make_cluster) configs
 
-(* The planner breaks makespan ties toward less exposed communication
-   (missing blame sorts last), before the earliest candidate wins a
-   full tie, so its winner is deterministic across pool widths. *)
-let less_exposed_comm (a : score) (b : score) =
-  let blame (e : score) = Option.value ~default:infinity e.exposed_comm_us in
-  Float.compare (blame a) (blame b)
-
 (* Planner entry point: candidates are arbitrary schedule descriptions
    that embed a design-space point ([config_of]) and synthesize to a
    program ([build]); [fingerprint] must cover every candidate axis
@@ -436,7 +501,9 @@ let less_exposed_comm (a : score) (b : score) =
    cache never conflates two schedules.  Results pair the winning
    candidate with its synthesized program, because the caller needs
    both: the candidate to describe the schedule, the program to emit
-   or execute it. *)
+   or execute it.  Makespan ties break toward less exposed
+   communication before the earliest candidate wins a full tie, so the
+   winner is deterministic across pool widths. *)
 let search_planned ?pool ?cache ~workload ~fingerprint ~config_of ~build
     ~make_cluster candidates =
   (* The bound reads only the cluster's static configuration, so one
@@ -456,8 +523,9 @@ let search_planned ?pool ?cache ~workload ~fingerprint ~config_of ~build
     ~analyze:(fun ((_, program) : _ * Program.t) ->
       Analyzer.check_message program)
     ~bound:(fun (_, program) -> Bound.makespan probe program)
-    ~tie_break:less_exposed_comm ~config_of
+    ~blame_ties:(fun (_, program) -> snd (traced_run ~make_cluster program))
+    ~config_of
     ~build:(fun candidate -> (candidate, build candidate))
     ~evaluate:(fun (_, program) ->
-      evaluate_program ~blame:true ~make_cluster program)
+      evaluate_program ~blame:false ~make_cluster program)
     candidates

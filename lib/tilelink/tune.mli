@@ -8,11 +8,12 @@ type 'a evaluation = {
   time : float;
   exposed_comm_us : float option;
       (** exposed-communication blame (µs on the critical path) from
-          the causal profiler; [Some] for {!search_planned} candidates
-          and {!search_programs} candidates evaluated with
-          [~blame:true], [None] for scalar {!search} evaluators,
-          {!search_programs} evaluations without [~blame:true], and
-          cache hits on entries stored without blame *)
+          the causal profiler; [Some] for {!search_planned} scores that
+          tie the best makespan and {!search_programs} candidates
+          evaluated with [~blame:true], [None] for scalar {!search}
+          evaluators, {!search_programs} evaluations without
+          [~blame:true], {!search_planned} scores that do not tie the
+          best, and cache hits on entries stored without blame *)
 }
 
 type score = {
@@ -120,8 +121,17 @@ val search_planned :
     (transfer mode, chunk count, ...) so cache keys never conflate two
     schedules; [workload] must identify the operator graph and shape.
     [best] pairs the winning candidate with its synthesized program.
-    Candidates of equal time rank by less exposed communication
-    (missing blame last) before the earlier candidate wins a full tie.
+    Candidates of equal time rank by less exposed communication before
+    the earlier candidate wins a full tie.  Every candidate is scored
+    by one run on the bare simulator; exposed communication takes a
+    traced run, and is measured only for the scores that tie the best
+    makespan, the only ones the tie-break compares.  Those scores, and
+    the winner, carry [exposed_comm_us]; every other score, and its
+    cache entry, carries [None], so neither depends on the pool width.
+    The search keeps the synthesized program of every score tying the
+    best so far and traces the final ties after the search; a tied hit
+    on an entry this process stored without blame (by a search over
+    another candidate list) is synthesized again for it.
     Every synthesized program is pre-flighted through the analyzer —
     no planner-derived protocol is ever scored unchecked.  A hit on an
     entry this process stored skips synthesis and analysis, since that

@@ -147,6 +147,31 @@ let exhaustive_scores graph ~world candidates =
             cand ))
     (List.mapi (fun i c -> (i, c)) candidates)
 
+(* Every evaluated score is an exhaustive one: its time exactly, and
+   its exposed communication exactly when it ties the best makespan,
+   the only place the tie-break reads it.  A score that does not tie
+   carries no blame, whichever domain finished first. *)
+let check_scores ~at ~best_time scores evaluated =
+  List.iter
+    (fun (e : Tune.score) ->
+      Alcotest.(check bool) ("evaluated score is exhaustive" ^ at) true
+        (List.exists
+           (fun (t, x, _, c) ->
+             c.Planner.pl_config = e.Tune.config
+             && t = e.Tune.time
+             && e.Tune.exposed_comm_us
+                = if t = best_time then Some x else None)
+           scores))
+    evaluated
+
+(* The least (makespan, exposed communication, index) of exhaustive
+   scores. *)
+let exhaustive_best scores =
+  List.fold_left
+    (fun ((t, x, i, _) as acc) ((t', x', i', _) as e) ->
+      if compare (t', x', i') (t, x, i) < 0 then e else acc)
+    (List.hd scores) scores
+
 (* Pruning must not change the plan: the winner, its time, exposed
    communication and program equal an exhaustive scoring of the same
    candidates, every pruned candidate is strictly slower than the
@@ -156,12 +181,7 @@ let test_search_deterministic () =
   let graph = Planned.mlp_graph mlp_spec in
   let candidates = Planner.enumerate (Planner.default_space graph) in
   let scores = exhaustive_scores graph ~world:2 candidates in
-  let best_time, best_exposed, _, best =
-    List.fold_left
-      (fun ((t, x, i, _) as acc) ((t', x', i', _) as e) ->
-        if compare (t', x', i') (t, x, i) < 0 then e else acc)
-      (List.hd scores) scores
-  in
+  let best_time, best_exposed, _, best = exhaustive_best scores in
   let run ?pool () =
     match
       Planner.search ?pool ~candidates graph ~spec_gpu
@@ -208,16 +228,7 @@ let test_search_deterministic () =
         ("evaluated + pruned + skipped = candidates" ^ at)
         (List.length candidates)
         (List.length o.Tune.evaluated + o.Tune.pruned + o.Tune.skipped);
-      List.iter
-        (fun (e : Tune.score) ->
-          Alcotest.(check bool) ("evaluated score is exhaustive" ^ at) true
-            (List.exists
-               (fun (t, x, _, c) ->
-                 c.Planner.pl_config = e.Tune.config
-                 && t = e.Tune.time
-                 && Some x = e.Tune.exposed_comm_us)
-               scores))
-        o.Tune.evaluated;
+      check_scores ~at ~best_time scores o.Tune.evaluated;
       let ties times = List.length (List.filter (( = ) best_time) times) in
       Alcotest.(check int)
         ("every candidate tying the winner simulated" ^ at)
@@ -276,64 +287,249 @@ let test_warm_search_matches_cold () =
         warm.Planner.p_outcome.Tune.cache_hits)
     [ 1; 2 ]
 
+(* Each candidate of [candidates] listed twice, as distinct values:
+   every score has an exact tie, which only the index separates. *)
+let listed_twice candidates =
+  List.concat_map
+    (fun c -> [ c; { c with Planner.pl_chunks = c.Planner.pl_chunks } ])
+    candidates
+
 (* [Planner.search]'s call into [Tune.search_planned] with every
    synthesis counted.  A cold pass synthesizes every candidate to bound
-   it and the simulated ones once more; a warm pass on the same cache
-   trusts its score and bound entries and synthesizes only the winner.
-   After a reload from the cache file, every candidate is synthesized
-   and analyzed again (loaded bound entries are misses), none is
-   simulated, and the exact stored times replay. *)
+   it and the simulated ones once more; blaming the ties reuses the
+   simulated program.  A warm pass on the same cache trusts its score
+   and bound entries and synthesizes only the winner.  After a reload
+   from the cache file, every candidate is synthesized and analyzed
+   again (loaded bound entries are misses), none is simulated, and the
+   exact stored times replay.  The counts hold when every score ties
+   another. *)
 let test_warm_pass_builds_only_the_winner () =
   let graph = Planned.mlp_graph mlp_spec in
-  let candidates = Planner.enumerate (Planner.default_space graph) in
-  let path = Filename.temp_file "tilelink_plan" ".json" in
-  Sys.remove path;
-  let counted_search ?pool cache =
-    let builds = Atomic.make 0 in
-    match
-      Tune.search_planned ?pool ~cache
-        ~workload:("plan:" ^ Planner.graph_fingerprint graph)
-        ~fingerprint:Planner.fingerprint
-        ~config_of:(fun c -> c.Planner.pl_config)
-        ~build:(fun c ->
-          Atomic.incr builds;
-          Planner.synthesize graph c ~spec_gpu)
-        ~make_cluster:(make_cluster 2) candidates
-    with
-    | None -> Alcotest.fail "search returned no plan"
-    | Some o -> (o, Atomic.get builds)
+  let space = Planner.enumerate (Planner.default_space graph) in
+  List.iter
+    (fun (label, candidates) ->
+      let path = Filename.temp_file "tilelink_plan" ".json" in
+      Sys.remove path;
+      let counted_search ?pool cache =
+        let builds = Atomic.make 0 in
+        match
+          Tune.search_planned ?pool ~cache
+            ~workload:("plan:" ^ Planner.graph_fingerprint graph)
+            ~fingerprint:Planner.fingerprint
+            ~config_of:(fun c -> c.Planner.pl_config)
+            ~build:(fun c ->
+              Atomic.incr builds;
+              Planner.synthesize graph c ~spec_gpu)
+            ~make_cluster:(make_cluster 2) candidates
+        with
+        | None -> Alcotest.fail "search returned no plan"
+        | Some o -> (o, Atomic.get builds)
+      in
+      let n = List.length candidates in
+      let cache = Tilelink_exec.Cache.create ~path () in
+      let cold, builds = counted_search cache in
+      let evaluated = List.length cold.Tune.evaluated in
+      Alcotest.(check int)
+        (label ^ "cold: bound every candidate, rebuild the simulated")
+        (n + evaluated) builds;
+      let same pass ~builds:expected (o, builds) =
+        let pass = label ^ pass in
+        Alcotest.(check int) (pass ^ ": synthesis calls") expected builds;
+        Alcotest.(check int) (pass ^ ": every score a hit") evaluated
+          o.Tune.cache_hits;
+        Alcotest.(check int) (pass ^ ": the same candidates pruned")
+          cold.Tune.pruned o.Tune.pruned;
+        Alcotest.(check bool) (pass ^ ": the same scores, exactly") true
+          (o.Tune.evaluated = cold.Tune.evaluated);
+        Alcotest.(check string) (pass ^ ": winner program identical")
+          (Program_digest.digest (snd cold.Tune.best.Tune.candidate))
+          (Program_digest.digest (snd o.Tune.best.Tune.candidate))
+      in
+      List.iter
+        (fun domains ->
+          let pool =
+            Option.map
+              (fun d -> Tilelink_exec.Pool.create ~domains:d ())
+              domains
+          in
+          same
+            (Printf.sprintf "warm, %d domains"
+               (Option.value ~default:1 domains))
+            ~builds:1 (counted_search ?pool cache))
+        [ None; Some 2 ];
+      Tilelink_exec.Cache.save cache;
+      same "reloaded" ~builds:n
+        (counted_search (Tilelink_exec.Cache.create ~path ()));
+      Sys.remove path)
+    [ ("", space); ("listed twice, ", listed_twice space) ]
+
+(* Forced ties: with every candidate listed twice, each winner has an
+   exact tie.  The earliest of the least-blame tied scores must win,
+   and every tied score must carry its exhaustive blame, at every pool
+   width, cold, warm on the same cache, and reloaded from its file. *)
+let test_forced_ties () =
+  let graph = Planned.mlp_graph mlp_spec in
+  let candidates =
+    listed_twice (Planner.enumerate (Planner.default_space graph))
   in
-  let n = List.length candidates in
-  let cache = Tilelink_exec.Cache.create ~path () in
-  let cold, builds = counted_search cache in
-  let evaluated = List.length cold.Tune.evaluated in
-  Alcotest.(check int) "cold: bound every candidate, rebuild the simulated"
-    (n + evaluated) builds;
-  let same pass ~builds:expected (o, builds) =
-    Alcotest.(check int) (pass ^ ": synthesis calls") expected builds;
-    Alcotest.(check int) (pass ^ ": every score a hit") evaluated
-      o.Tune.cache_hits;
-    Alcotest.(check int) (pass ^ ": the same candidates pruned")
-      cold.Tune.pruned o.Tune.pruned;
-    Alcotest.(check bool) (pass ^ ": the same scores, exactly") true
-      (o.Tune.evaluated = cold.Tune.evaluated);
-    Alcotest.(check string) (pass ^ ": winner program identical")
-      (Program_digest.digest (snd cold.Tune.best.Tune.candidate))
-      (Program_digest.digest (snd o.Tune.best.Tune.candidate))
-  in
+  let scores = exhaustive_scores graph ~world:2 candidates in
+  let best_time, best_exposed, _, best = exhaustive_best scores in
+  let ties = List.filter (fun (t, _, _, _) -> t = best_time) scores in
   List.iter
     (fun domains ->
-      let pool =
-        Option.map (fun d -> Tilelink_exec.Pool.create ~domains:d ()) domains
+      let pool = Tilelink_exec.Pool.create ~domains () in
+      let path = Filename.temp_file "tilelink_ties" ".json" in
+      Sys.remove path;
+      let search pass cache =
+        let at = Printf.sprintf " (%s, %d domains)" pass domains in
+        match
+          Planner.search ~pool ~cache ~candidates graph ~spec_gpu
+            ~make_cluster:(make_cluster 2) ()
+        with
+        | None -> Alcotest.fail ("search returned no plan" ^ at)
+        | Some plan ->
+          Alcotest.(check bool) ("earliest least-blame tie wins" ^ at) true
+            (plan.Planner.p_candidate == best);
+          Alcotest.(check (float 0.0)) ("time" ^ at) best_time
+            plan.Planner.p_time;
+          Alcotest.(check (option (float 0.0))) ("exposed comm" ^ at)
+            (Some best_exposed) plan.Planner.p_exposed_comm_us;
+          let evaluated = plan.Planner.p_outcome.Tune.evaluated in
+          check_scores ~at ~best_time scores evaluated;
+          Alcotest.(check int) ("every tie scored" ^ at) (List.length ties)
+            (List.length
+               (List.filter
+                  (fun (e : Tune.score) -> e.Tune.time = best_time)
+                  evaluated))
       in
-      same
-        (Printf.sprintf "warm, %d domains" (Option.value ~default:1 domains))
-        ~builds:1 (counted_search ?pool cache))
-    [ None; Some 2 ];
-  Tilelink_exec.Cache.save cache;
-  same "reloaded" ~builds:n
-    (counted_search (Tilelink_exec.Cache.create ~path ()));
-  Sys.remove path
+      let cache = Tilelink_exec.Cache.create ~path () in
+      search "cold" cache;
+      search "warm" cache;
+      Tilelink_exec.Cache.save cache;
+      search "reloaded" (Tilelink_exec.Cache.create ~path ());
+      Sys.remove path)
+    [ 1; 2; 4 ]
+
+(* A hit this process stored without blame, because it did not tie in
+   the search that simulated it, is built and blamed once it ties the
+   best of another list; the earliest of the tied entries still wins. *)
+let test_unblamed_hit_blamed_on_tie () =
+  let graph = Planned.mlp_graph mlp_spec in
+  let space = Planner.enumerate (Planner.default_space graph) in
+  let scores = exhaustive_scores graph ~world:2 space in
+  let best_time, _, _, _ = exhaustive_best scores in
+  let cache = Tilelink_exec.Cache.create () in
+  let search candidates =
+    match
+      Planner.search ~cache ~candidates graph ~spec_gpu
+        ~make_cluster:(make_cluster 2) ()
+    with
+    | None -> Alcotest.fail "search returned no plan"
+    | Some plan -> plan
+  in
+  let cold = (search space).Planner.p_outcome.Tune.evaluated in
+  let time, exposed, _, c =
+    List.find
+      (fun (t, _, _, c) ->
+        t <> best_time
+        && List.exists
+             (fun (e : Tune.score) ->
+               e.Tune.config = c.Planner.pl_config
+               && e.Tune.time = t
+               && e.Tune.exposed_comm_us = None)
+             cold)
+      scores
+  in
+  let plan =
+    search [ c; { c with Planner.pl_chunks = c.Planner.pl_chunks } ]
+  in
+  let o = plan.Planner.p_outcome in
+  Alcotest.(check int) "both entries are hits" 2 o.Tune.cache_hits;
+  Alcotest.(check bool) "earlier entry wins" true
+    (plan.Planner.p_candidate == c);
+  Alcotest.(check (float 0.0)) "time" time plan.Planner.p_time;
+  Alcotest.(check (option (float 0.0))) "exposed comm" (Some exposed)
+    plan.Planner.p_exposed_comm_us;
+  List.iter
+    (fun (e : Tune.score) ->
+      Alcotest.(check (option (float 0.0))) "every tie blamed" (Some exposed)
+        e.Tune.exposed_comm_us)
+    o.Tune.evaluated
+
+(* Guard against blame creeping back onto every planner candidate: a
+   cold search of the default space of an MLP graph (8192x1024x1024,
+   world 8, H800; 192 candidates, 48 simulated) allocates at most 115
+   minor words per simulated event, counting every event of every
+   cluster it simulates on (110.6 when only the one tie is traced for
+   blame; 122.8 when every simulated candidate was). *)
+let test_search_allocation_per_event () =
+  let world = 8 in
+  let graph =
+    Planned.mlp_graph { Mlp.m = 8192; k = 1024; n = 1024; world_size = world }
+  in
+  let clusters = ref [] in
+  let make_cluster () =
+    let c = Cluster.create Calib.h800 ~world_size:world in
+    clusters := c :: !clusters;
+    c
+  in
+  let before = Gc.minor_words () in
+  let plan = Planner.search graph ~spec_gpu:Calib.h800 ~make_cluster () in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "a plan" true (plan <> None);
+  let events =
+    List.fold_left
+      (fun n c -> n + Tilelink_sim.Engine.executed_events (Cluster.engine c))
+      0 !clusters
+  in
+  let per_event = words /. float_of_int events in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per event over %d events (bound 115)"
+       per_event events)
+    true (per_event <= 115.0)
+
+(* A cache file from before blame was measured only for ties stores
+   blame on every score.  It still replays: the toy [plan --workload
+   mlp -m 8 -k 4 -n 6 --world 2] search it was written by gives the
+   fresh search's winner, time and exposed communication from hits
+   alone, and scores that do not tie the best come back without
+   blame. *)
+let test_replays_blamed_cache_file () =
+  let machine = Calib.h800 in
+  let graph = Planned.graph Planned.Fam_mlp ~m:8 ~k:4 ~n:6 ~world:2 in
+  let search cache =
+    match
+      Planner.search ?cache graph ~spec_gpu:machine
+        ~make_cluster:(fun () -> Cluster.create machine ~world_size:2)
+        ()
+    with
+    | None -> Alcotest.fail "search returned no plan"
+    | Some plan -> plan
+  in
+  let fresh = search None in
+  let loaded =
+    search
+      (Some (Tilelink_exec.Cache.create ~path:"plan_cache_all_blamed.json" ()))
+  in
+  let o = loaded.Planner.p_outcome in
+  Alcotest.(check bool) "scores replay from the file" true
+    (o.Tune.evaluated <> []
+    && o.Tune.cache_hits = List.length o.Tune.evaluated);
+  Alcotest.(check string) "winner"
+    (Planner.fingerprint fresh.Planner.p_candidate)
+    (Planner.fingerprint loaded.Planner.p_candidate);
+  Alcotest.(check (float 0.0)) "time" fresh.Planner.p_time
+    loaded.Planner.p_time;
+  Alcotest.(check (option (float 0.0))) "exposed comm"
+    fresh.Planner.p_exposed_comm_us loaded.Planner.p_exposed_comm_us;
+  Alcotest.(check bool) "the fresh search's scores" true
+    (o.Tune.evaluated = fresh.Planner.p_outcome.Tune.evaluated);
+  List.iter
+    (fun (e : Tune.score) ->
+      Alcotest.(check bool) "blame only on ties" true
+        (e.Tune.exposed_comm_us <> None
+        = (e.Tune.time = loaded.Planner.p_time)))
+    o.Tune.evaluated
 
 (* The search keeps scores, not programs: beyond the winner's program,
    a plan holds only the small per-candidate scores. *)
@@ -678,6 +874,14 @@ let () =
             test_warm_search_matches_cold;
           Alcotest.test_case "warm pass synthesizes only the winner" `Quick
             test_warm_pass_builds_only_the_winner;
+          Alcotest.test_case "forced ties: least blame, then earliest" `Quick
+            test_forced_ties;
+          Alcotest.test_case "an unblamed hit is blamed when it ties" `Quick
+            test_unblamed_hit_blamed_on_tie;
+          Alcotest.test_case "a cache file blaming every score replays"
+            `Quick test_replays_blamed_cache_file;
+          Alcotest.test_case "allocation per simulated event" `Quick
+            test_search_allocation_per_event;
           qc qcheck_planner_matches_reference;
         ] );
       ( "bound",
