@@ -35,12 +35,20 @@ let now t = t.now
 let executed_events t = t.executed
 let pending_events t = Pqueue.length t.events
 
+(* One comparison admits the valid case; it fails on NaN too, which
+   would otherwise reach the queue as a priority that orders nowhere. *)
 let schedule t ~delay thunk =
-  if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
+  if not (delay >= 0.0) then
+    invalid_arg
+      (if Float.is_nan delay then "Engine.schedule: NaN delay"
+       else "Engine.schedule: negative delay");
   Pqueue.push t.events (t.now +. delay) thunk
 
 let schedule_at t ~time thunk =
-  if time < t.now then invalid_arg "Engine.schedule_at: time in the past";
+  if not (time >= t.now) then
+    invalid_arg
+      (if Float.is_nan time then "Engine.schedule_at: NaN time"
+       else "Engine.schedule_at: time in the past");
   Pqueue.push t.events time thunk
 
 (* Process accounting lets [run] distinguish normal completion from a
@@ -82,7 +90,7 @@ let step t =
   end
 
 (* The [until] match is hoisted out of the loop: the unbounded path
-   pays one heap pop per event and the bounded path one peek + one pop,
+   pays one queue pop per event and the bounded path one peek + one pop,
    instead of re-deciding the mode and re-peeking every iteration. *)
 let run ?until t =
   (match until with

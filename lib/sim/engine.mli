@@ -1,4 +1,4 @@
-(** Discrete-event simulation core: virtual clock + event heap.
+(** Discrete-event simulation core: virtual clock + event queue.
 
     All times are in microseconds. *)
 
@@ -26,9 +26,12 @@ val live_processes : t -> int
     process itself, polls this to learn when it is the only one left. *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> unit
-(** [schedule t ~delay f] runs [f] at [now t +. delay]. *)
+(** [schedule t ~delay f] runs [f] at [now t +. delay].  Raises
+    [Invalid_argument] on a negative or NaN [delay]. *)
 
 val schedule_at : t -> time:float -> (unit -> unit) -> unit
+(** [schedule_at t ~time f] runs [f] at [time].  Raises
+    [Invalid_argument] on a [time] before [now t] or a NaN [time]. *)
 
 val process_started : t -> unit
 val process_finished : t -> unit

@@ -1,8 +1,13 @@
-(** Binary min-heap priority queue with FIFO tie-breaking.
+(** Priority queue with FIFO tie-breaking: a FIFO bucket per distinct
+    pending priority under a binary min-heap of the buckets.
 
-    Events pushed with equal priority pop in insertion order, which
-    makes the discrete-event loop deterministic.  A pop is
-    {!min_priority} then {!take}; neither allocates. *)
+    Events pushed with equal priority (under [=], so [0.0] and [-0.0]
+    tie) pop in insertion order, which makes the discrete-event loop
+    deterministic.  A pop is {!min_priority} then {!take}: it returns
+    the priority as pushed and touches the heap only when the last
+    entry of an instant leaves.  Neither allocates, and neither does a
+    push once the queue has grown to its working size.  Priorities must
+    not be NaN. *)
 
 type 'a t
 

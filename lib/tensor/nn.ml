@@ -57,11 +57,13 @@ let softmax_rows t =
 let topk t ~k =
   let m = Tensor.rows t and n = Tensor.cols t in
   if k <= 0 || k > n then invalid_arg "Nn.topk: bad k";
+  let data = Tensor.data t in
   Array.init m (fun i ->
+      let row = i * n in
       let order = Array.init n (fun j -> j) in
       Array.sort
         (fun a b ->
-          let va = Tensor.get2 t i a and vb = Tensor.get2 t i b in
+          let va = data.(row + a) and vb = data.(row + b) in
           if va = vb then compare a b else compare vb va)
         order;
       Array.sub order 0 k)

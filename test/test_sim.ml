@@ -147,6 +147,197 @@ let prop_pqueue_fifo_interleaved =
       List.for_all step ops && Pqueue.length q = List.length !reference
       && drain ())
 
+(* The reference queue: the binary min-heap on (priority, insertion
+   sequence) that the event loop used before the two-level queue.  It
+   pops in (priority, push order) by construction, so the model-based
+   property below checks [Pqueue] against it op for op. *)
+module Reference_heap = struct
+  type 'a t = {
+    mutable prio : float array;
+    mutable seqs : int array;
+    mutable payloads : 'a option array;
+    mutable size : int;
+    mutable next_seq : int;
+  }
+
+  let create () =
+    { prio = [||]; seqs = [||]; payloads = [||]; size = 0; next_seq = 0 }
+
+  let length t = t.size
+
+  let lt t a b =
+    t.prio.(a) < t.prio.(b)
+    || (t.prio.(a) = t.prio.(b) && t.seqs.(a) < t.seqs.(b))
+
+  let swap t a b =
+    let p = t.prio.(a) and s = t.seqs.(a) and v = t.payloads.(a) in
+    t.prio.(a) <- t.prio.(b);
+    t.seqs.(a) <- t.seqs.(b);
+    t.payloads.(a) <- t.payloads.(b);
+    t.prio.(b) <- p;
+    t.seqs.(b) <- s;
+    t.payloads.(b) <- v
+
+  let rec sift_up t i =
+    let parent = (i - 1) / 2 in
+    if i > 0 && lt t i parent then begin
+      swap t i parent;
+      sift_up t parent
+    end
+
+  let rec sift_down t i =
+    let l = (2 * i) + 1 in
+    let c = if l < t.size && lt t l i then l else i in
+    let c = if l + 1 < t.size && lt t (l + 1) c then l + 1 else c in
+    if c <> i then begin
+      swap t i c;
+      sift_down t c
+    end
+
+  let push t priority payload =
+    if t.size = Array.length t.prio then begin
+      let grow a fill = Array.append a (Array.make (max 16 t.size) fill) in
+      t.prio <- grow t.prio 0.0;
+      t.seqs <- grow t.seqs 0;
+      t.payloads <- grow t.payloads None
+    end;
+    let i = t.size in
+    t.prio.(i) <- priority;
+    t.seqs.(i) <- t.next_seq;
+    t.payloads.(i) <- Some payload;
+    t.next_seq <- t.next_seq + 1;
+    t.size <- i + 1;
+    sift_up t i
+
+  let pop t =
+    if t.size = 0 then None
+    else begin
+      let top = (t.prio.(0), Option.get t.payloads.(0)) in
+      t.size <- t.size - 1;
+      swap t 0 t.size;
+      t.payloads.(t.size) <- None;
+      sift_down t 0;
+      Some top
+    end
+
+  let clear t =
+    Array.fill t.payloads 0 (Array.length t.payloads) None;
+    t.size <- 0;
+    t.next_seq <- 0
+end
+
+type pqueue_op = Push of float | Pop | Clear
+
+let print_pqueue_op = function
+  | Push p -> Printf.sprintf "push %h" p
+  | Pop -> "pop"
+  | Clear -> "clear"
+
+(* Priorities come mostly from [0.0], [-0.0], [1.0] and [infinity], so
+   most pushes tie and [0.0] meets [-0.0]; the rest spread over enough
+   instants to grow the queue and its table.  Each case draws its own
+   pop and clear rates, so some runs drain often and others pile up
+   hundreds of entries. *)
+let gen_pqueue_ops =
+  QCheck.Gen.(
+    let priority =
+      frequency
+        [
+          (8, oneofl [ 0.0; -0.0; 1.0; infinity ]);
+          (2, map float_of_int (int_bound 40));
+          (1, float_bound_exclusive 2.0);
+        ]
+    in
+    let* pop_weight = int_range 1 8 in
+    let* clear_weight = int_bound 1 in
+    list_size (int_bound 600)
+      (frequency
+         [
+           (8, map (fun p -> Push p) priority);
+           (pop_weight, return Pop);
+           (clear_weight, return Clear);
+         ]))
+
+let prop_pqueue_matches_reference =
+  QCheck.Test.make ~name:"pqueue matches the reference heap" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print_pqueue_op) gen_pqueue_ops)
+    (fun ops ->
+      let q = Pqueue.create () and r = Reference_heap.create () in
+      (* Priorities compare by their bits, so a pop must return the
+         zero's sign as pushed. *)
+      let same a b =
+        match (a, b) with
+        | None, None -> true
+        | Some (pa, va), Some (pb, vb) ->
+          Int64.equal (Int64.bits_of_float pa) (Int64.bits_of_float pb)
+          && va = vb
+        | _ -> false
+      in
+      let next = ref 0 in
+      let step = function
+        | Push p ->
+          Pqueue.push q p !next;
+          Reference_heap.push r p !next;
+          incr next;
+          true
+        | Pop -> same (pop q) (Reference_heap.pop r)
+        | Clear ->
+          Pqueue.clear q;
+          Reference_heap.clear r;
+          true
+      in
+      let rec drain () =
+        let a = pop q in
+        same a (Reference_heap.pop r) && (a = None || drain ())
+      in
+      List.for_all
+        (fun op -> step op && Pqueue.length q = Reference_heap.length r)
+        ops
+      && drain ())
+
+(* [0.0] and [-0.0] are one instant: they tie under [=], so they pop in
+   push order and each keeps its own sign. *)
+let test_pqueue_signed_zero_ties () =
+  let q = Pqueue.create () in
+  Pqueue.push q 0.0 "a";
+  Pqueue.push q (-0.0) "b";
+  Pqueue.push q 0.0 "c";
+  let pops = List.init 3 (fun _ -> Option.get (pop q)) in
+  Alcotest.(check (list string)) "push order" [ "a"; "b"; "c" ]
+    (List.map snd pops);
+  Alcotest.(check (list bool)) "signs as pushed" [ false; true; false ]
+    (List.map (fun (p, _) -> Float.sign_bit p) pops)
+
+(* Once the queue has grown to its working size, pushing (to a live
+   instant or a new one) and popping allocate nothing.  Priorities are
+   read from a list, so none is boxed inside the measured loop. *)
+let test_pqueue_steady_state_allocates_nothing () =
+  let q = Pqueue.create () in
+  let priorities = List.init 64 (fun i -> float_of_int (i mod 5 * (i mod 3))) in
+  let rec push_all = function
+    | [] -> ()
+    | p :: rest ->
+      Pqueue.push q p ();
+      push_all rest
+  in
+  let rec take_all = function
+    | [] -> ()
+    | _ :: rest ->
+      Pqueue.take q;
+      take_all rest
+  in
+  let cycle () =
+    push_all priorities;
+    take_all priorities
+  in
+  cycle ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    cycle ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "minor words over 12,800 ops" 0.0 words
+
 (* ------------------------------------------------------------------ *)
 (* Engine + cursors                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -274,6 +465,42 @@ let test_run_until_idle_advances_clock () =
   spawn engine (fun c k -> wait c 1.0 k);
   Engine.run ~until:9.0 engine;
   check_float "idle clock advances to the limit" 9.0 (Engine.now engine)
+
+(* Events reach the limit from different instants and delays; every
+   one of them fires in push order, including one pushed at the limit
+   by an event at the limit, and the later event waits for the resume. *)
+let test_run_until_ties_at_limit () =
+  let engine = Engine.create () in
+  let log = ref [] in
+  let note name () = log := name :: !log in
+  Engine.schedule engine ~delay:3.0 (note "a");
+  Engine.schedule engine ~delay:1.0 (fun () ->
+      note "b" ();
+      Engine.schedule engine ~delay:2.0 (note "c"));
+  Engine.schedule engine ~delay:3.5 (note "late");
+  Engine.schedule_at engine ~time:3.0 (fun () ->
+      note "d" ();
+      Engine.schedule engine ~delay:0.0 (note "e"));
+  Engine.run ~until:3.0 engine;
+  Alcotest.(check (list string)) "limit instant in push order"
+    [ "b"; "a"; "d"; "c"; "e" ] (List.rev !log);
+  check_float "clock at the limit" 3.0 (Engine.now engine);
+  Alcotest.(check int) "later event pending" 1 (Engine.pending_events engine);
+  Engine.run engine;
+  Alcotest.(check string) "resumed" "late" (List.hd !log)
+
+let test_nan_delay_rejected () =
+  let engine = Engine.create () in
+  Alcotest.check_raises "schedule" (Invalid_argument "Engine.schedule: NaN delay")
+    (fun () -> Engine.schedule engine ~delay:Float.nan ignore);
+  Alcotest.(check int) "nothing queued" 0 (Engine.pending_events engine)
+
+let test_nan_time_rejected () =
+  let engine = Engine.create () in
+  Alcotest.check_raises "schedule_at"
+    (Invalid_argument "Engine.schedule_at: NaN time") (fun () ->
+      Engine.schedule_at engine ~time:Float.nan ignore);
+  Alcotest.(check int) "nothing queued" 0 (Engine.pending_events engine)
 
 (* A fan-out: a parent starts three children and parks until the last
    of them ends, which wakes it. *)
@@ -864,6 +1091,11 @@ let () =
           Alcotest.test_case "clear" `Quick test_pqueue_clear;
           qc prop_pqueue_sorts;
           qc prop_pqueue_fifo_interleaved;
+          qc prop_pqueue_matches_reference;
+          Alcotest.test_case "signed zero ties" `Quick
+            test_pqueue_signed_zero_ties;
+          Alcotest.test_case "steady state allocates nothing" `Quick
+            test_pqueue_steady_state_allocates_nothing;
         ] );
       ( "engine",
         [
@@ -880,6 +1112,10 @@ let () =
             test_deadlock_detection;
           Alcotest.test_case "negative wait" `Quick
             test_negative_wait_rejected;
+          Alcotest.test_case "run until ties at the limit" `Quick
+            test_run_until_ties_at_limit;
+          Alcotest.test_case "NaN delay rejected" `Quick test_nan_delay_rejected;
+          Alcotest.test_case "NaN time rejected" `Quick test_nan_time_rejected;
         ] );
       ( "cursor",
         [

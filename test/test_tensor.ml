@@ -803,6 +803,36 @@ let test_topk_full_width () =
   let ids = Nn.topk t ~k:3 in
   Alcotest.(check (list int)) "descending" [ 0; 2; 1 ] (Array.to_list ids.(0))
 
+(* The reference [Nn.topk]: the same comparator, reading each value
+   through [Tensor.get2]. *)
+let topk_by_get2 t ~k =
+  Array.init (Tensor.rows t) (fun i ->
+      let order = Array.init (Tensor.cols t) (fun j -> j) in
+      Array.sort
+        (fun a b ->
+          let va = Tensor.get2 t i a and vb = Tensor.get2 t i b in
+          if va = vb then compare a b else compare vb va)
+        order;
+      Array.sub order 0 k)
+
+(* Logits drawn from five values, [0.0] and [-0.0] among them, so most
+   rows tie and the lower-index tie-break decides the order. *)
+let prop_topk_matches_get2 =
+  QCheck.Test.make ~name:"topk matches the get2 sort on tie-heavy logits"
+    ~count:200
+    QCheck.(
+      triple (int_range 1 6) (int_range 1 9)
+        (pair (int_range 1 9) (list_of_size (Gen.return 54) (int_bound 4))))
+    (fun (m, n, (k, picks)) ->
+      let values = [| 0.0; -0.0; 1.0; 0.25; neg_infinity |] in
+      let picks = Array.of_list picks in
+      let t =
+        Tensor.init (shape [ m; n ]) (fun idx ->
+            values.(picks.((idx.(0) * n) + idx.(1))))
+      in
+      let k = min k n in
+      Nn.topk t ~k = topk_by_get2 t ~k)
+
 let test_causal_first_row_sees_only_itself () =
   (* q_offset = 0: row 0 attends to kv position 0 only, so its output
      equals v[0]. *)
@@ -966,6 +996,7 @@ let () =
           Alcotest.test_case "bad slices" `Quick test_bad_slices_rejected;
           Alcotest.test_case "gelu gate" `Quick test_gated_activation_gelu;
           Alcotest.test_case "topk full width" `Quick test_topk_full_width;
+          qc prop_topk_matches_get2;
           Alcotest.test_case "causal first row" `Quick
             test_causal_first_row_sees_only_itself;
           Alcotest.test_case "flash empty finish" `Quick
