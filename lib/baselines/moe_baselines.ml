@@ -156,10 +156,6 @@ let cublas_full spec moe route =
   cublas_part1 spec moe route +. act_time spec moe
   +. cublas_part2 spec moe route
 
-let cutlass_full spec moe route =
-  cutlass_part1 spec moe route +. act_time spec moe
-  +. cutlass_part2 spec moe route
-
 let vllm_full spec moe route =
   vllm_part1 spec moe route +. act_time spec moe
   +. vllm_part2 spec moe route

@@ -26,5 +26,4 @@ val cutlass_part2 : Spec.t -> Moe.spec -> Routing.t -> float
 val vllm_part2 : Spec.t -> Moe.spec -> Routing.t -> float
 
 val cublas_full : Spec.t -> Moe.spec -> Routing.t -> float
-val cutlass_full : Spec.t -> Moe.spec -> Routing.t -> float
 val vllm_full : Spec.t -> Moe.spec -> Routing.t -> float

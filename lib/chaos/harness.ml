@@ -42,12 +42,6 @@ let workload_to_string = function
   | Moe_part2 -> "moe"
   | Attention_ag -> "attention"
 
-let workload_of_string = function
-  | "mlp" -> Some Mlp_ag_gemm
-  | "moe" -> Some Moe_part2
-  | "attention" -> Some Attention_ag
-  | _ -> None
-
 type classification = Clean | Recovered | Failed_over | Degraded | Stalled
 
 let classification_to_string = function

@@ -14,7 +14,6 @@ module Obs = Tilelink_obs
 type workload = Mlp_ag_gemm | Moe_part2 | Attention_ag
 
 val workload_to_string : workload -> string
-val workload_of_string : string -> workload option
 
 val program : ?world:int -> workload -> Program.t
 (** The kernel a trial of [workload] runs on [world] ranks (default:

@@ -40,10 +40,9 @@ let create cluster ~kind ~algo ~bytes_per_shard =
     kind;
     algo;
     bytes_per_shard;
-    received = Array.init world (fun i ->
-        Counter.create ~name:(Printf.sprintf "recv%d" i) ());
-    entry = Counter.create ~name:"entry" ();
-    exit_ = Counter.create ~name:"exit" ();
+    received = Array.init world (fun _ -> Counter.create ());
+    entry = Counter.create ();
+    exit_ = Counter.create ();
   }
 
 let world t = Cluster.world_size t.cluster

@@ -37,7 +37,6 @@
 type counter = { key : string; cell : int Atomic.t }
 
 let counter key = { key; cell = Atomic.make 0 }
-let counter_key c = c.key
 let counter_value c = Atomic.get c.cell
 
 type op =

@@ -25,7 +25,6 @@ val counter : string -> counter
 (** [counter key] — [key] only labels diagnostics and final-value
     reporting. *)
 
-val counter_key : counter -> string
 val counter_value : counter -> int
 
 type op =

@@ -193,12 +193,6 @@ let is_recovered t ~rank_id =
   check_rank_id t rank_id "is_recovered";
   t.recovered.(rank_id)
 
-let alive_ranks t =
-  List.filter (fun r -> t.alive.(r)) (List.init t.world_size Fun.id)
-
-let dead_ranks t =
-  List.filter (fun r -> not t.alive.(r)) (List.init t.world_size Fun.id)
-
 (* A transfer endpoint is unreachable while its rank is down and nobody
    has re-hosted its memory yet. *)
 let unreachable t r = (not t.alive.(r)) && not t.recovered.(r)

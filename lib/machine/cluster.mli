@@ -85,8 +85,6 @@ val kill_rank : t -> rank_id:int -> unit
     touching it fail fast until {!mark_recovered}. *)
 
 val is_alive : t -> rank_id:int -> bool
-val alive_ranks : t -> int list
-val dead_ranks : t -> int list
 
 val mark_recovered : t -> rank_id:int -> unit
 (** The failover coordinator re-hosted the rank's symmetric memory on

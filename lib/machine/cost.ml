@@ -80,8 +80,6 @@ let memory_tile_time (spec : Spec.t) ~sms ~rows ~cols ~passes =
 let sm_copy_rate (spec : Spec.t) =
   spec.interconnect.nvlink_gbps *. 1.0e3 /. 16.0
 
-let sm_copy_time (spec : Spec.t) ~bytes = bytes /. sm_copy_rate spec
-
 let bytes_of ~rows ~cols = float_of_int rows *. float_of_int cols *. dtype_bytes
 
 (* Unfused ("PyTorch eager") attention: materializes the [sq x skv]

@@ -24,7 +24,6 @@ val memory_tile_time :
 val sm_copy_rate : Spec.t -> float
 (** NVLink egress one communication CTA can sustain, bytes/µs. *)
 
-val sm_copy_time : Spec.t -> bytes:float -> float
 val bytes_of : rows:int -> cols:int -> float
 
 val unfused_attention_time :

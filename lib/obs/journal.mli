@@ -36,7 +36,6 @@ type level = Debug | Info | Warn | Error
 
 val level_of_event : event -> level
 val level_to_string : level -> string
-val level_of_string : string -> level option
 
 type entry = { t : float; seq : int; event : event }
 

@@ -162,6 +162,3 @@ let load_trace path =
   match In_channel.with_open_text path In_channel.input_all with
   | text -> parse_trace text
   | exception Sys_error msg -> Error msg
-
-let total_tokens reqs =
-  List.fold_left (fun acc r -> acc + r.rq_prompt + r.rq_decode) 0 reqs

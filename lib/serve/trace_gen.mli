@@ -44,6 +44,3 @@ val parse_trace : string -> (request list, string) result
 
 val load_trace : string -> (request list, string) result
 (** {!parse_trace} on a file's contents. *)
-
-val total_tokens : request list -> int
-(** Σ (prompt + decode) — the work the trace offers. *)

@@ -9,7 +9,6 @@
 type waiter = { threshold : int; resume : unit -> unit; tag : int }
 
 type t = {
-  name : string;
   mutable value : int;
   mutable waiters : waiter list;
   mutable notify_count : int;
@@ -17,10 +16,8 @@ type t = {
 
 let no_tag = -1
 
-let create ?(name = "counter") () =
-  { name; value = 0; waiters = []; notify_count = 0 }
+let create () = { value = 0; waiters = []; notify_count = 0 }
 
-let name t = t.name
 let value t = t.value
 let notify_count t = t.notify_count
 

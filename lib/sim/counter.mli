@@ -3,8 +3,7 @@
 
 type t
 
-val create : ?name:string -> unit -> t
-val name : t -> string
+val create : unit -> t
 val value : t -> int
 val notify_count : t -> int
 

@@ -51,6 +51,8 @@ let schedule_at t ~time thunk =
        else "Engine.schedule_at: time in the past");
   Pqueue.push t.events time thunk
 
+let reserve t n = Pqueue.reserve t.events n
+
 (* Process accounting lets [run] distinguish normal completion from a
    deadlock: if live processes remain but every one of them is blocked
    on a condition nobody will signal, the event queue drains while work

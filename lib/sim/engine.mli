@@ -33,6 +33,11 @@ val schedule_at : t -> time:float -> (unit -> unit) -> unit
 (** [schedule_at t ~time f] runs [f] at [time].  Raises
     [Invalid_argument] on a [time] before [now t] or a NaN [time]. *)
 
+val reserve : t -> int -> unit
+(** [reserve t n] makes room for [n] more pending events in at most
+    one allocation: a run that knows how many streams it launches sizes the
+    queue once instead of growing it by doubling. *)
+
 val process_started : t -> unit
 val process_finished : t -> unit
 val process_blocked : t -> unit

@@ -25,9 +25,10 @@
      [heap] is always a permutation of them;
    - [table], twice the capacity, maps a priority's hash to its live
      bucket with linear probing, -1 marking an empty slot.
-   Payloads never move once pushed.  Beyond amortized growth a push
-   allocates nothing and a pop ([min_priority] then [take]) allocates
-   nothing at all. *)
+   Payloads never move once pushed.  A full queue doubles; a caller
+   that knows its peak length [reserve]s it once instead.  Beyond that
+   a push allocates nothing and a pop ([min_priority] then [take])
+   allocates nothing at all. *)
 
 type 'a t = {
   mutable prio : float array;
@@ -129,20 +130,23 @@ let rec sift_down t i ~src =
   t.heap.(i) <- t.heap.(c);
   if c <> src then sift_down t c ~src
 
-(* Chain entries [lo] and beyond into the vacant list. *)
-let vacate_from t lo =
+(* Chain entries [lo] and beyond into the vacant list, in front of
+   [rest], the vacant chain already there (-1 for none). *)
+let vacate_from t lo ~rest =
   let capacity = Array.length t.next in
   for i = lo to capacity - 1 do
-    t.next.(i) <- (if i + 1 < capacity then i + 1 else -1)
+    t.next.(i) <- (if i + 1 < capacity then i + 1 else rest)
   done;
-  t.vacant <- (if lo < capacity then lo else -1)
+  t.vacant <- (if lo < capacity then lo else rest)
 
-(* Only a full queue grows.  The new entries and bucket ids join the
-   vacant ones, and the live buckets are rehashed into a table of twice
-   the new capacity. *)
-let grow t =
+(* Grow to the least power of two, at least 16 and at least double the
+   capacity, that holds [needed] entries.  The new entries and bucket
+   ids join the vacant ones, and the live buckets are rehashed into a
+   table of twice the new capacity. *)
+let grow t ~needed =
   let capacity = Array.length t.prio in
-  let new_capacity = max 16 (2 * capacity) in
+  let rec fit c = if c >= needed then c else fit (2 * c) in
+  let new_capacity = fit (max 16 (2 * capacity)) in
   let extend a fill =
     let b = Array.make new_capacity fill in
     Array.blit a 0 b 0 capacity;
@@ -151,7 +155,7 @@ let grow t =
   t.prio <- extend t.prio 0.0;
   t.payloads <- extend t.payloads (dummy ());
   t.next <- extend t.next 0;
-  vacate_from t capacity;
+  vacate_from t capacity ~rest:t.vacant;
   t.key <- extend t.key 0.0;
   t.head <- extend t.head 0;
   t.tail <- extend t.tail 0;
@@ -165,8 +169,11 @@ let grow t =
     t.table.(find t t.key.(b) (hash t t.key.(b))) <- b
   done
 
+let reserve t n =
+  if t.size + n > Array.length t.prio then grow t ~needed:(t.size + n)
+
 let push t priority payload =
-  if t.size = Array.length t.prio then grow t;
+  if t.size = Array.length t.prio then grow t ~needed:(t.size + 1);
   let e = t.vacant in
   t.vacant <- t.next.(e);
   t.prio.(e) <- priority;
@@ -215,7 +222,7 @@ let take t =
 
 let clear t =
   Array.fill t.payloads 0 (Array.length t.payloads) (dummy ());
-  vacate_from t 0;
+  vacate_from t 0 ~rest:(-1);
   Array.fill t.table 0 (Array.length t.table) (-1);
   t.size <- 0;
   t.buckets <- 0

@@ -37,17 +37,6 @@ let maximum = function
     reject_nan "maximum" all;
     List.fold_left Float.max x xs
 
-let stddev xs =
-  match xs with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-    let m = mean xs in
-    let var =
-      List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs
-      /. float_of_int (List.length xs - 1)
-    in
-    sqrt var
-
 (* Nearest-rank percentile (the classic "ceil(p/100 * n)-th smallest"
    definition): exact for the samples given, no interpolation, so p50 of
    [1;2;3;4] is 2 rather than 2.5.  Edge cases: [p <= 0] returns the
@@ -67,8 +56,6 @@ let percentile p = function
         max 1 (min n r)
     in
     List.nth sorted (rank - 1)
-
-let percent_of ~base x = if base = 0.0 then 0.0 else x /. base *. 100.0
 
 let speedup ~baseline ~candidate =
   if candidate <= 0.0 then invalid_arg "Stats.speedup: non-positive time";

@@ -280,11 +280,3 @@ let matvec a x =
 (* FLOP counts used by the cost model; kept next to the kernels so the
    two can never drift apart. *)
 let gemm_flops ~m ~n ~k = 2.0 *. float_of_int m *. float_of_int n *. float_of_int k
-
-let attention_flops ~batch_heads ~q_len ~kv_len ~head_dim =
-  (* QK^T and PV, both [q_len, kv_len] x head_dim. *)
-  4.0
-  *. float_of_int batch_heads
-  *. float_of_int q_len
-  *. float_of_int kv_len
-  *. float_of_int head_dim

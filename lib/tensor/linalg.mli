@@ -59,5 +59,3 @@ val batch_gemm : Tensor.t -> Tensor.t -> Tensor.t
 val matvec : Tensor.t -> Tensor.t -> Tensor.t
 
 val gemm_flops : m:int -> n:int -> k:int -> float
-val attention_flops :
-  batch_heads:int -> q_len:int -> kv_len:int -> head_dim:int -> float

@@ -23,11 +23,27 @@ type pending_wait = {
 (* One channel: its counter plus the cumulative value it *should* have
    received, including dropped notifies: threshold <= intended means
    the signal was sent and lost in flight (retryable); threshold >
-   intended means the producer never issued it (structural). *)
-type chan = { counter : Tilelink_sim.Counter.t; mutable intended : int }
+   intended means the producer never issued it (structural).  Its key
+   is rendered from its target on first use ([""] until then): only
+   telemetry, fault interception and diagnostics read it. *)
+type chan = {
+  counter : Tilelink_sim.Counter.t;
+  mutable intended : int;
+  target : Instr.signal_target;
+  mutable key : string;
+}
 
-(* The pending-wait registry is keyed by wait id; an int-keyed table
+let chan target =
+  { counter = Tilelink_sim.Counter.create (); intended = 0; target; key = "" }
+
+let key c =
+  if c.key = "" then c.key <- Instr.key_of_target c.target;
+  c.key
+
+(* A parked wait, keyed by wait id in the registry; an int-keyed table
    compares keys without the polymorphic compare. *)
+type parked = { chan : chan; rank : int; threshold : int; since : float }
+
 module Waits = Hashtbl.Make (Int)
 
 type t = {
@@ -54,12 +70,9 @@ type t = {
   (* How to defer a delayed delivery (the runtime wires this to
      [Engine.schedule]); without it delays degrade to prompt delivery. *)
   scheduler : (float -> (unit -> unit) -> unit) option;
-  (* Channel lookup by name, so the watchdog can re-issue a signal
-     knowing only its key. *)
-  by_key : (string, chan) Hashtbl.t;
   (* In-flight waits keyed by a unique id, so a watchdog can see who is
      blocked on what and since when. *)
-  pending : pending_wait Waits.t;
+  pending : parked Waits.t;
   mutable next_wait_id : int;
 }
 
@@ -95,14 +108,15 @@ let host_kind = kind "host"
    overshoot that would prematurely release future waits on the same
    key.  This mirrors release-stores of a monotonically increasing
    flag value (the hardware notify these channels model). *)
-let deliver t ?pred ~kind ~rank counter ~epoch ~amount =
+let deliver t ?pred ~kind ~rank chan ~epoch ~amount =
+  let counter = chan.counter in
   Tilelink_sim.Counter.set_at_least counter epoch;
   if Tilelink_obs.Telemetry.active t.telemetry then begin
     let tele = Option.get t.telemetry in
     Tilelink_obs.Metrics.inc
       (Tilelink_obs.Telemetry.metrics tele)
       kind.notifies;
-    let key = Tilelink_sim.Counter.name counter in
+    let key = key chan in
     let value = Tilelink_sim.Counter.value counter in
     let now = t.clock () in
     let journal = Tilelink_obs.Telemetry.journal tele in
@@ -135,8 +149,6 @@ let fault_mark t ~fault_kind ~key ~rank =
    still *sent* (so a retry may legitimately re-issue it), a duplicate
    only entitles the consumer to one increment. *)
 let notify_instr t ~worker ~kind ~rank chan ~amount =
-  let counter = chan.counter in
-  let key = Tilelink_sim.Counter.name counter in
   let epoch = chan.intended + amount in
   chan.intended <- epoch;
   (* Causal predecessor of the (eventual) delivery: the issuing
@@ -150,33 +162,28 @@ let notify_instr t ~worker ~kind ~rank chan ~amount =
     else None
   in
   match t.interceptor with
-  | None -> deliver t ?pred ~kind ~rank counter ~epoch ~amount
+  | None -> deliver t ?pred ~kind ~rank chan ~epoch ~amount
   | Some decide -> (
+    let key = key chan in
     match decide ~kind:kind.name ~key ~rank ~amount with
-    | Deliver -> deliver t ?pred ~kind ~rank counter ~epoch ~amount
+    | Deliver -> deliver t ?pred ~kind ~rank chan ~epoch ~amount
     | Drop -> fault_mark t ~fault_kind:"drop" ~key ~rank
     | Duplicate ->
       fault_mark t ~fault_kind:"duplicate" ~key ~rank;
-      deliver t ?pred ~kind ~rank counter ~epoch ~amount;
-      deliver t ?pred ~kind ~rank counter ~epoch ~amount
+      deliver t ?pred ~kind ~rank chan ~epoch ~amount;
+      deliver t ?pred ~kind ~rank chan ~epoch ~amount
     | Delay d -> (
       fault_mark t ~fault_kind:"delay" ~key ~rank;
       match t.scheduler with
       | Some sched ->
-        sched d (fun () -> deliver t ?pred ~kind ~rank counter ~epoch ~amount)
-      | None -> deliver t ?pred ~kind ~rank counter ~epoch ~amount))
+        sched d (fun () -> deliver t ?pred ~kind ~rank chan ~epoch ~amount)
+      | None -> deliver t ?pred ~kind ~rank chan ~epoch ~amount))
 
 let create ~world_size ~channels_per_rank ?(peer_channels = 1) ?telemetry
     ?(clock = fun () -> 0.0) ?interceptor ?scheduler () =
   if world_size <= 0 then invalid_arg "Channel.create: world_size";
   if channels_per_rank <= 0 then
     invalid_arg "Channel.create: channels_per_rank";
-  let by_key = Hashtbl.create 64 in
-  let mk name =
-    let c = { counter = Tilelink_sim.Counter.create ~name (); intended = 0 } in
-    Hashtbl.replace by_key name c;
-    c
-  in
   {
     world_size;
     channels_per_rank;
@@ -184,25 +191,28 @@ let create ~world_size ~channels_per_rank ?(peer_channels = 1) ?telemetry
     clock;
     interceptor;
     scheduler;
-    by_key;
     pending = Waits.create 16;
     next_wait_id = 0;
     pc =
       Array.init world_size (fun r ->
           Array.init channels_per_rank (fun c ->
-              mk (Instr.key_of_target (Instr.Pc { rank = r; channel = c }))));
+              chan (Instr.Pc { rank = r; channel = c })));
     peer = Array.init world_size (fun _ -> Array.make world_size None);
     peer_channels;
     host =
       Array.init world_size (fun dst ->
-          Array.init world_size (fun src ->
-              mk (Instr.key_of_target (Instr.Host { src; dst }))));
+          Array.init world_size (fun src -> chan (Instr.Host { src; dst })));
   }
 
 (* Deterministic ordering: oldest wait first, ties broken
    lexicographically so the watchdog's pick is reproducible. *)
 let pending_waits t =
-  Waits.fold (fun _ pw acc -> pw :: acc) t.pending []
+  Waits.fold
+    (fun _ p acc ->
+      { pw_key = key p.chan; pw_rank = p.rank; pw_threshold = p.threshold;
+        pw_since = p.since }
+      :: acc)
+    t.pending []
   |> List.sort (fun a b ->
          match compare a.pw_since b.pw_since with
          | 0 -> compare (a.pw_key, a.pw_rank, a.pw_threshold)
@@ -215,32 +225,30 @@ let peer_row t ~dst ~src =
   | Some row -> row
   | None ->
     let row =
-      Array.init t.peer_channels (fun c ->
-          let name =
-            Instr.key_of_target (Instr.Peer { src; dst; channel = c })
-          in
-          let c =
-            { counter = Tilelink_sim.Counter.create ~name (); intended = 0 }
-          in
-          Hashtbl.add t.by_key name c;
-          c)
+      Array.init t.peer_channels (fun channel ->
+          chan (Instr.Peer { src; dst; channel }))
     in
     t.peer.(dst).(src) <- Some row;
     row
 
-(* Counter lookup by name.  Every key of the channel table resolves,
-   whether or not its peer row has been touched yet. *)
-let find_key t key =
-  match Hashtbl.find_opt t.by_key key with
-  | Some _ as found -> found
-  | None -> (
-    match Instr.target_of_key key with
-    | Some (Instr.Peer { src; dst; _ })
-      when dst >= 0 && dst < t.world_size && src >= 0 && src < t.world_size
-           && t.peer.(dst).(src) = None ->
-      ignore (peer_row t ~dst ~src);
-      Hashtbl.find_opt t.by_key key
+(* Counter lookup by name: parse the key and index the table.  Every
+   key of the table resolves, whether or not its peer row has been
+   touched yet; a spelling [Instr.key_of_target] does not render, or a
+   target out of range, resolves to nothing. *)
+let find_key t k =
+  let rank r = r >= 0 && r < t.world_size in
+  match Instr.target_of_key k with
+  | Some target when String.equal (Instr.key_of_target target) k -> (
+    match target with
+    | Instr.Pc { rank = r; channel }
+      when rank r && channel >= 0 && channel < t.channels_per_rank ->
+      Some t.pc.(r).(channel)
+    | Instr.Peer { src; dst; channel }
+      when rank src && rank dst && channel >= 0 && channel < t.peer_channels ->
+      Some (peer_row t ~dst ~src).(channel)
+    | Instr.Host { src; dst } when rank src && rank dst -> Some t.host.(dst).(src)
     | _ -> None)
+  | _ -> None
 
 let key_value t ~key =
   Option.map (fun c -> Tilelink_sim.Counter.value c.counter) (find_key t key)
@@ -343,15 +351,12 @@ let wait_op = function
 let wait_begin t target ~threshold =
   let rank = wait_rank target in
   let chan = chan_of t target ~op:(wait_op target) in
-  let key = Tilelink_sim.Counter.name chan.counter in
   let id =
     if Tilelink_sim.Counter.value chan.counter >= threshold then -1
     else begin
       let id = t.next_wait_id in
       t.next_wait_id <- id + 1;
-      Waits.replace t.pending id
-        { pw_key = key; pw_rank = rank; pw_threshold = threshold;
-          pw_since = t.clock () };
+      Waits.replace t.pending id { chan; rank; threshold; since = t.clock () };
       id
     end
   in
@@ -361,7 +366,7 @@ let wait_begin t target ~threshold =
     in
     if Tilelink_obs.Journal.enabled journal then
       Tilelink_obs.Journal.record journal ~t:(t.clock ())
-        (Tilelink_obs.Journal.Wait_begin { key; rank; threshold })
+        (Tilelink_obs.Journal.Wait_begin { key = key chan; rank; threshold })
   end;
   id
 
@@ -378,9 +383,7 @@ let wait_end t ~waiter ~worker target ~threshold ~id ~since =
   if Tilelink_obs.Telemetry.active t.telemetry then begin
     let tele = Option.get t.telemetry in
     let kind = kind_of target and rank = wait_rank target in
-    let key =
-      Tilelink_sim.Counter.name (chan_of t target ~op:(wait_op target)).counter
-    in
+    let key = key (chan_of t target ~op:(wait_op target)) in
     let journal = Tilelink_obs.Telemetry.journal tele in
     let t1 = t.clock () in
     if Tilelink_obs.Journal.enabled journal then

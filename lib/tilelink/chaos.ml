@@ -446,27 +446,6 @@ let parse_key key =
     (kind, Instr.producer_of_target target, Instr.channel_of_target target)
   | None -> ("unknown", -1, None)
 
-let stall_to_string s =
-  let channel =
-    match s.stall_channel with
-    | Some c -> Printf.sprintf " channel/tile %d" c
-    | None -> ""
-  in
-  let waiters =
-    String.concat "; "
-      (List.map
-         (fun (key, rank, threshold) ->
-           Printf.sprintf "rank %d waits %s >= %d" rank key threshold)
-         s.stall_waiters)
-  in
-  Printf.sprintf
-    "stalled wait on %s (%s signal produced by rank %d%s): waiter rank %d \
-     needs >= %d, value %d, intended %d; blocked since t=%.1f, detected \
-     t=%.1f; waiters-for: [%s]"
-    s.stall_key s.stall_kind s.stall_owner channel s.stall_rank
-    s.stall_threshold s.stall_value s.stall_intended s.stall_since s.stall_at
-    waiters
-
 type recovery = {
   mutable retries : int;
   mutable recovered : (string * float) list;  (* key, latency µs; in order *)

@@ -166,8 +166,6 @@ val parse_key : string -> string * int * int option
 (** Decompose a counter key into (kind, producing rank, channel);
     [("unknown", -1, None)] if it matches no known shape. *)
 
-val stall_to_string : stall -> string
-
 (** Mutable record of what the watchdog (and, for the failover fields,
     the runtime's crash-recovery coordinator) did during one run. *)
 type recovery = {

@@ -198,6 +198,3 @@ let remap_program (program : Program.t) ~dead ~survivors =
 
 let count_notifies program ~rank =
   List.length (List.filter is_notify (rank_instrs program ~rank))
-
-let count_waits program ~rank =
-  List.length (List.filter is_wait (rank_instrs program ~rank))

@@ -58,4 +58,3 @@ val remap_program : Program.t -> dead:int -> survivors:int list -> Program.t
     {!Mapping.remap_channels}. *)
 
 val count_notifies : Program.t -> rank:int -> int
-val count_waits : Program.t -> rank:int -> int

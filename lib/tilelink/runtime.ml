@@ -537,12 +537,16 @@ let rec step c =
     release_unit c;
     if c.abandoned c && c.next c then step c else exit_stream c
 
+(* A causal worker id for a new stream; -1 with telemetry off. *)
+let fresh_worker env =
+  if Obs.Telemetry.active env.telemetry then
+    Obs.Span.fresh_worker (Obs.Telemetry.spans (Option.get env.telemetry))
+  else -1
+
 (* A stream's first event: take a causal worker id, then the first
    task. *)
 let begin_stream c =
-  if Obs.Telemetry.active c.env.telemetry then
-    c.worker <-
-      Obs.Span.fresh_worker (Obs.Telemetry.spans (Option.get c.env.telemetry));
+  c.worker <- fresh_worker c.env;
   if c.next c then step c else exit_stream c
 
 let make_cursor env ~lane ~pool ~comm_active ~rank ~next ~finished ~abandoned
@@ -607,9 +611,13 @@ let queue_cursor env ~rank ~lane ~pool ~comm_active ~on_exit queue =
       not env.crashed.(rank))
 
 (* A role is one cursor: it starts, pays the kernel launch latency,
-   then either runs its host stream inline or starts one worker cursor
-   per pool worker and parks until the last one exits, resuming one
-   instant-0 event later. *)
+   then either runs its host stream inline or starts one worker per
+   pool worker and parks until the last one exits, resuming one
+   instant-0 event later.  The workers' first events run in start
+   order at one instant, and each takes a task unless the queue is
+   empty, so a worker past the role's task count never takes one: it
+   gets no cursor, only the event that [begin_stream] spends on an
+   empty queue (a causal worker id, then the exit). *)
 let launch_role env ~rank ~comm_active ~queue (role : Program.role) =
   let sim = Cursor.create env.engine in
   let lane = role.Program.lane in
@@ -627,12 +635,22 @@ let launch_role env ~rank ~comm_active ~queue (role : Program.role) =
         decr remaining;
         if !remaining = 0 then Cursor.waker sim ()
       in
-      for _ = 1 to count do
+      let busy = min count (List.length !queue) in
+      for _ = 1 to busy do
         let c =
           queue_cursor env ~rank ~lane ~pool:(Some pool) ~comm_active
             ~on_exit:worker_exit queue
         in
         Cursor.start c.sim (fun () -> begin_stream c)
+      done;
+      let idle () =
+        ignore (fresh_worker env);
+        worker_exit ();
+        Engine.process_finished env.engine
+      in
+      for _ = busy + 1 to count do
+        Engine.process_started env.engine;
+        Engine.schedule env.engine ~delay:0.0 idle
       done;
       if count > 0 then begin
         Cursor.set_step sim finish;
@@ -864,6 +882,19 @@ let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
       crashed;
     }
   in
+  (* A stream has at most one pending event, so the queue is sized once,
+     before the crashes are booked: one event per crash, role cursor and
+     pool worker.  A pool role's own event is spent before its workers'
+     are booked, which leaves room for the chaos watchdog; failover
+     replays and delayed deliveries grow the queue as needed. *)
+  Engine.reserve engine
+    (Array.fold_left
+       (List.fold_left (fun n ((role : Program.role), _) ->
+            match role.Program.resource with
+            | Program.Sm_partition count | Program.Dma_engines count ->
+              n + 1 + count
+            | Program.Host_stream -> n + 1))
+       (List.length crashes) queues);
   (* Crashes pending failover handling, in kill order. *)
   let pending_crashes : (int * float) Queue.t = Queue.create () in
   List.iter

@@ -346,6 +346,84 @@ let test_channel_untouched_peer_keys () =
   Alcotest.(check bool) "trailing text is not a key" true
     (Instr.target_of_key "pc[3][7]x" = None)
 
+(* Key lookup against the signal path: every key [Instr.key_of_target]
+   renders for a target in range names that target's channel, whether
+   the key or the target touches a peer row first; any other spelling,
+   a target out of range or an unknown kind names none. *)
+let test_channel_find_key_contract () =
+  let world = 3 and pc_channels = 2 and peer_channels = 2 in
+  let create () =
+    Channel.create ~world_size:world ~channels_per_rank:pc_channels
+      ~peer_channels ()
+  in
+  let ranks = List.init world Fun.id in
+  let targets =
+    List.concat_map
+      (fun r ->
+        List.init pc_channels (fun channel -> Instr.Pc { rank = r; channel }))
+      ranks
+    @ List.concat_map
+        (fun dst ->
+          List.concat_map
+            (fun src ->
+              Instr.Host { src; dst }
+              :: List.init peer_channels (fun channel ->
+                     Instr.Peer { src; dst; channel }))
+            ranks)
+        ranks
+  in
+  (* A distinct value per channel, so a key naming another channel
+     reads another value. *)
+  let valued = List.mapi (fun i target -> (target, i + 1)) targets in
+  let by_key = create () in
+  List.iter
+    (fun (target, v) ->
+      Channel.force_signal by_key ~key:(Instr.key_of_target target) ~target:v)
+    valued;
+  List.iter
+    (fun (target, v) ->
+      let key = Instr.key_of_target target in
+      Alcotest.(check int) (key ^ " forced by key, read by target") (-1)
+        (Channel.wait_begin by_key target ~threshold:v);
+      Alcotest.(check bool) (key ^ " holds exactly its value") true
+        (Channel.wait_begin by_key target ~threshold:(v + 1) >= 0))
+    valued;
+  let by_target = create () in
+  List.iter
+    (fun (target, v) -> Channel.notify by_target ~worker:(-1) target ~amount:v)
+    valued;
+  List.iter
+    (fun (target, v) ->
+      let key = Instr.key_of_target target in
+      Alcotest.(check (option int)) (key ^ " notified by target, read by key")
+        (Some v)
+        (Channel.key_value by_target ~key);
+      Alcotest.(check int) (key ^ " intended") v
+        (Channel.intended_value by_target ~key))
+    valued;
+  List.iter
+    (fun key ->
+      Alcotest.(check (option int)) (key ^ " resolves to nothing") None
+        (Channel.key_value by_target ~key);
+      Alcotest.(check int) (key ^ " has no intended value") 0
+        (Channel.intended_value by_target ~key);
+      Alcotest.(check bool) (key ^ " cannot be forced") true
+        (try
+           Channel.force_signal by_target ~key ~target:1;
+           false
+         with Invalid_argument _ -> true))
+    [
+      (* non-canonical spellings of keys in range *)
+      "pc[01][0]"; "pc[0][00]"; "pc[+1][0]"; "peer[01<-0][0]";
+      "peer[1<-0][01]"; "host[1<-00]"; "host[ 1<-0]";
+      (* out of range *)
+      "pc[3][0]"; "pc[0][2]"; "pc[-1][0]"; "peer[3<-0][0]";
+      "peer[0<-3][0]"; "peer[0<-1][2]"; "peer[0<-1][-1]"; "host[0<-3]";
+      "host[-1<-0]";
+      (* unknown *)
+      ""; "nic[0]"; "pc[0][0]x"; "peer[1<-2]"; "pc[0]";
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Memory                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -1673,6 +1751,61 @@ let test_runtime_allocation_per_event () =
        per_event events)
     true (per_event <= 35.0)
 
+(* A step with fewer tasks than SM workers: attention with one head,
+   64 KV rows and 8-row q/kv tiles at world 8 on H800 runs one query
+   tile per rank, so 131 of each rank's 132 SM workers never take a
+   task. *)
+let small_attention () =
+  Tilelink_workloads.Attention.program
+    ~config:{ Tilelink_workloads.Attention.q_tile = 8; kv_tile = 8 }
+    { Tilelink_workloads.Attention.batch_heads = 1; seq = 64; head_dim = 64;
+      world_size = 8; causal = false }
+    ~spec_gpu:Calib.h800
+
+(* Idle workers are invisible in the schedule: the makespan, the event
+   count and every span's worker id are those of the interpreter that
+   ran each idle worker as a cursor.  The host streams take worker ids
+   0-7; rank r's one busy SM worker takes 8 + 132 r, because each idle
+   worker still takes an id. *)
+let test_idle_workers_pinned () =
+  let program = small_attention () in
+  let cluster = Cluster.create Calib.h800 ~world_size:8 in
+  let result = Runtime.run cluster program in
+  Alcotest.(check string) "makespan" "0x1.d6eb950461708p+5"
+    (Printf.sprintf "%h" result.Runtime.makespan);
+  Alcotest.(check int) "events" 1664
+    (Tilelink_sim.Engine.executed_events (Cluster.engine cluster));
+  let telemetry = Tilelink_obs.Telemetry.spans_only () in
+  ignore
+    (Runtime.run ~telemetry (Cluster.create Calib.h800 ~world_size:8) program);
+  let workers =
+    List.map
+      (fun s -> s.Tilelink_obs.Span.worker)
+      (Tilelink_obs.Span.spans (Tilelink_obs.Telemetry.spans telemetry))
+  in
+  Alcotest.(check int) "spans" 328 (List.length workers);
+  Alcotest.(check (list int)) "span workers"
+    [ -1; 0; 1; 2; 3; 4; 5; 6; 7; 8; 140; 272; 404; 536; 668; 800; 932 ]
+    (List.sort_uniq compare workers);
+  Alcotest.(check string) "span worker sequence"
+    "e0fe9d54f08fd49779106fbb31e057a4"
+    (Digest.to_hex
+       (Digest.string (String.concat "," (List.map string_of_int workers))))
+
+(* Guard against set-up cost that does not scale with the work: the
+   small attention step above allocates ~17k minor words per run.  It
+   allocated ~93k when every idle worker had a cursor, the event queue
+   grew by doubling and every channel rendered its key up front. *)
+let test_small_run_allocation () =
+  let program = small_attention () in
+  let cluster = Cluster.create Calib.h800 ~world_size:8 in
+  let before = Gc.minor_words () in
+  ignore (Runtime.run cluster program);
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per run (bound 40000)" words)
+    true (words <= 40_000.0)
+
 (* Guard against operand copies creeping back into the data path: one
    GEMM + ring ReduceScatter with real tensors (m 512, k 256, n 1024,
    world 4, H800) in the ring config of the execute benchmark.  Its
@@ -1902,6 +2035,8 @@ let () =
             test_channel_total_notifies;
           Alcotest.test_case "untouched peer keys" `Quick
             test_channel_untouched_peer_keys;
+          Alcotest.test_case "find_key contract" `Quick
+            test_channel_find_key_contract;
         ] );
       ( "memory",
         [
@@ -2015,6 +2150,10 @@ let () =
             test_data_path_major_allocation;
           Alcotest.test_case "roles sharing a name each run" `Quick
             test_runtime_same_name_roles;
+          Alcotest.test_case "idle workers pinned" `Quick
+            test_idle_workers_pinned;
+          Alcotest.test_case "small run allocation" `Quick
+            test_small_run_allocation;
         ] );
       ( "design space",
         [

@@ -110,43 +110,6 @@ let prop_pqueue_sorts =
       in
       drain neg_infinity)
 
-(* Random push/pop interleavings against a sorted reference list: every
-   pop yields the entry with the least (priority, insertion) pair.
-   Priorities come from a small set so ties are common. *)
-let prop_pqueue_fifo_interleaved =
-  QCheck.Test.make
-    ~name:"pqueue interleavings pop in (priority, insertion) order"
-    ~count:300
-    QCheck.(list (option (int_bound 4)))
-    (fun ops ->
-      let q = Pqueue.create () in
-      let reference = ref [] and next = ref 0 in
-      let pop_both () =
-        let expected =
-          match !reference with
-          | [] -> None
-          | top :: rest ->
-            reference := rest;
-            Some top
-        in
-        pop q = expected
-      in
-      let step = function
-        | Some p ->
-          let prio = float_of_int p in
-          Pqueue.push q prio !next;
-          reference := List.merge compare !reference [ (prio, !next) ];
-          incr next;
-          true
-        | None -> pop_both ()
-      in
-      let rec drain () =
-        if !reference = [] then Pqueue.is_empty q
-        else pop_both () && drain ()
-      in
-      List.for_all step ops && Pqueue.length q = List.length !reference
-      && drain ())
-
 (* The reference queue: the binary min-heap on (priority, insertion
    sequence) that the event loop used before the two-level queue.  It
    pops in (priority, push order) by construction, so the model-based
@@ -226,18 +189,49 @@ module Reference_heap = struct
     t.next_seq <- 0
 end
 
-type pqueue_op = Push of float | Pop | Clear
+(* Random push/pop interleavings against the reference heap: every pop
+   yields the entry with the least (priority, insertion) pair.
+   Priorities come from a small set so ties are common. *)
+let prop_pqueue_fifo_interleaved =
+  QCheck.Test.make
+    ~name:"pqueue interleavings pop in (priority, insertion) order"
+    ~count:300
+    QCheck.(list (option (int_bound 4)))
+    (fun ops ->
+      let q = Pqueue.create () and r = Reference_heap.create () in
+      let next = ref 0 in
+      let pop_both () = pop q = Reference_heap.pop r in
+      let step = function
+        | Some p ->
+          let prio = float_of_int p in
+          Pqueue.push q prio !next;
+          Reference_heap.push r prio !next;
+          incr next;
+          true
+        | None -> pop_both ()
+      in
+      let rec drain () =
+        if Reference_heap.length r = 0 then Pqueue.is_empty q
+        else pop_both () && drain ()
+      in
+      List.for_all step ops && Pqueue.length q = Reference_heap.length r
+      && drain ())
+
+type pqueue_op = Push of float | Pop | Clear | Reserve of int
 
 let print_pqueue_op = function
   | Push p -> Printf.sprintf "push %h" p
   | Pop -> "pop"
   | Clear -> "clear"
+  | Reserve n -> Printf.sprintf "reserve %d" n
 
 (* Priorities come mostly from [0.0], [-0.0], [1.0] and [infinity], so
    most pushes tie and [0.0] meets [-0.0]; the rest spread over enough
    instants to grow the queue and its table.  Each case draws its own
    pop and clear rates, so some runs drain often and others pile up
-   hundreds of entries. *)
+   hundreds of entries.  A reservation lands on whatever the queue
+   holds then, vacant entries and all, as the runtime's does after the
+   crash events are in. *)
 let gen_pqueue_ops =
   QCheck.Gen.(
     let priority =
@@ -256,6 +250,7 @@ let gen_pqueue_ops =
            (8, map (fun p -> Push p) priority);
            (pop_weight, return Pop);
            (clear_weight, return Clear);
+           (1, map (fun n -> Reserve n) (int_bound 100));
          ]))
 
 let prop_pqueue_matches_reference =
@@ -284,6 +279,9 @@ let prop_pqueue_matches_reference =
         | Clear ->
           Pqueue.clear q;
           Reference_heap.clear r;
+          true
+        | Reserve n ->
+          Pqueue.reserve q n;
           true
       in
       let rec drain () =
@@ -785,7 +783,7 @@ let test_bandwidth_accounting () =
 
 let test_counter_wait_release () =
   let engine = Engine.create () in
-  let c = Counter.create ~name:"barrier" () in
+  let c = Counter.create () in
   let woke_at = ref (-1.0) in
   spawn engine (fun cur k ->
       await_ge cur c 3 (fun () ->
