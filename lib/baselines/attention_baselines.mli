@@ -7,7 +7,6 @@ module Attention = Tilelink_workloads.Attention
 
 val kv_allgather_time : Spec.t -> Attention.spec -> float
 val torch_time : Spec.t -> Attention.spec -> float
-val ring_block_efficiency : float
 val ring_attention_time : Spec.t -> Attention.spec -> float
 
 type overlap_report = {

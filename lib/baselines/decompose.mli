@@ -4,8 +4,6 @@
 
 open Tilelink_machine
 
-val chunks_of_world : int -> int
-
 val pipeline_makespan :
   comm_times:float list ->
   compute_times:float list ->

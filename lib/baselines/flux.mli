@@ -6,10 +6,7 @@
 open Tilelink_core
 open Tilelink_machine
 
-val hand_tuned : float
-val comm_sms : int
 val ag_gemm_config : world_size:int -> Design_space.config
-val gemm_rs_config : world_size:int -> Design_space.config
 
 val ag_gemm_time : Spec.t -> world_size:int -> m:int -> k:int -> n:int -> float
 val gemm_rs_time : Spec.t -> world_size:int -> m:int -> k:int -> n:int -> float

@@ -9,10 +9,6 @@ module Moe = Tilelink_workloads.Moe
 val spec_of_shape :
   Tilelink_workloads.Shapes.moe -> world_size:int -> Moe.spec
 
-val ag_time : Spec.t -> Moe.spec -> float
-val rs_time : Spec.t -> Moe.spec -> float
-val permute_pass_time : Spec.t -> Moe.spec -> cols:int -> float
-val topk_reduce_time : Spec.t -> Moe.spec -> float
 val per_expert_gemm_time : Spec.t -> Routing.t -> n:int -> k:int -> float
 val group_gemm_time : Spec.t -> Routing.t -> n:int -> k:int -> float
 val act_time : Spec.t -> Moe.spec -> float

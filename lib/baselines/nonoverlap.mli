@@ -4,7 +4,6 @@
 
 open Tilelink_machine
 
-val gemm_time : Spec.t -> m:int -> n:int -> k:int -> float
 val ag_gemm_time : Spec.t -> world_size:int -> m:int -> k:int -> n:int -> float
 val gemm_rs_time : Spec.t -> world_size:int -> m:int -> k:int -> n:int -> float
 val activation_time : Spec.t -> m:int -> i:int -> float

@@ -49,31 +49,3 @@ let ag_gemm_time (spec : Spec.t) ~world_size ~m ~k ~n =
       ~tn:128
   in
   overlapped spec ~compute ~comm ~tiles:(tiles_of ~m ~n)
-
-(* GEMM overlapped with the ReduceScatter draining its partials. *)
-let gemm_rs_time (spec : Spec.t) ~world_size ~m ~k ~n =
-  let bytes_per_shard =
-    float_of_int (m / world_size) *. float_of_int n *. Cost.dtype_bytes
-  in
-  let comm =
-    Collective.standalone_time spec ~world_size ~kind:Collective.Reducescatter
-      ~algo:Collective.Ring ~bytes_per_shard
-  in
-  let compute =
-    Cost.gemm_kernel_time spec ~sms:spec.Spec.gpu.num_sms ~m ~n ~k ~tm:128
-      ~tn:128
-  in
-  overlapped spec ~compute ~comm ~tiles:(tiles_of ~m ~n)
-
-(* Full tensor-parallel MLP, each half overlapped; the element-wise
-   activation between them has nothing to hide behind and is charged
-   serialized, exactly as in {!Nonoverlap.mlp_time}. *)
-let mlp_time (spec : Spec.t) ~world_size ~(shape : Tilelink_workloads.Shapes.mlp)
-    =
-  let m = shape.Tilelink_workloads.Shapes.s in
-  let h = shape.Tilelink_workloads.Shapes.h in
-  let i = shape.Tilelink_workloads.Shapes.i in
-  let i_per_rank = i / world_size in
-  ag_gemm_time spec ~world_size ~m ~k:h ~n:(2 * i_per_rank)
-  +. Nonoverlap.activation_time spec ~m ~i:i_per_rank
-  +. gemm_rs_time spec ~world_size ~m ~k:i_per_rank ~n:h

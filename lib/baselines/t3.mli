@@ -12,11 +12,4 @@
 
 open Tilelink_machine
 
-val tracking_us : Spec.t -> float
-(** Per-tile tracking cost (address-range match + trigger). *)
-
 val ag_gemm_time : Spec.t -> world_size:int -> m:int -> k:int -> n:int -> float
-val gemm_rs_time : Spec.t -> world_size:int -> m:int -> k:int -> n:int -> float
-
-val mlp_time :
-  Spec.t -> world_size:int -> shape:Tilelink_workloads.Shapes.mlp -> float

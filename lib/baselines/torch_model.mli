@@ -5,10 +5,7 @@
 open Tilelink_machine
 module Model = Tilelink_workloads.Model
 
-val torch_attention_time : Spec.t -> Model.llm -> world_size:int -> float
 val torch_mlp_time :
   Spec.t -> world_size:int -> hidden:int -> intermediate:int -> float
-val torch_moe_time :
-  Spec.t -> Model.llm -> experts:int -> topk:int -> world_size:int -> float
 val torch_layer_time : Spec.t -> Model.llm -> world_size:int -> float
 val torch_model_time : Spec.t -> Model.llm -> world_size:int -> float

@@ -292,8 +292,7 @@ let trial_base ?topology workload =
   (case, r.Runtime.makespan)
 
 let run_trial_impl ?(spec = Chaos.default_spec) ?(retry = true)
-    ?(policy = Chaos.Degrade) ?(crash_ranks = 0) ?watchdog ?topology
-    ?(profile = false) ~base:(case, ideal) ~seed ~index () =
+    ?(policy = Chaos.Degrade) ?(crash_ranks = 0) ?topology ?(profile = false) ~base:(case, ideal) ~seed ~index () =
   let layout =
     Option.map (fun t -> Topology.layout t ~world_size:case.world) topology
   in
@@ -320,11 +319,7 @@ let run_trial_impl ?(spec = Chaos.default_spec) ?(retry = true)
     if crash_ranks > 0 && policy = Chaos.Degrade then Chaos.Failover
     else policy
   in
-  let wd =
-    match watchdog with
-    | Some wd -> wd
-    | None -> scaled_watchdog ~ideal ~retry ~policy
-  in
+  let wd = scaled_watchdog ~ideal ~retry ~policy in
   let sched =
     Chaos.plan ~spec ?layout ~seed:trial_seed ~world_size:case.world
       ~horizon_us:(Float.max 1.0 (ideal *. 1.5))
@@ -435,18 +430,9 @@ let run_trial_impl ?(spec = Chaos.default_spec) ?(retry = true)
   in
   (trial, Cluster.trace cluster, telemetry)
 
-let run_trial ?spec ?retry ?policy ?crash_ranks ?watchdog ?topology ~workload
-    ~seed ~index () =
-  let trial, _, _ =
-    run_trial_impl ?spec ?retry ?policy ?crash_ranks ?watchdog ?topology
-      ~base:(trial_base ?topology workload) ~seed ~index ()
-  in
-  trial
-
-let profile_trial ?spec ?retry ?policy ?crash_ranks ?watchdog ?topology
-    ~workload ~seed ~index () =
-  run_trial_impl ?spec ?retry ?policy ?crash_ranks ?watchdog ?topology
-    ~profile:true ~base:(trial_base ?topology workload) ~seed ~index ()
+let profile_trial ?spec ?retry ?policy ?crash_ranks ?topology ~workload ~seed
+    ~index () =
+  run_trial_impl ?spec ?retry ?policy ?crash_ranks ?topology ~profile:true ~base:(trial_base ?topology workload) ~seed ~index ()
 
 let summarize ~workload ~seed trials =
   let count c =
@@ -479,8 +465,7 @@ let summarize ~workload ~seed trials =
       List.fold_left (fun acc t -> acc + t.cross_island_replays) 0 trials;
   }
 
-let run_trials ?pool ?spec ?retry ?policy ?crash_ranks ?watchdog ?topology
-    ~workload ~seed ~trials () =
+let run_trials ?pool ?spec ?retry ?policy ?crash_ranks ?topology ~workload ~seed ~trials () =
   if trials <= 0 then invalid_arg "Harness.run_trials: trials must be > 0";
   let base = trial_base ?topology workload in
   let indices = List.init trials Fun.id in
@@ -488,8 +473,7 @@ let run_trials ?pool ?spec ?retry ?policy ?crash_ranks ?watchdog ?topology
     Pool.map pool
       (fun index ->
         let trial, _, _ =
-          run_trial_impl ?spec ?retry ?policy ?crash_ranks ?watchdog ?topology
-            ~base ~seed ~index ()
+          run_trial_impl ?spec ?retry ?policy ?crash_ranks ?topology ~base ~seed ~index ()
         in
         trial)
       indices

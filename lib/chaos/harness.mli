@@ -93,23 +93,24 @@ type summary = {
   s_cross_island_replays : int;  (** summed over trials *)
 }
 
-val run_trial :
+val profile_trial :
   ?spec:Chaos.spec ->
   ?retry:bool ->
   ?policy:Chaos.policy ->
   ?crash_ranks:int ->
-  ?watchdog:Chaos.watchdog ->
   ?topology:Tilelink_machine.Topology.t ->
   workload:workload ->
   seed:int ->
   index:int ->
   unit ->
-  trial
+  trial * Tilelink_sim.Trace.t * Obs.Telemetry.t
 (** Run one trial: a fault-free run to measure the ideal makespan,
     whose memory must pass the workload's checker (otherwise [Failure]
-    naming the workload), then the seeded chaos run with a watchdog scaled to it ([watchdog]
-    overrides the scaling verbatim).  [retry] defaults to [true],
-    [policy] to [Degrade], [spec] to {!Chaos.default_spec}.
+    naming the workload), then the seeded chaos run with a watchdog
+    scaled to it.  [retry] defaults to [true], [policy] to [Degrade],
+    [spec] to {!Chaos.default_spec}.  Tracing is on for the chaos run,
+    and its trace and telemetry handle are returned for Perfetto export
+    with fault and recovery instants marked.
 
     [crash_ranks] (default 0) forces that many seeded permanent rank
     crashes into the schedule.  When positive, the signal-fault
@@ -124,29 +125,12 @@ val run_trial :
     drawn against the topology's layout (forced crashes fill whole
     islands) and failover remaps intra-island-first. *)
 
-val profile_trial :
-  ?spec:Chaos.spec ->
-  ?retry:bool ->
-  ?policy:Chaos.policy ->
-  ?crash_ranks:int ->
-  ?watchdog:Chaos.watchdog ->
-  ?topology:Tilelink_machine.Topology.t ->
-  workload:workload ->
-  seed:int ->
-  index:int ->
-  unit ->
-  trial * Tilelink_sim.Trace.t * Obs.Telemetry.t
-(** Like {!run_trial} but with tracing enabled on the chaos run and
-    the telemetry handle returned, for Perfetto export with fault and
-    recovery instants marked. *)
-
 val run_trials :
   ?pool:Tilelink_exec.Pool.t ->
   ?spec:Chaos.spec ->
   ?retry:bool ->
   ?policy:Chaos.policy ->
   ?crash_ranks:int ->
-  ?watchdog:Chaos.watchdog ->
   ?topology:Tilelink_machine.Topology.t ->
   workload:workload ->
   seed:int ->
@@ -155,13 +139,11 @@ val run_trials :
   summary
 (** Run [trials] independent trials (sub-seeded from [seed]) on the
     pool when given, sequentially otherwise; results are in trial-index
-    order either way, and trial [i] equals [run_trial ~index:i].  The
-    fault-free run depends on neither seed nor index, so it runs once
-    per sweep.  Raises [Invalid_argument] when [trials <= 0]. *)
+    order either way, and trial [i] equals [profile_trial ~index:i]'s.
+    The fault-free run depends on neither seed nor index, so it runs
+    once per sweep.  Raises [Invalid_argument] when [trials <= 0]. *)
 
-val summarize : workload:workload -> seed:int -> trial list -> summary
 val trial_to_json : trial -> Obs.Json.t
-val summary_to_json : summary -> Obs.Json.t
 
 val summary_to_string : summary -> string
 (** Indented JSON; byte-identical for identical inputs. *)

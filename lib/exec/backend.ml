@@ -112,7 +112,6 @@ type t = {
   mutable domains : unit Domain.t list;
 }
 
-let size t = t.size
 let spin_rounds = 200
 
 (* A parked worker that has already been signalled stays in the

@@ -71,20 +71,11 @@ exception Stream_failure of string * exn
 type t
 (** A persistent team of worker domains. *)
 
-val create : int -> t
-(** [create n] spawns [n] worker domains (1 <= n <= 128) that idle
-    between jobs. *)
-
-val size : t -> int
-
 val run : t -> stream list -> stats
 (** Execute the streams to completion and return the accounting.
     Synchronous: the calling domain blocks (it does not execute
     streams itself).  Concurrent calls serialize.  Raises {!Deadlock}
     or {!Stream_failure} as above. *)
-
-val shutdown : t -> unit
-(** Stop and join the worker domains.  Subsequent [run] calls raise. *)
 
 val shared : int -> t
 (** Memoized team per size, torn down automatically at process

@@ -109,11 +109,3 @@ let save t =
       (fun () ->
         output_string oc (Tilelink_obs.Json.to_string ~indent:true doc);
         output_string oc "\n")
-
-let record t telemetry =
-  let m = Tilelink_obs.Telemetry.metrics telemetry in
-  if Tilelink_obs.Metrics.enabled m then begin
-    Tilelink_obs.Metrics.set_gauge m "cache.hits" (float_of_int t.hits);
-    Tilelink_obs.Metrics.set_gauge m "cache.misses" (float_of_int t.misses);
-    Tilelink_obs.Metrics.set_gauge m "cache.size" (float_of_int (length t))
-  end

@@ -34,7 +34,3 @@ val path : t -> string option
 
 val save : t -> unit
 (** Write all entries to the backing file; no-op without [path]. *)
-
-val record : t -> Tilelink_obs.Telemetry.t -> unit
-(** Snapshot [cache.hits] / [cache.misses] / [cache.size] gauges into
-    the telemetry registry. *)

@@ -15,31 +15,24 @@
    cost (~10 us per domain) is noise, and the pool never holds idle
    domains hostage between sweeps. *)
 
-exception Task_timeout of float
-(* Measured task duration in seconds; see [task_timeout_s]. *)
-
 type stats = {
   tasks_run : int;
   stolen : int;
   task_time_s : float;
   wall_time_s : float;
   runs : int;
-  timeouts : int;
 }
 
 type t = {
   domains : int;
-  telemetry : Tilelink_obs.Telemetry.t option;
-  task_timeout_s : float option;
   mutable tasks_run : int;
   mutable stolen : int;
   mutable task_time_s : float;
   mutable wall_time_s : float;
   mutable runs : int;
-  mutable timeouts : int;
 }
 
-let create ?domains ?task_timeout_s ?telemetry () =
+let create ?domains () =
   let domains =
     match domains with
     | Some n ->
@@ -47,19 +40,13 @@ let create ?domains ?task_timeout_s ?telemetry () =
       n
     | None -> Domain.recommended_domain_count ()
   in
-  (match task_timeout_s with
-  | Some s when s <= 0.0 -> invalid_arg "Pool.create: task_timeout_s must be > 0"
-  | _ -> ());
   {
     domains;
-    telemetry;
-    task_timeout_s;
     tasks_run = 0;
     stolen = 0;
     task_time_s = 0.0;
     wall_time_s = 0.0;
     runs = 0;
-    timeouts = 0;
   }
 
 let domains t = t.domains
@@ -71,7 +58,6 @@ let stats t =
     task_time_s = t.task_time_s;
     wall_time_s = t.wall_time_s;
     runs = t.runs;
-    timeouts = t.timeouts;
   }
 
 (* Run [tasks] to completion and fill [results]/[latencies]/[owners].
@@ -109,24 +95,12 @@ let execute ~workers tasks results latencies owners =
     Array.iter Domain.join spawned
   end
 
-let record_run t ~n ~stolen ~timeouts ~latencies ~wall =
+let record_run t ~n ~stolen ~latencies ~wall =
   t.tasks_run <- t.tasks_run + n;
   t.stolen <- t.stolen + stolen;
   t.task_time_s <- t.task_time_s +. Array.fold_left ( +. ) 0.0 latencies;
   t.wall_time_s <- t.wall_time_s +. wall;
-  t.runs <- t.runs + 1;
-  t.timeouts <- t.timeouts + timeouts;
-  match Option.map Tilelink_obs.Telemetry.metrics t.telemetry with
-  | Some m when Tilelink_obs.Metrics.enabled m ->
-    Tilelink_obs.Metrics.inc m ~by:n "pool.tasks";
-    Tilelink_obs.Metrics.inc m ~by:stolen "pool.stolen";
-    if timeouts > 0 then
-      Tilelink_obs.Metrics.inc m ~by:timeouts "pool.task_timeouts";
-    Tilelink_obs.Metrics.set_gauge m "pool.domains" (float_of_int t.domains);
-    Array.iter
-      (fun dt -> Tilelink_obs.Metrics.observe m "pool.task_us" (dt *. 1.0e6))
-      latencies
-  | _ -> ()
+  t.runs <- t.runs + 1
 
 let map_array t tasks =
   let n = Array.length tasks in
@@ -146,25 +120,7 @@ let map_array t tasks =
       Array.iteri
         (fun i w -> if w <> i * workers / n then incr stolen)
         owners;
-    (* Cooperative timeout: domains cannot be killed, so an over-budget
-       task is converted to [Error Task_timeout] after it returns — the
-       sweep keeps its other results instead of wedging on one trial.
-       (True hang protection inside a simulation comes from the chaos
-       watchdog, which bounds waits in virtual time.) *)
-    let timeouts = ref 0 in
-    (match t.task_timeout_s with
-    | Some budget ->
-      Array.iteri
-        (fun i dt ->
-          if dt > budget then begin
-            incr timeouts;
-            match results.(i) with
-            | Ok _ -> results.(i) <- Error (Task_timeout dt)
-            | Error _ -> ()
-          end)
-        latencies
-    | None -> ());
-    record_run t ~n ~stolen:!stolen ~timeouts:!timeouts ~latencies ~wall
+    record_run t ~n ~stolen:!stolen ~latencies ~wall
   end;
   results
 

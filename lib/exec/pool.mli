@@ -13,10 +13,6 @@
 
 type t
 
-exception Task_timeout of float
-(** A task exceeded the pool's per-task budget; the payload is the
-    measured duration in seconds. *)
-
 type stats = {
   tasks_run : int;  (** tasks executed across all [map] calls *)
   stolen : int;
@@ -25,28 +21,11 @@ type stats = {
   task_time_s : float;  (** summed per-task wall time *)
   wall_time_s : float;  (** summed per-sweep wall time *)
   runs : int;  (** [map] calls executed *)
-  timeouts : int;  (** tasks converted to [Error Task_timeout] *)
 }
 
-val create :
-  ?domains:int ->
-  ?task_timeout_s:float ->
-  ?telemetry:Tilelink_obs.Telemetry.t ->
-  unit ->
-  t
+val create : ?domains:int -> unit -> t
 (** [domains] defaults to [Domain.recommended_domain_count ()]; fixed
-    for the pool's lifetime.  With [telemetry], every sweep records
-    [pool.tasks] / [pool.stolen] counters, the [pool.domains] gauge and
-    a [pool.task_us] per-task latency histogram (from the coordinating
-    domain only, after workers joined).
-
-    [task_timeout_s] is a cooperative per-task budget: a task that ran
-    longer has its result replaced by [Error Task_timeout] (captured
-    errors are kept), counted in [stats.timeouts] and under the
-    [pool.task_timeouts] telemetry counter.  Domains cannot be killed
-    mid-task, so this bounds a sweep's blast radius, not an individual
-    task's runtime — in-simulation hangs are bounded in virtual time by
-    the chaos watchdog instead. *)
+    for the pool's lifetime. *)
 
 val domains : t -> int
 val stats : t -> stats

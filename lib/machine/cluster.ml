@@ -181,17 +181,9 @@ let kill_rank t ~rank_id =
   check_rank_id t rank_id "kill_rank";
   t.alive.(rank_id) <- false
 
-let is_alive t ~rank_id =
-  check_rank_id t rank_id "is_alive";
-  t.alive.(rank_id)
-
 let mark_recovered t ~rank_id =
   check_rank_id t rank_id "mark_recovered";
   t.recovered.(rank_id) <- true
-
-let is_recovered t ~rank_id =
-  check_rank_id t rank_id "is_recovered";
-  t.recovered.(rank_id)
 
 (* A transfer endpoint is unreachable while its rank is down and nobody
    has re-hosted its memory yet. *)
@@ -218,27 +210,7 @@ let compute_scale t ~rank_id =
     Float.max 1e-6
       (base *. d.compute ~rank:rank_id ~now:(Tilelink_sim.Engine.now t.engine))
 
-let topology t = t.topology
 let island_of t ~rank_id = t.ranks.(rank_id).node
-
-(* One-line self-description for logs and --json artifacts: machine,
-   world, node count, interconnect — and the topology when one is
-   installed. *)
-let describe t =
-  let per_node =
-    match t.topology with
-    | None -> t.spec.gpus_per_node
-    | Some topo -> Topology.ranks_per_island topo
-  in
-  let base =
-    Printf.sprintf "%s, world %d: %d node%s x %d GPUs, NIC %.0f GB/s @%.1fus"
-      t.spec.gpu.gpu_name t.world_size (Array.length t.nics)
-      (if Array.length t.nics = 1 then "" else "s")
-      per_node t.spec.interconnect.nic_gbps t.spec.interconnect.nic_latency
-  in
-  match t.topology with
-  | None -> base
-  | Some topo -> base ^ " [" ^ Topology.describe topo ^ "]"
 
 let copy_stall_us t ~rank_id =
   match t.disturbance with

@@ -51,15 +51,8 @@ val compute_scale : t -> rank_id:int -> float
     topology's static heterogeneity factor times the disturbance's
     (1.0 on a homogeneous cluster with no disturbance). *)
 
-val topology : t -> Topology.t option
-(** The topology this cluster was created with, if any. *)
-
 val island_of : t -> rank_id:int -> int
 (** The NVLink island (= node) hosting [rank_id]. *)
-
-val describe : t -> string
-(** One-line self-description: machine, world, node count, NIC rate
-    and latency, plus the topology when one is installed. *)
 
 val copy_stall_us : t -> rank_id:int -> float
 (** Copy-engine stall to charge before a copy issued now (0.0 without
@@ -84,14 +77,10 @@ val kill_rank : t -> rank_id:int -> unit
 (** Crash a rank for good: {!is_alive} flips false and transfers
     touching it fail fast until {!mark_recovered}. *)
 
-val is_alive : t -> rank_id:int -> bool
-
 val mark_recovered : t -> rank_id:int -> unit
 (** The failover coordinator re-hosted the rank's symmetric memory on
     the survivors: transfers touching the (still dead) rank succeed
     again, modelling reads/writes of the recovered shard. *)
-
-val is_recovered : t -> rank_id:int -> bool
 
 val link : t -> src:int -> dst:int -> Tilelink_sim.Bandwidth.t
 (** The server a transfer from [src] to [dst] ([src <> dst]) binds

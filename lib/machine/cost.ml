@@ -74,14 +74,6 @@ let memory_tile_time (spec : Spec.t) ~sms ~rows ~cols ~passes =
   in
   memory_pass_time spec ~sms ~bytes +. (spec.gpu.tile_overhead /. 2.0)
 
-(* SM-driven copy over NVLink: a communication CTA pushing [bytes] to a
-   peer sustains only a slice of the GPU's NVLink egress (roughly
-   egress / 16 per CTA before queueing at the link). *)
-let sm_copy_rate (spec : Spec.t) =
-  spec.interconnect.nvlink_gbps *. 1.0e3 /. 16.0
-
-let bytes_of ~rows ~cols = float_of_int rows *. float_of_int cols *. dtype_bytes
-
 (* Unfused ("PyTorch eager") attention: materializes the [sq x skv]
    score matrix in HBM, then softmax, then PV — three extra traversals
    of the score matrix on top of the two GEMMs.  This is what makes the

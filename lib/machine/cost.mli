@@ -21,11 +21,6 @@ val memory_pass_time : Spec.t -> sms:int -> bytes:float -> float
 val memory_tile_time :
   Spec.t -> sms:int -> rows:int -> cols:int -> passes:int -> float
 
-val sm_copy_rate : Spec.t -> float
-(** NVLink egress one communication CTA can sustain, bytes/µs. *)
-
-val bytes_of : rows:int -> cols:int -> float
-
 val unfused_attention_time :
   Spec.t -> batch_heads:int -> sq:int -> skv:int -> d:int -> float
 (** Eager (non-flash) attention materializing the score matrix. *)

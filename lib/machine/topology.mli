@@ -24,9 +24,6 @@ val flat8 : t
 val islands2x8 : t
 (** Two 8-rank islands bridged by NICs (16 ranks). *)
 
-val islands4x8 : t
-(** Four 8-rank islands bridged by NICs (32 ranks). *)
-
 val hetero16 : t
 (** Two 8-rank islands with a repeating 4-rank SKU mix: stragglers by
     construction (compute x1.15/x1.30, NVLink x0.75 on slow parts). *)

@@ -153,7 +153,8 @@ let to_json t =
    one past the last rank so it sorts after the per-rank process
    groups).  Merging these events into an existing export makes the
    path pop visually without touching the underlying trace. *)
-let perfetto_events ?(pid = 9999) t =
+let perfetto_events t =
+  let pid = 9999 in
   let step_events =
     List.concat_map
       (fun step ->

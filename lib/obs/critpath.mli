@@ -35,7 +35,7 @@ val key_blame : t -> (string * float) list
 
 val to_json : t -> Json.t
 
-val perfetto_events : ?pid:int -> t -> Json.t list
+val perfetto_events : t -> Json.t list
 (** Overlay events (duration slices + a flow chain + a process-name
-    record under [pid], default 9999) to append to a Perfetto export,
+    record under pid 9999) to append to a Perfetto export,
     highlighting the critical path on its own track. *)

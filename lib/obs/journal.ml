@@ -92,7 +92,6 @@ let create ?(capacity = 65536) ?(enabled = true) () =
 
 let enabled t = t.enabled
 let set_enabled t flag = t.enabled <- flag
-let capacity t = t.capacity
 
 let record t ~t:time event =
   if t.enabled then

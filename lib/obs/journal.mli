@@ -34,9 +34,6 @@ type event =
     [Warn], run-killing conditions are [Error]. *)
 type level = Debug | Info | Warn | Error
 
-val level_of_event : event -> level
-val level_to_string : level -> string
-
 type entry = { t : float; seq : int; event : event }
 
 type t
@@ -44,7 +41,6 @@ type t
 val create : ?capacity:int -> ?enabled:bool -> unit -> t
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
-val capacity : t -> int
 
 val record : t -> t:float -> event -> unit
 

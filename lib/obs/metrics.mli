@@ -54,9 +54,6 @@ val gauge_names : t -> string list
 val histogram_names : t -> string list
 (** All sorted, for deterministic exports. *)
 
-val histogram_buckets : t -> string -> (float * int) list option
-(** [(upper_bound, count)] per bucket, +Inf last. *)
-
 val bucket_index : float -> int
 (** Bucket a value falls into — exposed for boundary tests. *)
 

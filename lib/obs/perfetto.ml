@@ -171,7 +171,8 @@ let signal_counter_events journal =
 (* Per-rank egress bandwidth: bucket tile push/pull bytes into
    [slices] time slices and emit one counter sample per slice.
    1 byte/µs = 0.008 Gbit/s. *)
-let bandwidth_counter_events ?(slices = 64) ~duration journal =
+let bandwidth_counter_events ~duration journal =
+  let slices = 64 in
   if duration <= 0.0 then []
   else begin
     let slice_us = duration /. float_of_int slices in
@@ -311,7 +312,7 @@ let process_names ~trace =
    and counter tracks are *reconstructed* from Debug-level journal
    entries, so severity filtering must not starve them.  [extra]
    appends caller-supplied events (e.g. the critical-path overlay). *)
-let export ?bandwidth_slices ?min_level ?(extra = []) ~trace ~journal () =
+let export ?min_level ?(extra = []) ~trace ~journal () =
   let spans = List.map span_event (Trace.spans trace) in
   let duration = Trace.duration trace in
   Json.List
@@ -319,10 +320,9 @@ let export ?bandwidth_slices ?min_level ?(extra = []) ~trace ~journal () =
     @ spans
     @ flow_events journal
     @ signal_counter_events journal
-    @ bandwidth_counter_events ?slices:bandwidth_slices ~duration journal
+    @ bandwidth_counter_events ~duration journal
     @ instant_events ?min_level journal
     @ extra)
 
-let export_string ?bandwidth_slices ?min_level ?extra ~trace ~journal () =
-  Json.to_string ~indent:true
-    (export ?bandwidth_slices ?min_level ?extra ~trace ~journal ())
+let export_string ?min_level ?extra ~trace ~journal () =
+  Json.to_string ~indent:true (export ?min_level ?extra ~trace ~journal ())

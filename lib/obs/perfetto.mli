@@ -7,22 +7,19 @@
     at https://ui.perfetto.dev or chrome://tracing. *)
 
 val export :
-  ?bandwidth_slices:int ->
   ?min_level:Journal.level ->
   ?extra:Json.t list ->
   trace:Tilelink_sim.Trace.t ->
   journal:Journal.t ->
   unit ->
   Json.t
-(** Full event list.  [bandwidth_slices] (default 64) sets the sample
-    resolution of the egress-bandwidth counter track.  [min_level]
-    filters only the instant-event marks (the flow arrows and counter
-    tracks are reconstructed from Debug-level entries regardless).
-    [extra] appends caller-supplied events, e.g. the critical-path
-    overlay from {!Critpath.perfetto_events}. *)
+(** Full event list; the egress-bandwidth counter track has 64 samples
+    per rank.  [min_level] filters only the instant-event marks (the
+    flow arrows and counter tracks are reconstructed from Debug-level
+    entries regardless).  [extra] appends caller-supplied events, e.g.
+    the critical-path overlay from {!Critpath.perfetto_events}. *)
 
 val export_string :
-  ?bandwidth_slices:int ->
   ?min_level:Journal.level ->
   ?extra:Json.t list ->
   trace:Tilelink_sim.Trace.t ->

@@ -29,7 +29,6 @@ type report = {
 val default_tolerance : float
 (** 0.05 — a 5% slowdown trips the gate. *)
 
-val rows_of_json : Json.t -> (row list, string) result
 val rows_of_string : string -> (row list, string) result
 
 val compare_rows :

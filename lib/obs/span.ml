@@ -247,5 +247,3 @@ let span_to_json s =
         ( "preds",
           Json.List (List.map (fun p -> Json.Num (float_of_int p)) s.preds) );
       ])
-
-let to_json t = Json.List (List.map span_to_json (spans t))

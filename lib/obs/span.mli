@@ -96,4 +96,3 @@ val spans : t -> span list
 (** All spans in id (recording) order. *)
 
 val span_to_json : span -> Json.t
-val to_json : t -> Json.t

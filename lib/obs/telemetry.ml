@@ -10,10 +10,10 @@
 
 type t = { metrics : Metrics.t; journal : Journal.t; spans : Span.t }
 
-let create ?(enabled = true) ?journal_capacity () =
+let create ?(enabled = true) () =
   {
     metrics = Metrics.create ~enabled ();
-    journal = Journal.create ?capacity:journal_capacity ~enabled ();
+    journal = Journal.create ~enabled ();
     spans = Span.create ~enabled ();
   }
 

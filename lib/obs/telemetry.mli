@@ -6,7 +6,7 @@
 
 type t = { metrics : Metrics.t; journal : Journal.t; spans : Span.t }
 
-val create : ?enabled:bool -> ?journal_capacity:int -> unit -> t
+val create : ?enabled:bool -> unit -> t
 
 val spans_only : unit -> t
 (** A handle whose metrics and journal halves are off: only spans are
@@ -18,9 +18,6 @@ val spans_only : unit -> t
 val metrics : t -> Metrics.t
 val journal : t -> Journal.t
 val spans : t -> Span.t
-
-val enabled : t -> bool
-(** [true] when any of the three halves records. *)
 
 val set_enabled : t -> bool -> unit
 

@@ -12,7 +12,6 @@ let create ~capacity =
   { q = Queue.create (); cap = capacity }
 
 let length t = Queue.length t.q
-let capacity t = t.cap
 let pressure t = float_of_int (Queue.length t.q) /. float_of_int t.cap
 
 let offer t r =

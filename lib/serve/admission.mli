@@ -20,7 +20,6 @@ val create : capacity:int -> t
 (** Raises [Invalid_argument] when [capacity <= 0]. *)
 
 val length : t -> int
-val capacity : t -> int
 
 val pressure : t -> float
 (** Occupancy in [0, 1] — the degradation controller's input. *)

@@ -43,7 +43,6 @@ let create ?topology ~machine ~world_size ~head_dim ~kv_capacity () =
   }
 
 let world t = t.world
-let topology t = t.topology
 let running t = List.rev t.running
 let batch_size t = List.length t.running
 let kv_used t = List.fold_left (fun acc e -> acc + e.e_kv) 0 t.running

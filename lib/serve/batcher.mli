@@ -58,11 +58,8 @@ val create :
 val world : t -> int
 (** Current world size (shrinks after a crash step). *)
 
-val topology : t -> Tilelink_machine.Topology.t option
-
 val running : t -> entry list
 val batch_size : t -> int
-val kv_used : t -> int
 
 val fits : t -> Trace_gen.request -> bool
 (** KV-residency check for one more prefill. *)

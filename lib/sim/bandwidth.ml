@@ -49,7 +49,6 @@ let effective_rate t =
     let m = f ~now:(Engine.now t.engine) in
     t.rate *. Float.max m 1e-6
 
-let name t = t.name
 let bytes_moved t = t.bytes_moved
 let transfer_count t = t.transfer_count
 let busy_time t = Resource.busy_time t.server

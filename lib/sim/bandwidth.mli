@@ -14,7 +14,6 @@ val create :
   unit ->
   t
 
-val name : t -> string
 val bytes_moved : t -> float
 val transfer_count : t -> int
 val busy_time : t -> float

@@ -91,28 +91,9 @@ let step t =
     true
   end
 
-(* The [until] match is hoisted out of the loop: the unbounded path
-   pays one queue pop per event and the bounded path one peek + one pop,
-   instead of re-deciding the mode and re-peeking every iteration. *)
-let run ?until t =
-  (match until with
-  | None ->
-    let rec drain () = if step t then drain () in
-    drain ()
-  | Some limit ->
-    let rec drain () =
-      if
-        (not (Pqueue.is_empty t.events))
-        && Pqueue.min_priority t.events <= limit
-      then begin
-        ignore (step t);
-        drain ()
-      end
-    in
-    drain ());
-  (match until with
-  | Some limit when limit > t.now && Pqueue.is_empty t.events -> t.now <- limit
-  | _ -> ());
+let run t =
+  let rec drain () = if step t then drain () in
+  drain ();
   if Pqueue.is_empty t.events && t.live_processes > 0 then
     raise
       (Deadlock

@@ -43,9 +43,6 @@ val process_finished : t -> unit
 val process_blocked : t -> unit
 val process_unblocked : t -> unit
 
-val step : t -> bool
-(** Execute the next event; [false] if the queue is empty. *)
-
-val run : ?until:float -> t -> unit
-(** Drain the event queue (up to [until] if given).  Raises {!Deadlock}
-    if live processes remain when the queue is empty. *)
+val run : t -> unit
+(** Drain the event queue.  Raises {!Deadlock} if live processes
+    remain when the queue is empty. *)

@@ -29,8 +29,6 @@ let create engine ~name ~capacity =
     engine;
   }
 
-let name t = t.name
-let capacity t = t.capacity
 let available t = t.available
 let in_use t = t.capacity - t.available
 let queue_length t = Queue.length t.waiting

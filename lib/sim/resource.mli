@@ -7,10 +7,7 @@
 type t
 
 val create : Engine.t -> name:string -> capacity:int -> t
-val name : t -> string
-val capacity : t -> int
 val available : t -> int
-val in_use : t -> int
 val queue_length : t -> int
 
 val try_acquire : t -> int -> bool

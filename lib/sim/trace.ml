@@ -31,9 +31,6 @@ type t = { mutable spans : span list; mutable enabled : bool }
 
 let create ?(enabled = true) () = { spans = []; enabled }
 
-let enabled t = t.enabled
-let set_enabled t flag = t.enabled <- flag
-
 let add t ~rank ~lane ~label ~t0 ~t1 =
   if t.enabled then begin
     if t1 < t0 then invalid_arg "Trace.add: span ends before it starts";
@@ -41,8 +38,6 @@ let add t ~rank ~lane ~label ~t0 ~t1 =
   end
 
 let spans t = List.rev t.spans
-
-let clear t = t.spans <- []
 
 let duration t =
   List.fold_left (fun acc s -> Float.max acc s.t1) 0.0 t.spans
@@ -94,7 +89,8 @@ let to_chrome_json t =
 
 (* Render a coarse ASCII timeline: one row per (rank, lane), [width]
    columns spanning [0, duration]. *)
-let render ?(width = 72) t =
+let render t =
+  let width = 72 in
   let total = duration t in
   if total <= 0.0 then "(empty trace)"
   else begin

@@ -22,14 +22,11 @@ type span = {
 type t
 
 val create : ?enabled:bool -> unit -> t
-val enabled : t -> bool
-val set_enabled : t -> bool -> unit
 
 val add :
   t -> rank:int -> lane:lane -> label:string -> t0:float -> t1:float -> unit
 
 val spans : t -> span list
-val clear : t -> unit
 
 val duration : t -> float
 (** Latest span end time. *)
@@ -37,8 +34,8 @@ val duration : t -> float
 val busy_time : ?pred:(span -> bool) -> t -> float
 (** Length of the union of intervals whose span satisfies [pred]. *)
 
-val render : ?width:int -> t -> string
-(** Coarse ASCII timeline, one row per (rank, lane). *)
+val render : t -> string
+(** Coarse ASCII timeline, one row per (rank, lane), 72 columns wide. *)
 
 val to_chrome_json : t -> string
 (** Chrome tracing format (load in chrome://tracing or Perfetto):

@@ -49,8 +49,7 @@ let compare ?(atol = 1e-9) ?(rtol = 1e-6) expected actual =
     within = !within;
   }
 
-let close ?atol ?rtol expected actual =
-  (compare ?atol ?rtol expected actual).within
+let close ?atol expected actual = (compare ?atol expected actual).within
 
 let bits_equal a b =
   Shape.equal (Tensor.shape a) (Tensor.shape b)

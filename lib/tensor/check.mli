@@ -14,7 +14,7 @@ val compare : ?atol:float -> ?rtol:float -> Tensor.t -> Tensor.t -> report
     is the [worst_index], with infinite [max_abs_err] and
     [max_rel_err]. *)
 
-val close : ?atol:float -> ?rtol:float -> Tensor.t -> Tensor.t -> bool
+val close : ?atol:float -> Tensor.t -> Tensor.t -> bool
 
 val bits_equal : Tensor.t -> Tensor.t -> bool
 (** Same shape and every element bit for bit: no tolerance, and [-0.]

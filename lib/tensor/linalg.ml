@@ -265,18 +265,6 @@ let batch_gemm a b =
   done;
   out
 
-let matvec a x =
-  let m = Tensor.rows a and k = Tensor.cols a in
-  if Tensor.numel x <> k then invalid_arg "Linalg.matvec: size mismatch";
-  let a_data = Tensor.data a and x_data = Tensor.data x in
-  Tensor.of_array (Shape.of_list [ m ])
-    (Array.init m (fun i ->
-         let acc = ref 0.0 in
-         for kk = 0 to k - 1 do
-           acc := !acc +. (a_data.((i * k) + kk) *. x_data.(kk))
-         done;
-         !acc))
-
 (* FLOP counts used by the cost model; kept next to the kernels so the
    two can never drift apart. *)
 let gemm_flops ~m ~n ~k = 2.0 *. float_of_int m *. float_of_int n *. float_of_int k

@@ -56,6 +56,4 @@ val group_gemm : (Tensor.t * Tensor.t) list -> Tensor.t list
 val batch_gemm : Tensor.t -> Tensor.t -> Tensor.t
 (** [a : [B,M,K]], [b : [B,K,N]] -> [B,M,N]. *)
 
-val matvec : Tensor.t -> Tensor.t -> Tensor.t
-
 val gemm_flops : m:int -> n:int -> k:int -> float

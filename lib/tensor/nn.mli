@@ -5,8 +5,6 @@ val gelu : float -> float
 
 type activation = Silu | Gelu
 
-val apply_activation : activation -> float -> float
-
 val gated_activation : activation -> Tensor.t -> Tensor.t
 (** [gated_activation act gate_up] with [gate_up : [m, 2i]] packing
     gate and up halves side by side; returns [act(gate) * up : [m,i]]. *)

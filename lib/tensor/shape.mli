@@ -16,8 +16,6 @@ val strides : t -> int array
 val offset_of_index : t -> int array -> int
 val index_of_offset : t -> int -> int array
 
-val ceil_div : int -> int -> int
-
 val tiles_along : extent:int -> tile:int -> int
 (** Number of tiles of size [tile] covering [extent]. *)
 

@@ -26,7 +26,6 @@ let of_array shape data =
 
 let shape t = t.shape
 let data t = t.data
-let numel t = Array.length t.data
 let copy t = { t with data = Array.copy t.data }
 
 let get t index = t.data.(Shape.offset_of_index t.shape index)
@@ -34,8 +33,6 @@ let set t index v = t.data.(Shape.offset_of_index t.shape index) <- v
 
 let get2 t i j = get t [| i; j |]
 let set2 t i j v = set t [| i; j |] v
-
-let fill t v = Array.fill t.data 0 (Array.length t.data) v
 
 let map f t = { t with data = Array.map f t.data }
 
@@ -46,18 +43,12 @@ let map2 f a b =
 
 let add = map2 ( +. )
 let sub = map2 ( -. )
-let mul = map2 ( *. )
 let scale k = map (fun x -> k *. x)
 
 let add_inplace dst src =
   if not (Shape.equal dst.shape src.shape) then
     invalid_arg "Tensor.add_inplace: shape mismatch";
   Array.iteri (fun i v -> dst.data.(i) <- dst.data.(i) +. v) src.data
-
-let blit ~src ~dst =
-  if not (Shape.equal src.shape dst.shape) then
-    invalid_arg "Tensor.blit: shape mismatch";
-  Array.blit src.data 0 dst.data 0 (Array.length src.data)
 
 let sum t = Array.fold_left ( +. ) 0.0 t.data
 
@@ -110,15 +101,6 @@ let col_slice t ~lo ~hi =
     Array.blit t.data ((i * n) + lo) out.data (i * w) w
   done;
   out
-
-let set_col_slice t ~lo src =
-  let m = rows t and n = cols t in
-  if rows src <> m then invalid_arg "Tensor.set_col_slice: height mismatch";
-  let w = cols src in
-  if lo < 0 || lo + w > n then invalid_arg "Tensor.set_col_slice: bad range";
-  for i = 0 to m - 1 do
-    Array.blit src.data (i * w) t.data ((i * n) + lo) w
-  done
 
 let set_block t ~row_lo ~col_lo src =
   let n = cols t in
@@ -234,8 +216,3 @@ let random ~seed shape =
     shape;
     data = Array.init (Shape.numel shape) (fun off -> hash_float ~seed off);
   }
-
-let pp ppf t =
-  Fmt.pf ppf "tensor%s" (Shape.to_string t.shape);
-  if numel t <= 16 then
-    Fmt.pf ppf " %a" Fmt.(brackets (array ~sep:(any "; ") float)) t.data

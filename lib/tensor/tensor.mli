@@ -6,27 +6,21 @@
 
 type t
 
-val create : Shape.t -> float -> t
 val zeros : Shape.t -> t
 val init : Shape.t -> (int array -> float) -> t
 val of_array : Shape.t -> float array -> t
 val shape : t -> Shape.t
 val data : t -> float array
-val numel : t -> int
 val copy : t -> t
 val get : t -> int array -> float
-val set : t -> int array -> float -> unit
 val get2 : t -> int -> int -> float
 val set2 : t -> int -> int -> float -> unit
-val fill : t -> float -> unit
 val map : (float -> float) -> t -> t
 val map2 : (float -> float -> float) -> t -> t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
-val mul : t -> t -> t
 val scale : float -> t -> t
 val add_inplace : t -> t -> unit
-val blit : src:t -> dst:t -> unit
 val sum : t -> float
 val max_abs : t -> float
 
@@ -38,7 +32,6 @@ val row_slice : t -> lo:int -> hi:int -> t
 val set_row_slice : t -> lo:int -> t -> unit
 val add_row_slice : t -> lo:int -> t -> unit
 val col_slice : t -> lo:int -> hi:int -> t
-val set_col_slice : t -> lo:int -> t -> unit
 val set_block : t -> row_lo:int -> col_lo:int -> t -> unit
 
 val blit_block :
@@ -65,5 +58,3 @@ val transpose : t -> t
 val random : seed:int -> Shape.t -> t
 (** Deterministic pseudo-random tensor in [-0.5, 0.5); identical for a
     given seed on every rank, run and machine. *)
-
-val pp : Format.formatter -> t -> unit

@@ -99,7 +99,6 @@ val diag_to_string : diag -> string
 val severity_to_string : severity -> string
 val kind_name : kind -> string
 
-val diag_to_json : diag -> Tilelink_obs.Json.t
 val report_to_json : report -> Tilelink_obs.Json.t
 
 val check_against_mapping : Program.t -> mapping:Mapping.t -> diag list

@@ -265,9 +265,6 @@ let force_signal t ~key ~target =
   | None -> invalid_arg (Printf.sprintf "Channel.force_signal: unknown key %s" key)
   | Some c -> Tilelink_sim.Counter.set_at_least c.counter target
 
-let world_size t = t.world_size
-let channels_per_rank t = t.channels_per_rank
-
 let check_rank t r label =
   if r < 0 || r >= t.world_size then
     invalid_arg (Printf.sprintf "Channel.%s: rank %d out of range" label r)

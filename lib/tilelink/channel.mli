@@ -48,9 +48,6 @@ val create :
     [Engine.schedule]); without one, [Delay] degrades to prompt
     delivery. *)
 
-val world_size : t -> int
-val channels_per_rank : t -> int
-
 (** {2 By signal target}
 
     [worker] is the span-recorder worker id of the issuing execution

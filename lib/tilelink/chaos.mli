@@ -110,11 +110,6 @@ val injected : schedule -> (string * string) list
 val interceptor : schedule -> Channel.interceptor
 (** Per-notify fault decisions, hashed from (seed, key, occurrence). *)
 
-val reissue_ok : schedule -> bool
-(** Seeded coin for one watchdog re-issue attempt; advances the
-    schedule's re-issue counter. *)
-
-val disturbance : schedule -> Tilelink_machine.Cluster.disturbance
 val apply_to_cluster : schedule -> Tilelink_machine.Cluster.t -> unit
 
 (** {1 Watchdog} *)

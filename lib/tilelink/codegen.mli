@@ -9,8 +9,6 @@ type target = Ptx | Tir
         direction (§7.4); same instruction stream, different backend
         syntax. *)
 
-val emit_instr : Instr.t -> string list
-val emit_instr_tir : Instr.t -> string list
 val emit_task : ?target:target -> Program.task -> string
 val emit_role : ?target:target -> Program.role -> string
 val emit_rank : ?target:target -> Program.t -> rank:int -> string

@@ -29,5 +29,4 @@ val fence_violations : Instr.t list -> fence_violation list
     to name the racing producer. *)
 
 val verify_task : Instr.t list -> (unit, violation) result
-val verify_role : Program.role -> (unit, violation) result
 val verify_program : Program.t -> (unit, violation) result

@@ -22,5 +22,4 @@ type config = {
 }
 
 val bytes_of_access : Instr.access -> float
-val lower_stmt : config -> Primitive.t -> Instr.t list
 val lower : config -> Primitive.t list -> Instr.t list

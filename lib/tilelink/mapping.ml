@@ -68,13 +68,11 @@ let static ?(multiplicity = 1) ~extent ~ranks ~channels_per_rank ~tile () =
       expected;
     }
 
-let dynamic ?f_src_low ~ranks ~channels_per_rank ~f_s_low ~f_s_high ~f_r ~f_c
-    () =
+let dynamic ~ranks ~channels_per_rank ~f_s_low ~f_s_high ~f_r ~f_c () =
   let n = Array.length f_s_low in
   if
     Array.length f_s_high <> n || Array.length f_r <> n
     || Array.length f_c <> n
-    || (match f_src_low with Some t -> Array.length t <> n | None -> false)
   then invalid_arg "Mapping.dynamic: table lengths differ";
   let num_channels = ranks * channels_per_rank in
   let dyn_expected = Array.make num_channels 0 in
@@ -103,7 +101,7 @@ let dynamic ?f_src_low ~ranks ~channels_per_rank ~f_s_low ~f_s_high ~f_r ~f_c
       f_s_high;
       f_r;
       f_c;
-      f_src_low;
+      f_src_low = None;
       dyn_expected;
       dyn_ranks = ranks;
       dyn_channels_per_rank = channels_per_rank;
@@ -349,12 +347,3 @@ let remap_rank t ~dead ~survivors =
       dyn_channels_per_rank = new_cpr;
       row_channels;
     }
-
-let pp ppf = function
-  | Static s ->
-    Fmt.pf ppf
-      "static(extent=%d ranks=%d channels/rank=%d tile=%d)" s.extent s.ranks
-      s.channels_per_rank s.tile
-  | Dynamic d ->
-    Fmt.pf ppf "dynamic(tiles=%d ranks=%d channels/rank=%d)"
-      (Array.length d.f_s_low) d.dyn_ranks d.dyn_channels_per_rank

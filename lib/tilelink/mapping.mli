@@ -20,7 +20,6 @@ val static :
     row channel once per column tile. *)
 
 val dynamic :
-  ?f_src_low:int array ->
   ranks:int ->
   channels_per_rank:int ->
   f_s_low:int array ->
@@ -87,5 +86,3 @@ val remap_rank : t -> dead:int -> survivors:int list -> t
     (multiplicity included) transfer unchanged.  The result is always
     dynamic and keeps the original rank count — the dead rank simply
     owns no tiles.  Raises like {!remap_channels}. *)
-
-val pp : Format.formatter -> t -> unit

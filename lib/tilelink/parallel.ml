@@ -94,29 +94,7 @@ let lower ~data ~memory (program : Program.t) =
     program.Program.plans;
   (counters, List.rev !streams)
 
-let record_telemetry telemetry ~domains (stats : Backend.stats) =
-  if Obs.Telemetry.active telemetry then begin
-    let m = Obs.Telemetry.metrics (Option.get telemetry) in
-    Obs.Metrics.inc m ~by:stats.Backend.total_execs "parallel.execs";
-    Obs.Metrics.inc m ~by:stats.Backend.total_notifies "parallel.notifies";
-    Obs.Metrics.inc m ~by:stats.Backend.total_parks "parallel.parks";
-    Obs.Metrics.set_gauge m "parallel.domains" (float_of_int domains);
-    Obs.Metrics.set_gauge m "parallel.wall_us" (stats.Backend.wall_s *. 1e6);
-    let busy =
-      Array.fold_left
-        (fun acc d -> acc +. d.Backend.d_busy_s)
-        0.0 stats.Backend.per_domain
-    in
-    Obs.Metrics.set_gauge m "parallel.busy_us" (busy *. 1e6);
-    Array.iteri
-      (fun i d ->
-        Obs.Metrics.set_gauge m
-          (Printf.sprintf "parallel.busy_us.d%d" i)
-          (d.Backend.d_busy_s *. 1e6))
-      stats.Backend.per_domain
-  end
-
-let run ?telemetry ?(data = true) ?memory ~domains (program : Program.t) =
+let run ?(data = true) ?memory ~domains (program : Program.t) =
   (match Program.validate program with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Parallel.run: invalid program: " ^ msg));
@@ -131,7 +109,6 @@ let run ?telemetry ?(data = true) ?memory ~domains (program : Program.t) =
   let counters, streams = lower ~data ~memory program in
   let team = Backend.shared domains in
   let stats = Backend.run team streams in
-  record_telemetry telemetry ~domains stats;
   let key_values =
     Hashtbl.fold
       (fun key c acc -> (key, Backend.counter_value c) :: acc)

@@ -18,7 +18,6 @@ type result = {
 }
 
 val run :
-  ?telemetry:Tilelink_obs.Telemetry.t ->
   ?data:bool ->
   ?memory:Memory.t ->
   domains:int ->

@@ -10,7 +10,6 @@ val hoist_loads_unsafe : stages:int -> Instr.t list -> Instr.t list
     demonstrate the consistency verifier catching it. *)
 
 val pipeline_task : stages:int -> Program.task -> Program.task
-val pipeline_role : stages:int -> Program.role -> Program.role
 val pipeline_program : stages:int -> Program.t -> Program.t
 
 val pipeline_program_unsafe : stages:int -> Program.t -> Program.t

@@ -43,13 +43,14 @@ type graph = {
   g_rows : int;
   g_cols : int;
   g_world : int;
-  g_shard : string;
-  g_gathered : string;
   g_consumers : consumer list;
 }
 
-let graph ~name ~rows ~cols ~world ?(shard = "x_shard") ?(gathered = "x_full")
-    consumers =
+(* The gather reads each rank's [shard] and writes [gathered]. *)
+let shard = "x_shard"
+let gathered = "x_full"
+
+let graph ~name ~rows ~cols ~world consumers =
   if world < 2 then invalid_arg "Planner.graph: world must be >= 2";
   if rows mod world <> 0 then
     invalid_arg "Planner.graph: rows must divide over the world";
@@ -63,8 +64,6 @@ let graph ~name ~rows ~cols ~world ?(shard = "x_shard") ?(gathered = "x_full")
     g_rows = rows;
     g_cols = cols;
     g_world = world;
-    g_shard = shard;
-    g_gathered = gathered;
     g_consumers = consumers;
   }
 
@@ -74,7 +73,7 @@ let consumer_kind_fingerprint = function
 
 let graph_fingerprint g =
   Printf.sprintf "%s;m=%d;k=%d;w=%d;%s->%s;[%s]" g.g_name g.g_rows g.g_cols
-    g.g_world g.g_shard g.g_gathered
+    g.g_world shard gathered
     (String.concat ";"
        (List.map
           (fun c ->
@@ -230,21 +229,21 @@ let consumer_task g cand co ~grid tile =
   let body =
     match co.co_kind with
     | Gemm { weights; n = _ } ->
-      Overlap.gemm_chunks ~label ~gathered:g.g_gathered ~weights ~out:co.co_out
+      Overlap.gemm_chunks ~label ~gathered ~weights ~out:co.co_out
         ~k:g.g_cols ~chunks:cand.pl_chunks
         ~micro_block:cand.pl_config.Design_space.micro_block ~rows ~cols
     | Softmax_rows ->
       (* Full-width tiles (the grid guarantees clo = 0, chi = cols):
          chunked loads for pipelining, one compute pass. *)
       let action memory ~rank =
-        let x = Memory.find memory ~rank ~name:g.g_gathered in
+        let x = Memory.find memory ~rank ~name:gathered in
         let out = Memory.find memory ~rank ~name:co.co_out in
         Tensor.set_block out ~row_lo:lo ~col_lo:0
           (softmax_rows (Tensor.row_slice x ~lo ~hi))
       in
       List.map
         (fun col ->
-          Primitive.Load (access ~buffer:g.g_gathered ~row:rows ~col ()))
+          Primitive.Load (access ~buffer:gathered ~row:rows ~col ()))
         (Overlap.chunk_ranges ~extent:g.g_cols ~chunks:cand.pl_chunks)
       @ [
           Primitive.Compute
@@ -253,13 +252,13 @@ let consumer_task g cand co ~grid tile =
               cost =
                 Instr.Memory_tile
                   { rows = hi - lo; cols = chi - clo; passes = 3 };
-              reads = [ access ~buffer:g.g_gathered ~row:rows ~col:cols () ];
+              reads = [ access ~buffer:gathered ~row:rows ~col:cols () ];
               writes = [];
               action = Some action;
             };
         ]
   in
-  Overlap.row_consumer ~label ~gathered:g.g_gathered ~k:g.g_cols
+  Overlap.row_consumer ~label ~gathered ~k:g.g_cols
     ~out:co.co_out ~rows ~cols body
 
 (* Synthesis builds everything that does not depend on the rank once:
@@ -298,7 +297,7 @@ let synthesize g cand ~spec_gpu =
   let gather =
     Overlap.gather bc ~name:"ag"
       ~transfer:(match cand.pl_transfer with Pull -> `Pull | Push -> `Push)
-      ~mapping ~grid:comm_grid ~shard:g.g_shard ~gathered:g.g_gathered
+      ~mapping ~grid:comm_grid ~shard ~gathered
   in
   let consumers =
     List.map

@@ -36,8 +36,6 @@ type graph = {
   g_rows : int;  (** global gathered rows (m) *)
   g_cols : int;  (** gather width (k) *)
   g_world : int;
-  g_shard : string;  (** per-rank input shard, [m/world x k] *)
-  g_gathered : string;  (** gather destination, [m x k] *)
   g_consumers : consumer list;
 }
 
@@ -46,20 +44,16 @@ val graph :
   rows:int ->
   cols:int ->
   world:int ->
-  ?shard:string ->
-  ?gathered:string ->
   consumer list ->
   graph
-(** Validated constructor ([shard] defaults to ["x_shard"], [gathered]
-    to ["x_full"]).  Raises [Invalid_argument] when [rows] does not
+(** Validated constructor.  The gather reads the per-rank input shard
+    ["x_shard"] ([m/world x k]) and writes ["x_full"] ([m x k]).  Raises [Invalid_argument] when [rows] does not
     divide over [world], the consumer list is empty, or two consumers
     share an output buffer. *)
 
 val graph_fingerprint : graph -> string
 (** Stable identity of the operator graph and shape — the workload
     component of the planner's cache keys. *)
-
-val out_cols : graph -> consumer -> int
 
 (** {1 Candidates} *)
 

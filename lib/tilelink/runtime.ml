@@ -749,16 +749,11 @@ let runs entries =
     [] entries
   |> List.rev_map List.rev
 
-let run ?telemetry ?(data = false) ?memory ?chaos ?(analyze = false) ?rebuild
-    cluster (program : Program.t) =
+let run ?telemetry ?(data = false) ?memory ?chaos ?rebuild cluster
+    (program : Program.t) =
   (match Program.validate program with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Runtime.run: invalid program: " ^ msg));
-  (* Optional static pre-flight: a protocol that can never complete is
-     reported as a structured [Analyzer.Protocol_violation] here, with
-     key/rank/channel diagnostics, instead of wedging mid-simulation as
-     a generic [Engine.Deadlock]. *)
-  if analyze then Analyzer.check_exn program;
   if Cluster.world_size cluster <> Program.world_size program then
     invalid_arg "Runtime.run: cluster/program world size mismatch";
   let memory =

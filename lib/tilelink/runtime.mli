@@ -11,23 +11,18 @@ type result = {
 val run :
   ?telemetry:Tilelink_obs.Telemetry.t ->
   ?data:bool -> ?memory:Memory.t -> ?chaos:Chaos.control ->
-  ?analyze:bool ->
   ?rebuild:(unit -> Program.t) ->
   Tilelink_machine.Cluster.t -> Program.t -> result
 (** Execute the program to completion on the simulated clock.  Real
     execution on OCaml 5 domains is {!Parallel.run}.
 
-    With [~analyze:true] (default
-    false), the static protocol analyzer pre-flights the program and a
-    would-be runtime deadlock raises {!Analyzer.Protocol_violation} —
-    with key/rank/channel diagnostics — before the simulation starts.
-    With [~data:true], [Copy] and
-    [Compute] instructions also mutate [memory] (defaults to a fresh
-    empty memory).  With [~telemetry], the run records per-primitive
-    wait-latency histograms, tile/copy counters, journal events for
-    every signal and remote tile movement, engine-level gauges
-    (events executed, blocked time), and per-rank lane-utilization
-    gauges; disabled or absent telemetry adds no events.
+    With [~data:true], [Copy] and [Compute] instructions also mutate
+    [memory] (defaults to a fresh empty memory).  With [~telemetry],
+    the run records per-primitive wait-latency histograms, tile/copy
+    counters, journal events for every signal and remote tile
+    movement, engine-level gauges (events executed, blocked time), and
+    per-rank lane-utilization gauges; disabled or absent telemetry adds
+    no events.
 
     With [~chaos], the control's schedule is installed as a channel
     interceptor plus cluster disturbance, and its watchdog runs as an

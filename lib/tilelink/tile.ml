@@ -14,8 +14,6 @@ let make ~tid_m ~tid_n =
 
 let equal a b = a.tid_m = b.tid_m && a.tid_n = b.tid_n
 let compare = compare
-let to_string t = Printf.sprintf "(%d,%d)" t.tid_m t.tid_n
-let pp ppf t = Fmt.string ppf (to_string t)
 
 (* A tiling of an [extent_m x extent_n] space into [tile_m x tile_n]
    blocks; the trailing tiles may be ragged. *)

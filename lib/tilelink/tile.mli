@@ -6,8 +6,6 @@ type t = { tid_m : int; tid_n : int }
 val make : tid_m:int -> tid_n:int -> t
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 type grid = {
   extent_m : int;

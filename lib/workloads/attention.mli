@@ -16,7 +16,6 @@ type spec = {
 
 val s_per_rank : spec -> int
 val alloc : spec -> seed:int -> Memory.t
-val gathered : Memory.t -> spec -> name:string -> z:int -> Tensor.t
 val reference : Memory.t -> spec -> rank:int -> Tensor.t
 
 type config = {

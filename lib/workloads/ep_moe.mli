@@ -16,10 +16,7 @@ type spec = {
   world_size : int;
 }
 
-val tokens_per_rank : spec -> int
-val experts_per_rank : spec -> int
 val expert_owner : spec -> int -> int
-val token_owner : spec -> int -> int
 val routing : spec -> seed:int -> Routing.t
 
 type segment = {
@@ -35,7 +32,6 @@ type layout = {
 }
 
 val build_layout : spec -> Routing.t -> layout
-val combine_pos : spec -> int * int -> int
 
 val alloc : spec -> Routing.t -> seed:int -> Memory.t * layout
 val reference : Memory.t -> spec -> Routing.t -> rank:int -> Tensor.t
@@ -44,7 +40,5 @@ type config = {
   tile_rows : int;
   comm_binding : Design_space.resource_binding;
 }
-
-val default_config : config
 
 val program : ?config:config -> spec -> Routing.t -> spec_gpu:Spec.t -> Program.t

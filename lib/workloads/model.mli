@@ -17,8 +17,6 @@ type llm = {
 }
 
 val models : llm list
-val batch : int
-val seq_len : int
 val tokens : int
 val is_moe : llm -> bool
 val layer_params : llm -> float
@@ -27,16 +25,7 @@ val attention_spec : llm -> world_size:int -> Attention.spec
 val attention_config : Attention.config
 val moe_spec : llm -> experts:int -> topk:int -> world_size:int -> Moe.spec
 
-val tilelink_attention_time : Spec.t -> llm -> world_size:int -> float
-val tilelink_ag_gemm : Spec.t -> world_size:int -> m:int -> k:int -> n:int -> float
-val tilelink_gemm_rs : Spec.t -> world_size:int -> m:int -> k:int -> n:int -> float
-val tilelink_mlp_time :
-  Spec.t -> world_size:int -> hidden:int -> intermediate:int -> float
-val tilelink_moe_time :
-  Spec.t -> llm -> experts:int -> topk:int -> world_size:int -> float
-val tilelink_layer_time : Spec.t -> llm -> world_size:int -> float
 val tilelink_model_time : Spec.t -> llm -> world_size:int -> float
 
-val dp_overhead_per_layer : Spec.t -> llm -> world_size:int -> float
 val two_node_time :
   Spec.t -> llm -> world_size:int -> single_node_time:float -> float

@@ -17,7 +17,6 @@ type spec = {
   world_size : int;
 }
 
-val i_per_rank : spec -> int
 val permuted_rows : spec -> int
 
 val routing : spec -> seed:int -> Routing.t
@@ -36,9 +35,7 @@ type part1_config = {
   comm_binding : Design_space.resource_binding;
 }
 
-val default_part1_config : part1_config
 val part1_alloc : spec -> seed:int -> Memory.t
-val gathered_tokens : Memory.t -> spec -> Tensor.t
 val part1_reference : Memory.t -> spec -> Routing.t -> rank:int -> Tensor.t
 
 val part1_program :
@@ -56,7 +53,6 @@ type part2_config = {
 
 val default_part2_config : part2_config
 val part2_alloc : spec -> seed:int -> Memory.t
-val part2_partial : Memory.t -> spec -> Routing.t -> rank:int -> Tensor.t
 val part2_reference : Memory.t -> spec -> Routing.t -> rank:int -> Tensor.t
 
 val part2_program :

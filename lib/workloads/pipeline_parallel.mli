@@ -14,8 +14,6 @@ type spec = {
   width : int;
 }
 
-val total_rows : spec -> int
-
 val alloc : spec -> seed:int -> Memory.t
 (** Per-stage weights and buffers; the global input lives on stage 0. *)
 
@@ -23,8 +21,6 @@ val reference : Memory.t -> spec -> Tilelink_tensor.Tensor.t
 (** Chained GEMM through every stage's weights. *)
 
 type config = { tile_rows : int; comm_sms : int }
-
-val default_config : config
 
 val program : ?config:config -> spec -> spec_gpu:Spec.t -> Program.t
 

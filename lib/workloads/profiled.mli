@@ -5,11 +5,6 @@
 open Tilelink_core
 open Tilelink_machine
 
-val record_program_shape : Tilelink_obs.Telemetry.t -> Program.t -> unit
-(** Gauges: [workload.world_size], [workload.pc_channels],
-    [workload.peer_channels]; counters: [workload.roles],
-    [workload.tasks.<lane>]. *)
-
 val run :
   telemetry:Tilelink_obs.Telemetry.t ->
   spec_gpu:Spec.t ->

@@ -10,8 +10,6 @@ type config = {
   comm_sms : int;  (** worker cap of the ring-send role *)
 }
 
-val default_config : config
-
 val segment_at : Attention.spec -> rank:int -> step:int -> int
 (** KV segment held by [rank] at ring [step]. *)
 

@@ -103,12 +103,3 @@ let activation_time (spec : Spec.t) ~m ~i =
   spec.Spec.overheads.kernel_launch
   +. Cost.memory_pass_time spec ~sms:spec.Spec.gpu.num_sms
        ~bytes:(float_of_int m *. float_of_int (3 * i) *. Cost.dtype_bytes)
-
-let mlp_time ?pool ?cache (spec : Spec.t) ~world_size ~(shape : Shapes.mlp) =
-  let m = shape.Shapes.s and h = shape.Shapes.h and i = shape.Shapes.i in
-  let i_per_rank = i / world_size in
-  let part1 = ag_gemm ?pool ?cache spec ~world_size ~m ~k:h ~n:(2 * i_per_rank) in
-  let part2 = gemm_rs ?pool ?cache spec ~world_size ~m ~k:i_per_rank ~n:h in
-  part1.best_time
-  +. activation_time spec ~m ~i:i_per_rank
-  +. part2.best_time

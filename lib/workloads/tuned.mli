@@ -37,12 +37,3 @@ val gemm_rs :
 val activation_time : Spec.t -> m:int -> i:int -> float
 (** Gated-activation kernel between the MLP halves (same for every
     method). *)
-
-val mlp_time :
-  ?pool:Tilelink_exec.Pool.t ->
-  ?cache:Tilelink_exec.Cache.t ->
-  Spec.t ->
-  world_size:int ->
-  shape:Shapes.mlp ->
-  float
-(** Tuned AG+GEMM + activation + tuned GEMM+RS. *)

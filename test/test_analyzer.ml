@@ -639,21 +639,26 @@ let test_remap_shares_unchanged_instructions () =
     [ 0; 5 ]
 
 (* ------------------------------------------------------------------ *)
-(* Wiring: Runtime pre-flight and Tune skip accounting                 *)
+(* Wiring: analyzer pre-flight before Runtime.run, Tune skip counts   *)
 (* ------------------------------------------------------------------ *)
 
 let test_runtime_preflight_rejects () =
   let cluster = Cluster.create Calib.test_machine ~world_size:2 in
   Alcotest.(check bool) "Protocol_violation before simulation" true
     (try
-       ignore (Runtime.run ~analyze:true cluster (deadlock_program ()));
+       let program = deadlock_program () in
+       Analyzer.check_exn program;
+       ignore (Runtime.run cluster program);
        false
-     with Analyzer.Protocol_violation (_ :: _) -> true)
+     with Analyzer.Protocol_violation (_ :: _) -> true);
+  Alcotest.(check (float 0.0)) "no simulated time elapsed" 0.0
+    (Cluster.now cluster)
 
 let test_runtime_preflight_accepts_clean () =
   let cluster = Cluster.create Calib.test_machine ~world_size:2 in
   let program = mlp_program ~world:2 ~comm_tile:2 ~stages:2 () in
-  let result = Runtime.run ~analyze:true cluster program in
+  Analyzer.check_exn program;
+  let result = Runtime.run cluster program in
   Alcotest.(check bool) "clean program still runs" true
     (result.Runtime.makespan > 0.0)
 

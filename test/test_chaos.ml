@@ -67,7 +67,7 @@ let timing_only_spec =
 
 let timing_only_prop workload seed =
   let t =
-    Harness.run_trial ~spec:timing_only_spec ~workload ~seed ~index:0 ()
+    Chaos_trial.run ~spec:timing_only_spec ~workload ~seed ~index:0 ()
   in
   t.Harness.numerics_ok
   && t.Harness.classification = Harness.Clean
@@ -98,7 +98,7 @@ let prop_delayed_signals_preserve_results =
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let t =
-        Harness.run_trial ~spec:delay_only_spec ~workload:Harness.Mlp_ag_gemm
+        Chaos_trial.run ~spec:delay_only_spec ~workload:Harness.Mlp_ag_gemm
           ~seed ~index:0 ()
       in
       t.Harness.numerics_ok && t.Harness.classification <> Harness.Stalled)
@@ -121,7 +121,7 @@ let find_recovered_trial workload ~seed =
       Alcotest.fail "no recovered trial in 20 seeded attempts"
     else
       let t =
-        Harness.run_trial ~spec:drop_spec ~workload ~seed ~index ()
+        Chaos_trial.run ~spec:drop_spec ~workload ~seed ~index ()
       in
       if t.Harness.classification = Harness.Recovered then (index, t)
       else go (index + 1)
@@ -146,7 +146,7 @@ let test_drop_retry_recovers workload () =
 let test_no_retry_stall_names_signal workload () =
   let index, with_retry = find_recovered_trial workload ~seed:101 in
   let t =
-    Harness.run_trial ~spec:drop_spec ~retry:false ~policy:Chaos.Fail_stop
+    Chaos_trial.run ~spec:drop_spec ~retry:false ~policy:Chaos.Fail_stop
       ~workload ~seed:101 ~index ()
   in
   Alcotest.(check bool) "classified stalled" true
@@ -169,7 +169,7 @@ let test_no_retry_stall_names_signal workload () =
 let test_degrade_fallback workload () =
   let index, _ = find_recovered_trial workload ~seed:101 in
   let t =
-    Harness.run_trial ~spec:drop_spec ~retry:false ~policy:Chaos.Degrade
+    Chaos_trial.run ~spec:drop_spec ~retry:false ~policy:Chaos.Degrade
       ~workload ~seed:101 ~index ()
   in
   Alcotest.(check bool) "classified degraded" true
@@ -192,7 +192,7 @@ let test_degrade_fallback workload () =
    genuine partial replay — strictly fewer tiles re-executed than the
    program holds (the checkpointed majority was not redone). *)
 let test_failover_recovers workload () =
-  let t = Harness.run_trial ~crash_ranks:1 ~workload ~seed:42 ~index:0 () in
+  let t = Chaos_trial.run ~crash_ranks:1 ~workload ~seed:42 ~index:0 () in
   Alcotest.(check bool) "classified failed_over" true
     (t.Harness.classification = Harness.Failed_over);
   Alcotest.(check bool) "numerics identical to fault-free run" true
@@ -215,7 +215,7 @@ let test_failover_recovers workload () =
    channel — never a hang or a bare deadlock. *)
 let test_no_survivors_structural_stall () =
   let t =
-    Harness.run_trial ~crash_ranks:2 ~workload:Harness.Attention_ag ~seed:42
+    Chaos_trial.run ~crash_ranks:2 ~workload:Harness.Attention_ag ~seed:42
       ~index:0 ()
   in
   Alcotest.(check bool) "classified stalled" true
@@ -268,7 +268,7 @@ let test_stalled_trial_does_not_leak () =
   Alcotest.(check bool) "sweep contains a stalled trial" true
     (sweep.Harness.s_stalled > 0);
   let fresh =
-    Harness.run_trial ~spec ~retry:false ~policy:Chaos.Fail_stop
+    Chaos_trial.run ~spec ~retry:false ~policy:Chaos.Fail_stop
       ~workload:Harness.Mlp_ag_gemm ~seed:101 ~index:(stalled_index + 1) ()
   in
   let in_sweep =
@@ -551,38 +551,6 @@ let test_summary_counts () =
     s.Harness.s_trials
 
 (* ------------------------------------------------------------------ *)
-(* Pool task timeouts                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let busy_work x =
-  (* Enough real work to register on the wall clock. *)
-  let s = ref x in
-  for i = 1 to 2_000_000 do
-    s := !s + i
-  done;
-  Sys.opaque_identity !s
-
-let test_pool_task_timeout () =
-  let pool = Pool.create ~domains:1 ~task_timeout_s:1e-9 () in
-  let results = Pool.map (Some pool) busy_work [ 1; 2 ] in
-  List.iter
-    (fun r ->
-      match r with
-      | Error (Pool.Task_timeout dt) ->
-        Alcotest.(check bool) "positive duration" true (dt >= 0.0)
-      | Ok _ -> Alcotest.fail "busy task under 1ns budget?"
-      | Error e -> raise e)
-    results;
-  Alcotest.(check int) "timeouts counted" 2 (Pool.stats pool).Pool.timeouts
-
-let test_pool_generous_timeout () =
-  let pool = Pool.create ~domains:1 ~task_timeout_s:60.0 () in
-  let results = Pool.map (Some pool) (fun x -> x + 1) [ 1; 2; 3 ] in
-  Alcotest.(check (list int)) "all complete" [ 2; 3; 4 ]
-    (List.map Pool.get results);
-  Alcotest.(check int) "no timeouts" 0 (Pool.stats pool).Pool.timeouts
-
-(* ------------------------------------------------------------------ *)
 (* Program-level fault transforms                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -734,12 +702,6 @@ let () =
           Alcotest.test_case "summary reproducible" `Quick
             test_summary_reproducible;
           Alcotest.test_case "summary counts" `Quick test_summary_counts;
-        ] );
-      ( "pool",
-        [
-          Alcotest.test_case "task timeout" `Quick test_pool_task_timeout;
-          Alcotest.test_case "generous timeout" `Quick
-            test_pool_generous_timeout;
         ] );
       ( "transforms",
         [

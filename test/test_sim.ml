@@ -384,17 +384,6 @@ let transfer c link ~bytes k =
   if Bandwidth.try_admit link then wire ()
   else park c (Bandwidth.admit_later link) wire
 
-(* [n] waits of [dt], counting each in [count]. *)
-let ticks c n dt count k =
-  let rec go i =
-    if i = n then k ()
-    else
-      wait c dt (fun () ->
-          incr count;
-          go (i + 1))
-  in
-  go 0
-
 let test_clock_advances () =
   let engine = Engine.create () in
   let finished = ref (-1.0) in
@@ -436,56 +425,6 @@ let test_spawn_at () =
           k ()));
   Engine.run engine;
   check_float "starts at 3" 3.0 !t
-
-let test_run_until () =
-  let engine = Engine.create () in
-  let count = ref 0 in
-  spawn engine (fun c k -> ticks c 10 1.0 count k);
-  Engine.run ~until:4.5 engine;
-  Alcotest.(check int) "4 ticks by t=4.5" 4 !count
-
-let test_run_until_boundary_and_resume () =
-  let engine = Engine.create () in
-  let count = ref 0 in
-  spawn engine (fun c k -> ticks c 6 1.0 count k);
-  (* An event scheduled exactly at the limit still fires. *)
-  Engine.run ~until:3.0 engine;
-  Alcotest.(check int) "3 ticks by t=3.0" 3 !count;
-  check_float "clock at last event" 3.0 (Engine.now engine);
-  (* The remaining events survive the bounded run and a later
-     unbounded run drains them. *)
-  Engine.run engine;
-  Alcotest.(check int) "all ticks after resume" 6 !count;
-  check_float "ends at 6" 6.0 (Engine.now engine)
-
-let test_run_until_idle_advances_clock () =
-  let engine = Engine.create () in
-  spawn engine (fun c k -> wait c 1.0 k);
-  Engine.run ~until:9.0 engine;
-  check_float "idle clock advances to the limit" 9.0 (Engine.now engine)
-
-(* Events reach the limit from different instants and delays; every
-   one of them fires in push order, including one pushed at the limit
-   by an event at the limit, and the later event waits for the resume. *)
-let test_run_until_ties_at_limit () =
-  let engine = Engine.create () in
-  let log = ref [] in
-  let note name () = log := name :: !log in
-  Engine.schedule engine ~delay:3.0 (note "a");
-  Engine.schedule engine ~delay:1.0 (fun () ->
-      note "b" ();
-      Engine.schedule engine ~delay:2.0 (note "c"));
-  Engine.schedule engine ~delay:3.5 (note "late");
-  Engine.schedule_at engine ~time:3.0 (fun () ->
-      note "d" ();
-      Engine.schedule engine ~delay:0.0 (note "e"));
-  Engine.run ~until:3.0 engine;
-  Alcotest.(check (list string)) "limit instant in push order"
-    [ "b"; "a"; "d"; "c"; "e" ] (List.rev !log);
-  check_float "clock at the limit" 3.0 (Engine.now engine);
-  Alcotest.(check int) "later event pending" 1 (Engine.pending_events engine);
-  Engine.run engine;
-  Alcotest.(check string) "resumed" "late" (List.hd !log)
 
 let test_nan_delay_rejected () =
   let engine = Engine.create () in
@@ -1100,18 +1039,11 @@ let () =
           Alcotest.test_case "clock advances" `Quick test_clock_advances;
           Alcotest.test_case "interleaving" `Quick test_processes_interleave;
           Alcotest.test_case "spawn at" `Quick test_spawn_at;
-          Alcotest.test_case "run until" `Quick test_run_until;
-          Alcotest.test_case "run until boundary + resume" `Quick
-            test_run_until_boundary_and_resume;
-          Alcotest.test_case "run until idle clock" `Quick
-            test_run_until_idle_advances_clock;
           Alcotest.test_case "join latch" `Quick test_join_latch;
           Alcotest.test_case "deadlock detection" `Quick
             test_deadlock_detection;
           Alcotest.test_case "negative wait" `Quick
             test_negative_wait_rejected;
-          Alcotest.test_case "run until ties at the limit" `Quick
-            test_run_until_ties_at_limit;
           Alcotest.test_case "NaN delay rejected" `Quick test_nan_delay_rejected;
           Alcotest.test_case "NaN time rejected" `Quick test_nan_time_rejected;
         ] );

@@ -147,15 +147,15 @@ let trial_lines () =
     (fun workload ->
       trial_line
         (Harness.workload_to_string workload)
-        (Harness.run_trial ~crash_ranks:1 ~workload ~seed:42 ~index:0 ()))
+        (Chaos_trial.run ~crash_ranks:1 ~workload ~seed:42 ~index:0 ()))
     [ Harness.Mlp_ag_gemm; Harness.Moe_part2; Harness.Attention_ag ]
   @ [
       trial_line "mlp@islands2x8/crash8"
-        (Harness.run_trial ~crash_ranks:8
+        (Chaos_trial.run ~crash_ranks:8
            ~topology:Topology.islands2x8
            ~workload:Harness.Mlp_ag_gemm ~seed:42 ~index:0 ());
       trial_line "mlp@hetero16"
-        (Harness.run_trial ~topology:Topology.hetero16
+        (Chaos_trial.run ~topology:Topology.hetero16
            ~workload:Harness.Mlp_ag_gemm ~seed:42 ~index:0 ());
     ]
 

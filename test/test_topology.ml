@@ -111,7 +111,7 @@ let prop_hetero_failover_bit_identical =
       List.for_all
         (fun workload ->
           let t =
-            Harness.run_trial ~crash_ranks:1 ~topology:Topology.hetero16
+            Chaos_trial.run ~crash_ranks:1 ~topology:Topology.hetero16
               ~workload ~seed ~index:0 ()
           in
           t.Harness.numerics_ok
@@ -123,7 +123,7 @@ let prop_hetero_failover_bit_identical =
    failover works and never counts a cross-island replay. *)
 let test_flat8_no_cross_island_replays () =
   let t =
-    Harness.run_trial ~crash_ranks:1 ~topology:Topology.flat8
+    Chaos_trial.run ~crash_ranks:1 ~topology:Topology.flat8
       ~workload:Harness.Mlp_ag_gemm ~seed:42 ~index:0 ()
   in
   Alcotest.(check bool) "failed over" true
@@ -163,11 +163,11 @@ let test_sweep_equals_single_trials () =
       List.iteri
         (fun index in_sweep ->
           let alone =
-            Harness.run_trial ~crash_ranks:1 ?topology
+            Chaos_trial.run ~crash_ranks:1 ?topology
               ~workload:Harness.Mlp_ag_gemm ~seed:42 ~index ()
           in
           Alcotest.(check bool)
-            (Printf.sprintf "%s trial %d equals run_trial" name index)
+            (Printf.sprintf "%s trial %d equals profile_trial" name index)
             true (alone = in_sweep))
         sweep.Harness.s_trials;
       Alcotest.(check int) (name ^ " trials") 3
@@ -278,7 +278,7 @@ let test_island_crash_behind_partition_is_structural () =
    — the run terminates with a diagnosis instead of hanging. *)
 let test_all_islands_crash_is_structural () =
   let t =
-    Harness.run_trial ~crash_ranks:4 ~topology:topo2x2
+    Chaos_trial.run ~crash_ranks:4 ~topology:topo2x2
       ~workload:Harness.Mlp_ag_gemm ~seed:42 ~index:0 ()
   in
   Alcotest.(check bool) "classified stalled" true
