@@ -42,8 +42,6 @@ type t = {
   gpus_per_node : int;
 }
 
-let total_flops t = float_of_int t.gpu.num_sms *. t.gpu.flops_per_sm
-
 let pp ppf t =
   (* flops_per_sm is FLOP/µs; aggregate TFLOP/s = sms * per_sm * 1e6 / 1e12. *)
   Fmt.pf ppf

@@ -35,7 +35,6 @@ type t = {
   gpus_per_node : int;
 }
 
-val total_flops : t -> float
 val pp : Format.formatter -> t -> unit
 
 val fingerprint : t -> string

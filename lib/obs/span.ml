@@ -82,7 +82,6 @@ let create ?(enabled = true) () =
 
 let enabled t = t.enabled
 let set_enabled t flag = t.enabled <- flag
-let length t = t.len
 
 let fresh_worker t =
   Mutex.lock t.lock;

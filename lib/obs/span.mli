@@ -31,7 +31,6 @@ type t
 val create : ?enabled:bool -> unit -> t
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
-val length : t -> int
 
 val fresh_worker : t -> int
 (** Allocate a worker id for one sequential execution stream. *)

@@ -2,11 +2,10 @@
 
    One record bundles the aggregate half (metrics), the sequential
    half (journal) and the causal half (spans) so call sites take a
-   single optional argument.  Each half has its own enable switch and
-   [set_enabled] flips all three.  Instrumentation guards on [active]
-   before doing any work, which keeps a fully disabled handle's cost to
-   a branch; inside the guard, work that feeds only one half is skipped
-   when that half is off. *)
+   single optional argument.  Each half has its own enable switch.
+   Instrumentation guards on [active] before doing any work, which
+   keeps a fully disabled handle's cost to a branch; inside the guard,
+   work that feeds only one half is skipped when that half is off. *)
 
 type t = { metrics : Metrics.t; journal : Journal.t; spans : Span.t }
 
@@ -34,11 +33,6 @@ let spans t = t.spans
 let enabled t =
   Metrics.enabled t.metrics || Journal.enabled t.journal
   || Span.enabled t.spans
-
-let set_enabled t flag =
-  Metrics.set_enabled t.metrics flag;
-  Journal.set_enabled t.journal flag;
-  Span.set_enabled t.spans flag
 
 (* [active opt] is the single check instrumented code performs:
    [None] (no telemetry requested) and [Some t] with every half off

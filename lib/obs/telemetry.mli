@@ -1,8 +1,7 @@
 (** The telemetry handle instrumented layers thread through: a metrics
     registry, an event journal, and a causal span recorder.  Each half
     keeps its own enable switch ({!Metrics.set_enabled},
-    {!Journal.set_enabled}, {!Span.set_enabled}); {!set_enabled} flips
-    all three. *)
+    {!Journal.set_enabled}, {!Span.set_enabled}). *)
 
 type t = { metrics : Metrics.t; journal : Journal.t; spans : Span.t }
 
@@ -18,8 +17,6 @@ val spans_only : unit -> t
 val metrics : t -> Metrics.t
 val journal : t -> Journal.t
 val spans : t -> Span.t
-
-val set_enabled : t -> bool -> unit
 
 val active : t option -> bool
 (** The one guard hot paths use: [true] only for [Some t] with at

@@ -33,7 +33,6 @@ let create () =
 
 let now t = t.now
 let executed_events t = t.executed
-let pending_events t = Pqueue.length t.events
 
 (* One comparison admits the valid case; it fails on NaN too, which
    would otherwise reach the queue as a priority that orders nowhere. *)

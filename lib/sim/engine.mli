@@ -12,7 +12,6 @@ val now : t -> float
 (** Current virtual time. *)
 
 val executed_events : t -> int
-val pending_events : t -> int
 
 val blocked_time : t -> float
 (** ∫ blocked_processes dt since creation, in process·µs: the

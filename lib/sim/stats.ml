@@ -56,7 +56,3 @@ let percentile p = function
         max 1 (min n r)
     in
     List.nth sorted (rank - 1)
-
-let speedup ~baseline ~candidate =
-  if candidate <= 0.0 then invalid_arg "Stats.speedup: non-positive time";
-  baseline /. candidate

@@ -16,6 +16,3 @@ val percentile : float -> float list -> float
     [p <= 0.] yields the minimum, [p >= 100.] the maximum.  Raises
     [Invalid_argument] on the empty list and on any NaN sample (NaN
     sorts last under [Float.compare] and would corrupt p99/max). *)
-
-val speedup : baseline:float -> candidate:float -> float
-(** [baseline /. candidate]; > 1 means candidate is faster. *)

@@ -56,8 +56,3 @@ let bits_equal a b =
   && Array.for_all2
        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
        (Tensor.data a) (Tensor.data b)
-
-let pp_report ppf r =
-  Fmt.pf ppf "max_abs=%.3e max_rel=%.3e at %s %s" r.max_abs_err r.max_rel_err
-    (Shape.to_string (Array.of_list (Array.to_list r.worst_index)))
-    (if r.within then "(ok)" else "(MISMATCH)")

@@ -19,5 +19,3 @@ val close : ?atol:float -> Tensor.t -> Tensor.t -> bool
 val bits_equal : Tensor.t -> Tensor.t -> bool
 (** Same shape and every element bit for bit: no tolerance, and [-0.]
     differs from [0.] while a NaN equals the same NaN. *)
-
-val pp_report : Format.formatter -> report -> unit

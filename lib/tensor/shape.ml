@@ -8,7 +8,6 @@ let of_list dims =
     dims;
   Array.of_list dims
 
-let to_list = Array.to_list
 let rank (t : t) = Array.length t
 let dim (t : t) i = t.(i)
 

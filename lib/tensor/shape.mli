@@ -3,7 +3,6 @@
 type t = int array
 
 val of_list : int list -> t
-val to_list : t -> int list
 val rank : t -> int
 val dim : t -> int -> int
 val numel : t -> int

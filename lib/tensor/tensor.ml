@@ -19,11 +19,6 @@ let init shape f =
   in
   { shape; data }
 
-let of_array shape data =
-  if Array.length data <> Shape.numel shape then
-    invalid_arg "Tensor.of_array: size mismatch";
-  { shape; data = Array.copy data }
-
 let shape t = t.shape
 let data t = t.data
 let copy t = { t with data = Array.copy t.data }
@@ -42,18 +37,12 @@ let map2 f a b =
   { a with data = Array.map2 f a.data b.data }
 
 let add = map2 ( +. )
-let sub = map2 ( -. )
 let scale k = map (fun x -> k *. x)
 
 let add_inplace dst src =
   if not (Shape.equal dst.shape src.shape) then
     invalid_arg "Tensor.add_inplace: shape mismatch";
   Array.iteri (fun i v -> dst.data.(i) <- dst.data.(i) +. v) src.data
-
-let sum t = Array.fold_left ( +. ) 0.0 t.data
-
-let max_abs t =
-  Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 t.data
 
 (* 2-D helpers: the overlapped kernels are all matrix-shaped, so row
    slicing gets dedicated fast paths. *)

@@ -8,21 +8,16 @@ type t
 
 val zeros : Shape.t -> t
 val init : Shape.t -> (int array -> float) -> t
-val of_array : Shape.t -> float array -> t
 val shape : t -> Shape.t
 val data : t -> float array
 val copy : t -> t
-val get : t -> int array -> float
 val get2 : t -> int -> int -> float
 val set2 : t -> int -> int -> float -> unit
 val map : (float -> float) -> t -> t
 val map2 : (float -> float -> float) -> t -> t -> t
 val add : t -> t -> t
-val sub : t -> t -> t
 val scale : float -> t -> t
 val add_inplace : t -> t -> unit
-val sum : t -> float
-val max_abs : t -> float
 
 (** {2 2-D helpers} *)
 

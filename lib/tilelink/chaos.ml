@@ -128,15 +128,6 @@ let no_machine_faults spec =
     copy_stall_prob = 0.0;
   }
 
-let signal_faults_only ~drop_prob =
-  {
-    (no_machine_faults default_spec) with
-    drop_prob;
-    duplicate_prob = 0.0;
-    delay_prob = 0.0;
-    reissue_drop_prob = 0.0;
-  }
-
 type window = { w_from : float; w_until : float; w_factor : float }
 
 (* A rank-crash fault: the rank dies at [cr_at] for good; its lost

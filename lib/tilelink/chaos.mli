@@ -54,9 +54,6 @@ val no_machine_faults : spec -> spec
 (** Zero out the machine-level windows/stragglers, keeping signal
     faults — for tests that must not perturb timing. *)
 
-val signal_faults_only : drop_prob:float -> spec
-(** Only dropped notifies at the given rate; reliable re-issue. *)
-
 (** A rank-crash fault: the rank dies at [cr_at] and stays dead; its
     lost work is replayed by the failover coordinator. *)
 type crash = { cr_at : float }

@@ -137,5 +137,3 @@ let enumerate space =
             space.comm_orders)
         space.compute_tiles)
     space.comm_tiles
-
-let size space = List.length (enumerate space)

@@ -49,4 +49,3 @@ type space = {
 
 val default_space : world_size:int -> space
 val enumerate : space -> config list
-val size : space -> int

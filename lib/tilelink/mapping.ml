@@ -108,8 +108,6 @@ let dynamic ~ranks ~channels_per_rank ~f_s_low ~f_s_high ~f_r ~f_c () =
       row_channels;
     }
 
-let is_dynamic = function Dynamic _ -> true | Static _ -> false
-
 let num_tiles = function
   | Static s -> ceil_div s.extent s.tile
   | Dynamic d -> Array.length d.f_s_low

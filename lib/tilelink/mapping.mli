@@ -31,7 +31,6 @@ val dynamic :
 (** Lookup-table mapping (values filled at runtime by e.g. MoE
     routing); [f_c] holds global channel ids. *)
 
-val is_dynamic : t -> bool
 val num_tiles : t -> int
 val num_channels : t -> int
 val ranks : t -> int

@@ -42,12 +42,6 @@ let mem t ~rank ~name =
   check_rank t rank "mem";
   Hashtbl.mem t.stores.(rank) name
 
-(* Symmetric allocation: the same buffer on every rank. *)
-let alloc_symmetric t ~name shape =
-  Array.iteri
-    (fun rank _ -> ignore (alloc t ~rank ~name shape))
-    t.stores
-
 let buffers t ~rank =
   check_rank t rank "buffers";
   Hashtbl.fold (fun name _ acc -> name :: acc) t.stores.(rank) []

@@ -10,7 +10,6 @@ val alloc : t -> rank:int -> name:string -> Shape.t -> Tensor.t
 val bind : t -> rank:int -> name:string -> Tensor.t -> unit
 val find : t -> rank:int -> name:string -> Tensor.t
 val mem : t -> rank:int -> name:string -> bool
-val alloc_symmetric : t -> name:string -> Shape.t -> unit
 val buffers : t -> rank:int -> string list
 
 val bits_equal : t -> t -> bool

@@ -184,8 +184,6 @@ let enumerate space =
         space.sp_transfers)
     (Design_space.enumerate space.sp_design)
 
-let size space = List.length (enumerate space)
-
 (* ------------------------------------------------------------------ *)
 (* Synthesis                                                           *)
 (* ------------------------------------------------------------------ *)

@@ -86,7 +86,6 @@ val default_space : graph -> space
     the extents, both transfer directions and chunk counts [1; 2]. *)
 
 val enumerate : space -> candidate list
-val size : space -> int
 
 (** {1 Synthesis} *)
 

@@ -8,13 +8,6 @@
 
 type t = { tid_m : int; tid_n : int }
 
-let make ~tid_m ~tid_n =
-  if tid_m < 0 || tid_n < 0 then invalid_arg "Tile.make: negative id";
-  { tid_m; tid_n }
-
-let equal a b = a.tid_m = b.tid_m && a.tid_n = b.tid_n
-let compare = compare
-
 (* A tiling of an [extent_m x extent_n] space into [tile_m x tile_n]
    blocks; the trailing tiles may be ragged. *)
 type grid = {

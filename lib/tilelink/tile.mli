@@ -3,10 +3,6 @@
 
 type t = { tid_m : int; tid_n : int }
 
-val make : tid_m:int -> tid_n:int -> t
-val equal : t -> t -> bool
-val compare : t -> t -> int
-
 type grid = {
   extent_m : int;
   extent_n : int;

@@ -38,7 +38,8 @@ let test_gemm_kernel_time_bounded_by_peak () =
   let m, n, k = (4096, 4096, 4096) in
   let t = Cost.gemm_kernel_time spec ~sms:132 ~m ~n ~k ~tm:128 ~tn:128 in
   let ideal =
-    Tilelink_tensor.Linalg.gemm_flops ~m ~n ~k /. Spec.total_flops spec
+    Tilelink_tensor.Linalg.gemm_flops ~m ~n ~k
+    /. (float_of_int spec.Spec.gpu.num_sms *. spec.Spec.gpu.flops_per_sm)
   in
   Alcotest.(check bool) "never beats peak" true (t >= ideal)
 

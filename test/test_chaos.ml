@@ -107,7 +107,14 @@ let prop_delayed_signals_preserve_results =
 (* Dropped notifies: retry, stall, degrade                             *)
 (* ------------------------------------------------------------------ *)
 
-let drop_spec = Chaos.signal_faults_only ~drop_prob:0.25
+let drop_spec =
+  {
+    (Chaos.no_machine_faults Chaos.default_spec) with
+    drop_prob = 0.25;
+    duplicate_prob = 0.0;
+    delay_prob = 0.0;
+    reissue_drop_prob = 0.0;
+  }
 
 (* Find a trial index where a dropped signal actually left a wait
    hanging (classified Recovered under the default retry policy).  A

@@ -10,7 +10,7 @@ let tensor_close msg expected actual =
   let report = Check.compare expected actual in
   Alcotest.(check bool)
     (Printf.sprintf "%s (%s)" msg
-       (Format.asprintf "%a" Check.pp_report report))
+       (Format.asprintf "%a" Check_report.pp report))
     true report.Check.within
 
 (* ------------------------------------------------------------------ *)
@@ -132,15 +132,13 @@ let prop_data_collectives_preserve_sum =
         List.init world (fun i ->
             Tensor.random ~seed:(50 + i) (Shape.of_list [ rows; 2 ]))
       in
-      let total_in =
-        List.fold_left (fun acc t -> acc +. Tensor.sum t) 0.0 tensors
-      in
-      let total_out =
+      let total ts =
         List.fold_left
-          (fun acc t -> acc +. Tensor.sum t)
-          0.0
-          (Collective.reducescatter_data tensors)
+          (fun acc t -> acc +. Array.fold_left ( +. ) 0.0 (Tensor.data t))
+          0.0 ts
       in
+      let total_in = total tensors in
+      let total_out = total (Collective.reducescatter_data tensors) in
       Float.abs (total_in -. total_out) < 1e-6)
 
 let () =

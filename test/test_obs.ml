@@ -325,7 +325,9 @@ let test_telemetry_active () =
     (Metrics.enabled (Telemetry.metrics off));
   let on = Telemetry.create () in
   Alcotest.(check bool) "enabled" true (Telemetry.active (Some on));
-  Telemetry.set_enabled on false;
+  Metrics.set_enabled (Telemetry.metrics on) false;
+  Journal.set_enabled (Telemetry.journal on) false;
+  Span.set_enabled (Telemetry.spans on) false;
   Alcotest.(check bool) "switchable" false (Telemetry.active (Some on))
 
 (* ------------------------------------------------------------------ *)
@@ -459,7 +461,7 @@ let test_profiled_run_populates_telemetry () =
   Alcotest.(check bool) "lane utilization gauges" true
     (Metrics.gauge_value m "util.sm.rank0" <> None);
   Alcotest.(check bool) "causal spans recorded" true
-    (Span.length (Telemetry.spans telemetry) > 0);
+    (Span.spans (Telemetry.spans telemetry) <> []);
   Alcotest.(check bool) "compute and copy spans present" true
     (let spans = Span.spans (Telemetry.spans telemetry) in
      List.exists (fun s -> s.Span.kind = Span.Compute) spans
@@ -483,7 +485,7 @@ let test_disabled_telemetry_is_invisible () =
     (Metrics.histogram_names (Telemetry.metrics off));
   Alcotest.(check int) "no journal entries" 0
     (Journal.length (Telemetry.journal off));
-  Alcotest.(check int) "no spans" 0 (Span.length (Telemetry.spans off))
+  Alcotest.(check int) "no spans" 0 (List.length (Span.spans (Telemetry.spans off)))
 
 (* Recording from several domains at once must lose nothing: the
    registries are shared by the parallel backend's worker domains. *)
@@ -520,7 +522,7 @@ let test_concurrent_recording () =
   | Some s -> Alcotest.(check int) "histogram count" total s.Metrics.count);
   Alcotest.(check int) "journal entries" total (Journal.length journal);
   Alcotest.(check int) "journal dropped" 0 (Journal.dropped journal);
-  Alcotest.(check int) "span count" total (Span.length spans);
+  Alcotest.(check int) "span count" total (List.length (Span.spans spans));
   (* Ids must be dense and unique: the id is the store index. *)
   let ids = List.map (fun s -> s.Span.id) (Span.spans spans) in
   Alcotest.(check (list int)) "span ids dense" (List.init total Fun.id) ids

@@ -836,8 +836,6 @@ let test_default_space () =
   let graph = Planned.mlp_graph { Mlp.m = 256; k = 64; n = 48; world_size = 8 } in
   let space = Planner.default_space graph in
   let candidates = Planner.enumerate space in
-  Alcotest.(check int) "size agrees" (Planner.size space)
-    (List.length candidates);
   Alcotest.(check bool) "non-empty" true (candidates <> []);
   let shard_rows = 256 / 8 in
   List.iter

@@ -11,7 +11,7 @@ let tensor_close ?(atol = 1e-9) msg expected actual =
   let report = Check.compare ~atol expected actual in
   Alcotest.(check bool)
     (Printf.sprintf "%s (%s)" msg
-       (Format.asprintf "%a" Check.pp_report report))
+       (Format.asprintf "%a" Check_report.pp report))
     true report.Check.within
 
 let base_config =
