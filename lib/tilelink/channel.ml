@@ -238,7 +238,7 @@ let peer_row t ~dst ~src =
 let find_key t k =
   let rank r = r >= 0 && r < t.world_size in
   match Instr.target_of_key k with
-  | Some target when String.equal (Instr.key_of_target target) k -> (
+  | Some target -> (
     match target with
     | Instr.Pc { rank = r; channel }
       when rank r && channel >= 0 && channel < t.channels_per_rank ->
@@ -248,7 +248,7 @@ let find_key t k =
       Some (peer_row t ~dst ~src).(channel)
     | Instr.Host { src; dst } when rank src && rank dst -> Some t.host.(dst).(src)
     | _ -> None)
-  | _ -> None
+  | None -> None
 
 let key_value t ~key =
   Option.map (fun c -> Tilelink_sim.Counter.value c.counter) (find_key t key)

@@ -61,21 +61,28 @@ let key_of_target = function
   | Host { src; dst } -> Printf.sprintf "host[%d<-%d]" dst src
 
 (* The inverse of [key_of_target]: [None] for any string it does not
-   render. *)
+   render.  Scanf's [%d] also reads spellings [key_of_target] never
+   prints ("01", "+1", " 1"), so a parse counts only if rendering it
+   gives [key] back. *)
 let target_of_key key =
   let scan fmt f =
     try Some (Scanf.sscanf key fmt f)
     with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
   in
-  match scan "pc[%d][%d]%!" (fun rank channel -> Pc { rank; channel }) with
-  | Some _ as t -> t
-  | None -> (
-    match
-      scan "peer[%d<-%d][%d]%!" (fun dst src channel ->
-          Peer { src; dst; channel })
-    with
+  let parsed =
+    match scan "pc[%d][%d]%!" (fun rank channel -> Pc { rank; channel }) with
     | Some _ as t -> t
-    | None -> scan "host[%d<-%d]%!" (fun dst src -> Host { src; dst }))
+    | None -> (
+      match
+        scan "peer[%d<-%d][%d]%!" (fun dst src channel ->
+            Peer { src; dst; channel })
+      with
+      | Some _ as t -> t
+      | None -> scan "host[%d<-%d]%!" (fun dst src -> Host { src; dst }))
+  in
+  match parsed with
+  | Some target when String.equal (key_of_target target) key -> parsed
+  | _ -> None
 
 (* The rank a wait on this target observes from — the counter's owner
    for [Pc], the producing side for [Peer]/[Host]. *)

@@ -351,6 +351,13 @@ let test_channel_untouched_peer_keys () =
    a target out of range or an unknown kind names none. *)
 let test_channel_find_key_contract () =
   let world = 3 and pc_channels = 2 and peer_channels = 2 in
+  (* Non-canonical spellings of keys in range. *)
+  let non_canonical =
+    [
+      "pc[01][0]"; "pc[0][00]"; "pc[+1][0]"; "peer[01<-0][0]";
+      "peer[1<-0][01]"; "host[1<-00]"; "host[ 1<-0]";
+    ]
+  in
   let create () =
     Channel.create ~world_size:world ~channels_per_rank:pc_channels
       ~peer_channels ()
@@ -411,17 +418,24 @@ let test_channel_find_key_contract () =
            Channel.force_signal by_target ~key ~target:1;
            false
          with Invalid_argument _ -> true))
-    [
-      (* non-canonical spellings of keys in range *)
-      "pc[01][0]"; "pc[0][00]"; "pc[+1][0]"; "peer[01<-0][0]";
-      "peer[1<-0][01]"; "host[1<-00]"; "host[ 1<-0]";
+    (non_canonical
+    @ [
       (* out of range *)
       "pc[3][0]"; "pc[0][2]"; "pc[-1][0]"; "peer[3<-0][0]";
       "peer[0<-3][0]"; "peer[0<-1][2]"; "peer[0<-1][-1]"; "host[0<-3]";
       "host[-1<-0]";
       (* unknown *)
       ""; "nic[0]"; "pc[0][0]x"; "peer[1<-2]"; "pc[0]";
-    ]
+    ]);
+  (* The parser itself refuses what [key_of_target] never renders, and
+     so does the chaos layer's key parser that shares it. *)
+  List.iter
+    (fun key ->
+      Alcotest.(check bool) (key ^ " does not parse") true
+        (Instr.target_of_key key = None);
+      Alcotest.(check bool) (key ^ " is an unknown chaos key") true
+        (Chaos.parse_key key = ("unknown", -1, None)))
+    non_canonical
 
 (* ------------------------------------------------------------------ *)
 (* Memory                                                              *)
