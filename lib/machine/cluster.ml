@@ -218,16 +218,6 @@ let copy_stall_us t ~rank_id =
   | Some d ->
     Float.max 0.0 (d.copy_stall_us ~rank:rank_id ~now:(Tilelink_sim.Engine.now t.engine))
 
-let num_nodes t = Array.length t.nics
-
-let nic_bytes t ~node =
-  if node < 0 || node >= num_nodes t then
-    invalid_arg "Cluster.nic_bytes: node out of range";
-  Tilelink_sim.Bandwidth.bytes_moved t.nics.(node)
-
-let nvlink_bytes t ~rank_id =
-  Tilelink_sim.Bandwidth.bytes_moved t.ranks.(rank_id).nvlink_egress
-
 (* Intra-node traffic binds on the source's NVLink egress; inter-node
    traffic binds on both nodes' NICs (modeled as the source node NIC,
    the bottleneck in practice). *)

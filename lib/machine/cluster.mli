@@ -65,13 +65,6 @@ val trace : t -> Tilelink_sim.Trace.t
 val rank : t -> int -> rank
 val now : t -> float
 val same_node : t -> int -> int -> bool
-val num_nodes : t -> int
-
-val nic_bytes : t -> node:int -> float
-(** Bytes that left the node's NIC so far. *)
-
-val nvlink_bytes : t -> rank_id:int -> float
-(** Bytes that left the rank's NVLink egress so far. *)
 
 val kill_rank : t -> rank_id:int -> unit
 (** Crash a rank for good: {!is_alive} flips false and transfers

@@ -78,7 +78,6 @@ let num_islands t =
   match t.shape with Flat _ -> 1 | Islands { islands; _ } -> islands
 
 let natural_world t = num_islands t * ranks_per_island t
-let is_flat t = num_islands t = 1 && (not t.hetero) && not t.cotenant
 
 (* Heterogeneous SKU mix: a repeating four-rank pattern.  Two
    full-speed parts, one with fewer effective SMs (compute 15% slower)

@@ -51,10 +51,6 @@ val natural_world : t -> int
 (** The world size the topology was drawn for
     ([num_islands * ranks_per_island]). *)
 
-val is_flat : t -> bool
-(** True for single-island homogeneous shapes with no co-tenant tax —
-    behaviourally identical to running with no topology at all. *)
-
 val describe : t -> string
 (** One-line human description for logs and [--json] artifacts. *)
 

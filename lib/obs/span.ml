@@ -66,7 +66,7 @@ type t = {
      outside the lock, and recorders lock and unlock it directly rather
      than allocate a [Mutex.protect] closure per span (nothing inside
      can raise). *)
-  mutable enabled : bool;
+  enabled : bool;
 }
 
 let create ?(enabled = true) () =
@@ -81,7 +81,6 @@ let create ?(enabled = true) () =
   }
 
 let enabled t = t.enabled
-let set_enabled t flag = t.enabled <- flag
 
 let fresh_worker t =
   Mutex.lock t.lock;

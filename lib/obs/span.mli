@@ -30,7 +30,6 @@ type t
 
 val create : ?enabled:bool -> unit -> t
 val enabled : t -> bool
-val set_enabled : t -> bool -> unit
 
 val fresh_worker : t -> int
 (** Allocate a worker id for one sequential execution stream. *)

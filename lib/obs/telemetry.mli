@@ -1,7 +1,7 @@
 (** The telemetry handle instrumented layers thread through: a metrics
     registry, an event journal, and a causal span recorder.  Each half
     keeps its own enable switch ({!Metrics.set_enabled},
-    {!Journal.set_enabled}, {!Span.set_enabled}). *)
+    {!Journal.set_enabled}, and [~enabled] at creation for spans). *)
 
 type t = { metrics : Metrics.t; journal : Journal.t; spans : Span.t }
 

@@ -27,7 +27,7 @@ type span = {
   t1 : float;
 }
 
-type t = { mutable spans : span list; mutable enabled : bool }
+type t = { mutable spans : span list; enabled : bool }
 
 let create ?(enabled = true) () = { spans = []; enabled }
 

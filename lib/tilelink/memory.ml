@@ -38,10 +38,6 @@ let find t ~rank ~name =
   | None ->
     invalid_arg (Printf.sprintf "Memory.find: no buffer %S on rank %d" name rank)
 
-let mem t ~rank ~name =
-  check_rank t rank "mem";
-  Hashtbl.mem t.stores.(rank) name
-
 let buffers t ~rank =
   check_rank t rank "buffers";
   Hashtbl.fold (fun name _ acc -> name :: acc) t.stores.(rank) []

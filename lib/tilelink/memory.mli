@@ -9,7 +9,6 @@ val world_size : t -> int
 val alloc : t -> rank:int -> name:string -> Shape.t -> Tensor.t
 val bind : t -> rank:int -> name:string -> Tensor.t -> unit
 val find : t -> rank:int -> name:string -> Tensor.t
-val mem : t -> rank:int -> name:string -> bool
 val buffers : t -> rank:int -> string list
 
 val bits_equal : t -> t -> bool

@@ -43,12 +43,7 @@ let test_preset_resolution () =
   Alcotest.(check (list int))
     "natural worlds"
     [ 8; 16; 32; 16; 16 ]
-    (List.map Topology.natural_world Topology.all);
-  Alcotest.(check bool) "flat8 is flat" true (Topology.is_flat Topology.flat8);
-  Alcotest.(check bool) "hetero16 is not flat" false
-    (Topology.is_flat Topology.hetero16);
-  Alcotest.(check bool) "cotenant2x8 is not flat" false
-    (Topology.is_flat Topology.cotenant2x8)
+    (List.map Topology.natural_world Topology.all)
 
 let test_layout_island_mapping () =
   let l = Topology.layout Topology.islands2x8 ~world_size:16 in
