@@ -67,8 +67,8 @@ val now : t -> float
 val same_node : t -> int -> int -> bool
 
 val kill_rank : t -> rank_id:int -> unit
-(** Crash a rank for good: {!is_alive} flips false and transfers
-    touching it fail fast until {!mark_recovered}. *)
+(** Crash a rank for good: transfers touching it fail fast until
+    {!mark_recovered}. *)
 
 val mark_recovered : t -> rank_id:int -> unit
 (** The failover coordinator re-hosted the rank's symmetric memory on
