@@ -14,6 +14,7 @@ type t = {
   latency : float;       (* microseconds *)
   server : Resource.t;
   mutable bytes_moved : float;
+  mutable transfer_count : int;
   (* Time-varying rate multiplier, sampled at admission.  Installed by
      fault injection (degradation / outage windows); [None] means the
      link runs at its nominal rate. *)
@@ -30,6 +31,7 @@ let create engine ~name ~gbps ~latency_us ?(streams = 1) () =
     latency = latency_us;
     server = Resource.create engine ~name ~capacity:streams;
     bytes_moved = 0.0;
+    transfer_count = 0;
     throttle = None;
   }
 
@@ -48,6 +50,7 @@ let effective_rate t =
     t.rate *. Float.max m 1e-6
 
 let bytes_moved t = t.bytes_moved
+let transfer_count t = t.transfer_count
 let busy_time t = Resource.busy_time t.server
 
 let duration t ~bytes =
@@ -65,6 +68,7 @@ let wire_time t ~bytes = bytes /. effective_rate t
 
 let wire_done t ~bytes =
   t.bytes_moved <- t.bytes_moved +. bytes;
+  t.transfer_count <- t.transfer_count + 1;
   Resource.release t.server 1
 
 let latency t = t.latency

@@ -15,6 +15,7 @@ val create :
   t
 
 val bytes_moved : t -> float
+val transfer_count : t -> int
 val busy_time : t -> float
 
 val duration : t -> bytes:float -> float

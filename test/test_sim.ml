@@ -716,7 +716,8 @@ let test_bandwidth_accounting () =
       transfer c link ~bytes:1000.0 (fun () ->
           transfer c link ~bytes:2000.0 k));
   Engine.run engine;
-  check_float "bytes" 3000.0 (Bandwidth.bytes_moved link)
+  check_float "bytes" 3000.0 (Bandwidth.bytes_moved link);
+  Alcotest.(check int) "count" 2 (Bandwidth.transfer_count link)
 
 (* ------------------------------------------------------------------ *)
 (* Counter                                                             *)
