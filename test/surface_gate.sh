@@ -10,7 +10,8 @@
 #
 # Prints each uncalled export and exits 1 if there is any.  It counts
 # only qualified references, so an `open` of a library module would
-# hide a caller; no code in lib, bin, bench or examples does that.
+# hide a caller (no code in lib, bin, bench or examples does that), and
+# a record field qualified by a module name counts as a reference.
 set -eu
 export LC_ALL=C
 allow=test/surface_allow.txt
