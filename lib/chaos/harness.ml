@@ -292,7 +292,8 @@ let trial_base ?topology workload =
   (case, r.Runtime.makespan)
 
 let run_trial_impl ?(spec = Chaos.default_spec) ?(retry = true)
-    ?(policy = Chaos.Degrade) ?(crash_ranks = 0) ?topology ?(profile = false) ~base:(case, ideal) ~seed ~index () =
+    ?(policy = Chaos.Degrade) ?(crash_ranks = 0) ?topology
+    ?(profile = false) ~base:(case, ideal) ~seed ~index () =
   let layout =
     Option.map (fun t -> Topology.layout t ~world_size:case.world) topology
   in
@@ -432,7 +433,8 @@ let run_trial_impl ?(spec = Chaos.default_spec) ?(retry = true)
 
 let profile_trial ?spec ?retry ?policy ?crash_ranks ?topology ~workload ~seed
     ~index () =
-  run_trial_impl ?spec ?retry ?policy ?crash_ranks ?topology ~profile:true ~base:(trial_base ?topology workload) ~seed ~index ()
+  run_trial_impl ?spec ?retry ?policy ?crash_ranks ?topology ~profile:true
+    ~base:(trial_base ?topology workload) ~seed ~index ()
 
 let summarize ~workload ~seed trials =
   let count c =
@@ -465,7 +467,8 @@ let summarize ~workload ~seed trials =
       List.fold_left (fun acc t -> acc + t.cross_island_replays) 0 trials;
   }
 
-let run_trials ?pool ?spec ?retry ?policy ?crash_ranks ?topology ~workload ~seed ~trials () =
+let run_trials ?pool ?spec ?retry ?policy ?crash_ranks ?topology ~workload
+    ~seed ~trials () =
   if trials <= 0 then invalid_arg "Harness.run_trials: trials must be > 0";
   let base = trial_base ?topology workload in
   let indices = List.init trials Fun.id in
@@ -473,7 +476,8 @@ let run_trials ?pool ?spec ?retry ?policy ?crash_ranks ?topology ~workload ~seed
     Pool.map pool
       (fun index ->
         let trial, _, _ =
-          run_trial_impl ?spec ?retry ?policy ?crash_ranks ?topology ~base ~seed ~index ()
+          run_trial_impl ?spec ?retry ?policy ?crash_ranks ?topology ~base
+            ~seed ~index ()
         in
         trial)
       indices

@@ -47,9 +47,10 @@ val graph :
   consumer list ->
   graph
 (** Validated constructor.  The gather reads the per-rank input shard
-    ["x_shard"] ([m/world x k]) and writes ["x_full"] ([m x k]).  Raises [Invalid_argument] when [rows] does not
-    divide over [world], the consumer list is empty, or two consumers
-    share an output buffer. *)
+    ["x_shard"] ([m/world x k]) and writes ["x_full"] ([m x k]).
+    Raises [Invalid_argument] when [rows] does not divide over
+    [world], the consumer list is empty, or two consumers share an
+    output buffer. *)
 
 val graph_fingerprint : graph -> string
 (** Stable identity of the operator graph and shape — the workload

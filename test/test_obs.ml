@@ -481,7 +481,8 @@ let test_disabled_telemetry_is_invisible () =
     (Metrics.histogram_names (Telemetry.metrics off));
   Alcotest.(check int) "no journal entries" 0
     (Journal.length (Telemetry.journal off));
-  Alcotest.(check int) "no spans" 0 (List.length (Span.spans (Telemetry.spans off)))
+  Alcotest.(check int) "no spans" 0
+    (List.length (Span.spans (Telemetry.spans off)))
 
 (* Recording from several domains at once must lose nothing: the
    registries are shared by the parallel backend's worker domains. *)

@@ -13,8 +13,8 @@ let sum t = Array.fold_left ( +. ) 0.0 (Tensor.data t)
 let max_abs t =
   Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 (Tensor.data t)
 
-let tensor_close ?(atol = 1e-9) ?(rtol = 1e-6) msg expected actual =
-  let report = Check.compare ~atol ~rtol expected actual in
+let tensor_close ?(atol = 1e-9) msg expected actual =
+  let report = Check.compare ~atol expected actual in
   Alcotest.(check bool)
     (Printf.sprintf "%s (%s)" msg
        (Format.asprintf "%a" Check_report.pp report))
@@ -505,7 +505,9 @@ let test_gated_activation () =
   check_float "silu(2)*4" (Nn.silu 2.0 *. 4.0) (Tensor.get2 out 0 1)
 
 let test_topk () =
-  let t = of_array (shape [ 2; 4 ]) [| 0.1; 0.9; 0.5; 0.3; 1.0; 1.0; 0.2; 0.4 |] in
+  let t =
+    of_array (shape [ 2; 4 ]) [| 0.1; 0.9; 0.5; 0.3; 1.0; 1.0; 0.2; 0.4 |]
+  in
   let ids = Nn.topk t ~k:2 in
   Alcotest.(check (list int)) "row 0" [ 1; 2 ] (Array.to_list ids.(0));
   (* Tie between columns 0 and 1 resolves to the lower index first. *)
