@@ -8,8 +8,10 @@ let tier_to_string = function
 let tier_rank = function Overlapped -> 0 | Shrunk -> 1 | Nonoverlap -> 2
 let of_rank = function 0 -> Overlapped | 1 -> Shrunk | _ -> Nonoverlap
 
+(* Consecutive low-pressure steps before stepping one tier down. *)
+let quiet_steps = 8
+
 type t = {
-  quiet_steps : int;
   mutable current : tier;
   mutable quiet : int;  (** consecutive low-pressure steps *)
   mutable faults : int;  (** consecutive faulted steps *)
@@ -17,10 +19,8 @@ type t = {
   times : float array;  (** accumulated µs per tier rank *)
 }
 
-let create ?(quiet_steps = 8) () =
-  if quiet_steps <= 0 then invalid_arg "Degrade.create: quiet_steps must be > 0";
+let create () =
   {
-    quiet_steps;
     current = Overlapped;
     quiet = 0;
     faults = 0;
@@ -56,7 +56,7 @@ let observe t ~now_us ~pressure ~faulted =
   end
   else if cur > 0 && pressure < 0.25 && not faulted then begin
     t.quiet <- t.quiet + 1;
-    if t.quiet >= t.quiet_steps then begin
+    if t.quiet >= quiet_steps then begin
       t.quiet <- 0;
       set t ~now_us (of_rank (cur - 1));
       Some t.current

@@ -13,8 +13,8 @@
 
     Escalation triggers on queue pressure (>= 0.5 one step, >= 0.9
     straight to the top) or on consecutive faulted steps; recovery
-    requires the pressure to stay below 0.25 for [quiet_steps]
-    consecutive steps, one tier at a time.  Time spent per tier is
+    requires the pressure to stay below 0.25 for 8 consecutive steps,
+    one tier at a time.  Time spent per tier is
     tracked for the report. *)
 
 type tier = Overlapped | Shrunk | Nonoverlap
@@ -25,8 +25,7 @@ val tier_rank : tier -> int
 
 type t
 
-val create : ?quiet_steps:int -> unit -> t
-(** [quiet_steps] defaults to 8. *)
+val create : unit -> t
 
 val tier : t -> tier
 

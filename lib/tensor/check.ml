@@ -7,7 +7,9 @@ type report = {
   within : bool;
 }
 
-let compare ?(atol = 1e-9) ?(rtol = 1e-6) expected actual =
+let rtol = 1e-6
+
+let compare ?(atol = 1e-9) expected actual =
   if not (Shape.equal (Tensor.shape expected) (Tensor.shape actual)) then
     invalid_arg
       (Printf.sprintf "Check.compare: shape mismatch %s vs %s"

@@ -7,9 +7,9 @@ type report = {
   within : bool;
 }
 
-val compare : ?atol:float -> ?rtol:float -> Tensor.t -> Tensor.t -> report
+val compare : ?atol:float -> Tensor.t -> Tensor.t -> report
 (** [compare expected actual]; [within] holds when every finite pair
-    obeys [|e - a| <= atol + rtol * |e|] and every other pair is in one
+    obeys [|e - a| <= atol + 1e-6 * |e|] ([atol] defaults to 1e-9) and every other pair is in one
     class: both NaN, or the same infinity.  The first pair that is not
     is the [worst_index], with infinite [max_abs_err] and
     [max_rel_err]. *)

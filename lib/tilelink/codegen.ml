@@ -163,7 +163,7 @@ let emit_role ?(target = Ptx) (role : Program.role) =
   (match target with Ptx -> Buffer.add_string buffer "}\n" | Tir -> ());
   Buffer.contents buffer
 
-let emit_rank ?(target = Ptx) (program : Program.t) ~rank =
+let emit_rank (program : Program.t) ~rank =
   if rank < 0 || rank >= Program.world_size program then
     invalid_arg "Codegen.emit_rank: rank out of range";
   let buffer = Buffer.create 4096 in
@@ -174,7 +174,7 @@ let emit_rank ?(target = Ptx) (program : Program.t) ~rank =
        (Program.world_size program)
        program.Program.pc_channels program.Program.peer_channels);
   List.iter
-    (fun role -> Buffer.add_string buffer (emit_role ~target role))
+    (fun role -> Buffer.add_string buffer (emit_role role))
     (Program.plans program).(rank);
   Buffer.contents buffer
 

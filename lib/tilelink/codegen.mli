@@ -11,7 +11,7 @@ type target = Ptx | Tir
 
 val emit_task : ?target:target -> Program.task -> string
 val emit_role : ?target:target -> Program.role -> string
-val emit_rank : ?target:target -> Program.t -> rank:int -> string
+val emit_rank : Program.t -> rank:int -> string
 
 type stats = {
   acquires : int;     (** [ld.global.acquire] spin loops *)

@@ -74,14 +74,14 @@ let ag_gemm_graph ~name spec =
         (Planner.Gemm { weights = "w"; n = spec.n });
     ]
 
-let ag_gemm_program ?(k_chunks = 2) ?(transfer = `Pull)
+let ag_gemm_program ?(transfer = `Pull)
     ~(config : Design_space.config) spec ~(spec_gpu : Spec.t) =
   Planner.synthesize
     (ag_gemm_graph ~name:"ag_gemm" spec)
     {
       Planner.pl_config = config;
       pl_transfer = (match transfer with `Pull -> Planner.Pull | `Push -> Push);
-      pl_chunks = k_chunks;
+      pl_chunks = 2;
     }
     ~spec_gpu
 

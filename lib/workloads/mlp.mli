@@ -35,7 +35,6 @@ val ag_gemm_graph : name:string -> ag_gemm_spec -> Planner.graph
     weights ["w"] and writes ["y"]. *)
 
 val ag_gemm_program :
-  ?k_chunks:int ->
   ?transfer:[ `Pull | `Push ] ->
   config:Design_space.config ->
   ag_gemm_spec ->
@@ -43,7 +42,7 @@ val ag_gemm_program :
   Program.t
 (** The planner's synthesis ({!Planner.synthesize}) of
     [ag_gemm_graph ~name:"ag_gemm"] at the given design-space point,
-    with [k_chunks] (default 2) column chunks per GEMM tile.  [`Pull]
+    with two column chunks per GEMM tile.  [`Pull]
     (default) fetches remote tiles and signals locally; [`Push]
     broadcasts the rank's own tiles to every peer and notifies remote
     consumers (Figure 3b).  Raises [Invalid_argument] when the world

@@ -1436,7 +1436,12 @@ let test_codegen_remote_copies () =
 
 let test_codegen_tir_target () =
   let program = ag_gemm_program ~with_wait:true ~with_notify:true in
-  let listing = Codegen.emit_rank ~target:Codegen.Tir program ~rank:0 in
+  let listing =
+    String.concat ""
+      (List.map
+         (Codegen.emit_role ~target:Codegen.Tir)
+         (Program.plans program).(0))
+  in
   Alcotest.(check bool) "acquire spins in TIR form" true
     (string_contains listing "sync=\"acquire\"");
   Alcotest.(check bool) "release stores in TIR form" true

@@ -149,7 +149,7 @@ let test_admission_deadline () =
 (* ------------------------------------------------------------------ *)
 
 let test_degrade_ladder () =
-  let d = Degrade.create ~quiet_steps:2 () in
+  let d = Degrade.create () in
   Alcotest.(check int) "starts full" 0 (Degrade.tier_rank (Degrade.tier d));
   Alcotest.(check int) "full batch" 8 (Degrade.max_batch d ~full:8);
   (* Severe pressure jumps straight to the top tier. *)
@@ -157,24 +157,31 @@ let test_degrade_ladder () =
   | Some Degrade.Nonoverlap -> ()
   | _ -> Alcotest.fail "expected escalation to nonoverlap");
   Alcotest.(check int) "halved batch" 4 (Degrade.max_batch d ~full:8);
-  (* Two quiet steps walk one tier back down. *)
-  Alcotest.(check bool) "first quiet step holds" true
-    (Degrade.observe d ~now_us:200. ~pressure:0.1 ~faulted:false = None);
-  (match Degrade.observe d ~now_us:300. ~pressure:0.1 ~faulted:false with
+  (* Eight quiet steps walk one tier back down. *)
+  for step = 1 to 7 do
+    Alcotest.(check bool)
+      (Printf.sprintf "quiet step %d holds" step)
+      true
+      (Degrade.observe d
+         ~now_us:(100. +. (100. *. float_of_int step))
+         ~pressure:0.1 ~faulted:false
+      = None)
+  done;
+  (match Degrade.observe d ~now_us:900. ~pressure:0.1 ~faulted:false with
   | Some Degrade.Shrunk -> ()
   | _ -> Alcotest.fail "expected recovery to shrunk");
   (* Consecutive faulted steps escalate even without queue pressure. *)
-  ignore (Degrade.observe d ~now_us:400. ~pressure:0.0 ~faulted:true);
-  (match Degrade.observe d ~now_us:500. ~pressure:0.0 ~faulted:true with
+  ignore (Degrade.observe d ~now_us:1000. ~pressure:0.0 ~faulted:true);
+  (match Degrade.observe d ~now_us:1100. ~pressure:0.0 ~faulted:true with
   | Some Degrade.Nonoverlap -> ()
   | _ -> Alcotest.fail "expected fault escalation");
-  Degrade.finish d ~now_us:600.;
+  Degrade.finish d ~now_us:1200.;
   let total =
     Degrade.time_in d Degrade.Overlapped
     +. Degrade.time_in d Degrade.Shrunk
     +. Degrade.time_in d Degrade.Nonoverlap
   in
-  Alcotest.(check (float 1e-9)) "tier times cover the whole span" 600. total
+  Alcotest.(check (float 1e-9)) "tier times cover the whole span" 1200. total
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end conservation                                             *)

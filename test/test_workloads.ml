@@ -148,10 +148,9 @@ let test_ag_gemm_rejects_bad_tile () =
      with Invalid_argument _ -> true)
 
 (* A chunk count below 1 is a bad design point like a non-dividing
-   tile: building it raises [Invalid_argument] (not [Division_by_zero],
-   and never a program with empty GEMM tiles), in the hand-written
-   kernel and in planner synthesis alike, so the tuner counts it as a
-   skipped build. *)
+   tile: synthesizing it raises [Invalid_argument] (not
+   [Division_by_zero], and never a program with empty GEMM tiles), so
+   the tuner counts it as a skipped build. *)
 let test_ag_gemm_rejects_bad_chunks () =
   let rejects what build =
     Alcotest.(check bool) what true
@@ -161,21 +160,19 @@ let test_ag_gemm_rejects_bad_chunks () =
        with Invalid_argument _ -> true)
   in
   let graph = Planned.mlp_graph ag_spec in
+  let synthesize config chunks =
+    Planner.synthesize graph
+      {
+        Planner.pl_config = config;
+        pl_transfer = Planner.Pull;
+        pl_chunks = chunks;
+      }
+      ~spec_gpu:Calib.test_machine
+  in
   List.iter
-    (fun k_chunks ->
-      rejects (Printf.sprintf "ag_gemm k_chunks=%d rejected" k_chunks)
-        (fun () ->
-          Mlp.ag_gemm_program ~k_chunks ~config:base_config ag_spec
-            ~spec_gpu:Calib.test_machine);
-      rejects (Printf.sprintf "planner chunks=%d rejected" k_chunks)
-        (fun () ->
-          Planner.synthesize graph
-            {
-              Planner.pl_config = base_config;
-              pl_transfer = Planner.Pull;
-              pl_chunks = k_chunks;
-            }
-            ~spec_gpu:Calib.test_machine))
+    (fun chunks ->
+      rejects (Printf.sprintf "planner chunks=%d rejected" chunks)
+        (fun () -> synthesize base_config chunks))
     [ 0; -1 ];
   (* The stage count marks which candidate gets which chunk count. *)
   let configs =
@@ -184,11 +181,8 @@ let test_ag_gemm_rejects_bad_chunks () =
       [ 1; 2; 3 ]
   in
   let build (config : Design_space.config) =
-    let k_chunks =
-      match config.Design_space.stages with 1 -> 0 | 2 -> -1 | _ -> 2
-    in
-    Mlp.ag_gemm_program ~k_chunks ~config ag_spec
-      ~spec_gpu:Calib.test_machine
+    synthesize config
+      (match config.Design_space.stages with 1 -> 0 | 2 -> -1 | _ -> 2)
   in
   match
     Tune.search_programs ~workload:"test:bad-chunks" ~build
